@@ -4,7 +4,8 @@ Stage outputs are plain files in the canonical formats, every ``run`` writes a
 ``manifest.json`` recording input/output hashes and wall-clock per stage, and
 reruns with an identical config (and a warm LLM cache) reproduce artifacts
 byte-for-byte.  Config files are INI-style key-value text with one section per
-stage; command-line flags override file values.
+stage.  A stage takes each setting from, highest first: its command-line
+flag, its own section, then ``[global]``.
 """
 
 from __future__ import annotations
@@ -18,19 +19,29 @@ import logging
 import os
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 from . import __version__
-from .core import ConfigError, MobanomError, params_hash, read_dataset, read_labels, write_dataset, write_labels
+from .core import ConfigError, MobanomError, config_from_mapping, convert_value, params_hash, read_dataset, read_labels, write_dataset, write_labels
 from .detectors import NetHyper, SplitSpec, TraodParams, build_windows, dae_score, dsvdd_score, monav_tt_score, ompad_score, traod_score
 from .evaluation import ScoreTable, make_report
 from .ingest import PoiMap, StayPointParams, ingest_dataset
 from .inject import InjectConfig, inject_imposter
 from .llm import LlmEndpointConfig, dump_prompts, endpoint_from_config, run_llm_detection
-from .simulator import config_from_mapping, simulate
+from .simulator import SimConfig, simulate
 
 log = logging.getLogger("mobanom")
 
 DETECT_METHODS = ("ompad", "monav", "traod", "dae", "dsvdd", "llm")
+DEFAULT_LLM_MODE = "separate"
+
+#: Keys naming a stage's input and output paths.  They come from flags or,
+#: under ``run``, from the stage before; a config file cannot set them.
+PATH_KEYS = ("in", "out", "scores", "labels")
+
+#: Parsed arguments that are not stage settings.
+_CLI_ONLY_ARGS = ("command", "config", "out_dir", "log_json", "verbose")
 
 
 class _JsonLogFormatter(logging.Formatter):
@@ -55,29 +66,50 @@ def _setup_logging(log_json: bool, verbose: bool) -> None:
     root.setLevel(logging.DEBUG if verbose else logging.INFO)
 
 
-def _sha256_file(path: str) -> str:
+def _sha256_path(path: str) -> str:
+    """sha256 of a file, or of a directory's sorted (relative path, file sha256) pairs."""
     h = hashlib.sha256()
+    if os.path.isdir(path):
+        rel_paths = sorted(os.path.relpath(os.path.join(d, n), path) for d, _, names in os.walk(path) for n in names)
+        for rel in rel_paths:
+            h.update(f"{rel}\0{_sha256_path(os.path.join(path, rel))}\n".encode("utf-8"))
+        return h.hexdigest()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
 
 
-def _read_kv_file(path: str, section: str | None = None) -> dict:
-    """INI section or flat key=value lines -> string mapping."""
-    parser = configparser.ConfigParser()
+def _read_config(path: str) -> configparser.ConfigParser:
+    """INI sections, or flat ``key = value`` lines (read as the DEFAULT section)."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"cannot read config file {path!r}")
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
+    parser = configparser.ConfigParser()
     try:
-        parser.read_string(text)
+        parser.read_string(text, source=path)
     except configparser.MissingSectionHeaderError:
-        parser.read_string("[DEFAULT]\n" + text)
-    if section and parser.has_section(section):
-        return dict(parser[section])
-    if parser.sections():
-        first = parser.sections()[0]
-        return dict(parser[first])
-    return dict(parser["DEFAULT"])
+        parser.read_string("[DEFAULT]\n" + text, source=path)
+    return parser
+
+
+def _file_settings(parser: configparser.ConfigParser, name: str, strict: bool) -> dict:
+    """Stage ``name``'s settings from a config file: [global] < extra sections < [name].
+
+    ``strict`` rejects a sectioned file without a [name] section; a flat file
+    applies to any stage.
+    """
+    if not parser.sections():
+        settings = dict(parser.defaults())
+    else:
+        if strict and not parser.has_section(name):
+            raise ConfigError(f"config file has no [{name}] section")
+        settings = {}
+        for section in ("global", *STAGES[name].sections, name):
+            if parser.has_section(section):
+                settings.update(parser[section])
+    return {k: v for k, v in settings.items() if k not in PATH_KEYS}
 
 
 def _write_text(path: str, text: str) -> None:
@@ -86,282 +118,248 @@ def _write_text(path: str, text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Stage implementations (shared between subcommands and `run`).
+# Stages.  Each takes (settings, declared input paths, output directory, a
+# list it appends every output path to before writing it).
 # ---------------------------------------------------------------------------
 
 
-def _resolve_seed(mapping: dict, flag_seed: int | None, default: int = 0) -> int:
-    # command-line flag wins over file values
-    if flag_seed is not None:
-        return flag_seed
-    return int(mapping.get("seed", default))
-
-
-def stage_simulate(mapping: dict, out_dir: str, seed: int | None) -> list[str]:
-    mapping = {**mapping, "seed": _resolve_seed(mapping, seed)}
-    config = config_from_mapping(mapping)
-    result = simulate(config)
+def _write_data(out_dir: str, outputs: list[str], ds, labels=None) -> None:
     os.makedirs(out_dir, exist_ok=True)
     ds_path = os.path.join(out_dir, "dataset.jsonl")
-    lb_path = os.path.join(out_dir, "labels.jsonl")
-    write_dataset(result.dataset, ds_path)
-    write_labels(result.labels, lb_path)
-    log.info("simulated %d agents, %d outliers", config.n_agents, result.labels.n_outliers())
-    return [ds_path, os.path.splitext(ds_path)[0] + ".meta.json", lb_path]
-
-
-def stage_ingest(mapping: dict, out_dir: str) -> list[str]:
-    input_path = mapping.get("input")
-    if not input_path:
-        raise ConfigError("ingest needs an input path")
-    params = StayPointParams(
-        dist_threshold_m=float(mapping.get("dist_threshold_m", 200.0)),
-        time_threshold_s=float(mapping.get("time_threshold_s", 1200.0)),
-    )
-    poi = PoiMap.from_jsonl(mapping["poi_map"]) if mapping.get("poi_map") else None
-    ds = ingest_dataset(
-        input_path,
-        mapping.get("format", "csv"),
-        params=params,
-        poi=poi,
-        min_points=int(mapping.get("min_records", 50)),
-    )
-    os.makedirs(out_dir, exist_ok=True)
-    ds_path = os.path.join(out_dir, "dataset.jsonl")
+    outputs += [ds_path, os.path.join(out_dir, "dataset.meta.json")]
     write_dataset(ds, ds_path)
-    log.info("ingested %d agents from %s", len(ds.trajectories), input_path)
-    return [ds_path, os.path.splitext(ds_path)[0] + ".meta.json"]
+    if labels is not None:
+        lb_path = os.path.join(out_dir, "labels.jsonl")
+        outputs.append(lb_path)
+        write_labels(labels, lb_path)
 
 
-def stage_inject(mapping: dict, in_dataset: str, out_dir: str, seed: int | None) -> list[str]:
-    cfg = InjectConfig(
-        n_outlier_pairs=int(mapping.get("pairs", 12)),
-        switch_fraction=float(mapping.get("switch_fraction", 0.8)),
-        seed=_resolve_seed(mapping, seed),
+def stage_simulate(m: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
+    config = config_from_mapping(SimConfig, m)
+    result = simulate(config)
+    _write_data(out_dir, outputs, result.dataset, result.labels)
+    log.info("simulated %d agents, %d outliers", config.n_agents, result.labels.n_outliers())
+
+
+def stage_ingest(m: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
+    params = config_from_mapping(StayPointParams, m)
+    poi = PoiMap.from_jsonl(m["poi_map"]) if m.get("poi_map") else None
+    keys = {"format": "format_tag", "min_records": "min_points"}
+    ds = config_from_mapping(ingest_dataset, m, keys, input_path=inputs[0], params=params, poi=poi)
+    _write_data(out_dir, outputs, ds)
+    log.info("ingested %d agents from %s", len(ds.trajectories), inputs[0])
+
+
+def stage_inject(m: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
+    cfg = config_from_mapping(
+        InjectConfig, m, {"pairs": "n_outlier_pairs", "switch_fraction": "switch_fraction", "seed": "seed"}
     )
-    ds = read_dataset(in_dataset)
-    out_ds, labels = inject_imposter(ds, cfg)
-    os.makedirs(out_dir, exist_ok=True)
-    ds_path = os.path.join(out_dir, "dataset.jsonl")
-    lb_path = os.path.join(out_dir, "labels.jsonl")
-    write_dataset(out_ds, ds_path)
-    write_labels(labels, lb_path)
+    out_ds, labels = inject_imposter(read_dataset(inputs[0]), cfg)
+    _write_data(out_dir, outputs, out_ds, labels)
     log.info("injected %d imposter pairs", cfg.n_outlier_pairs)
-    return [ds_path, os.path.splitext(ds_path)[0] + ".meta.json", lb_path]
 
 
-def _load_split(data_dir: str, mapping: dict):
-    ds = read_dataset(os.path.join(data_dir, "dataset.jsonl"))
-    labels_path = os.path.join(data_dir, "labels.jsonl")
-    if not os.path.exists(labels_path):
-        raise ConfigError(f"missing labels file: {labels_path}")
-    labels = read_labels(labels_path)
-    fallback_fraction = mapping.get("fallback_fraction")
-    fallback_time = mapping.get("fallback_time")
-    split = SplitSpec.from_labels(
-        ds,
-        labels,
-        fallback_fraction=float(fallback_fraction) if fallback_fraction else None,
-        fallback_time=int(fallback_time) if fallback_time else None,
-    )
-    return ds, labels, split
-
-
-def stage_detect(
-    mapping: dict, data_dir: str, out_dir: str, seed: int | None, out_path: str | None = None
-) -> list[str]:
-    methods = [m.strip() for m in str(mapping.get("methods", mapping.get("method", "ompad"))).split(",") if m.strip()]
-    for m in methods:
-        if m not in DETECT_METHODS:
-            raise ConfigError(f"unknown detect method {m!r}")
-    if out_path and len(methods) != 1:
+def stage_detect(m: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
+    methods = [x.strip() for x in str(m.get("methods", m.get("method", "ompad"))).split(",") if x.strip()]
+    for method in methods:
+        if method not in DETECT_METHODS:
+            raise ConfigError(f"unknown detect method {method!r}")
+    if m.get("out") and len(methods) != 1:
         raise ConfigError("--out applies to a single method")
-    ds, labels, split = _load_split(data_dir, mapping)
-    window_days = float(mapping.get("window_days", 7.0))
-    window_len = int(mapping.get("l", mapping.get("window_len", 64)))
-    hyper = NetHyper(
-        learning_rate=float(mapping.get("learning_rate", 0.01)),
-        epochs=int(mapping.get("epochs", 300)),
-        seed=_resolve_seed(mapping, seed),
-        embed_dim=int(mapping.get("embed_dim", 16)),
+    ds, labels = read_dataset(inputs[0]), read_labels(inputs[1])
+    split = config_from_mapping(
+        SplitSpec.from_labels,
+        m,
+        {"fallback_fraction": "fallback_fraction", "fallback_time": "fallback_time"},
+        ds=ds,
+        labels=labels,
     )
-    scope = str(mapping.get("scope", "population"))
+    hyper = config_from_mapping(NetHyper, m)
     os.makedirs(out_dir, exist_ok=True)
 
-    outputs = []
     feat = None
     for method in methods:
         if method in ("ompad", "dae", "dsvdd") and feat is None:
-            feat = build_windows(ds, split, window_days=window_days, L=window_len)
+            window_keys = {"window_days": "window_days", "window_len": "L", "l": "L"}
+            feat = config_from_mapping(build_windows, m, window_keys, ds=ds, split=split)
         if method == "ompad":
             table = ompad_score(feat)
         elif method == "monav":
-            table = monav_tt_score(ds, split, window_days=window_days)
+            table = config_from_mapping(monav_tt_score, m, {"window_days": "window_days"}, ds=ds, split=split)
         elif method == "traod":
-            params = TraodParams(
-                D=float(mapping["traod_d"]) if mapping.get("traod_d") else None,
-                p_frac=float(mapping.get("p_frac", 0.95)),
-                seed=_resolve_seed(mapping, seed),
-            )
+            params = config_from_mapping(TraodParams, m, {"traod_d": "D", "p_frac": "p_frac", "seed": "seed"})
             table = traod_score(ds, split, params)
-        elif method == "dae":
-            table = dae_score(feat, hyper, scope=scope)
-        elif method == "dsvdd":
-            table = dsvdd_score(feat, hyper, scope=scope)
+        elif method in ("dae", "dsvdd"):
+            score = dae_score if method == "dae" else dsvdd_score
+            table = config_from_mapping(score, m, {"scope": "scope"}, feat=feat, hyper=hyper)
         else:  # llm
-            endpoint_path = mapping.get("endpoint")
-            if not endpoint_path:
+            if not m.get("endpoint"):
                 raise ConfigError("llm detection needs an endpoint config file")
-            config = LlmEndpointConfig.from_json_file(endpoint_path)
-            endpoint = endpoint_from_config(config, labels=labels)
-            table = run_llm_detection(
-                ds,
-                labels,
-                mapping.get("mode", "separate"),
-                endpoint,
-                template_version=mapping.get("template", "paper-v1"),
-                cache_dir=mapping.get("cache_dir") or config.cache_dir,
+            config = LlmEndpointConfig.from_json_file(m["endpoint"])
+            table = config_from_mapping(
+                run_llm_detection,
+                m,
+                {"template": "template_version"},
+                ds=ds,
+                labels=labels,
+                mode=m.get("mode", DEFAULT_LLM_MODE),
+                endpoint=endpoint_from_config(config, labels=labels),
+                cache_dir=m.get("cache_dir") or config.cache_dir,
                 max_concurrent=config.max_concurrent_requests,
                 split=split,
             )
-        scores_path = out_path or os.path.join(out_dir, f"scores_{table.detector}.jsonl")
+        scores_path = m.get("out") or os.path.join(out_dir, f"scores_{table.detector}.jsonl")
+        outputs.append(scores_path)
         _write_text(scores_path, table.to_jsonl())
         if table.omitted:
             log.info("%s omitted %d agents", table.detector, len(table.omitted))
-        outputs.append(scores_path)
-    return outputs
 
 
-def stage_eval(
-    mapping: dict, scores_glob: str, labels_path: str, out_dir: str, csv_path: str | None = None
-) -> list[str]:
-    if not os.path.exists(labels_path):
-        raise ConfigError(f"missing labels file: {labels_path}")
-    labels = read_labels(labels_path)
-    score_files = sorted(globmod.glob(scores_glob))
-    if not score_files:
-        raise ConfigError(f"no score files match {scores_glob!r}")
+def stage_eval(m: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
+    labels = read_labels(inputs[0])
     tables = []
-    for path in score_files:
+    for path in inputs[1:]:
         with open(path, "r", encoding="utf-8") as fh:
             tables.append(ScoreTable.from_jsonl(fh.read()))
-    ks = [int(k) for k in str(mapping.get("top_k", "10,25,100")).split(",")]
-    report = make_report(tables, labels, ks, config_hash=params_hash(mapping))
+    report = config_from_mapping(
+        make_report, {"top_k": "10,25,100", **m}, {"top_k": "ks"}, score_tables=tables, labels=labels
+    )
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = csv_path or os.path.join(out_dir, "report.csv")
+    csv_path = m.get("out") or os.path.join(out_dir, "report.csv")
     txt_path = os.path.join(out_dir, "report.txt")
+    outputs += [csv_path, txt_path]
     _write_text(csv_path, report.to_csv())
     _write_text(txt_path, report.to_text())
     sys.stdout.write(report.to_text())
-    return [csv_path, txt_path]
 
 
-# ---------------------------------------------------------------------------
-# `run`: the whole pipeline with a manifest.
-# ---------------------------------------------------------------------------
+def stage_dump_prompts(m: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
+    ds, labels = read_dataset(inputs[0]), read_labels(inputs[1])
+    mode = m.get("mode", DEFAULT_LLM_MODE)
+    keys = {"template": "template_version"}
+    outputs += config_from_mapping(dump_prompts, m, keys, ds=ds, labels=labels, mode=mode, out_dir=out_dir)
+    outputs.append(os.path.join(out_dir, "prompts_index.jsonl"))
 
 
-def _mark_partial_outputs(stage_dir: str, since_wall: float) -> None:
-    """Rename files a failed stage wrote to ``<name>.partial``."""
-    if not os.path.isdir(stage_dir):
-        return
-    for dirpath, _, filenames in os.walk(stage_dir):
-        for name in filenames:
-            if name.endswith(".partial"):
-                continue
-            path = os.path.join(dirpath, name)
-            if os.path.getmtime(path) >= since_wall - 1.0:
+def _ingest_inputs(m: dict) -> list[str]:
+    if not m.get("input"):
+        raise ConfigError("ingest needs an input path")
+    return [m["input"]]
+
+
+def _data_dir_inputs(m: dict) -> list[str]:
+    return [os.path.join(m["in"], "dataset.jsonl"), os.path.join(m["in"], "labels.jsonl")]
+
+
+def _eval_inputs(m: dict) -> list[str]:
+    score_files = sorted(globmod.glob(m["scores"]))
+    if not score_files:
+        raise ConfigError(f"no score files match {m['scores']!r}")
+    return [m["labels"], *score_files]
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One row of the stage table, shared by the stage's subcommand and by ``run``."""
+
+    fn: Callable[[dict, list, str, list], None]
+    reads: Callable[[dict], list]  # settings -> the input paths the stage declares
+    subdir: str | None  # output directory under `run`'s --out-dir; None: subcommand only
+    chain: Callable[[str, str], dict] | None = None  # (data dir, out dir) -> path settings under `run`
+    data: bool = False  # writes the dataset that later `run` stages read
+    sections: tuple[str, ...] = ()  # config sections merged between [global] and the stage's own
+
+
+STAGES = {
+    "simulate": Stage(stage_simulate, lambda m: [], "sim", data=True),
+    "ingest": Stage(stage_ingest, _ingest_inputs, "ingest", data=True),
+    "inject": Stage(
+        stage_inject,
+        lambda m: [m["in"]],
+        "inject",
+        chain=lambda data, out: {"in": os.path.join(data, "dataset.jsonl")},
+        data=True,
+    ),
+    "detect": Stage(stage_detect, _data_dir_inputs, "scores", chain=lambda data, out: {"in": data}, sections=("llm",)),
+    "eval": Stage(
+        stage_eval,
+        _eval_inputs,
+        "",
+        chain=lambda data, out: {
+            "labels": os.path.join(data, "labels.jsonl"),
+            "scores": os.path.join(out, "scores", "scores_*.jsonl"),
+        },
+    ),
+    "dump-prompts": Stage(stage_dump_prompts, _data_dir_inputs, None),
+}
+
+
+def _run_stage(name: str, m: dict, out_dir: str) -> dict:
+    """Run one stage; on failure rename the outputs it listed to ``<path>.partial``."""
+    stage = STAGES[name]
+    inputs = stage.reads(m)
+    for path in inputs:
+        if not os.path.exists(path):
+            raise ConfigError(f"{name} input not found: {path}")
+    outputs: list[str] = []
+    started = time.monotonic()
+    log.info("stage %s starting", name)
+    try:
+        stage.fn(m, inputs, out_dir, outputs)
+    except Exception:
+        for path in outputs:
+            if os.path.exists(path):
                 os.replace(path, path + ".partial")
+        log.error("stage %s failed", name)
+        raise
+    wall_clock_s = round(time.monotonic() - started, 3)
+    log.info("stage %s done in %.2fs", name, wall_clock_s)
+    return {"name": name, "inputs": inputs, "outputs": outputs, "wall_clock_s": wall_clock_s}
 
 
 def run_pipeline(config_path: str, out_dir: str | None, seed: int | None) -> int:
-    parser = configparser.ConfigParser()
-    read = parser.read(config_path)
-    if not read:
-        raise ConfigError(f"cannot read config file {config_path!r}")
+    """Chain the stages listed in [global] and write ``manifest.json``."""
+    parser = _read_config(config_path)
     glob_cfg = dict(parser["global"]) if parser.has_section("global") else {}
     out_dir = out_dir or glob_cfg.get("out_dir", "out")
-    file_seed = int(glob_cfg["seed"]) if "seed" in glob_cfg else None
     stages = [s.strip() for s in glob_cfg.get("stages", "").split(",") if s.strip()]
     if not stages:
         raise ConfigError("config [global] must list stages")
+    for name in stages:
+        if name not in STAGES or STAGES[name].subdir is None:
+            raise ConfigError(f"unknown stage {name!r}")
     os.makedirs(out_dir, exist_ok=True)
 
-    config_hash = params_hash({s: dict(parser[s]) for s in parser.sections()})
     manifest = {
         "version": __version__,
-        "config_hash": config_hash,
-        "seed": seed if seed is not None else file_seed,
+        "config_hash": params_hash({s: dict(parser[s]) for s in parser.sections()}),
+        "seed": seed if seed is not None else convert_value(int | None, "seed", glob_cfg.get("seed")),
         "stages": [],
     }
+    flags = {} if seed is None else {"seed": seed}
     data_dir: str | None = None
-
-    for stage in stages:
-        mapping = dict(parser[stage]) if parser.has_section(stage) else {}
-        if file_seed is not None:
-            mapping.setdefault("seed", file_seed)
-        stage_out: list[str] = []
-        inputs: list[str] = []
-        started = time.monotonic()
-        started_wall = time.time()
-        stage_dir = out_dir
-        log.info("stage %s starting", stage)
-        try:
-            if stage == "simulate":
-                data_dir = stage_dir = os.path.join(out_dir, "sim")
-                stage_out = stage_simulate(mapping, data_dir, seed)
-            elif stage == "ingest":
-                data_dir = stage_dir = os.path.join(out_dir, "ingest")
-                if mapping.get("input"):
-                    inputs.append(mapping["input"])
-                stage_out = stage_ingest(mapping, data_dir)
-            elif stage == "inject":
-                if data_dir is None:
-                    raise ConfigError("inject needs a prior simulate/ingest stage")
-                in_ds = os.path.join(data_dir, "dataset.jsonl")
-                inputs.append(in_ds)
-                data_dir = stage_dir = os.path.join(out_dir, "inject")
-                stage_out = stage_inject(mapping, in_ds, data_dir, seed)
-            elif stage == "detect":
-                if data_dir is None:
-                    raise ConfigError("detect needs a prior data stage")
-                inputs.extend(
-                    [os.path.join(data_dir, "dataset.jsonl"), os.path.join(data_dir, "labels.jsonl")]
-                )
-                llm_section = dict(parser["llm"]) if parser.has_section("llm") else {}
-                stage_dir = os.path.join(out_dir, "scores")
-                stage_out = stage_detect({**llm_section, **mapping}, data_dir, stage_dir, seed)
-            elif stage == "eval":
-                if data_dir is None:
-                    raise ConfigError("eval needs a prior data stage")
-                labels_path = os.path.join(data_dir, "labels.jsonl")
-                scores_glob = os.path.join(out_dir, "scores", "scores_*.jsonl")
-                inputs.append(labels_path)
-                inputs.extend(sorted(globmod.glob(scores_glob)))
-                stage_out = stage_eval(mapping, scores_glob, labels_path, out_dir)
-            else:
-                raise ConfigError(f"unknown stage {stage!r}")
-        except Exception:
-            # keep whatever the stage managed to produce, renamed *.partial
-            _mark_partial_outputs(stage_dir, started_wall)
-            log.error("stage %s failed", stage)
-            raise
-        manifest["stages"].append(
-            {
-                "name": stage,
-                "inputs": {p: _sha256_file(p) for p in inputs if os.path.exists(p)},
-                "outputs": {p: _sha256_file(p) for p in stage_out},
-                "wall_clock_s": round(time.monotonic() - started, 3),
-            }
-        )
-        log.info("stage %s done in %.2fs", stage, manifest["stages"][-1]["wall_clock_s"])
+    for name in stages:
+        stage = STAGES[name]
+        m = _file_settings(parser, name, strict=False)
+        if stage.chain is not None:
+            if data_dir is None:
+                raise ConfigError(f"{name} needs a prior simulate or ingest stage")
+            m.update(stage.chain(data_dir, out_dir))
+        stage_dir = os.path.join(out_dir, stage.subdir)
+        entry = _run_stage(name, {**m, **flags}, stage_dir)
+        entry["inputs"] = {p: _sha256_path(p) for p in entry["inputs"]}
+        entry["outputs"] = {p: _sha256_path(p) for p in entry["outputs"]}
+        manifest["stages"].append(entry)
+        if stage.data:
+            data_dir = stage_dir
 
     _write_text(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return 0
 
 
 # ---------------------------------------------------------------------------
-# argparse wiring
+# argparse wiring.  Flags default to None (unset), so every default lives in
+# the library; each flag's dest is the settings key it overrides.
 # ---------------------------------------------------------------------------
 
 
@@ -373,47 +371,50 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--log-json", action="store_true", help="line-delimited JSON logs on stderr")
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
+    # SUPPRESS: a subcommand flag that is not given leaves the global one alone
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="seed override")
 
-    p = sub.add_parser("simulate", help="generate a labeled synthetic dataset")
-    p.add_argument("--config", dest="sim_config", default=None, help="key-value SimConfig file")
+    p = sub.add_parser("simulate", parents=[seeded], help="generate a labeled synthetic dataset")
+    p.add_argument("--config", default=argparse.SUPPRESS, help="key-value SimConfig file")
 
     p = sub.add_parser("ingest", help="raw GPS logs -> canonical dataset")
     p.add_argument("input", help="csv file or plt directory tree")
-    p.add_argument("--format", choices=("plt", "csv"), default="csv")
-    p.add_argument("--dist-threshold-m", type=float, default=200.0)
-    p.add_argument("--time-threshold-s", type=float, default=1200.0)
-    p.add_argument("--min-records", type=int, default=50)
-    p.add_argument("--poi-map", default=None)
+    p.add_argument("--format", choices=("plt", "csv"))
+    p.add_argument("--dist-threshold-m", type=float)
+    p.add_argument("--time-threshold-s", type=float)
+    p.add_argument("--min-records", type=int)
+    p.add_argument("--poi-map")
 
-    p = sub.add_parser("inject", help="swap trajectory tails between agent pairs")
-    p.add_argument("--in", dest="in_path", required=True, help="input dataset.jsonl")
-    p.add_argument("--pairs", type=int, default=12)
-    p.add_argument("--switch-fraction", type=float, default=0.8)
+    p = sub.add_parser("inject", parents=[seeded], help="swap trajectory tails between agent pairs")
+    p.add_argument("--in", required=True, help="input dataset.jsonl")
+    p.add_argument("--pairs", type=int)
+    p.add_argument("--switch-fraction", type=float)
 
-    p = sub.add_parser("detect", help="score agents with one or more detectors")
-    p.add_argument("--method", required=True, help=f"comma list of {'|'.join(DETECT_METHODS)}")
-    p.add_argument("--in", dest="in_dir", required=True, help="directory with dataset.jsonl + labels.jsonl")
-    p.add_argument("--params", default=None, help="key-value parameter file")
-    p.add_argument("--out", default=None, help="scores path (single method only)")
-    p.add_argument("--mode", default="separate", help="llm prompt mode")
-    p.add_argument("--endpoint", default=None, help="llm endpoint config json")
-    p.add_argument("--template", default="paper-v1")
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--window-days", type=float, default=None)
-    p.add_argument("--window-len", type=int, default=None)
-    p.add_argument("--scope", choices=("population", "per_agent"), default=None)
-    p.add_argument("--epochs", type=int, default=None)
+    p = sub.add_parser("detect", parents=[seeded], help="score agents with one or more detectors")
+    p.add_argument("--method", dest="methods", required=True, help=f"comma list of {'|'.join(DETECT_METHODS)}")
+    p.add_argument("--in", required=True, help="directory with dataset.jsonl + labels.jsonl")
+    p.add_argument("--params", dest="config", default=argparse.SUPPRESS, help="key-value parameter file")
+    p.add_argument("--out", help="scores path (single method only)")
+    p.add_argument("--mode", help="llm prompt mode")
+    p.add_argument("--endpoint", help="llm endpoint config json")
+    p.add_argument("--template")
+    p.add_argument("--cache-dir")
+    p.add_argument("--window-days", type=float)
+    p.add_argument("--window-len", dest="l", type=int)
+    p.add_argument("--scope", choices=("population", "per_agent"))
+    p.add_argument("--epochs", type=int)
 
     p = sub.add_parser("eval", help="rank metrics for score tables")
     p.add_argument("--scores", required=True, help="glob of scores_*.jsonl files")
     p.add_argument("--labels", required=True)
-    p.add_argument("--top-k", default="10,25,100")
-    p.add_argument("--out", default=None, help="CSV report path")
+    p.add_argument("--top-k")
+    p.add_argument("--out", help="CSV report path")
 
     p = sub.add_parser("dump-prompts", help="write rendered prompts without calling any endpoint")
-    p.add_argument("--in", dest="in_dir", required=True)
-    p.add_argument("--mode", default="separate")
-    p.add_argument("--template", default="paper-v1")
+    p.add_argument("--in", required=True)
+    p.add_argument("--mode")
+    p.add_argument("--template")
 
     sub.add_parser("run", help="execute the staged pipeline from --config")
     return parser
@@ -422,53 +423,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     _setup_logging(args.log_json, args.verbose)
-    out_dir = args.out_dir or "out"
     try:
-        if args.command == "simulate":
-            mapping = _read_kv_file(args.sim_config or args.config, "simulate") if (args.sim_config or args.config) else {}
-            stage_simulate(mapping, out_dir, args.seed)
-        elif args.command == "ingest":
-            mapping = {
-                "input": args.input,
-                "format": args.format,
-                "dist_threshold_m": args.dist_threshold_m,
-                "time_threshold_s": args.time_threshold_s,
-                "min_records": args.min_records,
-            }
-            if args.poi_map:
-                mapping["poi_map"] = args.poi_map
-            stage_ingest(mapping, out_dir)
-        elif args.command == "inject":
-            mapping = {"pairs": args.pairs, "switch_fraction": args.switch_fraction}
-            stage_inject(mapping, args.in_path, out_dir, args.seed)
-        elif args.command == "detect":
-            mapping = _read_kv_file(args.params, "detect") if args.params else {}
-            mapping["methods"] = args.method
-            if args.endpoint:
-                mapping["endpoint"] = args.endpoint
-            if args.cache_dir:
-                mapping["cache_dir"] = args.cache_dir
-            mapping.setdefault("mode", args.mode)
-            mapping.setdefault("template", args.template)
-            if args.window_days is not None:
-                mapping["window_days"] = args.window_days
-            if args.window_len is not None:
-                mapping["window_len"] = args.window_len
-            if args.scope is not None:
-                mapping["scope"] = args.scope
-            if args.epochs is not None:
-                mapping["epochs"] = args.epochs
-            stage_detect(mapping, args.in_dir, out_dir, args.seed, out_path=args.out)
-        elif args.command == "eval":
-            stage_eval({"top_k": args.top_k}, args.scores, args.labels, out_dir, csv_path=args.out)
-        elif args.command == "dump-prompts":
-            ds = read_dataset(os.path.join(args.in_dir, "dataset.jsonl"))
-            labels = read_labels(os.path.join(args.in_dir, "labels.jsonl"))
-            dump_prompts(ds, labels, args.mode, out_dir, template_version=args.template)
-        elif args.command == "run":
+        if args.command == "run":
             if not args.config:
                 raise ConfigError("run needs --config")
             return run_pipeline(args.config, args.out_dir, args.seed)
+        settings = _file_settings(_read_config(args.config), args.command, strict=True) if args.config else {}
+        settings.update((k, v) for k, v in vars(args).items() if v is not None and k not in _CLI_ONLY_ARGS)
+        _run_stage(args.command, settings, args.out_dir or "out")
     except MobanomError as exc:
         log.error("%s: %s", args.command, exc)
         return 1

@@ -25,28 +25,17 @@ File formats
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
 import os
+import typing
 from dataclasses import dataclass, field
 
 EARTH_RADIUS_KM = 6371.0
 
 OUTLIER_TYPES = ("imposter", "hunger", "social", "work", "none")
-
-#: Place categories used by the simulator and prompt rendering.  The type
-#: vocabulary is open: ingestion may produce anything, with "Unknown" as the
-#: catch-all bucket.
-CANONICAL_PLACE_TYPES = (
-    "Apartment",
-    "Workplace",
-    "Restaurant",
-    "Pub",
-    "Recreation",
-    "Shop",
-    "Unknown",
-)
 
 
 class MobanomError(Exception):
@@ -182,6 +171,52 @@ def params_hash(params) -> str:
     """Stable short hash of a JSON-serializable parameter mapping."""
     blob = json.dumps(params, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
+
+
+def convert_value(hint, key: str, value):
+    """``value`` (a config-file string or an already typed flag) as type ``hint``.
+
+    Handles ``int``, ``float``, ``str``, ``X | None`` (an empty value is
+    None), fixed-length tuples and lists of those, written comma-separated.
+    Raises :class:`ConfigError` naming ``key`` when the value does not fit.
+    """
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None or value == "":
+            return None
+        hint = next(a for a in args if a is not type(None))
+        args = typing.get_args(hint)
+    origin = typing.get_origin(hint)
+    if origin is None:
+        try:
+            return hint(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{key} = {value!r} is not a valid {hint.__name__}") from None
+    parts = value.split(",") if isinstance(value, str) else list(value)
+    if origin is list:
+        args = args * len(parts)
+    if len(parts) != len(args):
+        raise ConfigError(f"{key} needs {len(args)} comma-separated values, got {value!r}")
+    return origin(convert_value(a, key, p) for a, p in zip(args, parts))
+
+
+def config_from_mapping(cls, mapping: dict, keys: dict[str, str] | None = None, **fixed):
+    """Call ``cls`` with the values of ``mapping`` converted to its annotated types.
+
+    ``cls`` is a dataclass or an annotated function.  ``keys`` maps each
+    accepted mapping key to the field or parameter it fills (default: every
+    dataclass field under its own name); when two keys fill one field, the
+    later one wins.  Absent keys keep the defaults of ``cls``, other mapping
+    keys are ignored, and ``fixed`` arguments pass through unconverted.
+    """
+    hints = typing.get_type_hints(cls)
+    if keys is None:
+        keys = {f.name: f.name for f in dataclasses.fields(cls)}
+    kwargs = dict(fixed)
+    for key, name in keys.items():
+        if key in mapping:
+            kwargs[name] = convert_value(hints[name], key, mapping[key])
+    return cls(**kwargs)
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:

@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -167,22 +167,10 @@ def traod_segment_distance(
 class TraodParams:
     D: float | None = None  # neighborhood radius in km; None = auto percentile
     p_frac: float = 0.95
-    F: float = 0.2  # classification cutoff on the outlying fraction; ranking ignores it
     weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     auto_d_percentile: float = 10.0
     auto_d_samples: int = 1000
     seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "D": self.D,
-            "p_frac": self.p_frac,
-            "F": self.F,
-            "weights": list(self.weights),
-            "auto_d_percentile": self.auto_d_percentile,
-            "auto_d_samples": self.auto_d_samples,
-            "seed": self.seed,
-        }
 
 
 def _trajectory_segments(t: Trajectory, lo: int, hi: int, lat0: float, lon0: float) -> list[Segment]:
@@ -216,7 +204,7 @@ def traod_score(ds: Dataset, split: SplitSpec, params: TraodParams = TraodParams
     lats = [sp.location.lat for t in ds.trajectories for sp in t.points]
     lons = [sp.location.lon for t in ds.trajectories for sp in t.points]
     if not lats or len(ds.trajectories) < 2:
-        return ScoreTable(detector="traod", scores={}, params_hash=params_hash(params.to_dict()),
+        return ScoreTable(detector="traod", scores={}, params_hash=params_hash(asdict(params)),
                           omitted={t.agent_id: "needs >= 2 agents" for t in ds.trajectories})
     lat0 = float(np.mean(lats))
     lon0 = float(np.mean(lons))
@@ -261,6 +249,6 @@ def traod_score(ds: Dataset, split: SplitSpec, params: TraodParams = TraodParams
     return ScoreTable(
         detector="traod",
         scores=scores,
-        params_hash=params_hash(params.to_dict()),
+        params_hash=params_hash(asdict(params)),
         omitted=omitted,
     )

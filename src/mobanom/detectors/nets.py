@@ -17,7 +17,7 @@ Inputs are standardized with training-side statistics before training.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,14 +38,6 @@ class NetHyper:
     epochs: int = 300
     seed: int = 0
     embed_dim: int = 16
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "embed_dim": self.embed_dim,
-        }
 
 
 class TinyNet:
@@ -258,7 +250,7 @@ def _one_class_scores(kind: str, feat: WindowedFeatures, hyper: NetHyper, scope:
     return ScoreTable(
         detector=kind if scope == "population" else f"{kind}_per_agent",
         scores=scores,
-        params_hash=params_hash({**hyper.to_dict(), "scope": scope, "L": feat.window_len,
+        params_hash=params_hash({**asdict(hyper), "scope": scope, "L": feat.window_len,
                                  "window_seconds": feat.window_seconds}),
         omitted=omitted,
     )

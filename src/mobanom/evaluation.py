@@ -157,7 +157,6 @@ class EvalReport:
     rows: list[ReportRow]
     ks: list[int]
     dataset_id: str = ""
-    config_hash: str = ""
 
     def to_text(self) -> str:
         headers = ["Detector"] + [f"Top-{k} Hits" for k in self.ks] + [
@@ -219,7 +218,6 @@ def make_report(
     labels: LabelSet,
     ks: list[int],
     dataset_id: str = "",
-    config_hash: str = "",
 ) -> EvalReport:
     """One report row per ScoreTable; undefined metrics render as ``-``."""
     if not score_tables or not ks:
@@ -254,4 +252,4 @@ def make_report(
                 omitted_agents=omitted,
             )
         )
-    return EvalReport(rows=rows, ks=list(ks), dataset_id=dataset_id, config_hash=config_hash)
+    return EvalReport(rows=rows, ks=list(ks), dataset_id=dataset_id)

@@ -280,7 +280,7 @@ def filter_min_records(ds: Dataset, min_points: int = 50) -> Dataset:
 
 def ingest_dataset(
     input_path: str,
-    format_tag: str,
+    format_tag: str = "csv",
     params: StayPointParams = StayPointParams(),
     poi: PoiMap | None = None,
     min_points: int = 50,

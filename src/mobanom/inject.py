@@ -13,7 +13,7 @@ would break timestamp monotonicity are resampled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,14 +33,11 @@ MAX_PARTNER_ATTEMPTS = 100
 
 @dataclass(frozen=True)
 class InjectConfig:
-    n_outlier_pairs: int
+    n_outlier_pairs: int = 12
     switch_fraction: float = 0.8
     seed: int = 0
-    pairing: str = "random_disjoint"
 
     def validate(self, n_agents: int) -> None:
-        if self.pairing != "random_disjoint":
-            raise ConfigError(f"unknown pairing strategy {self.pairing!r}")
         if not (0.0 < self.switch_fraction < 1.0):
             raise ConfigError("switch_fraction must be in (0, 1)")
         if self.n_outlier_pairs < 1:
@@ -49,14 +46,6 @@ class InjectConfig:
             raise ConfigError(
                 f"need {2 * self.n_outlier_pairs} agents for {self.n_outlier_pairs} pairs, have {n_agents}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "n_outlier_pairs": self.n_outlier_pairs,
-            "switch_fraction": self.switch_fraction,
-            "seed": self.seed,
-            "pairing": self.pairing,
-        }
 
 
 def _switch_time(traj: Trajectory, switch_fraction: float) -> int | None:
@@ -135,7 +124,7 @@ def inject_imposter(ds: Dataset, cfg: InjectConfig) -> tuple[Dataset, LabelSet]:
             "switch_fraction": cfg.switch_fraction,
             "n_outlier_pairs": cfg.n_outlier_pairs,
             "inject_seed": cfg.seed,
-            "inject_config_hash": params_hash(cfg.to_dict()),
+            "inject_config_hash": params_hash(asdict(cfg)),
         }
     )
     return Dataset(trajectories=trajectories, meta=meta), LabelSet(entries=entries)

@@ -16,7 +16,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core import (
     AuthError,
@@ -64,11 +64,9 @@ class LlmEndpointConfig:
 @dataclass
 class LlmAnswer:
     raw_text: str
-    parsed_scores: dict[str, float] = field(default_factory=dict)
     request_tokens: int | None = None
     response_tokens: int | None = None
     latency_s: float = 0.0
-    from_cache: bool = False
 
 
 class MockEndpoint:

@@ -24,7 +24,7 @@ results do not depend on scheduling order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -149,32 +149,6 @@ class SimConfig:
     @property
     def tick_seconds(self) -> int:
         return self.tick_minutes * 60
-
-    def to_dict(self) -> dict:
-        return {
-            "n_agents": self.n_agents,
-            "weeks": self.weeks,
-            "n_hunger": self.n_hunger,
-            "n_social": self.n_social,
-            "n_work": self.n_work,
-            "seed": self.seed,
-            "tick_minutes": self.tick_minutes,
-            "hunger_multiplier": self.hunger_multiplier,
-            "outlier_onset_fraction": self.outlier_onset_fraction,
-            "start_time": self.start_time,
-            "n_apartments": self.n_apartments,
-            "n_workplaces": self.n_workplaces,
-            "n_restaurants": self.n_restaurants,
-            "n_pubs": self.n_pubs,
-            "n_recreation": self.n_recreation,
-            "bbox": list(self.bbox),
-            "hunger_rate_range": list(self.hunger_rate_range),
-            "social_rate_per_hour": self.social_rate_per_hour,
-            "hunger_threshold": self.hunger_threshold,
-            "social_threshold": self.social_threshold,
-            "mean_friend_degree": self.mean_friend_degree,
-            "pref_weight_range": list(self.pref_weight_range),
-        }
 
 
 @dataclass(frozen=True)
@@ -446,7 +420,7 @@ def simulate(config: SimConfig) -> SimResult:
         meta={
             "source": "simulator",
             "seed": config.seed,
-            "config_hash": params_hash(config.to_dict()),
+            "config_hash": params_hash(asdict(config)),
             "onset_time": onset_time,
             "n_agents": config.n_agents,
             "weeks": config.weeks,
@@ -459,41 +433,3 @@ def simulate(config: SimConfig) -> SimResult:
         onset_tick=config.onset_tick,
         onset_time=onset_time,
     )
-
-
-def config_from_mapping(mapping: dict) -> SimConfig:
-    """Build a SimConfig from a flat string-keyed mapping (CLI config files)."""
-    kwargs = {}
-    base = SimConfig()
-    for f in (
-        "n_agents",
-        "weeks",
-        "n_hunger",
-        "n_social",
-        "n_work",
-        "seed",
-        "tick_minutes",
-        "start_time",
-        "n_apartments",
-        "n_workplaces",
-        "n_restaurants",
-        "n_pubs",
-        "n_recreation",
-    ):
-        if f in mapping:
-            kwargs[f] = int(mapping[f])
-    for f in ("hunger_multiplier", "outlier_onset_fraction", "social_rate_per_hour", "hunger_threshold", "social_threshold", "mean_friend_degree"):
-        if f in mapping:
-            kwargs[f] = float(mapping[f])
-    if "bbox" in mapping:
-        parts = [float(x) for x in str(mapping["bbox"]).split(",")]
-        if len(parts) != 4:
-            raise ConfigError("bbox needs 4 comma-separated values")
-        kwargs["bbox"] = tuple(parts)
-    for f in ("hunger_rate_range", "pref_weight_range"):
-        if f in mapping:
-            parts = [float(x) for x in str(mapping[f]).split(",")]
-            if len(parts) != 2:
-                raise ConfigError(f"{f} needs 2 comma-separated values")
-            kwargs[f] = tuple(parts)
-    return replace(base, **kwargs)

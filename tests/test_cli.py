@@ -1,9 +1,12 @@
+import hashlib
 import json
 import os
+import shlex
+import time
 
 import pytest
 
-from mobanom.cli import main
+from mobanom.cli import STAGES, _build_parser, main
 from mobanom.core import read_dataset, read_labels
 
 
@@ -243,3 +246,147 @@ class TestRunPipeline:
             hashes.append(sorted(sim["outputs"].values()))
         assert hashes[0] == hashes[1]  # same explicit seed
         assert hashes[0] != hashes[2]  # flag seed 99 differs from file seed 11
+
+
+class TestSettingsPrecedence:
+    def test_mode_flag_beats_params_file(self, sim_dir, tmp_path):
+        endpoint_cfg = tmp_path / "endpoint.json"
+        write(str(endpoint_cfg), json.dumps({"provider": "mock-oracle", "model_name": "oracle"}))
+        params = tmp_path / "detect.ini"
+        write(str(params), "[detect]\nmode = combine\n")
+        scores_dir = tmp_path / "scores"
+        code = main([
+            "--out-dir", str(scores_dir),
+            "detect", "--method", "llm", "--in", str(sim_dir), "--params", str(params),
+            "--endpoint", str(endpoint_cfg), "--mode", "separate",
+        ])
+        assert code == 0
+        assert sorted(os.listdir(scores_dir)) == ["scores_llm_separate.jsonl"]
+
+    def test_stage_section_beats_global(self, tmp_path):
+        cfg = tmp_path / "both.ini"
+        write(
+            str(cfg),
+            "[global]\nn_agents = 20\nweeks = 1\nn_hunger = 0\nn_social = 0\nn_work = 0\n\n"
+            "[simulate]\nn_agents = 9\n",
+        )
+        out = tmp_path / "sim"
+        assert main(["--config", str(cfg), "--out-dir", str(out), "simulate"]) == 0
+        ds = read_dataset(str(out / "dataset.jsonl"))
+        assert len(ds.trajectories) == 9
+        assert ds.meta["weeks"] == 1
+
+    def test_seed_after_subcommand(self, sim_dir, tmp_path):
+        runs = {}
+        for name, argv in (
+            ("before", ["--seed", "7", "inject", "--in", str(sim_dir / "dataset.jsonl"), "--pairs", "2"]),
+            ("after", ["inject", "--in", str(sim_dir / "dataset.jsonl"), "--pairs", "2", "--seed", "7"]),
+            ("other", ["inject", "--in", str(sim_dir / "dataset.jsonl"), "--pairs", "2", "--seed", "8"]),
+        ):
+            out = tmp_path / name
+            assert main(["--out-dir", str(out)] + argv) == 0
+            runs[name] = (out / "labels.jsonl").read_bytes()
+        assert runs["before"] == runs["after"]
+        assert runs["before"] != runs["other"]
+
+
+class TestConfigErrors:
+    def test_params_file_without_requested_section(self, sim_dir, tmp_path):
+        params = tmp_path / "sim_only.ini"
+        write(str(params), "[simulate]\nn_agents = 5\n")
+        code = main([
+            "--out-dir", str(tmp_path / "s"),
+            "detect", "--method", "ompad", "--in", str(sim_dir), "--params", str(params),
+        ])
+        assert code == 1
+        assert not (tmp_path / "s").exists()
+
+    def test_flat_params_file_still_read(self, sim_dir, tmp_path):
+        params = tmp_path / "flat.cfg"
+        write(str(params), "window_days = 2\nwindow_len = 8\n")
+        out = tmp_path / "s"
+        code = main(["--out-dir", str(out), "detect", "--method", "ompad", "--in", str(sim_dir), "--params", str(params)])
+        assert code == 0
+        assert (out / "scores_ompad.jsonl").exists()
+
+    def test_bad_value_exits_1_without_traceback(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        write(str(cfg), "n_agents = abc\n")
+        code = main(["--out-dir", str(tmp_path / "sim"), "simulate", "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "n_agents" in err
+        assert "Traceback" not in err
+
+
+def write_plt_tree(root):
+    """Two agents, each dwelling 30 minutes at three places 2 km apart."""
+    header = "header\n" * 6
+    for agent in ("000", "001"):
+        rows = []
+        t = 1_224_800_000 + int(agent) * 600
+        for place in range(3):
+            for _ in range(30):
+                stamp = time.strftime("%Y-%m-%d,%H:%M:%S", time.gmtime(t))
+                rows.append(f"{39.9 + 0.02 * place:.6f},116.400000,0,164,39745.0,{stamp}\n")
+                t += 60
+        path = root / agent / "Trajectory" / "20081024.plt"
+        path.parent.mkdir(parents=True)
+        write(str(path), header + "".join(rows))
+
+
+def sha256_tree(root):
+    h = hashlib.sha256()
+    rel_paths = sorted(os.path.relpath(os.path.join(d, n), root) for d, _, names in os.walk(root) for n in names)
+    for rel in rel_paths:
+        digest = hashlib.sha256(open(os.path.join(root, rel), "rb").read()).hexdigest()
+        h.update(f"{rel}\0{digest}\n".encode("utf-8"))
+    return h.hexdigest()
+
+
+class TestRunStageTable:
+    def test_failed_eval_keeps_earlier_outputs(self, tmp_path):
+        cfg = tmp_path / "bad_eval.ini"
+        write(
+            str(cfg),
+            "[global]\nseed = 2\nstages = simulate, inject, detect, eval\n\n"
+            "[simulate]\nn_agents = 10\nweeks = 1\nn_hunger = 0\nn_social = 0\nn_work = 0\n\n"
+            "[inject]\npairs = 2\n\n[detect]\nmethods = ompad\nwindow_days = 2\n\n[eval]\ntop_k = 0\n",
+        )
+        out = tmp_path / "rune"
+        assert main(["--config", str(cfg), "--out-dir", str(out), "run"]) == 1
+        kept = {os.path.relpath(os.path.join(d, n), out) for d, _, names in os.walk(out) for n in names}
+        assert kept == {
+            "sim/dataset.jsonl", "sim/dataset.meta.json", "sim/labels.jsonl",
+            "inject/dataset.jsonl", "inject/dataset.meta.json", "inject/labels.jsonl",
+            "scores/scores_ompad.jsonl",
+        }
+
+    def test_run_hashes_directory_input(self, tmp_path):
+        tree = tmp_path / "Data"
+        write_plt_tree(tree)
+        cfg = tmp_path / "ingest.ini"
+        write(str(cfg), f"[global]\nstages = ingest\n\n[ingest]\ninput = {tree}\nformat = plt\nmin_records = 1\n")
+        out = tmp_path / "runi"
+        assert main(["--config", str(cfg), "--out-dir", str(out), "run"]) == 0
+        (stage,) = json.loads((out / "manifest.json").read_text())["stages"]
+        assert stage["inputs"] == {str(tree): sha256_tree(str(tree))}
+        ds = read_dataset(str(out / "ingest" / "dataset.jsonl"))
+        assert [t.agent_id for t in ds.trajectories] == ["000", "001"]
+        assert all(len(t.points) == 3 for t in ds.trajectories)
+
+
+def readme_cli_lines():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8").read()
+    block = readme.split("## Quick start (CLI)", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    return [ln for ln in block.splitlines() if ln.startswith("mobanom ")]
+
+
+class TestReadmeDrift:
+    def test_readme_cli_lines_parse(self):
+        lines = readme_cli_lines()
+        assert len(lines) >= 6
+        parser = _build_parser()
+        for line in lines:
+            args = parser.parse_args(shlex.split(line)[1:])
+            assert args.command in STAGES or args.command == "run"

@@ -1,9 +1,11 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from mobanom.core import (
+    ConfigError,
     Dataset,
     GeoPoint,
     InvalidInputError,
@@ -12,7 +14,9 @@ from mobanom.core import (
     StayPoint,
     Trajectory,
     haversine_km,
+    config_from_mapping,
     latlon_to_unit3,
+    params_hash,
     read_dataset,
     read_labels,
     total_travel_distance,
@@ -20,6 +24,8 @@ from mobanom.core import (
     write_dataset,
     write_labels,
 )
+from mobanom.detectors import NetHyper, TraodParams
+from mobanom.simulator import SimConfig
 
 
 def sp(arrive, depart, lat=0.0, lon=0.0, place_type="Unknown", place_id="p"):
@@ -187,3 +193,38 @@ class TestRoundTrip:
         bad2 = LabelSet(entries={"a": LabelEntry(False, "none", 3)})
         with pytest.raises(InvalidInputError):
             write_labels(bad2, str(tmp_path / "bad2.jsonl"))
+
+
+class TestConfigFromMapping:
+    def test_strings_convert_by_field_type(self):
+        cfg = config_from_mapping(SimConfig, {
+            "n_agents": "7", "hunger_multiplier": "2.5", "bbox": "1.0, 2.0,3,4", "hunger_rate_range": "0.1,0.2",
+        })
+        assert cfg == SimConfig(n_agents=7, hunger_multiplier=2.5, bbox=(1.0, 2.0, 3.0, 4.0),
+                                hunger_rate_range=(0.1, 0.2))
+
+    def test_absent_and_unknown_keys(self):
+        assert config_from_mapping(SimConfig, {"stages": "simulate", "out_dir": "x"}) == SimConfig()
+
+    def test_renamed_keys_and_optional(self):
+        keys = {"traod_d": "D", "p_frac": "p_frac"}
+        assert config_from_mapping(TraodParams, {"traod_d": "1.5", "D": "9"}, keys).D == 1.5
+        assert config_from_mapping(TraodParams, {"traod_d": ""}, keys).D is None
+
+    def test_bad_values_name_their_key(self):
+        with pytest.raises(ConfigError, match="n_agents"):
+            config_from_mapping(SimConfig, {"n_agents": "abc"})
+        with pytest.raises(ConfigError, match="bbox needs 4"):
+            config_from_mapping(SimConfig, {"bbox": "1,2,3"})
+
+    def test_annotated_function_and_list(self):
+        def ranks(name: str, ks: list[int], scale: float = 1.0):
+            return name, ks, scale
+
+        assert config_from_mapping(ranks, {"top_k": "3, 5"}, {"top_k": "ks"}, name="x") == ("x", [3, 5], 1.0)
+
+    def test_asdict_keeps_params_hash(self):
+        # the values the hand-written to_dict methods hashed to
+        assert params_hash(asdict(SimConfig())) == "845a2d262a06"
+        assert params_hash(asdict(SimConfig(n_agents=7, bbox=(1.0, 2.0, 3.0, 4.0)))) == "7981c60ff819"
+        assert params_hash(asdict(NetHyper())) == "10126e6233f3"
