@@ -19,7 +19,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 from . import __version__
@@ -112,6 +112,24 @@ def _file_settings(parser: configparser.ConfigParser, name: str, strict: bool) -
     return {k: v for k, v in settings.items() if k not in PATH_KEYS}
 
 
+def read_endpoint_file(path: str) -> LlmEndpointConfig:
+    """The JSON object in ``path`` as an :class:`LlmEndpointConfig`; any fault is a ConfigError.
+
+    The error names the file, or the key whose value has the wrong type.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read endpoint file {path!r}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"endpoint file {path!r} must hold a JSON object")
+    unknown = sorted(set(obj) - {f.name for f in fields(LlmEndpointConfig)})
+    if unknown:
+        raise ConfigError(f"endpoint file {path!r} has unknown keys: {', '.join(unknown)}")
+    return config_from_mapping(LlmEndpointConfig, obj)
+
+
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -195,16 +213,15 @@ def stage_detect(m: dict, inputs: list[str], out_dir: str, outputs: list[str]) -
         else:  # llm
             if not m.get("endpoint"):
                 raise ConfigError("llm detection needs an endpoint config file")
-            config = LlmEndpointConfig.from_json_file(m["endpoint"])
+            config = read_endpoint_file(m["endpoint"])
             table = config_from_mapping(
                 run_llm_detection,
                 m,
-                {"template": "template_version"},
+                {"template": "template_version", "cache_dir": "cache_dir"},
                 ds=ds,
                 labels=labels,
                 mode=m.get("mode", DEFAULT_LLM_MODE),
                 endpoint=endpoint_from_config(config, labels=labels),
-                cache_dir=m.get("cache_dir") or config.cache_dir,
                 max_concurrent=config.max_concurrent_requests,
                 split=split,
             )

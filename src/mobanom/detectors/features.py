@@ -96,9 +96,6 @@ def bucket_windows(
 
 @dataclass
 class Window:
-    agent_id: str
-    bucket: int
-    is_train: bool
     points: list[StayPoint]
     vec: np.ndarray
     t_start: int
@@ -162,11 +159,8 @@ def build_windows(
         if idx <= 0:
             feat.ineligible[t.agent_id] = "empty training side"
             continue
-        for bucket, is_train, pts in bucket_windows(t, idx, window_seconds):
+        for _, is_train, pts in bucket_windows(t, idx, window_seconds):
             window = Window(
-                agent_id=t.agent_id,
-                bucket=bucket,
-                is_train=is_train,
                 points=pts,
                 vec=_encode_window(pts, vocab, L),
                 t_start=pts[0].arrive,

@@ -46,8 +46,6 @@ class TinyNet:
     def __init__(self, layer_sizes: list[int], seed: int = 0):
         if len(layer_sizes) < 2:
             raise ConfigError("need at least input and output layer sizes")
-        self.layer_sizes = list(layer_sizes)
-        self.seed = seed
         rng = np.random.default_rng(seed)
         self.weights = []
         self.biases = []
@@ -107,7 +105,6 @@ class TinyNet:
 @dataclass
 class TrainResult:
     net: TinyNet
-    objective: str
     center: np.ndarray | None
     losses: list[float] = field(default_factory=list)
 
@@ -135,7 +132,7 @@ def train_network(net: TinyNet, inputs: np.ndarray, objective: str, hyper: NetHy
             w -= hyper.learning_rate * gw
         for b, gb in zip(net.biases, grads_b):
             b -= hyper.learning_rate * gb
-    return TrainResult(net=net, objective=objective, center=center, losses=losses)
+    return TrainResult(net=net, center=center, losses=losses)
 
 
 def gradient_check(
@@ -219,33 +216,23 @@ def _one_class_scores(kind: str, feat: WindowedFeatures, hyper: NetHyper, scope:
     agents = feat.eligible_agents()
     for agent_id in sorted(set(feat.train) - set(feat.test)):
         omitted.setdefault(agent_id, "no test windows")
-    scores: dict[str, float] = {}
-
+    # One model per group of agents: everyone's training windows for the
+    # population model, each agent's own for the per-agent models.
     if scope == "population":
-        train_windows = [w for a in sorted(feat.train) for w in feat.train[a]]
-        if train_windows and agents:
-            raw_train = _stacked(train_windows)
-            mean, std = _standardize_stats(raw_train)
-            train_x = _standardize(raw_train, mean, std)
-            test_index: list[tuple[str, int]] = []
-            test_rows = []
-            for a in agents:
-                for w in feat.test[a]:
-                    test_index.append((a, len(test_rows)))
-                    test_rows.append(w.vec)
-            test_x = _standardize(np.stack(test_rows), mean, std)
-            per_window = _score_with_model(kind, train_x, test_x, hyper, hyper.seed)
-            for a in agents:
-                rows = [i for aid, i in test_index if aid == a]
-                scores[a] = float(np.mean(per_window[rows]))
+        groups = [(sorted(feat.train), agents, hyper.seed)] if agents else []
     else:
-        for a in agents:
-            raw_train = _stacked(feat.train[a])
-            mean, std = _standardize_stats(raw_train)
-            train_x = _standardize(raw_train, mean, std)
-            test_x = _standardize(_stacked(feat.test[a]), mean, std)
-            per_window = _score_with_model(kind, train_x, test_x, hyper, _agent_seed(hyper.seed, a))
-            scores[a] = float(np.mean(per_window))
+        groups = [([a], [a], _agent_seed(hyper.seed, a)) for a in agents]
+    scores: dict[str, float] = {}
+    for train_agents, test_agents, seed in groups:
+        raw_train = _stacked([w for a in train_agents for w in feat.train[a]])
+        mean, std = _standardize_stats(raw_train)
+        train_x = _standardize(raw_train, mean, std)
+        test_x = _standardize(_stacked([w for a in test_agents for w in feat.test[a]]), mean, std)
+        per_window = _score_with_model(kind, train_x, test_x, hyper, seed)
+        # test rows are in agent order, so each agent's windows are one slice
+        ends = np.cumsum([len(feat.test[a]) for a in test_agents])
+        for a, own in zip(test_agents, np.split(per_window, ends[:-1])):
+            scores[a] = float(np.mean(own))
 
     return ScoreTable(
         detector=kind if scope == "population" else f"{kind}_per_agent",

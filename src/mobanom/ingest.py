@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 
 from .core import (
@@ -249,26 +249,9 @@ def assign_place_types(points: list[StayPoint], poi: PoiMap) -> list[StayPoint]:
                 if best is None or key < (best[0], best[1]):
                     best = (d_m, entry.place_id, entry)
         if best is None:
-            out.append(
-                StayPoint(
-                    arrive=sp.arrive,
-                    depart=sp.depart,
-                    place_id=fallback_cell_id(sp.location),
-                    place_type="Unknown",
-                    location=sp.location,
-                )
-            )
+            out.append(replace(sp, place_id=fallback_cell_id(sp.location), place_type="Unknown"))
         else:
-            entry = best[2]
-            out.append(
-                StayPoint(
-                    arrive=sp.arrive,
-                    depart=sp.depart,
-                    place_id=entry.place_id,
-                    place_type=entry.place_type,
-                    location=sp.location,
-                )
-            )
+            out.append(replace(sp, place_id=best[2].place_id, place_type=best[2].place_type))
     return out
 
 

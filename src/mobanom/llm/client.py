@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import threading
 import time
@@ -32,6 +33,8 @@ from ..detectors.features import SplitSpec
 from ..evaluation import ScoreTable
 from .prompts import PromptBundle, build_prompt, normalize_mode, parse_combine_scores, parse_separate_score
 
+log = logging.getLogger(__name__)
+
 
 @dataclass
 class LlmEndpointConfig:
@@ -44,7 +47,6 @@ class LlmEndpointConfig:
     request_timeout_s: float = 60.0
     max_retries: int = 3
     max_concurrent_requests: int = 2
-    cache_dir: str | None = None
     mock_text: str = "[0.5]"
 
     def __post_init__(self):
@@ -52,13 +54,6 @@ class LlmEndpointConfig:
             raise ConfigError("max_retries must be >= 0")
         if self.max_concurrent_requests < 1:
             raise ConfigError("max_concurrent_requests must be >= 1")
-
-    @classmethod
-    def from_json_file(cls, path: str) -> "LlmEndpointConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in obj.items() if k in known})
 
 
 @dataclass
@@ -110,7 +105,6 @@ class HttpChatEndpoint:
             raise ConfigError(f"unknown provider {config.provider!r}")
         self.config = config
         self.name = config.model_name
-        self.calls = 0
 
     def _token(self) -> str:
         token = os.environ.get(self.config.auth_token_env_var, "")
@@ -123,33 +117,36 @@ class HttpChatEndpoint:
     def _request(self, prompt: str) -> tuple[dict, dict, str]:
         cfg = self.config
         if cfg.provider == "openai":
-            url = cfg.base_url.rstrip("/") + "/chat/completions"
+            path = "/chat/completions"
             headers = {"Authorization": f"Bearer {self._token()}"}
-            payload = {
-                "model": cfg.model_name,
-                "messages": [{"role": "user", "content": prompt}],
-                "temperature": cfg.temperature,
-                "max_tokens": cfg.max_output_tokens,
-            }
         else:
-            url = cfg.base_url.rstrip("/") + "/v1/messages"
+            path = "/v1/messages"
             headers = {"x-api-key": self._token(), "anthropic-version": "2023-06-01"}
-            payload = {
-                "model": cfg.model_name,
-                "messages": [{"role": "user", "content": prompt}],
-                "temperature": cfg.temperature,
-                "max_tokens": cfg.max_output_tokens,
-            }
-        return payload, headers, url
+        payload = {
+            "model": cfg.model_name,
+            "messages": [{"role": "user", "content": prompt}],
+            "temperature": cfg.temperature,
+            "max_tokens": cfg.max_output_tokens,
+        }
+        return payload, headers, cfg.base_url.rstrip("/") + path
 
-    def _extract(self, body: dict) -> tuple[str, int | None, int | None]:
-        if self.config.provider == "openai":
-            text = body["choices"][0]["message"]["content"]
-            usage = body.get("usage", {})
-            return text, usage.get("prompt_tokens"), usage.get("completion_tokens")
-        text = body["content"][0]["text"]
-        usage = body.get("usage", {})
-        return text, usage.get("input_tokens"), usage.get("output_tokens")
+    def _extract(self, resp) -> tuple[str, int | None, int | None]:
+        """Answer text and token counts of a 200 response; EndpointError if the body is malformed."""
+        try:
+            body = resp.json()
+            if self.config.provider == "openai":
+                text = body["choices"][0]["message"]["content"]
+                tokens = ("prompt_tokens", "completion_tokens")
+            else:
+                text = body["content"][0]["text"]
+                tokens = ("input_tokens", "output_tokens")
+            usage = body.get("usage") or {}
+            req_tokens, resp_tokens = usage.get(tokens[0]), usage.get(tokens[1])
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise EndpointError(f"malformed response body: {type(exc).__name__}: {exc}") from None
+        if not isinstance(text, str):
+            raise EndpointError(f"malformed response body: answer text is {type(text).__name__}")
+        return text, req_tokens, resp_tokens
 
     def complete(self, bundle: PromptBundle) -> LlmAnswer:
         import requests
@@ -161,7 +158,6 @@ class HttpChatEndpoint:
                 time.sleep(min(30.0, 0.5 * 2**attempt))
             started = time.monotonic()
             try:
-                self.calls += 1
                 resp = requests.post(url, json=payload, headers=headers, timeout=self.config.request_timeout_s)
             except requests.RequestException as exc:
                 last_error = exc
@@ -173,7 +169,7 @@ class HttpChatEndpoint:
                 continue
             if resp.status_code != 200:
                 raise EndpointError(f"HTTP {resp.status_code}: {resp.text[:500]}")
-            text, req_tokens, resp_tokens = self._extract(resp.json())
+            text, req_tokens, resp_tokens = self._extract(resp)
             return LlmAnswer(
                 raw_text=text,
                 request_tokens=req_tokens,
@@ -189,7 +185,6 @@ class PromptCache:
     def __init__(self, cache_dir: str):
         self.cache_dir = cache_dir
         os.makedirs(cache_dir, exist_ok=True)
-        self._lock = threading.Lock()
 
     @staticmethod
     def key(model_name: str, template_version: str, prompt: str) -> str:
@@ -200,19 +195,25 @@ class PromptCache:
         return os.path.join(self.cache_dir, key + ".json")
 
     def get(self, key: str) -> str | None:
+        """The cached answer, or None on a miss; an entry that cannot be read is a logged miss."""
         path = self._path(key)
-        if not os.path.exists(path):
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)["raw_response"]
+        except FileNotFoundError:
             return None
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)["raw_response"]
+        except (OSError, ValueError, LookupError, TypeError) as exc:
+            log.warning("unreadable cache entry %s treated as a miss: %s: %s", path, type(exc).__name__, exc)
+            return None
+        return raw
 
     def put(self, key: str, request: dict, raw_response: str) -> None:
-        with self._lock:
-            with open(self._path(key), "w", encoding="utf-8") as fh:
-                json.dump(
-                    {"request": request, "raw_response": raw_response, "timestamp": time.time()},
-                    fh,
-                )
+        """Write the entry to a temp file, then rename it, so no reader sees a partial entry."""
+        path = self._path(key)
+        tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump({"request": request, "raw_response": raw_response, "timestamp": time.time()}, fh)
+        os.replace(tmp, path)
 
 
 def endpoint_from_config(config: LlmEndpointConfig, labels: LabelSet | None = None):
@@ -220,8 +221,7 @@ def endpoint_from_config(config: LlmEndpointConfig, labels: LabelSet | None = No
     if config.provider in ("openai", "anthropic"):
         return HttpChatEndpoint(config)
     if config.provider == "mock-constant":
-        ep = MockEndpoint(lambda bundle: config.mock_text, name=config.model_name)
-        return ep
+        return MockEndpoint(lambda bundle: config.mock_text, name=config.model_name)
     if config.provider == "mock-oracle":
         if labels is None:
             raise ConfigError("mock-oracle provider needs labels")
@@ -296,24 +296,24 @@ def run_llm_detection(
     cache = PromptCache(cache_dir) if cache_dir else None
     model_name = getattr(endpoint, "name", "unknown")
 
-    def fetch(bundle: PromptBundle) -> tuple[str, bool]:
+    def fetch(bundle: PromptBundle) -> str:
         key = PromptCache.key(model_name, template_version, bundle.text) if cache else ""
         if cache:
             hit = cache.get(key)
             if hit is not None:
-                return hit, True
+                return hit
         answer = endpoint.complete(bundle)
         if cache:
             cache.put(key, {"model": model_name, "template_version": template_version,
                             "prompt": bundle.text}, answer.raw_text)
-        return answer.raw_text, False
+        return answer.raw_text
 
     raw_answers: list[str | Exception] = [""] * len(bundles)
     with ThreadPoolExecutor(max_workers=max_concurrent) as pool:
         futures = {pool.submit(fetch, b): i for i, b in enumerate(bundles)}
         for future, i in futures.items():
             try:
-                raw_answers[i] = future.result()[0]
+                raw_answers[i] = future.result()
             except AuthError:
                 raise
             except EndpointError as exc:

@@ -14,7 +14,7 @@ byte-deterministic for a fixed template version.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core import ConfigError, InvalidInputError, ScoreParseError, PartialParseError, Trajectory, haversine_km
 
@@ -48,7 +48,6 @@ class PromptBundle:
     agent_ids: list[str]
     mode: str
     template_version: str
-    deviate_indices: dict[str, int] = field(default_factory=dict)
 
 
 def _clock_label(ts: int) -> str:
@@ -220,7 +219,6 @@ def build_prompt(
         agent_ids=[t.agent_id for t in trajectories],
         mode=mode,
         template_version=template_version,
-        deviate_indices={t.agent_id: deviate_indices[t.agent_id] for t in trajectories if t.agent_id in deviate_indices},
     )
 
 

@@ -59,7 +59,6 @@ class Place:
 @dataclass
 class SyntheticMap:
     places: list[Place]
-    bbox: tuple[float, float, float, float]  # lat_min, lat_max, lon_min, lon_max
 
     def by_type(self, place_type: str) -> list[Place]:
         return [p for p in self.places if p.place_type == place_type]
@@ -78,16 +77,6 @@ class AgentProfile:
     hunger_rate: float  # need units per hour
     outlier_type: str = "none"
     outlier_onset: int | None = None  # tick index
-
-
-@dataclass
-class NeedState:
-    hunger: float = 1.0
-    social: float = 1.0
-
-    def clamp(self) -> None:
-        self.hunger = min(1.0, max(0.0, self.hunger))
-        self.social = min(1.0, max(0.0, self.social))
 
 
 @dataclass(frozen=True)
@@ -190,7 +179,7 @@ def build_map(config: SimConfig, rng: np.random.Generator | None = None) -> Synt
             lat = float(rng.uniform(lat_min, lat_max))
             lon = float(rng.uniform(lon_min, lon_max))
             places.append(Place(f"{prefix}{i:03d}", place_type, GeoPoint(lat, lon)))
-    return SyntheticMap(places=places, bbox=config.bbox)
+    return SyntheticMap(places=places)
 
 
 def spawn_agents(
@@ -298,38 +287,48 @@ def _simulate_agent(
     smap: SyntheticMap,
     config: SimConfig,
     rng: np.random.Generator,
-) -> tuple[list[str], list[SimEvent]]:
-    """Run the tick loop for one agent; returns the per-tick place ids."""
+) -> tuple[Trajectory, list[SimEvent]]:
+    """Run the tick loop for one agent; returns its stay points and events.
+
+    A stay closes whenever the place changes.  The final tick of every stay is
+    charged as travel toward the next place, so consecutive stays are
+    separated by a one-tick gap (depart = last tick start).  Real stay-point
+    data has such gaps, and downstream tail swapping needs a seam to cut at.
+    """
     tick_hours = config.tick_minutes / 60.0
+    by_id = smap.by_id()
     restaurants = [p.place_id for p in smap.by_type("Restaurant")]
     recreations = [p.place_id for p in smap.by_type("Recreation")]
-    social_sites = [p.place_id for p in smap.by_type("Recreation")] + [
-        p.place_id for p in smap.by_type("Pub")
-    ]
+    social_sites = recreations + [p.place_id for p in smap.by_type("Pub")]
     preferred_site = _social_choice(profile, all_profiles, social_sites)
 
-    needs = NeedState()
-    places_by_tick: list[str] = []
+    hunger = social = 1.0
+    points: list[StayPoint] = []
     events: list[SimEvent] = []
     skip_day_plan: tuple[int, str] | None = None  # (day ordinal, place id)
+    stay_place: str | None = None
+    stay_arrive = 0
+
+    def close_stay(depart: int) -> None:
+        place = by_id[stay_place]
+        points.append(StayPoint(stay_arrive, depart, place.place_id, place.place_type, place.location))
 
     for tick in range(config.total_ticks):
         t = config.start_time + tick * config.tick_seconds
         active = profile.outlier_type != "none" and profile.outlier_onset is not None and tick >= profile.outlier_onset
 
         rate = profile.hunger_rate * (config.hunger_multiplier if active and profile.outlier_type == "hunger" else 1.0)
-        needs.hunger -= rate * tick_hours
-        needs.social -= config.social_rate_per_hour * tick_hours
-        needs.clamp()
+        hunger = min(1.0, max(0.0, hunger - rate * tick_hours))
+        social = min(1.0, max(0.0, social - config.social_rate_per_hour * tick_hours))
 
-        if needs.hunger < config.hunger_threshold:
+        if hunger < config.hunger_threshold:
             if rng.integers(2) == 0:
                 place = restaurants[int(rng.integers(len(restaurants)))]
                 events.append(SimEvent(tick, profile.agent_id, "eat_out", place))
             else:
                 place = profile.home
                 events.append(SimEvent(tick, profile.agent_id, "eat_home", place))
-            needs.hunger = 1.0
+            hunger = 1.0
         elif _in_work_hours(t):
             if active and profile.outlier_type == "work":
                 day = t // SECONDS_PER_DAY
@@ -343,45 +342,23 @@ def _simulate_agent(
                 place = skip_day_plan[1]
             else:
                 place = profile.workplace
-        elif needs.social < config.social_threshold:
+        elif social < config.social_threshold:
             if active and profile.outlier_type == "social":
                 place = social_sites[int(rng.integers(len(social_sites)))]
             else:
                 place = preferred_site
             events.append(SimEvent(tick, profile.agent_id, "social", place))
-            needs.social = 1.0
+            social = 1.0
         else:
             place = profile.home
-        places_by_tick.append(place)
 
-    return places_by_tick, events
+        if place != stay_place:
+            if stay_place is not None:
+                close_stay(t - config.tick_seconds)
+            stay_place, stay_arrive = place, t
+    close_stay(config.start_time + (config.total_ticks - 1) * config.tick_seconds)
 
-
-def _merge_ticks(agent_id: str, places_by_tick: list[str], smap: SyntheticMap, config: SimConfig) -> Trajectory:
-    # The final tick of every stay is charged as travel toward the next place,
-    # so consecutive stays are separated by a one-tick gap (depart = last tick
-    # start).  Real stay-point data has such gaps, and downstream tail
-    # swapping needs a seam to cut at.
-    by_id = smap.by_id()
-    points = []
-    i = 0
-    n = len(places_by_tick)
-    while i < n:
-        j = i
-        while j + 1 < n and places_by_tick[j + 1] == places_by_tick[i]:
-            j += 1
-        place = by_id[places_by_tick[i]]
-        points.append(
-            StayPoint(
-                arrive=config.start_time + i * config.tick_seconds,
-                depart=config.start_time + j * config.tick_seconds,
-                place_id=place.place_id,
-                place_type=place.place_type,
-                location=place.location,
-            )
-        )
-        i = j + 1
-    return Trajectory(agent_id=agent_id, points=points)
+    return Trajectory(agent_id=profile.agent_id, points=points), events
 
 
 def simulate(config: SimConfig) -> SimResult:
@@ -396,8 +373,7 @@ def simulate(config: SimConfig) -> SimResult:
     entries = {}
     for i, profile in enumerate(profiles):
         agent_rng = _rng(config.seed, 4, i)
-        places_by_tick, agent_events = _simulate_agent(profile, profiles, smap, config, agent_rng)
-        trajectory = _merge_ticks(profile.agent_id, places_by_tick, smap, config)
+        trajectory, agent_events = _simulate_agent(profile, profiles, smap, config, agent_rng)
         trajectories.append(trajectory)
         events[profile.agent_id] = agent_events
 

@@ -3,11 +3,13 @@ import json
 import os
 import shlex
 import time
+from dataclasses import fields
 
 import pytest
 
-from mobanom.cli import STAGES, _build_parser, main
+from mobanom.cli import STAGES, _build_parser, main, read_endpoint_file
 from mobanom.core import read_dataset, read_labels
+from mobanom.llm import LlmEndpointConfig, MockEndpoint
 
 
 def write(path, text):
@@ -319,6 +321,67 @@ class TestConfigErrors:
         assert "Traceback" not in err
 
 
+class TestEndpointFile:
+    """Every fault in the endpoint file exits 1 naming the file or the key, without a traceback."""
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            (None, "endpoint.json"),  # no file
+            ('{"provider": "mock-oracle",', "endpoint.json"),
+            ('["mock-oracle"]', "endpoint.json"),
+            ('{"provider": "mock-oracle", "max_retries": "x"}', "max_retries"),
+            ('{"provider": "mock-oracle", "cache_dir": "cache"}', "cache_dir"),
+        ],
+        ids=["missing", "malformed", "not_an_object", "wrong_type", "unknown_key"],
+    )
+    def test_bad_endpoint_file_exits_1(self, sim_dir, tmp_path, capsys, text, named):
+        endpoint_cfg = tmp_path / "endpoint.json"
+        if text is not None:
+            write(str(endpoint_cfg), text)
+        code = main([
+            "--out-dir", str(tmp_path / "scores"),
+            "detect", "--method", "llm", "--in", str(sim_dir), "--endpoint", str(endpoint_cfg),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+
+
+class TestLlmCache:
+    def test_truncated_cache_entry_is_a_miss(self, sim_dir, tmp_path, monkeypatch):
+        endpoint_cfg = tmp_path / "endpoint.json"
+        write(str(endpoint_cfg), json.dumps({"provider": "mock-oracle", "model_name": "oracle"}))
+        cache = tmp_path / "cache"
+
+        def detect(out):
+            return main([
+                "--out-dir", str(out), "detect", "--method", "llm", "--in", str(sim_dir),
+                "--endpoint", str(endpoint_cfg), "--mode", "separate", "--cache-dir", str(cache),
+            ])
+
+        assert detect(tmp_path / "first") == 0
+        entries = sorted(os.listdir(cache))
+        assert len(entries) == 12 and all(e.endswith(".json") for e in entries)  # no temp files left
+        truncated = cache / entries[0]
+        truncated.write_bytes(truncated.read_bytes()[:20])
+
+        calls = []
+        complete = MockEndpoint.complete
+
+        def counting_complete(self, bundle):
+            calls.append(bundle)
+            return complete(self, bundle)
+
+        monkeypatch.setattr(MockEndpoint, "complete", counting_complete)
+        assert detect(tmp_path / "second") == 0
+        assert len(calls) == 1
+        first = (tmp_path / "first" / "scores_llm_separate.jsonl").read_bytes()
+        assert (tmp_path / "second" / "scores_llm_separate.jsonl").read_bytes() == first
+        assert json.loads(truncated.read_text())["raw_response"]  # rewritten whole
+
+
 def write_plt_tree(root):
     """Two agents, each dwelling 30 minutes at three places 2 km apart."""
     header = "header\n" * 6
@@ -382,7 +445,25 @@ def readme_cli_lines():
     return [ln for ln in block.splitlines() if ln.startswith("mobanom ")]
 
 
+def readme_endpoint_section():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8").read()
+    return readme.split("## LLM endpoints", 1)[1].split("\n## ", 1)[0]
+
+
 class TestReadmeDrift:
+    def test_readme_endpoint_example_loads(self, tmp_path):
+        section = readme_endpoint_section()
+        example = section.split("```json", 1)[1].split("```", 1)[0]
+        path = tmp_path / "endpoint.json"
+        write(str(path), example)
+        config = read_endpoint_file(str(path))
+        assert config == LlmEndpointConfig(**json.loads(example))
+
+    def test_readme_lists_every_endpoint_key(self):
+        rows = [ln for ln in readme_endpoint_section().splitlines() if ln.startswith("| `")]
+        documented = {ln.split("`", 2)[1] for ln in rows}
+        assert documented == {f.name for f in fields(LlmEndpointConfig)}
+
     def test_readme_cli_lines_parse(self):
         lines = readme_cli_lines()
         assert len(lines) >= 6

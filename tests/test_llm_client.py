@@ -226,6 +226,37 @@ class TestHttpEndpoint:
         with pytest.raises(AuthError):
             endpoint.complete(bundles[0])
 
+    @pytest.mark.parametrize("provider", ["openai", "anthropic"])
+    @pytest.mark.parametrize(
+        "body",
+        ["not json", {"id": "x"}, {"choices": [], "content": []}, None],
+        ids=["not_json", "no_text_field", "empty_lists", "null"],
+    )
+    def test_malformed_200_body_omits_agents(self, sim, monkeypatch, provider, body):
+        monkeypatch.setenv("LLM_API_TOKEN", "token")
+        config = LlmEndpointConfig(base_url="https://api.test", provider=provider, model_name="m")
+        endpoint = HttpChatEndpoint(config)
+
+        class Resp:
+            status_code = 200
+            text = str(body)
+
+            def json(self):
+                if body == "not json":
+                    raise ValueError("Expecting value: line 1 column 1 (char 0)")
+                return body
+
+        import requests
+
+        monkeypatch.setattr(requests, "post", lambda *a, **k: Resp())
+        bundles = build_bundles(sim.dataset, sim.labels, "separate")
+        with pytest.raises(EndpointError, match="malformed response body"):
+            endpoint.complete(bundles[0])
+        table = run_llm_detection(sim.dataset, sim.labels, "separate", endpoint)
+        assert table.scores == {}
+        assert set(table.omitted) == set(sim.dataset.agent_ids())
+        assert all(r.startswith("endpoint error: malformed response body") for r in table.omitted.values())
+
     def test_endpoint_from_config(self, sim):
         assert isinstance(endpoint_from_config(LlmEndpointConfig(provider="openai")), HttpChatEndpoint)
         mock = endpoint_from_config(LlmEndpointConfig(provider="mock-constant", mock_text="[0.3]"))

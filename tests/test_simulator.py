@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -160,3 +162,38 @@ class TestSimulate:
         assert res.labels.n_outliers() == 90
         mean_points = np.mean([len(t.points) for t in res.dataset.trajectories])
         assert 4 * 20 <= mean_points <= 4 * 120
+
+
+class TestPinnedOutput:
+    """sha256 of the files and the event log, recorded with the two-pass
+    simulator (a per-tick place list merged into stays afterwards)."""
+
+    CASES = {
+        "three_kinds": (
+            SimConfig(n_agents=30, weeks=2, n_hunger=3, n_social=3, n_work=3, seed=11),
+            "fbb4b8332dfca169a47555b4a3db11f610f20d918cad5224be51e3316909ca13",
+            "522fc7b3c89564c9ca79f9dc1f75d395ae14173126ea62a335e79bb5f93afc32",
+            "e1f1a441a30bc695139b12b36c7ad863d2381966d0abca7dffa7d70b957fd905",
+        ),
+        "hourly_ticks": (
+            SimConfig(n_agents=20, weeks=2, n_hunger=2, n_social=2, n_work=2, tick_minutes=60, seed=4),
+            "3ff64fdf9c6662c5baeeb9e152061a247e5ab7bd0a4b3833376bb180aec51964",
+            "698ad8870efc6f0f09107e805286dd6938963147876002dd573d54c1c96b339b",
+            "5b72e41e27c36532fc6241b15190b9a778863583187de7057ab5988029848f4b",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_hashes_match_two_pass_reference(self, name, tmp_path):
+        cfg, dataset_sha, labels_sha, events_sha = self.CASES[name]
+        res = simulate(cfg)
+        write_dataset(res.dataset, str(tmp_path / "dataset.jsonl"))
+        write_labels(res.labels, str(tmp_path / "labels.jsonl"))
+        events = "".join(
+            json.dumps(dataclasses.asdict(e), sort_keys=True) + "\n"
+            for agent_id in sorted(res.events)
+            for e in res.events[agent_id]
+        )
+        assert hashlib.sha256((tmp_path / "dataset.jsonl").read_bytes()).hexdigest() == dataset_sha
+        assert hashlib.sha256((tmp_path / "labels.jsonl").read_bytes()).hexdigest() == labels_sha
+        assert hashlib.sha256(events.encode("utf-8")).hexdigest() == events_sha
