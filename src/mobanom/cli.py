@@ -177,11 +177,16 @@ def stage_inject(m: dict, inputs: list[str], out_dir: str, outputs: list[str]) -
     log.info("injected %d imposter pairs", cfg.n_outlier_pairs)
 
 
-def stage_detect(m: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
+def _detect_methods(m: dict) -> list[str]:
     methods = [x.strip() for x in str(m.get("methods", m.get("method", "ompad"))).split(",") if x.strip()]
     for method in methods:
         if method not in DETECT_METHODS:
             raise ConfigError(f"unknown detect method {method!r}")
+    return methods
+
+
+def stage_detect(m: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
+    methods = _detect_methods(m)
     if m.get("out") and len(methods) != 1:
         raise ConfigError("--out applies to a single method")
     ds, labels = read_dataset(inputs[0]), read_labels(inputs[1])
@@ -268,6 +273,12 @@ def _data_dir_inputs(m: dict) -> list[str]:
     return [os.path.join(m["in"], "dataset.jsonl"), os.path.join(m["in"], "labels.jsonl")]
 
 
+def _detect_inputs(m: dict) -> list[str]:
+    """The dataset and labels, and the LLM endpoint file when ``llm`` is among the methods."""
+    endpoint = [m["endpoint"]] if "llm" in _detect_methods(m) and m.get("endpoint") else []
+    return _data_dir_inputs(m) + endpoint
+
+
 def _eval_inputs(m: dict) -> list[str]:
     score_files = sorted(globmod.glob(m["scores"]))
     if not score_files:
@@ -297,7 +308,7 @@ STAGES = {
         chain=lambda data, out: {"in": os.path.join(data, "dataset.jsonl")},
         data=True,
     ),
-    "detect": Stage(stage_detect, _data_dir_inputs, "scores", chain=lambda data, out: {"in": data}, sections=("llm",)),
+    "detect": Stage(stage_detect, _detect_inputs, "scores", chain=lambda data, out: {"in": data}, sections=("llm",)),
     "eval": Stage(
         stage_eval,
         _eval_inputs,

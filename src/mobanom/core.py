@@ -174,11 +174,13 @@ def params_hash(params) -> str:
 
 
 def convert_value(hint, key: str, value):
-    """``value`` (a config-file string or an already typed flag) as type ``hint``.
+    """``value`` (a config-file string, or an already typed flag or JSON value) as type ``hint``.
 
     Handles ``int``, ``float``, ``str``, ``X | None`` (an empty value is
     None), fixed-length tuples and lists of those, written comma-separated.
-    Raises :class:`ConfigError` naming ``key`` when the value does not fit.
+    A typed value must already be of the type (an int is a valid float; a
+    bool is neither).  Raises :class:`ConfigError` naming ``key`` when the
+    value does not fit.
     """
     args = typing.get_args(hint)
     if type(None) in args:
@@ -188,10 +190,13 @@ def convert_value(hint, key: str, value):
         args = typing.get_args(hint)
     origin = typing.get_origin(hint)
     if origin is None:
+        typed = isinstance(value, (hint, int) if hint is float else hint) and not isinstance(value, bool)
         try:
-            return hint(value)
+            if typed or isinstance(value, str):
+                return hint(value)
         except (TypeError, ValueError):
-            raise ConfigError(f"{key} = {value!r} is not a valid {hint.__name__}") from None
+            pass
+        raise ConfigError(f"{key} = {value!r} is not a valid {hint.__name__}")
     parts = value.split(",") if isinstance(value, str) else list(value)
     if origin is list:
         args = args * len(parts)

@@ -85,80 +85,64 @@ def monav_tt_score(ds: Dataset, split: SplitSpec, window_days: float = 7.0) -> S
 
 # ---------------------------------------------------------------------------
 # TRAOD: segment geometry in a local planar (equirectangular) projection.
+# Segments are float64 arrays of shape (..., 2, 2): (start, end) x (x, y) km.
 # ---------------------------------------------------------------------------
 
-
-def project_planar_km(lat: float, lon: float, lat0: float, lon0: float) -> tuple[float, float]:
-    """Equirectangular projection about (lat0, lon0); good enough at city scale."""
-    x = math.radians(lon - lon0) * math.cos(math.radians(lat0)) * EARTH_RADIUS_KM
-    y = math.radians(lat - lat0) * EARTH_RADIUS_KM
-    return x, y
+#: (test, pool) segment pairs per kernel call in the support query; bounds the kernel's temporaries.
+PAIR_BLOCK = 4096
 
 
-Segment = tuple[np.ndarray, np.ndarray]
+def _lengths(segs: np.ndarray) -> np.ndarray:
+    # A per-row dot product, as np.linalg.norm of one vector uses: the same floats, so the same scores.
+    d = segs[..., 1, :] - segs[..., 0, :]
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
 
 
-def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.linalg.norm(p - a))
-    t = float((p - a) @ ab) / denom
-    t = min(1.0, max(0.0, t))
-    return float(np.linalg.norm(p - (a + t * ab)))
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def segment_distance_components(s1: Segment, s2: Segment) -> tuple[float, float, float]:
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+
+
+def segment_distance_components(s1, s2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(perpendicular, parallel, angular) distance components between segments.
 
-    The shorter segment is measured against the longer one: perpendicular is
-    the Lehmer mean of the two endpoint-to-line distances, parallel is the
-    smaller overhang of the projected endpoints beyond the longer segment, and
-    angular is ``len(shorter) * sin(theta)`` for theta <= 90 degrees, else the
-    full shorter length.  Degenerate (zero-length) segments are treated as
-    points: perpendicular becomes the point-to-segment distance, the other
-    components are 0.
+    ``s1`` and ``s2`` have shape (..., 2, 2) and broadcast; a single
+    ``(start, end)`` pair works too.  The shorter segment is measured against
+    the longer (``s1`` on a tie): perpendicular is the Lehmer mean of the two
+    endpoint-to-line distances, parallel the smaller overhang of the projected
+    endpoints beyond the longer segment, angular ``len(shorter) * sin(theta)``
+    for theta <= 90 degrees, else the full shorter length.  Written with cross
+    and dot products, identical segments come out exactly 0 apart.  A
+    zero-length segment is a point: perpendicular becomes the point-to-segment
+    distance, the other components are 0.
     """
-    a1, b1 = (np.asarray(s1[0], dtype=np.float64), np.asarray(s1[1], dtype=np.float64))
-    a2, b2 = (np.asarray(s2[0], dtype=np.float64), np.asarray(s2[1], dtype=np.float64))
-    len1 = float(np.linalg.norm(b1 - a1))
-    len2 = float(np.linalg.norm(b2 - a2))
-    if len1 >= len2:
-        la, lb, ln_l = a1, b1, len1
-        sa, sb, ln_s = a2, b2, len2
-    else:
-        la, lb, ln_l = a2, b2, len2
-        sa, sb, ln_s = a1, b1, len1
-
-    if ln_l == 0.0:  # both are points
-        return float(np.linalg.norm(la - sa)), 0.0, 0.0
-    if ln_s == 0.0:  # shorter is a point
-        return _point_segment_distance(sa, la, lb), 0.0, 0.0
-
-    direction = (lb - la) / ln_l
-    t1 = float((sa - la) @ direction)
-    t2 = float((sb - la) @ direction)
-    perp1 = float(np.linalg.norm(sa - (la + t1 * direction)))
-    perp2 = float(np.linalg.norm(sb - (la + t2 * direction)))
-    if perp1 + perp2 == 0.0:
-        d_perp = 0.0
-    else:
-        d_perp = (perp1**2 + perp2**2) / (perp1 + perp2)
-
-    def overhang(t: float) -> float:
-        return max(0.0, -t, t - ln_l)
-
-    d_par = min(overhang(t1), overhang(t2))
-
-    cos_theta = float(np.clip(((lb - la) @ (sb - sa)) / (ln_l * ln_s), -1.0, 1.0))
-    theta = math.acos(cos_theta)
-    d_ang = ln_s * math.sin(theta) if theta <= math.pi / 2 else ln_s
-    return d_perp, d_par, d_ang
+    s1, s2 = np.asarray(s1, dtype=np.float64), np.asarray(s2, dtype=np.float64)
+    len1, len2 = _lengths(s1), _lengths(s2)
+    first_long = (len1 >= len2)[..., None, None]
+    lng, sht = np.where(first_long, s1, s2), np.where(first_long, s2, s1)
+    ln_l, ln_s = np.maximum(len1, len2), np.minimum(len1, len2)
+    la, lb, sa, sb = lng[..., 0, :], lng[..., 1, :], sht[..., 0, :], sht[..., 1, :]
+    ab = lb - la
+    with np.errstate(divide="ignore", invalid="ignore"):  # ln_l == 0 lanes are replaced below
+        perp1 = np.abs(_cross(ab, sa - la)) / ln_l
+        perp2 = np.abs(_cross(ab, sb - la)) / ln_l
+        t1 = _dot(ab, sa - la) / ln_l
+        t2 = _dot(ab, sb - la) / ln_l
+        d_perp = np.where(perp1 + perp2 == 0.0, 0.0, (perp1 * perp1 + perp2 * perp2) / (perp1 + perp2))
+        d_ang = np.where(_dot(ab, sb - sa) >= 0.0, np.abs(_cross(ab, sb - sa)) / ln_l, ln_s)
+    d_par = np.minimum(*(np.maximum(0.0, np.maximum(-t, t - ln_l)) for t in (t1, t2)))
+    # shorter is a point: its distance to the longer segment (or point), beyond either end or not
+    gap = np.where((ln_l == 0.0) | (t1 < 0.0), np.sqrt(_dot(sa - la, sa - la)),
+                   np.where(t1 > ln_l, np.sqrt(_dot(sa - lb, sa - lb)), perp1))
+    point = ln_s == 0.0
+    return np.where(point, gap, d_perp)[()], np.where(point, 0.0, d_par)[()], np.where(point, 0.0, d_ang)[()]
 
 
-def traod_segment_distance(
-    s1: Segment, s2: Segment, weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
-) -> float:
+def traod_segment_distance(s1, s2, weights: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> np.ndarray:
+    """Weighted sum of :func:`segment_distance_components`, broadcast the same way."""
     d_perp, d_par, d_ang = segment_distance_components(s1, s2)
     return weights[0] * d_perp + weights[1] * d_par + weights[2] * d_ang
 
@@ -173,25 +157,80 @@ class TraodParams:
     seed: int = 0
 
 
-def _trajectory_segments(t: Trajectory, lo: int, hi: int, lat0: float, lon0: float) -> list[Segment]:
+def _trajectory_segments(t: Trajectory, lo: int, hi: int, lat0: float, lon0: float) -> np.ndarray:
+    """Consecutive stays of ``t.points[lo:hi]`` as (n, 2, 2) segments, projected equirectangularly."""
     pts = t.points[lo:hi]
-    coords = [np.array(project_planar_km(sp.location.lat, sp.location.lon, lat0, lon0)) for sp in pts]
-    return [(coords[i], coords[i + 1]) for i in range(len(coords) - 1)]
+    x = np.radians(np.subtract([p.location.lon for p in pts], lon0)) * math.cos(math.radians(lat0)) * EARTH_RADIUS_KM
+    y = np.radians(np.subtract([p.location.lat for p in pts], lat0)) * EARTH_RADIUS_KM
+    coords = np.stack([x, y], axis=-1)
+    return np.stack([coords[:-1], coords[1:]], axis=1)
 
 
-def _auto_radius(pool: list[Segment], params: TraodParams) -> float:
-    if len(pool) < 2:
+def _unique_segments(segs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct segments, by exact coordinate bytes, and each row's index among them."""
+    keys = np.ascontiguousarray(segs).reshape(len(segs), 4).view(np.dtype((np.void, 32)))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return segs[first], inverse
+
+
+def _auto_radius(pool: np.ndarray, params: TraodParams) -> float:
+    n = len(pool)
+    if n < 2:
         return 1.0
     rng = np.random.default_rng(params.seed)
-    n = len(pool)
-    dists = []
-    for _ in range(params.auto_d_samples):
+    pairs = np.empty((params.auto_d_samples, 2), dtype=np.int64)
+    for k in range(params.auto_d_samples):
         i = int(rng.integers(n))
         j = int(rng.integers(n - 1))
-        if j >= i:
-            j += 1
-        dists.append(traod_segment_distance(pool[i], pool[j], params.weights))
+        pairs[k] = i, j + (j >= i)
+    dists = traod_segment_distance(pool[pairs[:, 0]], pool[pairs[:, 1]], params.weights)
     return float(np.percentile(dists, params.auto_d_percentile))
+
+
+def _traod_outlying(ds: Dataset, split: SplitSpec, params: TraodParams):
+    """(radius, {agent: (is each test segment outlying, segment lengths)}, omitted).
+
+    Identical segments (common: agents repeat the same hops) are compared
+    once.  For each distinct test segment, the OR of the rows of the
+    (distinct pool segment x owner) incidence matrix that lie within the
+    radius marks its near owners; an agent's own column does not count.
+    """
+    lat0 = float(np.mean([sp.location.lat for t in ds.trajectories for sp in t.points]))
+    lon0 = float(np.mean([sp.location.lon for t in ds.trajectories for sp in t.points]))
+    train, test = {}, {}  # agent -> (n, 2, 2) segments
+    for t in ds.trajectories:
+        idx = split.split_index.get(t.agent_id, len(t.points))
+        train[t.agent_id] = _trajectory_segments(t, 0, idx, lat0, lon0)
+        test[t.agent_id] = _trajectory_segments(t, idx, len(t.points), lat0, lon0)
+
+    pool = np.concatenate([np.empty((0, 2, 2)), *train.values()])
+    radius = params.D if params.D is not None else _auto_radius(pool, params)
+
+    owners = [a for a in sorted(train) if len(train[a])]
+    column = {a: k for k, a in enumerate(owners)}  # the extra column len(owners) stays all False
+    unique_pool, pool_index = _unique_segments(pool)
+    incidence = np.zeros((len(unique_pool), len(owners) + 1), dtype=bool)
+    incidence[pool_index, np.repeat([column.get(a, -1) for a in train], [len(s) for s in train.values()])] = True
+
+    scored = [a for a in sorted(test) if len(test[a])]
+    omitted = {a: "no test segments" for a in sorted(test) if not len(test[a])}
+    sizes = [len(test[a]) for a in scored]
+    queries = np.concatenate([np.empty((0, 2, 2)), *(test[a] for a in scored)])
+    unique_test, test_index = _unique_segments(queries)
+    near = np.zeros((len(unique_test), len(owners) + 1), dtype=bool)
+    rows = max(1, PAIR_BLOCK // max(1, len(unique_pool)))
+    for lo in range(0, len(unique_test), rows):
+        close = traod_segment_distance(unique_test[lo:lo + rows, None], unique_pool[None], params.weights) <= radius
+        near[lo:lo + rows] = [incidence[row].any(axis=0) for row in close]
+
+    own = np.repeat(np.array([column.get(a, len(owners)) for a in scored], dtype=int), sizes)  # no pool: extra
+    others = np.repeat([len(owners) - (a in column) for a in scored], sizes)
+    supporters = near.sum(axis=1)[test_index] - near[test_index, own]
+    outlying = supporters < (1.0 - params.p_frac) * others
+    lengths = _lengths(queries)
+    bounds = np.cumsum([0] + sizes)
+    decisions = {a: (outlying[lo:hi], lengths[lo:hi]) for a, lo, hi in zip(scored, bounds[:-1], bounds[1:])}
+    return radius, decisions, omitted
 
 
 def traod_score(ds: Dataset, split: SplitSpec, params: TraodParams = TraodParams()) -> ScoreTable:
@@ -201,54 +240,14 @@ def traod_score(ds: Dataset, split: SplitSpec, params: TraodParams = TraodParams
     is outlying when fewer than ``(1 - p_frac) * n_other`` other agents own at
     least one pool segment within distance D.
     """
-    lats = [sp.location.lat for t in ds.trajectories for sp in t.points]
-    lons = [sp.location.lon for t in ds.trajectories for sp in t.points]
-    if not lats or len(ds.trajectories) < 2:
+    if not any(t.points for t in ds.trajectories) or len(ds.trajectories) < 2:
         return ScoreTable(detector="traod", scores={}, params_hash=params_hash(asdict(params)),
                           omitted={t.agent_id: "needs >= 2 agents" for t in ds.trajectories})
-    lat0 = float(np.mean(lats))
-    lon0 = float(np.mean(lons))
-
-    train_segments: dict[str, list[Segment]] = {}
-    test_segments: dict[str, list[Segment]] = {}
-    for t in ds.trajectories:
-        idx = split.split_index.get(t.agent_id, len(t.points))
-        train_segments[t.agent_id] = _trajectory_segments(t, 0, idx, lat0, lon0)
-        test_segments[t.agent_id] = _trajectory_segments(t, idx, len(t.points), lat0, lon0)
-
-    pool = [seg for segs in train_segments.values() for seg in segs]
-    radius = params.D if params.D is not None else _auto_radius(pool, params)
-
+    _, decisions, omitted = _traod_outlying(ds, split, params)
     scores = {}
-    omitted = {}
-    pool_owners = [a for a in sorted(train_segments) if train_segments[a]]
-    for agent_id in sorted(test_segments):
-        segs = test_segments[agent_id]
-        if not segs:
-            omitted[agent_id] = "no test segments"
-            continue
-        others = [a for a in pool_owners if a != agent_id]
-        threshold = (1.0 - params.p_frac) * len(others)
-        outlying_len = 0.0
-        total_len = 0.0
-        for seg in segs:
-            seg_len = float(np.linalg.norm(seg[1] - seg[0]))
-            total_len += seg_len
-            supporters = 0
-            for other in others:
-                if any(
-                    traod_segment_distance(seg, ref, params.weights) <= radius
-                    for ref in train_segments[other]
-                ):
-                    supporters += 1
-                    if supporters >= threshold:
-                        break
-            if supporters < threshold:
-                outlying_len += seg_len
-        scores[agent_id] = outlying_len / total_len if total_len > 0 else 0.0
-    return ScoreTable(
-        detector="traod",
-        scores=scores,
-        params_hash=params_hash(asdict(params)),
-        omitted=omitted,
-    )
+    for agent_id, (outlying, lengths) in decisions.items():
+        # cumsum adds in order, as a running total does
+        total_len = np.cumsum(lengths)[-1]
+        outlying_len = np.cumsum(np.where(outlying, lengths, 0.0))[-1]
+        scores[agent_id] = float(outlying_len / total_len) if total_len > 0 else 0.0
+    return ScoreTable(detector="traod", scores=scores, params_hash=params_hash(asdict(params)), omitted=omitted)

@@ -9,6 +9,8 @@ import pytest
 
 from mobanom.cli import STAGES, _build_parser, main, read_endpoint_file
 from mobanom.core import read_dataset, read_labels
+from mobanom.detectors import SplitSpec, TraodParams, traod_score
+from mobanom.evaluation import ScoreTable
 from mobanom.llm import LlmEndpointConfig, MockEndpoint
 
 
@@ -97,6 +99,21 @@ class TestDetectAndEval:
         ])
         assert code == 0
         assert (scores_dir / "scores_llm_separate.jsonl").exists()
+
+    def test_traod_detect_reads_its_params(self, sim_dir, tmp_path):
+        params = tmp_path / "traod.cfg"
+        write(str(params), "[detect]\ntraod_d = 0.5\np_frac = 0.7\n")
+        scores_dir = tmp_path / "scores"
+        code = main([
+            "--out-dir", str(scores_dir), "detect", "--method", "traod", "--in", str(sim_dir), "--params", str(params),
+        ])
+        assert code == 0
+        with open(scores_dir / "scores_traod.jsonl", encoding="utf-8") as fh:
+            table = ScoreTable.from_jsonl(fh.read())
+        ds, labels = read_dataset(str(sim_dir / "dataset.jsonl")), read_labels(str(sim_dir / "labels.jsonl"))
+        expected = traod_score(ds, SplitSpec.from_labels(ds, labels), TraodParams(D=0.5, p_frac=0.7))
+        assert table.params_hash == expected.params_hash  # a hash of D = 0.5 and p_frac = 0.7
+        assert table.scores == expected.scores and len(table.scores) == 12
 
     def test_missing_labels_is_config_error(self, tmp_path, sim_dir):
         empty = tmp_path / "empty"
@@ -222,6 +239,20 @@ class TestRunPipeline:
         parsed = [json.loads(ln) for ln in err_lines]
         assert all("msg" in obj and "level" in obj for obj in parsed)
 
+    def test_manifest_hashes_the_endpoint_file(self, tmp_path):
+        cfg = self.build_config(tmp_path)
+        endpoint_cfg = tmp_path / "endpoint.json"
+        hashes = []
+        for name, model in (("run1", "oracle"), ("run2", "oracle-2")):
+            write(str(endpoint_cfg), json.dumps({"provider": "mock-oracle", "model_name": model}))
+            out = tmp_path / name
+            assert main(["--config", str(cfg), "--out-dir", str(out), "run"]) == 0
+            detect = json.loads((out / "manifest.json").read_text())["stages"][1]
+            assert detect["name"] == "detect" and str(endpoint_cfg) in detect["inputs"]
+            hashes.append(detect["inputs"])
+        assert hashes[0] != hashes[1]
+        assert hashes[0][str(endpoint_cfg)] != hashes[1][str(endpoint_cfg)]
+
     def test_failed_stage_leaves_partial_outputs(self, tmp_path):
         # llm misconfigured (no endpoint): ompad's finished scores get .partial
         cfg = tmp_path / "broken.ini"
@@ -332,8 +363,13 @@ class TestEndpointFile:
             ('["mock-oracle"]', "endpoint.json"),
             ('{"provider": "mock-oracle", "max_retries": "x"}', "max_retries"),
             ('{"provider": "mock-oracle", "cache_dir": "cache"}', "cache_dir"),
+            ('{"provider": "mock-oracle", "base_url": null}', "base_url"),
+            ('{"provider": "mock-oracle", "max_retries": 2.7}', "max_retries"),
+            ('{"provider": "mock-oracle", "temperature": true}', "temperature"),
         ],
-        ids=["missing", "malformed", "not_an_object", "wrong_type", "unknown_key"],
+        ids=[
+            "missing", "malformed", "not_an_object", "wrong_type", "unknown_key", "null_str", "float_int", "bool_float",
+        ],
     )
     def test_bad_endpoint_file_exits_1(self, sim_dir, tmp_path, capsys, text, named):
         endpoint_cfg = tmp_path / "endpoint.json"

@@ -15,6 +15,7 @@ from mobanom.core import (
     Trajectory,
     haversine_km,
     config_from_mapping,
+    convert_value,
     latlon_to_unit3,
     params_hash,
     read_dataset,
@@ -216,6 +217,15 @@ class TestConfigFromMapping:
             config_from_mapping(SimConfig, {"n_agents": "abc"})
         with pytest.raises(ConfigError, match="bbox needs 4"):
             config_from_mapping(SimConfig, {"bbox": "1,2,3"})
+
+    def test_typed_values_are_not_coerced(self):
+        # parsed flags and JSON values: an int is an int or a float, a float only a float
+        assert convert_value(int, "seed", 3) == 3
+        assert convert_value(float, "window_days", 2) == 2.0 and convert_value(float, "window_days", 2.5) == 2.5
+        assert convert_value(tuple[float, float], "range", [1, 2.5]) == (1.0, 2.5)
+        for hint, value in [(str, None), (int, 2.7), (float, True), (int, False), (str, 3)]:
+            with pytest.raises(ConfigError, match="key"):
+                convert_value(hint, "key", value)
 
     def test_annotated_function_and_list(self):
         def ranks(name: str, ks: list[int], scale: float = 1.0):
