@@ -266,7 +266,7 @@ def stage_dump_prompts(m: dict, inputs: list[str], out_dir: str, outputs: list[s
 def _ingest_inputs(m: dict) -> list[str]:
     if not m.get("input"):
         raise ConfigError("ingest needs an input path")
-    return [m["input"]]
+    return [m["input"]] + ([m["poi_map"]] if m.get("poi_map") else [])
 
 
 def _data_dir_inputs(m: dict) -> list[str]:

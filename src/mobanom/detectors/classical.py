@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..core import Dataset, EARTH_RADIUS_KM, Trajectory, params_hash, total_travel_distance
+from ..core import Dataset, EARTH_RADIUS_KM, InvalidInputError, Trajectory, params_hash, total_travel_distance
 from ..evaluation import ScoreTable
 from .features import SplitSpec, WindowedFeatures, bucket_windows, type_histogram
 
@@ -155,6 +155,18 @@ class TraodParams:
     auto_d_percentile: float = 10.0
     auto_d_samples: int = 1000
     seed: int = 0
+
+    def __post_init__(self):
+        checks = [
+            (self.D is None or 0 <= self.D < math.inf, f"D must be None or finite and >= 0, got {self.D}"),
+            (0 <= self.p_frac <= 1, f"p_frac must be in [0, 1], got {self.p_frac}"),
+            (0 <= self.auto_d_percentile <= 100, f"auto_d_percentile must be in [0, 100], got {self.auto_d_percentile}"),
+            (self.auto_d_samples >= 1, f"auto_d_samples must be >= 1, got {self.auto_d_samples}"),
+            (all(0 <= w < math.inf for w in self.weights), f"weights must be finite and >= 0, got {self.weights}"),
+        ]
+        for ok, message in checks:
+            if not ok:
+                raise InvalidInputError(message)
 
 
 def _trajectory_segments(t: Trajectory, lo: int, hi: int, lat0: float, lon0: float) -> np.ndarray:

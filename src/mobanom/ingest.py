@@ -8,6 +8,7 @@ Input formats:
 * ``csv``: flat ``agent_id,timestamp,lat,lon`` rows with integer epoch-second
   timestamps; may hold many agents.
 
+Both parse into :class:`Fixes` (numpy columns, coordinates validated once).
 The stay-point detector is the classic two-threshold scan: a maximal run of
 fixes that all stay within ``dist_threshold_m`` of the run's first fix and
 that spans at least ``time_threshold_s`` collapses into a single stay point at
@@ -16,22 +17,18 @@ the run's mean coordinates.
 
 from __future__ import annotations
 
+import functools
+import json
 import logging
 import math
 import os
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 
-from .core import (
-    CorruptInputError,
-    Dataset,
-    GeoPoint,
-    InvalidInputError,
-    StayPoint,
-    Trajectory,
-    haversine_km,
-    params_hash,
-)
+import numpy as np
+
+from .core import EARTH_RADIUS_KM, CorruptInputError, Dataset, GeoPoint, InvalidInputError, MobanomError, StayPoint
+from .core import Trajectory, haversine_km, params_hash
 
 log = logging.getLogger(__name__)
 
@@ -40,11 +37,46 @@ PLT_HEADER_LINES = 6
 #: Grid cell side used for the fallback place ids of unlabeled stay points.
 FALLBACK_CELL_DEG = 0.005
 
+#: Relative gap below which an array distance is recomputed by ``haversine_km``
+#: before it is compared (the array and libm results differ by a few ulps at most).
+_NEAR_REL = 1e-9
+
 
 @dataclass(frozen=True)
 class RawFix:
     timestamp: int
     location: GeoPoint
+
+
+@dataclass(frozen=True, eq=False)
+class Fixes:
+    """One agent's raw fixes as columns: ``ts`` int64 epoch seconds, ``lat``/``lon`` float64 degrees."""
+
+    ts: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    @classmethod
+    def from_raw(cls, fixes: list[RawFix]) -> "Fixes":
+        lat, lon = (np.array([getattr(f.location, c) for f in fixes], dtype=np.float64) for c in ("lat", "lon"))
+        if not _valid(lat, lon).all():
+            raise InvalidInputError("fix coordinates out of range")
+        return cls(np.array([f.timestamp for f in fixes], dtype=np.int64), lat, lon)
+
+
+def _valid(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """Which coordinates pass ``GeoPoint.validate`` (NaN and inf fail both comparisons)."""
+    return (np.abs(lat) <= 90.0) & (np.abs(lon) <= 180.0)
+
+
+def _by_time(*parts: Fixes) -> Fixes:
+    """The fixes of ``parts`` in one stable sort by time (ties keep their order)."""
+    ts, lat, lon = (np.concatenate(col) for col in zip(*((f.ts, f.lat, f.lon) for f in parts)))
+    order = np.argsort(ts, kind="stable")
+    return Fixes(ts[order], lat[order], lon[order])
 
 
 @dataclass(frozen=True)
@@ -53,8 +85,8 @@ class StayPointParams:
     time_threshold_s: float = 1200.0
 
     def __post_init__(self):
-        if self.dist_threshold_m <= 0 or self.time_threshold_s <= 0:
-            raise InvalidInputError("stay-point thresholds must be positive")
+        if not (0 < self.dist_threshold_m < math.inf and 0 < self.time_threshold_s < math.inf):
+            raise InvalidInputError("stay-point thresholds must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -63,6 +95,31 @@ class PoiEntry:
     radius_m: float
     place_type: str
     place_id: str
+
+    def __post_init__(self):
+        self.center.validate()
+        if not 0 < self.radius_m < math.inf:
+            raise InvalidInputError(f"radius of {self.place_id!r} must be positive and finite")
+
+
+#: JSONL keys of a POI map and the JSON type each must have.
+_POI_KEYS = {"lat": float, "lon": float, "radius_m": float, "place_type": str, "place_id": str}
+
+
+def _poi_entry(line: str) -> PoiEntry:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CorruptInputError(f"invalid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise CorruptInputError("not a JSON object")
+    for key, kind in _POI_KEYS.items():
+        if key not in obj:
+            raise CorruptInputError(f"missing key {key!r}")
+        if isinstance(obj[key], bool) or not isinstance(obj[key], (int, float) if kind is float else str):
+            raise InvalidInputError(f"{key} must be a {'number' if kind is float else 'string'}, got {obj[key]!r}")
+    center = GeoPoint(float(obj["lat"]), float(obj["lon"]))
+    return PoiEntry(center, float(obj["radius_m"]), obj["place_type"], obj["place_id"])
 
 
 @dataclass
@@ -73,159 +130,176 @@ class PoiMap:
         ids = [e.place_id for e in self.entries]
         if len(ids) != len(set(ids)):
             raise InvalidInputError("duplicate place_id in PoiMap")
-        for e in self.entries:
-            if e.radius_m <= 0:
-                raise InvalidInputError(f"non-positive radius for {e.place_id!r}")
 
     @classmethod
     def from_jsonl(cls, path: str) -> "PoiMap":
-        import json
-
+        """One POI per line; a fault names the file and, where it has one, the line."""
         entries = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                entries.append(
-                    PoiEntry(
-                        center=GeoPoint(float(obj["lat"]), float(obj["lon"])),
-                        radius_m=float(obj["radius_m"]),
-                        place_type=str(obj["place_type"]),
-                        place_id=str(obj["place_id"]),
-                    )
-                )
-        return cls(entries=entries)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, 1):
+                    if line.strip():
+                        try:
+                            entries.append(_poi_entry(line))
+                        except MobanomError as exc:
+                            raise type(exc)(f"{path}:{lineno}: {exc}") from None
+        except UnicodeDecodeError:
+            raise CorruptInputError(f"{path}: not UTF-8 text") from None
+        try:
+            return cls(entries=entries)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{path}: {exc}") from None
 
 
-def _parse_plt_line(line: str) -> RawFix | None:
-    parts = line.strip().split(",")
-    if len(parts) != 7:
-        return None
-    try:
-        lat = float(parts[0])
-        lon = float(parts[1])
-        dt = datetime.strptime(parts[5] + " " + parts[6], "%Y-%m-%d %H:%M:%S")
-        ts = int(dt.replace(tzinfo=timezone.utc).timestamp())
-    except ValueError:
-        return None
-    gp = GeoPoint(lat, lon)
-    try:
-        gp.validate()
-    except InvalidInputError:
-        return None
-    return RawFix(timestamp=ts, location=gp)
+def _field_seconds(fmt: str, origin: datetime):
+    """A memo of the seconds since ``origin`` of a field that ``strptime(field, fmt)`` accepts, else None."""
+    def seconds(text: str) -> int | None:
+        try:
+            return int((datetime.strptime(text, fmt) - origin).total_seconds())
+        except ValueError:
+            return None
+    return functools.lru_cache(maxsize=1 << 16)(seconds)
 
 
-def _parse_csv_line(line: str) -> tuple[str, RawFix] | None:
-    parts = line.strip().split(",")
-    if len(parts) != 4:
-        return None
-    try:
-        ts = int(parts[1])
-        gp = GeoPoint(float(parts[2]), float(parts[3]))
-        gp.validate()
-    except (ValueError, InvalidInputError):
-        return None
-    return parts[0], RawFix(timestamp=ts, location=gp)
+_plt_day_s = _field_seconds("%Y-%m-%d", datetime(1970, 1, 1))
+_plt_time_s = _field_seconds("%H:%M:%S", datetime(1900, 1, 1))
 
 
-def parse_raw_log(data: bytes, format_tag: str, agent_id: str = "agent0") -> dict[str, list[RawFix]]:
-    """Parse one raw log into time-sorted fixes per agent.
+def _plt_ts(date: str, time_of_day: str) -> int:
+    """Epoch seconds of ``strptime(date + " " + time_of_day, "%Y-%m-%d %H:%M:%S")``.
 
-    Malformed lines are counted and skipped; more than 50% malformed raises
-    :class:`CorruptInputError`.  ``agent_id`` names the owner of ``plt`` data
-    (the format itself carries no agent field).
+    Two fields that parse alone parse together to the same instant; a field
+    that fails alone (say, a time with leading whitespace, which the joint
+    format's space absorbs) goes to the joint parse.
+    """
+    day, second = _plt_day_s(date), _plt_time_s(time_of_day)
+    if day is None or second is None:
+        dt = datetime.strptime(date + " " + time_of_day, "%Y-%m-%d %H:%M:%S")
+        return int(dt.replace(tzinfo=timezone.utc).timestamp())
+    return day + second
+
+
+def _parse_columns(data: bytes, format_tag: str, agent_id: str) -> dict[str, Fixes]:
+    """Unsorted fixes per agent of one raw log (``agent_id`` owns ``plt`` data), in order of first fix.
+
+    Lines with the wrong field count, a field that does not parse, a
+    timestamp outside int64 or coordinates out of range are counted and
+    skipped; more than 50% malformed raises :class:`CorruptInputError`.
     """
     if format_tag not in ("plt", "csv"):
         raise InvalidInputError(f"unknown format {format_tag!r}")
-    text = data.decode("utf-8", errors="replace")
-    lines = text.splitlines()
+    lines = data.decode("utf-8", errors="replace").splitlines()
     if format_tag == "plt":
         lines = lines[PLT_HEADER_LINES:]
-    lines = [ln for ln in lines if ln.strip()]
-    fixes: dict[str, list[RawFix]] = {}
-    malformed = 0
+    lines = [line for line in map(str.strip, lines) if line]
+    plt = format_tag == "plt"
+    rows: dict[str, list[int]] = {}
+    ts, lat, lon = [], [], []
     for line in lines:
-        if format_tag == "plt":
-            fix = _parse_plt_line(line)
-            if fix is None:
-                malformed += 1
-                continue
-            fixes.setdefault(agent_id, []).append(fix)
-        else:
-            parsed = _parse_csv_line(line)
-            if parsed is None:
-                malformed += 1
-                continue
-            aid, fix = parsed
-            fixes.setdefault(aid, []).append(fix)
+        parts = line.split(",")
+        if len(parts) != (7 if plt else 4):
+            continue
+        try:
+            if plt:
+                owner, t, la, lo = agent_id, _plt_ts(parts[5], parts[6]), float(parts[0]), float(parts[1])
+            else:
+                owner, t, la, lo = parts[0], int(parts[1]), float(parts[2]), float(parts[3])
+        except ValueError:
+            continue
+        if -(1 << 63) <= t < 1 << 63:
+            rows.setdefault(owner, []).append(len(ts))
+            ts.append(t)
+            lat.append(la)
+            lon.append(lo)
+    ts, lat, lon = np.array(ts, dtype=np.int64), np.array(lat, dtype=np.float64), np.array(lon, dtype=np.float64)
+    valid = _valid(lat, lon)
+    malformed = len(lines) - int(valid.sum())
     if lines and malformed / len(lines) > 0.5:
         raise CorruptInputError(f"{malformed}/{len(lines)} lines malformed")
     if malformed:
         log.warning("skipped %d malformed lines", malformed)
-    for agent_fixes in fixes.values():
-        agent_fixes.sort(key=lambda f: f.timestamp)
-    return fixes
+    kept = [(owner, k) for owner, index in rows.items() if len(k := np.array(index)[valid[index]])]
+    return {owner: Fixes(ts[k], lat[k], lon[k]) for owner, k in sorted(kept, key=lambda item: item[1][0])}
 
 
-def load_plt_tree(root: str) -> dict[str, list[RawFix]]:
+def parse_raw_log(data: bytes, format_tag: str, agent_id: str = "agent0") -> dict[str, list[RawFix]]:
+    """Time-sorted fixes per agent of one raw log, as :class:`RawFix` lists (see :func:`_parse_columns`)."""
+    out = {}
+    for owner, f in _parse_columns(data, format_tag, agent_id).items():
+        f = _by_time(f)
+        out[owner] = [RawFix(t, GeoPoint(a, o)) for t, a, o in zip(f.ts.tolist(), f.lat.tolist(), f.lon.tolist())]
+    return out
+
+
+def load_plt_tree(root: str) -> dict[str, Fixes]:
     """Walk a per-agent directory tree of ``.plt`` files."""
     if not os.path.isdir(root):
         raise InvalidInputError(f"not a directory: {root}")
-    out: dict[str, list[RawFix]] = {}
+    out: dict[str, Fixes] = {}
     for agent in sorted(os.listdir(root)):
         agent_dir = os.path.join(root, agent)
         if not os.path.isdir(agent_dir):
             continue
-        plt_files = []
-        for dirpath, _, filenames in os.walk(agent_dir):
-            for name in filenames:
-                if name.endswith(".plt"):
-                    plt_files.append(os.path.join(dirpath, name))
-        agent_fixes: list[RawFix] = []
+        plt_files = [os.path.join(d, name) for d, _, names in os.walk(agent_dir) for name in names if name.endswith(".plt")]
+        parts: list[Fixes] = []
         for path in sorted(plt_files):
             with open(path, "rb") as fh:
-                parsed = parse_raw_log(fh.read(), "plt", agent_id=agent)
-            agent_fixes.extend(parsed.get(agent, []))
-        if agent_fixes:
-            agent_fixes.sort(key=lambda f: f.timestamp)
-            out[agent] = agent_fixes
+                parts.extend(_parse_columns(fh.read(), "plt", agent).values())
+        if parts:
+            out[agent] = _by_time(*parts)
     return out
 
 
-def detect_stay_points(fixes: list[RawFix], params: StayPointParams = StayPointParams()) -> list[StayPoint]:
+def _distance_within(lat1, lon1, lat2, lon2, limit) -> tuple[np.ndarray, np.ndarray]:
+    """Great-circle metres between broadcast degree arrays, and whether each is ``<= limit``.
+
+    This is ``haversine_km * 1000`` in its operation order, but numpy's
+    arcsin and squares can differ from libm's by an ulp, so a distance this
+    close to its limit is decided by ``haversine_km`` itself.
+    """
+    la1, lo1, la2, lo2 = np.radians(lat1), np.radians(lon1), np.radians(lat2), np.radians(lon2)
+    h = np.sin((la2 - la1) / 2.0) ** 2 + np.cos(la1) * np.cos(la2) * np.sin((lo2 - lo1) / 2.0) ** 2
+    d = EARTH_RADIUS_KM * 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(h))) * 1000.0
+    inside = d <= limit
+    near = np.abs(d - limit) <= _NEAR_REL * limit
+    if near.any():
+        args = np.broadcast_arrays(lat1, lon1, lat2, lon2, limit)
+        for index in zip(*np.nonzero(near)):
+            a1, o1, a2, o2, bound = (float(x[index]) for x in args)
+            inside[index] = haversine_km(GeoPoint(a1, o1), GeoPoint(a2, o2)) * 1000.0 <= bound
+    return d, inside
+
+
+def detect_stay_points(fixes: Fixes | list[RawFix], params: StayPointParams = StayPointParams()) -> list[StayPoint]:
     """Compress time-sorted fixes into stay points (place_type "Unknown").
 
     Runs never overlap and output is time-ordered; every stay point spans at
-    least ``time_threshold_s``.
+    least ``time_threshold_s``.  Only a fix whose next step stays within
+    ``dist_threshold_m`` can anchor a run (a lone fix spans 0 s); each such
+    anchor is scanned in growing blocks up to its first fix beyond the radius.
     """
+    f = fixes if isinstance(fixes, Fixes) else Fixes.from_raw(fixes)
+    n, limit, ts = len(f), params.dist_threshold_m, f.ts.tolist()
+    anchors = np.flatnonzero(_distance_within(f.lat[:-1], f.lon[:-1], f.lat[1:], f.lon[1:], limit)[1])
     out: list[StayPoint] = []
-    n = len(fixes)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and (
-            haversine_km(fixes[i].location, fixes[j + 1].location) * 1000.0 <= params.dist_threshold_m
-        ):
-            j += 1
-        if fixes[j].timestamp - fixes[i].timestamp >= params.time_threshold_s:
-            run = fixes[i : j + 1]
-            lat = sum(f.location.lat for f in run) / len(run)
-            lon = sum(f.location.lon for f in run) / len(run)
-            out.append(
-                StayPoint(
-                    arrive=fixes[i].timestamp,
-                    depart=fixes[j].timestamp,
-                    place_id="",
-                    place_type="Unknown",
-                    location=GeoPoint(lat, lon),
-                )
-            )
-            i = j + 1
+    a = 0
+    while a < len(anchors):
+        i = j = int(anchors[a])
+        block = 64
+        while j + 1 < n:  # fixes i..j are within the radius of fix i
+            hi = min(n, j + 1 + block)
+            inside = _distance_within(f.lat[i], f.lon[i], f.lat[j + 1 : hi], f.lon[j + 1 : hi], limit)[1]
+            if not inside.all():
+                j += int(np.argmin(inside))
+                break
+            j, block = hi - 1, 2 * block
+        if ts[j] - ts[i] >= params.time_threshold_s:
+            # the run's sum() bit for bit: cumsum adds left to right; sum starts at int 0, so an all -0.0 run gives +0.0
+            mean = [(0.0 + float(np.cumsum(c[i : j + 1])[-1])) / (j - i + 1) for c in (f.lat, f.lon)]
+            out.append(StayPoint(arrive=ts[i], depart=ts[j], place_id="", place_type="Unknown", location=GeoPoint(*mean)))
+            a = int(np.searchsorted(anchors, j + 1))
         else:
-            i += 1
+            a += 1
     return out
 
 
@@ -238,20 +312,25 @@ def assign_place_types(points: list[StayPoint], poi: PoiMap) -> list[StayPoint]:
 
     Containment means center distance <= radius; ties break on smaller center
     distance, then lexicographic place_id.  Deterministic for fixed inputs.
+    One stay-point x POI distance matrix decides; the POIs within a hair of a
+    point's nearest containing one are compared by ``haversine_km`` itself.
     """
+    lat, lon = (np.array([getattr(sp.location, c) for sp in points], dtype=np.float64)[:, None] for c in ("lat", "lon"))
+    if not _valid(lat, lon).all():
+        raise InvalidInputError("stay point coordinates out of range")
+    entries = poi.entries
+    centers = np.array([(e.center.lat, e.center.lon) for e in entries], dtype=np.float64).reshape(-1, 2)
+    radius = np.array([e.radius_m for e in entries], dtype=np.float64)
+    d, inside = _distance_within(lat, lon, centers[:, 0], centers[:, 1], radius)
     out = []
-    for sp in points:
-        best: tuple[float, str, PoiEntry] | None = None
-        for entry in poi.entries:
-            d_m = haversine_km(sp.location, entry.center) * 1000.0
-            if d_m <= entry.radius_m:
-                key = (d_m, entry.place_id)
-                if best is None or key < (best[0], best[1]):
-                    best = (d_m, entry.place_id, entry)
-        if best is None:
-            out.append(replace(sp, place_id=fallback_cell_id(sp.location), place_type="Unknown"))
+    for r, sp in enumerate(points):
+        hits = np.flatnonzero(inside[r])
+        if len(hits):
+            ties = hits[d[r, hits] <= d[r, hits].min() * (1.0 + _NEAR_REL)]
+            best = entries[min(ties, key=lambda c: (haversine_km(sp.location, entries[c].center) * 1000.0, entries[c].place_id))]
+            out.append(replace(sp, place_id=best.place_id, place_type=best.place_type))
         else:
-            out.append(replace(sp, place_id=best[2].place_id, place_type=best[2].place_type))
+            out.append(replace(sp, place_id=fallback_cell_id(sp.location), place_type="Unknown"))
     return out
 
 
@@ -273,7 +352,7 @@ def ingest_dataset(
         per_agent = load_plt_tree(input_path)
     else:
         with open(input_path, "rb") as fh:
-            per_agent = parse_raw_log(fh.read(), format_tag)
+            per_agent = {owner: _by_time(f) for owner, f in _parse_columns(fh.read(), format_tag, "agent0").items()}
     poi = poi or PoiMap()
     trajectories = []
     for agent_id in sorted(per_agent):

@@ -385,6 +385,75 @@ class TestEndpointFile:
         assert "Traceback" not in err
 
 
+class TestIngestInputFaults:
+    """Faults in the POI map and in stay-point or TRAOD parameters exit 1 naming the fault, without a traceback."""
+
+    @pytest.fixture
+    def csv(self, tmp_path):
+        rows = [f"u1,{1_600_000_000 + 60 * k},40.0,116.0" for k in range(40)]
+        write(str(tmp_path / "raw.csv"), "\n".join(rows))
+        return tmp_path / "raw.csv"
+
+    GOOD = '{"lat": 40.0, "lon": 116.0, "radius_m": 100, "place_type": "Pub", "place_id": "p1"}'
+
+    @pytest.mark.parametrize(
+        "line, named",
+        [
+            ('{"lat": 40.0, "lon": 116.0,', "invalid JSON"),
+            ('["p2"]', "not a JSON object"),
+            ('{"lat": 40.0, "lon": 116.0, "place_type": "Pub", "place_id": "p2"}', "radius_m"),
+            ('{"lat": "40", "lon": 116.0, "radius_m": 100, "place_type": "Pub", "place_id": "p2"}', "lat must be a number"),
+            ('{"lat": 40.0, "lon": 116.0, "radius_m": 100, "place_type": 7, "place_id": "p2"}', "place_type must be a string"),
+            ('{"lat": 40.0, "lon": 200.0, "radius_m": 100, "place_type": "Pub", "place_id": "p2"}', "longitude out of range"),
+            ('{"lat": 40.0, "lon": 116.0, "radius_m": -5, "place_type": "Pub", "place_id": "p2"}', "radius"),
+        ],
+        ids=["malformed_json", "not_an_object", "missing_key", "str_number", "number_str", "centre_out_of_range",
+             "negative_radius"],
+    )
+    def test_bad_poi_map_exits_1(self, csv, tmp_path, capsys, line, named):
+        poi = tmp_path / "poi.jsonl"
+        write(str(poi), self.GOOD + "\n\n" + line + "\n")
+        code = main(["--out-dir", str(tmp_path / "out"), "ingest", str(csv), "--format", "csv", "--poi-map", str(poi)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{poi}:3:" in err and named in err
+        assert "Traceback" not in err
+
+    def test_missing_poi_map_exits_1(self, csv, tmp_path, capsys):
+        code = main(["--out-dir", str(tmp_path / "out"), "ingest", str(csv), "--poi-map", str(tmp_path / "nope.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "nope.jsonl" in err and "Traceback" not in err
+
+    def test_good_poi_map_labels_the_stay(self, csv, tmp_path):
+        poi = tmp_path / "poi.jsonl"
+        write(str(poi), self.GOOD + "\n")
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "ingest", str(csv), "--min-records", "1", "--poi-map", str(poi)]) == 0
+        assert [p.place_id for p in read_dataset(str(out / "dataset.jsonl")).trajectories[0].points] == ["p1"]
+
+    @pytest.mark.parametrize("key", ["dist_threshold_m", "time_threshold_s"])
+    def test_nan_stay_point_threshold_exits_1(self, csv, tmp_path, capsys, key):
+        cfg = tmp_path / "ingest.cfg"
+        write(str(cfg), f"[ingest]\n{key} = nan\n")
+        code = main(["--out-dir", str(tmp_path / "out"), "--config", str(cfg), "ingest", str(csv)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("setting, named", [("traod_d = -1", "D must"), ("p_frac = 1.5", "p_frac must")])
+    def test_traod_params_out_of_range_exit_1(self, sim_dir, tmp_path, capsys, setting, named):
+        params = tmp_path / "traod.cfg"
+        write(str(params), f"[detect]\n{setting}\n")
+        code = main([
+            "--out-dir", str(tmp_path / "scores"), "detect", "--method", "traod", "--in", str(sim_dir),
+            "--params", str(params),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+
 class TestLlmCache:
     def test_truncated_cache_entry_is_a_miss(self, sim_dir, tmp_path, monkeypatch):
         endpoint_cfg = tmp_path / "endpoint.json"

@@ -10,7 +10,7 @@ import traod_oracle as oracle
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from mobanom.core import Dataset, GeoPoint, StayPoint, Trajectory
+from mobanom.core import Dataset, GeoPoint, InvalidInputError, StayPoint, Trajectory
 from mobanom.detectors import SplitSpec, TraodParams, segment_distance_components, traod_score, traod_segment_distance
 from mobanom.detectors.classical import _trajectory_segments, _traod_outlying
 from mobanom.inject import InjectConfig, inject_imposter
@@ -172,6 +172,23 @@ class TestZeroRadius:
         assert radius == 0.0 and 0.0 < o_radius < 1e-12
         flips = [(a, k) for a, (out, _) in decisions.items() for k, o in enumerate(o_outlying[a]) if o != out[k]]
         assert flips and all(o_outlying[a][k] for a, k in flips)  # only ever fewer outlying hops
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"D": -1.0}, {"D": float("nan")}, {"D": float("inf")}, {"p_frac": 1.5}, {"p_frac": -0.1},
+     {"auto_d_percentile": 101.0}, {"auto_d_percentile": -1.0}, {"auto_d_samples": 0},
+     {"weights": (1.0, -0.5, 1.0)}, {"weights": (1.0, 1.0, float("nan"))}],
+)
+def test_params_out_of_range_are_rejected(bad):
+    # were: D = -1 scored every agent 1.0, p_frac = 1.5 every agent 0.0, 0 samples an IndexError
+    with pytest.raises(InvalidInputError):
+        TraodParams(**bad)
+
+
+def test_params_at_their_bounds_are_accepted():
+    TraodParams(D=0.0, p_frac=0.0, auto_d_percentile=0.0, auto_d_samples=1, weights=(0.0, 0.0, 0.0))
+    TraodParams(p_frac=1.0, auto_d_percentile=100.0)
 
 
 def test_classical_detectors_demo_runs(tmp_path):
