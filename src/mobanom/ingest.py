@@ -232,7 +232,11 @@ def parse_raw_log(data: bytes, format_tag: str, agent_id: str = "agent0") -> dic
 
 
 def load_plt_tree(root: str) -> dict[str, Fixes]:
-    """Walk a per-agent directory tree of ``.plt`` files."""
+    """Walk a per-agent directory tree of ``.plt`` files.
+
+    A file more than 50% malformed aborts the walk with a
+    :class:`CorruptInputError` that names the file.
+    """
     if not os.path.isdir(root):
         raise InvalidInputError(f"not a directory: {root}")
     out: dict[str, Fixes] = {}
@@ -244,7 +248,11 @@ def load_plt_tree(root: str) -> dict[str, Fixes]:
         parts: list[Fixes] = []
         for path in sorted(plt_files):
             with open(path, "rb") as fh:
-                parts.extend(_parse_columns(fh.read(), "plt", agent).values())
+                data = fh.read()
+            try:
+                parts.extend(_parse_columns(data, "plt", agent).values())
+            except CorruptInputError as exc:
+                raise CorruptInputError(f"{path}: {exc}") from exc
         if parts:
             out[agent] = _by_time(*parts)
     return out

@@ -7,6 +7,14 @@ stay home.  Consecutive ticks at one place merge into a single stay point
 whose final tick counts as travel, so the output is a gapped stay-point
 dataset directly (no en-route fixes are generated).
 
+The semantics are per tick, but the loop visits only *decision ticks*: the
+next hunger firing, the next flip of the work-hours flag, the tick at which
+the social need falls due, the outlier onset, and the tick after an eat or
+social event.  Every other tick keeps the place of the tick before it (home,
+the workplace or the work-skip hideout), so no stay can change there.  A
+need's value after n ticks is the tick loop's own update iterated n times
+from its reset value, so the firing ticks are exact, not estimated.
+
 Three outlier families switch on at a configurable onset tick:
 
 * ``hunger``: the hunger need drains ``hunger_multiplier`` times faster, so
@@ -24,6 +32,7 @@ results do not depend on scheduling order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -111,21 +120,34 @@ class SimConfig:
             raise ConfigError("weeks must be >= 1")
         if self.n_agents < 1:
             raise ConfigError("n_agents must be >= 1")
-        if 60 % self.tick_minutes != 0:
-            raise ConfigError("tick_minutes must divide 60")
+        if not isinstance(self.tick_minutes, int) or self.tick_minutes < 1 or 60 % self.tick_minutes != 0:
+            raise ConfigError(f"tick_minutes must be a positive divisor of 60, got {self.tick_minutes}")
+        for name in ("n_hunger", "n_social", "n_work"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.n_hunger + self.n_social + self.n_work > self.n_agents:
             raise ConfigError("outlier counts exceed n_agents")
         if not (0.0 < self.outlier_onset_fraction < 1.0):
             raise ConfigError("outlier_onset_fraction must be in (0, 1)")
-        for name, count in (
-            ("n_apartments", self.n_apartments),
-            ("n_workplaces", self.n_workplaces),
-            ("n_restaurants", self.n_restaurants),
-            ("n_pubs", self.n_pubs),
-            ("n_recreation", self.n_recreation),
-        ):
-            if count < 1:
+        for name in ("n_apartments", "n_workplaces", "n_restaurants", "n_pubs", "n_recreation"):
+            if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        for name in ("hunger_threshold", "social_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("hunger_multiplier", "social_rate_per_hour", "mean_friend_degree"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        for name, (lo, hi), least, most in (
+            ("hunger_rate_range", self.hunger_rate_range, 0.0, math.inf),
+            ("pref_weight_range", self.pref_weight_range, 0.0, math.inf),
+            ("bbox", self.bbox[:2], -90.0, 90.0),
+            ("bbox", self.bbox[2:], -180.0, 180.0),
+        ):
+            if not (least <= lo <= hi <= most and math.isfinite(hi)):
+                raise ConfigError(f"{name} must be finite with {least:g} <= low <= high <= {most:g}, got {lo}, {hi}")
+        if self.pref_weight_range[0] == 0:
+            raise ConfigError("pref_weight_range low must be > 0: its log is drawn")
 
     @property
     def total_ticks(self) -> int:
@@ -183,9 +205,7 @@ def build_map(config: SimConfig, rng: np.random.Generator | None = None) -> Synt
 
 
 def spawn_agents(
-    config: SimConfig,
-    smap: SyntheticMap,
-    rng: np.random.Generator | None = None,
+    config: SimConfig, smap: SyntheticMap, rng: np.random.Generator | None = None
 ) -> tuple[list[AgentProfile], LabelSet]:
     """Draw agent attributes, the friendship graph, and outlier assignments.
 
@@ -200,36 +220,26 @@ def spawn_agents(
     apartments = smap.by_type("Apartment")
     workplaces = smap.by_type("Workplace")
     social_sites = smap.by_type("Recreation") + smap.by_type("Pub")
-    lo, hi = config.pref_weight_range
+    log_lo, log_hi = np.log(config.pref_weight_range[0]), np.log(config.pref_weight_range[1])
 
     profiles = []
     for i in range(n):
         home = apartments[int(rng.integers(len(apartments)))]
         workplace = workplaces[int(rng.integers(len(workplaces)))]
-        prefs = {
-            site.place_id: float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-            for site in social_sites
-        }
+        prefs = {site.place_id: float(np.exp(rng.uniform(log_lo, log_hi))) for site in social_sites}
         hunger_rate = float(rng.uniform(*config.hunger_rate_range))
-        profiles.append(
-            AgentProfile(
-                agent_id=f"agent{i:04d}",
-                home=home.place_id,
-                workplace=workplace.place_id,
-                site_preferences=prefs,
-                friends=(),
-                hunger_rate=hunger_rate,
-            )
-        )
+        profiles.append(AgentProfile(f"agent{i:04d}", home.place_id, workplace.place_id, prefs, (), hunger_rate))
 
-    # Erdos-Renyi friendship graph with the configured mean degree.
+    # Erdos-Renyi friendship graph with the configured mean degree; row i
+    # draws its n - i - 1 pairs (i, j > i) in one call, the same stream as
+    # one draw per pair.
     p_edge = min(1.0, config.mean_friend_degree / max(1, n - 1))
     friends: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p_edge:
-                friends[i].append(j)
-                friends[j].append(i)
+        row = (np.flatnonzero(rng.random(n - i - 1) < p_edge) + (i + 1)).tolist()
+        friends[i].extend(row)
+        for j in row:
+            friends[j].append(i)
     for i, profile in enumerate(profiles):
         profile.friends = tuple(friends[i])
 
@@ -245,25 +255,13 @@ def spawn_agents(
         profiles[idx].outlier_type = outlier_type
         profiles[idx].outlier_onset = onset
 
-    entries = {
-        p.agent_id: LabelEntry(
-            is_outlier=p.outlier_type != "none",
-            outlier_type=p.outlier_type,
-            deviate_index=None,
-        )
-        for p in profiles
-    }
+    entries = {p.agent_id: LabelEntry(p.outlier_type != "none", p.outlier_type) for p in profiles}
     return profiles, LabelSet(entries=entries)
 
 
-def _weekday(t: int) -> int:
-    # Monday = 0; 1970-01-01 was a Thursday.
-    return (t // SECONDS_PER_DAY + 3) % 7
-
-
 def _in_work_hours(t: int) -> bool:
-    sod = t % SECONDS_PER_DAY
-    return _weekday(t) < 5 and WORK_START_S <= sod < WORK_END_S
+    # Weekdays are 0-4 from Monday; 1970-01-01 was a Thursday.
+    return (t // SECONDS_PER_DAY + 3) % 7 < 5 and WORK_START_S <= t % SECONDS_PER_DAY < WORK_END_S
 
 
 def _social_choice(profile: AgentProfile, all_profiles: list[AgentProfile], site_ids: list[str]) -> str:
@@ -281,82 +279,122 @@ def _social_choice(profile: AgentProfile, all_profiles: list[AgentProfile], site
     return best_id
 
 
+def _ticks_below(need: float, step: float, threshold: float, limit: int) -> tuple[int, float]:
+    """Updates of a need by the tick loop's ``min(1, max(0, need - step))`` until it is below
+    ``threshold`` (``limit + 1`` if not within ``limit``), and the need after them."""
+    for ticks in range(1, limit + 1):
+        after = min(1.0, max(0.0, need - step))
+        if after < threshold:
+            return ticks, after
+        if after == need:  # a fixed point: the need stays where it is
+            break
+        need = after
+    return limit + 1, need
+
+
+@dataclass(frozen=True)
+class _Calendar:
+    """Shared by every agent of one config: places by id and by type, each tick's work-hours
+    flag and the next tick at which it flips, and the ticks from a social reset until it is due."""
+
+    by_id: dict[str, Place]
+    restaurants: list[str]
+    recreations: list[str]
+    social_sites: list[str]
+    work: list[bool]
+    next_flip: list[int]
+    social_due: int
+
+    @classmethod
+    def build(cls, config: SimConfig, smap: SyntheticMap) -> _Calendar:
+        n = config.total_ticks
+        work = [_in_work_hours(config.start_time + tick * config.tick_seconds) for tick in range(n)]
+        next_flip = [n] * n
+        for tick in range(n - 2, -1, -1):
+            next_flip[tick] = tick + 1 if work[tick + 1] != work[tick] else next_flip[tick + 1]
+        rec, rest, pubs = ([p.place_id for p in smap.by_type(kind)] for kind in ("Recreation", "Restaurant", "Pub"))
+        social_step = config.social_rate_per_hour * (config.tick_minutes / 60.0)
+        social_due = _ticks_below(1.0, social_step, config.social_threshold, n)[0]
+        return cls(smap.by_id(), rest, rec, rec + pubs, work, next_flip, social_due)
+
+
 def _simulate_agent(
-    profile: AgentProfile,
-    all_profiles: list[AgentProfile],
-    smap: SyntheticMap,
-    config: SimConfig,
-    rng: np.random.Generator,
+    profile: AgentProfile, all_profiles: list[AgentProfile], cal: _Calendar, config: SimConfig, rng: np.random.Generator
 ) -> tuple[Trajectory, list[SimEvent]]:
-    """Run the tick loop for one agent; returns its stay points and events.
+    """Run one agent from decision tick to decision tick; returns its stay points and events.
 
     A stay closes whenever the place changes.  The final tick of every stay is
     charged as travel toward the next place, so consecutive stays are
     separated by a one-tick gap (depart = last tick start).  Real stay-point
     data has such gaps, and downstream tail swapping needs a seam to cut at.
     """
+    n, start, tick_s, threshold = config.total_ticks, config.start_time, config.tick_seconds, config.hunger_threshold
     tick_hours = config.tick_minutes / 60.0
-    by_id = smap.by_id()
-    restaurants = [p.place_id for p in smap.by_type("Restaurant")]
-    recreations = [p.place_id for p in smap.by_type("Recreation")]
-    social_sites = recreations + [p.place_id for p in smap.by_type("Pub")]
-    preferred_site = _social_choice(profile, all_profiles, social_sites)
+    preferred_site = _social_choice(profile, all_profiles, cal.social_sites)
+    kind = profile.outlier_type
+    onset = profile.outlier_onset if kind != "none" and profile.outlier_onset is not None else n
+    # Hunger drains by ``step`` per tick, and by ``step_after`` from a hunger outlier's onset on.
+    hunger_onset = onset if kind == "hunger" else n
+    step = profile.hunger_rate * tick_hours
+    step_after = profile.hunger_rate * config.hunger_multiplier * tick_hours
+    period = _ticks_below(1.0, step, threshold, n)[0]
+    period_after = _ticks_below(1.0, step_after, threshold, n)[0] if kind == "hunger" else period
 
-    hunger = social = 1.0
+    def next_meal(reset: int) -> int:
+        # The first tick after ``reset`` at which hunger is below its threshold.
+        if reset + 1 >= hunger_onset:
+            return reset + period_after
+        if reset + period < hunger_onset:
+            return reset + period
+        need = _ticks_below(1.0, step, threshold, hunger_onset - 1 - reset)[1]
+        return hunger_onset - 1 + _ticks_below(need, step_after, threshold, n)[0]
+
     points: list[StayPoint] = []
     events: list[SimEvent] = []
     skip_day_plan: tuple[int, str] | None = None  # (day ordinal, place id)
     stay_place: str | None = None
-    stay_arrive = 0
+    stay_arrive = social_reset = -1
+    meal, tick = next_meal(-1), 0
 
     def close_stay(depart: int) -> None:
-        place = by_id[stay_place]
+        place = cal.by_id[stay_place]
         points.append(StayPoint(stay_arrive, depart, place.place_id, place.place_type, place.location))
 
-    for tick in range(config.total_ticks):
-        t = config.start_time + tick * config.tick_seconds
-        active = profile.outlier_type != "none" and profile.outlier_onset is not None and tick >= profile.outlier_onset
+    while tick < n:
+        t = start + tick * tick_s
+        active = tick >= onset
+        social_due = social_reset + cal.social_due
+        upcoming = min(meal, cal.next_flip[tick], onset if onset > tick else n, social_due if social_due > tick else n)
 
-        rate = profile.hunger_rate * (config.hunger_multiplier if active and profile.outlier_type == "hunger" else 1.0)
-        hunger = min(1.0, max(0.0, hunger - rate * tick_hours))
-        social = min(1.0, max(0.0, social - config.social_rate_per_hour * tick_hours))
-
-        if hunger < config.hunger_threshold:
-            if rng.integers(2) == 0:
-                place = restaurants[int(rng.integers(len(restaurants)))]
-                events.append(SimEvent(tick, profile.agent_id, "eat_out", place))
-            else:
-                place = profile.home
-                events.append(SimEvent(tick, profile.agent_id, "eat_home", place))
-            hunger = 1.0
-        elif _in_work_hours(t):
-            if active and profile.outlier_type == "work":
+        if tick == meal:
+            eat_out = rng.integers(2) == 0
+            place = cal.restaurants[int(rng.integers(len(cal.restaurants)))] if eat_out else profile.home
+            events.append(SimEvent(tick, profile.agent_id, "eat_out" if eat_out else "eat_home", place))
+            meal, upcoming = next_meal(tick), tick + 1
+        elif cal.work[tick]:
+            place = profile.workplace
+            if active and kind == "work":
                 day = t // SECONDS_PER_DAY
                 if skip_day_plan is None or skip_day_plan[0] != day:
-                    if rng.integers(2) == 0:
-                        hideout = profile.home
-                    else:
-                        hideout = recreations[int(rng.integers(len(recreations)))]
+                    home = rng.integers(2) == 0
+                    hideout = profile.home if home else cal.recreations[int(rng.integers(len(cal.recreations)))]
                     skip_day_plan = (day, hideout)
                     events.append(SimEvent(tick, profile.agent_id, "work_skip", hideout))
                 place = skip_day_plan[1]
-            else:
-                place = profile.workplace
-        elif social < config.social_threshold:
-            if active and profile.outlier_type == "social":
-                place = social_sites[int(rng.integers(len(social_sites)))]
-            else:
-                place = preferred_site
+        elif tick >= social_due:  # steps are >= 0, so a need only falls between resets: due stays due
+            social = active and kind == "social"
+            place = cal.social_sites[int(rng.integers(len(cal.social_sites)))] if social else preferred_site
             events.append(SimEvent(tick, profile.agent_id, "social", place))
-            social = 1.0
+            social_reset, upcoming = tick, tick + 1
         else:
             place = profile.home
 
         if place != stay_place:
             if stay_place is not None:
-                close_stay(t - config.tick_seconds)
+                close_stay(t - tick_s)
             stay_place, stay_arrive = place, t
-    close_stay(config.start_time + (config.total_ticks - 1) * config.tick_seconds)
+        tick = upcoming
+    close_stay(start + (n - 1) * tick_s)
 
     return Trajectory(agent_id=profile.agent_id, points=points), events
 
@@ -367,45 +405,17 @@ def simulate(config: SimConfig) -> SimResult:
     smap = build_map(config)
     profiles, labels = spawn_agents(config, smap)
     onset_time = config.start_time + config.onset_tick * config.tick_seconds
+    cal = _Calendar.build(config, smap)
 
-    trajectories = []
-    events: dict[str, list[SimEvent]] = {}
-    entries = {}
+    trajectories, events, entries = [], {}, {}
     for i, profile in enumerate(profiles):
-        agent_rng = _rng(config.seed, 4, i)
-        trajectory, agent_events = _simulate_agent(profile, profiles, smap, config, agent_rng)
+        trajectory, events[profile.agent_id] = _simulate_agent(profile, profiles, cal, config, _rng(config.seed, 4, i))
         trajectories.append(trajectory)
-        events[profile.agent_id] = agent_events
+        points, deviate_index = trajectory.points, None
+        if profile.outlier_type != "none":
+            deviate_index = next((k for k, sp in enumerate(points) if sp.arrive >= onset_time), len(points) - 1)
+        entries[profile.agent_id] = LabelEntry(profile.outlier_type != "none", profile.outlier_type, deviate_index)
 
-        is_outlier = profile.outlier_type != "none"
-        deviate_index = None
-        if is_outlier:
-            deviate_index = len(trajectory.points) - 1
-            for k, sp in enumerate(trajectory.points):
-                if sp.arrive >= onset_time:
-                    deviate_index = k
-                    break
-        entries[profile.agent_id] = LabelEntry(
-            is_outlier=is_outlier,
-            outlier_type=profile.outlier_type,
-            deviate_index=deviate_index,
-        )
-
-    dataset = Dataset(
-        trajectories=trajectories,
-        meta={
-            "source": "simulator",
-            "seed": config.seed,
-            "config_hash": params_hash(asdict(config)),
-            "onset_time": onset_time,
-            "n_agents": config.n_agents,
-            "weeks": config.weeks,
-        },
-    )
-    return SimResult(
-        dataset=dataset,
-        labels=LabelSet(entries=entries),
-        events=events,
-        onset_tick=config.onset_tick,
-        onset_time=onset_time,
-    )
+    meta = {"source": "simulator", "seed": config.seed, "config_hash": params_hash(asdict(config)),
+            "onset_time": onset_time, "n_agents": config.n_agents, "weeks": config.weeks}
+    return SimResult(Dataset(trajectories, meta), LabelSet(entries), events, config.onset_tick, onset_time)

@@ -454,6 +454,38 @@ class TestIngestInputFaults:
         assert named in err and "Traceback" not in err
 
 
+class TestSimulateConfigFaults:
+    """A simulate config value that would crash, or silently mislabel agents, exits 1 naming the key."""
+
+    @pytest.mark.parametrize(
+        "setting, named",
+        [
+            ("tick_minutes = 0", "tick_minutes"),
+            ("tick_minutes = -15", "tick_minutes"),
+            ("n_hunger = -2", "n_hunger"),
+            ("hunger_rate_range = 0.12, 0.06", "hunger_rate_range"),
+            ("pref_weight_range = 10, 0.1", "pref_weight_range"),
+            ("bbox = 40.2, 40.0, 116.2, 116.5", "bbox"),
+            ("hunger_threshold = nan", "hunger_threshold"),
+            ("social_rate_per_hour = inf", "social_rate_per_hour"),
+            ("hunger_multiplier = nan", "hunger_multiplier"),
+        ],
+        ids=["tick_zero", "tick_negative", "negative_count", "inverted_rates", "inverted_prefs", "inverted_bbox",
+             "nan_threshold", "inf_rate", "nan_multiplier"],
+    )
+    def test_bad_value_exits_1(self, tmp_path, capsys, setting, named):
+        settings = {"n_agents": "6", "weeks": "1", "n_hunger": "1", "n_social": "1", "n_work": "1"}
+        key, value = (part.strip() for part in setting.split("=", 1))
+        settings[key] = value
+        cfg = tmp_path / "sim.cfg"
+        write(str(cfg), "".join(f"{k} = {v}\n" for k, v in settings.items()))
+        code = main(["--out-dir", str(tmp_path / "sim"), "simulate", "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "sim" / "dataset.jsonl").exists()
+
+
 class TestLlmCache:
     def test_truncated_cache_entry_is_a_miss(self, sim_dir, tmp_path, monkeypatch):
         endpoint_cfg = tmp_path / "endpoint.json"

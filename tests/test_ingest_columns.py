@@ -3,6 +3,7 @@
 import contextlib
 import logging
 import os
+import re
 import subprocess
 import sys
 
@@ -12,7 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobanom.core import Dataset, GeoPoint, InvalidInputError, StayPoint, Trajectory, haversine_km, write_dataset
+from mobanom.core import (
+    CorruptInputError,
+    Dataset,
+    GeoPoint,
+    InvalidInputError,
+    StayPoint,
+    Trajectory,
+    haversine_km,
+    write_dataset,
+)
 from mobanom.ingest import (
     Fixes,
     PoiEntry,
@@ -286,6 +296,21 @@ def test_plt_tree_sorts_each_agent_once_like_the_oracle(tmp_path):
     for agent, f in new.items():
         assert [(fx.timestamp, fx.location.lat) for fx in old[agent]] == list(zip(f.ts.tolist(), f.lat.tolist()))
         assert f.ts.dtype == np.int64 and len(f) == len(old[agent])
+
+
+def test_a_corrupt_plt_file_is_named_and_aborts_the_tree(tmp_path):
+    good = [(40.0, 116.0, "2008-10-24,02:00:00"), (40.1, 116.0, "2008-10-24,03:00:00")]
+    write_tree(str(tmp_path), {
+        ("u1", "a.plt"): good,
+        ("u2", "b.plt"): good,
+        ("u2", "c.plt"): [("junk", 116.0, "2008-10-24,02:00:00")] * 2 + good[:1],
+        ("u3", "d.plt"): good,
+    })
+    bad = os.path.join(str(tmp_path), "u2", "Trajectory", "c.plt")
+    with pytest.raises(CorruptInputError, match=re.escape(f"{bad}: 2/3 lines malformed")) as info:
+        load_plt_tree(str(tmp_path))
+    assert isinstance(info.value.__cause__, CorruptInputError)
+    assert str(info.value.__cause__) == "2/3 lines malformed"  # parse_raw_log's own message
 
 
 def test_multi_agent_csv_ingests_byte_identical_to_the_oracle(tmp_path):
