@@ -23,7 +23,8 @@ from dataclasses import dataclass, fields
 from typing import Callable
 
 from . import __version__
-from .core import ConfigError, MobanomError, config_from_mapping, convert_value, params_hash, read_dataset, read_labels, write_dataset, write_labels
+from .core import ConfigError, MobanomError, atomic_write, config_from_mapping, convert_value, params_hash, read_dataset
+from .core import read_labels, write_dataset, write_labels
 from .detectors import NetHyper, SplitSpec, TraodParams, build_windows, dae_score, dsvdd_score, monav_tt_score, ompad_score, traod_score
 from .evaluation import ScoreTable, make_report
 from .ingest import PoiMap, StayPointParams, ingest_dataset
@@ -130,11 +131,6 @@ def read_endpoint_file(path: str) -> LlmEndpointConfig:
     return config_from_mapping(LlmEndpointConfig, obj)
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
 # ---------------------------------------------------------------------------
 # Stages.  Each takes (settings, declared input paths, output directory, a
 # list it appends every output path to before writing it).
@@ -232,17 +228,14 @@ def stage_detect(m: dict, inputs: list[str], out_dir: str, outputs: list[str]) -
             )
         scores_path = m.get("out") or os.path.join(out_dir, f"scores_{table.detector}.jsonl")
         outputs.append(scores_path)
-        _write_text(scores_path, table.to_jsonl())
+        atomic_write(scores_path, table.to_jsonl())
         if table.omitted:
             log.info("%s omitted %d agents", table.detector, len(table.omitted))
 
 
 def stage_eval(m: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
     labels = read_labels(inputs[0])
-    tables = []
-    for path in inputs[1:]:
-        with open(path, "r", encoding="utf-8") as fh:
-            tables.append(ScoreTable.from_jsonl(fh.read()))
+    tables = [ScoreTable.read(path) for path in inputs[1:]]
     report = config_from_mapping(
         make_report, {"top_k": "10,25,100", **m}, {"top_k": "ks"}, score_tables=tables, labels=labels
     )
@@ -250,8 +243,8 @@ def stage_eval(m: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> 
     csv_path = m.get("out") or os.path.join(out_dir, "report.csv")
     txt_path = os.path.join(out_dir, "report.txt")
     outputs += [csv_path, txt_path]
-    _write_text(csv_path, report.to_csv())
-    _write_text(txt_path, report.to_text())
+    atomic_write(csv_path, report.to_csv())
+    atomic_write(txt_path, report.to_text())
     sys.stdout.write(report.to_text())
 
 
@@ -381,7 +374,7 @@ def run_pipeline(config_path: str, out_dir: str | None, seed: int | None) -> int
         if stage.data:
             data_dir = stage_dir
 
-    _write_text(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    atomic_write(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return 0
 
 

@@ -21,15 +21,20 @@ File formats
     One JSON object per line::
 
         {"agent_id": ..., "is_outlier": ..., "outlier_type": ..., "deviate_index": ...}
+
+Every file mobanom writes goes through :func:`atomic_write`, and every JSONL
+file it reads through :func:`read_jsonl`, whose errors name ``path:line``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import math
 import os
+import threading
 import typing
 from dataclasses import dataclass, field
 
@@ -309,6 +314,63 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
 
 
+def atomic_write(path: str, text: str | typing.Iterable[str]) -> None:
+    """Replace ``path`` with ``text`` (a string, or strings written in turn, so none is joined in memory).
+
+    The text goes to a temp file beside ``path``, named with the pid and the thread so that concurrent
+    writers never share one, then is renamed over ``path``: a reader sees the old file or the new one.
+    Whatever stops the write, an interrupt included, removes the temp file.  There is no fsync, so this
+    guards against a failed or killed process, not against a power loss.
+    """
+    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def parse_jsonl(lines: typing.Iterable[str], record: typing.Callable[[dict], typing.Any], source: str) -> list:
+    """``record(obj)`` for the JSON object on each non-blank line, in order.
+
+    A line that is not JSON or not an object, or whose ``record`` raises
+    ``LookupError``, ``TypeError``, ``ValueError`` or ``OverflowError``, is a
+    :class:`CorruptInputError`; a :class:`MobanomError` from ``record`` keeps
+    its type.  Either message starts with ``source:line``.
+    """
+    out = []
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorruptInputError(f"{source}:{lineno}: invalid JSON ({exc})") from None
+        if not isinstance(obj, dict):
+            raise CorruptInputError(f"{source}:{lineno}: not a JSON object")
+        try:
+            out.append(record(obj))
+        except MobanomError as exc:
+            exc.args = (f"{source}:{lineno}: {exc}",)
+            raise exc from None
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:
+            detail = f"missing key {exc}" if isinstance(exc, KeyError) else f"{type(exc).__name__}: {exc}"
+            raise CorruptInputError(f"{source}:{lineno}: {detail}") from None
+    return out
+
+
+def read_jsonl(path: str, record: typing.Callable[[dict], typing.Any]) -> list:
+    """:func:`parse_jsonl` over the lines of the UTF-8 file ``path``; other text is a CorruptInputError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_jsonl(fh, record, path)
+    except UnicodeDecodeError:
+        raise CorruptInputError(f"{path}: not UTF-8 text") from None
+
+
 def trajectory_to_json(t: Trajectory) -> str:
     points = [
         {
@@ -324,22 +386,16 @@ def trajectory_to_json(t: Trajectory) -> str:
     return _dumps({"agent_id": t.agent_id, "points": points})
 
 
-def trajectory_from_json(line: str) -> Trajectory:
-    obj = json.loads(line)
+def _trajectory(obj: dict) -> Trajectory:
+    """The trajectory of one ``dataset.jsonl`` record; coordinates must pass ``GeoPoint.validate``."""
     points = []
     for p in obj["points"]:
         arrive = int(p["arrive"])
         # absent depart means a zero-duration stay
         depart = arrive if p.get("depart") is None else int(p["depart"])
-        points.append(
-            StayPoint(
-                arrive=arrive,
-                depart=depart,
-                place_id=str(p["place_id"]),
-                place_type=str(p["place_type"]),
-                location=GeoPoint(float(p["lat"]), float(p["lon"])),
-            )
-        )
+        location = GeoPoint(float(p["lat"]), float(p["lon"]))
+        location.validate()
+        points.append(StayPoint(arrive, depart, str(p["place_id"]), str(p["place_type"]), location))
     return Trajectory(agent_id=str(obj["agent_id"]), points=points)
 
 
@@ -355,63 +411,47 @@ def write_dataset(ds: Dataset, path: str) -> None:
         if t.agent_id in seen:
             raise InvalidInputError(f"duplicate agent_id {t.agent_id!r}")
         seen.add(t.agent_id)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for t in ds.trajectories:
-            fh.write(trajectory_to_json(t) + "\n")
-    with open(_meta_path(path), "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(ds.meta, sort_keys=True, separators=(",", ":")) + "\n")
+    atomic_write(path, (trajectory_to_json(t) + "\n" for t in ds.trajectories))
+    atomic_write(_meta_path(path), json.dumps(ds.meta, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def read_dataset(path: str) -> Dataset:
-    trajectories = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                trajectories.append(trajectory_from_json(line))
-    meta: dict = {}
+    """``dataset.jsonl`` and its sidecar (which, when present, holds one JSON object)."""
     mpath = _meta_path(path)
-    if os.path.exists(mpath):
-        with open(mpath, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    return Dataset(trajectories=trajectories, meta=meta)
+    meta = read_jsonl(mpath, dict) if os.path.exists(mpath) else [{}]
+    if len(meta) != 1:
+        raise CorruptInputError(f"{mpath}: holds {len(meta)} JSON objects, not one")
+    return Dataset(trajectories=read_jsonl(path, _trajectory), meta=meta[0])
 
 
 def label_to_json(agent_id: str, e: LabelEntry) -> str:
-    return _dumps(
-        {
-            "agent_id": agent_id,
-            "is_outlier": e.is_outlier,
-            "outlier_type": e.outlier_type,
-            "deviate_index": e.deviate_index,
-        }
-    )
+    # the keys follow LabelEntry's fields: is_outlier, outlier_type, deviate_index
+    return _dumps({"agent_id": agent_id, **dataclasses.asdict(e)})
+
+
+def _check_label(agent_id: str, e: LabelEntry) -> None:
+    if e.is_outlier and e.deviate_index is None:
+        raise InvalidInputError(f"outlier {agent_id!r} lacks deviate_index")
+    if not e.is_outlier and e.deviate_index is not None:
+        raise InvalidInputError(f"non-outlier {agent_id!r} carries deviate_index")
+    if e.outlier_type not in OUTLIER_TYPES:
+        raise InvalidInputError(f"unknown outlier_type {e.outlier_type!r}")
+
+
+def _label(obj: dict) -> tuple[str, LabelEntry]:
+    agent_id = str(obj["agent_id"])
+    deviate_index = None if obj.get("deviate_index") is None else int(obj["deviate_index"])
+    e = LabelEntry(bool(obj["is_outlier"]), str(obj["outlier_type"]), deviate_index)
+    _check_label(agent_id, e)
+    return agent_id, e
 
 
 def write_labels(labels: LabelSet, path: str) -> None:
     for agent_id, e in labels.entries.items():
-        if e.is_outlier and e.deviate_index is None:
-            raise InvalidInputError(f"outlier {agent_id!r} lacks deviate_index")
-        if not e.is_outlier and e.deviate_index is not None:
-            raise InvalidInputError(f"non-outlier {agent_id!r} carries deviate_index")
-        if e.outlier_type not in OUTLIER_TYPES:
-            raise InvalidInputError(f"unknown outlier_type {e.outlier_type!r}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for agent_id, e in labels.entries.items():
-            fh.write(label_to_json(agent_id, e) + "\n")
+        _check_label(agent_id, e)
+    atomic_write(path, (label_to_json(agent_id, e) + "\n" for agent_id, e in labels.entries.items()))
 
 
 def read_labels(path: str) -> LabelSet:
-    entries = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            entries[str(obj["agent_id"])] = LabelEntry(
-                is_outlier=bool(obj["is_outlier"]),
-                outlier_type=str(obj["outlier_type"]),
-                deviate_index=None if obj.get("deviate_index") is None else int(obj["deviate_index"]),
-            )
-    return LabelSet(entries=entries)
+    """``labels.jsonl``; each entry must satisfy what :func:`write_labels` checks."""
+    return LabelSet(entries=dict(read_jsonl(path, _label)))

@@ -11,12 +11,12 @@ rewarding a detector that refuses to score.
 from __future__ import annotations
 
 import io
-import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigError, LabelSet, UndefinedMetricError, params_hash
+from .core import ConfigError, LabelSet, UndefinedMetricError, _dumps, params_hash, parse_jsonl, read_jsonl
 
 __all__ = [
     "ScoreTable",
@@ -46,35 +46,31 @@ class ScoreTable:
                 raise ValueError(f"non-finite score for {agent_id!r}: {s!r}")
 
     def to_jsonl(self) -> str:
-        lines = []
-        for agent_id in sorted(self.scores):
-            lines.append(
-                json.dumps(
-                    {
-                        "agent_id": agent_id,
-                        "score": self.scores[agent_id],
-                        "method": self.detector,
-                        "params_hash": self.params_hash,
-                    },
-                    separators=(",", ":"),
-                )
-            )
-        return "\n".join(lines) + ("\n" if lines else "")
+        rows = ({"agent_id": a, "score": self.scores[a], "method": self.detector, "params_hash": self.params_hash}
+                for a in sorted(self.scores))
+        return "".join(_dumps(row) + "\n" for row in rows)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "ScoreTable":
-        scores = {}
-        method = ""
-        phash = ""
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            scores[str(obj["agent_id"])] = float(obj["score"])
-            method = str(obj.get("method", method))
-            phash = str(obj.get("params_hash", phash))
-        return cls(detector=method, scores=scores, params_hash=phash)
+        """The table that :meth:`to_jsonl` wrote as ``text``; a fault names ``<scores>:line``."""
+        return cls._from_rows(parse_jsonl(text.splitlines(), _score_row, "<scores>"))
+
+    @classmethod
+    def read(cls, path: str) -> "ScoreTable":
+        """The score file at ``path``; a fault names ``path:line``."""
+        return cls._from_rows(read_jsonl(path, _score_row))
+
+    @classmethod
+    def _from_rows(cls, rows: list[tuple[str, float, dict]]) -> "ScoreTable":
+        names = {k: v for _, _, row_names in rows for k, v in row_names.items()}  # the last line naming each wins
+        return cls(names.get("method", ""), {a: score for a, score, _ in rows}, names.get("params_hash", ""))
+
+
+def _score_row(obj: dict) -> tuple[str, float, dict]:
+    score = float(obj["score"])
+    if not math.isfinite(score):
+        raise ValueError(f"non-finite score {score!r}")
+    return str(obj["agent_id"]), score, {k: str(obj[k]) for k in ("method", "params_hash") if k in obj}
 
 
 def _ranked_agents(scores: dict[str, float]) -> list[str]:
@@ -126,16 +122,10 @@ def roc_auc(scores: ScoreTable | dict[str, float], labels: LabelSet) -> float:
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC needs at least one positive and one negative")
-    order = np.argsort(s, kind="stable")
-    sorted_s = s[order]
-    ranks = np.empty(len(s), dtype=np.float64)
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
+    # tied scores (equal under ==, so NaN ties nothing) share their midrank: the mean of the tie's 1-based ranks
+    _, group, counts = np.unique(s, return_inverse=True, return_counts=True, equal_nan=False)
+    last = np.cumsum(counts)
+    ranks = (0.5 * (2 * last - counts - 1) + 1.0)[group]
     rank_sum_pos = float(ranks[y == 1].sum())
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

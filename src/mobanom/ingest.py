@@ -6,7 +6,7 @@ Input formats:
   ``lat,lon,0,altitude_ft,days,date,time`` records (dates are UTC).  Agent
   identity comes from the directory layout (``<root>/<agent>/[Trajectory/]*.plt``).
 * ``csv``: flat ``agent_id,timestamp,lat,lon`` rows with integer epoch-second
-  timestamps; may hold many agents.
+  timestamps; may hold many agents.  Whitespace around the agent id is dropped.
 
 Both parse into :class:`Fixes` (numpy columns, coordinates validated once).
 The stay-point detector is the classic two-threshold scan: a maximal run of
@@ -18,7 +18,6 @@ the run's mean coordinates.
 from __future__ import annotations
 
 import functools
-import json
 import logging
 import math
 import os
@@ -27,8 +26,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .core import EARTH_RADIUS_KM, CorruptInputError, Dataset, GeoPoint, InvalidInputError, MobanomError, StayPoint
-from .core import Trajectory, haversine_km, params_hash
+from .core import EARTH_RADIUS_KM, CorruptInputError, Dataset, GeoPoint, InvalidInputError, StayPoint, Trajectory
+from .core import haversine_km, params_hash, read_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -106,16 +105,8 @@ class PoiEntry:
 _POI_KEYS = {"lat": float, "lon": float, "radius_m": float, "place_type": str, "place_id": str}
 
 
-def _poi_entry(line: str) -> PoiEntry:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise CorruptInputError(f"invalid JSON ({exc})") from None
-    if not isinstance(obj, dict):
-        raise CorruptInputError("not a JSON object")
+def _poi_entry(obj: dict) -> PoiEntry:
     for key, kind in _POI_KEYS.items():
-        if key not in obj:
-            raise CorruptInputError(f"missing key {key!r}")
         if isinstance(obj[key], bool) or not isinstance(obj[key], (int, float) if kind is float else str):
             raise InvalidInputError(f"{key} must be a {'number' if kind is float else 'string'}, got {obj[key]!r}")
     center = GeoPoint(float(obj["lat"]), float(obj["lon"]))
@@ -134,17 +125,7 @@ class PoiMap:
     @classmethod
     def from_jsonl(cls, path: str) -> "PoiMap":
         """One POI per line; a fault names the file and, where it has one, the line."""
-        entries = []
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, 1):
-                    if line.strip():
-                        try:
-                            entries.append(_poi_entry(line))
-                        except MobanomError as exc:
-                            raise type(exc)(f"{path}:{lineno}: {exc}") from None
-        except UnicodeDecodeError:
-            raise CorruptInputError(f"{path}: not UTF-8 text") from None
+        entries = read_jsonl(path, _poi_entry)
         try:
             return cls(entries=entries)
         except InvalidInputError as exc:
@@ -203,7 +184,7 @@ def _parse_columns(data: bytes, format_tag: str, agent_id: str) -> dict[str, Fix
             if plt:
                 owner, t, la, lo = agent_id, _plt_ts(parts[5], parts[6]), float(parts[0]), float(parts[1])
             else:
-                owner, t, la, lo = parts[0], int(parts[1]), float(parts[2]), float(parts[3])
+                owner, t, la, lo = parts[0].strip(), int(parts[1]), float(parts[2]), float(parts[3])
         except ValueError:
             continue
         if -(1 << 63) <= t < 1 << 63:

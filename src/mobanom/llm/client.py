@@ -27,6 +27,8 @@ from ..core import (
     LabelSet,
     PartialParseError,
     ScoreParseError,
+    _dumps,
+    atomic_write,
     params_hash,
 )
 from ..detectors.features import SplitSpec
@@ -208,12 +210,9 @@ class PromptCache:
         return raw
 
     def put(self, key: str, request: dict, raw_response: str) -> None:
-        """Write the entry to a temp file, then rename it, so no reader sees a partial entry."""
-        path = self._path(key)
-        tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"request": request, "raw_response": raw_response, "timestamp": time.time()}, fh)
-        os.replace(tmp, path)
+        """Write the entry atomically, so no reader sees a partial entry."""
+        entry = {"request": request, "raw_response": raw_response, "timestamp": time.time()}
+        atomic_write(self._path(key), json.dumps(entry))
 
 
 def endpoint_from_config(config: LlmEndpointConfig, labels: LabelSet | None = None):
@@ -369,18 +368,9 @@ def dump_prompts(
     for i, bundle in enumerate(bundles):
         name = f"prompt_{i:04d}.txt"
         path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(bundle.text)
-        index.append(
-            {
-                "file": name,
-                "mode": bundle.mode,
-                "template_version": bundle.template_version,
-                "agent_ids": bundle.agent_ids,
-            }
-        )
+        atomic_write(path, bundle.text)
+        index.append(_dumps({"file": name, "mode": bundle.mode, "template_version": bundle.template_version,
+                             "agent_ids": bundle.agent_ids}) + "\n")
         paths.append(path)
-    with open(os.path.join(out_dir, "prompts_index.jsonl"), "w", encoding="utf-8", newline="") as fh:
-        for row in index:
-            fh.write(json.dumps(row, separators=(",", ":")) + "\n")
+    atomic_write(os.path.join(out_dir, "prompts_index.jsonl"), "".join(index))
     return paths

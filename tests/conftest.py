@@ -1,3 +1,4 @@
+import builtins
 import json
 import os
 
@@ -26,3 +27,27 @@ def fixture_trajectory() -> Trajectory:
         for p in obj["points"]
     ]
     return Trajectory(obj["agent_id"], points)
+
+
+@pytest.fixture
+def interrupt_write(monkeypatch):
+    """``interrupt_write(name, exc)``: every later write to a file opened for writing under a name
+    starting with ``name`` writes half its text, then raises ``exc``."""
+    real_open = builtins.open
+
+    def arm(name: str, exc: BaseException) -> None:
+        def interrupting_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            if "w" in mode and os.path.basename(os.fspath(file)).startswith(name):
+                write = fh.write
+
+                def half_write(text):
+                    write(text[: len(text) // 2])
+                    raise exc
+
+                fh.write = half_write
+            return fh
+
+        monkeypatch.setattr(builtins, "open", interrupting_open)
+
+    return arm

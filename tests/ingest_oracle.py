@@ -50,7 +50,7 @@ def parse_csv_line(line: str) -> tuple[str, RawFix] | None:
         gp.validate()
     except (ValueError, InvalidInputError):
         return None
-    return parts[0], RawFix(timestamp=ts, location=gp)
+    return parts[0].strip(), RawFix(timestamp=ts, location=gp)
 
 
 def parse_raw_log(data: bytes, format_tag: str, agent_id: str = "agent0") -> dict[str, list[RawFix]]:

@@ -454,6 +454,112 @@ class TestIngestInputFaults:
         assert named in err and "Traceback" not in err
 
 
+def dataset_line(lat: str) -> str:
+    point = f'{{"arrive":0,"depart":60,"place_id":"p","place_type":"Pub","lat":{lat},"lon":116.0}}'
+    return f'{{"agent_id":"x","points":[{point}]}}'
+
+
+class TestArtifactInputFaults:
+    """A corrupt dataset, meta sidecar, labels or score file exits 1 naming ``path:line``, without a traceback."""
+
+    @pytest.fixture
+    def scores(self, sim_dir, tmp_path):
+        assert main(["--out-dir", str(tmp_path / "scores"), "detect", "--method", "ompad", "--in", str(sim_dir)]) == 0
+        return tmp_path / "scores" / "scores_ompad.jsonl"
+
+    def run_reader(self, name, sim_dir, scores, tmp_path):
+        """The CLI stage that reads ``name`` first: detect for the dataset files, eval for the others."""
+        if name.startswith("dataset"):
+            return main(["--out-dir", str(tmp_path / "again"), "detect", "--method", "ompad", "--in", str(sim_dir)])
+        return main(["--out-dir", str(tmp_path / "report"), "eval", "--scores", str(scores),
+                     "--labels", str(sim_dir / "labels.jsonl")])
+
+    @pytest.mark.parametrize(
+        "name, line, named",
+        [
+            ("dataset.jsonl", '{"agent_id":"x","points":[', "invalid JSON"),
+            ("dataset.jsonl", '["x"]', "not a JSON object"),
+            ("dataset.jsonl", '{"agent_id":"x"}', "missing key 'points'"),
+            ("dataset.jsonl", dataset_line('"north"'), "ValueError"),
+            ("dataset.jsonl", '{"agent_id":"x","points":7}', "TypeError"),
+            ("dataset.jsonl", dataset_line("NaN"), "non-finite coordinates"),
+            ("dataset.jsonl", dataset_line("91.0"), "latitude out of range"),
+            ("labels.jsonl", '{"agent_id":"x","is_outlier":false', "invalid JSON"),
+            ("labels.jsonl", "7", "not a JSON object"),
+            ("labels.jsonl", '{"agent_id":"x","outlier_type":"none","deviate_index":null}', "missing key 'is_outlier'"),
+            ("labels.jsonl", '{"agent_id":"x","is_outlier":true,"outlier_type":"work","deviate_index":"x"}', "ValueError"),
+            ("labels.jsonl", '{"agent_id":"x","is_outlier":"no","outlier_type":"none","deviate_index":null}',
+             "lacks deviate_index"),
+            ("scores_ompad.jsonl", '{"agent_id":"x","score":0.5', "invalid JSON"),
+            ("scores_ompad.jsonl", "null", "not a JSON object"),
+            ("scores_ompad.jsonl", '{"agent_id":"x","method":"ompad"}', "missing key 'score'"),
+            ("scores_ompad.jsonl", '{"agent_id":"x","score":"high"}', "ValueError"),
+            ("scores_ompad.jsonl", '{"agent_id":"x","score":NaN}', "non-finite score"),
+        ],
+        ids=["dataset_truncated", "dataset_not_object", "dataset_missing_key", "dataset_str_lat", "dataset_int_points",
+             "dataset_nan_lat", "dataset_lat_out_of_range", "labels_truncated", "labels_not_object",
+             "labels_missing_key", "labels_str_index", "labels_str_flag", "scores_truncated", "scores_not_object",
+             "scores_missing_key", "scores_str_score", "scores_nan_score"],
+    )
+    def test_bad_line_exits_1(self, sim_dir, scores, tmp_path, capsys, name, line, named):
+        path = scores if name.startswith("scores") else sim_dir / name
+        path.write_text(path.read_text().splitlines()[0] + "\n\n" + line + "\n")
+        assert self.run_reader(name, sim_dir, scores, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:3: " in err and named in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["dataset.jsonl", "dataset.meta.json", "labels.jsonl", "scores_ompad.jsonl"])
+    def test_non_utf8_file_exits_1(self, sim_dir, scores, tmp_path, capsys, name):
+        path = scores if name.startswith("scores") else sim_dir / name
+        path.write_bytes(path.read_bytes() + b'{"agent_id":"\xff"}\n')
+        assert self.run_reader(name, sim_dir, scores, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: not UTF-8 text" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [('{"seed":', ":1: invalid JSON"), ("[3]", ":1: not a JSON object"), ("", ": holds 0 JSON objects"),
+         ('{"seed":1}\n{"seed":2}\n', ": holds 2 JSON objects")],
+        ids=["truncated", "not_object", "empty", "two_objects"],
+    )
+    def test_corrupt_meta_exits_1(self, sim_dir, scores, tmp_path, capsys, text, named):
+        path = sim_dir / "dataset.meta.json"
+        path.write_text(text)
+        assert self.run_reader(path.name, sim_dir, scores, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert f"{path}{named}" in err and "Traceback" not in err
+
+
+class TestInterruptedWrites:
+    """A write stopped halfway leaves the previous file byte-identical and no temp file."""
+
+    def test_score_file(self, sim_dir, tmp_path, interrupt_write):
+        out = tmp_path / "scores"
+        argv = ["--out-dir", str(out), "detect", "--method", "monav", "--in", str(sim_dir)]
+        assert main(argv + ["--window-days", "1"]) == 0
+        before = (out / "scores_monav_tt.jsonl").read_bytes()
+        interrupt_write("scores_monav_tt.jsonl", KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            main(argv + ["--window-days", "2"])
+        assert os.listdir(out) == ["scores_monav_tt.jsonl"]
+        assert (out / "scores_monav_tt.jsonl").read_bytes() == before
+
+    @pytest.mark.parametrize("exc", [OSError(28, "No space left on device"), KeyboardInterrupt()], ids=["oserror", "interrupt"])
+    def test_manifest(self, tmp_path, interrupt_write, exc):
+        cfg = tmp_path / "sim.ini"
+        write(str(cfg), "[global]\nstages = simulate\n\n[simulate]\nn_agents = 6\nweeks = 1\nn_hunger = 0\n"
+                        "n_social = 0\nn_work = 0\n")
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "--out-dir", str(out), "--seed", "1", "run"]) == 0
+        before = (out / "manifest.json").read_bytes()
+        interrupt_write("manifest.json", exc)
+        with pytest.raises(type(exc)):
+            main(["--config", str(cfg), "--out-dir", str(out), "--seed", "2", "run"])
+        assert sorted(os.listdir(out)) == ["manifest.json", "sim"]
+        assert (out / "manifest.json").read_bytes() == before
+
+
 class TestSimulateConfigFaults:
     """A simulate config value that would crash, or silently mislabel agents, exits 1 naming the key."""
 

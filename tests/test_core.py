@@ -1,10 +1,17 @@
 import math
+import os
+import sys
+import tempfile
+import threading
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobanom.core import (
+    OUTLIER_TYPES,
     ConfigError,
     Dataset,
     GeoPoint,
@@ -12,13 +19,16 @@ from mobanom.core import (
     LabelEntry,
     LabelSet,
     StayPoint,
+    TrainingDivergedError,
     Trajectory,
+    atomic_write,
     haversine_km,
     config_from_mapping,
     convert_value,
     latlon_to_unit3,
     params_hash,
     read_dataset,
+    read_jsonl,
     read_labels,
     total_travel_distance,
     validate_trajectory,
@@ -178,14 +188,13 @@ class TestRoundTrip:
         with pytest.raises(InvalidInputError):
             write_dataset(ds, str(tmp_path / "x.jsonl"))
 
-    def test_missing_depart_defaults_to_arrive(self):
-        from mobanom.core import trajectory_from_json
-
-        t = trajectory_from_json(
+    def test_missing_depart_defaults_to_arrive(self, tmp_path):
+        path = tmp_path / "dataset.jsonl"
+        path.write_text(
             '{"agent_id": "a", "points": [{"arrive": 100, "place_id": "p", '
-            '"place_type": "Pub", "lat": 0.0, "lon": 0.0}]}'
+            '"place_type": "Pub", "lat": 0.0, "lon": 0.0}]}\n'
         )
-        assert t.points[0].depart == 100
+        assert read_dataset(str(path)).trajectories[0].points[0].depart == 100
 
     def test_label_invariants_enforced(self, tmp_path):
         bad = LabelSet(entries={"a": LabelEntry(True, "hunger", None)})
@@ -194,6 +203,147 @@ class TestRoundTrip:
         bad2 = LabelSet(entries={"a": LabelEntry(False, "none", 3)})
         with pytest.raises(InvalidInputError):
             write_labels(bad2, str(tmp_path / "bad2.jsonl"))
+
+
+FINITE = {"allow_nan": False, "allow_infinity": False}
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(**FINITE), st.text())
+stay_points = st.builds(
+    StayPoint,
+    arrive=st.integers(-(2**63), 2**63 - 1),
+    depart=st.integers(-(2**63), 2**63 - 1),
+    place_id=st.text(),
+    place_type=st.text(),
+    location=st.builds(GeoPoint, st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)),
+)
+datasets = st.builds(
+    lambda ids, points, meta: Dataset([Trajectory(a, p) for a, p in zip(ids, points)], meta),
+    st.lists(st.text(), unique=True, max_size=6),
+    st.lists(st.lists(stay_points, max_size=5), min_size=6, max_size=6),
+    st.dictionaries(st.text(), json_scalars, max_size=4),
+)
+label_entries = st.one_of(
+    st.builds(LabelEntry, st.just(True), st.sampled_from(OUTLIER_TYPES), st.integers()),
+    st.builds(LabelEntry, st.just(False), st.sampled_from(OUTLIER_TYPES), st.none()),
+)
+
+
+class TestRoundTripProperties:
+    """write -> read -> write gives byte-identical files and equal values."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(datasets)
+    def test_dataset(self, ds):
+        with tempfile.TemporaryDirectory() as d:
+            first, again = os.path.join(d, "a.jsonl"), os.path.join(d, "b.jsonl")
+            write_dataset(ds, first)
+            back = read_dataset(first)
+            write_dataset(back, again)
+            for suffix in (".jsonl", ".meta.json"):
+                with open(first[:-6] + suffix, "rb") as x, open(again[:-6] + suffix, "rb") as y:
+                    assert x.read() == y.read()
+        assert back.trajectories == ds.trajectories and back.meta == ds.meta
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.text(), label_entries).map(lambda e: LabelSet(entries=e)))
+    def test_labels(self, labels):
+        with tempfile.TemporaryDirectory() as d:
+            first, again = os.path.join(d, "a.jsonl"), os.path.join(d, "b.jsonl")
+            write_labels(labels, first)
+            back = read_labels(first)
+            write_labels(back, again)
+            with open(first, "rb") as x, open(again, "rb") as y:
+                assert x.read() == y.read()
+        assert back == labels
+
+
+class TestReadFaults:
+    @pytest.mark.parametrize(
+        "lat, lon, named",
+        [("NaN", "116.0", "non-finite"), ("40.0", "Infinity", "non-finite"), ("90.5", "116.0", "latitude out of range"),
+         ("40.0", "-180.5", "longitude out of range")],
+    )
+    def test_dataset_coordinates_are_validated(self, tmp_path, lat, lon, named):
+        path = tmp_path / "dataset.jsonl"
+        point = f'{{"arrive":0,"depart":1,"place_id":"p","place_type":"Pub","lat":{lat},"lon":{lon}}}'
+        path.write_text(f'{{"agent_id":"a","points":[]}}\n{{"agent_id":"b","points":[{point}]}}\n')
+        with pytest.raises(InvalidInputError, match=f"{path}:2: {named}"):
+            read_dataset(str(path))
+
+    def test_error_type_and_attributes_survive_the_prefix(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"a": 1}\n')
+
+        def record(obj):
+            raise TrainingDivergedError(3, 9.5)
+
+        with pytest.raises(TrainingDivergedError, match=f"{path}:1: training diverged") as info:
+            read_jsonl(str(path), record)
+        assert (info.value.epoch, info.value.loss) == (3, 9.5)
+
+
+class TestAtomicWrite:
+    def test_replaces_the_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        atomic_write(str(path), "new\n")
+        assert path.read_bytes() == b"new\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        with pytest.raises(TypeError):
+            atomic_write(str(path), 123)
+        assert path.read_text() == "old"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    @pytest.mark.parametrize("exc", [OSError(28, "No space left on device"), KeyboardInterrupt()], ids=["oserror", "interrupt"])
+    def test_interrupted_write_dataset_keeps_the_old_files(self, tmp_path, interrupt_write, exc):
+        ds = TestRoundTrip().build_dataset()
+        path = str(tmp_path / "dataset.jsonl")
+        write_dataset(ds, path)
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        interrupt_write("dataset.", exc)
+        with pytest.raises(type(exc)):
+            write_dataset(Dataset(ds.trajectories[1:], {"seed": 4}), path)
+        assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+
+    def test_concurrent_writers_and_readers_see_whole_files(self, tmp_path):
+        path = str(tmp_path / "entry.json")
+        texts = [str(i) * 50_000 for i in range(8)]
+        atomic_write(path, texts[0])
+        seen, errors = set(), []
+
+        def run(fn):
+            try:
+                fn()
+            except BaseException as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        def write(text):
+            for _ in range(25):
+                atomic_write(path, text)
+
+        def read():
+            for _ in range(200):
+                with open(path, encoding="utf-8") as fh:
+                    seen.add(fh.read())
+
+        jobs = [lambda t=t: write(t) for t in texts] + [read, read]
+        threads = [threading.Thread(target=run, args=(job,)) for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert seen <= set(texts) and len(seen) > 0
+        assert os.listdir(tmp_path) == ["entry.json"]
 
 
 class TestConfigFromMapping:

@@ -1,8 +1,14 @@
+import os
+import struct
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mobanom.core import ConfigError, LabelEntry, LabelSet, UndefinedMetricError
-from mobanom.evaluation import ScoreTable, average_precision, make_report, roc_auc, top_k_hits
+from mobanom.core import ConfigError, LabelEntry, LabelSet, UndefinedMetricError, atomic_write
+from mobanom.evaluation import ScoreTable, _binary_arrays, average_precision, make_report, roc_auc, top_k_hits
 
 
 def labels_from(flags: dict) -> LabelSet:
@@ -38,6 +44,83 @@ def brute_force_auc(scores: dict, flags: dict) -> float:
             elif p == n:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def midrank_loop_auc(scores: dict, labels: LabelSet) -> float:
+    """``roc_auc`` as it was written before its midranks came from ``np.unique``: a loop over tie runs."""
+    _, y, s = _binary_arrays(scores, labels)
+    n_pos = int(y.sum())
+    n_neg = len(y) - n_pos
+    order = np.argsort(s, kind="stable")
+    sorted_s = s[order]
+    ranks = np.empty(len(s), dtype=np.float64)
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
+        i = j + 1
+    rank_sum_pos = float(ranks[y == 1].sum())
+    u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
+
+
+FINITE = {"allow_nan": False, "allow_infinity": False}
+# few distinct values, so that ties (and -0.0 tied with 0.0) are common
+tie_prone = st.one_of(st.sampled_from([-0.0, 0.0, 0.25, 1.0, -3.5, 5e-324]), st.floats(**FINITE))
+
+
+@st.composite
+def scored_labels(draw):
+    """Scores and labels over the same agents, with at least one positive and one negative."""
+    n = draw(st.integers(2, 40))
+    scores = draw(st.lists(tie_prone, min_size=n, max_size=n))
+    flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    pos, neg = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    flags[pos], flags[neg] = True, False
+    agents = [f"a{i:02d}" for i in range(n)]
+    return dict(zip(agents, scores)), labels_from(dict(zip(agents, flags)))
+
+
+class TestMetricProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(scored_labels())
+    def test_auc_is_bit_identical_to_the_loop(self, case):
+        scores, labels = case
+        assert struct.pack("<d", roc_auc(scores, labels)) == struct.pack("<d", midrank_loop_auc(scores, labels))
+
+    @settings(max_examples=200, deadline=None)
+    @given(scored_labels(), st.data())
+    def test_auc_is_unchanged_by_a_strictly_increasing_transform(self, case, data):
+        scores, labels = case
+        distinct = sorted(set(scores.values()))  # -0.0 and 0.0 are one value
+        image = data.draw(st.sets(st.floats(**FINITE), min_size=len(distinct), max_size=len(distinct)))
+        transform = dict(zip(distinct, sorted(image)))
+        assert roc_auc({a: transform[s] for a, s in scores.items()}, labels) == roc_auc(scores, labels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scored_labels())
+    def test_ap_lies_in_the_half_open_unit_interval(self, case):
+        assert 0.0 < average_precision(*case) <= 1.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.text(),
+        st.text(),
+        st.dictionaries(st.text(), st.floats(**FINITE), min_size=1),
+    )
+    def test_score_file_round_trip(self, detector, phash, scores):
+        table = ScoreTable(detector=detector, scores=scores, params_hash=phash)
+        with tempfile.TemporaryDirectory() as d:
+            first, again = os.path.join(d, "a.jsonl"), os.path.join(d, "b.jsonl")
+            atomic_write(first, table.to_jsonl())
+            back = ScoreTable.read(first)
+            atomic_write(again, back.to_jsonl())
+            with open(first, "rb") as x, open(again, "rb") as y:
+                assert x.read() == y.read()
+        assert (back.detector, back.scores, back.params_hash) == (detector, scores, phash)
+        assert ScoreTable.from_jsonl(table.to_jsonl()) == back
 
 
 class TestTopK:

@@ -273,6 +273,12 @@ def test_timestamp_beyond_int64_is_malformed():
     assert parse_raw_log(data, "csv") == {"a": [RawFix(1200000000, GeoPoint(40.0, 116.0))]}
 
 
+def test_csv_agent_ids_drop_surrounding_whitespace():
+    data = b"a ,1200000000,40.0,116.0\n a\t,1200000060,40.0,116.0\na,1200000120,40.0,116.0\n"
+    expected = {"a": [RawFix(1200000000 + 60 * k, GeoPoint(40.0, 116.0)) for k in range(3)]}
+    assert parse_raw_log(data, "csv") == oracle.parse_raw_log(data, "csv") == expected
+
+
 def write_tree(root, files):
     for (agent, name), rows in files.items():
         path = os.path.join(root, agent, "Trajectory", name)
