@@ -452,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
         settings = _file_settings(_read_config(args.config), args.command, strict=True) if args.config else {}
         settings.update((k, v) for k, v in vars(args).items() if v is not None and k not in _CLI_ONLY_ARGS)
         _run_stage(args.command, settings, args.out_dir or "out")
-    except MobanomError as exc:
+    except (MobanomError, OSError) as exc:
         log.error("%s: %s", args.command, exc)
         return 1
     return 0

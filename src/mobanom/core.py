@@ -399,6 +399,21 @@ def _trajectory(obj: dict) -> Trajectory:
     return Trajectory(agent_id=str(obj["agent_id"]), points=points)
 
 
+def _one_line_per_agent(record: typing.Callable[[dict], typing.Any]) -> typing.Callable[[dict], typing.Any]:
+    """``record`` for the lines of one file, raising InvalidInputError on an agent id an earlier line had."""
+    seen: set[str] = set()
+
+    def checked(obj: dict):
+        out = record(obj)
+        agent_id = str(obj["agent_id"])  # as the records convert it
+        if agent_id in seen:
+            raise InvalidInputError(f"duplicate agent_id {agent_id!r}")
+        seen.add(agent_id)
+        return out
+
+    return checked
+
+
 def _meta_path(path: str) -> str:
     base, _ = os.path.splitext(path)
     return base + ".meta.json"
@@ -416,12 +431,12 @@ def write_dataset(ds: Dataset, path: str) -> None:
 
 
 def read_dataset(path: str) -> Dataset:
-    """``dataset.jsonl`` and its sidecar (which, when present, holds one JSON object)."""
+    """``dataset.jsonl``, one line per agent, and its sidecar (which, when present, holds one JSON object)."""
     mpath = _meta_path(path)
     meta = read_jsonl(mpath, dict) if os.path.exists(mpath) else [{}]
     if len(meta) != 1:
         raise CorruptInputError(f"{mpath}: holds {len(meta)} JSON objects, not one")
-    return Dataset(trajectories=read_jsonl(path, _trajectory), meta=meta[0])
+    return Dataset(trajectories=read_jsonl(path, _one_line_per_agent(_trajectory)), meta=meta[0])
 
 
 def label_to_json(agent_id: str, e: LabelEntry) -> str:
@@ -453,5 +468,5 @@ def write_labels(labels: LabelSet, path: str) -> None:
 
 
 def read_labels(path: str) -> LabelSet:
-    """``labels.jsonl``; each entry must satisfy what :func:`write_labels` checks."""
-    return LabelSet(entries=dict(read_jsonl(path, _label)))
+    """``labels.jsonl``; each entry must satisfy what :func:`write_labels` checks, and name a new agent."""
+    return LabelSet(entries=dict(read_jsonl(path, _one_line_per_agent(_label))))

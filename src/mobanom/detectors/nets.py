@@ -10,14 +10,16 @@ output, trained by full-batch gradient descent.  Two objectives:
   description); the center distance is the anomaly score.
 
 Scoring runs either on one population model trained on everyone's training
-windows (default) or on per-agent models trained on each agent's own history.
+windows (default) or on per-agent models trained on each agent's own history,
+those with equal training-row counts side by side as one stack of nets.
 Inputs are standardized with training-side statistics before training.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,6 +32,10 @@ STD_FLOOR = 1e-6
 # (padding slots, fixed one-hots) otherwise explode under the std floor and
 # drown the informative dimensions.
 Z_CLIP = 3.0
+# Per-agent models with equal training-row counts train as one stack of nets
+# holding at most this many parameter bytes (8 DAEs at d = 144): wider stacks
+# save little more time and hold more activations at once.
+STACK_PARAM_BYTES = 700 * 1024
 
 
 @dataclass
@@ -41,18 +47,33 @@ class NetHyper:
 
 
 class TinyNet:
-    """Fully-connected tanh net with identity output, deterministic init."""
+    """Fully-connected tanh net with identity output, deterministic init.
 
-    def __init__(self, layer_sizes: list[int], seed: int = 0):
+    An int ``seed`` makes one net: weights ``(fan_in, fan_out)``, biases
+    ``(1, fan_out)``, inputs ``(n, fan_in)``.  A list of G seeds makes a stack
+    of G nets that train side by side: weights ``(G, fan_in, fan_out)``, biases
+    ``(G, 1, fan_out)``, inputs ``(G, n, fan_in)``, and member ``g`` starts as
+    ``TinyNet(layer_sizes, seed[g])`` does.  Every method serves both shapes.
+    """
+
+    def __init__(self, layer_sizes: list[int], seed: int | list[int] = 0):
         if len(layer_sizes) < 2:
             raise ConfigError("need at least input and output layer sizes")
-        rng = np.random.default_rng(seed)
-        self.weights = []
-        self.biases = []
+        stacked = isinstance(seed, list)
+        rngs = [np.random.default_rng(s) for s in (seed if stacked else [seed])]
+        self.weights, self.biases = [], []
         for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
             bound = 1.0 / np.sqrt(fan_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.biases.append(rng.uniform(-bound, bound, size=fan_out))
+            for params, shape in ((self.weights, (fan_in, fan_out)), (self.biases, (1, fan_out))):
+                drawn = np.stack([rng.uniform(-bound, bound, size=shape) for rng in rngs])
+                params.append(drawn if stacked else drawn[0])
+
+    def __getitem__(self, g: int) -> TinyNet:
+        """Member ``g`` of a stack, as one net sharing its weights."""
+        member = copy.copy(self)
+        member.weights = [w[g] for w in self.weights]
+        member.biases = [b[g] for b in self.biases]
+        return member
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self._forward_full(x)[-1]
@@ -66,82 +87,67 @@ class TinyNet:
         return acts
 
     def loss_and_grads(self, x: np.ndarray, objective: str, center: np.ndarray | None = None):
-        """Return (loss, weight grads, bias grads) for one full batch."""
+        """Return (loss, weight grads, bias grads) for one full batch; a stack has one loss per member."""
         acts = self._forward_full(x)
         y = acts[-1]
-        n, _ = acts[0].shape
+        n, _ = acts[0].shape[-2:]
         if objective == "reconstruction":
             diff = y - acts[0]
-            loss = float(np.mean(diff**2))
-            delta = 2.0 * diff / diff.size
+            loss = np.mean(diff**2, axis=(-2, -1))
+            delta = 2.0 * diff / (n * diff.shape[-1])
         elif objective == "svdd":
             if center is None:
                 raise ConfigError("svdd objective needs a center")
             diff = y - center
-            loss = float(np.mean(np.sum(diff**2, axis=1)))
+            loss = np.mean(np.sum(diff**2, axis=-1), axis=-1)
             delta = 2.0 * diff / n
         else:
             raise ConfigError(f"unknown objective {objective!r}")
 
-        grads_w = [np.zeros_like(w) for w in self.weights]
-        grads_b = [np.zeros_like(b) for b in self.biases]
+        grads_w, grads_b = [None] * len(self.weights), [None] * len(self.biases)
         for k in range(len(self.weights) - 1, -1, -1):
-            grads_w[k] = acts[k].T @ delta
-            grads_b[k] = delta.sum(axis=0)
+            grads_w[k] = np.swapaxes(acts[k], -1, -2) @ delta
+            grads_b[k] = delta.sum(axis=-2, keepdims=True)
             if k > 0:
-                delta = (delta @ self.weights[k].T) * (1.0 - acts[k] ** 2)
+                delta = (delta @ np.swapaxes(self.weights[k], -1, -2)) * (1.0 - acts[k] ** 2)
         return loss, grads_w, grads_b
-
-    def flat_params(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.weights + self.biases])
-
-    def set_flat_params(self, flat: np.ndarray) -> None:
-        offset = 0
-        for arr in self.weights + self.biases:
-            arr[...] = flat[offset : offset + arr.size].reshape(arr.shape)
-            offset += arr.size
 
 
 @dataclass
 class TrainResult:
     net: TinyNet
-    center: np.ndarray | None
-    losses: list[float] = field(default_factory=list)
+    center: np.ndarray | None  # svdd: the mean initial embedding, (1, embed_dim) per member
+    losses: np.ndarray  # one row per epoch: the loss, or each member's loss for a stack
 
 
 def train_network(net: TinyNet, inputs: np.ndarray, objective: str, hyper: NetHyper) -> TrainResult:
-    """Full-batch gradient descent; raises TrainingDivergedError on non-finite loss.
+    """Full-batch gradient descent of one net, or of each member of a stack on its own inputs.
 
-    For the svdd objective the center is fixed to the mean embedding of the
-    inputs at initialization and never updated.
+    Raises TrainingDivergedError at the first epoch where any member's loss is
+    not finite.  For the svdd objective each member's center is fixed to the
+    mean embedding of its inputs at initialization and never updated.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     if x.size == 0:
         raise ConfigError("empty training batch")
-    center = None
-    if objective == "svdd":
-        center = net.forward(x).mean(axis=0)
+    center = net.forward(x).mean(axis=-2, keepdims=True) if objective == "svdd" else None
     losses = []
     for epoch in range(hyper.epochs):
         with np.errstate(over="ignore", invalid="ignore"):
             loss, grads_w, grads_b = net.loss_and_grads(x, objective, center)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(epoch, loss)
+        flat = np.ravel(loss)
+        if not np.isfinite(flat).all():
+            raise TrainingDivergedError(epoch, float(flat[~np.isfinite(flat)][0]))
         losses.append(loss)
         for w, gw in zip(net.weights, grads_w):
             w -= hyper.learning_rate * gw
         for b, gb in zip(net.biases, grads_b):
             b -= hyper.learning_rate * gb
-    return TrainResult(net=net, center=center, losses=losses)
+    return TrainResult(net=net, center=center, losses=np.array(losses))
 
 
-def gradient_check(
-    net: TinyNet,
-    x: np.ndarray,
-    objective: str,
-    center: np.ndarray | None = None,
-    eps: float = 1e-5,
-) -> float:
+def gradient_check(net: TinyNet, x: np.ndarray, objective: str, center: np.ndarray | None = None,
+                   eps: float = 1e-5) -> float:
     """Relative error between analytic and central finite-difference gradients.
 
     Uses the standard norm ratio ``|ga - gfd| / (|ga| + |gfd|)`` over the full
@@ -153,18 +159,17 @@ def gradient_check(
         center = net.forward(x).mean(axis=0)
     _, grads_w, grads_b = net.loss_and_grads(x, objective, center)
     analytic = np.concatenate([g.ravel() for g in grads_w + grads_b])
-    flat = net.flat_params()
-    numeric = np.zeros_like(analytic)
-    for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] = flat[i] + eps
-        net.set_flat_params(bumped)
-        up, _, _ = net.loss_and_grads(x, objective, center)
-        bumped[i] = flat[i] - eps
-        net.set_flat_params(bumped)
-        down, _, _ = net.loss_and_grads(x, objective, center)
-        numeric[i] = (up - down) / (2.0 * eps)
-    net.set_flat_params(flat)
+    numeric = []
+    for param in net.weights + net.biases:
+        for i in np.ndindex(param.shape):
+            saved = param[i]
+            param[i] = saved + eps
+            up, _, _ = net.loss_and_grads(x, objective, center)
+            param[i] = saved - eps
+            down, _, _ = net.loss_and_grads(x, objective, center)
+            param[i] = saved
+            numeric.append((up - down) / (2.0 * eps))
+    numeric = np.array(numeric)
     # relative for O(1) gradients, absolute below: an identically-zero
     # gradient (svdd already at its minimum) must not degenerate the ratio
     denom = max(1.0, float(np.linalg.norm(analytic) + np.linalg.norm(numeric)))
@@ -181,32 +186,13 @@ def _agent_seed(base_seed: int, agent_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _standardize_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = rows.mean(axis=0)
-    std = np.maximum(rows.std(axis=0), STD_FLOOR)
-    return mean, std
-
-
-def _standardize(rows: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    return np.clip((rows - mean) / std, -Z_CLIP, Z_CLIP)
-
-
-def _stacked(windows) -> np.ndarray:
-    return np.stack([w.vec for w in windows])
-
-
-def _score_with_model(kind: str, train_x: np.ndarray, test_x: np.ndarray, hyper: NetHyper, seed: int) -> np.ndarray:
-    d = train_x.shape[1]
-    hidden = max(1, d // 4)
-    if kind == "dae":
-        net = TinyNet([d, hidden, d], seed=seed)
-        result = train_network(net, train_x, "reconstruction", hyper)
-        recon = result.net.forward(test_x)
-        return np.mean((recon - test_x) ** 2, axis=1)
-    net = TinyNet([d, hidden, hyper.embed_dim], seed=seed)
-    result = train_network(net, train_x, "svdd", hyper)
-    embed = result.net.forward(test_x)
-    return np.sum((embed - result.center) ** 2, axis=1)
+def _standardized(feat: WindowedFeatures, train_agents: list[str], test_agents: list[str]) -> list[np.ndarray]:
+    """The training and the test rows of one model, standardized with training-side statistics."""
+    raw_train = np.stack([w.vec for a in train_agents for w in feat.train[a]])
+    mean = raw_train.mean(axis=0)
+    std = np.maximum(raw_train.std(axis=0), STD_FLOOR)
+    raw_test = np.stack([w.vec for a in test_agents for w in feat.test[a]])
+    return [np.clip((rows - mean) / std, -Z_CLIP, Z_CLIP) for rows in (raw_train, raw_test)]
 
 
 def _one_class_scores(kind: str, feat: WindowedFeatures, hyper: NetHyper, scope: str) -> ScoreTable:
@@ -222,21 +208,34 @@ def _one_class_scores(kind: str, feat: WindowedFeatures, hyper: NetHyper, scope:
         groups = [(sorted(feat.train), agents, hyper.seed)] if agents else []
     else:
         groups = [([a], [a], _agent_seed(hyper.seed, a)) for a in agents]
+    # Models with equal training-row counts train as one stack of at most `cap`
+    # nets, so each member's GEMMs have the shapes they have alone: same bits.
+    sizes = [feat.dim, max(1, feat.dim // 4), feat.dim if kind == "dae" else hyper.embed_dim]
+    cap = max(1, STACK_PARAM_BYTES // (8 * sum((i + 1) * o for i, o in zip(sizes, sizes[1:]))))
+    by_rows: dict[int, list] = {}
+    for group in groups:
+        by_rows.setdefault(sum(len(feat.train[a]) for a in group[0]), []).append(group)
     scores: dict[str, float] = {}
-    for train_agents, test_agents, seed in groups:
-        raw_train = _stacked([w for a in train_agents for w in feat.train[a]])
-        mean, std = _standardize_stats(raw_train)
-        train_x = _standardize(raw_train, mean, std)
-        test_x = _standardize(_stacked([w for a in test_agents for w in feat.test[a]]), mean, std)
-        per_window = _score_with_model(kind, train_x, test_x, hyper, seed)
-        # test rows are in agent order, so each agent's windows are one slice
-        ends = np.cumsum([len(feat.test[a]) for a in test_agents])
-        for a, own in zip(test_agents, np.split(per_window, ends[:-1])):
-            scores[a] = float(np.mean(own))
+    for stack in (same[i : i + cap] for same in by_rows.values() for i in range(0, len(same), cap)):
+        train_xs, test_xs = zip(*(_standardized(feat, train, test) for train, test, _ in stack))
+        # a view, not a copy, for a stack of one (the population model)
+        inputs = train_xs[0][None] if len(stack) == 1 else np.stack(train_xs)
+        net = TinyNet(sizes, seed=[seed for _, _, seed in stack])
+        result = train_network(net, inputs, "reconstruction" if kind == "dae" else "svdd", hyper)
+        for g, ((_, test_agents, _), test_x) in enumerate(zip(stack, test_xs)):
+            out = result.net[g].forward(test_x)
+            if kind == "dae":
+                per_window = np.mean((out - test_x) ** 2, axis=1)
+            else:
+                per_window = np.sum((out - result.center[g]) ** 2, axis=1)
+            # test rows are in agent order, so each agent's windows are one slice
+            ends = np.cumsum([len(feat.test[a]) for a in test_agents])
+            for a, own in zip(test_agents, np.split(per_window, ends[:-1])):
+                scores[a] = float(np.mean(own))
 
     return ScoreTable(
         detector=kind if scope == "population" else f"{kind}_per_agent",
-        scores=scores,
+        scores={a: scores[a] for a in agents},
         params_hash=params_hash({**asdict(hyper), "scope": scope, "L": feat.window_len,
                                  "window_seconds": feat.window_seconds}),
         omitted=omitted,

@@ -1,0 +1,137 @@
+"""One net at a time: the trainer and scorer that ``mobanom.detectors.nets`` replaced with stacks of nets.
+
+Each model here is one ``TinyNet`` with 2-D weights and 1-D biases, trained
+by its own Python loop of epochs; the per-agent scope trains one such model
+per agent, in agent order. It lives on only as the test oracle: the stacked
+trainer must give the same score tables, bit for bit, at both scopes.
+"""
+
+from __future__ import annotations
+
+from dataclasses import asdict
+
+import numpy as np
+
+from mobanom.core import ConfigError, TrainingDivergedError, params_hash
+from mobanom.detectors.nets import STD_FLOOR, Z_CLIP, NetHyper, _agent_seed, _one_class_scores
+from mobanom.evaluation import ScoreTable
+
+
+class TinyNet:
+    def __init__(self, layer_sizes: list[int], seed: int = 0):
+        rng = np.random.default_rng(seed)
+        self.weights = []
+        self.biases = []
+        for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+            bound = 1.0 / np.sqrt(fan_in)
+            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+            self.biases.append(rng.uniform(-bound, bound, size=fan_out))
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return self._forward_full(x)[-1]
+
+    def _forward_full(self, x: np.ndarray) -> list[np.ndarray]:
+        acts = [np.atleast_2d(np.asarray(x, dtype=np.float64))]
+        last = len(self.weights) - 1
+        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = acts[-1] @ w + b
+            acts.append(z if k == last else np.tanh(z))
+        return acts
+
+    def loss_and_grads(self, x: np.ndarray, objective: str, center: np.ndarray | None = None):
+        acts = self._forward_full(x)
+        y = acts[-1]
+        n, _ = acts[0].shape
+        if objective == "reconstruction":
+            diff = y - acts[0]
+            loss = float(np.mean(diff**2))
+            delta = 2.0 * diff / diff.size
+        else:
+            diff = y - center
+            loss = float(np.mean(np.sum(diff**2, axis=1)))
+            delta = 2.0 * diff / n
+        grads_w = [np.zeros_like(w) for w in self.weights]
+        grads_b = [np.zeros_like(b) for b in self.biases]
+        for k in range(len(self.weights) - 1, -1, -1):
+            grads_w[k] = acts[k].T @ delta
+            grads_b[k] = delta.sum(axis=0)
+            if k > 0:
+                delta = (delta @ self.weights[k].T) * (1.0 - acts[k] ** 2)
+        return loss, grads_w, grads_b
+
+
+def train_network(net: TinyNet, x: np.ndarray, objective: str, hyper: NetHyper) -> tuple[TinyNet, np.ndarray | None]:
+    """(trained net, svdd center); raises TrainingDivergedError at the first non-finite loss."""
+    center = net.forward(x).mean(axis=0) if objective == "svdd" else None
+    for epoch in range(hyper.epochs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, grads_w, grads_b = net.loss_and_grads(x, objective, center)
+        if not np.isfinite(loss):
+            raise TrainingDivergedError(epoch, loss)
+        for w, gw in zip(net.weights, grads_w):
+            w -= hyper.learning_rate * gw
+        for b, gb in zip(net.biases, grads_b):
+            b -= hyper.learning_rate * gb
+    return net, center
+
+
+def _stacked(windows) -> np.ndarray:
+    return np.stack([w.vec for w in windows])
+
+
+def _standardize_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return rows.mean(axis=0), np.maximum(rows.std(axis=0), STD_FLOOR)
+
+
+def _standardize(rows: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    return np.clip((rows - mean) / std, -Z_CLIP, Z_CLIP)
+
+
+def score_with_model(kind: str, train_x: np.ndarray, test_x: np.ndarray, hyper: NetHyper, seed: int) -> np.ndarray:
+    d = train_x.shape[1]
+    hidden = max(1, d // 4)
+    if kind == "dae":
+        net, _ = train_network(TinyNet([d, hidden, d], seed=seed), train_x, "reconstruction", hyper)
+        return np.mean((net.forward(test_x) - test_x) ** 2, axis=1)
+    net, center = train_network(TinyNet([d, hidden, hyper.embed_dim], seed=seed), train_x, "svdd", hyper)
+    return np.sum((net.forward(test_x) - center) ** 2, axis=1)
+
+
+def one_class_scores(kind: str, feat, hyper: NetHyper, scope: str) -> ScoreTable:
+    """The score table of ``dae_score``/``dsvdd_score``, one model trained after another."""
+    if scope not in ("population", "per_agent"):
+        raise ConfigError(f"unknown scope {scope!r}")
+    omitted = dict(feat.ineligible)
+    agents = feat.eligible_agents()
+    for agent_id in sorted(set(feat.train) - set(feat.test)):
+        omitted.setdefault(agent_id, "no test windows")
+    if scope == "population":
+        groups = [(sorted(feat.train), agents, hyper.seed)] if agents else []
+    else:
+        groups = [([a], [a], _agent_seed(hyper.seed, a)) for a in agents]
+    scores: dict[str, float] = {}
+    for train_agents, test_agents, seed in groups:
+        raw_train = _stacked([w for a in train_agents for w in feat.train[a]])
+        mean, std = _standardize_stats(raw_train)
+        train_x = _standardize(raw_train, mean, std)
+        test_x = _standardize(_stacked([w for a in test_agents for w in feat.test[a]]), mean, std)
+        per_window = score_with_model(kind, train_x, test_x, hyper, seed)
+        ends = np.cumsum([len(feat.test[a]) for a in test_agents])
+        for a, own in zip(test_agents, np.split(per_window, ends[:-1])):
+            scores[a] = float(np.mean(own))
+    return ScoreTable(
+        detector=kind if scope == "population" else f"{kind}_per_agent",
+        scores=scores,
+        params_hash=params_hash({**asdict(hyper), "scope": scope, "L": feat.window_len,
+                                 "window_seconds": feat.window_seconds}),
+        omitted=omitted,
+    )
+
+
+def assert_like_the_oracle(kind: str, feat, hyper: NetHyper, scope: str) -> None:
+    """``dae_score``/``dsvdd_score`` give the oracle's score table, bit for bit and in the same order."""
+    new = _one_class_scores(kind, feat, hyper, scope)
+    old = one_class_scores(kind, feat, hyper, scope)
+    assert (new.detector, new.params_hash, new.omitted) == (old.detector, old.params_hash, old.omitted)
+    assert list(new.scores.items()) == list(old.scores.items())
+    assert new.to_jsonl() == old.to_jsonl()

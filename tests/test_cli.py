@@ -509,6 +509,15 @@ class TestArtifactInputFaults:
         assert f"{path}:3: " in err and named in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name", ["dataset.jsonl", "labels.jsonl"])
+    def test_repeated_agent_exits_1(self, sim_dir, scores, tmp_path, capsys, name):
+        path = sim_dir / name
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + lines[:1]) + "\n")
+        assert self.run_reader(name, sim_dir, scores, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:{len(lines) + 1}: duplicate agent_id" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("name", ["dataset.jsonl", "dataset.meta.json", "labels.jsonl", "scores_ompad.jsonl"])
     def test_non_utf8_file_exits_1(self, sim_dir, scores, tmp_path, capsys, name):
         path = scores if name.startswith("scores") else sim_dir / name
@@ -529,6 +538,26 @@ class TestArtifactInputFaults:
         assert self.run_reader(path.name, sim_dir, scores, tmp_path) == 1
         err = capsys.readouterr().err
         assert f"{path}{named}" in err and "Traceback" not in err
+
+
+class TestOsErrors:
+    """An OSError from a stage exits 1 with its message and no traceback, as a MobanomError does."""
+
+    def test_labels_path_is_a_directory(self, sim_dir, tmp_path, capsys):
+        assert main(["--out-dir", str(tmp_path / "scores"), "detect", "--method", "ompad", "--in", str(sim_dir)]) == 0
+        argv = ["--out-dir", str(tmp_path / "report"), "eval", "--scores", str(tmp_path / "scores" / "scores_ompad.jsonl"),
+                "--labels", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Is a directory" in err and "Traceback" not in err
+
+    def test_disk_full_inside_detect_keeps_the_partial_rename(self, sim_dir, tmp_path, capsys, interrupt_write):
+        out = tmp_path / "scores"
+        interrupt_write("scores_monav_tt.jsonl", OSError(28, "No space left on device"))
+        assert main(["--out-dir", str(out), "detect", "--method", "ompad,monav", "--in", str(sim_dir)]) == 1
+        err = capsys.readouterr().err
+        assert "No space left on device" in err and "Traceback" not in err
+        assert sorted(os.listdir(out)) == ["scores_ompad.jsonl.partial"]
 
 
 class TestInterruptedWrites:
@@ -554,8 +583,12 @@ class TestInterruptedWrites:
         assert main(["--config", str(cfg), "--out-dir", str(out), "--seed", "1", "run"]) == 0
         before = (out / "manifest.json").read_bytes()
         interrupt_write("manifest.json", exc)
-        with pytest.raises(type(exc)):
-            main(["--config", str(cfg), "--out-dir", str(out), "--seed", "2", "run"])
+        argv = ["--config", str(cfg), "--out-dir", str(out), "--seed", "2", "run"]
+        if isinstance(exc, OSError):
+            assert main(argv) == 1  # an OSError exits 1 like a MobanomError
+        else:
+            with pytest.raises(type(exc)):
+                main(argv)
         assert sorted(os.listdir(out)) == ["manifest.json", "sim"]
         assert (out / "manifest.json").read_bytes() == before
 

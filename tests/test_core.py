@@ -269,6 +269,20 @@ class TestReadFaults:
         with pytest.raises(InvalidInputError, match=f"{path}:2: {named}"):
             read_dataset(str(path))
 
+    def test_dataset_rejects_a_repeated_agent_id(self, tmp_path):
+        path = tmp_path / "dataset.jsonl"
+        line = '{"agent_id":"a","points":[]}\n'
+        path.write_text(line + '{"agent_id":"b","points":[]}\n\n' + line)
+        with pytest.raises(InvalidInputError, match=f"{path}:4: duplicate agent_id 'a'"):
+            read_dataset(str(path))
+
+    def test_labels_reject_a_repeated_agent_id(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        line = '{"agent_id":"a","is_outlier":false,"outlier_type":"none","deviate_index":null}\n'
+        path.write_text(line + line.replace("false", "true").replace("null", "3").replace("none", "work"))
+        with pytest.raises(InvalidInputError, match=f"{path}:2: duplicate agent_id 'a'"):
+            read_labels(str(path))
+
     def test_error_type_and_attributes_survive_the_prefix(self, tmp_path):
         path = tmp_path / "x.jsonl"
         path.write_text('{"a": 1}\n')

@@ -1,0 +1,138 @@
+"""Stacks of nets against the one-net-at-a-time oracle in ``nets_oracle``: score tables bit for bit."""
+
+import json
+import os
+import subprocess
+import sys
+from unittest import mock
+
+import nets_oracle as oracle
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mobanom.core import TrainingDivergedError
+from mobanom.detectors import NetHyper, TinyNet, Window, WindowedFeatures, nets, train_network
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
+
+
+def window(vec: np.ndarray) -> Window:
+    return Window(points=[], vec=vec, t_start=0, t_end=0)
+
+
+@st.composite
+def stacked_features(draw):
+    """(features, cap): agents whose training-row counts form several groups, one of them larger than ``cap``.
+
+    Some agents have a single training window (so a zero std, floored and clipped),
+    some have no test windows, and agent ids do not follow the groups.
+    """
+    L = draw(st.integers(1, 2))
+    vocab = ["Unknown"] + [f"T{i}" for i in range(draw(st.integers(0, 2)))]
+    d = L * (len(vocab) + 3)
+    cap = draw(st.integers(1, 3))
+    big = draw(st.integers(cap + 1, cap + 3))
+    train_rows = [draw(st.integers(1, 4))] * big + draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
+    test_rows = [draw(st.integers(1, 3)) for _ in range(big)] + [draw(st.integers(0, 3)) for _ in train_rows[big:-1]] + [0]
+    ids = draw(st.permutations(range(len(train_rows))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    feat = WindowedFeatures(vocab=vocab, window_len=L, window_seconds=86400)
+    for agent, n_train, n_test in zip(ids, train_rows, test_rows):
+        rows = rng.normal(size=(n_train + n_test, d)) * (rng.random((n_train + n_test, d)) < 0.7)
+        feat.train[f"a{agent:02d}"] = [window(v) for v in rows[:n_train]]
+        if n_test:
+            feat.test[f"a{agent:02d}"] = [window(v) for v in rows[n_train:]]
+    if draw(st.booleans()):
+        feat.ineligible["z"] = "empty training side"
+    return feat, cap
+
+
+hypers = st.builds(
+    NetHyper,
+    learning_rate=st.sampled_from([0.01, 0.1]),
+    epochs=st.integers(1, 20),
+    seed=st.integers(0, 3),
+    embed_dim=st.integers(1, 4),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stacked_features(), hypers, st.sampled_from(["dae", "dsvdd"]))
+def test_score_tables_are_the_oracles_bit_for_bit(feat_cap, hyper, kind):
+    feat, cap = feat_cap
+    sizes = [feat.dim, max(1, feat.dim // 4), feat.dim if kind == "dae" else hyper.embed_dim]
+    net_bytes = 8 * sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
+    stack_sizes = []
+
+    def counting(net, inputs, objective, hyper):
+        stack_sizes.append(len(inputs))
+        return train_network(net, inputs, objective, hyper)
+
+    with mock.patch.object(nets, "STACK_PARAM_BYTES", cap * net_bytes), mock.patch.object(nets, "train_network", counting):
+        for scope in ("population", "per_agent"):
+            oracle.assert_like_the_oracle(kind, feat, hyper, scope)
+    assert stack_sizes[0] == 1  # the population model is a stack of one
+    assert max(stack_sizes[1:]) == cap and sum(stack_sizes[1:]) == len(feat.eligible_agents())
+
+
+def test_stack_members_start_as_single_nets():
+    stack = TinyNet([5, 2, 3], seed=[4, 9])
+    for g, seed in enumerate([4, 9]):
+        single = TinyNet([5, 2, 3], seed=seed)
+        for got, want in zip(stack.weights + stack.biases, single.weights + single.biases):
+            assert np.array_equal(got[g], want)
+    assert [w.shape for w in stack.weights] == [(2, 5, 2), (2, 2, 3)]
+    assert [b.shape for b in stack.biases] == [(2, 1, 2), (2, 1, 3)]
+
+
+def test_divergence_of_the_middle_member_stops_the_stack():
+    """Members 0 and 2 train alone without incident; member 1 overflows at some epoch, and so does the stack."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(3, 6, 4)) * np.array([0.1, 1e100, 0.1])[:, None, None]
+    hyper = NetHyper(learning_rate=3.0, epochs=300)
+    seeds = [1, 2, 3]
+    for g in (0, 2):
+        assert np.isfinite(train_network(TinyNet([4, 3, 4], seed=seeds[g]), x[g], "reconstruction", hyper).losses).all()
+    with pytest.raises(TrainingDivergedError) as alone:
+        train_network(TinyNet([4, 3, 4], seed=seeds[1]), x[1], "reconstruction", hyper)
+    assert alone.value.epoch > 0
+    with pytest.raises(TrainingDivergedError) as stacked:
+        train_network(TinyNet([4, 3, 4], seed=seeds), x, "reconstruction", hyper)
+    assert (stacked.value.epoch, stacked.value.loss) == (alone.value.epoch, alone.value.loss)
+
+
+def test_losses_have_one_row_per_epoch():
+    x = np.random.default_rng(1).normal(size=(3, 5, 4))
+    result = train_network(TinyNet([4, 2, 4], seed=[0, 1, 2]), x, "svdd", NetHyper(epochs=7))
+    assert result.losses.shape == (7, 3)
+    assert result.center.shape == (3, 1, 4)
+
+
+# Population GEMMs here are above OpenBLAS's single-thread threshold (m*n*k = 2^18), so 2 threads split them.
+THREADS_SCRIPT = """
+import json
+import nets_oracle as oracle
+from mobanom.detectors import NetHyper, SplitSpec, build_windows
+from mobanom.inject import InjectConfig, inject_imposter
+from mobanom.simulator import SimConfig, simulate
+ds, labels = inject_imposter(simulate(SimConfig(n_agents=48, weeks=2, n_hunger=0, n_social=0, n_work=0, seed=5)).dataset,
+                             InjectConfig(n_outlier_pairs=3, switch_fraction=0.8, seed=5))
+feat = build_windows(ds, SplitSpec.from_labels(ds, labels), window_days=1.0, L=8)
+for kind in ("dae", "dsvdd"):
+    for scope in ("population", "per_agent"):
+        oracle.assert_like_the_oracle(kind, feat, NetHyper(epochs=30, seed=5), scope)
+print(json.dumps({"rows": sum(len(w) for w in feat.train.values()), "dim": feat.dim}))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_bit_equality_holds_at_one_and_two_blas_threads(threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([SRC, TESTS]))
+    done = subprocess.run([sys.executable, "-c", THREADS_SCRIPT], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    shape = json.loads(done.stdout.splitlines()[-1])
+    assert shape["rows"] * shape["dim"] * (shape["dim"] // 4) > 2**18
