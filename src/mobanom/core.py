@@ -24,6 +24,7 @@ File formats
 
 Every file mobanom writes goes through :func:`atomic_write`, and every JSONL
 file it reads through :func:`read_jsonl`, whose errors name ``path:line``.
+Dataset and label values must have their JSON types; only integer coordinates become floats.
 """
 
 from __future__ import annotations
@@ -289,19 +290,6 @@ def validate_trajectory(t: Trajectory) -> list[Violation]:
     return violations
 
 
-def total_travel_distance(t: Trajectory, interval: tuple[int, int] | None = None) -> float:
-    """Sum of consecutive great-circle hops over ``points[start:stop]``.
-
-    ``interval`` is a half-open index range; empty or singleton ranges
-    contribute 0.
-    """
-    pts = t.points if interval is None else t.points[interval[0] : interval[1]]
-    total = 0.0
-    for a, b in zip(pts, pts[1:]):
-        total += haversine_km(a.location, b.location)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Canonical JSONL (de)serialization.
 #
@@ -386,17 +374,34 @@ def trajectory_to_json(t: Trajectory) -> str:
     return _dumps({"agent_id": t.agent_id, "points": points})
 
 
+# The JSON type of each dataset and label value: one ``type()`` test per value, so a bool is never a number.
+_STRING, _INDEX, _NUMBER = ((str,), "a string"), ((int, type(None)), "an integer or null"), ((int, float), "a number")
+_JSON_TYPES = {"agent_id": _STRING, "arrive": ((int,), "an integer"), "depart": _INDEX, "place_id": _STRING,
+               "place_type": _STRING, "lat": _NUMBER, "lon": _NUMBER, "is_outlier": ((bool,), "true or false"),
+               "outlier_type": _STRING, "deviate_index": _INDEX}
+
+
+def _check_types(obj: dict) -> None:
+    """Raise InvalidInputError naming the first value of ``obj`` whose JSON type is wrong."""
+    for key, value in obj.items():
+        if key in _JSON_TYPES and type(value) not in _JSON_TYPES[key][0]:
+            raise InvalidInputError(f"{key} must be {_JSON_TYPES[key][1]}, got {value!r}")
+
+
 def _trajectory(obj: dict) -> Trajectory:
     """The trajectory of one ``dataset.jsonl`` record; coordinates must pass ``GeoPoint.validate``."""
     points = []
     for p in obj["points"]:
-        arrive = int(p["arrive"])
-        # absent depart means a zero-duration stay
-        depart = arrive if p.get("depart") is None else int(p["depart"])
-        location = GeoPoint(float(p["lat"]), float(p["lon"]))
+        arrive, depart, lat, lon = p["arrive"], p.get("depart"), p["lat"], p["lon"]
+        if not (type(arrive) is int and type(depart) in _INDEX[0] and type(p["place_id"]) is str
+                and type(p["place_type"]) is str and type(lat) in _NUMBER[0] and type(lon) in _NUMBER[0]):
+            _check_types(p)  # the hot path tests each value once; this names the wrong one
+        location = GeoPoint(float(lat), float(lon))
         location.validate()
-        points.append(StayPoint(arrive, depart, str(p["place_id"]), str(p["place_type"]), location))
-    return Trajectory(agent_id=str(obj["agent_id"]), points=points)
+        # absent depart means a zero-duration stay
+        points.append(StayPoint(arrive, arrive if depart is None else depart, p["place_id"], p["place_type"], location))
+    _check_types(obj)
+    return Trajectory(agent_id=obj["agent_id"], points=points)
 
 
 def _one_line_per_agent(record: typing.Callable[[dict], typing.Any]) -> typing.Callable[[dict], typing.Any]:
@@ -405,7 +410,7 @@ def _one_line_per_agent(record: typing.Callable[[dict], typing.Any]) -> typing.C
 
     def checked(obj: dict):
         out = record(obj)
-        agent_id = str(obj["agent_id"])  # as the records convert it
+        agent_id = str(obj["agent_id"])  # as a score row converts it
         if agent_id in seen:
             raise InvalidInputError(f"duplicate agent_id {agent_id!r}")
         seen.add(agent_id)
@@ -454,11 +459,10 @@ def _check_label(agent_id: str, e: LabelEntry) -> None:
 
 
 def _label(obj: dict) -> tuple[str, LabelEntry]:
-    agent_id = str(obj["agent_id"])
-    deviate_index = None if obj.get("deviate_index") is None else int(obj["deviate_index"])
-    e = LabelEntry(bool(obj["is_outlier"]), str(obj["outlier_type"]), deviate_index)
-    _check_label(agent_id, e)
-    return agent_id, e
+    _check_types(obj)
+    e = LabelEntry(obj["is_outlier"], obj["outlier_type"], obj.get("deviate_index"))
+    _check_label(obj["agent_id"], e)
+    return obj["agent_id"], e
 
 
 def write_labels(labels: LabelSet, path: str) -> None:

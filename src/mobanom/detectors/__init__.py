@@ -1,6 +1,6 @@
 """Detector suite: shared featurization, three classical scorers, two one-class nets."""
 
-from .features import SplitSpec, Window, WindowedFeatures, build_windows, bucket_windows
+from .features import SplitSpec, Windows, WindowedFeatures, build_windows, bucket_windows
 from .classical import (
     TraodParams,
     monav_tt_score,
@@ -13,7 +13,7 @@ from .nets import NetHyper, TinyNet, TrainResult, dae_score, dsvdd_score, gradie
 
 __all__ = [
     "SplitSpec",
-    "Window",
+    "Windows",
     "WindowedFeatures",
     "build_windows",
     "bucket_windows",

@@ -17,9 +17,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..core import Dataset, EARTH_RADIUS_KM, InvalidInputError, Trajectory, params_hash, total_travel_distance
+from ..core import Dataset, EARTH_RADIUS_KM, InvalidInputError, Trajectory, haversine_km, params_hash
 from ..evaluation import ScoreTable
-from .features import SplitSpec, WindowedFeatures, bucket_windows, type_histogram
+from .features import SplitSpec, WindowedFeatures, bucket_windows
 
 SIGMA_FLOOR_KM = 1e-6
 
@@ -29,20 +29,16 @@ def ompad_score(feat: WindowedFeatures) -> ScoreTable:
     scores = {}
     omitted = dict(feat.ineligible)
     for agent_id in sorted(set(feat.train) | set(feat.test)):
-        train = feat.train.get(agent_id, [])
-        test = feat.test.get(agent_id, [])
-        if not train:
+        if agent_id not in feat.train:
             omitted.setdefault(agent_id, "no training windows")
             continue
-        if not test:
+        if agent_id not in feat.test:
             omitted.setdefault(agent_id, "no test windows")
             continue
-        profile = np.mean([type_histogram(w.points, feat.vocab) for w in train], axis=0)
-        dists = [
-            0.5 * float(np.abs(profile - type_histogram(w.points, feat.vocab)).sum())
-            for w in test
-        ]
-        scores[agent_id] = float(np.mean(dists))
+        # one normalized type histogram per window; the profile is the mean training histogram
+        train, test = (side[agent_id].counts / side[agent_id].counts.sum(axis=1, keepdims=True)
+                       for side in (feat.train, feat.test))
+        scores[agent_id] = float(np.mean(0.5 * np.abs(train.mean(axis=0) - test).sum(axis=1)))
     return ScoreTable(
         detector="ompad",
         scores=scores,
@@ -63,8 +59,12 @@ def monav_tt_score(ds: Dataset, split: SplitSpec, window_days: float = 7.0) -> S
             continue
         train_d = []
         test_d = []
-        for _, is_train, pts in bucket_windows(t, idx, window_seconds):
-            d = total_travel_distance(Trajectory(agent_id=t.agent_id, points=pts))
+        locations = [sp.location for sp in t.points]
+        for is_train, rows in bucket_windows([sp.arrive for sp in t.points], idx, window_seconds):
+            rows = rows.tolist()
+            d = 0.0  # hops added left to right: sum() is compensated from Python 3.12 on
+            for a, b in zip(rows, rows[1:]):
+                d += haversine_km(locations[a], locations[b])
             (train_d if is_train else test_d).append(d)
         if len(train_d) < 2:
             omitted[t.agent_id] = "needs >= 2 training windows"

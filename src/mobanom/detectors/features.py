@@ -8,9 +8,11 @@ the data came from the simulator or the injector).
 
 Windows are consecutive fixed-duration buckets counted from each agent's
 first arrival.  A bucket straddling the split boundary is cut into a train
-part and a test part.  Every non-empty window encodes as a flat vector of
-``L`` per-point rows: one-hot place type over the train-side vocabulary
-(plus an Unknown bucket) concatenated with the 3D unit-sphere coordinates.
+part and a test part.  Each agent's windows on each side form one
+:class:`Windows` block, one row per window: ``vecs`` encodes a window's first
+``L`` stays as per-point rows (one-hot place type over the train-side
+vocabulary plus an Unknown bucket, then the 3D unit-sphere coordinates; zero
+rows pad), and ``counts`` counts the place types of all its stays.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import ConfigError, Dataset, LabelSet, StayPoint, Trajectory, latlon_to_unit3
+from ..core import ConfigError, Dataset, InvalidInputError, LabelSet, StayPoint, latlon_to_unit3
 
 UNKNOWN_TYPE = "Unknown"
 
@@ -72,34 +74,39 @@ class SplitSpec:
         return cls(split_index=split)
 
 
-def bucket_windows(
-    t: Trajectory, split_idx: int, window_seconds: int
-) -> list[tuple[int, bool, list[StayPoint]]]:
-    """Group stay points into (bucket, is_train, points) windows.
+def bucket_windows(arrive, split_idx: int, window_seconds: int) -> list[tuple[bool, np.ndarray]]:
+    """(is_train, row indices) of each non-empty window of one agent's arrivals (ints), in window order.
 
-    Buckets count from the agent's first arrival; the split cuts a straddling
-    bucket in two.  Empty windows never appear in the output.
+    Buckets count from the first row's arrival; the split cuts a straddling bucket in two.  One stable
+    sort orders the buckets ascending, a cut bucket's train part first, and each window's rows in input
+    order, whether or not the arrivals are sorted.
     """
-    if not t.points:
+    if window_seconds < 1:
+        raise ConfigError(f"a window must last at least 1 second, got {window_seconds}")
+    try:
+        arrive = np.asarray(arrive, dtype=np.int64)
+    except OverflowError:
+        raise InvalidInputError("arrival times must fit in a signed 64-bit integer") from None
+    if not len(arrive):
         return []
-    t0 = t.points[0].arrive
-    groups: dict[tuple[int, bool], list[StayPoint]] = {}
-    for i, sp in enumerate(t.points):
-        bucket = (sp.arrive - t0) // window_seconds
-        key = (int(bucket), i < split_idx)
-        groups.setdefault(key, []).append(sp)
-    out = [(bucket, is_train, pts) for (bucket, is_train), pts in groups.items()]
-    # train part of a cut bucket sorts before its test part
-    out.sort(key=lambda x: (x[0], not x[1]))
-    return out
+    bucket = (arrive - arrive[0]) // window_seconds
+    is_test = np.arange(len(arrive)) >= split_idx
+    order = np.lexsort((is_test, bucket))
+    bucket, is_test = bucket[order], is_test[order]
+    cuts = np.flatnonzero((bucket[1:] != bucket[:-1]) | (is_test[1:] != is_test[:-1])) + 1
+    bounds, train = [0, *cuts.tolist(), len(order)], (~is_test).tolist()
+    return [(train[lo], order[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 @dataclass
-class Window:
-    points: list[StayPoint]
-    vec: np.ndarray
-    t_start: int
-    t_end: int
+class Windows:
+    """One agent's windows on one side of the split; row k of each array is window k."""
+
+    vecs: np.ndarray  # (windows, L * (len(vocab) + 3)): the encoded vectors
+    counts: np.ndarray  # (windows, len(vocab)): place-type counts over all of a window's stays
+
+    def __len__(self) -> int:
+        return len(self.vecs)
 
 
 @dataclass
@@ -107,8 +114,8 @@ class WindowedFeatures:
     vocab: list[str]
     window_len: int
     window_seconds: int
-    train: dict[str, list[Window]] = field(default_factory=dict)
-    test: dict[str, list[Window]] = field(default_factory=dict)
+    train: dict[str, Windows] = field(default_factory=dict)
+    test: dict[str, Windows] = field(default_factory=dict)
     ineligible: dict[str, str] = field(default_factory=dict)
 
     @property
@@ -119,15 +126,19 @@ class WindowedFeatures:
         return sorted(set(self.train) & set(self.test))
 
 
-def _encode_window(points: list[StayPoint], vocab: list[str], L: int) -> np.ndarray:
-    vidx = {v: i for i, v in enumerate(vocab)}
-    unknown = vidx[UNKNOWN_TYPE]
-    width = len(vocab) + 3
-    rows = np.zeros((L, width), dtype=np.float64)
-    for r, sp in enumerate(points[:L]):
-        rows[r, vidx.get(sp.place_type, unknown)] = 1.0
-        rows[r, len(vocab) :] = latlon_to_unit3(sp.location)
-    return rows.reshape(-1)
+def _block(windows: list[np.ndarray], points: list[StayPoint], types: np.ndarray, n_types: int, L: int) -> Windows:
+    """One side's block of ``windows``: row indices into ``points``, whose place-type codes are ``types``."""
+    sizes = np.array([len(rows) for rows in windows])
+    rows = np.concatenate(windows)
+    window = np.repeat(np.arange(len(windows)), sizes)
+    slot = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    counts = np.bincount(window * n_types + types[rows], minlength=len(windows) * n_types)
+    head = slot < L  # each window encodes its first L stays
+    window, slot, rows = window[head], slot[head], rows[head]
+    vecs = np.zeros((len(windows), L, n_types + 3))
+    vecs[window, slot, types[rows]] = 1.0
+    vecs[window, slot, n_types:] = [latlon_to_unit3(points[r].location) for r in rows.tolist()]
+    return Windows(vecs.reshape(len(windows), -1), counts.reshape(len(windows), n_types))
 
 
 def build_windows(
@@ -152,6 +163,7 @@ def build_windows(
         for sp in t.points[:idx]:
             train_types.add(sp.place_type)
     vocab = sorted(train_types | {UNKNOWN_TYPE})
+    code = {v: i for i, v in enumerate(vocab)}
 
     feat = WindowedFeatures(vocab=vocab, window_len=L, window_seconds=window_seconds)
     for t in ds.trajectories:
@@ -159,24 +171,10 @@ def build_windows(
         if idx <= 0:
             feat.ineligible[t.agent_id] = "empty training side"
             continue
-        for _, is_train, pts in bucket_windows(t, idx, window_seconds):
-            window = Window(
-                points=pts,
-                vec=_encode_window(pts, vocab, L),
-                t_start=pts[0].arrive,
-                t_end=pts[-1].depart,
-            )
-            side = feat.train if is_train else feat.test
-            side.setdefault(t.agent_id, []).append(window)
+        windows = bucket_windows([sp.arrive for sp in t.points], idx, window_seconds)
+        types = np.array([code.get(sp.place_type, code[UNKNOWN_TYPE]) for sp in t.points], dtype=np.intp)
+        for side, is_train in ((feat.train, True), (feat.test, False)):
+            rows = [r for train, r in windows if train == is_train]
+            if rows:
+                side[t.agent_id] = _block(rows, t.points, types, len(vocab), L)
     return feat
-
-
-def type_histogram(points: list[StayPoint], vocab: list[str]) -> np.ndarray:
-    """Normalized place-type histogram over the vocabulary (unknowns bucketed)."""
-    vidx = {v: i for i, v in enumerate(vocab)}
-    unknown = vidx[UNKNOWN_TYPE]
-    h = np.zeros(len(vocab), dtype=np.float64)
-    for sp in points:
-        h[vidx.get(sp.place_type, unknown)] += 1.0
-    total = h.sum()
-    return h / total if total > 0 else h

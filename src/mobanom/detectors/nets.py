@@ -188,10 +188,10 @@ def _agent_seed(base_seed: int, agent_id: str) -> int:
 
 def _standardized(feat: WindowedFeatures, train_agents: list[str], test_agents: list[str]) -> list[np.ndarray]:
     """The training and the test rows of one model, standardized with training-side statistics."""
-    raw_train = np.stack([w.vec for a in train_agents for w in feat.train[a]])
+    raw_train = np.concatenate([feat.train[a].vecs for a in train_agents])
     mean = raw_train.mean(axis=0)
     std = np.maximum(raw_train.std(axis=0), STD_FLOOR)
-    raw_test = np.stack([w.vec for a in test_agents for w in feat.test[a]])
+    raw_test = np.concatenate([feat.test[a].vecs for a in test_agents])
     return [np.clip((rows - mean) / std, -Z_CLIP, Z_CLIP) for rows in (raw_train, raw_test)]
 
 

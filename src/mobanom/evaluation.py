@@ -10,13 +10,13 @@ rewarding a detector that refuses to score.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigError, LabelSet, UndefinedMetricError, _dumps, params_hash, parse_jsonl, read_jsonl
+from .core import (ConfigError, LabelSet, UndefinedMetricError, _dumps, _one_line_per_agent, params_hash, parse_jsonl,
+                   read_jsonl)
 
 __all__ = [
     "ScoreTable",
@@ -38,7 +38,6 @@ class ScoreTable:
     scores: dict[str, float] = field(default_factory=dict)
     params_hash: str = ""
     omitted: dict[str, str] = field(default_factory=dict)
-    dataset_id: str = ""
 
     def __post_init__(self):
         for agent_id, s in self.scores.items():
@@ -52,13 +51,13 @@ class ScoreTable:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "ScoreTable":
-        """The table that :meth:`to_jsonl` wrote as ``text``; a fault names ``<scores>:line``."""
-        return cls._from_rows(parse_jsonl(text.splitlines(), _score_row, "<scores>"))
+        """The table that :meth:`to_jsonl` wrote as ``text``; a fault or a repeated agent names ``<scores>:line``."""
+        return cls._from_rows(parse_jsonl(text.splitlines(), _one_line_per_agent(_score_row), "<scores>"))
 
     @classmethod
     def read(cls, path: str) -> "ScoreTable":
-        """The score file at ``path``; a fault names ``path:line``."""
-        return cls._from_rows(read_jsonl(path, _score_row))
+        """The score file at ``path``; a fault or a repeated agent names ``path:line``."""
+        return cls._from_rows(read_jsonl(path, _one_line_per_agent(_score_row)))
 
     @classmethod
     def _from_rows(cls, rows: list[tuple[str, float, dict]]) -> "ScoreTable":
@@ -146,7 +145,12 @@ class ReportRow:
 class EvalReport:
     rows: list[ReportRow]
     ks: list[int]
-    dataset_id: str = ""
+
+    def _cells(self, digits: int) -> list[list[str]]:
+        """Each row's cells, AP and AUC to ``digits`` decimals or ``-`` when undefined."""
+        return [[r.detector, *(str(r.top_k_hits[k]) for k in self.ks),
+                 *("-" if m is None else f"{m:.{digits}f}" for m in (r.ap, r.auc)),
+                 str(r.n_agents), str(r.n_outliers), str(r.omitted_agents)] for r in self.rows]
 
     def to_text(self) -> str:
         headers = ["Detector"] + [f"Top-{k} Hits" for k in self.ks] + [
@@ -156,26 +160,10 @@ class EvalReport:
             "Outliers",
             "Omitted",
         ]
-        body = []
-        for r in self.rows:
-            body.append(
-                [r.detector]
-                + [str(r.top_k_hits[k]) for k in self.ks]
-                + [
-                    "-" if r.ap is None else f"{r.ap:.4f}",
-                    "-" if r.auc is None else f"{r.auc:.4f}",
-                    str(r.n_agents),
-                    str(r.n_outliers),
-                    str(r.omitted_agents),
-                ]
-            )
-        widths = [max(len(headers[c]), *(len(row[c]) for row in body)) if body else len(headers[c]) for c in range(len(headers))]
-        out = io.StringIO()
-        out.write("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip() + "\n")
-        out.write("  ".join("-" * w for w in widths) + "\n")
-        for row in body:
-            out.write("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n")
-        return out.getvalue()
+        body = self._cells(4)
+        widths = [max(len(cell) for cell in column) for column in zip(headers, *body)]
+        rows = [headers, ["-" * w for w in widths], *body]
+        return "".join("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n" for row in rows)
 
     def to_csv(self) -> str:
         headers = ["detector"] + [f"top_{k}_hits" for k in self.ks] + [
@@ -185,39 +173,17 @@ class EvalReport:
             "n_outliers",
             "omitted_agents",
         ]
-        lines = [",".join(headers)]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    [r.detector]
-                    + [str(r.top_k_hits[k]) for k in self.ks]
-                    + [
-                        "-" if r.ap is None else f"{r.ap:.6f}",
-                        "-" if r.auc is None else f"{r.auc:.6f}",
-                        str(r.n_agents),
-                        str(r.n_outliers),
-                        str(r.omitted_agents),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        return "".join(",".join(row) + "\n" for row in [headers, *self._cells(6)])
 
 
 def make_report(
     score_tables: list[ScoreTable],
     labels: LabelSet,
     ks: list[int],
-    dataset_id: str = "",
 ) -> EvalReport:
     """One report row per ScoreTable; undefined metrics render as ``-``."""
     if not score_tables or not ks:
         raise ConfigError("make_report needs at least one score table and one K")
-    for table in score_tables:
-        if table.dataset_id and dataset_id and table.dataset_id != dataset_id:
-            raise ConfigError(
-                f"score table {table.detector!r} is for dataset {table.dataset_id!r}, "
-                f"expected {dataset_id!r}"
-            )
     rows = []
     for table in score_tables:
         labeled = set(labels.entries)
@@ -242,4 +208,4 @@ def make_report(
                 omitted_agents=omitted,
             )
         )
-    return EvalReport(rows=rows, ks=list(ks), dataset_id=dataset_id)
+    return EvalReport(rows=rows, ks=list(ks))

@@ -283,7 +283,7 @@ def detect_stay_points(fixes: Fixes | list[RawFix], params: StayPointParams = St
                 break
             j, block = hi - 1, 2 * block
         if ts[j] - ts[i] >= params.time_threshold_s:
-            # the run's sum() bit for bit: cumsum adds left to right; sum starts at int 0, so an all -0.0 run gives +0.0
+            # the run's running total from 0.0, bit for bit: cumsum adds left to right, and 0.0 + -0.0 is +0.0
             mean = [(0.0 + float(np.cumsum(c[i : j + 1])[-1])) / (j - i + 1) for c in (f.lat, f.lon)]
             out.append(StayPoint(arrive=ts[i], depart=ts[j], place_id="", place_type="Unknown", location=GeoPoint(*mean)))
             a = int(np.searchsorted(anchors, j + 1))

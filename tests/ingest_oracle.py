@@ -122,8 +122,12 @@ def detect_stay_points(fixes: list[RawFix], params: StayPointParams = StayPointP
             j += 1
         if fixes[j].timestamp - fixes[i].timestamp >= params.time_threshold_s:
             run = fixes[i : j + 1]
-            lat = sum(f.location.lat for f in run) / len(run)
-            lon = sum(f.location.lon for f in run) / len(run)
+            # a running total from 0.0, left to right: the builtin sum() of floats is compensated from Python 3.12 on
+            lat = lon = 0.0
+            for f in run:
+                lat += f.location.lat
+                lon += f.location.lon
+            lat, lon = lat / len(run), lon / len(run)
             out.append(
                 StayPoint(
                     arrive=fixes[i].timestamp,

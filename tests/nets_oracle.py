@@ -75,8 +75,8 @@ def train_network(net: TinyNet, x: np.ndarray, objective: str, hyper: NetHyper) 
     return net, center
 
 
-def _stacked(windows) -> np.ndarray:
-    return np.stack([w.vec for w in windows])
+def _stacked(blocks) -> np.ndarray:
+    return np.concatenate([b.vecs for b in blocks])
 
 
 def _standardize_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,10 +111,10 @@ def one_class_scores(kind: str, feat, hyper: NetHyper, scope: str) -> ScoreTable
         groups = [([a], [a], _agent_seed(hyper.seed, a)) for a in agents]
     scores: dict[str, float] = {}
     for train_agents, test_agents, seed in groups:
-        raw_train = _stacked([w for a in train_agents for w in feat.train[a]])
+        raw_train = _stacked([feat.train[a] for a in train_agents])
         mean, std = _standardize_stats(raw_train)
         train_x = _standardize(raw_train, mean, std)
-        test_x = _standardize(_stacked([w for a in test_agents for w in feat.test[a]]), mean, std)
+        test_x = _standardize(_stacked([feat.test[a] for a in test_agents]), mean, std)
         per_window = score_with_model(kind, train_x, test_x, hyper, seed)
         ends = np.cumsum([len(feat.test[a]) for a in test_agents])
         for a, own in zip(test_agents, np.split(per_window, ends[:-1])):

@@ -480,16 +480,17 @@ class TestArtifactInputFaults:
             ("dataset.jsonl", '{"agent_id":"x","points":[', "invalid JSON"),
             ("dataset.jsonl", '["x"]', "not a JSON object"),
             ("dataset.jsonl", '{"agent_id":"x"}', "missing key 'points'"),
-            ("dataset.jsonl", dataset_line('"north"'), "ValueError"),
+            ("dataset.jsonl", dataset_line('"north"'), "lat must be a number, got 'north'"),
             ("dataset.jsonl", '{"agent_id":"x","points":7}', "TypeError"),
             ("dataset.jsonl", dataset_line("NaN"), "non-finite coordinates"),
             ("dataset.jsonl", dataset_line("91.0"), "latitude out of range"),
             ("labels.jsonl", '{"agent_id":"x","is_outlier":false', "invalid JSON"),
             ("labels.jsonl", "7", "not a JSON object"),
             ("labels.jsonl", '{"agent_id":"x","outlier_type":"none","deviate_index":null}', "missing key 'is_outlier'"),
-            ("labels.jsonl", '{"agent_id":"x","is_outlier":true,"outlier_type":"work","deviate_index":"x"}', "ValueError"),
+            ("labels.jsonl", '{"agent_id":"x","is_outlier":true,"outlier_type":"work","deviate_index":"x"}',
+             "deviate_index must be an integer or null, got 'x'"),
             ("labels.jsonl", '{"agent_id":"x","is_outlier":"no","outlier_type":"none","deviate_index":null}',
-             "lacks deviate_index"),
+             "is_outlier must be true or false, got 'no'"),
             ("scores_ompad.jsonl", '{"agent_id":"x","score":0.5', "invalid JSON"),
             ("scores_ompad.jsonl", "null", "not a JSON object"),
             ("scores_ompad.jsonl", '{"agent_id":"x","method":"ompad"}', "missing key 'score'"),
@@ -509,14 +510,23 @@ class TestArtifactInputFaults:
         assert f"{path}:3: " in err and named in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("name", ["dataset.jsonl", "labels.jsonl"])
+    @pytest.mark.parametrize("name", ["dataset.jsonl", "labels.jsonl", "scores_ompad.jsonl"])
     def test_repeated_agent_exits_1(self, sim_dir, scores, tmp_path, capsys, name):
-        path = sim_dir / name
+        path = scores if name.startswith("scores") else sim_dir / name
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines + lines[:1]) + "\n")
         assert self.run_reader(name, sim_dir, scores, tmp_path) == 1
         err = capsys.readouterr().err
         assert f"{path}:{len(lines) + 1}: duplicate agent_id" in err and "Traceback" not in err
+
+    def test_converted_values_exit_1(self, sim_dir, scores, tmp_path, capsys):
+        """Values that ``int()``, ``float()``, ``str()`` and ``bool()`` would convert are type errors naming the key."""
+        path = sim_dir / "dataset.jsonl"
+        point = '{"arrive":1.9,"depart":"100","place_id":5,"place_type":"Pub","lat":"40.5","lon":true}'
+        path.write_text(f'{{"agent_id":7,"points":[{point}]}}\n')
+        assert self.run_reader(path.name, sim_dir, scores, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:1: arrive must be an integer, got 1.9" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("name", ["dataset.jsonl", "dataset.meta.json", "labels.jsonl", "scores_ompad.jsonl"])
     def test_non_utf8_file_exits_1(self, sim_dir, scores, tmp_path, capsys, name):

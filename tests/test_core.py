@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import sys
 import tempfile
 import threading
@@ -7,6 +8,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from features_oracle import total_travel_distance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +32,6 @@ from mobanom.core import (
     read_dataset,
     read_jsonl,
     read_labels,
-    total_travel_distance,
     validate_trajectory,
     write_dataset,
     write_labels,
@@ -117,6 +118,8 @@ class TestValidateTrajectory:
 
 
 class TestTravelDistance:
+    """The hop sum of the MoNav-TT oracle (``features_oracle``), which ``monav_tt_score`` must match."""
+
     def test_single_point(self):
         assert total_travel_distance(Trajectory("a", [sp(0, 1)])) == 0.0
 
@@ -281,6 +284,50 @@ class TestReadFaults:
         line = '{"agent_id":"a","is_outlier":false,"outlier_type":"none","deviate_index":null}\n'
         path.write_text(line + line.replace("false", "true").replace("null", "3").replace("none", "work"))
         with pytest.raises(InvalidInputError, match=f"{path}:2: duplicate agent_id 'a'"):
+            read_labels(str(path))
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [("agent_id", "7", "agent_id must be a string, got 7"),
+         ("arrive", "1.9", "arrive must be an integer, got 1.9"),
+         ("arrive", "true", "arrive must be an integer, got True"),
+         ("depart", '"100"', "depart must be an integer or null, got '100'"),
+         ("place_id", "5", "place_id must be a string, got 5"),
+         ("place_type", "null", "place_type must be a string, got None"),
+         ("lat", '"40.5"', "lat must be a number, got '40.5'"),
+         ("lon", "true", "lon must be a number, got True")],
+    )
+    def test_dataset_values_must_have_their_json_type(self, tmp_path, key, value, named):
+        record = {"agent_id": '"a"', "arrive": "0", "depart": "1", "place_id": '"p"', "place_type": '"Pub"',
+                  "lat": "40", "lon": "116.5", key: value}
+        point = ",".join(f'"{k}":{v}' for k, v in record.items() if k != "agent_id")
+        path = tmp_path / "dataset.jsonl"
+        path.write_text(f'{{"agent_id":{record["agent_id"]},"points":[{{{point}}}]}}\n')
+        with pytest.raises(InvalidInputError, match=re.escape(f"{path}:1: {named}")):
+            read_dataset(str(path))
+
+    def test_dataset_accepts_integer_coordinates_and_a_null_depart(self, tmp_path):
+        path = tmp_path / "dataset.jsonl"
+        path.write_text('{"agent_id":"a","points":[{"arrive":5,"depart":null,"place_id":"p","place_type":"Pub",'
+                        '"lat":40,"lon":-116}]}\n')
+        (t,) = read_dataset(str(path)).trajectories
+        assert t.points == [StayPoint(5, 5, "p", "Pub", GeoPoint(40.0, -116.0))]
+        assert type(t.points[0].location.lat) is float
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [("agent_id", "1", "agent_id must be a string, got 1"),
+         ("is_outlier", "1", "is_outlier must be true or false, got 1"),
+         ("is_outlier", '"no"', "is_outlier must be true or false, got 'no'"),
+         ("outlier_type", "0", "outlier_type must be a string, got 0"),
+         ("deviate_index", "3.0", "deviate_index must be an integer or null, got 3.0"),
+         ("deviate_index", "false", "deviate_index must be an integer or null, got False")],
+    )
+    def test_label_values_must_have_their_json_type(self, tmp_path, key, value, named):
+        record = {"agent_id": '"a"', "is_outlier": "true", "outlier_type": '"work"', "deviate_index": "3", key: value}
+        path = tmp_path / "labels.jsonl"
+        path.write_text("{" + ",".join(f'"{k}":{v}' for k, v in record.items()) + "}\n")
+        with pytest.raises(InvalidInputError, match=re.escape(f"{path}:1: {named}")):
             read_labels(str(path))
 
     def test_error_type_and_attributes_survive_the_prefix(self, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobanom.core import ConfigError, LabelEntry, LabelSet, UndefinedMetricError, atomic_write
+from mobanom.core import InvalidInputError, LabelEntry, LabelSet, UndefinedMetricError, atomic_write
 from mobanom.evaluation import ScoreTable, _binary_arrays, average_precision, make_report, roc_auc, top_k_hits
 
 
@@ -289,15 +289,18 @@ class TestReport:
         csv = report.to_csv()
         assert csv.splitlines()[0] == "detector,top_1_hits,top_2_hits,ap,auc,n_agents,n_outliers,omitted_agents"
 
-    def test_mismatched_dataset_ids(self):
-        t1 = ScoreTable(detector="a", scores={"x": 1.0}, dataset_id="d1")
-        labels = labels_from({"x": 1})
-        with pytest.raises(ConfigError):
-            make_report([t1], labels, ks=[1], dataset_id="d2")
-
     def test_scores_jsonl_round_trip(self):
         table = ScoreTable(detector="ompad", scores={"a": 0.25, "b": 1.5}, params_hash="abc")
         again = ScoreTable.from_jsonl(table.to_jsonl())
         assert again.scores == table.scores
         assert again.detector == "ompad"
         assert again.params_hash == "abc"
+
+    def test_scores_reject_a_repeated_agent_id(self, tmp_path):
+        text = '{"agent_id":"a","score":0.5}\n{"agent_id":"b","score":0.1}\n{"agent_id":"a","score":0.9}\n'
+        with pytest.raises(InvalidInputError, match="<scores>:3: duplicate agent_id 'a'"):
+            ScoreTable.from_jsonl(text)
+        path = tmp_path / "scores.jsonl"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError, match=f"{path}:3: duplicate agent_id 'a'"):
+            ScoreTable.read(str(path))

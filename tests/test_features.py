@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mobanom.core import ConfigError, Dataset, GeoPoint, LabelEntry, LabelSet, StayPoint, Trajectory
-from mobanom.detectors import SplitSpec, build_windows
+from mobanom.detectors import SplitSpec, build_windows, bucket_windows
 
 DAY = 86400
 
@@ -70,16 +70,15 @@ class TestBuildWindows:
         feat = build_windows(ds, split, window_days=7.0, L=64)
         assert len(feat.train["a"]) == 1
         assert len(feat.test["a"]) == 1
-        assert len(feat.train["a"][0].points) == 4
-        assert len(feat.test["a"][0].points) == 3
+        assert feat.train["a"].counts.sum() == 4
+        assert feat.test["a"].counts.sum() == 3
 
     def test_padding_dimension(self):
         ds = Dataset(trajectories=[traj("a", [0, 3600, 7200])])
         split = SplitSpec(split_index={"a": 3})
         feat = build_windows(ds, split, window_days=7.0, L=64)
-        w = feat.train["a"][0]
         width = len(feat.vocab) + 3
-        rows = w.vec.reshape(64, width)
+        rows = feat.train["a"].vecs[0].reshape(64, width)
         assert np.count_nonzero(rows.any(axis=1)) == 3  # 61 zero rows of padding
         assert feat.dim == 64 * width
 
@@ -90,8 +89,7 @@ class TestBuildWindows:
         split = SplitSpec(split_index={"a": 3})  # Restaurant only on the test side
         feat = build_windows(ds, split, window_days=7.0, L=8)
         assert feat.vocab == ["Apartment", "Pub", "Unknown"]
-        w = feat.test["a"][0]
-        rows = w.vec.reshape(8, len(feat.vocab) + 3)
+        rows = feat.test["a"].vecs[0].reshape(8, len(feat.vocab) + 3)
         assert rows[0, feat.vocab.index("Unknown")] == 1.0
 
     def test_empty_train_marked_ineligible(self):
@@ -106,15 +104,16 @@ class TestBuildWindows:
         ds = Dataset(trajectories=[traj("a", arrivals)])
         split = SplitSpec(split_index={"a": 100})
         feat = build_windows(ds, split, window_days=7.0, L=16)
-        rows = feat.train["a"][0].vec.reshape(16, len(feat.vocab) + 3)
+        rows = feat.train["a"].vecs[0].reshape(16, len(feat.vocab) + 3)
         assert np.count_nonzero(rows.any(axis=1)) == 16
 
     def test_window_time_spans_disjoint(self):
         arrivals = [i * DAY // 2 for i in range(28)]
         ds = Dataset(trajectories=[traj("a", arrivals)])
         split = SplitSpec(split_index={"a": 20})
-        feat = build_windows(ds, split, window_days=7.0, L=64)
-        windows = feat.train["a"] + feat.test["a"]
-        windows.sort(key=lambda w: w.t_start)
-        for w1, w2 in zip(windows, windows[1:]):
-            assert w1.t_end <= w2.t_start
+        windows = bucket_windows(arrivals, split.split_index["a"], 7 * DAY)
+        points = ds.trajectories[0].points
+        spans = sorted((points[rows[0]].arrive, points[rows[-1]].depart) for _, rows in windows)
+        for (_, end), (start, _) in zip(spans, spans[1:]):
+            assert end <= start
+        assert sorted(np.concatenate([rows for _, rows in windows]).tolist()) == list(range(28))

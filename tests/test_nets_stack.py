@@ -13,14 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobanom.core import TrainingDivergedError
-from mobanom.detectors import NetHyper, TinyNet, Window, WindowedFeatures, nets, train_network
+from mobanom.detectors import NetHyper, TinyNet, Windows, WindowedFeatures, nets, train_network
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 
-def window(vec: np.ndarray) -> Window:
-    return Window(points=[], vec=vec, t_start=0, t_end=0)
+def windows(vecs: np.ndarray, n_types: int) -> Windows:
+    return Windows(vecs=vecs, counts=np.zeros((len(vecs), n_types), dtype=np.int64))
 
 
 @st.composite
@@ -42,9 +42,9 @@ def stacked_features(draw):
     feat = WindowedFeatures(vocab=vocab, window_len=L, window_seconds=86400)
     for agent, n_train, n_test in zip(ids, train_rows, test_rows):
         rows = rng.normal(size=(n_train + n_test, d)) * (rng.random((n_train + n_test, d)) < 0.7)
-        feat.train[f"a{agent:02d}"] = [window(v) for v in rows[:n_train]]
+        feat.train[f"a{agent:02d}"] = windows(rows[:n_train], len(vocab))
         if n_test:
-            feat.test[f"a{agent:02d}"] = [window(v) for v in rows[n_train:]]
+            feat.test[f"a{agent:02d}"] = windows(rows[n_train:], len(vocab))
     if draw(st.booleans()):
         feat.ineligible["z"] = "empty training side"
     return feat, cap

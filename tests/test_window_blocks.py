@@ -1,0 +1,109 @@
+"""Window blocks against the object windows of ``features_oracle``: rows, vectors, counts and score tables."""
+
+import math
+
+import features_oracle as oracle
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mobanom.core import ConfigError, Dataset, GeoPoint, InvalidInputError, StayPoint, Trajectory, haversine_km
+from mobanom.detectors import SplitSpec, bucket_windows, build_windows, monav_tt_score, ompad_score
+from mobanom.detectors.features import UNKNOWN_TYPE
+
+HOUR = 3600
+# drawn on both sides of the split; "Zoo" only on the test side, where it must encode and count as Unknown
+TYPES = ["Home", "Pub", "Work"]
+
+
+@st.composite
+def trajectories(draw, agent_id: str) -> tuple[Trajectory, int | None]:
+    """(trajectory, split index or None for the default): unsorted and tied arrivals, some before the first."""
+    n = draw(st.integers(0, 12))
+    pool = draw(st.lists(st.integers(-30 * HOUR, 80 * HOUR), min_size=1, max_size=6))
+    arrive = draw(st.lists(st.sampled_from(pool) | st.integers(-30 * HOUR, 80 * HOUR), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        arrive.sort()
+    split = draw(st.one_of(st.none(), st.sampled_from([0, 1, n, n + 3, -1, -n - 2]), st.integers(0, n)))
+    cut = n if split is None else split
+    points = []
+    for i, a in enumerate(arrive):
+        kind = draw(st.sampled_from(TYPES + (["Zoo"] if i >= cut else [])))
+        lat = draw(st.sampled_from([0.0, 39.9, -12.5]) | st.floats(-90, 90))
+        lon = draw(st.sampled_from([0.0, 116.3, 179.99]) | st.floats(-180, 180))
+        points.append(StayPoint(a, a + draw(st.integers(0, 2 * HOUR)), f"p{i % 3}", kind, GeoPoint(lat, lon)))
+    return Trajectory(agent_id, points), split
+
+
+@st.composite
+def windowed_inputs(draw):
+    drawn = [draw(trajectories(f"a{k}")) for k in range(draw(st.integers(1, 4)))]
+    ds = Dataset(trajectories=[t for t, _ in drawn])
+    split = SplitSpec(split_index={t.agent_id: s for t, s in drawn if s is not None})
+    window_days = draw(st.sampled_from([0.05, 0.25, 1.0, 7.0]))
+    return ds, split, window_days, draw(st.integers(1, 4))
+
+
+def assert_same_table(new, old):
+    assert (new.detector, new.params_hash, new.omitted) == (old.detector, old.params_hash, old.omitted)
+    assert list(new.scores.items()) == list(old.scores.items())
+    assert new.to_jsonl() == old.to_jsonl()
+
+
+@settings(max_examples=300, deadline=None)
+@given(windowed_inputs())
+def test_blocks_and_scores_match_the_object_windows(inputs):
+    ds, split, window_days, L = inputs
+    new, old = build_windows(ds, split, window_days, L), oracle.build_windows(ds, split, window_days, L)
+    assert (new.vocab, new.window_len, new.window_seconds, new.ineligible) == (
+        old.vocab, old.window_len, old.window_seconds, old.ineligible)
+    code = {v: i for i, v in enumerate(new.vocab)}
+    for blocks, windows in ((new.train, old.train), (new.test, old.test)):
+        assert list(blocks) == list(windows)
+        for agent_id, block in blocks.items():
+            assert len(block) == len(windows[agent_id])
+            assert block.vecs.tobytes() == np.stack([w.vec for w in windows[agent_id]]).tobytes()
+            counts = [np.bincount([code.get(p.place_type, code[UNKNOWN_TYPE]) for p in w.points],
+                                  minlength=len(code)) for w in windows[agent_id]]
+            assert np.array_equal(block.counts, counts)
+
+    for t in ds.trajectories:
+        idx = split.split_index.get(t.agent_id, len(t.points))
+        rows = bucket_windows([p.arrive for p in t.points], idx, new.window_seconds)
+        expected = oracle.bucket_windows(t, idx, new.window_seconds)
+        assert [(is_train, [id(t.points[r]) for r in r_]) for is_train, r_ in rows] == [
+            (is_train, [id(p) for p in pts]) for _, is_train, pts in expected]
+
+    assert_same_table(ompad_score(new), oracle.ompad_score(old))
+    assert_same_table(monav_tt_score(ds, split, window_days), oracle.monav_tt_score(ds, split, window_days))
+
+
+def test_hop_sums_are_added_left_to_right():
+    """A test window of one long hop then 20 tiny ones, which a compensated sum would add differently."""
+    def stay(t, lat, lon):
+        return StayPoint(t, t, "p", "Pub", GeoPoint(lat, lon))
+
+    train = [stay(d * 86400 + k, 0.0, 0.1 * d * k) for d in range(2) for k in range(2)]
+    test = [stay(2 * 86400, 0.0, 90.0)] + [stay(2 * 86400 + k, 0.0, k * 1e-14) for k in range(21)]
+    hops = [haversine_km(a.location, b.location) for a, b in zip(test, test[1:])]
+    running = 0.0
+    for h in hops:
+        running += h
+    assert running != math.fsum(hops)  # else the data could not tell the two sums apart
+    ds = Dataset(trajectories=[Trajectory("a", train + test)])
+    split = SplitSpec(split_index={"a": len(train)})
+    assert_same_table(monav_tt_score(ds, split, 1.0), oracle.monav_tt_score(ds, split, 1.0))
+
+
+@pytest.mark.parametrize("window_days", [1e-6, -1.0])
+def test_a_window_shorter_than_a_second_is_a_config_error(window_days):
+    ds = Dataset(trajectories=[Trajectory("a", [StayPoint(0, 1, "p", "Pub", GeoPoint(0.0, 0.0))] * 3)])
+    with pytest.raises(ConfigError, match="at least 1 second"):
+        monav_tt_score(ds, SplitSpec(split_index={"a": 2}), window_days)
+
+
+def test_an_arrival_beyond_64_bits_is_an_input_error():
+    points = [StayPoint(a, a, "p", "Pub", GeoPoint(0.0, 0.0)) for a in (0, 2**63)]
+    with pytest.raises(InvalidInputError, match="64-bit"):
+        build_windows(Dataset(trajectories=[Trajectory("a", points)]), SplitSpec(split_index={"a": 1}), 1.0, 4)
