@@ -102,12 +102,12 @@ class AuthError(EndpointError):
 
 @dataclass(frozen=True)
 class GeoPoint:
-    """WGS-ish latitude/longitude pair in decimal degrees."""
+    """WGS-ish latitude/longitude pair in decimal degrees, checked once when built: finite and in range."""
 
     lat: float
     lon: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
             raise InvalidInputError(f"non-finite coordinates: ({self.lat}, {self.lon})")
         if not (-90.0 <= self.lat <= 90.0):
@@ -232,8 +232,6 @@ def config_from_mapping(cls, mapping: dict, keys: dict[str, str] | None = None, 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance in kilometers (mean Earth radius 6371.0 km)."""
-    a.validate()
-    b.validate()
     lat1, lon1 = math.radians(a.lat), math.radians(a.lon)
     lat2, lon2 = math.radians(b.lat), math.radians(b.lon)
     dlat = lat2 - lat1
@@ -244,7 +242,6 @@ def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
 
 def latlon_to_unit3(p: GeoPoint) -> tuple[float, float, float]:
     """Map lat/lon to a 3D unit vector (x toward 0N0E, z toward the north pole)."""
-    p.validate()
     lat = math.radians(p.lat)
     lon = math.radians(p.lon)
     return (
@@ -264,17 +261,13 @@ class Violation:
 def validate_trajectory(t: Trajectory) -> list[Violation]:
     """Return every invariant violation in ``t`` (empty list means ok).
 
-    Checked per point: finite in-range coordinates, ``depart >= arrive``,
-    strictly increasing arrivals, and no overlap with the previous stay
-    (``arrive >= previous depart``).
+    Checked per point: ``depart >= arrive``, strictly increasing arrivals,
+    and no overlap with the previous stay (``arrive >= previous depart``).
+    Coordinates need no check: a :class:`GeoPoint` is valid once built.
     """
     violations = []
     prev: StayPoint | None = None
     for i, sp in enumerate(t.points):
-        try:
-            sp.location.validate()
-        except InvalidInputError as exc:
-            violations.append(Violation(i, "geo", str(exc)))
         if sp.depart < sp.arrive:
             violations.append(Violation(i, "negative_stay", f"depart {sp.depart} < arrive {sp.arrive}"))
         if prev is not None:
@@ -374,11 +367,11 @@ def trajectory_to_json(t: Trajectory) -> str:
     return _dumps({"agent_id": t.agent_id, "points": points})
 
 
-# The JSON type of each dataset and label value: one ``type()`` test per value, so a bool is never a number.
+# The JSON type of each dataset, label and POI-map value: one ``type()`` test per value, so a bool is never a number.
 _STRING, _INDEX, _NUMBER = ((str,), "a string"), ((int, type(None)), "an integer or null"), ((int, float), "a number")
 _JSON_TYPES = {"agent_id": _STRING, "arrive": ((int,), "an integer"), "depart": _INDEX, "place_id": _STRING,
-               "place_type": _STRING, "lat": _NUMBER, "lon": _NUMBER, "is_outlier": ((bool,), "true or false"),
-               "outlier_type": _STRING, "deviate_index": _INDEX}
+               "place_type": _STRING, "lat": _NUMBER, "lon": _NUMBER, "radius_m": _NUMBER,
+               "is_outlier": ((bool,), "true or false"), "outlier_type": _STRING, "deviate_index": _INDEX}
 
 
 def _check_types(obj: dict) -> None:
@@ -389,7 +382,7 @@ def _check_types(obj: dict) -> None:
 
 
 def _trajectory(obj: dict) -> Trajectory:
-    """The trajectory of one ``dataset.jsonl`` record; coordinates must pass ``GeoPoint.validate``."""
+    """The trajectory of one ``dataset.jsonl`` record; building each ``GeoPoint`` checks its coordinates."""
     points = []
     for p in obj["points"]:
         arrive, depart, lat, lon = p["arrive"], p.get("depart"), p["lat"], p["lon"]
@@ -397,7 +390,6 @@ def _trajectory(obj: dict) -> Trajectory:
                 and type(p["place_type"]) is str and type(lat) in _NUMBER[0] and type(lon) in _NUMBER[0]):
             _check_types(p)  # the hot path tests each value once; this names the wrong one
         location = GeoPoint(float(lat), float(lon))
-        location.validate()
         # absent depart means a zero-duration stay
         points.append(StayPoint(arrive, arrive if depart is None else depart, p["place_id"], p["place_type"], location))
     _check_types(obj)

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..core import Dataset, EARTH_RADIUS_KM, InvalidInputError, Trajectory, haversine_km, params_hash
 from ..evaluation import ScoreTable
-from .features import SplitSpec, WindowedFeatures, bucket_windows
+from .features import SplitSpec, WindowedFeatures, bucket_windows, window_seconds_of
 
 SIGMA_FLOOR_KM = 1e-6
 
@@ -49,7 +49,7 @@ def ompad_score(feat: WindowedFeatures) -> ScoreTable:
 
 def monav_tt_score(ds: Dataset, split: SplitSpec, window_days: float = 7.0) -> ScoreTable:
     """Traveled-distance z-scores of test windows against the train windows."""
-    window_seconds = int(round(window_days * 86400))
+    window_seconds = window_seconds_of(window_days)
     scores = {}
     omitted = {}
     for t in ds.trajectories:

@@ -57,6 +57,8 @@ class SplitSpec:
                     "no split fallback: pass fallback_fraction/fallback_time or use a "
                     "dataset whose meta carries onset_time or switch_fraction"
                 )
+        if fallback_fraction is not None and not 0.0 <= fallback_fraction <= 1.0:
+            raise ConfigError(f"fallback_fraction must be in [0, 1], got {fallback_fraction}")
         split = {}
         for t in ds.trajectories:
             entry = labels.entries.get(t.agent_id)
@@ -72,6 +74,14 @@ class SplitSpec:
             else:
                 split[t.agent_id] = int(math.floor(fallback_fraction * len(t.points)))
         return cls(split_index=split)
+
+
+def window_seconds_of(window_days: float) -> int:
+    """``window_days`` in whole seconds: a ConfigError unless that is at least 1 and fits in int64."""
+    seconds = int(round(window_days * 86400)) if 0 < window_days < math.inf else 0
+    if not 1 <= seconds < 1 << 63:
+        raise ConfigError(f"a window must last at least 1 second and fit in int64, got window_days = {window_days}")
+    return seconds
 
 
 def bucket_windows(arrive, split_idx: int, window_seconds: int) -> list[tuple[bool, np.ndarray]]:
@@ -153,9 +163,9 @@ def build_windows(
     fatal).  The type vocabulary is built from training-side points only, so a
     test-side type never seen in training encodes as Unknown.
     """
-    if window_days <= 0 or L < 1:
-        raise ConfigError("window_days and L must be positive")
-    window_seconds = int(round(window_days * 86400))
+    if L < 1:
+        raise ConfigError(f"L must be >= 1, got {L}")
+    window_seconds = window_seconds_of(window_days)
 
     train_types: set[str] = set()
     for t in ds.trajectories:

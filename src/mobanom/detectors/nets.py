@@ -45,6 +45,13 @@ class NetHyper:
     seed: int = 0
     embed_dim: int = 16
 
+    def __post_init__(self) -> None:
+        for name in ("epochs", "embed_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+
 
 class TinyNet:
     """Fully-connected tanh net with identity output, deterministic init.

@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .core import EARTH_RADIUS_KM, CorruptInputError, Dataset, GeoPoint, InvalidInputError, StayPoint, Trajectory
-from .core import haversine_km, params_hash, read_jsonl
+from .core import _check_types, haversine_km, params_hash, read_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -61,13 +61,11 @@ class Fixes:
     @classmethod
     def from_raw(cls, fixes: list[RawFix]) -> "Fixes":
         lat, lon = (np.array([getattr(f.location, c) for f in fixes], dtype=np.float64) for c in ("lat", "lon"))
-        if not _valid(lat, lon).all():
-            raise InvalidInputError("fix coordinates out of range")
         return cls(np.array([f.timestamp for f in fixes], dtype=np.int64), lat, lon)
 
 
 def _valid(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
-    """Which coordinates pass ``GeoPoint.validate`` (NaN and inf fail both comparisons)."""
+    """Which raw coordinates a ``GeoPoint`` would accept (NaN and inf fail both comparisons)."""
     return (np.abs(lat) <= 90.0) & (np.abs(lon) <= 180.0)
 
 
@@ -96,19 +94,12 @@ class PoiEntry:
     place_id: str
 
     def __post_init__(self):
-        self.center.validate()
         if not 0 < self.radius_m < math.inf:
             raise InvalidInputError(f"radius of {self.place_id!r} must be positive and finite")
 
 
-#: JSONL keys of a POI map and the JSON type each must have.
-_POI_KEYS = {"lat": float, "lon": float, "radius_m": float, "place_type": str, "place_id": str}
-
-
 def _poi_entry(obj: dict) -> PoiEntry:
-    for key, kind in _POI_KEYS.items():
-        if isinstance(obj[key], bool) or not isinstance(obj[key], (int, float) if kind is float else str):
-            raise InvalidInputError(f"{key} must be a {'number' if kind is float else 'string'}, got {obj[key]!r}")
+    _check_types(obj)
     center = GeoPoint(float(obj["lat"]), float(obj["lon"]))
     return PoiEntry(center, float(obj["radius_m"]), obj["place_type"], obj["place_id"])
 
@@ -305,8 +296,6 @@ def assign_place_types(points: list[StayPoint], poi: PoiMap) -> list[StayPoint]:
     point's nearest containing one are compared by ``haversine_km`` itself.
     """
     lat, lon = (np.array([getattr(sp.location, c) for sp in points], dtype=np.float64)[:, None] for c in ("lat", "lon"))
-    if not _valid(lat, lon).all():
-        raise InvalidInputError("stay point coordinates out of range")
     entries = poi.entries
     centers = np.array([(e.center.lat, e.center.lon) for e in entries], dtype=np.float64).reshape(-1, 2)
     radius = np.array([e.radius_m for e in entries], dtype=np.float64)

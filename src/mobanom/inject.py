@@ -37,15 +37,11 @@ class InjectConfig:
     switch_fraction: float = 0.8
     seed: int = 0
 
-    def validate(self, n_agents: int) -> None:
+    def __post_init__(self) -> None:
         if not (0.0 < self.switch_fraction < 1.0):
             raise ConfigError("switch_fraction must be in (0, 1)")
         if self.n_outlier_pairs < 1:
             raise ConfigError("n_outlier_pairs must be >= 1")
-        if 2 * self.n_outlier_pairs > n_agents:
-            raise ConfigError(
-                f"need {2 * self.n_outlier_pairs} agents for {self.n_outlier_pairs} pairs, have {n_agents}"
-            )
 
 
 def _switch_time(traj: Trajectory, switch_fraction: float) -> int | None:
@@ -77,7 +73,9 @@ def inject_imposter(ds: Dataset, cfg: InjectConfig) -> tuple[Dataset, LabelSet]:
     :class:`InjectionError` when no compatible partner is found for some agent
     within the attempt budget.
     """
-    cfg.validate(len(ds.trajectories))
+    n_agents = len(ds.trajectories)
+    if 2 * cfg.n_outlier_pairs > n_agents:
+        raise ConfigError(f"need {2 * cfg.n_outlier_pairs} agents for {cfg.n_outlier_pairs} pairs, have {n_agents}")
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 10)))
 
     swapped: dict[str, tuple[Trajectory, int]] = {}

@@ -202,6 +202,8 @@ class PromptCache:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)["raw_response"]
+            if not isinstance(raw, str):
+                raise TypeError(f"raw_response is {type(raw).__name__}, not a string")
         except FileNotFoundError:
             return None
         except (OSError, ValueError, LookupError, TypeError) as exc:

@@ -115,7 +115,7 @@ class SimConfig:
     mean_friend_degree: float = 5.0
     pref_weight_range: tuple[float, float] = (0.1, 10.0)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.weeks < 1:
             raise ConfigError("weeks must be >= 1")
         if self.n_agents < 1:
@@ -185,7 +185,6 @@ def _rng(seed: int, *path: int) -> np.random.Generator:
 
 def build_map(config: SimConfig, rng: np.random.Generator | None = None) -> SyntheticMap:
     """Sample place locations uniformly inside the bounding box."""
-    config.validate()
     rng = rng if rng is not None else _rng(config.seed, 1)
     lat_min, lat_max, lon_min, lon_max = config.bbox
     counts = (
@@ -214,7 +213,6 @@ def spawn_agents(
     before outlier assignment (and outliers use a separate stream), so turning
     outliers on or off never changes anyone's home, preferences, or friends.
     """
-    config.validate()
     rng = rng if rng is not None else _rng(config.seed, 2)
     n = config.n_agents
     apartments = smap.by_type("Apartment")
@@ -401,7 +399,6 @@ def _simulate_agent(
 
 def simulate(config: SimConfig) -> SimResult:
     """Produce a labeled stay-point dataset for the configured population."""
-    config.validate()
     smap = build_map(config)
     profiles, labels = spawn_agents(config, smap)
     onset_time = config.start_time + config.onset_tick * config.tick_seconds

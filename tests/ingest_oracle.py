@@ -32,9 +32,8 @@ def parse_plt_line(line: str) -> RawFix | None:
         ts = int(dt.replace(tzinfo=timezone.utc).timestamp())
     except ValueError:
         return None
-    gp = GeoPoint(lat, lon)
     try:
-        gp.validate()
+        gp = GeoPoint(lat, lon)
     except InvalidInputError:
         return None
     return RawFix(timestamp=ts, location=gp)
@@ -47,7 +46,6 @@ def parse_csv_line(line: str) -> tuple[str, RawFix] | None:
     try:
         ts = int(parts[1])
         gp = GeoPoint(float(parts[2]), float(parts[3]))
-        gp.validate()
     except (ValueError, InvalidInputError):
         return None
     return parts[0].strip(), RawFix(timestamp=ts, location=gp)

@@ -42,7 +42,6 @@ def spawn_agents(
     before outlier assignment (and outliers use a separate stream), so turning
     outliers on or off never changes anyone's home, preferences, or friends.
     """
-    config.validate()
     rng = rng if rng is not None else _rng(config.seed, 2)
     n = config.n_agents
     apartments = smap.by_type("Apartment")
@@ -196,7 +195,6 @@ def _simulate_agent(
 
 def simulate(config: SimConfig) -> SimResult:
     """Produce a labeled stay-point dataset for the configured population."""
-    config.validate()
     smap = build_map(config)
     profiles, labels = spawn_agents(config, smap)
     onset_time = config.start_time + config.onset_tick * config.tick_seconds

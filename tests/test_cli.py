@@ -454,6 +454,40 @@ class TestIngestInputFaults:
         assert named in err and "Traceback" not in err
 
 
+class TestDetectSettingFaults:
+    """Detect settings that window, split or train nothing exit 1 naming the setting, without a traceback."""
+
+    def detect(self, sim_dir, tmp_path, method, *args, params=""):
+        path = tmp_path / "detect.cfg"
+        write(str(path), f"[detect]\n{params}\n")
+        return main(["--out-dir", str(tmp_path / "scores"), "detect", "--method", method, "--in", str(sim_dir),
+                     "--params", str(path), *args])
+
+    @pytest.mark.parametrize("method", ["ompad", "monav"])
+    @pytest.mark.parametrize("days", ["nan", "inf"])
+    def test_window_days_without_a_finite_length_exit_1(self, sim_dir, tmp_path, capsys, method, days):
+        assert self.detect(sim_dir, tmp_path, method, "--window-days", days) == 1
+        err = capsys.readouterr().err
+        assert "window_days" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("args, params, named", [
+        (["--epochs", "-3"], "", "epochs"),
+        ([], "embed_dim = 0", "embed_dim"),
+        ([], "learning_rate = nan", "learning_rate"),
+    ])
+    def test_net_settings_that_train_nothing_exit_1(self, sim_dir, tmp_path, capsys, args, params, named):
+        assert self.detect(sim_dir, tmp_path, "dae", *args, params=params) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "scores" / "scores_dae.jsonl").exists()
+
+    @pytest.mark.parametrize("fraction", ["nan", "1.5"])
+    def test_fallback_fraction_outside_0_1_exits_1(self, sim_dir, tmp_path, capsys, fraction):
+        assert self.detect(sim_dir, tmp_path, "ompad", params=f"fallback_fraction = {fraction}") == 1
+        err = capsys.readouterr().err
+        assert "fallback_fraction" in err and "Traceback" not in err
+
+
 def dataset_line(lat: str) -> str:
     point = f'{{"arrive":0,"depart":60,"place_id":"p","place_type":"Pub","lat":{lat},"lon":116.0}}'
     return f'{{"agent_id":"x","points":[{point}]}}'

@@ -45,6 +45,19 @@ def sp(arrive, depart, lat=0.0, lon=0.0, place_type="Unknown", place_id="p"):
                      location=GeoPoint(lat, lon))
 
 
+class TestGeoPoint:
+    @pytest.mark.parametrize("lat, lon, message", [
+        (math.nan, 0.0, "non-finite coordinates"), (0.0, math.inf, "non-finite coordinates"),
+        (90.5, 0.0, "latitude out of range"), (0.0, -180.5, "longitude out of range"),
+    ])
+    def test_checked_when_built(self, lat, lon, message):
+        with pytest.raises(InvalidInputError, match=message):
+            GeoPoint(lat, lon)
+
+    def test_the_bounds_themselves_are_accepted(self):
+        assert haversine_km(GeoPoint(-90.0, 180.0), GeoPoint(90.0, -180.0)) == pytest.approx(math.pi * 6371.0)
+
+
 class TestHaversine:
     def test_identical_points(self):
         assert haversine_km(GeoPoint(0, 0), GeoPoint(0, 0)) == 0.0
@@ -104,9 +117,9 @@ class TestValidateTrajectory:
         assert any(v.index == 1 and v.kind == "non_monotonic" for v in violations)
 
     def test_bad_latitude(self):
-        t = Trajectory("a", [sp(0, 10, lat=100.0)])
-        violations = validate_trajectory(t)
-        assert len(violations) == 1 and violations[0].kind == "geo" and violations[0].index == 0
+        # a bad coordinate cannot reach a trajectory: building its GeoPoint raises
+        with pytest.raises(InvalidInputError, match="latitude out of range"):
+            Trajectory("a", [sp(0, 10, lat=100.0)])
 
     def test_overlap(self):
         t = Trajectory("a", [sp(0, 100), sp(50, 150)])
@@ -410,9 +423,9 @@ class TestAtomicWrite:
 class TestConfigFromMapping:
     def test_strings_convert_by_field_type(self):
         cfg = config_from_mapping(SimConfig, {
-            "n_agents": "7", "hunger_multiplier": "2.5", "bbox": "1.0, 2.0,3,4", "hunger_rate_range": "0.1,0.2",
+            "n_agents": "700", "hunger_multiplier": "2.5", "bbox": "1.0, 2.0,3,4", "hunger_rate_range": "0.1,0.2",
         })
-        assert cfg == SimConfig(n_agents=7, hunger_multiplier=2.5, bbox=(1.0, 2.0, 3.0, 4.0),
+        assert cfg == SimConfig(n_agents=700, hunger_multiplier=2.5, bbox=(1.0, 2.0, 3.0, 4.0),
                                 hunger_rate_range=(0.1, 0.2))
 
     def test_absent_and_unknown_keys(self):
@@ -447,5 +460,6 @@ class TestConfigFromMapping:
     def test_asdict_keeps_params_hash(self):
         # the values the hand-written to_dict methods hashed to
         assert params_hash(asdict(SimConfig())) == "845a2d262a06"
-        assert params_hash(asdict(SimConfig(n_agents=7, bbox=(1.0, 2.0, 3.0, 4.0)))) == "7981c60ff819"
+        # 7 agents cannot hold the default 90 outliers, so this config is hashed without being built
+        assert params_hash({**asdict(SimConfig()), "n_agents": 7, "bbox": (1.0, 2.0, 3.0, 4.0)}) == "7981c60ff819"
         assert params_hash(asdict(NetHyper())) == "10126e6233f3"

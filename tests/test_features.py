@@ -53,6 +53,19 @@ class TestSplitSpec:
         with pytest.raises(ConfigError):
             SplitSpec.from_labels(ds, LabelSet(entries={"a": LabelEntry(False)}))
 
+    @pytest.mark.parametrize("fraction", [float("nan"), float("inf"), -0.1, 1.5])
+    def test_fallback_fraction_outside_0_1_rejected(self, fraction):
+        # were: nan a ValueError, 1.5 a split past the end that left every test side empty
+        ds = Dataset(trajectories=[traj("a", [100 * i for i in range(10)])])
+        with pytest.raises(ConfigError, match="fallback_fraction"):
+            SplitSpec.from_labels(ds, LabelSet(entries={"a": LabelEntry(False)}), fallback_fraction=fraction)
+
+    @pytest.mark.parametrize("fraction, index", [(0.0, 0), (1.0, 10)])
+    def test_fallback_fraction_bounds_accepted(self, fraction, index):
+        ds = Dataset(trajectories=[traj("a", [100 * i for i in range(10)])])
+        split = SplitSpec.from_labels(ds, LabelSet(entries={"a": LabelEntry(False)}), fallback_fraction=fraction)
+        assert split.split_index["a"] == index
+
 
 class TestBuildWindows:
     def test_two_weeks_make_two_windows(self):

@@ -71,6 +71,16 @@ class TestCache:
             obj = json.load(fh)
         assert {"request", "raw_response", "timestamp"} <= set(obj)
 
+    @pytest.mark.parametrize("raw", [5, ["[0.9]"]])
+    def test_a_non_string_answer_is_a_logged_miss(self, tmp_path, caplog, raw):
+        # was returned as it is, and parse_separate_score then raised TypeError
+        cache = PromptCache(str(tmp_path / "cache"))
+        key = PromptCache.key("m", "paper-v1", "text")
+        with open(os.path.join(cache.cache_dir, key + ".json"), "w") as fh:
+            json.dump({"request": {}, "raw_response": raw}, fh)
+        assert cache.get(key) is None
+        assert "unreadable cache entry" in caplog.text
+
     def test_key_depends_on_model_and_template(self):
         k1 = PromptCache.key("m1", "paper-v1", "text")
         k2 = PromptCache.key("m2", "paper-v1", "text")

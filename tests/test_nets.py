@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mobanom.core import Dataset, GeoPoint, StayPoint, Trajectory, TrainingDivergedError
+from mobanom.core import ConfigError, Dataset, GeoPoint, StayPoint, Trajectory, TrainingDivergedError
 from mobanom.detectors import (
     NetHyper,
     SplitSpec,
@@ -92,6 +92,18 @@ class TestTraining:
         with pytest.raises(TrainingDivergedError) as exc_info:
             train_network(net, x, "reconstruction", NetHyper(learning_rate=1e9, epochs=50))
         assert exc_info.value.epoch >= 0
+
+
+@pytest.mark.parametrize(
+    "bad, named",
+    [({"epochs": 0}, "epochs"), ({"epochs": -3}, "epochs"), ({"embed_dim": 0}, "embed_dim"),
+     ({"learning_rate": 0.0}, "learning_rate"), ({"learning_rate": -0.01}, "learning_rate"),
+     ({"learning_rate": float("nan")}, "learning_rate"), ({"learning_rate": float("inf")}, "learning_rate")],
+)
+def test_settings_that_train_nothing_are_rejected(bad, named):
+    # were: epochs = -3 scored with untrained nets, embed_dim = 0 scored every agent 0.0
+    with pytest.raises(ConfigError, match=named):
+        NetHyper(**bad)
 
 
 def pattern_dataset(n_agents=20, planted="a00"):

@@ -48,8 +48,8 @@ class TestSpawnAgents:
         assert sorted(types) == ["hunger", "social", "work"]
 
     def test_too_many_outliers(self):
-        cfg = dataclasses.replace(SMALL, n_agents=10, n_hunger=11, n_social=0, n_work=0)
         with pytest.raises(ConfigError):
+            cfg = dataclasses.replace(SMALL, n_agents=10, n_hunger=11, n_social=0, n_work=0)
             spawn_agents(cfg, build_map(dataclasses.replace(cfg, n_hunger=0)))
 
     def test_determinism(self):

@@ -132,11 +132,11 @@ def test_friendship_rows_draw_like_the_pair_loop(n):
 )
 def test_bad_values_are_config_errors(changes, named):
     with pytest.raises(ConfigError, match=named):
-        dataclasses.replace(BASE, **changes).validate()
+        dataclasses.replace(BASE, **changes)
 
 
 def test_the_bounds_themselves_are_accepted():
     dataclasses.replace(
         BASE, tick_minutes=60, n_hunger=0, hunger_rate_range=(0.0, 0.0), pref_weight_range=(1.0, 1.0),
         bbox=(-90.0, 90.0, -180.0, 180.0), hunger_threshold=-1.0, hunger_multiplier=0.0, social_rate_per_hour=0.0,
-    ).validate()
+    )

@@ -103,6 +103,16 @@ def test_a_window_shorter_than_a_second_is_a_config_error(window_days):
         monav_tt_score(ds, SplitSpec(split_index={"a": 2}), window_days)
 
 
+@pytest.mark.parametrize("window_days", [math.nan, math.inf, 1e300])
+def test_a_window_without_a_finite_length_is_a_config_error(window_days):
+    # were: nan a ValueError, inf and 1e300 an OverflowError
+    ds = Dataset(trajectories=[Trajectory("a", [StayPoint(0, 1, "p", "Pub", GeoPoint(0.0, 0.0))] * 3)])
+    split = SplitSpec(split_index={"a": 2})
+    for detect in (lambda: monav_tt_score(ds, split, window_days), lambda: build_windows(ds, split, window_days, 4)):
+        with pytest.raises(ConfigError, match="window_days"):
+            detect()
+
+
 def test_an_arrival_beyond_64_bits_is_an_input_error():
     points = [StayPoint(a, a, "p", "Pub", GeoPoint(0.0, 0.0)) for a in (0, 2**63)]
     with pytest.raises(InvalidInputError, match="64-bit"):
