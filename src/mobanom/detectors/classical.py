@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..core import Dataset, EARTH_RADIUS_KM, InvalidInputError, Trajectory, haversine_km, params_hash
+from ..core import ConfigError, Dataset, EARTH_RADIUS_KM, Trajectory, haversine_km, params_hash
 from ..evaluation import ScoreTable
 from .features import SplitSpec, WindowedFeatures, bucket_windows, window_seconds_of
 
@@ -166,7 +166,7 @@ class TraodParams:
         ]
         for ok, message in checks:
             if not ok:
-                raise InvalidInputError(message)
+                raise ConfigError(message)
 
 
 def _trajectory_segments(t: Trajectory, lo: int, hi: int, lat0: float, lon0: float) -> np.ndarray:

@@ -12,7 +12,8 @@ output, trained by full-batch gradient descent.  Two objectives:
 Scoring runs either on one population model trained on everyone's training
 windows (default) or on per-agent models trained on each agent's own history,
 those with equal training-row counts side by side as one stack of nets.
-Inputs are standardized with training-side statistics before training.
+Inputs are standardized with training-side statistics before training, and
+the scorers train and score in float32 (``NET_DTYPE``).
 """
 
 from __future__ import annotations
@@ -33,9 +34,13 @@ STD_FLOOR = 1e-6
 # drown the informative dimensions.
 Z_CLIP = 3.0
 # Per-agent models with equal training-row counts train as one stack of nets
-# holding at most this many parameter bytes (8 DAEs at d = 144): wider stacks
-# save little more time and hold more activations at once.
+# holding at most this many bytes of parameters counted at 8 bytes each,
+# whatever the dtype (8 DAEs at d = 144): wider stacks save little more time
+# and hold more activations at once.
 STACK_PARAM_BYTES = 700 * 1024
+# The scorers train and score in float32: half the GEMM cost of float64, with
+# scores within 1e-5 relative of float64's and the same ranks (README).
+NET_DTYPE = np.float32
 
 
 @dataclass
@@ -61,9 +66,10 @@ class TinyNet:
     of G nets that train side by side: weights ``(G, fan_in, fan_out)``, biases
     ``(G, 1, fan_out)``, inputs ``(G, n, fan_in)``, and member ``g`` starts as
     ``TinyNet(layer_sizes, seed[g])`` does.  Every method serves both shapes.
+    The weights are cast once to ``dtype``, and the net computes in it.
     """
 
-    def __init__(self, layer_sizes: list[int], seed: int | list[int] = 0):
+    def __init__(self, layer_sizes: list[int], seed: int | list[int] = 0, dtype=np.float64):
         if len(layer_sizes) < 2:
             raise ConfigError("need at least input and output layer sizes")
         stacked = isinstance(seed, list)
@@ -72,7 +78,7 @@ class TinyNet:
         for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
             bound = 1.0 / np.sqrt(fan_in)
             for params, shape in ((self.weights, (fan_in, fan_out)), (self.biases, (1, fan_out))):
-                drawn = np.stack([rng.uniform(-bound, bound, size=shape) for rng in rngs])
+                drawn = np.stack([rng.uniform(-bound, bound, size=shape) for rng in rngs]).astype(dtype, copy=False)
                 params.append(drawn if stacked else drawn[0])
 
     def __getitem__(self, g: int) -> TinyNet:
@@ -86,7 +92,7 @@ class TinyNet:
         return self._forward_full(x)[-1]
 
     def _forward_full(self, x: np.ndarray) -> list[np.ndarray]:
-        acts = [np.atleast_2d(np.asarray(x, dtype=np.float64))]
+        acts = [np.atleast_2d(np.asarray(x, dtype=self.weights[0].dtype))]
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = acts[-1] @ w + b
@@ -134,7 +140,7 @@ def train_network(net: TinyNet, inputs: np.ndarray, objective: str, hyper: NetHy
     not finite.  For the svdd objective each member's center is fixed to the
     mean embedding of its inputs at initialization and never updated.
     """
-    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    x = np.atleast_2d(np.asarray(inputs, dtype=net.weights[0].dtype))
     if x.size == 0:
         raise ConfigError("empty training batch")
     center = net.forward(x).mean(axis=-2, keepdims=True) if objective == "svdd" else None
@@ -159,8 +165,11 @@ def gradient_check(net: TinyNet, x: np.ndarray, objective: str, center: np.ndarr
 
     Uses the standard norm ratio ``|ga - gfd| / (|ga| + |gfd|)`` over the full
     parameter vector; a genuine backprop defect shows up orders of magnitude
-    above the finite-difference noise floor.
+    above the finite-difference noise floor.  The net must be float64: central
+    differences at ``eps = 1e-5`` are noise in float32.
     """
+    if net.weights[0].dtype != np.float64:
+        raise ConfigError(f"gradient_check needs a float64 net, got {net.weights[0].dtype}")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if objective == "svdd" and center is None:
         center = net.forward(x).mean(axis=0)
@@ -199,7 +208,7 @@ def _standardized(feat: WindowedFeatures, train_agents: list[str], test_agents: 
     mean = raw_train.mean(axis=0)
     std = np.maximum(raw_train.std(axis=0), STD_FLOOR)
     raw_test = np.concatenate([feat.test[a].vecs for a in test_agents])
-    return [np.clip((rows - mean) / std, -Z_CLIP, Z_CLIP) for rows in (raw_train, raw_test)]
+    return [np.clip((rows - mean) / std, -Z_CLIP, Z_CLIP).astype(NET_DTYPE) for rows in (raw_train, raw_test)]
 
 
 def _one_class_scores(kind: str, feat: WindowedFeatures, hyper: NetHyper, scope: str) -> ScoreTable:
@@ -227,7 +236,7 @@ def _one_class_scores(kind: str, feat: WindowedFeatures, hyper: NetHyper, scope:
         train_xs, test_xs = zip(*(_standardized(feat, train, test) for train, test, _ in stack))
         # a view, not a copy, for a stack of one (the population model)
         inputs = train_xs[0][None] if len(stack) == 1 else np.stack(train_xs)
-        net = TinyNet(sizes, seed=[seed for _, _, seed in stack])
+        net = TinyNet(sizes, seed=[seed for _, _, seed in stack], dtype=NET_DTYPE)
         result = train_network(net, inputs, "reconstruction" if kind == "dae" else "svdd", hyper)
         for g, ((_, test_agents, _), test_x) in enumerate(zip(stack, test_xs)):
             out = result.net[g].forward(test_x)
@@ -244,7 +253,7 @@ def _one_class_scores(kind: str, feat: WindowedFeatures, hyper: NetHyper, scope:
         detector=kind if scope == "population" else f"{kind}_per_agent",
         scores={a: scores[a] for a in agents},
         params_hash=params_hash({**asdict(hyper), "scope": scope, "L": feat.window_len,
-                                 "window_seconds": feat.window_seconds}),
+                                 "window_seconds": feat.window_seconds, "dtype": np.dtype(NET_DTYPE).name}),
         omitted=omitted,
     )
 

@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .core import EARTH_RADIUS_KM, CorruptInputError, Dataset, GeoPoint, InvalidInputError, StayPoint, Trajectory
-from .core import _check_types, haversine_km, params_hash, read_jsonl
+from .core import ConfigError, _check_types, haversine_km, params_hash, read_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -83,7 +83,7 @@ class StayPointParams:
 
     def __post_init__(self):
         if not (0 < self.dist_threshold_m < math.inf and 0 < self.time_threshold_s < math.inf):
-            raise InvalidInputError("stay-point thresholds must be positive and finite")
+            raise ConfigError("stay-point thresholds must be positive and finite")
 
 
 @dataclass(frozen=True)

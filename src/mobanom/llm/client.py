@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -52,10 +53,16 @@ class LlmEndpointConfig:
     mock_text: str = "[0.5]"
 
     def __post_init__(self):
-        if self.max_retries < 0:
-            raise ConfigError("max_retries must be >= 0")
-        if self.max_concurrent_requests < 1:
-            raise ConfigError("max_concurrent_requests must be >= 1")
+        rules = [
+            ("max_retries", self.max_retries >= 0, ">= 0"),
+            ("max_concurrent_requests", self.max_concurrent_requests >= 1, ">= 1"),
+            ("max_output_tokens", self.max_output_tokens >= 1, ">= 1"),
+            ("request_timeout_s", 0 < self.request_timeout_s < math.inf, "finite and > 0"),
+            ("temperature", 0 <= self.temperature < math.inf, "finite and >= 0"),
+        ]
+        for name, ok, rule in rules:
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass

@@ -3,7 +3,9 @@
 Each model here is one ``TinyNet`` with 2-D weights and 1-D biases, trained
 by its own Python loop of epochs; the per-agent scope trains one such model
 per agent, in agent order. It lives on only as the test oracle: the stacked
-trainer must give the same score tables, bit for bit, at both scopes.
+trainer must give the same score tables, bit for bit, at both scopes. Each
+function takes the dtype to train and score in: float32, as the scorers do, or
+float64 to measure how far float32 moves the scores.
 """
 
 from __future__ import annotations
@@ -18,20 +20,20 @@ from mobanom.evaluation import ScoreTable
 
 
 class TinyNet:
-    def __init__(self, layer_sizes: list[int], seed: int = 0):
+    def __init__(self, layer_sizes: list[int], seed: int = 0, dtype=np.float32):
         rng = np.random.default_rng(seed)
         self.weights = []
         self.biases = []
         for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
             bound = 1.0 / np.sqrt(fan_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.biases.append(rng.uniform(-bound, bound, size=fan_out))
+            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype))
+            self.biases.append(rng.uniform(-bound, bound, size=fan_out).astype(dtype))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self._forward_full(x)[-1]
 
     def _forward_full(self, x: np.ndarray) -> list[np.ndarray]:
-        acts = [np.atleast_2d(np.asarray(x, dtype=np.float64))]
+        acts = [np.atleast_2d(np.asarray(x, dtype=self.weights[0].dtype))]
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = acts[-1] @ w + b
@@ -91,14 +93,14 @@ def score_with_model(kind: str, train_x: np.ndarray, test_x: np.ndarray, hyper: 
     d = train_x.shape[1]
     hidden = max(1, d // 4)
     if kind == "dae":
-        net, _ = train_network(TinyNet([d, hidden, d], seed=seed), train_x, "reconstruction", hyper)
+        net, _ = train_network(TinyNet([d, hidden, d], seed, train_x.dtype), train_x, "reconstruction", hyper)
         return np.mean((net.forward(test_x) - test_x) ** 2, axis=1)
-    net, center = train_network(TinyNet([d, hidden, hyper.embed_dim], seed=seed), train_x, "svdd", hyper)
+    net, center = train_network(TinyNet([d, hidden, hyper.embed_dim], seed, train_x.dtype), train_x, "svdd", hyper)
     return np.sum((net.forward(test_x) - center) ** 2, axis=1)
 
 
-def one_class_scores(kind: str, feat, hyper: NetHyper, scope: str) -> ScoreTable:
-    """The score table of ``dae_score``/``dsvdd_score``, one model trained after another."""
+def one_class_scores(kind: str, feat, hyper: NetHyper, scope: str, dtype=np.float32) -> ScoreTable:
+    """The score table of ``dae_score``/``dsvdd_score``, one model trained after another, in ``dtype``."""
     if scope not in ("population", "per_agent"):
         raise ConfigError(f"unknown scope {scope!r}")
     omitted = dict(feat.ineligible)
@@ -113,8 +115,8 @@ def one_class_scores(kind: str, feat, hyper: NetHyper, scope: str) -> ScoreTable
     for train_agents, test_agents, seed in groups:
         raw_train = _stacked([feat.train[a] for a in train_agents])
         mean, std = _standardize_stats(raw_train)
-        train_x = _standardize(raw_train, mean, std)
-        test_x = _standardize(_stacked([feat.test[a] for a in test_agents]), mean, std)
+        train_x = _standardize(raw_train, mean, std).astype(dtype)
+        test_x = _standardize(_stacked([feat.test[a] for a in test_agents]), mean, std).astype(dtype)
         per_window = score_with_model(kind, train_x, test_x, hyper, seed)
         ends = np.cumsum([len(feat.test[a]) for a in test_agents])
         for a, own in zip(test_agents, np.split(per_window, ends[:-1])):
@@ -123,7 +125,7 @@ def one_class_scores(kind: str, feat, hyper: NetHyper, scope: str) -> ScoreTable
         detector=kind if scope == "population" else f"{kind}_per_agent",
         scores=scores,
         params_hash=params_hash({**asdict(hyper), "scope": scope, "L": feat.window_len,
-                                 "window_seconds": feat.window_seconds}),
+                                 "window_seconds": feat.window_seconds, "dtype": np.dtype(dtype).name}),
         omitted=omitted,
     )
 

@@ -366,9 +366,15 @@ class TestEndpointFile:
             ('{"provider": "mock-oracle", "base_url": null}', "base_url"),
             ('{"provider": "mock-oracle", "max_retries": 2.7}', "max_retries"),
             ('{"provider": "mock-oracle", "temperature": true}', "temperature"),
+            ('{"provider": "mock-oracle", "request_timeout_s": 0}', "request_timeout_s"),
+            ('{"provider": "mock-oracle", "request_timeout_s": Infinity}', "request_timeout_s"),
+            ('{"provider": "mock-oracle", "max_output_tokens": 0}', "max_output_tokens"),
+            ('{"provider": "mock-oracle", "temperature": -0.5}', "temperature"),
+            ('{"provider": "mock-oracle", "temperature": NaN}', "temperature"),
         ],
         ids=[
             "missing", "malformed", "not_an_object", "wrong_type", "unknown_key", "null_str", "float_int", "bool_float",
+            "zero_timeout", "inf_timeout", "zero_tokens", "negative_temperature", "nan_temperature",
         ],
     )
     def test_bad_endpoint_file_exits_1(self, sim_dir, tmp_path, capsys, text, named):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobanom.core import (
+    ConfigError,
     CorruptInputError,
     Dataset,
     GeoPoint,
@@ -168,7 +169,7 @@ def test_all_negative_zero_run_means_positive_zero_as_sum_does():
 @pytest.mark.parametrize("field", ["dist_threshold_m", "time_threshold_s"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
 def test_stay_point_params_reject_non_finite_and_non_positive(field, value):
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(ConfigError):
         StayPointParams(**{field: value})
 
 

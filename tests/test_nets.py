@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from mobanom.detectors import (
     dae_score,
     dsvdd_score,
     gradient_check,
+    nets,
     train_network,
 )
 
@@ -60,6 +63,12 @@ class TestGradients:
             x = rng.normal(size=(int(rng.integers(1, 6)), d_in))
             worst = max(worst, gradient_check(net, x, objective))
         assert worst < 1e-4
+
+    def test_float32_net_is_refused(self):
+        # central differences at eps = 1e-5 are noise in float32: the check would pass or fail by chance
+        net = TinyNet([3, 2, 3], seed=1, dtype=np.float32)
+        with pytest.raises(ConfigError, match="float64"):
+            gradient_check(net, np.ones((4, 3)), "reconstruction")
 
 
 class TestTraining:
@@ -193,3 +202,17 @@ class TestOneClassScores:
         table = dae_score(feat, NetHyper(epochs=50))
         assert "a01" in table.omitted
         assert "a01" not in table.scores
+
+    @pytest.mark.parametrize("scope", ["population", "per_agent"])
+    def test_scorers_train_float32_nets_on_float32_inputs(self, scope):
+        feat = features(pattern_dataset(n_agents=4))
+        handed = []
+
+        def recording(net, inputs, objective, hyper):
+            handed.append({a.dtype for a in net.weights + net.biases + [inputs]})
+            return train_network(net, inputs, objective, hyper)
+
+        with mock.patch.object(nets, "train_network", recording):
+            for scorer in (dae_score, dsvdd_score):
+                scorer(feat, NetHyper(epochs=2), scope=scope)
+        assert handed and all(dtypes == {np.dtype(np.float32)} for dtypes in handed)

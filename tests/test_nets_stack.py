@@ -13,7 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobanom.core import TrainingDivergedError
-from mobanom.detectors import NetHyper, TinyNet, Windows, WindowedFeatures, nets, train_network
+from mobanom.detectors import (
+    NetHyper, SplitSpec, TinyNet, Windows, WindowedFeatures, build_windows, dae_score, dsvdd_score, nets, train_network,
+)
+from mobanom.evaluation import average_precision, roc_auc
+from mobanom.inject import InjectConfig, inject_imposter
+from mobanom.simulator import SimConfig, simulate
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src")
@@ -104,6 +109,24 @@ def test_divergence_of_the_middle_member_stops_the_stack():
     assert (stacked.value.epoch, stacked.value.loss) == (alone.value.epoch, alone.value.loss)
 
 
+def test_divergence_of_the_middle_member_stops_a_float32_stack():
+    """As above in float32. Member 1's inputs are scaled by 1e10, not 1e100: 1e100 is past float32's
+    largest value (3.4e38), so it would be inf on the cast and overflow at epoch 0."""
+    rng = np.random.default_rng(0)
+    x = (rng.normal(size=(3, 6, 4)) * np.array([0.1, 1e10, 0.1])[:, None, None]).astype(np.float32)
+    hyper = NetHyper(learning_rate=3.0, epochs=300)
+    seeds = [1, 2, 3]
+    for g in (0, 2):
+        net = TinyNet([4, 3, 4], seed=seeds[g], dtype=np.float32)
+        assert np.isfinite(train_network(net, x[g], "reconstruction", hyper).losses).all()
+    with pytest.raises(TrainingDivergedError) as alone:
+        train_network(TinyNet([4, 3, 4], seed=seeds[1], dtype=np.float32), x[1], "reconstruction", hyper)
+    assert alone.value.epoch > 0
+    with pytest.raises(TrainingDivergedError) as stacked:
+        train_network(TinyNet([4, 3, 4], seed=seeds, dtype=np.float32), x, "reconstruction", hyper)
+    assert (stacked.value.epoch, stacked.value.loss) == (alone.value.epoch, alone.value.loss)
+
+
 def test_losses_have_one_row_per_epoch():
     x = np.random.default_rng(1).normal(size=(3, 5, 4))
     result = train_network(TinyNet([4, 2, 4], seed=[0, 1, 2]), x, "svdd", NetHyper(epochs=7))
@@ -136,3 +159,24 @@ def test_bit_equality_holds_at_one_and_two_blas_threads(threads):
     assert done.returncode == 0, done.stderr
     shape = json.loads(done.stdout.splitlines()[-1])
     assert shape["rows"] * shape["dim"] * (shape["dim"] // 4) > 2**18
+
+
+def test_float32_scores_keep_the_float64_ranks_auc_and_ap():
+    """The scorers' float32 tables against the float64 oracle on criterion 6's seed-0 dataset, at both scopes.
+
+    120 epochs, not criterion 6's 300, keep the test under 5 s; CHANGES.md gives the drift at 300 epochs.
+    """
+    sim = simulate(SimConfig(n_agents=60, weeks=4, n_hunger=0, n_social=0, n_work=0, seed=0))
+    ds, labels = inject_imposter(sim.dataset, InjectConfig(n_outlier_pairs=12, switch_fraction=0.8, seed=0))
+    feat = build_windows(ds, SplitSpec.from_labels(ds, labels, fallback_fraction=0.8), window_days=1.0, L=16)
+    hyper = NetHyper(epochs=120, seed=0)
+    for kind, scorer in (("dae", dae_score), ("dsvdd", dsvdd_score)):
+        for scope in ("population", "per_agent"):
+            got = scorer(feat, hyper, scope=scope)
+            want = oracle.one_class_scores(kind, feat, hyper, scope, dtype=np.float64)
+            assert got.params_hash != want.params_hash  # a float32 score file never passes for a float64 one
+            assert sorted(got.scores, key=got.scores.get) == sorted(want.scores, key=want.scores.get)
+            assert roc_auc(got, labels) == roc_auc(want, labels)
+            assert average_precision(got, labels) == average_precision(want, labels)
+            for agent, score in want.scores.items():
+                assert got.scores[agent] == pytest.approx(score, rel=1e-5, abs=0)

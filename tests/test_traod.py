@@ -10,7 +10,7 @@ import traod_oracle as oracle
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from mobanom.core import Dataset, GeoPoint, InvalidInputError, StayPoint, Trajectory
+from mobanom.core import ConfigError, Dataset, GeoPoint, StayPoint, Trajectory
 from mobanom.detectors import SplitSpec, TraodParams, segment_distance_components, traod_score, traod_segment_distance
 from mobanom.detectors.classical import _trajectory_segments, _traod_outlying
 from mobanom.inject import InjectConfig, inject_imposter
@@ -182,7 +182,7 @@ class TestZeroRadius:
 )
 def test_params_out_of_range_are_rejected(bad):
     # were: D = -1 scored every agent 1.0, p_frac = 1.5 every agent 0.0, 0 samples an IndexError
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(ConfigError):
         TraodParams(**bad)
 
 
