@@ -23,13 +23,14 @@ from dataclasses import dataclass, fields
 from typing import Callable
 
 from . import __version__
-from .core import ConfigError, MobanomError, atomic_write, config_from_mapping, convert_value, params_hash, read_dataset
-from .core import read_labels, write_dataset, write_labels
+from .core import ConfigError, MobanomError, _meta_path, atomic_write, config_from_mapping, convert_value, params_hash
+from .core import read_dataset, read_labels, write_dataset, write_labels
 from .detectors import NetHyper, SplitSpec, TraodParams, build_windows, dae_score, dsvdd_score, monav_tt_score, ompad_score, traod_score
 from .evaluation import ScoreTable, make_report
 from .ingest import PoiMap, StayPointParams, ingest_dataset
 from .inject import InjectConfig, inject_imposter
 from .llm import LlmEndpointConfig, dump_prompts, endpoint_from_config, run_llm_detection
+from .llm.prompts import normalize_mode
 from .simulator import SimConfig, simulate
 
 log = logging.getLogger("mobanom")
@@ -181,18 +182,18 @@ def _detect_methods(m: dict) -> list[str]:
     return methods
 
 
+def _split(m: dict, ds, labels) -> SplitSpec:
+    """The train/test split of ``detect`` and of ``dump-prompts``, from the fallback settings."""
+    keys = {"fallback_fraction": "fallback_fraction", "fallback_time": "fallback_time"}
+    return config_from_mapping(SplitSpec.from_labels, m, keys, ds=ds, labels=labels)
+
+
 def stage_detect(m: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
     methods = _detect_methods(m)
     if m.get("out") and len(methods) != 1:
         raise ConfigError("--out applies to a single method")
     ds, labels = read_dataset(inputs[0]), read_labels(inputs[1])
-    split = config_from_mapping(
-        SplitSpec.from_labels,
-        m,
-        {"fallback_fraction": "fallback_fraction", "fallback_time": "fallback_time"},
-        ds=ds,
-        labels=labels,
-    )
+    split = _split(m, ds, labels)
     hyper = config_from_mapping(NetHyper, m)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -251,8 +252,10 @@ def stage_eval(m: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> 
 def stage_dump_prompts(m: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
     ds, labels = read_dataset(inputs[0]), read_labels(inputs[1])
     mode = m.get("mode", DEFAULT_LLM_MODE)
+    # only hint prompts show the split, so only they need a fallback for it
+    split = _split(m, ds, labels) if normalize_mode(mode).endswith("_hint") else None
     keys = {"template": "template_version"}
-    outputs += config_from_mapping(dump_prompts, m, keys, ds=ds, labels=labels, mode=mode, out_dir=out_dir)
+    outputs += config_from_mapping(dump_prompts, m, keys, ds=ds, labels=labels, mode=mode, out_dir=out_dir, split=split)
     outputs.append(os.path.join(out_dir, "prompts_index.jsonl"))
 
 
@@ -262,8 +265,14 @@ def _ingest_inputs(m: dict) -> list[str]:
     return [m["input"]] + ([m["poi_map"]] if m.get("poi_map") else [])
 
 
+def _with_meta(dataset_path: str, *others: str) -> list[str]:
+    """A dataset, the other inputs, then the meta sidecar that ``read_dataset`` reads with it, when it exists."""
+    meta = _meta_path(dataset_path)
+    return [dataset_path, *others] + ([meta] if os.path.exists(meta) else [])
+
+
 def _data_dir_inputs(m: dict) -> list[str]:
-    return [os.path.join(m["in"], "dataset.jsonl"), os.path.join(m["in"], "labels.jsonl")]
+    return _with_meta(os.path.join(m["in"], "dataset.jsonl"), os.path.join(m["in"], "labels.jsonl"))
 
 
 def _detect_inputs(m: dict) -> list[str]:
@@ -296,7 +305,7 @@ STAGES = {
     "ingest": Stage(stage_ingest, _ingest_inputs, "ingest", data=True),
     "inject": Stage(
         stage_inject,
-        lambda m: [m["in"]],
+        lambda m: _with_meta(m["in"]),
         "inject",
         chain=lambda data, out: {"in": os.path.join(data, "dataset.jsonl")},
         data=True,
@@ -315,13 +324,17 @@ STAGES = {
 }
 
 
-def _run_stage(name: str, m: dict, out_dir: str) -> dict:
-    """Run one stage; on failure rename the outputs it listed to ``<path>.partial``."""
+def _run_stage(name: str, m: dict, out_dir: str, hash_inputs: bool = False) -> dict:
+    """Run one stage; on failure rename the outputs it listed to ``<path>.partial``.
+
+    With ``hash_inputs``, the entry maps each input to its sha256, taken before the stage runs.
+    """
     stage = STAGES[name]
     inputs = stage.reads(m)
     for path in inputs:
         if not os.path.exists(path):
             raise ConfigError(f"{name} input not found: {path}")
+    recorded = {path: _sha256_path(path) for path in inputs} if hash_inputs else inputs
     outputs: list[str] = []
     started = time.monotonic()
     log.info("stage %s starting", name)
@@ -335,7 +348,7 @@ def _run_stage(name: str, m: dict, out_dir: str) -> dict:
         raise
     wall_clock_s = round(time.monotonic() - started, 3)
     log.info("stage %s done in %.2fs", name, wall_clock_s)
-    return {"name": name, "inputs": inputs, "outputs": outputs, "wall_clock_s": wall_clock_s}
+    return {"name": name, "inputs": recorded, "outputs": outputs, "wall_clock_s": wall_clock_s}
 
 
 def run_pipeline(config_path: str, out_dir: str | None, seed: int | None) -> int:
@@ -367,8 +380,7 @@ def run_pipeline(config_path: str, out_dir: str | None, seed: int | None) -> int
                 raise ConfigError(f"{name} needs a prior simulate or ingest stage")
             m.update(stage.chain(data_dir, out_dir))
         stage_dir = os.path.join(out_dir, stage.subdir)
-        entry = _run_stage(name, {**m, **flags}, stage_dir)
-        entry["inputs"] = {p: _sha256_path(p) for p in entry["inputs"]}
+        entry = _run_stage(name, {**m, **flags}, stage_dir, hash_inputs=True)
         entry["outputs"] = {p: _sha256_path(p) for p in entry["outputs"]}
         manifest["stages"].append(entry)
         if stage.data:

@@ -446,6 +446,8 @@ def _check_label(agent_id: str, e: LabelEntry) -> None:
         raise InvalidInputError(f"outlier {agent_id!r} lacks deviate_index")
     if not e.is_outlier and e.deviate_index is not None:
         raise InvalidInputError(f"non-outlier {agent_id!r} carries deviate_index")
+    if e.deviate_index is not None and e.deviate_index < 0:
+        raise InvalidInputError(f"deviate_index of {agent_id!r} must be >= 0, got {e.deviate_index}")
     if e.outlier_type not in OUTLIER_TYPES:
         raise InvalidInputError(f"unknown outlier_type {e.outlier_type!r}")
 

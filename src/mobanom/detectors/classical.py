@@ -53,7 +53,7 @@ def monav_tt_score(ds: Dataset, split: SplitSpec, window_days: float = 7.0) -> S
     scores = {}
     omitted = {}
     for t in ds.trajectories:
-        idx = split.split_index.get(t.agent_id, len(t.points))
+        idx = split.train_count(t)
         if idx <= 0:
             omitted[t.agent_id] = "empty training side"
             continue
@@ -211,7 +211,7 @@ def _traod_outlying(ds: Dataset, split: SplitSpec, params: TraodParams):
     lon0 = float(np.mean([sp.location.lon for t in ds.trajectories for sp in t.points]))
     train, test = {}, {}  # agent -> (n, 2, 2) segments
     for t in ds.trajectories:
-        idx = split.split_index.get(t.agent_id, len(t.points))
+        idx = split.train_count(t)
         train[t.agent_id] = _trajectory_segments(t, 0, idx, lat0, lon0)
         test[t.agent_id] = _trajectory_segments(t, idx, len(t.points), lat0, lon0)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import ConfigError, Dataset, InvalidInputError, LabelSet, StayPoint, latlon_to_unit3
+from ..core import ConfigError, Dataset, InvalidInputError, LabelSet, StayPoint, Trajectory, latlon_to_unit3
 
 UNKNOWN_TYPE = "Unknown"
 
@@ -74,6 +74,10 @@ class SplitSpec:
             else:
                 split[t.agent_id] = int(math.floor(fallback_fraction * len(t.points)))
         return cls(split_index=split)
+
+    def train_count(self, t: Trajectory) -> int:
+        """How many of ``t``'s stays are training history: all of them when the split does not name ``t``."""
+        return self.split_index.get(t.agent_id, len(t.points))
 
 
 def window_seconds_of(window_days: float) -> int:
@@ -169,7 +173,7 @@ def build_windows(
 
     train_types: set[str] = set()
     for t in ds.trajectories:
-        idx = split.split_index.get(t.agent_id, len(t.points))
+        idx = split.train_count(t)
         for sp in t.points[:idx]:
             train_types.add(sp.place_type)
     vocab = sorted(train_types | {UNKNOWN_TYPE})
@@ -177,7 +181,7 @@ def build_windows(
 
     feat = WindowedFeatures(vocab=vocab, window_len=L, window_seconds=window_seconds)
     for t in ds.trajectories:
-        idx = split.split_index.get(t.agent_id, len(t.points))
+        idx = split.train_count(t)
         if idx <= 0:
             feat.ineligible[t.agent_id] = "empty training side"
             continue

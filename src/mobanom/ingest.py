@@ -41,12 +41,6 @@ FALLBACK_CELL_DEG = 0.005
 _NEAR_REL = 1e-9
 
 
-@dataclass(frozen=True)
-class RawFix:
-    timestamp: int
-    location: GeoPoint
-
-
 @dataclass(frozen=True, eq=False)
 class Fixes:
     """One agent's raw fixes as columns: ``ts`` int64 epoch seconds, ``lat``/``lon`` float64 degrees."""
@@ -57,11 +51,6 @@ class Fixes:
 
     def __len__(self) -> int:
         return len(self.ts)
-
-    @classmethod
-    def from_raw(cls, fixes: list[RawFix]) -> "Fixes":
-        lat, lon = (np.array([getattr(f.location, c) for f in fixes], dtype=np.float64) for c in ("lat", "lon"))
-        return cls(np.array([f.timestamp for f in fixes], dtype=np.int64), lat, lon)
 
 
 def _valid(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
@@ -194,13 +183,9 @@ def _parse_columns(data: bytes, format_tag: str, agent_id: str) -> dict[str, Fix
     return {owner: Fixes(ts[k], lat[k], lon[k]) for owner, k in sorted(kept, key=lambda item: item[1][0])}
 
 
-def parse_raw_log(data: bytes, format_tag: str, agent_id: str = "agent0") -> dict[str, list[RawFix]]:
-    """Time-sorted fixes per agent of one raw log, as :class:`RawFix` lists (see :func:`_parse_columns`)."""
-    out = {}
-    for owner, f in _parse_columns(data, format_tag, agent_id).items():
-        f = _by_time(f)
-        out[owner] = [RawFix(t, GeoPoint(a, o)) for t, a, o in zip(f.ts.tolist(), f.lat.tolist(), f.lon.tolist())]
-    return out
+def parse_raw_log(data: bytes, format_tag: str, agent_id: str = "agent0") -> dict[str, Fixes]:
+    """Time-sorted fixes per agent of one raw log (see :func:`_parse_columns`)."""
+    return {owner: _by_time(f) for owner, f in _parse_columns(data, format_tag, agent_id).items()}
 
 
 def load_plt_tree(root: str) -> dict[str, Fixes]:
@@ -250,7 +235,7 @@ def _distance_within(lat1, lon1, lat2, lon2, limit) -> tuple[np.ndarray, np.ndar
     return d, inside
 
 
-def detect_stay_points(fixes: Fixes | list[RawFix], params: StayPointParams = StayPointParams()) -> list[StayPoint]:
+def detect_stay_points(fixes: Fixes, params: StayPointParams = StayPointParams()) -> list[StayPoint]:
     """Compress time-sorted fixes into stay points (place_type "Unknown").
 
     Runs never overlap and output is time-ordered; every stay point spans at
@@ -258,9 +243,8 @@ def detect_stay_points(fixes: Fixes | list[RawFix], params: StayPointParams = St
     ``dist_threshold_m`` can anchor a run (a lone fix spans 0 s); each such
     anchor is scanned in growing blocks up to its first fix beyond the radius.
     """
-    f = fixes if isinstance(fixes, Fixes) else Fixes.from_raw(fixes)
-    n, limit, ts = len(f), params.dist_threshold_m, f.ts.tolist()
-    anchors = np.flatnonzero(_distance_within(f.lat[:-1], f.lon[:-1], f.lat[1:], f.lon[1:], limit)[1])
+    n, limit, ts, lat, lon = len(fixes), params.dist_threshold_m, fixes.ts.tolist(), fixes.lat, fixes.lon
+    anchors = np.flatnonzero(_distance_within(lat[:-1], lon[:-1], lat[1:], lon[1:], limit)[1])
     out: list[StayPoint] = []
     a = 0
     while a < len(anchors):
@@ -268,14 +252,14 @@ def detect_stay_points(fixes: Fixes | list[RawFix], params: StayPointParams = St
         block = 64
         while j + 1 < n:  # fixes i..j are within the radius of fix i
             hi = min(n, j + 1 + block)
-            inside = _distance_within(f.lat[i], f.lon[i], f.lat[j + 1 : hi], f.lon[j + 1 : hi], limit)[1]
+            inside = _distance_within(lat[i], lon[i], lat[j + 1 : hi], lon[j + 1 : hi], limit)[1]
             if not inside.all():
                 j += int(np.argmin(inside))
                 break
             j, block = hi - 1, 2 * block
         if ts[j] - ts[i] >= params.time_threshold_s:
             # the run's running total from 0.0, bit for bit: cumsum adds left to right, and 0.0 + -0.0 is +0.0
-            mean = [(0.0 + float(np.cumsum(c[i : j + 1])[-1])) / (j - i + 1) for c in (f.lat, f.lon)]
+            mean = [(0.0 + float(np.cumsum(c[i : j + 1])[-1])) / (j - i + 1) for c in (lat, lon)]
             out.append(StayPoint(arrive=ts[i], depart=ts[j], place_id="", place_type="Unknown", location=GeoPoint(*mean)))
             a = int(np.searchsorted(anchors, j + 1))
         else:
@@ -330,7 +314,7 @@ def ingest_dataset(
         per_agent = load_plt_tree(input_path)
     else:
         with open(input_path, "rb") as fh:
-            per_agent = {owner: _by_time(f) for owner, f in _parse_columns(fh.read(), format_tag, "agent0").items()}
+            per_agent = parse_raw_log(fh.read(), format_tag)
     poi = poi or PoiMap()
     trajectories = []
     for agent_id in sorted(per_agent):

@@ -256,10 +256,7 @@ def build_bundles(
     if mode.endswith("_hint"):
         if split is None:
             split = SplitSpec.from_labels(ds, labels)
-        deviate_indices = {
-            t.agent_id: min(split.split_index[t.agent_id], max(0, len(t.points) - 1))
-            for t in ds.trajectories
-        }
+        deviate_indices = {t.agent_id: min(split.train_count(t), max(0, len(t.points) - 1)) for t in ds.trajectories}
 
     nonempty = [t for t in ds.trajectories if t.points]
     if mode.startswith("separate"):

@@ -5,23 +5,44 @@ with a columnar one. It lives on only as the test oracle: the columnar parse
 must keep the same fixes and count the same malformed lines as
 ``parse_raw_log`` and ``load_plt_tree`` here, and the array versions of
 ``detect_stay_points`` and ``assign_place_types`` must return the same stay
-points, bytes included.
+points, bytes included. Its fixes are :class:`Fix` records, one object each;
+:func:`to_fixes` and :func:`to_records` convert between them and the
+columnar :class:`~mobanom.ingest.Fixes`.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
+import numpy as np
+
 from mobanom.core import CorruptInputError, GeoPoint, InvalidInputError, StayPoint, haversine_km
-from mobanom.ingest import PLT_HEADER_LINES, PoiEntry, PoiMap, RawFix, StayPointParams, fallback_cell_id
+from mobanom.ingest import PLT_HEADER_LINES, Fixes, PoiEntry, PoiMap, StayPointParams, fallback_cell_id
 
 log = logging.getLogger(__name__)
 
 
-def parse_plt_line(line: str) -> RawFix | None:
+@dataclass(frozen=True)
+class Fix:
+    timestamp: int
+    location: GeoPoint
+
+
+def to_fixes(records: list[Fix]) -> Fixes:
+    """The columns of ``records``, in their order."""
+    lat, lon = (np.array([getattr(f.location, c) for f in records], dtype=np.float64) for c in ("lat", "lon"))
+    return Fixes(np.array([f.timestamp for f in records], dtype=np.int64), lat, lon)
+
+
+def to_records(fixes: Fixes) -> list[Fix]:
+    """One :class:`Fix` per row of ``fixes``, in their order."""
+    return [Fix(t, GeoPoint(a, o)) for t, a, o in zip(fixes.ts.tolist(), fixes.lat.tolist(), fixes.lon.tolist())]
+
+
+def parse_plt_line(line: str) -> Fix | None:
     parts = line.strip().split(",")
     if len(parts) != 7:
         return None
@@ -36,10 +57,10 @@ def parse_plt_line(line: str) -> RawFix | None:
         gp = GeoPoint(lat, lon)
     except InvalidInputError:
         return None
-    return RawFix(timestamp=ts, location=gp)
+    return Fix(timestamp=ts, location=gp)
 
 
-def parse_csv_line(line: str) -> tuple[str, RawFix] | None:
+def parse_csv_line(line: str) -> tuple[str, Fix] | None:
     parts = line.strip().split(",")
     if len(parts) != 4:
         return None
@@ -48,10 +69,10 @@ def parse_csv_line(line: str) -> tuple[str, RawFix] | None:
         gp = GeoPoint(float(parts[2]), float(parts[3]))
     except (ValueError, InvalidInputError):
         return None
-    return parts[0].strip(), RawFix(timestamp=ts, location=gp)
+    return parts[0].strip(), Fix(timestamp=ts, location=gp)
 
 
-def parse_raw_log(data: bytes, format_tag: str, agent_id: str = "agent0") -> dict[str, list[RawFix]]:
+def parse_raw_log(data: bytes, format_tag: str, agent_id: str = "agent0") -> dict[str, list[Fix]]:
     if format_tag not in ("plt", "csv"):
         raise InvalidInputError(f"unknown format {format_tag!r}")
     text = data.decode("utf-8", errors="replace")
@@ -59,7 +80,7 @@ def parse_raw_log(data: bytes, format_tag: str, agent_id: str = "agent0") -> dic
     if format_tag == "plt":
         lines = lines[PLT_HEADER_LINES:]
     lines = [ln for ln in lines if ln.strip()]
-    fixes: dict[str, list[RawFix]] = {}
+    fixes: dict[str, list[Fix]] = {}
     malformed = 0
     for line in lines:
         if format_tag == "plt":
@@ -84,10 +105,10 @@ def parse_raw_log(data: bytes, format_tag: str, agent_id: str = "agent0") -> dic
     return fixes
 
 
-def load_plt_tree(root: str) -> dict[str, list[RawFix]]:
+def load_plt_tree(root: str) -> dict[str, list[Fix]]:
     if not os.path.isdir(root):
         raise InvalidInputError(f"not a directory: {root}")
-    out: dict[str, list[RawFix]] = {}
+    out: dict[str, list[Fix]] = {}
     for agent in sorted(os.listdir(root)):
         agent_dir = os.path.join(root, agent)
         if not os.path.isdir(agent_dir):
@@ -97,7 +118,7 @@ def load_plt_tree(root: str) -> dict[str, list[RawFix]]:
             for name in filenames:
                 if name.endswith(".plt"):
                     plt_files.append(os.path.join(dirpath, name))
-        agent_fixes: list[RawFix] = []
+        agent_fixes: list[Fix] = []
         for path in sorted(plt_files):
             with open(path, "rb") as fh:
                 parsed = parse_raw_log(fh.read(), "plt", agent_id=agent)
@@ -108,7 +129,7 @@ def load_plt_tree(root: str) -> dict[str, list[RawFix]]:
     return out
 
 
-def detect_stay_points(fixes: list[RawFix], params: StayPointParams = StayPointParams()) -> list[StayPoint]:
+def detect_stay_points(fixes: list[Fix], params: StayPointParams = StayPointParams()) -> list[StayPoint]:
     out: list[StayPoint] = []
     n = len(fixes)
     i = 0

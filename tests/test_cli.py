@@ -3,7 +3,7 @@ import json
 import os
 import shlex
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -164,6 +164,34 @@ class TestDumpPrompts:
         assert "prompts_index.jsonl" in files
         assert sum(1 for f in files if f.startswith("prompt_")) == 12
 
+    def test_dump_writes_the_prompts_detect_sends(self, sim_dir, tmp_path):
+        # 12 agents, 2 imposter pairs: the 8 others split at the fallback, not at the injector's switch_fraction
+        data = tmp_path / "inject"
+        assert main(["--out-dir", str(data), "--seed", "4", "inject", "--in", str(sim_dir / "dataset.jsonl"),
+                     "--pairs", "2"]) == 0
+        cfg, endpoint, cache = tmp_path / "split.ini", tmp_path / "endpoint.json", tmp_path / "cache"
+        write(str(cfg), "[global]\nfallback_fraction = 0.3\n\n[detect]\n\n[dump-prompts]\n")
+        write(str(endpoint), json.dumps({"provider": "mock-constant"}))
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "scores"), "detect", "--method", "llm",
+                     "--in", str(data), "--mode", "separate-hint", "--endpoint", str(endpoint),
+                     "--cache-dir", str(cache)]) == 0
+        out = tmp_path / "prompts"
+        assert main(["--config", str(cfg), "--out-dir", str(out), "dump-prompts", "--in", str(data),
+                     "--mode", "separate-hint"]) == 0
+        sent = sorted(json.loads(p.read_text())["request"]["prompt"] for p in cache.iterdir())
+        dumped = sorted(p.read_text() for p in out.glob("prompt_*.txt"))
+        assert len(sent) == 12 and dumped == sent
+
+    def test_only_hint_modes_need_a_split_fallback(self, sim_dir, tmp_path, capsys):
+        (sim_dir / "dataset.meta.json").write_text('{"source":"raw.csv"}\n')  # no onset_time, no switch_fraction
+        assert main(["--out-dir", str(tmp_path / "plain"), "dump-prompts", "--in", str(sim_dir),
+                     "--mode", "separate"]) == 0
+        assert len(list((tmp_path / "plain").glob("prompt_*.txt"))) == 12
+        assert main(["--out-dir", str(tmp_path / "hint"), "dump-prompts", "--in", str(sim_dir),
+                     "--mode", "separate-hint"]) == 1
+        err = capsys.readouterr().err
+        assert "no split fallback" in err and "Traceback" not in err
+
 
 PIPELINE_CONFIG = """
 [global]
@@ -252,6 +280,38 @@ class TestRunPipeline:
             hashes.append(detect["inputs"])
         assert hashes[0] != hashes[1]
         assert hashes[0][str(endpoint_cfg)] != hashes[1][str(endpoint_cfg)]
+
+    def test_manifest_records_the_inputs_before_the_stage_ran(self, tmp_path, monkeypatch):
+        detect = STAGES["detect"]
+
+        def rewriting_detect(m, inputs, out_dir, outputs):
+            with open(inputs[1], "a", encoding="utf-8") as fh:  # the labels; a blank line reads the same
+                fh.write("\n")
+            detect.fn(m, inputs, out_dir, outputs)
+
+        monkeypatch.setitem(STAGES, "detect", replace(detect, fn=rewriting_detect))
+        out = tmp_path / "run"
+        assert main(["--config", str(self.build_config(tmp_path)), "--out-dir", str(out), "run"]) == 0
+        simulate, detected = json.loads((out / "manifest.json").read_text())["stages"][:2]
+        labels = str(out / "sim" / "labels.jsonl")
+        assert detected["inputs"][labels] == simulate["outputs"][labels]
+        assert detected["inputs"][labels] != hashlib.sha256(open(labels, "rb").read()).hexdigest()
+
+    def test_manifest_hashes_the_dataset_meta_sidecar(self, tmp_path):
+        cfg = tmp_path / "inject.ini"
+        write(
+            str(cfg),
+            "[global]\nseed = 2\nstages = simulate, inject, detect\n\n"
+            "[simulate]\nn_agents = 10\nweeks = 1\nn_hunger = 0\nn_social = 0\nn_work = 0\n\n"
+            "[inject]\npairs = 2\n\n[detect]\nmethods = ompad\nwindow_days = 2\n",
+        )
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "--out-dir", str(out), "run"]) == 0
+        simulate, inject, detect = json.loads((out / "manifest.json").read_text())["stages"][:3]
+        for reader, writer, data in ((inject, simulate, "sim"), (detect, inject, "inject")):
+            meta = str(out / data / "dataset.meta.json")
+            assert reader["inputs"][meta] == writer["outputs"][meta]
+        assert "switch_fraction" in json.loads((out / "inject" / "dataset.meta.json").read_text())
 
     def test_failed_stage_leaves_partial_outputs(self, tmp_path):
         # llm misconfigured (no endpoint): ompad's finished scores get .partial
@@ -531,6 +591,8 @@ class TestArtifactInputFaults:
              "deviate_index must be an integer or null, got 'x'"),
             ("labels.jsonl", '{"agent_id":"x","is_outlier":"no","outlier_type":"none","deviate_index":null}',
              "is_outlier must be true or false, got 'no'"),
+            ("labels.jsonl", '{"agent_id":"x","is_outlier":true,"outlier_type":"imposter","deviate_index":-2}',
+             "deviate_index of 'x' must be >= 0, got -2"),
             ("scores_ompad.jsonl", '{"agent_id":"x","score":0.5', "invalid JSON"),
             ("scores_ompad.jsonl", "null", "not a JSON object"),
             ("scores_ompad.jsonl", '{"agent_id":"x","method":"ompad"}', "missing key 'score'"),
@@ -539,8 +601,8 @@ class TestArtifactInputFaults:
         ],
         ids=["dataset_truncated", "dataset_not_object", "dataset_missing_key", "dataset_str_lat", "dataset_int_points",
              "dataset_nan_lat", "dataset_lat_out_of_range", "labels_truncated", "labels_not_object",
-             "labels_missing_key", "labels_str_index", "labels_str_flag", "scores_truncated", "scores_not_object",
-             "scores_missing_key", "scores_str_score", "scores_nan_score"],
+             "labels_missing_key", "labels_str_index", "labels_str_flag", "labels_negative_index", "scores_truncated",
+             "scores_not_object", "scores_missing_key", "scores_str_score", "scores_nan_score"],
     )
     def test_bad_line_exits_1(self, sim_dir, scores, tmp_path, capsys, name, line, named):
         path = scores if name.startswith("scores") else sim_dir / name

@@ -220,6 +220,15 @@ class TestRoundTrip:
         with pytest.raises(InvalidInputError):
             write_labels(bad2, str(tmp_path / "bad2.jsonl"))
 
+    def test_negative_deviate_index_is_rejected_on_write_and_read(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        with pytest.raises(InvalidInputError, match=re.escape("deviate_index of 'a' must be >= 0, got -2")):
+            write_labels(LabelSet(entries={"a": LabelEntry(True, "imposter", -2)}), str(path))
+        assert not path.exists()
+        path.write_text('{"agent_id":"a","is_outlier":true,"outlier_type":"imposter","deviate_index":-2}\n')
+        with pytest.raises(InvalidInputError, match=re.escape(f"{path}:1: deviate_index of 'a' must be >= 0, got -2")):
+            read_labels(str(path))
+
 
 FINITE = {"allow_nan": False, "allow_infinity": False}
 json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(**FINITE), st.text())
@@ -238,7 +247,7 @@ datasets = st.builds(
     st.dictionaries(st.text(), json_scalars, max_size=4),
 )
 label_entries = st.one_of(
-    st.builds(LabelEntry, st.just(True), st.sampled_from(OUTLIER_TYPES), st.integers()),
+    st.builds(LabelEntry, st.just(True), st.sampled_from(OUTLIER_TYPES), st.integers(min_value=0)),
     st.builds(LabelEntry, st.just(False), st.sampled_from(OUTLIER_TYPES), st.none()),
 )
 

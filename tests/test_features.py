@@ -66,6 +66,11 @@ class TestSplitSpec:
         split = SplitSpec.from_labels(ds, LabelSet(entries={"a": LabelEntry(False)}), fallback_fraction=fraction)
         assert split.split_index["a"] == index
 
+    def test_train_count_is_every_stay_of_an_agent_the_split_does_not_name(self):
+        named, unnamed = traj("a", [0, 100, 200]), traj("b", [0, 100])
+        split = SplitSpec(split_index={"a": 1})
+        assert (split.train_count(named), split.train_count(unnamed)) == (1, 2)
+
 
 class TestBuildWindows:
     def test_two_weeks_make_two_windows(self):

@@ -1,12 +1,13 @@
 import calendar
 
 import pytest
+from ingest_oracle import Fix, to_fixes, to_records
 
 from mobanom.core import CorruptInputError, Dataset, GeoPoint, InvalidInputError, Trajectory, validate_trajectory
 from mobanom.ingest import (
+    Fixes,
     PoiEntry,
     PoiMap,
-    RawFix,
     StayPointParams,
     assign_place_types,
     detect_stay_points,
@@ -17,18 +18,25 @@ from mobanom.ingest import (
 
 
 def fix(ts, lat, lon):
-    return RawFix(timestamp=ts, location=GeoPoint(lat, lon))
+    return Fix(timestamp=ts, location=GeoPoint(lat, lon))
+
+
+def parsed(*args):
+    """``parse_raw_log``, each agent's :class:`Fixes` as a list of :class:`Fix` records."""
+    out = parse_raw_log(*args)
+    assert all(isinstance(f, Fixes) for f in out.values())
+    return {owner: to_records(f) for owner, f in out.items()}
 
 
 class TestParseRawLog:
     def test_csv_line(self):
-        out = parse_raw_log(b"a1,1200000000,39.9,116.4\n", "csv")
+        out = parsed(b"a1,1200000000,39.9,116.4\n", "csv")
         assert out == {"a1": [fix(1200000000, 39.9, 116.4)]}
 
     def test_plt_record_timestamp(self):
         header = b"h\n" * 6
         record = b"39.906631,116.385564,0,492,39745.1,2008-10-24,02:09:59\n"
-        out = parse_raw_log(header + record, "plt", agent_id="u7")
+        out = parsed(header + record, "plt", "u7")
         # independent oracle: UTC calendar arithmetic
         expected_ts = calendar.timegm((2008, 10, 24, 2, 9, 59))
         assert expected_ts == 1224814199
@@ -50,7 +58,7 @@ class TestParseRawLog:
 
     def test_sorted_by_timestamp(self):
         data = b"a1,1200000060,39.9,116.4\na1,1200000000,39.8,116.3\n"
-        out = parse_raw_log(data, "csv")
+        out = parsed(data, "csv")
         assert [f.timestamp for f in out["a1"]] == [1200000000, 1200000060]
 
     def test_unknown_format(self):
@@ -61,7 +69,7 @@ class TestParseRawLog:
 class TestDetectStayPoints:
     def test_single_cluster(self):
         fixes = [fix(1000 + 60 * i, 10.0, 20.0) for i in range(61)]  # one hour at one spot
-        out = detect_stay_points(fixes, StayPointParams())
+        out = detect_stay_points(to_fixes(fixes), StayPointParams())
         assert len(out) == 1
         assert out[0].arrive == 1000
         assert out[0].depart == 1000 + 60 * 60
@@ -72,7 +80,7 @@ class TestDetectStayPoints:
         for i in range(40):
             lat = 10.0 if i % 2 == 0 else 10.09  # ~10 km apart
             fixes.append(fix(1000 + 60 * i, lat, 20.0))
-        assert detect_stay_points(fixes, StayPointParams()) == []
+        assert detect_stay_points(to_fixes(fixes), StayPointParams()) == []
 
     def test_two_planted_clusters(self):
         params = StayPointParams(dist_threshold_m=200, time_threshold_s=1200)
@@ -87,7 +95,7 @@ class TestDetectStayPoints:
         for _ in range(31):  # 30 minutes at second center
             fixes.append(fix(t, 40.5, 116.5))
             t += 60
-        out = detect_stay_points(fixes, params)
+        out = detect_stay_points(to_fixes(fixes), params)
         assert len(out) == 2
         assert out[0].location.lat == pytest.approx(40.0, abs=1e-6)
         assert out[0].location.lon == pytest.approx(116.0, abs=1e-6)
@@ -97,12 +105,12 @@ class TestDetectStayPoints:
     def test_duration_at_least_threshold(self):
         params = StayPointParams(dist_threshold_m=200, time_threshold_s=1200)
         fixes = [fix(60 * i, 40.0 + (i % 3) * 1e-5, 116.0) for i in range(200)]
-        for sp in detect_stay_points(fixes, params):
+        for sp in detect_stay_points(to_fixes(fixes), params):
             assert sp.depart - sp.arrive >= 1200
 
     def test_output_leq_input(self):
         fixes = [fix(60 * i, 40.0, 116.0) for i in range(100)]
-        assert len(detect_stay_points(fixes)) <= len(fixes)
+        assert len(detect_stay_points(to_fixes(fixes))) <= len(fixes)
 
 
 def sp_at(lat, lon, arrive=0, depart=0):

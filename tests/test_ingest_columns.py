@@ -28,7 +28,6 @@ from mobanom.ingest import (
     Fixes,
     PoiEntry,
     PoiMap,
-    RawFix,
     StayPointParams,
     _distance_within,
     assign_place_types,
@@ -48,8 +47,18 @@ def exact(points):
              p.location.lat.hex(), p.location.lon.hex()) for p in points]
 
 
-def fixes_m(a: RawFix, b: RawFix) -> float:
+def fixes_m(a: oracle.Fix, b: oracle.Fix) -> float:
     return haversine_km(a.location, b.location) * 1000.0
+
+
+def stay_points(fixes: list[oracle.Fix], *params) -> list[StayPoint]:
+    """``detect_stay_points`` of the oracle's records, as columns."""
+    return detect_stay_points(oracle.to_fixes(fixes), *params)
+
+
+def parsed_records(*args) -> dict[str, list[oracle.Fix]]:
+    """``parse_raw_log`` with each agent's columns as the oracle's records."""
+    return {owner: oracle.to_records(f) for owner, f in parse_raw_log(*args).items()}
 
 
 @contextlib.contextmanager
@@ -100,7 +109,7 @@ def fix_runs(draw):
         t += gap
         lat = min(90.0, max(-90.0, lat0 + draw(offsets)))
         lon = min(180.0, max(-180.0, lon0 + draw(offsets)))
-        fixes.append(RawFix(t, GeoPoint(lat, lon)))
+        fixes.append(oracle.Fix(t, GeoPoint(lat, lon)))
     a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
     tie = fixes_m(fixes[a], fixes[b])
     dist = tie if tie > 0 and draw(st.booleans()) else draw(st.sampled_from([50.0, 200.0, 500.0]))
@@ -112,9 +121,8 @@ def fix_runs(draw):
 @given(fix_runs())
 def test_stay_points_equal_the_oracle_and_keep_their_invariants(case):
     fixes, params = case
-    out = detect_stay_points(fixes, params)
+    out = stay_points(fixes, params)
     assert exact(out) == exact(oracle.detect_stay_points(fixes, params))
-    assert exact(detect_stay_points(Fixes.from_raw(fixes), params)) == exact(out)
     for sp in out:
         assert sp.depart - sp.arrive >= params.time_threshold_s
     for prev, nxt in zip(out, out[1:]):
@@ -122,11 +130,11 @@ def test_stay_points_equal_the_oracle_and_keep_their_invariants(case):
 
 
 def test_fix_exactly_at_the_threshold_stays_in_the_run():
-    fixes = [RawFix(60 * k, GeoPoint(40.0 + 1e-4 * k, 116.0)) for k in range(30)]
+    fixes = [oracle.Fix(60 * k, GeoPoint(40.0 + 1e-4 * k, 116.0)) for k in range(30)]
     edge = fixes_m(fixes[0], fixes[20])
     for dist, last in ((edge, 20), (np.nextafter(edge, 0.0), 19)):
         params = StayPointParams(dist_threshold_m=float(dist), time_threshold_s=600)
-        out = detect_stay_points(fixes, params)
+        out = stay_points(fixes, params)
         assert exact(out) == exact(oracle.detect_stay_points(fixes, params))
         assert out[0].arrive == 0 and out[0].depart == 60 * last
 
@@ -144,24 +152,24 @@ def test_a_threshold_where_numpy_and_libm_disagree_is_decided_by_libm():
             break
     else:
         pytest.skip("numpy and libm agree on every pair tried")
-    fixes = [RawFix(0, a), RawFix(600, b), RawFix(1200, GeoPoint(-40.0, -64.0))]  # the last at a's antipode
+    fixes = [oracle.Fix(0, a), oracle.Fix(600, b), oracle.Fix(1200, GeoPoint(-40.0, -64.0))]  # the last at a's antipode
     params = StayPointParams(dist_threshold_m=libm, time_threshold_s=600)
     assert _distance_within(a.lat, a.lon, [b.lat], [b.lon], libm)[1][0]
-    out = detect_stay_points(fixes, params)
+    out = stay_points(fixes, params)
     assert exact(out) == exact(oracle.detect_stay_points(fixes, params)) and len(out) == 1
 
 
 def test_runs_end_at_the_last_fix_and_a_single_fix_is_no_stay():
-    fixes = [RawFix(60 * k, GeoPoint(40.0, 116.0)) for k in range(200)]  # longer than the first scan block
-    out = detect_stay_points(fixes)
+    fixes = [oracle.Fix(60 * k, GeoPoint(40.0, 116.0)) for k in range(200)]  # longer than the first scan block
+    out = stay_points(fixes)
     assert exact(out) == exact(oracle.detect_stay_points(fixes)) and out[0].depart == 60 * 199
-    assert detect_stay_points(fixes[:1]) == [] == oracle.detect_stay_points(fixes[:1])
-    assert detect_stay_points([]) == []
+    assert stay_points(fixes[:1]) == [] == oracle.detect_stay_points(fixes[:1])
+    assert stay_points([]) == []
 
 
 def test_all_negative_zero_run_means_positive_zero_as_sum_does():
-    fixes = [RawFix(60 * k, GeoPoint(-0.0, -0.0)) for k in range(30)]
-    out = detect_stay_points(fixes)
+    fixes = [oracle.Fix(60 * k, GeoPoint(-0.0, -0.0)) for k in range(30)]
+    out = stay_points(fixes)
     assert exact(out) == exact(oracle.detect_stay_points(fixes))
     assert str(out[0].location.lat) == "0.0"
 
@@ -174,8 +182,10 @@ def test_stay_point_params_reject_non_finite_and_non_positive(field, value):
 
 
 def test_out_of_range_fixes_are_rejected():
+    # the parsers drop such fixes; columns built by hand fail when their stay point is built
+    fixes = Fixes(np.array([0, 1200]), np.array([91.0, 91.0]), np.array([0.0, 0.0]))
     with pytest.raises(InvalidInputError):
-        detect_stay_points([RawFix(0, GeoPoint(91.0, 0.0)), RawFix(60, GeoPoint(0.0, 0.0))])
+        detect_stay_points(fixes)
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +267,13 @@ def csv_logs(draw):
 @settings(max_examples=250, deadline=None)
 @given(plt_logs())
 def test_plt_lines_parse_like_the_oracle(data):
-    assert outcome(parse_raw_log, data, "plt", "u1") == outcome(oracle.parse_raw_log, data, "plt", "u1")
+    assert outcome(parsed_records, data, "plt", "u1") == outcome(oracle.parse_raw_log, data, "plt", "u1")
 
 
 @settings(max_examples=250, deadline=None)
 @given(csv_logs())
 def test_csv_lines_parse_like_the_oracle(data):
-    new, old = outcome(parse_raw_log, data, "csv"), outcome(oracle.parse_raw_log, data, "csv")
+    new, old = outcome(parsed_records, data, "csv"), outcome(oracle.parse_raw_log, data, "csv")
     assert new == old
     if isinstance(new[0], dict):
         assert list(new[0]) == list(old[0])  # agents in order of their first fix
@@ -271,13 +281,13 @@ def test_csv_lines_parse_like_the_oracle(data):
 
 def test_timestamp_beyond_int64_is_malformed():
     data = f"a,{2**63},40.0,116.0\na,1200000000,40.0,116.0\n".encode()
-    assert parse_raw_log(data, "csv") == {"a": [RawFix(1200000000, GeoPoint(40.0, 116.0))]}
+    assert parsed_records(data, "csv") == {"a": [oracle.Fix(1200000000, GeoPoint(40.0, 116.0))]}
 
 
 def test_csv_agent_ids_drop_surrounding_whitespace():
     data = b"a ,1200000000,40.0,116.0\n a\t,1200000060,40.0,116.0\na,1200000120,40.0,116.0\n"
-    expected = {"a": [RawFix(1200000000 + 60 * k, GeoPoint(40.0, 116.0)) for k in range(3)]}
-    assert parse_raw_log(data, "csv") == oracle.parse_raw_log(data, "csv") == expected
+    expected = {"a": [oracle.Fix(1200000000 + 60 * k, GeoPoint(40.0, 116.0)) for k in range(3)]}
+    assert parsed_records(data, "csv") == oracle.parse_raw_log(data, "csv") == expected
 
 
 def write_tree(root, files):

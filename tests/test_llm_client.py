@@ -4,6 +4,7 @@ import os
 import pytest
 
 from mobanom.core import AuthError, ConfigError, EndpointError, LabelEntry, LabelSet
+from mobanom.detectors import SplitSpec
 from mobanom.evaluation import roc_auc
 from mobanom.llm import (
     LlmEndpointConfig,
@@ -141,6 +142,16 @@ class TestBundling:
         t1 = run_llm_detection(sim.dataset, sim.labels, "separate", endpoint, max_concurrent=4)
         t2 = run_llm_detection(sim.dataset, sim.labels, "separate", endpoint, max_concurrent=1)
         assert t1.scores == t2.scores
+
+
+    @pytest.mark.parametrize("mode", ["separate-hint", "combine-hint"])
+    def test_hints_treat_an_agent_the_split_does_not_name_as_all_training(self, sim, mode):
+        # as the detectors do: the split names only the first agent, so every other one is all history
+        ds, labels = sim.dataset, sim.labels
+        first = ds.trajectories[0].agent_id
+        every = SplitSpec(split_index={**{t.agent_id: len(t.points) for t in ds.trajectories}, first: 1})
+        texts = [b.text for b in build_bundles(ds, labels, mode, split=SplitSpec(split_index={first: 1}))]
+        assert texts == [b.text for b in build_bundles(ds, labels, mode, split=every)]
 
 
 class TestDumpPrompts:
