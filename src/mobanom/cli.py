@@ -99,16 +99,17 @@ def _read_config(path: str) -> configparser.ConfigParser:
 def _file_settings(parser: configparser.ConfigParser, name: str, strict: bool) -> dict:
     """Stage ``name``'s settings from a config file: [global] < extra sections < [name].
 
-    ``strict`` rejects a sectioned file without a [name] section; a flat file
-    applies to any stage.
+    ``strict`` rejects a sectioned file that holds none of the stage's own
+    sections (its extra sections and [name]); a flat file applies to any stage.
     """
     if not parser.sections():
         settings = dict(parser.defaults())
     else:
-        if strict and not parser.has_section(name):
-            raise ConfigError(f"config file has no [{name}] section")
+        own = (*STAGES[name].sections, name)
+        if strict and not any(parser.has_section(section) for section in own):
+            raise ConfigError(f"config file has none of the sections {name} reads: [{'], ['.join(own)}]")
         settings = {}
-        for section in ("global", *STAGES[name].sections, name):
+        for section in ("global", *own):
             if parser.has_section(section):
                 settings.update(parser[section])
     return {k: v for k, v in settings.items() if k not in PATH_KEYS}
@@ -256,7 +257,6 @@ def stage_dump_prompts(m: dict, inputs: list[str], out_dir: str, outputs: list[s
     split = _split(m, ds, labels) if normalize_mode(mode).endswith("_hint") else None
     keys = {"template": "template_version"}
     outputs += config_from_mapping(dump_prompts, m, keys, ds=ds, labels=labels, mode=mode, out_dir=out_dir, split=split)
-    outputs.append(os.path.join(out_dir, "prompts_index.jsonl"))
 
 
 def _ingest_inputs(m: dict) -> list[str]:
@@ -320,7 +320,7 @@ STAGES = {
             "scores": os.path.join(out, "scores", "scores_*.jsonl"),
         },
     ),
-    "dump-prompts": Stage(stage_dump_prompts, _data_dir_inputs, None),
+    "dump-prompts": Stage(stage_dump_prompts, _data_dir_inputs, None, sections=("llm", "detect")),
 }
 
 

@@ -163,6 +163,7 @@ class TraodParams:
             (0 <= self.auto_d_percentile <= 100, f"auto_d_percentile must be in [0, 100], got {self.auto_d_percentile}"),
             (self.auto_d_samples >= 1, f"auto_d_samples must be >= 1, got {self.auto_d_samples}"),
             (all(0 <= w < math.inf for w in self.weights), f"weights must be finite and >= 0, got {self.weights}"),
+            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
         ]
         for ok, message in checks:
             if not ok:

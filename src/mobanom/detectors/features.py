@@ -43,9 +43,10 @@ class SplitSpec:
     ) -> "SplitSpec":
         """Split outliers at their deviate index, everyone else at the fallback.
 
-        With no explicit fallback, dataset provenance is consulted:
-        ``meta["onset_time"]`` (simulator output) or ``meta["switch_fraction"]``
-        (injector output).
+        An outlier's deviate index must name one of its stays, else
+        InvalidInputError.  With no explicit fallback, dataset provenance is
+        consulted: ``meta["onset_time"]`` (simulator output) or
+        ``meta["switch_fraction"]`` (injector output).
         """
         if fallback_fraction is None and fallback_time is None:
             if "onset_time" in ds.meta:
@@ -63,6 +64,9 @@ class SplitSpec:
         for t in ds.trajectories:
             entry = labels.entries.get(t.agent_id)
             if entry is not None and entry.is_outlier and entry.deviate_index is not None:
+                if entry.deviate_index >= len(t.points):
+                    raise InvalidInputError(f"outlier {t.agent_id!r} deviates at stay {entry.deviate_index}, "
+                                            f"but it has {len(t.points)} stays")
                 split[t.agent_id] = entry.deviate_index
             elif fallback_time is not None:
                 idx = len(t.points)

@@ -54,6 +54,8 @@ class NetHyper:
         for name in ("epochs", "embed_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.learning_rate < np.inf:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 

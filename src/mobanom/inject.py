@@ -42,6 +42,8 @@ class InjectConfig:
             raise ConfigError("switch_fraction must be in (0, 1)")
         if self.n_outlier_pairs < 1:
             raise ConfigError("n_outlier_pairs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _switch_time(traj: Trajectory, switch_fraction: float) -> int | None:

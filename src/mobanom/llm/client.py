@@ -290,62 +290,45 @@ def run_llm_detection(
     combine_char_budget: int = 60_000,
     split: SplitSpec | None = None,
 ) -> ScoreTable:
-    """Prompt, dispatch (with caching), and parse into a ScoreTable.
+    """Prompt, dispatch (with caching), and parse into a ScoreTable, one pool worker per bundle.
 
     Transient endpoint failures are retried inside the endpoint; agents whose
-    answers cannot be parsed are omitted with a reason.  Auth failures abort
-    the run.
+    request fails or whose answers cannot be parsed are omitted with a
+    reason.  Auth failures abort the run.
     """
     mode = normalize_mode(mode)
     bundles = build_bundles(ds, labels, mode, template_version, combine_char_budget, split)
     cache = PromptCache(cache_dir) if cache_dir else None
     model_name = getattr(endpoint, "name", "unknown")
 
-    def fetch(bundle: PromptBundle) -> str:
+    def score_bundle(bundle: PromptBundle) -> tuple[dict[str, float], dict[str, str]]:
+        """The bundle's scores and omitted reasons, from its cached answer or else the endpoint's."""
         key = PromptCache.key(model_name, template_version, bundle.text) if cache else ""
-        if cache:
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-        answer = endpoint.complete(bundle)
-        if cache:
-            cache.put(key, {"model": model_name, "template_version": template_version,
-                            "prompt": bundle.text}, answer.raw_text)
-        return answer.raw_text
-
-    raw_answers: list[str | Exception] = [""] * len(bundles)
-    with ThreadPoolExecutor(max_workers=max_concurrent) as pool:
-        futures = {pool.submit(fetch, b): i for i, b in enumerate(bundles)}
-        for future, i in futures.items():
+        raw = cache.get(key) if cache else None
+        if raw is None:
             try:
-                raw_answers[i] = future.result()
+                raw = endpoint.complete(bundle).raw_text
             except AuthError:
                 raise
             except EndpointError as exc:
-                raw_answers[i] = exc
+                return {}, {agent_id: f"endpoint error: {exc}" for agent_id in bundle.agent_ids}
+            if cache:
+                cache.put(key, {"model": model_name, "template_version": template_version, "prompt": bundle.text}, raw)
+        try:
+            if bundle.mode.startswith("separate"):
+                return {bundle.agent_ids[0]: parse_separate_score(raw)}, {}
+            return parse_combine_scores(raw, bundle.agent_ids), {}
+        except PartialParseError as exc:
+            return exc.resolved, {agent_id: "parse error: no score resolved" for agent_id in exc.unresolved}
+        except ScoreParseError as exc:
+            return {}, {bundle.agent_ids[0]: f"parse error: {exc}"}
 
     scores: dict[str, float] = {}
-    omitted: dict[str, str] = {}
-    for t in ds.trajectories:
-        if not t.points:
-            omitted[t.agent_id] = "empty trajectory"
-    for bundle, raw in zip(bundles, raw_answers):
-        if isinstance(raw, Exception):
-            for agent_id in bundle.agent_ids:
-                omitted[agent_id] = f"endpoint error: {raw}"
-            continue
-        if bundle.mode.startswith("separate"):
-            try:
-                scores[bundle.agent_ids[0]] = parse_separate_score(raw)
-            except ScoreParseError as exc:
-                omitted[bundle.agent_ids[0]] = f"parse error: {exc}"
-        else:
-            try:
-                scores.update(parse_combine_scores(raw, bundle.agent_ids))
-            except PartialParseError as exc:
-                scores.update(exc.resolved)
-                for agent_id in exc.unresolved:
-                    omitted[agent_id] = "parse error: no score resolved"
+    omitted = {t.agent_id: "empty trajectory" for t in ds.trajectories if not t.points}
+    with ThreadPoolExecutor(max_workers=max_concurrent) as pool:
+        for bundle_scores, bundle_omitted in pool.map(score_bundle, bundles):
+            scores.update(bundle_scores)
+            omitted.update(bundle_omitted)
 
     return ScoreTable(
         detector=f"llm_{mode}",
@@ -366,7 +349,7 @@ def dump_prompts(
     combine_char_budget: int = 60_000,
     split: SplitSpec | None = None,
 ) -> list[str]:
-    """Write every PromptBundle to disk without calling any endpoint."""
+    """Write every PromptBundle and ``prompts_index.jsonl`` without calling any endpoint; return their paths."""
     bundles = build_bundles(ds, labels, mode, template_version, combine_char_budget, split)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
@@ -378,5 +361,6 @@ def dump_prompts(
         index.append(_dumps({"file": name, "mode": bundle.mode, "template_version": bundle.template_version,
                              "agent_ids": bundle.agent_ids}) + "\n")
         paths.append(path)
-    atomic_write(os.path.join(out_dir, "prompts_index.jsonl"), "".join(index))
-    return paths
+    index_path = os.path.join(out_dir, "prompts_index.jsonl")
+    atomic_write(index_path, "".join(index))
+    return paths + [index_path]

@@ -234,16 +234,18 @@ def _valid_score(text: str) -> float | None:
     return value if 0.0 <= value <= 1.0 else None
 
 
+def _last_bracketed_score(text: str) -> float | None:
+    """The last ``[x]`` in ``text`` whose x is a number in [0, 1], or None."""
+    scores = [v for v in map(_valid_score, _BRACKET_RE.findall(text)) if v is not None]
+    return scores[-1] if scores else None
+
+
 def parse_separate_score(raw_text: str) -> float:
     """Extract the last bracketed score in [0, 1]; answers restate it at the end."""
-    best = None
-    for m in _BRACKET_RE.finditer(raw_text):
-        value = _valid_score(m.group(1))
-        if value is not None:
-            best = value
-    if best is None:
+    score = _last_bracketed_score(raw_text)
+    if score is None:
         raise ScoreParseError("no bracketed score in [0, 1] found", raw_text)
-    return best
+    return score
 
 
 _USER_LINE_RE = re.compile(r"\buser\s*(\d+)\b(.*)$", re.IGNORECASE)
@@ -265,11 +267,7 @@ def parse_combine_scores(raw_text: str, agent_ids: list[str]) -> dict[str, float
             continue
         idx = int(m.group(1))
         rest = m.group(2)
-        value = None
-        for bm in _BRACKET_RE.finditer(rest):
-            candidate = _valid_score(bm.group(1))
-            if candidate is not None:
-                value = candidate
+        value = _last_bracketed_score(rest)
         if value is None:
             bare = _BARE_SCORE_RE.match(rest)
             if bare:

@@ -122,7 +122,7 @@ class SimConfig:
             raise ConfigError("n_agents must be >= 1")
         if not isinstance(self.tick_minutes, int) or self.tick_minutes < 1 or 60 % self.tick_minutes != 0:
             raise ConfigError(f"tick_minutes must be a positive divisor of 60, got {self.tick_minutes}")
-        for name in ("n_hunger", "n_social", "n_work"):
+        for name in ("seed", "n_hunger", "n_social", "n_work"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.n_hunger + self.n_social + self.n_work > self.n_agents:

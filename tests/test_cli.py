@@ -169,18 +169,34 @@ class TestDumpPrompts:
         data = tmp_path / "inject"
         assert main(["--out-dir", str(data), "--seed", "4", "inject", "--in", str(sim_dir / "dataset.jsonl"),
                      "--pairs", "2"]) == 0
-        cfg, endpoint, cache = tmp_path / "split.ini", tmp_path / "endpoint.json", tmp_path / "cache"
-        write(str(cfg), "[global]\nfallback_fraction = 0.3\n\n[detect]\n\n[dump-prompts]\n")
+        endpoint = tmp_path / "endpoint.json"
         write(str(endpoint), json.dumps({"provider": "mock-constant"}))
-        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "scores"), "detect", "--method", "llm",
-                     "--in", str(data), "--mode", "separate-hint", "--endpoint", str(endpoint),
-                     "--cache-dir", str(cache)]) == 0
-        out = tmp_path / "prompts"
-        assert main(["--config", str(cfg), "--out-dir", str(out), "dump-prompts", "--in", str(data),
-                     "--mode", "separate-hint"]) == 0
-        sent = sorted(json.loads(p.read_text())["request"]["prompt"] for p in cache.iterdir())
-        dumped = sorted(p.read_text() for p in out.glob("prompt_*.txt"))
-        assert len(sent) == 12 and dumped == sent
+        configs = {  # subcommand sections with the mode as a flag; a `run` config, mode in [llm], no [dump-prompts]
+            "split": ("[global]\nfallback_fraction = 0.3\n\n[detect]\n\n[dump-prompts]\n", ["--mode", "separate-hint"]),
+            "run": ("[global]\nstages = simulate, inject, detect, eval\n\n[detect]\nmethods = ompad, llm\n"
+                    "fallback_fraction = 0.3\n\n[llm]\nmode = separate-hint\n", []),
+        }
+        for name, (text, mode) in configs.items():
+            cfg, cache, out = tmp_path / f"{name}.ini", tmp_path / f"{name}_cache", tmp_path / f"{name}_prompts"
+            write(str(cfg), text)
+            assert main(["--config", str(cfg), "--out-dir", str(tmp_path / f"{name}_scores"), "detect", "--method",
+                         "llm", "--in", str(data), *mode, "--endpoint", str(endpoint), "--cache-dir", str(cache)]) == 0
+            assert main(["--config", str(cfg), "--out-dir", str(out), "dump-prompts", "--in", str(data), *mode]) == 0
+            sent = sorted(json.loads(p.read_text())["request"]["prompt"] for p in cache.iterdir())
+            dumped = sorted(p.read_text() for p in out.glob("prompt_*.txt"))
+            assert len(sent) == 12 and dumped == sent, name
+            assert all("***<deviate-point>***" in text for text in dumped), name
+
+    def test_a_deviate_index_past_the_last_stay_exits_1(self, sim_dir, tmp_path, capsys):
+        # detect omitted the agent ("no test windows") while dump-prompts marked its last stay
+        labels = [json.loads(line) for line in (sim_dir / "labels.jsonl").read_text().splitlines()]
+        outlier = next(row for row in labels if row["is_outlier"])
+        outlier["deviate_index"] = 1000
+        (sim_dir / "labels.jsonl").write_text("".join(json.dumps(row) + "\n" for row in labels))
+        for argv in (["detect", "--method", "ompad"], ["dump-prompts", "--mode", "separate-hint"]):
+            assert main(["--out-dir", str(tmp_path / argv[0]), *argv, "--in", str(sim_dir)]) == 1
+            err = capsys.readouterr().err
+            assert f"{outlier['agent_id']!r} deviates at stay 1000" in err and "Traceback" not in err
 
     def test_only_hint_modes_need_a_split_fallback(self, sim_dir, tmp_path, capsys):
         (sim_dir / "dataset.meta.json").write_text('{"source":"raw.csv"}\n')  # no onset_time, no switch_fraction
@@ -401,6 +417,22 @@ class TestConfigErrors:
         code = main(["--out-dir", str(out), "detect", "--method", "ompad", "--in", str(sim_dir), "--params", str(params)])
         assert code == 0
         assert (out / "scores_ompad.jsonl").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "-1", "simulate"],
+        ["inject", "--in", "{sim}/dataset.jsonl", "--pairs", "2", "--seed", "-3"],
+        ["detect", "--method", "traod", "--in", "{sim}", "--seed", "-2"],
+        ["detect", "--method", "dae", "--in", "{sim}", "--seed", "-2"],
+        ["detect", "--method", "dsvdd", "--in", "{sim}", "--seed", "-2"],
+        ["detect", "--method", "dae", "--in", "{sim}", "--seed", "-2", "--scope", "per_agent"],
+    ], ids=["simulate", "inject", "traod", "dae", "dsvdd", "dae_per_agent"])
+    def test_negative_seed_exits_1_without_traceback(self, sim_dir, tmp_path, capsys, argv):
+        # numpy raised ValueError (a traceback); per-agent nets hashed the seed and ran
+        argv = [arg.format(sim=sim_dir) for arg in argv]
+        assert main(["--out-dir", str(tmp_path / "out"), *argv]) == 1
+        err = capsys.readouterr().err
+        assert "seed must be >= 0" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_value_exits_1_without_traceback(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

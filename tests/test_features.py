@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mobanom.core import ConfigError, Dataset, GeoPoint, LabelEntry, LabelSet, StayPoint, Trajectory
+from mobanom.core import ConfigError, Dataset, GeoPoint, InvalidInputError, LabelEntry, LabelSet, StayPoint, Trajectory
 from mobanom.detectors import SplitSpec, build_windows, bucket_windows
 
 DAY = 86400
@@ -23,6 +23,14 @@ class TestSplitSpec:
         labels = LabelSet(entries={"a": LabelEntry(True, "imposter", 2)})
         split = SplitSpec.from_labels(ds, labels, fallback_fraction=0.5)
         assert split.split_index["a"] == 2
+
+    def test_a_deviate_index_past_the_last_stay_is_rejected(self):
+        # was taken as it was: the detectors found no test windows, while hint prompts marked the last stay
+        ds = Dataset(trajectories=[traj("a", [0, DAY, 2 * DAY])])
+        for index in (3, 1000):
+            labels = LabelSet(entries={"a": LabelEntry(True, "imposter", index)})
+            with pytest.raises(InvalidInputError, match=f"'a' deviates at stay {index}, but it has 3 stays"):
+                SplitSpec.from_labels(ds, labels, fallback_fraction=0.5)
 
     def test_fallback_fraction(self):
         ds = Dataset(trajectories=[traj("a", [100 * i for i in range(10)])])

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -18,6 +20,7 @@ from mobanom.llm import (
 from mobanom.llm.client import HttpChatEndpoint, build_bundles
 from mobanom.simulator import SimConfig, simulate
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SMALL = SimConfig(n_agents=12, weeks=1, n_hunger=2, n_social=0, n_work=1, seed=2)
 
 
@@ -110,12 +113,14 @@ class TestFailureHandling:
         assert all("endpoint error" in r for r in table.omitted.values())
 
     def test_auth_error_is_fatal(self, sim):
-        class Unauthorized(MockEndpoint):
-            def complete(self, bundle):
-                raise AuthError("bad token")
+        # and stops the queued requests, which were all still sent
+        def unauthorized(bundle):
+            raise AuthError("bad token")
 
+        endpoint = MockEndpoint(unauthorized)  # counts each call before it raises
         with pytest.raises(AuthError):
-            run_llm_detection(sim.dataset, sim.labels, "separate", Unauthorized(None))
+            run_llm_detection(sim.dataset, sim.labels, "separate", endpoint, max_concurrent=1)
+        assert endpoint.calls < len(sim.dataset.trajectories)
 
     def test_partial_combine_parse_keeps_resolved(self, sim):
         def drop_first(bundle):
@@ -128,6 +133,40 @@ class TestFailureHandling:
         table = run_llm_detection(sim.dataset, sim.labels, "combine", endpoint)
         assert len(table.scores) == len(sim.dataset.trajectories) - 1
         assert len(table.omitted) == 1
+
+
+class TestPerBundleOutcomes:
+    def test_each_bundle_scores_or_omits_its_own_agents(self, sim, tmp_path):
+        # combine mode; bundle 0's request fails, 1's answer has no user line, 2's resolves only user 2
+        bundles = build_bundles(sim.dataset, sim.labels, "combine", combine_char_budget=8000)
+        texts = [b.text for b in bundles]
+        assert len(bundles) >= 4
+
+        def reply(bundle):
+            k = texts.index(bundle.text)
+            if k == 0:
+                raise EndpointError("quota")
+            users = [] if k == 1 else [2] if k == 2 else range(1, len(bundle.agent_ids) + 1)
+            return "\n".join(f"user {i}: [0.{i}]" for i in users) or "I cannot tell."
+
+        scores, omitted = {}, {}
+        for k, bundle in enumerate(bundles):
+            for i, agent_id in enumerate(bundle.agent_ids, start=1):
+                if k == 0:
+                    omitted[agent_id] = "endpoint error: quota"
+                elif k == 1 or (k == 2 and i != 2):
+                    omitted[agent_id] = "parse error: no score resolved"
+                else:
+                    scores[agent_id] = i / 10
+        cache_dir = tmp_path / "cache"
+        endpoint = MockEndpoint(reply)
+        for calls in (len(bundles), len(bundles) + 1):  # a warm rerun asks again only for the failed bundle
+            table = run_llm_detection(sim.dataset, sim.labels, "combine", endpoint, cache_dir=str(cache_dir),
+                                      max_concurrent=3, combine_char_budget=8000)
+            assert table.scores == scores and table.omitted == omitted
+            assert endpoint.calls == calls
+            answered = sorted(PromptCache.key("mock", "paper-v1", text) + ".json" for text in texts[1:])
+            assert sorted(os.listdir(cache_dir)) == answered
 
 
 class TestBundling:
@@ -158,9 +197,9 @@ class TestDumpPrompts:
     def test_dump_writes_files_without_endpoint(self, sim, tmp_path):
         out = str(tmp_path / "prompts")
         paths = dump_prompts(sim.dataset, sim.labels, "separate-hint", out)
-        assert len(paths) == len(sim.dataset.trajectories)
-        index_path = os.path.join(out, "prompts_index.jsonl")
-        assert os.path.exists(index_path)
+        assert len(paths) == len(sim.dataset.trajectories) + 1
+        assert paths[-1] == os.path.join(out, "prompts_index.jsonl")
+        assert sorted(os.listdir(out)) == sorted(os.path.basename(p) for p in paths)
         with open(paths[0]) as fh:
             text = fh.read()
         assert "***<deviate-point>***" in text
@@ -286,3 +325,32 @@ class TestHttpEndpoint:
         assert isinstance(oracle, OracleMockEndpoint)
         with pytest.raises(ConfigError):
             endpoint_from_config(LlmEndpointConfig(provider="mock-oracle"))
+
+
+DEMO_06_STDOUT = (
+    "----- prompt head -----\n"
+    "Task: You are a human mobility trajectory behavior anomaly detector. Given a historical human "
+    "trajectory information, can you analyse the pattern behind the trajectory and give an anomaly score "
+    "(from 0 to 1, where larger value indicates more abnormal) of this user's behavior?\n"
+    "Description of input trajectory data: A temporal sequence of visited place points, each place is "
+    "consisted of the visited t ...\n"
+    "\n"
+    "parsed score from sample answer: 0.7\n"
+    "\n"
+    "first run:  15 endpoint calls\n"
+    "second run: 0 endpoint calls (answers served from cache)\n"
+    "\n"
+    "Detector           Top-3 Hits  AP score  AUC score  Agents  Outliers  Omitted\n"
+    "-----------------  ----------  --------  ---------  ------  --------  -------\n"
+    "llm_separate_hint  3           1.0000    1.0000     15      3         0\n"
+    "\n"
+    "combine mode resolved 15 agents from 1 prompt(s)\n"
+)
+
+
+def test_llm_demo_prints_what_it_always_printed(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]))
+    demo = os.path.join(ROOT, "demos", "06_llm_prompt_harness.py")
+    result = subprocess.run([sys.executable, demo], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == DEMO_06_STDOUT

@@ -178,10 +178,10 @@ class TestZeroRadius:
     "bad",
     [{"D": -1.0}, {"D": float("nan")}, {"D": float("inf")}, {"p_frac": 1.5}, {"p_frac": -0.1},
      {"auto_d_percentile": 101.0}, {"auto_d_percentile": -1.0}, {"auto_d_samples": 0},
-     {"weights": (1.0, -0.5, 1.0)}, {"weights": (1.0, 1.0, float("nan"))}],
+     {"weights": (1.0, -0.5, 1.0)}, {"weights": (1.0, 1.0, float("nan"))}, {"seed": -1}],
 )
 def test_params_out_of_range_are_rejected(bad):
-    # were: D = -1 scored every agent 1.0, p_frac = 1.5 every agent 0.0, 0 samples an IndexError
+    # were: D = -1 scored every agent 1.0, p_frac = 1.5 every agent 0.0, 0 samples an IndexError, seed -1 a ValueError
     with pytest.raises(ConfigError):
         TraodParams(**bad)
 
