@@ -195,7 +195,15 @@ def stage_detect(m: dict, inputs: list[str], out_dir: str, outputs: list[str]) -
         raise ConfigError("--out applies to a single method")
     ds, labels = read_dataset(inputs[0]), read_labels(inputs[1])
     split = _split(m, ds, labels)
-    hyper = config_from_mapping(NetHyper, m)
+    # only the listed methods' settings, each checked before anything is written
+    hyper = config_from_mapping(NetHyper, m) if {"dae", "dsvdd"} & set(methods) else None
+    traod_keys = {"traod_d": "D", "p_frac": "p_frac", "seed": "seed"}
+    traod = config_from_mapping(TraodParams, m, traod_keys) if "traod" in methods else None
+    if "llm" in methods:
+        if not m.get("endpoint"):
+            raise ConfigError("llm detection needs an endpoint config file")
+        config = read_endpoint_file(m["endpoint"])
+        endpoint = endpoint_from_config(config, labels=labels)
     os.makedirs(out_dir, exist_ok=True)
 
     feat = None
@@ -208,15 +216,11 @@ def stage_detect(m: dict, inputs: list[str], out_dir: str, outputs: list[str]) -
         elif method == "monav":
             table = config_from_mapping(monav_tt_score, m, {"window_days": "window_days"}, ds=ds, split=split)
         elif method == "traod":
-            params = config_from_mapping(TraodParams, m, {"traod_d": "D", "p_frac": "p_frac", "seed": "seed"})
-            table = traod_score(ds, split, params)
+            table = traod_score(ds, split, traod)
         elif method in ("dae", "dsvdd"):
             score = dae_score if method == "dae" else dsvdd_score
             table = config_from_mapping(score, m, {"scope": "scope"}, feat=feat, hyper=hyper)
         else:  # llm
-            if not m.get("endpoint"):
-                raise ConfigError("llm detection needs an endpoint config file")
-            config = read_endpoint_file(m["endpoint"])
             table = config_from_mapping(
                 run_llm_detection,
                 m,
@@ -224,7 +228,7 @@ def stage_detect(m: dict, inputs: list[str], out_dir: str, outputs: list[str]) -
                 ds=ds,
                 labels=labels,
                 mode=m.get("mode", DEFAULT_LLM_MODE),
-                endpoint=endpoint_from_config(config, labels=labels),
+                endpoint=endpoint,
                 max_concurrent=config.max_concurrent_requests,
                 split=split,
             )

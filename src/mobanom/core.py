@@ -179,6 +179,14 @@ def params_hash(params) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
+def check_settings(settings, rules: typing.Iterable[tuple[str, bool, str]]) -> None:
+    """ConfigError ``<field> must be <rule>, got <value>`` for the first ``(field, ok, rule)`` row that fails;
+    the rows are tested as the list is built, so a test that could itself raise must guard itself."""
+    for name, ok, rule in rules:
+        if not ok:
+            raise ConfigError(f"{name} must be {rule}, got {getattr(settings, name)}")
+
+
 def convert_value(hint, key: str, value):
     """``value`` (a config-file string, or an already typed flag or JSON value) as type ``hint``.
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..core import ConfigError, Dataset, EARTH_RADIUS_KM, Trajectory, haversine_km, params_hash
+from ..core import Dataset, EARTH_RADIUS_KM, Trajectory, check_settings, haversine_km, params_hash
 from ..evaluation import ScoreTable
 from .features import SplitSpec, WindowedFeatures, bucket_windows, window_seconds_of
 
@@ -157,17 +157,12 @@ class TraodParams:
     seed: int = 0
 
     def __post_init__(self):
-        checks = [
-            (self.D is None or 0 <= self.D < math.inf, f"D must be None or finite and >= 0, got {self.D}"),
-            (0 <= self.p_frac <= 1, f"p_frac must be in [0, 1], got {self.p_frac}"),
-            (0 <= self.auto_d_percentile <= 100, f"auto_d_percentile must be in [0, 100], got {self.auto_d_percentile}"),
-            (self.auto_d_samples >= 1, f"auto_d_samples must be >= 1, got {self.auto_d_samples}"),
-            (all(0 <= w < math.inf for w in self.weights), f"weights must be finite and >= 0, got {self.weights}"),
-            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
-        ]
-        for ok, message in checks:
-            if not ok:
-                raise ConfigError(message)
+        check_settings(self, [("D", self.D is None or 0 <= self.D < math.inf, "None or finite and >= 0"),
+                              ("p_frac", 0 <= self.p_frac <= 1, "in [0, 1]"),
+                              ("auto_d_percentile", 0 <= self.auto_d_percentile <= 100, "in [0, 100]"),
+                              ("auto_d_samples", self.auto_d_samples >= 1, ">= 1"),
+                              ("weights", all(0 <= w < math.inf for w in self.weights), "finite and >= 0"),
+                              ("seed", self.seed >= 0, ">= 0")])
 
 
 def _trajectory_segments(t: Trajectory, lo: int, hi: int, lat0: float, lon0: float) -> np.ndarray:

@@ -44,10 +44,12 @@ class SplitSpec:
         """Split outliers at their deviate index, everyone else at the fallback.
 
         An outlier's deviate index must name one of its stays, else
-        InvalidInputError.  With no explicit fallback, dataset provenance is
-        consulted: ``meta["onset_time"]`` (simulator output) or
-        ``meta["switch_fraction"]`` (injector output).
+        InvalidInputError.  Give at most one fallback, else ConfigError; with
+        none, dataset provenance is consulted: ``meta["onset_time"]``
+        (simulator output) or ``meta["switch_fraction"]`` (injector output).
         """
+        if fallback_fraction is not None and fallback_time is not None:
+            raise ConfigError(f"fallback_fraction and fallback_time are both set: {fallback_fraction}, {fallback_time}")
         if fallback_fraction is None and fallback_time is None:
             if "onset_time" in ds.meta:
                 fallback_time = int(ds.meta["onset_time"])

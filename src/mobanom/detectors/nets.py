@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..core import ConfigError, TrainingDivergedError, params_hash
+from ..core import ConfigError, TrainingDivergedError, check_settings, params_hash
 from ..evaluation import ScoreTable
 from .features import WindowedFeatures
 
@@ -51,13 +51,10 @@ class NetHyper:
     embed_dim: int = 16
 
     def __post_init__(self) -> None:
-        for name in ("epochs", "embed_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not 0 < self.learning_rate < np.inf:
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        check_settings(self, [("epochs", self.epochs >= 1, ">= 1"),
+                              ("embed_dim", self.embed_dim >= 1, ">= 1"),
+                              ("seed", self.seed >= 0, ">= 0"),
+                              ("learning_rate", 0 < self.learning_rate < np.inf, "finite and > 0")])
 
 
 class TinyNet:
@@ -250,6 +247,8 @@ def _one_class_scores(kind: str, feat: WindowedFeatures, hyper: NetHyper, scope:
             ends = np.cumsum([len(feat.test[a]) for a in test_agents])
             for a, own in zip(test_agents, np.split(per_window, ends[:-1])):
                 scores[a] = float(np.mean(own))
+                if not np.isfinite(scores[a]):  # no loss is computed after the last update
+                    raise TrainingDivergedError(hyper.epochs - 1, scores[a])
 
     return ScoreTable(
         detector=kind if scope == "population" else f"{kind}_per_agent",

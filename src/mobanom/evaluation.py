@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ConfigError, LabelSet, UndefinedMetricError, _dumps, _one_line_per_agent, params_hash, parse_jsonl,
-                   read_jsonl)
+from .core import (ConfigError, InvalidInputError, LabelSet, UndefinedMetricError, _dumps, _one_line_per_agent,
+                   params_hash, parse_jsonl, read_jsonl)
 
 __all__ = [
     "ScoreTable",
@@ -42,7 +42,7 @@ class ScoreTable:
     def __post_init__(self):
         for agent_id, s in self.scores.items():
             if not np.isfinite(s):
-                raise ValueError(f"non-finite score for {agent_id!r}: {s!r}")
+                raise InvalidInputError(f"non-finite score for {agent_id!r}: {s!r}")
 
     def to_jsonl(self) -> str:
         rows = ({"agent_id": a, "score": self.scores[a], "method": self.detector, "params_hash": self.params_hash}

@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .core import EARTH_RADIUS_KM, CorruptInputError, Dataset, GeoPoint, InvalidInputError, StayPoint, Trajectory
-from .core import ConfigError, _check_types, haversine_km, params_hash, read_jsonl
+from .core import _check_types, check_settings, haversine_km, params_hash, read_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -71,8 +71,8 @@ class StayPointParams:
     time_threshold_s: float = 1200.0
 
     def __post_init__(self):
-        if not (0 < self.dist_threshold_m < math.inf and 0 < self.time_threshold_s < math.inf):
-            raise ConfigError("stay-point thresholds must be positive and finite")
+        check_settings(self, [("dist_threshold_m", 0 < self.dist_threshold_m < math.inf, "finite and > 0"),
+                              ("time_threshold_s", 0 < self.time_threshold_s < math.inf, "finite and > 0")])
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .core import (
     LabelEntry,
     LabelSet,
     Trajectory,
+    check_settings,
     params_hash,
     validate_trajectory,
 )
@@ -38,12 +39,9 @@ class InjectConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.switch_fraction < 1.0):
-            raise ConfigError("switch_fraction must be in (0, 1)")
-        if self.n_outlier_pairs < 1:
-            raise ConfigError("n_outlier_pairs must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_settings(self, [("switch_fraction", 0.0 < self.switch_fraction < 1.0, "in (0, 1)"),
+                              ("n_outlier_pairs", self.n_outlier_pairs >= 1, ">= 1"),
+                              ("seed", self.seed >= 0, ">= 0")])
 
 
 def _switch_time(traj: Trajectory, switch_fraction: float) -> int | None:

@@ -30,6 +30,7 @@ from ..core import (
     ScoreParseError,
     _dumps,
     atomic_write,
+    check_settings,
     params_hash,
 )
 from ..detectors.features import SplitSpec
@@ -53,16 +54,11 @@ class LlmEndpointConfig:
     mock_text: str = "[0.5]"
 
     def __post_init__(self):
-        rules = [
-            ("max_retries", self.max_retries >= 0, ">= 0"),
-            ("max_concurrent_requests", self.max_concurrent_requests >= 1, ">= 1"),
-            ("max_output_tokens", self.max_output_tokens >= 1, ">= 1"),
-            ("request_timeout_s", 0 < self.request_timeout_s < math.inf, "finite and > 0"),
-            ("temperature", 0 <= self.temperature < math.inf, "finite and >= 0"),
-        ]
-        for name, ok, rule in rules:
-            if not ok:
-                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
+        check_settings(self, [("max_retries", self.max_retries >= 0, ">= 0"),
+                              ("max_concurrent_requests", self.max_concurrent_requests >= 1, ">= 1"),
+                              ("max_output_tokens", self.max_output_tokens >= 1, ">= 1"),
+                              ("request_timeout_s", 0 < self.request_timeout_s < math.inf, "finite and > 0"),
+                              ("temperature", 0 <= self.temperature < math.inf, "finite and >= 0")])
 
 
 @dataclass

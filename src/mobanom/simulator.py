@@ -38,13 +38,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import (
-    ConfigError,
     Dataset,
     GeoPoint,
     LabelEntry,
     LabelSet,
     StayPoint,
     Trajectory,
+    check_settings,
     params_hash,
 )
 
@@ -116,38 +116,26 @@ class SimConfig:
     pref_weight_range: tuple[float, float] = (0.1, 10.0)
 
     def __post_init__(self) -> None:
-        if self.weeks < 1:
-            raise ConfigError("weeks must be >= 1")
-        if self.n_agents < 1:
-            raise ConfigError("n_agents must be >= 1")
-        if not isinstance(self.tick_minutes, int) or self.tick_minutes < 1 or 60 % self.tick_minutes != 0:
-            raise ConfigError(f"tick_minutes must be a positive divisor of 60, got {self.tick_minutes}")
-        for name in ("seed", "n_hunger", "n_social", "n_work"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.n_hunger + self.n_social + self.n_work > self.n_agents:
-            raise ConfigError("outlier counts exceed n_agents")
-        if not (0.0 < self.outlier_onset_fraction < 1.0):
-            raise ConfigError("outlier_onset_fraction must be in (0, 1)")
-        for name in ("n_apartments", "n_workplaces", "n_restaurants", "n_pubs", "n_recreation"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        for name in ("hunger_threshold", "social_threshold"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("hunger_multiplier", "social_rate_per_hour", "mean_friend_degree"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        for name, (lo, hi), least, most in (
-            ("hunger_rate_range", self.hunger_rate_range, 0.0, math.inf),
-            ("pref_weight_range", self.pref_weight_range, 0.0, math.inf),
-            ("bbox", self.bbox[:2], -90.0, 90.0),
-            ("bbox", self.bbox[2:], -180.0, 180.0),
-        ):
-            if not (least <= lo <= hi <= most and math.isfinite(hi)):
-                raise ConfigError(f"{name} must be finite with {least:g} <= low <= high <= {most:g}, got {lo}, {hi}")
-        if self.pref_weight_range[0] == 0:
-            raise ConfigError("pref_weight_range low must be > 0: its log is drawn")
+        tick, outliers = self.tick_minutes, self.n_hunger + self.n_social + self.n_work
+        (hunger_lo, hunger_hi), (pref_lo, pref_hi), (south, north, west, east) = (
+            self.hunger_rate_range, self.pref_weight_range, self.bbox)
+        check_settings(self, [
+            ("weeks", self.weeks >= 1, ">= 1"),
+            ("n_agents", self.n_agents >= 1, ">= 1"),
+            ("tick_minutes", isinstance(tick, int) and tick >= 1 and 60 % tick == 0, "a positive divisor of 60"),
+            *((name, getattr(self, name) >= 0, ">= 0") for name in ("seed", "n_hunger", "n_social", "n_work")),
+            ("n_agents", outliers <= self.n_agents, f">= n_hunger + n_social + n_work = {outliers}"),
+            ("outlier_onset_fraction", 0.0 < self.outlier_onset_fraction < 1.0, "in (0, 1)"),
+            *((name, getattr(self, name) >= 1, ">= 1")
+              for name in ("n_apartments", "n_workplaces", "n_restaurants", "n_pubs", "n_recreation")),
+            *((name, math.isfinite(getattr(self, name)), "finite") for name in ("hunger_threshold", "social_threshold")),
+            *((name, 0.0 <= getattr(self, name) < math.inf, "finite and >= 0")
+              for name in ("hunger_multiplier", "social_rate_per_hour", "mean_friend_degree")),
+            ("hunger_rate_range", 0.0 <= hunger_lo <= hunger_hi < math.inf, "finite with 0 <= low <= high"),
+            ("pref_weight_range", 0.0 <= pref_lo <= pref_hi < math.inf, "finite with 0 <= low <= high"),
+            ("bbox", -90.0 <= south <= north <= 90.0, "(south, north, west, east) with -90 <= south <= north <= 90"),
+            ("bbox", -180.0 <= west <= east <= 180.0, "(south, north, west, east) with -180 <= west <= east <= 180"),
+            ("pref_weight_range", pref_lo > 0, "(low, high) with low > 0: its log is drawn")])
 
     @property
     def total_ticks(self) -> int:

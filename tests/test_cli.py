@@ -330,13 +330,14 @@ class TestRunPipeline:
         assert "switch_fraction" in json.loads((out / "inject" / "dataset.meta.json").read_text())
 
     def test_failed_stage_leaves_partial_outputs(self, tmp_path):
-        # llm misconfigured (no endpoint): ompad's finished scores get .partial
+        # dae diverges after ompad has scored: ompad's finished scores get .partial (a bad setting, such as a
+        # missing llm endpoint, now fails before any detector runs and leaves nothing)
         cfg = tmp_path / "broken.ini"
         write(
             str(cfg),
             "[global]\nseed = 1\nstages = simulate, detect\n\n"
             "[simulate]\nn_agents = 8\nweeks = 1\nn_hunger = 0\nn_social = 0\nn_work = 0\n\n"
-            "[detect]\nmethods = ompad, llm\nwindow_days = 2\n",
+            "[detect]\nmethods = ompad, dae\nwindow_days = 2\nepochs = 1\nlearning_rate = 1e30\n",
         )
         out = tmp_path / "runp"
         assert main(["--config", str(cfg), "--out-dir", str(out), "run"]) == 1
@@ -537,7 +538,13 @@ class TestIngestInputFaults:
         code = main(["--out-dir", str(tmp_path / "out"), "--config", str(cfg), "ingest", str(csv)])
         assert code == 1
         err = capsys.readouterr().err
-        assert "finite" in err and "Traceback" not in err
+        assert f"{key} must be finite and > 0, got nan" in err and "Traceback" not in err
+
+    def test_zero_distance_threshold_flag_exits_1(self, csv, tmp_path, capsys):
+        # was `stay-point thresholds must be positive and finite`, naming neither the threshold nor its value
+        assert main(["--out-dir", str(tmp_path / "out"), "ingest", str(csv), "--dist-threshold-m", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "dist_threshold_m must be finite and > 0, got 0.0" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("setting, named", [("traod_d = -1", "D must"), ("p_frac = 1.5", "p_frac must")])
     def test_traod_params_out_of_range_exit_1(self, sim_dir, tmp_path, capsys, setting, named):
@@ -578,6 +585,32 @@ class TestDetectSettingFaults:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
         assert not (tmp_path / "scores" / "scores_dae.jsonl").exists()
+
+    def test_a_net_setting_does_not_block_a_method_that_does_not_read_it(self, sim_dir, tmp_path):
+        # was: exit 1 with `epochs must be >= 1, got 0`, because detect built the net settings for every method
+        assert self.detect(sim_dir, tmp_path, "ompad", "--epochs", "0") == 0
+        assert (tmp_path / "scores" / "scores_ompad.jsonl").exists()
+
+    @pytest.mark.parametrize("methods, args, params, named", [
+        ("ompad,traod", [], "traod_d = -1", "D must be None or finite and >= 0, got -1.0"),
+        ("ompad,llm", ["--endpoint", "{tmp}/endpoint.json"], "", "cannot read endpoint file"),
+    ], ids=["traod", "llm"])
+    def test_a_bad_setting_of_a_later_method_writes_nothing(self, sim_dir, tmp_path, capsys, methods, args, params,
+                                                            named):
+        # was: OMPAD scored first, and its score file was left as scores_ompad.jsonl.partial
+        write(str(tmp_path / "endpoint.json"), '{"provider": "mock-oracle",')
+        args = [arg.format(tmp=tmp_path) for arg in args]
+        assert self.detect(sim_dir, tmp_path, methods, *args, params=params) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "scores").exists()
+
+    @pytest.mark.parametrize("method", ["dae", "dsvdd"])
+    def test_a_net_that_diverges_in_its_last_update_exits_1(self, sim_dir, tmp_path, capsys, method):
+        # was: `ValueError: non-finite score for 'agent0000': inf` and a traceback
+        assert self.detect(sim_dir, tmp_path, method, params="epochs = 1\nlearning_rate = 1e30") == 1
+        err = capsys.readouterr().err
+        assert "training diverged at epoch 0" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("fraction", ["nan", "1.5"])
     def test_fallback_fraction_outside_0_1_exits_1(self, sim_dir, tmp_path, capsys, fraction):

@@ -296,6 +296,12 @@ class TestReport:
         assert again.detector == "ompad"
         assert again.params_hash == "abc"
 
+    @pytest.mark.parametrize("score", [float("inf"), float("nan")])
+    def test_a_non_finite_score_is_invalid_input(self, score):
+        # was a ValueError, which the CLI does not catch: it ended in a traceback
+        with pytest.raises(InvalidInputError, match="non-finite score for 'a'"):
+            ScoreTable(detector="x", scores={"a": score})
+
     def test_scores_reject_a_repeated_agent_id(self, tmp_path):
         text = '{"agent_id":"a","score":0.5}\n{"agent_id":"b","score":0.1}\n{"agent_id":"a","score":0.9}\n'
         with pytest.raises(InvalidInputError, match="<scores>:3: duplicate agent_id 'a'"):

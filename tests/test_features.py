@@ -61,6 +61,12 @@ class TestSplitSpec:
         with pytest.raises(ConfigError):
             SplitSpec.from_labels(ds, LabelSet(entries={"a": LabelEntry(False)}))
 
+    def test_both_fallbacks_are_rejected(self):
+        # was: the time split every agent that is not a labelled outlier, and the fraction was ignored
+        ds = Dataset(trajectories=[traj("a", [100 * i for i in range(10)])])
+        with pytest.raises(ConfigError, match="fallback_fraction and fallback_time are both set: 0.5, 150"):
+            SplitSpec.from_labels(ds, LabelSet(entries={"a": LabelEntry(False)}), fallback_fraction=0.5, fallback_time=150)
+
     @pytest.mark.parametrize("fraction", [float("nan"), float("inf"), -0.1, 1.5])
     def test_fallback_fraction_outside_0_1_rejected(self, fraction):
         # were: nan a ValueError, 1.5 a split past the end that left every test side empty
