@@ -26,6 +26,7 @@ from . import __version__
 from .core import ConfigError, MobanomError, _meta_path, atomic_write, config_from_mapping, convert_value, params_hash
 from .core import read_dataset, read_labels, write_dataset, write_labels
 from .detectors import NetHyper, SplitSpec, TraodParams, build_windows, dae_score, dsvdd_score, monav_tt_score, ompad_score, traod_score
+from .detectors.features import window_seconds_of
 from .evaluation import ScoreTable, make_report
 from .ingest import PoiMap, StayPointParams, ingest_dataset
 from .inject import InjectConfig, inject_imposter
@@ -199,18 +200,20 @@ def stage_detect(m: dict, inputs: list[str], out_dir: str, outputs: list[str]) -
     hyper = config_from_mapping(NetHyper, m) if {"dae", "dsvdd"} & set(methods) else None
     traod_keys = {"traod_d": "D", "p_frac": "p_frac", "seed": "seed"}
     traod = config_from_mapping(TraodParams, m, traod_keys) if "traod" in methods else None
+    window_keys = {"window_days": "window_days", "window_len": "L", "l": "L"}
+    windowed = {"ompad", "dae", "dsvdd"} & set(methods)
+    feat = config_from_mapping(build_windows, m, window_keys, ds=ds, split=split) if windowed else None
+    if "monav" in methods and "window_days" in m:
+        config_from_mapping(window_seconds_of, m, {"window_days": "window_days"})
     if "llm" in methods:
+        mode = normalize_mode(m.get("mode", DEFAULT_LLM_MODE))
         if not m.get("endpoint"):
             raise ConfigError("llm detection needs an endpoint config file")
         config = read_endpoint_file(m["endpoint"])
         endpoint = endpoint_from_config(config, labels=labels)
     os.makedirs(out_dir, exist_ok=True)
 
-    feat = None
     for method in methods:
-        if method in ("ompad", "dae", "dsvdd") and feat is None:
-            window_keys = {"window_days": "window_days", "window_len": "L", "l": "L"}
-            feat = config_from_mapping(build_windows, m, window_keys, ds=ds, split=split)
         if method == "ompad":
             table = ompad_score(feat)
         elif method == "monav":
@@ -227,7 +230,7 @@ def stage_detect(m: dict, inputs: list[str], out_dir: str, outputs: list[str]) -
                 {"template": "template_version", "cache_dir": "cache_dir"},
                 ds=ds,
                 labels=labels,
-                mode=m.get("mode", DEFAULT_LLM_MODE),
+                mode=mode,
                 endpoint=endpoint,
                 max_concurrent=config.max_concurrent_requests,
                 split=split,

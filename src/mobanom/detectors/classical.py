@@ -90,6 +90,8 @@ def monav_tt_score(ds: Dataset, split: SplitSpec, window_days: float = 7.0) -> S
 
 #: (test, pool) segment pairs per kernel call in the support query; bounds the kernel's temporaries.
 PAIR_BLOCK = 4096
+#: distinct pool segments per step of the support query; after each step the settled test segments drop out.
+POOL_BLOCK = 64
 
 
 def _lengths(segs: np.ndarray) -> np.ndarray:
@@ -202,6 +204,9 @@ def _traod_outlying(ds: Dataset, split: SplitSpec, params: TraodParams):
     once.  For each distinct test segment, the OR of the rows of the
     (distinct pool segment x owner) incidence matrix that lie within the
     radius marks its near owners; an agent's own column does not count.
+    The pool is visited in blocks, and a test segment leaves the query once
+    it has enough near owners to be supported whichever agent asks (Bay &
+    Schwabacher, KDD 2003), so its row of near owners may stay incomplete.
     """
     lat0 = float(np.mean([sp.location.lat for t in ds.trajectories for sp in t.points]))
     lon0 = float(np.mean([sp.location.lon for t in ds.trajectories for sp in t.points]))
@@ -226,10 +231,17 @@ def _traod_outlying(ds: Dataset, split: SplitSpec, params: TraodParams):
     queries = np.concatenate([np.empty((0, 2, 2)), *(test[a] for a in scored)])
     unique_test, test_index = _unique_segments(queries)
     near = np.zeros((len(unique_test), len(owners) + 1), dtype=bool)
-    rows = max(1, PAIR_BLOCK // max(1, len(unique_pool)))
-    for lo in range(0, len(unique_test), rows):
-        close = traod_segment_distance(unique_test[lo:lo + rows, None], unique_pool[None], params.weights) <= radius
-        near[lo:lo + rows] = [incidence[row].any(axis=0) for row in close]
+    open_rows, rows = np.arange(len(unique_test)), max(1, PAIR_BLOCK // POOL_BLOCK)
+    order = np.random.default_rng(0).permutation(len(unique_pool))  # any fixed order; only the speed depends on it
+    for start in range(0, len(order), POOL_BLOCK):
+        block = order[start:start + POOL_BLOCK]
+        segs, owned = unique_pool[block][None], incidence[block].astype(np.float64)  # BLAS ORs rows; 0/1 sums exact
+        for lo in range(0, len(open_rows), rows):
+            idx = open_rows[lo:lo + rows]
+            close = traod_segment_distance(unique_test[idx, None], segs, params.weights) <= radius
+            near[idx] |= close.astype(np.float64) @ owned > 0
+        # k near owners give whoever asks >= k - 1 supporters, and k only grows: not outlying in the full query
+        open_rows = open_rows[near[open_rows].sum(axis=1) - 1 < (1.0 - params.p_frac) * len(owners)]
 
     own = np.repeat(np.array([column.get(a, len(owners)) for a in scored], dtype=int), sizes)  # no pool: extra
     others = np.repeat([len(owners) - (a in column) for a in scored], sizes)

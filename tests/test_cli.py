@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import shlex
+import subprocess
+import sys
 import time
 from dataclasses import fields, replace
 
@@ -594,11 +596,15 @@ class TestDetectSettingFaults:
     @pytest.mark.parametrize("methods, args, params, named", [
         ("ompad,traod", [], "traod_d = -1", "D must be None or finite and >= 0, got -1.0"),
         ("ompad,llm", ["--endpoint", "{tmp}/endpoint.json"], "", "cannot read endpoint file"),
-    ], ids=["traod", "llm"])
+        ("traod,dae", ["--window-len", "0"], "", "L must be >= 1, got 0"),
+        ("traod,monav", ["--window-days", "0"], "", "a window must last at least 1 second"),
+        ("monav,llm", ["--mode", "bogus", "--endpoint", "{tmp}/mock.json"], "", "unknown prompt mode 'bogus'"),
+    ], ids=["traod", "llm", "window_len", "window_days", "llm_mode"])
     def test_a_bad_setting_of_a_later_method_writes_nothing(self, sim_dir, tmp_path, capsys, methods, args, params,
                                                             named):
-        # was: OMPAD scored first, and its score file was left as scores_ompad.jsonl.partial
+        # was: the first method scored, and its score file was left as scores_<method>.jsonl.partial
         write(str(tmp_path / "endpoint.json"), '{"provider": "mock-oracle",')
+        write(str(tmp_path / "mock.json"), '{"provider": "mock-oracle"}')
         args = [arg.format(tmp=tmp_path) for arg in args]
         assert self.detect(sim_dir, tmp_path, methods, *args, params=params) == 1
         err = capsys.readouterr().err
@@ -924,3 +930,13 @@ class TestReadmeDrift:
         for line in lines:
             args = parser.parse_args(shlex.split(line)[1:])
             assert args.command in STAGES or args.command == "run"
+
+
+def test_python_dash_m_runs_the_cli():
+    # was: "No module named mobanom.__main__" without an installed entry point
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-m", "mobanom", "--help"], env=env, capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: mobanom ")

@@ -3,15 +3,18 @@
 import os
 import subprocess
 import sys
+from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
 import traod_oracle as oracle
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mobanom.core import ConfigError, Dataset, GeoPoint, StayPoint, Trajectory
-from mobanom.detectors import SplitSpec, TraodParams, segment_distance_components, traod_score, traod_segment_distance
+from mobanom.core import ConfigError, Dataset, GeoPoint, StayPoint, Trajectory, params_hash
+from mobanom.detectors import SplitSpec, TraodParams, classical, segment_distance_components, traod_score
+from mobanom.detectors import traod_segment_distance
 from mobanom.detectors.classical import _trajectory_segments, _traod_outlying
 from mobanom.inject import InjectConfig, inject_imposter
 from mobanom.simulator import SimConfig, simulate
@@ -172,6 +175,138 @@ class TestZeroRadius:
         assert radius == 0.0 and 0.0 < o_radius < 1e-12
         flips = [(a, k) for a, (out, _) in decisions.items() for k, o in enumerate(o_outlying[a]) if o != out[k]]
         assert flips and all(o_outlying[a][k] for a, k in flips)  # only ever fewer outlying hops
+
+
+def query(ds, split, params):
+    """(distinct test x distinct pool segments, pairs the support query compared, its result)."""
+    distinct, pairs = [], []
+    unique, kernel = classical._unique_segments, classical.traod_segment_distance
+
+    def counted_unique(segs):
+        out = unique(segs)
+        distinct.append(len(out[0]))
+        return out
+
+    def counted_kernel(s1, s2, weights):
+        out = kernel(s1, s2, weights)
+        pairs.append(out.size)
+        return out
+
+    with mock.patch.object(classical, "_unique_segments", counted_unique), \
+            mock.patch.object(classical, "traod_segment_distance", counted_kernel):
+        result = _traod_outlying(ds, split, params)
+    auto = params.auto_d_samples if params.D is None else 0
+    return distinct[0] * distinct[1], sum(pairs) - auto, result
+
+
+def assert_same_decisions(got, want):
+    radius, decisions, omitted = got
+    o_radius, o_decisions, o_omitted = want
+    assert radius == o_radius and omitted == o_omitted and sorted(decisions) == sorted(o_decisions)
+    for agent_id, (outlying, lengths) in decisions.items():
+        assert outlying.tolist() == o_decisions[agent_id][0].tolist()
+        assert lengths.tolist() == o_decisions[agent_id][1].tolist()
+
+
+def score_bytes(ds, split, params, outlying=_traod_outlying):
+    with mock.patch.object(classical, "_traod_outlying", outlying):
+        return traod_score(ds, split, params).to_jsonl()
+
+
+GRID = [(40.0 + 0.01 * i, 116.3 + 0.013 * j) for i in range(3) for j in range(3)]
+
+
+@st.composite
+def small_towns(draw):
+    """2-6 agents, each repeating a route over a 3 x 3 grid, some a few metres off the grid; any split.
+
+    Hops repeat within an agent (its test hops meet its own training hops) and across agents (exactly, or
+    near one another).
+    """
+    trajectories, split = [], {}
+    for k in range(draw(st.integers(2, 6))):
+        route = draw(st.lists(st.sampled_from(GRID), min_size=1, max_size=4))
+        offset = draw(st.sampled_from([0.0, 1e-4, 2e-4]))
+        stops = (route * 3)[:draw(st.integers(1, 8))]
+        trajectories.append(Trajectory(f"a{k}", [sp(h, lat + offset, lon) for h, (lat, lon) in enumerate(stops)]))
+        split[f"a{k}"] = draw(st.integers(0, len(stops)))
+    return Dataset(trajectories=trajectories), SplitSpec(split_index=split)
+
+
+class TestEarlyExit:
+    """The support query drops a test segment once it is settled; decisions match the full query."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_towns(), st.one_of(st.none(), st.just(0.0), st.floats(0.0, 0.1), st.floats(0.0, 3.0)),
+           st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), st.tuples(*[st.floats(0.0, 3.0)] * 3),
+           st.one_of(st.just(64), st.integers(1, 7)), st.one_of(st.just(4096), st.integers(1, 11)))
+    def test_same_decisions_and_score_bytes_as_the_full_query(self, town_split, D, p_frac, weights, pool_block,
+                                                             pair_block):
+        ds, split = town_split
+        params = TraodParams(D=D, p_frac=p_frac, weights=weights, auto_d_samples=50)
+        with mock.patch.object(classical, "POOL_BLOCK", pool_block), \
+                mock.patch.object(classical, "PAIR_BLOCK", pair_block):
+            full, compared, got = query(ds, split, params)
+            assert compared <= full  # each (test, pool) pair at most once
+            assert_same_decisions(got, oracle.full_query_outlying(ds, split, params))
+            assert score_bytes(ds, split, params) == score_bytes(ds, split, params, oracle.full_query_outlying)
+
+    @pytest.mark.parametrize("pool_block", [1, 64])
+    @pytest.mark.parametrize("shift", [(1e-4, 0.0), (-1e-4, 0.0), (0.0, 1e-4), (0.0, -1e-4)])
+    def test_an_own_near_owner_is_not_a_supporter(self, pool_block, shift):
+        # a's test hop is also its training hop and c's test hop; b's training hop is a few metres off it.
+        # Near owners {a, b}, so a has 1 supporter of 2 others and c has 2: neither hop is outlying at
+        # p_frac = 0.7.  Counting a's own column as a supporter would drop the hop after a's block, before
+        # b's, and leave a with 0 supporters whenever a's hop comes first in the visiting order.
+        p, q, far = (40.0, 116.3), (40.01, 116.32), (40.2, 116.6)
+        p2, q2 = (p[0] + shift[0], p[1] + shift[1]), (q[0] + shift[0], q[1] + shift[1])
+        a = Trajectory("a", [sp(0, *p), sp(1, *q), sp(2, *p), sp(3, *q)])
+        b = Trajectory("b", [sp(0, *p2), sp(1, *q2)])
+        c = Trajectory("c", [sp(0, *far), sp(1, far[0], far[1] + 0.01), sp(2, *p), sp(3, *q)])
+        ds, split = Dataset(trajectories=[a, b, c]), SplitSpec(split_index={"a": 2, "b": 2, "c": 2})
+        params = TraodParams(D=0.05, p_frac=0.7)
+        with mock.patch.object(classical, "POOL_BLOCK", pool_block):
+            got = _traod_outlying(ds, split, params)
+            assert traod_score(ds, split, params).scores == {"a": 0.0, "c": 0.0}
+        assert_same_decisions(got, oracle.full_query_outlying(ds, split, params))
+        assert got[2] == {"b": "no test segments"}
+
+    def test_at_p_frac_0_no_segment_leaves_the_query(self):
+        ds, split = town(5)
+        params = TraodParams(D=2.0, p_frac=0.0)
+        full, compared, got = query(ds, split, params)
+        assert compared == full
+        assert_same_decisions(got, oracle.full_query_outlying(ds, split, params))
+
+    def test_at_p_frac_1_nothing_is_outlying(self):
+        ds, split = town(5)
+        params = TraodParams(D=2.0, p_frac=1.0)
+        full, compared, got = query(ds, split, params)
+        assert compared < full
+        assert_same_decisions(got, oracle.full_query_outlying(ds, split, params))
+        assert set(traod_score(ds, split, params).scores.values()) == {0.0}
+
+    def test_at_default_params_segments_leave_the_query_early(self):
+        ds, split = town(5)
+        full, compared, got = query(ds, split, TraodParams())
+        assert compared < full
+        assert_same_decisions(got, oracle.full_query_outlying(ds, split, TraodParams()))
+
+    @pytest.mark.parametrize("params", PARAMS[1:3], ids=["p_frac_0.5", "D_2_p_frac_0.7"])
+    def test_an_agent_without_training_segments_has_no_own_column(self, params):
+        ds, split = town(5)
+        newcomer = ds.trajectories[0].agent_id
+        split = SplitSpec(split_index={**split.split_index, newcomer: 0})
+        got = _traod_outlying(ds, split, params)
+        assert_same_decisions(got, oracle.full_query_outlying(ds, split, params))
+        _, o_outlying, _, _ = oracle.traod_outlying(ds, split, params)
+        assert got[1][newcomer][0].tolist() == o_outlying[newcomer]
+
+    def test_the_radius_and_params_hash_do_not_move(self):
+        # the visiting order has its own generator: the auto radius draws the same pairs as before it
+        ds, split = town(5)
+        assert _traod_outlying(ds, split, TraodParams())[0].hex() == "0x1.0ba4437211f53p+2"
+        assert params_hash(asdict(TraodParams())) == "9d65b0753c48"
 
 
 @pytest.mark.parametrize(

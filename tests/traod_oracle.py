@@ -5,6 +5,11 @@ replaced with a vectorized one. It lives on only as the test oracle: the
 vectorized kernel must agree with ``segment_distance_components`` here, and
 the vectorized ``traod_score`` must make the same outlier decisions as
 ``traod_outlying`` here and give the same ``length_weighted_scores``.
+
+``full_query_outlying`` is the vectorized support query as it was before it
+learned to stop early: every distinct test segment against every distinct pool
+segment. It shares the vectorized kernel, so it must agree bit for bit, at
+D = 0 too, where ``traod_outlying``'s rounding noise does not.
 """
 
 from __future__ import annotations
@@ -14,6 +19,9 @@ import numpy as np
 
 from mobanom.core import EARTH_RADIUS_KM, Dataset, Trajectory
 from mobanom.detectors import SplitSpec, TraodParams
+from mobanom.detectors.classical import PAIR_BLOCK, _lengths, _unique_segments
+from mobanom.detectors.classical import _auto_radius as vector_auto_radius, _trajectory_segments as vector_segments
+from mobanom.detectors.classical import traod_segment_distance as vector_distance
 
 Segment = tuple[np.ndarray, np.ndarray]
 
@@ -158,3 +166,43 @@ def length_weighted_scores(outlying: dict[str, list[bool]], lengths: dict[str, l
                 outlying_len += seg_len
         scores[agent_id] = outlying_len / total_len if total_len > 0 else 0.0
     return scores
+
+
+def full_query_outlying(ds: Dataset, split: SplitSpec, params: TraodParams):
+    """(radius, {agent: (is each test segment outlying, segment lengths)}, omitted), from the full support query."""
+    lat0 = float(np.mean([sp.location.lat for t in ds.trajectories for sp in t.points]))
+    lon0 = float(np.mean([sp.location.lon for t in ds.trajectories for sp in t.points]))
+    train, test = {}, {}  # agent -> (n, 2, 2) segments
+    for t in ds.trajectories:
+        idx = split.train_count(t)
+        train[t.agent_id] = vector_segments(t, 0, idx, lat0, lon0)
+        test[t.agent_id] = vector_segments(t, idx, len(t.points), lat0, lon0)
+
+    pool = np.concatenate([np.empty((0, 2, 2)), *train.values()])
+    radius = params.D if params.D is not None else vector_auto_radius(pool, params)
+
+    owners = [a for a in sorted(train) if len(train[a])]
+    column = {a: k for k, a in enumerate(owners)}  # the extra column len(owners) stays all False
+    unique_pool, pool_index = _unique_segments(pool)
+    incidence = np.zeros((len(unique_pool), len(owners) + 1), dtype=bool)
+    incidence[pool_index, np.repeat([column.get(a, -1) for a in train], [len(s) for s in train.values()])] = True
+
+    scored = [a for a in sorted(test) if len(test[a])]
+    omitted = {a: "no test segments" for a in sorted(test) if not len(test[a])}
+    sizes = [len(test[a]) for a in scored]
+    queries = np.concatenate([np.empty((0, 2, 2)), *(test[a] for a in scored)])
+    unique_test, test_index = _unique_segments(queries)
+    near = np.zeros((len(unique_test), len(owners) + 1), dtype=bool)
+    rows = max(1, PAIR_BLOCK // max(1, len(unique_pool)))
+    for lo in range(0, len(unique_test), rows):
+        close = vector_distance(unique_test[lo:lo + rows, None], unique_pool[None], params.weights) <= radius
+        near[lo:lo + rows] = [incidence[row].any(axis=0) for row in close]
+
+    own = np.repeat(np.array([column.get(a, len(owners)) for a in scored], dtype=int), sizes)  # no pool: extra
+    others = np.repeat([len(owners) - (a in column) for a in scored], sizes)
+    supporters = near.sum(axis=1)[test_index] - near[test_index, own]
+    outlying = supporters < (1.0 - params.p_frac) * others
+    lengths = _lengths(queries)
+    bounds = np.cumsum([0] + sizes)
+    decisions = {a: (outlying[lo:hi], lengths[lo:hi]) for a, lo, hi in zip(scored, bounds[:-1], bounds[1:])}
+    return radius, decisions, omitted
