@@ -24,14 +24,15 @@ from typing import Callable
 
 from . import __version__
 from .core import ConfigError, MobanomError, _meta_path, atomic_write, config_from_mapping, convert_value, params_hash
-from .core import read_dataset, read_labels, write_dataset, write_labels
+from .core import read_dataset, read_labels, settings_of, write_dataset, write_labels
 from .detectors import NetHyper, SplitSpec, TraodParams, build_windows, dae_score, dsvdd_score, monav_tt_score, ompad_score, traod_score
-from .detectors.features import window_seconds_of
-from .evaluation import ScoreTable, make_report
+from .detectors.features import check_split_fallbacks, check_windows, window_seconds_of
+from .detectors.nets import check_scope
+from .evaluation import ScoreTable, check_ks, make_report
 from .ingest import PoiMap, StayPointParams, ingest_dataset
 from .inject import InjectConfig, inject_imposter
 from .llm import LlmEndpointConfig, dump_prompts, endpoint_from_config, run_llm_detection
-from .llm.prompts import normalize_mode
+from .llm.prompts import check_template, normalize_mode
 from .simulator import SimConfig, simulate
 
 log = logging.getLogger("mobanom")
@@ -135,8 +136,9 @@ def read_endpoint_file(path: str) -> LlmEndpointConfig:
 
 
 # ---------------------------------------------------------------------------
-# Stages.  Each takes (settings, declared input paths, output directory, a
-# list it appends every output path to before writing it).
+# Stages.  Each has a settings step, which builds and checks every setting the stage
+# uses and reads no stage input, and a body, which takes (those settings, declared
+# input paths, output directory, a list it appends every output path to before writing it).
 # ---------------------------------------------------------------------------
 
 
@@ -151,105 +153,106 @@ def _write_data(out_dir: str, outputs: list[str], ds, labels=None) -> None:
         write_labels(labels, lb_path)
 
 
-def stage_simulate(m: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
-    config = config_from_mapping(SimConfig, m)
+def stage_simulate(config: SimConfig, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
     result = simulate(config)
     _write_data(out_dir, outputs, result.dataset, result.labels)
     log.info("simulated %d agents, %d outliers", config.n_agents, result.labels.n_outliers())
 
 
-def stage_ingest(m: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
-    params = config_from_mapping(StayPointParams, m)
-    poi = PoiMap.from_jsonl(m["poi_map"]) if m.get("poi_map") else None
+def _ingest_settings(m: dict) -> dict:
+    if not m.get("input"):
+        raise ConfigError("ingest needs an input path")
     keys = {"format": "format_tag", "min_records": "min_points"}
-    ds = config_from_mapping(ingest_dataset, m, keys, input_path=inputs[0], params=params, poi=poi)
+    return {"params": config_from_mapping(StayPointParams, m), **settings_of(ingest_dataset, m, keys)}
+
+
+def stage_ingest(s: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
+    ds = ingest_dataset(inputs[0], poi=PoiMap.from_jsonl(inputs[1]) if inputs[1:] else None, **s)
     _write_data(out_dir, outputs, ds)
     log.info("ingested %d agents from %s", len(ds.trajectories), inputs[0])
 
 
-def stage_inject(m: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
-    cfg = config_from_mapping(
-        InjectConfig, m, {"pairs": "n_outlier_pairs", "switch_fraction": "switch_fraction", "seed": "seed"}
-    )
+def stage_inject(cfg: InjectConfig, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
     out_ds, labels = inject_imposter(read_dataset(inputs[0]), cfg)
     _write_data(out_dir, outputs, out_ds, labels)
     log.info("injected %d imposter pairs", cfg.n_outlier_pairs)
 
 
-def _detect_methods(m: dict) -> list[str]:
+def _split_settings(m: dict) -> dict:
+    """The train/test split fallbacks of ``detect`` and of ``dump-prompts``."""
+    keys = {"fallback_fraction": "fallback_fraction", "fallback_time": "fallback_time"}
+    split = settings_of(SplitSpec.from_labels, m, keys)
+    check_split_fallbacks(**split)
+    return split
+
+
+def _detect_settings(m: dict) -> dict:
     methods = [x.strip() for x in str(m.get("methods", m.get("method", "ompad"))).split(",") if x.strip()]
     for method in methods:
         if method not in DETECT_METHODS:
             raise ConfigError(f"unknown detect method {method!r}")
-    return methods
-
-
-def _split(m: dict, ds, labels) -> SplitSpec:
-    """The train/test split of ``detect`` and of ``dump-prompts``, from the fallback settings."""
-    keys = {"fallback_fraction": "fallback_fraction", "fallback_time": "fallback_time"}
-    return config_from_mapping(SplitSpec.from_labels, m, keys, ds=ds, labels=labels)
-
-
-def stage_detect(m: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
-    methods = _detect_methods(m)
     if m.get("out") and len(methods) != 1:
         raise ConfigError("--out applies to a single method")
-    ds, labels = read_dataset(inputs[0]), read_labels(inputs[1])
-    split = _split(m, ds, labels)
-    # only the listed methods' settings, each checked before anything is written
-    hyper = config_from_mapping(NetHyper, m) if {"dae", "dsvdd"} & set(methods) else None
-    traod_keys = {"traod_d": "D", "p_frac": "p_frac", "seed": "seed"}
-    traod = config_from_mapping(TraodParams, m, traod_keys) if "traod" in methods else None
-    window_keys = {"window_days": "window_days", "window_len": "L", "l": "L"}
-    windowed = {"ompad", "dae", "dsvdd"} & set(methods)
-    feat = config_from_mapping(build_windows, m, window_keys, ds=ds, split=split) if windowed else None
-    if "monav" in methods and "window_days" in m:
-        config_from_mapping(window_seconds_of, m, {"window_days": "window_days"})
+    s = {"methods": methods, "out": m.get("out"), "split": _split_settings(m)}
+    # only the listed methods' settings
+    if {"dae", "dsvdd"} & set(methods):
+        s["hyper"], s["net"] = config_from_mapping(NetHyper, m), settings_of(dae_score, m, {"scope": "scope"})
+        check_scope(**s["net"])
+    if "traod" in methods:
+        s["traod"] = config_from_mapping(TraodParams, m, {"traod_d": "D", "p_frac": "p_frac", "seed": "seed"})
+    if {"ompad", "dae", "dsvdd"} & set(methods):
+        s["window"] = settings_of(build_windows, m, {"window_days": "window_days", "window_len": "L", "l": "L"})
+        check_windows(**s["window"])
+    if "monav" in methods:
+        s["monav"] = settings_of(monav_tt_score, m, {"window_days": "window_days"})
+        window_seconds_of(**s["monav"])
     if "llm" in methods:
-        mode = normalize_mode(m.get("mode", DEFAULT_LLM_MODE))
+        keys = {"template": "template_version", "cache_dir": "cache_dir"}
+        s["llm"] = {"mode": normalize_mode(m.get("mode", DEFAULT_LLM_MODE)), **settings_of(run_llm_detection, m, keys)}
+        check_template(s["llm"]["template_version"])
         if not m.get("endpoint"):
             raise ConfigError("llm detection needs an endpoint config file")
-        config = read_endpoint_file(m["endpoint"])
-        endpoint = endpoint_from_config(config, labels=labels)
+        s["endpoint"] = read_endpoint_file(m["endpoint"])
+    return s
+
+
+def stage_detect(s: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
+    ds, labels = read_dataset(inputs[0]), read_labels(inputs[1])
+    split = SplitSpec.from_labels(ds, labels, **s["split"])
+    feat = build_windows(ds, split, **s["window"]) if "window" in s else None
+    endpoint = endpoint_from_config(s["endpoint"], labels=labels) if "endpoint" in s else None
     os.makedirs(out_dir, exist_ok=True)
 
-    for method in methods:
+    for method in s["methods"]:
         if method == "ompad":
             table = ompad_score(feat)
         elif method == "monav":
-            table = config_from_mapping(monav_tt_score, m, {"window_days": "window_days"}, ds=ds, split=split)
+            table = monav_tt_score(ds, split, **s["monav"])
         elif method == "traod":
-            table = traod_score(ds, split, traod)
+            table = traod_score(ds, split, s["traod"])
         elif method in ("dae", "dsvdd"):
-            score = dae_score if method == "dae" else dsvdd_score
-            table = config_from_mapping(score, m, {"scope": "scope"}, feat=feat, hyper=hyper)
+            table = (dae_score if method == "dae" else dsvdd_score)(feat, s["hyper"], **s["net"])
         else:  # llm
-            table = config_from_mapping(
-                run_llm_detection,
-                m,
-                {"template": "template_version", "cache_dir": "cache_dir"},
-                ds=ds,
-                labels=labels,
-                mode=mode,
-                endpoint=endpoint,
-                max_concurrent=config.max_concurrent_requests,
-                split=split,
-            )
-        scores_path = m.get("out") or os.path.join(out_dir, f"scores_{table.detector}.jsonl")
+            table = run_llm_detection(ds, labels, endpoint=endpoint, split=split,
+                                      max_concurrent=s["endpoint"].max_concurrent_requests, **s["llm"])
+        scores_path = s["out"] or os.path.join(out_dir, f"scores_{table.detector}.jsonl")
         outputs.append(scores_path)
         atomic_write(scores_path, table.to_jsonl())
         if table.omitted:
             log.info("%s omitted %d agents", table.detector, len(table.omitted))
 
 
-def stage_eval(m: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
+def _eval_settings(m: dict) -> dict:
+    ks = convert_value(list[int], "top_k", m.get("top_k", "10,25,100"))
+    check_ks(ks)
+    return {"ks": ks, "out": m.get("out")}
+
+
+def stage_eval(s: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
     labels = read_labels(inputs[0])
-    tables = [ScoreTable.read(path) for path in inputs[1:]]
-    report = config_from_mapping(
-        make_report, {"top_k": "10,25,100", **m}, {"top_k": "ks"}, score_tables=tables, labels=labels
-    )
+    report = make_report([ScoreTable.read(path) for path in inputs[1:]], labels, s["ks"])
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = m.get("out") or os.path.join(out_dir, "report.csv")
+    csv_path = s["out"] or os.path.join(out_dir, "report.csv")
     txt_path = os.path.join(out_dir, "report.txt")
     outputs += [csv_path, txt_path]
     atomic_write(csv_path, report.to_csv())
@@ -257,19 +260,17 @@ def stage_eval(m: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> 
     sys.stdout.write(report.to_text())
 
 
-def stage_dump_prompts(m: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
-    ds, labels = read_dataset(inputs[0]), read_labels(inputs[1])
-    mode = m.get("mode", DEFAULT_LLM_MODE)
+def _dump_prompts_settings(m: dict) -> dict:
+    mode = normalize_mode(m.get("mode", DEFAULT_LLM_MODE))
     # only hint prompts show the split, so only they need a fallback for it
-    split = _split(m, ds, labels) if normalize_mode(mode).endswith("_hint") else None
-    keys = {"template": "template_version"}
-    outputs += config_from_mapping(dump_prompts, m, keys, ds=ds, labels=labels, mode=mode, out_dir=out_dir, split=split)
+    split = _split_settings(m) if mode.endswith("_hint") else None
+    return {"mode": mode, "split": split, **settings_of(dump_prompts, m, {"template": "template_version"})}
 
 
-def _ingest_inputs(m: dict) -> list[str]:
-    if not m.get("input"):
-        raise ConfigError("ingest needs an input path")
-    return [m["input"]] + ([m["poi_map"]] if m.get("poi_map") else [])
+def stage_dump_prompts(s: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
+    ds, labels = read_dataset(inputs[0]), read_labels(inputs[1])
+    split = None if s["split"] is None else SplitSpec.from_labels(ds, labels, **s["split"])
+    outputs += dump_prompts(ds, labels, s["mode"], out_dir, s["template_version"], split=split)
 
 
 def _with_meta(dataset_path: str, *others: str) -> list[str]:
@@ -278,17 +279,17 @@ def _with_meta(dataset_path: str, *others: str) -> list[str]:
     return [dataset_path, *others] + ([meta] if os.path.exists(meta) else [])
 
 
-def _data_dir_inputs(m: dict) -> list[str]:
-    return _with_meta(os.path.join(m["in"], "dataset.jsonl"), os.path.join(m["in"], "labels.jsonl"))
+def _ingest_inputs(m: dict, s: dict) -> list[str]:
+    return [m["input"]] + ([m["poi_map"]] if m.get("poi_map") else [])
 
 
-def _detect_inputs(m: dict) -> list[str]:
-    """The dataset and labels, and the LLM endpoint file when ``llm`` is among the methods."""
-    endpoint = [m["endpoint"]] if "llm" in _detect_methods(m) and m.get("endpoint") else []
-    return _data_dir_inputs(m) + endpoint
+def _data_dir_inputs(m: dict, s: dict) -> list[str]:
+    """The dataset and labels, and the LLM endpoint file when the built settings hold its config."""
+    endpoint = [m["endpoint"]] if "endpoint" in s else []
+    return _with_meta(os.path.join(m["in"], "dataset.jsonl"), os.path.join(m["in"], "labels.jsonl")) + endpoint
 
 
-def _eval_inputs(m: dict) -> list[str]:
+def _eval_inputs(m: dict, s: dict) -> list[str]:
     score_files = sorted(globmod.glob(m["scores"]))
     if not score_files:
         raise ConfigError(f"no score files match {m['scores']!r}")
@@ -299,8 +300,9 @@ def _eval_inputs(m: dict) -> list[str]:
 class Stage:
     """One row of the stage table, shared by the stage's subcommand and by ``run``."""
 
-    fn: Callable[[dict, list, str, list], None]
-    reads: Callable[[dict], list]  # settings -> the input paths the stage declares
+    settings: Callable[[dict], object]  # settings mapping -> the built, checked settings; reads no stage input
+    fn: Callable[[object, list, str, list], None]
+    reads: Callable[[dict, object], list]  # (settings mapping, built settings) -> the input paths the stage declares
     subdir: str | None  # output directory under `run`'s --out-dir; None: subcommand only
     chain: Callable[[str, str], dict] | None = None  # (data dir, out dir) -> path settings under `run`
     data: bool = False  # writes the dataset that later `run` stages read
@@ -308,17 +310,21 @@ class Stage:
 
 
 STAGES = {
-    "simulate": Stage(stage_simulate, lambda m: [], "sim", data=True),
-    "ingest": Stage(stage_ingest, _ingest_inputs, "ingest", data=True),
+    "simulate": Stage(lambda m: config_from_mapping(SimConfig, m), stage_simulate, lambda m, s: [], "sim", data=True),
+    "ingest": Stage(_ingest_settings, stage_ingest, _ingest_inputs, "ingest", data=True),
     "inject": Stage(
+        lambda m: config_from_mapping(InjectConfig, m, {"pairs": "n_outlier_pairs",
+                                                        "switch_fraction": "switch_fraction", "seed": "seed"}),
         stage_inject,
-        lambda m: _with_meta(m["in"]),
+        lambda m, s: _with_meta(m["in"]),
         "inject",
         chain=lambda data, out: {"in": os.path.join(data, "dataset.jsonl")},
         data=True,
     ),
-    "detect": Stage(stage_detect, _detect_inputs, "scores", chain=lambda data, out: {"in": data}, sections=("llm",)),
+    "detect": Stage(_detect_settings, stage_detect, _data_dir_inputs, "scores", chain=lambda data, out: {"in": data},
+                    sections=("llm",)),
     "eval": Stage(
+        _eval_settings,
         stage_eval,
         _eval_inputs,
         "",
@@ -327,17 +333,18 @@ STAGES = {
             "scores": os.path.join(out, "scores", "scores_*.jsonl"),
         },
     ),
-    "dump-prompts": Stage(stage_dump_prompts, _data_dir_inputs, None, sections=("llm", "detect")),
+    "dump-prompts": Stage(_dump_prompts_settings, stage_dump_prompts, _data_dir_inputs, None,
+                          sections=("llm", "detect")),
 }
 
 
-def _run_stage(name: str, m: dict, out_dir: str, hash_inputs: bool = False) -> dict:
-    """Run one stage; on failure rename the outputs it listed to ``<path>.partial``.
+def _run_stage(name: str, m: dict, s, out_dir: str, hash_inputs: bool = False) -> dict:
+    """Run one stage on the settings ``s`` built from ``m``; on failure rename its outputs to ``<path>.partial``.
 
     With ``hash_inputs``, the entry maps each input to its sha256, taken before the stage runs.
     """
     stage = STAGES[name]
-    inputs = stage.reads(m)
+    inputs = stage.reads(m, s)
     for path in inputs:
         if not os.path.exists(path):
             raise ConfigError(f"{name} input not found: {path}")
@@ -346,7 +353,7 @@ def _run_stage(name: str, m: dict, out_dir: str, hash_inputs: bool = False) -> d
     started = time.monotonic()
     log.info("stage %s starting", name)
     try:
-        stage.fn(m, inputs, out_dir, outputs)
+        stage.fn(s, inputs, out_dir, outputs)
     except Exception:
         for path in outputs:
             if os.path.exists(path):
@@ -359,41 +366,47 @@ def _run_stage(name: str, m: dict, out_dir: str, hash_inputs: bool = False) -> d
 
 
 def run_pipeline(config_path: str, out_dir: str | None, seed: int | None) -> int:
-    """Chain the stages listed in [global] and write ``manifest.json``."""
+    """Build every listed stage's settings, then chain the stages and write ``manifest.json``, also when one fails."""
     parser = _read_config(config_path)
     glob_cfg = dict(parser["global"]) if parser.has_section("global") else {}
     out_dir = out_dir or glob_cfg.get("out_dir", "out")
     stages = [s.strip() for s in glob_cfg.get("stages", "").split(",") if s.strip()]
     if not stages:
         raise ConfigError("config [global] must list stages")
-    for name in stages:
-        if name not in STAGES or STAGES[name].subdir is None:
-            raise ConfigError(f"unknown stage {name!r}")
-    os.makedirs(out_dir, exist_ok=True)
-
-    manifest = {
-        "version": __version__,
-        "config_hash": params_hash({s: dict(parser[s]) for s in parser.sections()}),
-        "seed": seed if seed is not None else convert_value(int | None, "seed", glob_cfg.get("seed")),
-        "stages": [],
-    }
     flags = {} if seed is None else {"seed": seed}
-    data_dir: str | None = None
+    plan, data_dir = [], None
     for name in stages:
-        stage = STAGES[name]
-        m = _file_settings(parser, name, strict=False)
+        stage = STAGES.get(name)
+        if stage is None or stage.subdir is None:
+            raise ConfigError(f"unknown stage {name!r}")
+        m = {**_file_settings(parser, name, strict=False), **flags}
         if stage.chain is not None:
             if data_dir is None:
                 raise ConfigError(f"{name} needs a prior simulate or ingest stage")
             m.update(stage.chain(data_dir, out_dir))
         stage_dir = os.path.join(out_dir, stage.subdir)
-        entry = _run_stage(name, {**m, **flags}, stage_dir, hash_inputs=True)
-        entry["outputs"] = {p: _sha256_path(p) for p in entry["outputs"]}
-        manifest["stages"].append(entry)
+        plan.append((name, m, stage.settings(m), stage_dir))
         if stage.data:
             data_dir = stage_dir
 
-    atomic_write(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    manifest = {
+        "version": __version__,
+        "config_hash": params_hash({s: dict(parser[s]) for s in parser.sections()}),
+        "seed": seed if seed is not None else convert_value(int | None, "seed", glob_cfg.get("seed")),
+        "status": "ok",
+        "stages": [],
+    }
+    os.makedirs(out_dir, exist_ok=True)
+    try:
+        for name, m, s, stage_dir in plan:
+            entry = _run_stage(name, m, s, stage_dir, hash_inputs=True)
+            entry["outputs"] = {p: _sha256_path(p) for p in entry["outputs"]}
+            manifest["stages"].append(entry)
+    except BaseException as exc:  # re-raised once the manifest names it
+        manifest.update(status="failed", error={"stage": name, "type": type(exc).__name__, "message": str(exc)})
+        raise
+    finally:
+        atomic_write(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -468,9 +481,9 @@ def main(argv: list[str] | None = None) -> int:
             if not args.config:
                 raise ConfigError("run needs --config")
             return run_pipeline(args.config, args.out_dir, args.seed)
-        settings = _file_settings(_read_config(args.config), args.command, strict=True) if args.config else {}
-        settings.update((k, v) for k, v in vars(args).items() if v is not None and k not in _CLI_ONLY_ARGS)
-        _run_stage(args.command, settings, args.out_dir or "out")
+        m = _file_settings(_read_config(args.config), args.command, strict=True) if args.config else {}
+        m.update((k, v) for k, v in vars(args).items() if v is not None and k not in _CLI_ONLY_ARGS)
+        _run_stage(args.command, m, STAGES[args.command].settings(m), args.out_dir or "out")
     except (MobanomError, OSError) as exc:
         log.error("%s: %s", args.command, exc)
         return 1

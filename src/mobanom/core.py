@@ -32,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -219,23 +220,28 @@ def convert_value(hint, key: str, value):
     return origin(convert_value(a, key, p) for a, p in zip(args, parts))
 
 
-def config_from_mapping(cls, mapping: dict, keys: dict[str, str] | None = None, **fixed):
-    """Call ``cls`` with the values of ``mapping`` converted to its annotated types.
+def settings_of(fn, mapping: dict, keys: dict[str, str] | None = None) -> dict:
+    """The arguments of ``fn`` (a dataclass or an annotated function) that ``keys`` fill, by name.
 
-    ``cls`` is a dataclass or an annotated function.  ``keys`` maps each
-    accepted mapping key to the field or parameter it fills (default: every
-    dataclass field under its own name); when two keys fill one field, the
-    later one wins.  Absent keys keep the defaults of ``cls``, other mapping
-    keys are ignored, and ``fixed`` arguments pass through unconverted.
+    ``keys`` maps each accepted mapping key to the field or parameter it fills
+    (default: every dataclass field under its own name); when two keys fill
+    one field, the later one wins.  A present key's value is converted to the
+    annotated type, an absent one leaves ``fn``'s default, and other mapping
+    keys are ignored.
     """
-    hints = typing.get_type_hints(cls)
+    hints, params = typing.get_type_hints(fn), inspect.signature(fn).parameters
     if keys is None:
-        keys = {f.name: f.name for f in dataclasses.fields(cls)}
-    kwargs = dict(fixed)
+        keys = {f.name: f.name for f in dataclasses.fields(fn)}
+    settings = {name: params[name].default for name in keys.values() if params[name].default is not params[name].empty}
     for key, name in keys.items():
         if key in mapping:
-            kwargs[name] = convert_value(hints[name], key, mapping[key])
-    return cls(**kwargs)
+            settings[name] = convert_value(hints[name], key, mapping[key])
+    return settings
+
+
+def config_from_mapping(cls, mapping: dict, keys: dict[str, str] | None = None, **fixed):
+    """Call ``cls`` with its :func:`settings_of` ``mapping``; ``fixed`` arguments pass through unconverted."""
+    return cls(**{**fixed, **settings_of(cls, mapping, keys)})
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..core import Dataset, EARTH_RADIUS_KM, Trajectory, check_settings, haversine_km, params_hash
+from ..core import Dataset, EARTH_RADIUS_KM, check_settings, haversine_km, params_hash
 from ..evaluation import ScoreTable
 from .features import SplitSpec, WindowedFeatures, bucket_windows, window_seconds_of
 
@@ -167,11 +167,10 @@ class TraodParams:
                               ("seed", self.seed >= 0, ">= 0")])
 
 
-def _trajectory_segments(t: Trajectory, lo: int, hi: int, lat0: float, lon0: float) -> np.ndarray:
-    """Consecutive stays of ``t.points[lo:hi]`` as (n, 2, 2) segments, projected equirectangularly."""
-    pts = t.points[lo:hi]
-    x = np.radians(np.subtract([p.location.lon for p in pts], lon0)) * math.cos(math.radians(lat0)) * EARTH_RADIUS_KM
-    y = np.radians(np.subtract([p.location.lat for p in pts], lat0)) * EARTH_RADIUS_KM
+def _trajectory_segments(lat: np.ndarray, lon: np.ndarray, lat0: float, lon0: float) -> np.ndarray:
+    """Consecutive stays at ``lat``/``lon`` (degrees) as (n - 1, 2, 2) segments, projected equirectangularly."""
+    x = np.radians(lon - lon0) * math.cos(math.radians(lat0)) * EARTH_RADIUS_KM
+    y = np.radians(lat - lat0) * EARTH_RADIUS_KM
     coords = np.stack([x, y], axis=-1)
     return np.stack([coords[:-1], coords[1:]], axis=1)
 
@@ -208,13 +207,14 @@ def _traod_outlying(ds: Dataset, split: SplitSpec, params: TraodParams):
     it has enough near owners to be supported whichever agent asks (Bay &
     Schwabacher, KDD 2003), so its row of near owners may stay incomplete.
     """
-    lat0 = float(np.mean([sp.location.lat for t in ds.trajectories for sp in t.points]))
-    lon0 = float(np.mean([sp.location.lon for t in ds.trajectories for sp in t.points]))
+    lat = [np.array([sp.location.lat for sp in t.points], dtype=float) for t in ds.trajectories]
+    lon = [np.array([sp.location.lon for sp in t.points], dtype=float) for t in ds.trajectories]
+    lat0, lon0 = float(np.mean(np.concatenate(lat))), float(np.mean(np.concatenate(lon)))
     train, test = {}, {}  # agent -> (n, 2, 2) segments
-    for t in ds.trajectories:
+    for t, y, x in zip(ds.trajectories, lat, lon):
         idx = split.train_count(t)
-        train[t.agent_id] = _trajectory_segments(t, 0, idx, lat0, lon0)
-        test[t.agent_id] = _trajectory_segments(t, idx, len(t.points), lat0, lon0)
+        train[t.agent_id] = _trajectory_segments(y[:idx], x[:idx], lat0, lon0)
+        test[t.agent_id] = _trajectory_segments(y[idx:], x[idx:], lat0, lon0)
 
     pool = np.concatenate([np.empty((0, 2, 2)), *train.values()])
     radius = params.D if params.D is not None else _auto_radius(pool, params)

@@ -44,12 +44,10 @@ class SplitSpec:
         """Split outliers at their deviate index, everyone else at the fallback.
 
         An outlier's deviate index must name one of its stays, else
-        InvalidInputError.  Give at most one fallback, else ConfigError; with
-        none, dataset provenance is consulted: ``meta["onset_time"]``
+        InvalidInputError.  The fallbacks must pass :func:`check_split_fallbacks`;
+        with none, dataset provenance is consulted: ``meta["onset_time"]``
         (simulator output) or ``meta["switch_fraction"]`` (injector output).
         """
-        if fallback_fraction is not None and fallback_time is not None:
-            raise ConfigError(f"fallback_fraction and fallback_time are both set: {fallback_fraction}, {fallback_time}")
         if fallback_fraction is None and fallback_time is None:
             if "onset_time" in ds.meta:
                 fallback_time = int(ds.meta["onset_time"])
@@ -60,8 +58,7 @@ class SplitSpec:
                     "no split fallback: pass fallback_fraction/fallback_time or use a "
                     "dataset whose meta carries onset_time or switch_fraction"
                 )
-        if fallback_fraction is not None and not 0.0 <= fallback_fraction <= 1.0:
-            raise ConfigError(f"fallback_fraction must be in [0, 1], got {fallback_fraction}")
+        check_split_fallbacks(fallback_fraction, fallback_time)
         split = {}
         for t in ds.trajectories:
             entry = labels.entries.get(t.agent_id)
@@ -86,12 +83,27 @@ class SplitSpec:
         return self.split_index.get(t.agent_id, len(t.points))
 
 
+def check_split_fallbacks(fallback_fraction: float | None, fallback_time: int | None) -> None:
+    """ConfigError unless at most one split fallback is set and a fraction lies in [0, 1]."""
+    if fallback_fraction is not None and fallback_time is not None:
+        raise ConfigError(f"fallback_fraction and fallback_time are both set: {fallback_fraction}, {fallback_time}")
+    if fallback_fraction is not None and not 0.0 <= fallback_fraction <= 1.0:
+        raise ConfigError(f"fallback_fraction must be in [0, 1], got {fallback_fraction}")
+
+
 def window_seconds_of(window_days: float) -> int:
     """``window_days`` in whole seconds: a ConfigError unless that is at least 1 and fits in int64."""
     seconds = int(round(window_days * 86400)) if 0 < window_days < math.inf else 0
     if not 1 <= seconds < 1 << 63:
         raise ConfigError(f"a window must last at least 1 second and fit in int64, got window_days = {window_days}")
     return seconds
+
+
+def check_windows(window_days: float, L: int) -> int:
+    """The seconds per window (:func:`window_seconds_of`); a ConfigError unless a window encodes ``L >= 1`` stays."""
+    if L < 1:
+        raise ConfigError(f"L must be >= 1, got {L}")
+    return window_seconds_of(window_days)
 
 
 def bucket_windows(arrive, split_idx: int, window_seconds: int) -> list[tuple[bool, np.ndarray]]:
@@ -173,9 +185,7 @@ def build_windows(
     fatal).  The type vocabulary is built from training-side points only, so a
     test-side type never seen in training encodes as Unknown.
     """
-    if L < 1:
-        raise ConfigError(f"L must be >= 1, got {L}")
-    window_seconds = window_seconds_of(window_days)
+    window_seconds = check_windows(window_days, L)
 
     train_types: set[str] = set()
     for t in ds.trajectories:

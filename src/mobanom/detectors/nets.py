@@ -210,9 +210,14 @@ def _standardized(feat: WindowedFeatures, train_agents: list[str], test_agents: 
     return [np.clip((rows - mean) / std, -Z_CLIP, Z_CLIP).astype(NET_DTYPE) for rows in (raw_train, raw_test)]
 
 
-def _one_class_scores(kind: str, feat: WindowedFeatures, hyper: NetHyper, scope: str) -> ScoreTable:
+def check_scope(scope: str) -> None:
+    """ConfigError unless ``scope`` trains one population model or one model per agent."""
     if scope not in ("population", "per_agent"):
         raise ConfigError(f"unknown scope {scope!r}")
+
+
+def _one_class_scores(kind: str, feat: WindowedFeatures, hyper: NetHyper, scope: str) -> ScoreTable:
+    check_scope(scope)
     omitted = dict(feat.ineligible)
     agents = feat.eligible_agents()
     for agent_id in sorted(set(feat.train) - set(feat.test)):

@@ -77,10 +77,18 @@ def _ranked_agents(scores: dict[str, float]) -> list[str]:
     return sorted(scores, key=lambda a: (-scores[a], a))
 
 
+def check_ks(ks: list[int]) -> None:
+    """ConfigError unless ``ks`` names at least one K and every K is >= 1."""
+    if not ks:
+        raise ConfigError("make_report needs at least one score table and one K")
+    for k in ks:
+        if k < 1:
+            raise ConfigError(f"K must be >= 1, got {k}")
+
+
 def top_k_hits(scores: ScoreTable | dict[str, float], labels: LabelSet, k: int) -> int:
     """Number of labeled outliers among the K highest-scored agents."""
-    if k < 1:
-        raise ConfigError(f"K must be >= 1, got {k}")
+    check_ks([k])
     table = scores.scores if isinstance(scores, ScoreTable) else scores
     ranked = _ranked_agents(table)
     hits = 0
@@ -182,8 +190,9 @@ def make_report(
     ks: list[int],
 ) -> EvalReport:
     """One report row per ScoreTable; undefined metrics render as ``-``."""
-    if not score_tables or not ks:
+    if not score_tables:
         raise ConfigError("make_report needs at least one score table and one K")
+    check_ks(ks)
     rows = []
     for table in score_tables:
         labeled = set(labels.entries)

@@ -39,12 +39,14 @@ from .prompts import PromptBundle, build_prompt, normalize_mode, parse_combine_s
 
 log = logging.getLogger(__name__)
 
+PROVIDERS = ("openai", "anthropic", "mock-constant", "mock-oracle")
+
 
 @dataclass
 class LlmEndpointConfig:
     base_url: str = ""
     model_name: str = "mock"
-    provider: str = "openai"  # openai | anthropic | mock-constant | mock-oracle
+    provider: str = "openai"  # one of PROVIDERS
     auth_token_env_var: str = "LLM_API_TOKEN"
     temperature: float = 0.0
     max_output_tokens: int = 1024
@@ -54,7 +56,8 @@ class LlmEndpointConfig:
     mock_text: str = "[0.5]"
 
     def __post_init__(self):
-        check_settings(self, [("max_retries", self.max_retries >= 0, ">= 0"),
+        check_settings(self, [("provider", self.provider in PROVIDERS, f"one of {', '.join(PROVIDERS)}"),
+                              ("max_retries", self.max_retries >= 0, ">= 0"),
                               ("max_concurrent_requests", self.max_concurrent_requests >= 1, ">= 1"),
                               ("max_output_tokens", self.max_output_tokens >= 1, ">= 1"),
                               ("request_timeout_s", 0 < self.request_timeout_s < math.inf, "finite and > 0"),
@@ -230,7 +233,6 @@ def endpoint_from_config(config: LlmEndpointConfig, labels: LabelSet | None = No
         if labels is None:
             raise ConfigError("mock-oracle provider needs labels")
         return OracleMockEndpoint(labels)
-    raise ConfigError(f"unknown provider {config.provider!r}")
 
 
 def build_bundles(

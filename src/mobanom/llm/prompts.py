@@ -171,6 +171,12 @@ _CLOSING_COMBINE = {
 TEMPLATE_VERSIONS = tuple(sorted(_TASK_SEPARATE))
 
 
+def check_template(template_version: str) -> None:
+    """ConfigError unless ``template_version`` names a prompt template."""
+    if template_version not in TEMPLATE_VERSIONS:
+        raise ConfigError(f"unknown template_version {template_version!r}")
+
+
 def build_prompt(
     mode: str,
     trajectories: list[Trajectory],
@@ -183,8 +189,7 @@ def build_prompt(
     index for every rendered agent (non-outliers get their split fallback).
     """
     mode = normalize_mode(mode)
-    if template_version not in TEMPLATE_VERSIONS:
-        raise ConfigError(f"unknown template_version {template_version!r}")
+    check_template(template_version)
     if not trajectories:
         raise ConfigError("no trajectories to render")
     hint = mode.endswith("_hint")

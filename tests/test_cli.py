@@ -9,8 +9,9 @@ from dataclasses import fields, replace
 
 import pytest
 
+from mobanom import cli
 from mobanom.cli import STAGES, _build_parser, main, read_endpoint_file
-from mobanom.core import read_dataset, read_labels
+from mobanom.core import InvalidInputError, read_dataset, read_labels
 from mobanom.detectors import SplitSpec, TraodParams, traod_score
 from mobanom.evaluation import ScoreTable
 from mobanom.llm import LlmEndpointConfig, MockEndpoint
@@ -237,6 +238,13 @@ top_k = 2,5
 """
 
 
+DIVERGING_CONFIG = (
+    "[global]\nseed = 1\nstages = simulate, detect\n\n"
+    "[simulate]\nn_agents = 8\nweeks = 1\nn_hunger = 0\nn_social = 0\nn_work = 0\n\n"
+    "[detect]\nmethods = ompad, dae\nwindow_days = 2\nepochs = 1\nlearning_rate = 1e30\n"
+)
+
+
 class TestRunPipeline:
     def build_config(self, tmp_path):
         endpoint_cfg = tmp_path / "endpoint.json"
@@ -251,6 +259,7 @@ class TestRunPipeline:
         assert main(["--config", str(cfg), "--out-dir", str(out), "run"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert [s["name"] for s in manifest["stages"]] == ["simulate", "detect", "eval"]
+        assert manifest["status"] == "ok" and "error" not in manifest
         assert (out / "report.csv").exists()
         assert (out / "scores" / "scores_llm_separate.jsonl").exists()
 
@@ -302,10 +311,10 @@ class TestRunPipeline:
     def test_manifest_records_the_inputs_before_the_stage_ran(self, tmp_path, monkeypatch):
         detect = STAGES["detect"]
 
-        def rewriting_detect(m, inputs, out_dir, outputs):
+        def rewriting_detect(s, inputs, out_dir, outputs):
             with open(inputs[1], "a", encoding="utf-8") as fh:  # the labels; a blank line reads the same
                 fh.write("\n")
-            detect.fn(m, inputs, out_dir, outputs)
+            detect.fn(s, inputs, out_dir, outputs)
 
         monkeypatch.setitem(STAGES, "detect", replace(detect, fn=rewriting_detect))
         out = tmp_path / "run"
@@ -335,17 +344,53 @@ class TestRunPipeline:
         # dae diverges after ompad has scored: ompad's finished scores get .partial (a bad setting, such as a
         # missing llm endpoint, now fails before any detector runs and leaves nothing)
         cfg = tmp_path / "broken.ini"
-        write(
-            str(cfg),
-            "[global]\nseed = 1\nstages = simulate, detect\n\n"
-            "[simulate]\nn_agents = 8\nweeks = 1\nn_hunger = 0\nn_social = 0\nn_work = 0\n\n"
-            "[detect]\nmethods = ompad, dae\nwindow_days = 2\nepochs = 1\nlearning_rate = 1e30\n",
-        )
+        write(str(cfg), DIVERGING_CONFIG)
         out = tmp_path / "runp"
         assert main(["--config", str(cfg), "--out-dir", str(out), "run"]) == 1
         scores = out / "scores"
         assert (scores / "scores_ompad.jsonl.partial").exists()
         assert not (scores / "scores_ompad.jsonl").exists()
+
+    def test_a_stage_that_fails_while_it_runs_writes_a_failure_manifest(self, tmp_path):
+        # was: no manifest.json when a stage failed
+        cfg = tmp_path / "broken.ini"
+        write(str(cfg), DIVERGING_CONFIG)
+        out = tmp_path / "runf"
+        assert main(["--config", str(cfg), "--out-dir", str(out), "run"]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"]["stage"] == "detect" and manifest["error"]["type"] == "TrainingDivergedError"
+        assert "training diverged at epoch 0" in manifest["error"]["message"]
+        (simulate,) = manifest["stages"]  # the stages that finished
+        assert simulate["name"] == "simulate" and str(out / "sim" / "dataset.jsonl") in simulate["outputs"]
+
+    @pytest.mark.parametrize("stages, section, named", [
+        ("simulate, inject", "[inject]\npairs = 0\n", "n_outlier_pairs must be >= 1, got 0"),
+        ("simulate, detect", "[detect]\nmethods = ompad, dae\nepochs = 0\n", "epochs must be >= 1, got 0"),
+        ("simulate, detect", "[detect]\nmethods = ompad, dae\nscope = bogus\n", "unknown scope 'bogus'"),
+        ("simulate, detect", "[detect]\nmethods = monav, ompad\nwindow_len = 0\n", "L must be >= 1, got 0"),
+        ("simulate, detect", "[detect]\nmethods = ompad, llm\nendpoint = {endpoint}\n\n[llm]\nmode = bogus\n",
+         "unknown prompt mode 'bogus'"),
+        ("simulate, detect", "[detect]\nmethods = ompad, llm\nendpoint = {endpoint}\ntemplate = bogus\n",
+         "unknown template_version 'bogus'"),
+        ("simulate, detect", "[detect]\nmethods = ompad, traod\ntraod_d = -1\n",
+         "D must be None or finite and >= 0, got -1.0"),
+        ("simulate, detect, eval", "[detect]\nmethods = ompad\n\n[eval]\ntop_k = 0\n", "K must be >= 1, got 0"),
+    ], ids=["inject_pairs", "dae_epochs", "dae_scope", "window_len", "llm_mode", "llm_template", "traod_d",
+            "eval_top_k"])
+    def test_a_bad_setting_of_the_last_stage_writes_nothing(self, tmp_path, capsys, stages, section, named):
+        # was: the earlier stages ran and wrote sim/ (and more) before the bad setting was found
+        endpoint = tmp_path / "endpoint.json"
+        write(str(endpoint), json.dumps({"provider": "mock-constant"}))
+        cfg = tmp_path / "bad.ini"
+        write(str(cfg), f"[global]\nseed = 1\nstages = {stages}\n\n"
+                        "[simulate]\nn_agents = 8\nweeks = 1\nn_hunger = 0\nn_social = 0\nn_work = 0\n\n"
+                        + section.format(endpoint=endpoint))
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "--out-dir", str(out), "run"]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_seed_flag_overrides_file(self, tmp_path):
         cfg = self.build_config(tmp_path)
@@ -867,13 +912,18 @@ def sha256_tree(root):
 
 
 class TestRunStageTable:
-    def test_failed_eval_keeps_earlier_outputs(self, tmp_path):
+    def test_failed_eval_keeps_earlier_outputs(self, tmp_path, monkeypatch):
+        # eval fails while it runs (a bad top_k now fails before simulate and leaves nothing)
+        def failing_report(*args, **kwargs):
+            raise InvalidInputError("report failed")
+
+        monkeypatch.setattr(cli, "make_report", failing_report)
         cfg = tmp_path / "bad_eval.ini"
         write(
             str(cfg),
             "[global]\nseed = 2\nstages = simulate, inject, detect, eval\n\n"
             "[simulate]\nn_agents = 10\nweeks = 1\nn_hunger = 0\nn_social = 0\nn_work = 0\n\n"
-            "[inject]\npairs = 2\n\n[detect]\nmethods = ompad\nwindow_days = 2\n\n[eval]\ntop_k = 0\n",
+            "[inject]\npairs = 2\n\n[detect]\nmethods = ompad\nwindow_days = 2\n",
         )
         out = tmp_path / "rune"
         assert main(["--config", str(cfg), "--out-dir", str(out), "run"]) == 1
@@ -881,7 +931,7 @@ class TestRunStageTable:
         assert kept == {
             "sim/dataset.jsonl", "sim/dataset.meta.json", "sim/labels.jsonl",
             "inject/dataset.jsonl", "inject/dataset.meta.json", "inject/labels.jsonl",
-            "scores/scores_ompad.jsonl",
+            "scores/scores_ompad.jsonl", "manifest.json",
         }
 
     def test_run_hashes_directory_input(self, tmp_path):

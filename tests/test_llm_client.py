@@ -207,8 +207,9 @@ class TestDumpPrompts:
 
 class TestHttpEndpoint:
     def test_unknown_provider(self):
-        with pytest.raises(ConfigError):
-            HttpChatEndpoint(LlmEndpointConfig(provider="carrier-pigeon"))
+        # a provider outside PROVIDERS fails in LlmEndpointConfig (tests/test_settings.py)
+        with pytest.raises(ConfigError, match="unknown provider 'mock-constant'"):
+            HttpChatEndpoint(LlmEndpointConfig(provider="mock-constant"))
 
     def test_missing_token_raises_auth(self, sim, monkeypatch):
         monkeypatch.delenv("LLM_API_TOKEN", raising=False)

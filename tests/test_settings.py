@@ -71,6 +71,7 @@ CASES = [
     (classical.TraodParams, {"auto_d_samples": 0}, "auto_d_samples"),
     (classical.TraodParams, {"weights": (1.0, -0.5, 1.0)}, "weights"),
     (classical.TraodParams, {"seed": -1}, "seed"),
+    (client.LlmEndpointConfig, {"provider": "carrier-pigeon"}, "provider"),
     (client.LlmEndpointConfig, {"max_retries": -1}, "max_retries"),
     (client.LlmEndpointConfig, {"max_concurrent_requests": 0}, "max_concurrent_requests"),
     (client.LlmEndpointConfig, {"max_output_tokens": 0}, "max_output_tokens"),

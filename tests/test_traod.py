@@ -136,8 +136,10 @@ class TestAgainstScalarSupport:
         split = SplitSpec(split_index={"x": 2, "y": 2})
         lat0 = float(np.mean([p.location.lat for t in (x, y) for p in t.points]))
         lon0 = float(np.mean([p.location.lon for t in (x, y) for p in t.points]))
-        d = float(traod_segment_distance(_trajectory_segments(x, 2, 4, lat0, lon0)[0],
-                                         _trajectory_segments(y, 0, 2, lat0, lon0)[0]))
+        x_hop, y_hop = ((np.array([p.location.lat for p in pts]), np.array([p.location.lon for p in pts]))
+                        for pts in (x.points[2:4], y.points[:2]))
+        d = float(traod_segment_distance(_trajectory_segments(*x_hop, lat0, lon0)[0],
+                                         _trajectory_segments(*y_hop, lat0, lon0)[0]))
         assert traod_score(ds, split, TraodParams(D=d, p_frac=0.5)).scores["x"] == 0.0
         assert traod_score(ds, split, TraodParams(D=np.nextafter(d, 0.0), p_frac=0.5)).scores["x"] == 1.0
 

@@ -20,7 +20,7 @@ import numpy as np
 from mobanom.core import EARTH_RADIUS_KM, Dataset, Trajectory
 from mobanom.detectors import SplitSpec, TraodParams
 from mobanom.detectors.classical import PAIR_BLOCK, _lengths, _unique_segments
-from mobanom.detectors.classical import _auto_radius as vector_auto_radius, _trajectory_segments as vector_segments
+from mobanom.detectors.classical import _auto_radius as vector_auto_radius
 from mobanom.detectors.classical import traod_segment_distance as vector_distance
 
 Segment = tuple[np.ndarray, np.ndarray]
@@ -168,6 +168,15 @@ def length_weighted_scores(outlying: dict[str, list[bool]], lengths: dict[str, l
     return scores
 
 
+def per_point_segments(t: Trajectory, lo: int, hi: int, lat0: float, lon0: float) -> np.ndarray:
+    """The (n, 2, 2) segments of ``t.points[lo:hi]``, built from per-point lists, not from one array per agent."""
+    pts = t.points[lo:hi]
+    x = np.radians(np.subtract([p.location.lon for p in pts], lon0)) * math.cos(math.radians(lat0)) * EARTH_RADIUS_KM
+    y = np.radians(np.subtract([p.location.lat for p in pts], lat0)) * EARTH_RADIUS_KM
+    coords = np.stack([x, y], axis=-1)
+    return np.stack([coords[:-1], coords[1:]], axis=1)
+
+
 def full_query_outlying(ds: Dataset, split: SplitSpec, params: TraodParams):
     """(radius, {agent: (is each test segment outlying, segment lengths)}, omitted), from the full support query."""
     lat0 = float(np.mean([sp.location.lat for t in ds.trajectories for sp in t.points]))
@@ -175,8 +184,8 @@ def full_query_outlying(ds: Dataset, split: SplitSpec, params: TraodParams):
     train, test = {}, {}  # agent -> (n, 2, 2) segments
     for t in ds.trajectories:
         idx = split.train_count(t)
-        train[t.agent_id] = vector_segments(t, 0, idx, lat0, lon0)
-        test[t.agent_id] = vector_segments(t, idx, len(t.points), lat0, lon0)
+        train[t.agent_id] = per_point_segments(t, 0, idx, lat0, lon0)
+        test[t.agent_id] = per_point_segments(t, idx, len(t.points), lat0, lon0)
 
     pool = np.concatenate([np.empty((0, 2, 2)), *train.values()])
     radius = params.D if params.D is not None else vector_auto_radius(pool, params)
