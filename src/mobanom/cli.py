@@ -28,17 +28,16 @@ from .core import read_dataset, read_labels, settings_of, write_dataset, write_l
 from .detectors import NetHyper, SplitSpec, TraodParams, build_windows, dae_score, dsvdd_score, monav_tt_score, ompad_score, traod_score
 from .detectors.features import check_split_fallbacks, check_windows, window_seconds_of
 from .detectors.nets import check_scope
-from .evaluation import ScoreTable, check_ks, make_report
+from .evaluation import DEFAULT_KS, ScoreTable, check_ks, make_report
 from .ingest import PoiMap, StayPointParams, ingest_dataset
 from .inject import InjectConfig, inject_imposter
 from .llm import LlmEndpointConfig, dump_prompts, endpoint_from_config, run_llm_detection
-from .llm.prompts import check_template, normalize_mode
+from .llm.prompts import prompt_settings
 from .simulator import SimConfig, simulate
 
 log = logging.getLogger("mobanom")
 
 DETECT_METHODS = ("ompad", "monav", "traod", "dae", "dsvdd", "llm")
-DEFAULT_LLM_MODE = "separate"
 
 #: Keys naming a stage's input and output paths.  They come from flags or,
 #: under ``run``, from the stage before; a config file cannot set them.
@@ -207,9 +206,7 @@ def _detect_settings(m: dict) -> dict:
         s["monav"] = settings_of(monav_tt_score, m, {"window_days": "window_days"})
         window_seconds_of(**s["monav"])
     if "llm" in methods:
-        keys = {"template": "template_version", "cache_dir": "cache_dir"}
-        s["llm"] = {"mode": normalize_mode(m.get("mode", DEFAULT_LLM_MODE)), **settings_of(run_llm_detection, m, keys)}
-        check_template(s["llm"]["template_version"])
+        s["llm"] = {**prompt_settings(m), **settings_of(run_llm_detection, m, {"cache_dir": "cache_dir"})}
         if not m.get("endpoint"):
             raise ConfigError("llm detection needs an endpoint config file")
         s["endpoint"] = read_endpoint_file(m["endpoint"])
@@ -243,7 +240,7 @@ def stage_detect(s: dict, inputs: list[str], out_dir: str, outputs: list[str]) -
 
 
 def _eval_settings(m: dict) -> dict:
-    ks = convert_value(list[int], "top_k", m.get("top_k", "10,25,100"))
+    ks = convert_value(list[int], "top_k", m.get("top_k", DEFAULT_KS))
     check_ks(ks)
     return {"ks": ks, "out": m.get("out")}
 
@@ -261,10 +258,8 @@ def stage_eval(s: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> 
 
 
 def _dump_prompts_settings(m: dict) -> dict:
-    mode = normalize_mode(m.get("mode", DEFAULT_LLM_MODE))
-    # only hint prompts show the split, so only they need a fallback for it
-    split = _split_settings(m) if mode.endswith("_hint") else None
-    return {"mode": mode, "split": split, **settings_of(dump_prompts, m, {"template": "template_version"})}
+    s = prompt_settings(m)  # only hint prompts show the split, so only they need a fallback for it
+    return {**s, "split": _split_settings(m) if s["mode"].endswith("_hint") else None}
 
 
 def stage_dump_prompts(s: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
@@ -290,7 +285,8 @@ def _data_dir_inputs(m: dict, s: dict) -> list[str]:
 
 
 def _eval_inputs(m: dict, s: dict) -> list[str]:
-    score_files = sorted(globmod.glob(m["scores"]))
+    """The labels, then the score files: a glob's matches, or under ``run`` the files its detect stage wrote."""
+    score_files = sorted(set(m["scores"] if isinstance(m["scores"], list) else globmod.glob(m["scores"])))
     if not score_files:
         raise ConfigError(f"no score files match {m['scores']!r}")
     return [m["labels"], *score_files]
@@ -323,16 +319,8 @@ STAGES = {
     ),
     "detect": Stage(_detect_settings, stage_detect, _data_dir_inputs, "scores", chain=lambda data, out: {"in": data},
                     sections=("llm",)),
-    "eval": Stage(
-        _eval_settings,
-        stage_eval,
-        _eval_inputs,
-        "",
-        chain=lambda data, out: {
-            "labels": os.path.join(data, "labels.jsonl"),
-            "scores": os.path.join(out, "scores", "scores_*.jsonl"),
-        },
-    ),
+    "eval": Stage(_eval_settings, stage_eval, _eval_inputs, "",
+                  chain=lambda data, out: {"labels": os.path.join(data, "labels.jsonl")}),
     "dump-prompts": Stage(_dump_prompts_settings, stage_dump_prompts, _data_dir_inputs, None,
                           sections=("llm", "detect")),
 }
@@ -374,7 +362,7 @@ def run_pipeline(config_path: str, out_dir: str | None, seed: int | None) -> int
     if not stages:
         raise ConfigError("config [global] must list stages")
     flags = {} if seed is None else {"seed": seed}
-    plan, data_dir = [], None
+    plan, data_dir, labelled = [], None, False
     for name in stages:
         stage = STAGES.get(name)
         if stage is None or stage.subdir is None:
@@ -383,11 +371,15 @@ def run_pipeline(config_path: str, out_dir: str | None, seed: int | None) -> int
         if stage.chain is not None:
             if data_dir is None:
                 raise ConfigError(f"{name} needs a prior simulate or ingest stage")
+            if not (stage.data or labelled):  # detect and eval read the labels of the last data stage
+                raise ConfigError(f"{name} needs labels, which ingest does not write: list inject after ingest")
+            if name == "eval" and "detect" not in [step[0] for step in plan]:
+                raise ConfigError("eval needs a prior detect stage")
             m.update(stage.chain(data_dir, out_dir))
         stage_dir = os.path.join(out_dir, stage.subdir)
         plan.append((name, m, stage.settings(m), stage_dir))
         if stage.data:
-            data_dir = stage_dir
+            data_dir, labelled = stage_dir, name != "ingest"
 
     manifest = {
         "version": __version__,
@@ -399,6 +391,8 @@ def run_pipeline(config_path: str, out_dir: str | None, seed: int | None) -> int
     os.makedirs(out_dir, exist_ok=True)
     try:
         for name, m, s, stage_dir in plan:
+            if name == "eval":  # the score files this run wrote, not what an earlier run left in scores/
+                m["scores"] = [p for e in manifest["stages"] if e["name"] == "detect" for p in e["outputs"]]
             entry = _run_stage(name, m, s, stage_dir, hash_inputs=True)
             entry["outputs"] = {p: _sha256_path(p) for p in entry["outputs"]}
             manifest["stages"].append(entry)

@@ -92,6 +92,10 @@ def monav_tt_score(ds: Dataset, split: SplitSpec, window_days: float = 7.0) -> S
 PAIR_BLOCK = 4096
 #: distinct pool segments per step of the support query; after each step the settled test segments drop out.
 POOL_BLOCK = 64
+#: (perpendicular, parallel, angular) weights of the segment distance (Lee, Han & Li, ICDE 2008).
+TRAOD_WEIGHTS = (1.0, 1.0, 1.0)
+#: an unset D is the AUTO_D_PERCENTILE-th percentile of the distances of AUTO_D_SAMPLES random pool segment pairs.
+AUTO_D_PERCENTILE, AUTO_D_SAMPLES = 10.0, 1000
 
 
 def _lengths(segs: np.ndarray) -> np.ndarray:
@@ -143,7 +147,7 @@ def segment_distance_components(s1, s2) -> tuple[np.ndarray, np.ndarray, np.ndar
     return np.where(point, gap, d_perp)[()], np.where(point, 0.0, d_par)[()], np.where(point, 0.0, d_ang)[()]
 
 
-def traod_segment_distance(s1, s2, weights: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> np.ndarray:
+def traod_segment_distance(s1, s2, weights: tuple[float, float, float] = TRAOD_WEIGHTS) -> np.ndarray:
     """Weighted sum of :func:`segment_distance_components`, broadcast the same way."""
     d_perp, d_par, d_ang = segment_distance_components(s1, s2)
     return weights[0] * d_perp + weights[1] * d_par + weights[2] * d_ang
@@ -153,17 +157,11 @@ def traod_segment_distance(s1, s2, weights: tuple[float, float, float] = (1.0, 1
 class TraodParams:
     D: float | None = None  # neighborhood radius in km; None = auto percentile
     p_frac: float = 0.95
-    weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    auto_d_percentile: float = 10.0
-    auto_d_samples: int = 1000
     seed: int = 0
 
     def __post_init__(self):
         check_settings(self, [("D", self.D is None or 0 <= self.D < math.inf, "None or finite and >= 0"),
                               ("p_frac", 0 <= self.p_frac <= 1, "in [0, 1]"),
-                              ("auto_d_percentile", 0 <= self.auto_d_percentile <= 100, "in [0, 100]"),
-                              ("auto_d_samples", self.auto_d_samples >= 1, ">= 1"),
-                              ("weights", all(0 <= w < math.inf for w in self.weights), "finite and >= 0"),
                               ("seed", self.seed >= 0, ">= 0")])
 
 
@@ -187,13 +185,13 @@ def _auto_radius(pool: np.ndarray, params: TraodParams) -> float:
     if n < 2:
         return 1.0
     rng = np.random.default_rng(params.seed)
-    pairs = np.empty((params.auto_d_samples, 2), dtype=np.int64)
-    for k in range(params.auto_d_samples):
+    pairs = np.empty((AUTO_D_SAMPLES, 2), dtype=np.int64)
+    for k in range(AUTO_D_SAMPLES):
         i = int(rng.integers(n))
         j = int(rng.integers(n - 1))
         pairs[k] = i, j + (j >= i)
-    dists = traod_segment_distance(pool[pairs[:, 0]], pool[pairs[:, 1]], params.weights)
-    return float(np.percentile(dists, params.auto_d_percentile))
+    dists = traod_segment_distance(pool[pairs[:, 0]], pool[pairs[:, 1]], TRAOD_WEIGHTS)
+    return float(np.percentile(dists, AUTO_D_PERCENTILE))
 
 
 def _traod_outlying(ds: Dataset, split: SplitSpec, params: TraodParams):
@@ -238,7 +236,7 @@ def _traod_outlying(ds: Dataset, split: SplitSpec, params: TraodParams):
         segs, owned = unique_pool[block][None], incidence[block].astype(np.float64)  # BLAS ORs rows; 0/1 sums exact
         for lo in range(0, len(open_rows), rows):
             idx = open_rows[lo:lo + rows]
-            close = traod_segment_distance(unique_test[idx, None], segs, params.weights) <= radius
+            close = traod_segment_distance(unique_test[idx, None], segs, TRAOD_WEIGHTS) <= radius
             near[idx] |= close.astype(np.float64) @ owned > 0
         # k near owners give whoever asks >= k - 1 supporters, and k only grows: not outlying in the full query
         open_rows = open_rows[near[open_rows].sum(axis=1) - 1 < (1.0 - params.p_frac) * len(owners)]
@@ -260,8 +258,10 @@ def traod_score(ds: Dataset, split: SplitSpec, params: TraodParams = TraodParams
     is outlying when fewer than ``(1 - p_frac) * n_other`` other agents own at
     least one pool segment within distance D.
     """
+    hashed = params_hash({**asdict(params), "weights": TRAOD_WEIGHTS, "auto_d_percentile": AUTO_D_PERCENTILE,
+                          "auto_d_samples": AUTO_D_SAMPLES})  # the constants too: the hash names all that shaped the scores
     if not any(t.points for t in ds.trajectories) or len(ds.trajectories) < 2:
-        return ScoreTable(detector="traod", scores={}, params_hash=params_hash(asdict(params)),
+        return ScoreTable(detector="traod", scores={}, params_hash=hashed,
                           omitted={t.agent_id: "needs >= 2 agents" for t in ds.trajectories})
     _, decisions, omitted = _traod_outlying(ds, split, params)
     scores = {}
@@ -270,4 +270,4 @@ def traod_score(ds: Dataset, split: SplitSpec, params: TraodParams = TraodParams
         total_len = np.cumsum(lengths)[-1]
         outlying_len = np.cumsum(np.where(outlying, lengths, 0.0))[-1]
         scores[agent_id] = float(outlying_len / total_len) if total_len > 0 else 0.0
-    return ScoreTable(detector="traod", scores=scores, params_hash=params_hash(asdict(params)), omitted=omitted)
+    return ScoreTable(detector="traod", scores=scores, params_hash=hashed, omitted=omitted)

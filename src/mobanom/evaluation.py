@@ -184,6 +184,9 @@ class EvalReport:
         return "".join(",".join(row) + "\n" for row in [headers, *self._cells(6)])
 
 
+DEFAULT_KS = (10, 25, 100)  # the Top-K cut-offs of a report whose run sets no top_k
+
+
 def make_report(
     score_tables: list[ScoreTable],
     labels: LabelSet,
@@ -199,17 +202,17 @@ def make_report(
         scored = set(table.scores)
         omitted = len((labeled - scored) | set(table.omitted))
         try:
-            ap = average_precision(table, labels)
+            ap = average_precision(table.scores, labels)
         except UndefinedMetricError:
             ap = None
         try:
-            auc = roc_auc(table, labels)
+            auc = roc_auc(table.scores, labels)
         except UndefinedMetricError:
             auc = None
         rows.append(
             ReportRow(
                 detector=table.detector,
-                top_k_hits={k: top_k_hits(table, labels, k) for k in ks},
+                top_k_hits={k: top_k_hits(table.scores, labels, k) for k in ks},
                 ap=ap,
                 auc=auc,
                 n_agents=len(scored),

@@ -40,6 +40,8 @@ from .prompts import PromptBundle, build_prompt, normalize_mode, parse_combine_s
 log = logging.getLogger(__name__)
 
 PROVIDERS = ("openai", "anthropic", "mock-constant", "mock-oracle")
+COMBINE_CHAR_BUDGET = 60_000  # the most characters of separate-mode prompt text that one combine prompt holds
+ORACLE_OUTLIER_TEXT, ORACLE_NORMAL_TEXT = "[0.9]", "[0.1]"  # mock-oracle's answer for a labeled outlier, for others
 
 
 @dataclass
@@ -90,11 +92,11 @@ class MockEndpoint:
 class OracleMockEndpoint(MockEndpoint):
     """Mock that knows the ground truth; useful for end-to-end plumbing tests."""
 
-    def __init__(self, labels: LabelSet, outlier_text: str = "[0.9]", normal_text: str = "[0.1]"):
+    def __init__(self, labels: LabelSet):
         def fn(bundle: PromptBundle) -> str:
             def answer(agent_id: str) -> str:
                 e = labels.entries.get(agent_id)
-                return outlier_text if (e is not None and e.is_outlier) else normal_text
+                return ORACLE_OUTLIER_TEXT if (e is not None and e.is_outlier) else ORACLE_NORMAL_TEXT
 
             if bundle.mode.startswith("separate"):
                 return answer(bundle.agent_ids[0])
@@ -240,7 +242,6 @@ def build_bundles(
     labels: LabelSet,
     mode: str,
     template_version: str = "paper-v1",
-    combine_char_budget: int = 60_000,
     split: SplitSpec | None = None,
 ) -> list[PromptBundle]:
     """Render all prompts for a dataset without touching any endpoint.
@@ -266,7 +267,7 @@ def build_bundles(
     for t in nonempty:
         probe = build_prompt("separate", [t], {}, template_version)
         cost = len(probe.text)
-        if batch and batch_chars + cost > combine_char_budget:
+        if batch and batch_chars + cost > COMBINE_CHAR_BUDGET:
             bundles.append(build_prompt(mode, batch, deviate_indices, template_version))
             batch = []
             batch_chars = 0
@@ -285,7 +286,6 @@ def run_llm_detection(
     template_version: str = "paper-v1",
     cache_dir: str | None = None,
     max_concurrent: int = 2,
-    combine_char_budget: int = 60_000,
     split: SplitSpec | None = None,
 ) -> ScoreTable:
     """Prompt, dispatch (with caching), and parse into a ScoreTable, one pool worker per bundle.
@@ -295,7 +295,7 @@ def run_llm_detection(
     reason.  Auth failures abort the run.
     """
     mode = normalize_mode(mode)
-    bundles = build_bundles(ds, labels, mode, template_version, combine_char_budget, split)
+    bundles = build_bundles(ds, labels, mode, template_version, split)
     cache = PromptCache(cache_dir) if cache_dir else None
     model_name = getattr(endpoint, "name", "unknown")
 
@@ -344,11 +344,10 @@ def dump_prompts(
     mode: str,
     out_dir: str,
     template_version: str = "paper-v1",
-    combine_char_budget: int = 60_000,
     split: SplitSpec | None = None,
 ) -> list[str]:
     """Write every PromptBundle and ``prompts_index.jsonl`` without calling any endpoint; return their paths."""
-    bundles = build_bundles(ds, labels, mode, template_version, combine_char_budget, split)
+    bundles = build_bundles(ds, labels, mode, template_version, split)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     index = []

@@ -17,29 +17,22 @@ import re
 from dataclasses import dataclass
 
 from ..core import ConfigError, InvalidInputError, ScoreParseError, PartialParseError, Trajectory, haversine_km
+from ..core import settings_of
 
 DEVIATE_MARKER = "***<deviate-point>***"
 
 MODES = ("separate", "separate_hint", "combine", "combine_hint")
+DEFAULT_MODE = "separate"  # the mode of a run that sets none
 
 _DAY_NAMES = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 
 
 def normalize_mode(mode: str) -> str:
-    norm = mode.strip().lower().replace("-", "_")
-    aliases = {
-        "separate": "separate",
-        "separatewithhint": "separate_hint",
-        "separate_with_hint": "separate_hint",
-        "separate_hint": "separate_hint",
-        "combine": "combine",
-        "combinewithhint": "combine_hint",
-        "combine_with_hint": "combine_hint",
-        "combine_hint": "combine_hint",
-    }
-    if norm not in aliases:
+    """The name in MODES that ``mode`` spells, in any case, with ``-`` for ``_`` and ``with_hint`` or ``withhint``."""
+    norm = re.sub(r"(_with_hint|withhint)$", "_hint", mode.strip().lower().replace("-", "_"))
+    if norm not in MODES:
         raise ConfigError(f"unknown prompt mode {mode!r}")
-    return aliases[norm]
+    return norm
 
 
 @dataclass
@@ -175,6 +168,14 @@ def check_template(template_version: str) -> None:
     """ConfigError unless ``template_version`` names a prompt template."""
     if template_version not in TEMPLATE_VERSIONS:
         raise ConfigError(f"unknown template_version {template_version!r}")
+
+
+def prompt_settings(m: dict) -> dict:
+    """The normalized ``mode`` and the checked ``template_version`` that the settings mapping ``m`` sets."""
+    s = {"mode": normalize_mode(m.get("mode", DEFAULT_MODE)),
+         **settings_of(build_prompt, m, {"template": "template_version"})}
+    check_template(s["template_version"])
+    return s
 
 
 def build_prompt(

@@ -11,7 +11,7 @@ import pytest
 
 from mobanom import cli
 from mobanom.cli import STAGES, _build_parser, main, read_endpoint_file
-from mobanom.core import InvalidInputError, read_dataset, read_labels
+from mobanom.core import ConfigError, InvalidInputError, read_dataset, read_labels
 from mobanom.detectors import SplitSpec, TraodParams, traod_score
 from mobanom.evaluation import ScoreTable
 from mobanom.llm import LlmEndpointConfig, MockEndpoint
@@ -201,6 +201,31 @@ class TestDumpPrompts:
             err = capsys.readouterr().err
             assert f"{outlier['agent_id']!r} deviates at stay 1000" in err and "Traceback" not in err
 
+    def test_a_bad_template_exits_1_before_any_input_is_read(self, tmp_path, capsys):
+        # was: `dump-prompts input not found: …`, since only building the prompts checked the template
+        out = tmp_path / "prompts"
+        assert main(["--out-dir", str(out), "dump-prompts", "--in", str(tmp_path / "missing"),
+                     "--template", "bogus"]) == 1
+        err = capsys.readouterr().err
+        assert "unknown template_version 'bogus'" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("m", [{}, {"mode": "Combine-With-Hint"}, {"mode": "separate_hint", "template": "clean-v1"},
+                                   {"template": "bogus"}, {"mode": "bogus", "template": "bogus"}])
+    def test_detect_and_dump_prompts_build_the_same_prompt_settings(self, tmp_path, m):
+        endpoint = tmp_path / "endpoint.json"
+        write(str(endpoint), json.dumps({"provider": "mock-constant"}))
+        built = []
+        for name, extra in (("detect", {"methods": "llm", "endpoint": str(endpoint)}), ("dump-prompts", {})):
+            try:
+                s = STAGES[name].settings({**m, **extra})
+            except ConfigError as exc:
+                built.append(str(exc))
+            else:
+                s = s["llm"] if name == "detect" else s
+                built.append((s["mode"], s["template_version"]))
+        assert built[0] == built[1]
+
     def test_only_hint_modes_need_a_split_fallback(self, sim_dir, tmp_path, capsys):
         (sim_dir / "dataset.meta.json").write_text('{"source":"raw.csv"}\n')  # no onset_time, no switch_fraction
         assert main(["--out-dir", str(tmp_path / "plain"), "dump-prompts", "--in", str(sim_dir),
@@ -386,6 +411,41 @@ class TestRunPipeline:
         write(str(cfg), f"[global]\nseed = 1\nstages = {stages}\n\n"
                         "[simulate]\nn_agents = 8\nweeks = 1\nn_hunger = 0\nn_social = 0\nn_work = 0\n\n"
                         + section.format(endpoint=endpoint))
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "--out-dir", str(out), "run"]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_eval_reads_only_the_score_files_this_run_wrote(self, tmp_path):
+        # was: the second run's report and manifest also held the first run's scores_monav_tt.jsonl
+        out = tmp_path / "run"
+        for methods in ("ompad, monav", "ompad"):
+            cfg = tmp_path / "run.ini"
+            write(str(cfg), "[global]\nseed = 1\nstages = simulate, detect, eval\n\n"
+                            "[simulate]\nn_agents = 20\nweeks = 1\nn_hunger = 1\nn_social = 0\nn_work = 1\n\n"
+                            f"[detect]\nmethods = {methods}\nwindow_days = 2\n\n[eval]\ntop_k = 2\n")
+            assert main(["--config", str(cfg), "--out-dir", str(out), "run"]) == 0
+        assert (out / "scores" / "scores_monav_tt.jsonl").exists()  # the first run's
+        evaluated = json.loads((out / "manifest.json").read_text())["stages"][-1]
+        assert sorted(evaluated["inputs"]) == [str(out / "scores" / "scores_ompad.jsonl"), str(out / "sim" / "labels.jsonl")]
+        assert [row.split(",")[0] for row in (out / "report.csv").read_text().splitlines()] == ["detector", "ompad"]
+
+    @pytest.mark.parametrize("stages, named", [
+        ("ingest, detect, eval", "detect needs labels, which ingest does not write: list inject after ingest"),
+        ("simulate, ingest, detect", "detect needs labels, which ingest does not write: list inject after ingest"),
+        ("simulate, eval", "eval needs a prior detect stage"),
+        ("simulate, inject, eval, detect", "eval needs a prior detect stage"),
+    ], ids=["ingest_detect", "simulate_ingest_detect", "eval_without_detect", "eval_before_detect"])
+    def test_a_chain_whose_stage_lacks_its_input_writes_nothing(self, tmp_path, capsys, stages, named):
+        # was: the stages before ran and wrote ingest/ or sim/, then the stage failed for want of labels or scores
+        rows = [f"u{a},{1_600_000_000 + 60 * k},40.0,116.0" for a in range(3) for k in range(40)]
+        write(str(tmp_path / "raw.csv"), "\n".join(rows))
+        cfg = tmp_path / "chain.ini"
+        write(str(cfg), f"[global]\nseed = 1\nstages = {stages}\n\n"
+                        "[simulate]\nn_agents = 8\nweeks = 1\nn_hunger = 0\nn_social = 0\nn_work = 0\n\n"
+                        f"[ingest]\ninput = {tmp_path / 'raw.csv'}\nformat = csv\nmin_records = 1\n\n"
+                        "[inject]\npairs = 2\n\n[detect]\nmethods = ompad\n")
         out = tmp_path / "run"
         assert main(["--config", str(cfg), "--out-dir", str(out), "run"]) == 1
         err = capsys.readouterr().err

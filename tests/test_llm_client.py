@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -17,6 +18,7 @@ from mobanom.llm import (
     endpoint_from_config,
     run_llm_detection,
 )
+from mobanom.llm import client
 from mobanom.llm.client import HttpChatEndpoint, build_bundles
 from mobanom.simulator import SimConfig, simulate
 
@@ -40,18 +42,28 @@ class TestMocks:
     def test_oracle_mock_gives_perfect_auc(self, sim):
         endpoint = OracleMockEndpoint(sim.labels)
         table = run_llm_detection(sim.dataset, sim.labels, "separate", endpoint)
-        assert roc_auc(table, sim.labels) == 1.0
+        assert roc_auc(table.scores, sim.labels) == 1.0
 
     def test_oracle_mock_combine(self, sim):
         endpoint = OracleMockEndpoint(sim.labels)
         table = run_llm_detection(sim.dataset, sim.labels, "combine", endpoint)
-        assert roc_auc(table, sim.labels) == 1.0
+        assert roc_auc(table.scores, sim.labels) == 1.0
 
     def test_hint_modes_render(self, sim):
         endpoint = OracleMockEndpoint(sim.labels)
         for mode in ("separate-hint", "combine-hint"):
             table = run_llm_detection(sim.dataset, sim.labels, mode, endpoint)
-            assert roc_auc(table, sim.labels) == 1.0
+            assert roc_auc(table.scores, sim.labels) == 1.0
+
+    def test_oracle_answers_are_read_when_it_answers(self, sim):
+        outliers = {a for a, e in sim.labels.entries.items() if e.is_outlier}
+        endpoint = OracleMockEndpoint(sim.labels)
+        bundle = build_bundles(sim.dataset, sim.labels, "combine")[0]
+        assert endpoint.complete(bundle).raw_text == "\n".join(
+            f"user {i}: {'[0.9]' if a in outliers else '[0.1]'}" for i, a in enumerate(bundle.agent_ids, start=1))
+        with mock.patch.object(client, "ORACLE_OUTLIER_TEXT", "[0.7]"):
+            table = run_llm_detection(sim.dataset, sim.labels, "separate", endpoint)
+        assert outliers and table.scores == {a: 0.7 if a in outliers else 0.1 for a in sim.dataset.agent_ids()}
 
 
 class TestCache:
@@ -138,7 +150,8 @@ class TestFailureHandling:
 class TestPerBundleOutcomes:
     def test_each_bundle_scores_or_omits_its_own_agents(self, sim, tmp_path):
         # combine mode; bundle 0's request fails, 1's answer has no user line, 2's resolves only user 2
-        bundles = build_bundles(sim.dataset, sim.labels, "combine", combine_char_budget=8000)
+        with mock.patch.object(client, "COMBINE_CHAR_BUDGET", 8000):
+            bundles = build_bundles(sim.dataset, sim.labels, "combine")
         texts = [b.text for b in bundles]
         assert len(bundles) >= 4
 
@@ -161,8 +174,9 @@ class TestPerBundleOutcomes:
         cache_dir = tmp_path / "cache"
         endpoint = MockEndpoint(reply)
         for calls in (len(bundles), len(bundles) + 1):  # a warm rerun asks again only for the failed bundle
-            table = run_llm_detection(sim.dataset, sim.labels, "combine", endpoint, cache_dir=str(cache_dir),
-                                      max_concurrent=3, combine_char_budget=8000)
+            with mock.patch.object(client, "COMBINE_CHAR_BUDGET", 8000):
+                table = run_llm_detection(sim.dataset, sim.labels, "combine", endpoint, cache_dir=str(cache_dir),
+                                          max_concurrent=3)
             assert table.scores == scores and table.omitted == omitted
             assert endpoint.calls == calls
             answered = sorted(PromptCache.key("mock", "paper-v1", text) + ".json" for text in texts[1:])
@@ -171,7 +185,8 @@ class TestPerBundleOutcomes:
 
 class TestBundling:
     def test_combine_char_budget_splits_batches(self, sim):
-        bundles = build_bundles(sim.dataset, sim.labels, "combine", combine_char_budget=4000)
+        with mock.patch.object(client, "COMBINE_CHAR_BUDGET", 4000):
+            bundles = build_bundles(sim.dataset, sim.labels, "combine")
         assert len(bundles) > 1
         covered = [a for b in bundles for a in b.agent_ids]
         assert covered == sim.dataset.agent_ids()  # contiguous ranges, no overlap

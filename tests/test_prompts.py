@@ -101,6 +101,21 @@ class TestBuildPrompt:
         with pytest.raises(ConfigError):
             normalize_mode("both")
 
+    def test_mode_spellings_are_the_old_alias_table(self):
+        # normalize_mode once looked each spelling up in this table; it now rewrites a hint suffix and checks MODES
+        table = {"separate": "separate", "separatewithhint": "separate_hint", "separate_with_hint": "separate_hint",
+                 "separate_hint": "separate_hint", "combine": "combine", "combinewithhint": "combine_hint",
+                 "combine_with_hint": "combine_hint", "combine_hint": "combine_hint"}
+        stems = ["separate", "combine", "", "hint", "separate_"]
+        suffixes = ["", "hint", "_hint", "__hint", "withhint", "_withhint", "with_hint", "_with_hint", "_with_hint_"]
+        for spelling in (stem + suffix for stem in stems for suffix in suffixes):
+            for written in (spelling, f" {spelling.upper().replace('_', '-')} "):
+                try:
+                    got = normalize_mode(written)
+                except ConfigError:
+                    got = None
+                assert got == table.get(spelling), written
+
 
 class TestParseSeparate:
     @pytest.mark.parametrize(

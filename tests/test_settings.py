@@ -67,9 +67,6 @@ CASES = [
     (nets.NetHyper, {"learning_rate": NAN}, "learning_rate"),
     (classical.TraodParams, {"D": -1.0}, "D"),
     (classical.TraodParams, {"p_frac": 1.5}, "p_frac"),
-    (classical.TraodParams, {"auto_d_percentile": 101.0}, "auto_d_percentile"),
-    (classical.TraodParams, {"auto_d_samples": 0}, "auto_d_samples"),
-    (classical.TraodParams, {"weights": (1.0, -0.5, 1.0)}, "weights"),
     (classical.TraodParams, {"seed": -1}, "seed"),
     (client.LlmEndpointConfig, {"provider": "carrier-pigeon"}, "provider"),
     (client.LlmEndpointConfig, {"max_retries": -1}, "max_retries"),

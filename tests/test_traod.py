@@ -1,9 +1,9 @@
 """The vectorized TRAOD kernel and support query against the scalar oracle in ``traod_oracle``."""
 
+import contextlib
 import os
 import subprocess
 import sys
-from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -12,7 +12,7 @@ import traod_oracle as oracle
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mobanom.core import ConfigError, Dataset, GeoPoint, StayPoint, Trajectory, params_hash
+from mobanom.core import ConfigError, Dataset, GeoPoint, StayPoint, Trajectory
 from mobanom.detectors import SplitSpec, TraodParams, classical, segment_distance_components, traod_score
 from mobanom.detectors import traod_segment_distance
 from mobanom.detectors.classical import _trajectory_segments, _traod_outlying
@@ -98,11 +98,21 @@ def town(seed, pairs=2):
     return ds, SplitSpec.from_labels(ds, labels)
 
 
+@contextlib.contextmanager
+def constants(values):
+    """``classical``'s module constants named in ``values`` set to their values while the block runs."""
+    with contextlib.ExitStack() as stack:
+        for name, value in values.items():
+            stack.enter_context(mock.patch.object(classical, name, value))
+        yield
+
+
+# (settings, the module constants the set patches)
 PARAMS = [
-    TraodParams(),
-    TraodParams(p_frac=0.5),
-    TraodParams(D=2.0, p_frac=0.7),
-    TraodParams(weights=(1.0, 0.5, 2.0), auto_d_percentile=1.0),
+    (TraodParams(), {}),
+    (TraodParams(p_frac=0.5), {}),
+    (TraodParams(D=2.0, p_frac=0.7), {}),
+    (TraodParams(), {"TRAOD_WEIGHTS": (1.0, 0.5, 2.0), "AUTO_D_PERCENTILE": 1.0}),
 ]
 WEIGHTED = PARAMS[-1]
 
@@ -111,16 +121,18 @@ class TestAgainstScalarSupport:
     @pytest.mark.parametrize("seed", [5, 9])
     def test_same_decisions_and_score_bytes(self, seed):
         ds, split = town(seed)
-        for params in PARAMS:
-            radius, decisions, omitted = _traod_outlying(ds, split, params)
-            o_radius, o_outlying, o_lengths, o_omitted = oracle.traod_outlying(ds, split, params)
+        for params, fixed in PARAMS:
+            with constants(fixed):
+                radius, decisions, omitted = _traod_outlying(ds, split, params)
+                o_radius, o_outlying, o_lengths, o_omitted = oracle.traod_outlying(ds, split, params)
+                scores = traod_score(ds, split, params).scores
             assert radius == pytest.approx(o_radius, abs=1e-6)  # the acos error of the angular term
             assert omitted == o_omitted
             assert sorted(decisions) == sorted(o_outlying)
             for agent_id, (outlying, lengths) in decisions.items():
                 assert outlying.tolist() == o_outlying[agent_id]
                 assert lengths.tolist() == o_lengths[agent_id]
-            assert traod_score(ds, split, params).scores == oracle.length_weighted_scores(o_outlying, o_lengths)
+            assert scores == oracle.length_weighted_scores(o_outlying, o_lengths)
 
     def test_no_test_segments_anywhere(self):
         ds, _ = town(5)
@@ -172,8 +184,10 @@ class TestZeroRadius:
         # the scalar kernel's rounding noise made it ~4e-15 km, where identical hops of other
         # agents, also ~1e-15 apart, failed to support some test hops.
         ds, split = town(8)
-        radius, decisions, _ = _traod_outlying(ds, split, WEIGHTED)
-        o_radius, o_outlying, _, _ = oracle.traod_outlying(ds, split, WEIGHTED)
+        params, fixed = WEIGHTED
+        with constants(fixed):
+            radius, decisions, _ = _traod_outlying(ds, split, params)
+            o_radius, o_outlying, _, _ = oracle.traod_outlying(ds, split, params)
         assert radius == 0.0 and 0.0 < o_radius < 1e-12
         flips = [(a, k) for a, (out, _) in decisions.items() for k, o in enumerate(o_outlying[a]) if o != out[k]]
         assert flips and all(o_outlying[a][k] for a, k in flips)  # only ever fewer outlying hops
@@ -197,7 +211,7 @@ def query(ds, split, params):
     with mock.patch.object(classical, "_unique_segments", counted_unique), \
             mock.patch.object(classical, "traod_segment_distance", counted_kernel):
         result = _traod_outlying(ds, split, params)
-    auto = params.auto_d_samples if params.D is None else 0
+    auto = classical.AUTO_D_SAMPLES if params.D is None else 0
     return distinct[0] * distinct[1], sum(pairs) - auto, result
 
 
@@ -245,9 +259,9 @@ class TestEarlyExit:
     def test_same_decisions_and_score_bytes_as_the_full_query(self, town_split, D, p_frac, weights, pool_block,
                                                              pair_block):
         ds, split = town_split
-        params = TraodParams(D=D, p_frac=p_frac, weights=weights, auto_d_samples=50)
-        with mock.patch.object(classical, "POOL_BLOCK", pool_block), \
-                mock.patch.object(classical, "PAIR_BLOCK", pair_block):
+        params = TraodParams(D=D, p_frac=p_frac)
+        with constants({"TRAOD_WEIGHTS": weights, "AUTO_D_SAMPLES": 50, "POOL_BLOCK": pool_block,
+                        "PAIR_BLOCK": pair_block}):
             full, compared, got = query(ds, split, params)
             assert compared <= full  # each (test, pool) pair at most once
             assert_same_decisions(got, oracle.full_query_outlying(ds, split, params))
@@ -294,7 +308,7 @@ class TestEarlyExit:
         assert compared < full
         assert_same_decisions(got, oracle.full_query_outlying(ds, split, TraodParams()))
 
-    @pytest.mark.parametrize("params", PARAMS[1:3], ids=["p_frac_0.5", "D_2_p_frac_0.7"])
+    @pytest.mark.parametrize("params", [params for params, _ in PARAMS[1:3]], ids=["p_frac_0.5", "D_2_p_frac_0.7"])
     def test_an_agent_without_training_segments_has_no_own_column(self, params):
         ds, split = town(5)
         newcomer = ds.trajectories[0].agent_id
@@ -308,24 +322,34 @@ class TestEarlyExit:
         # the visiting order has its own generator: the auto radius draws the same pairs as before it
         ds, split = town(5)
         assert _traod_outlying(ds, split, TraodParams())[0].hex() == "0x1.0ba4437211f53p+2"
-        assert params_hash(asdict(TraodParams())) == "9d65b0753c48"
+        assert traod_score(ds, split, TraodParams()).params_hash == "9d65b0753c48"
+        params, fixed = WEIGHTED
+        with constants(fixed):  # the hash reads the constants when it is taken
+            assert traod_score(ds, split, params).params_hash == "6da2a3a42c89"
 
 
 @pytest.mark.parametrize(
     "bad",
-    [{"D": -1.0}, {"D": float("nan")}, {"D": float("inf")}, {"p_frac": 1.5}, {"p_frac": -0.1},
-     {"auto_d_percentile": 101.0}, {"auto_d_percentile": -1.0}, {"auto_d_samples": 0},
-     {"weights": (1.0, -0.5, 1.0)}, {"weights": (1.0, 1.0, float("nan"))}, {"seed": -1}],
+    [{"D": -1.0}, {"D": float("nan")}, {"D": float("inf")}, {"p_frac": 1.5}, {"p_frac": -0.1}, {"seed": -1}],
+    # the seed case keeps the id it had while bad5-bad9 checked the weights and auto-radius fields
+    ids=["bad0", "bad1", "bad2", "bad3", "bad4", "bad10"],
 )
 def test_params_out_of_range_are_rejected(bad):
-    # were: D = -1 scored every agent 1.0, p_frac = 1.5 every agent 0.0, 0 samples an IndexError, seed -1 a ValueError
+    # were: D = -1 scored every agent 1.0, p_frac = 1.5 every agent 0.0, seed -1 a ValueError
     with pytest.raises(ConfigError):
         TraodParams(**bad)
 
 
 def test_params_at_their_bounds_are_accepted():
-    TraodParams(D=0.0, p_frac=0.0, auto_d_percentile=0.0, auto_d_samples=1, weights=(0.0, 0.0, 0.0))
-    TraodParams(p_frac=1.0, auto_d_percentile=100.0)
+    # the fixed values at their bounds too: the support query still agrees with the full query
+    ds, split = town(5)
+    for params, fixed in [
+        (TraodParams(D=0.0, p_frac=0.0), {}),
+        (TraodParams(p_frac=0.0), {"AUTO_D_PERCENTILE": 0.0, "AUTO_D_SAMPLES": 1, "TRAOD_WEIGHTS": (0.0, 0.0, 0.0)}),
+        (TraodParams(p_frac=1.0), {"AUTO_D_PERCENTILE": 100.0}),
+    ]:
+        with constants(fixed):
+            assert_same_decisions(_traod_outlying(ds, split, params), oracle.full_query_outlying(ds, split, params))
 
 
 def test_classical_detectors_demo_runs(tmp_path):

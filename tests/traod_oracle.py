@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from mobanom.core import EARTH_RADIUS_KM, Dataset, Trajectory
-from mobanom.detectors import SplitSpec, TraodParams
+from mobanom.detectors import SplitSpec, TraodParams, classical
 from mobanom.detectors.classical import PAIR_BLOCK, _lengths, _unique_segments
 from mobanom.detectors.classical import _auto_radius as vector_auto_radius
 from mobanom.detectors.classical import traod_segment_distance as vector_distance
@@ -100,13 +100,13 @@ def _auto_radius(pool: list[Segment], params: TraodParams) -> float:
     rng = np.random.default_rng(params.seed)
     n = len(pool)
     dists = []
-    for _ in range(params.auto_d_samples):
+    for _ in range(classical.AUTO_D_SAMPLES):
         i = int(rng.integers(n))
         j = int(rng.integers(n - 1))
         if j >= i:
             j += 1
-        dists.append(traod_segment_distance(pool[i], pool[j], params.weights))
-    return float(np.percentile(dists, params.auto_d_percentile))
+        dists.append(traod_segment_distance(pool[i], pool[j], classical.TRAOD_WEIGHTS))
+    return float(np.percentile(dists, classical.AUTO_D_PERCENTILE))
 
 
 def traod_outlying(ds: Dataset, split: SplitSpec, params: TraodParams = TraodParams()):
@@ -144,7 +144,7 @@ def traod_outlying(ds: Dataset, split: SplitSpec, params: TraodParams = TraodPar
             supporters = 0
             for other in others:
                 if any(
-                    traod_segment_distance(seg, ref, params.weights) <= radius
+                    traod_segment_distance(seg, ref, classical.TRAOD_WEIGHTS) <= radius
                     for ref in train_segments[other]
                 ):
                     supporters += 1
@@ -204,7 +204,7 @@ def full_query_outlying(ds: Dataset, split: SplitSpec, params: TraodParams):
     near = np.zeros((len(unique_test), len(owners) + 1), dtype=bool)
     rows = max(1, PAIR_BLOCK // max(1, len(unique_pool)))
     for lo in range(0, len(unique_test), rows):
-        close = vector_distance(unique_test[lo:lo + rows, None], unique_pool[None], params.weights) <= radius
+        close = vector_distance(unique_test[lo:lo + rows, None], unique_pool[None], classical.TRAOD_WEIGHTS) <= radius
         near[lo:lo + rows] = [incidence[row].any(axis=0) for row in close]
 
     own = np.repeat(np.array([column.get(a, len(owners)) for a in scored], dtype=int), sizes)  # no pool: extra
