@@ -1,9 +1,11 @@
+import dataclasses
+
 import pytest
 
 from conftest import read_golden
 from mobanom.core import ConfigError, GeoPoint, InvalidInputError, PartialParseError, ScoreParseError, StayPoint, Trajectory
 from mobanom.llm import build_prompt, parse_combine_scores, parse_separate_score, render_stay_sequence
-from mobanom.llm.prompts import DEVIATE_MARKER, normalize_mode
+from mobanom.llm.prompts import DEVIATE_MARKER, MODES, TEMPLATE_VERSIONS, normalize_mode
 
 
 def mini_traj(agent_id="a1"):
@@ -47,14 +49,16 @@ class TestRenderSequence:
 
 
 class TestBuildPrompt:
-    def test_separate_golden(self, fixture_trajectory):
-        bundle = build_prompt("separate", [fixture_trajectory])
-        assert bundle.text == read_golden("prompt_separate_paper-v1.txt")
-        assert bundle.agent_ids == ["fixture01"]
-
-    def test_separate_hint_golden(self, fixture_trajectory):
-        bundle = build_prompt("separate-hint", [fixture_trajectory], {"fixture01": 16})
-        assert bundle.text == read_golden("prompt_separate_hint_paper-v1.txt")
+    @pytest.mark.parametrize("template_version", TEMPLATE_VERSIONS)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_golden(self, fixture_trajectory, mode, template_version):
+        # combine modes render the fixture and a renamed copy, so that a "user 2" line appears
+        trajectories = [fixture_trajectory]
+        if mode.startswith("combine"):
+            trajectories.append(dataclasses.replace(fixture_trajectory, agent_id="fixture02"))
+        bundle = build_prompt(mode, trajectories, {"fixture01": 16, "fixture02": 3}, template_version)
+        assert bundle.text == read_golden(f"prompt_{mode}_{template_version}.txt")
+        assert bundle.agent_ids == [t.agent_id for t in trajectories]
 
     def test_separate_rejects_two_trajectories(self):
         with pytest.raises(ConfigError):
