@@ -30,7 +30,7 @@ from .detectors.features import check_split_fallbacks, check_windows, window_sec
 from .detectors.nets import check_scope
 from .evaluation import DEFAULT_KS, ScoreTable, check_ks, make_report
 from .ingest import PoiMap, StayPointParams, ingest_dataset
-from .inject import InjectConfig, inject_imposter
+from .inject import InjectConfig, check_pairs, inject_imposter
 from .llm import LlmEndpointConfig, dump_prompts, endpoint_from_config, run_llm_detection
 from .llm.prompts import prompt_settings
 from .simulator import SimConfig, simulate
@@ -362,7 +362,7 @@ def run_pipeline(config_path: str, out_dir: str | None, seed: int | None) -> int
     if not stages:
         raise ConfigError("config [global] must list stages")
     flags = {} if seed is None else {"seed": seed}
-    plan, data_dir, labelled = [], None, False
+    plan, data_dir, labelled, data_settings = [], None, False, None
     for name in stages:
         stage = STAGES.get(name)
         if stage is None or stage.subdir is None:
@@ -376,10 +376,12 @@ def run_pipeline(config_path: str, out_dir: str | None, seed: int | None) -> int
             if name == "eval" and "detect" not in [step[0] for step in plan]:
                 raise ConfigError("eval needs a prior detect stage")
             m.update(stage.chain(data_dir, out_dir))
-        stage_dir = os.path.join(out_dir, stage.subdir)
-        plan.append((name, m, stage.settings(m), stage_dir))
+        stage_dir, s = os.path.join(out_dir, stage.subdir), stage.settings(m)
+        if name == "inject" and isinstance(data_settings, SimConfig):  # after ingest, only the data counts the agents
+            check_pairs(s, data_settings.n_agents)
+        plan.append((name, m, s, stage_dir))
         if stage.data:
-            data_dir, labelled = stage_dir, name != "ingest"
+            data_dir, labelled, data_settings = stage_dir, name != "ingest", s
 
     manifest = {
         "version": __version__,

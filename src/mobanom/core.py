@@ -381,11 +381,12 @@ def trajectory_to_json(t: Trajectory) -> str:
     return _dumps({"agent_id": t.agent_id, "points": points})
 
 
-# The JSON type of each dataset, label and POI-map value: one ``type()`` test per value, so a bool is never a number.
+# The JSON type of each dataset, label, POI-map and score value: one ``type()`` test each, so a bool is never a number.
 _STRING, _INDEX, _NUMBER = ((str,), "a string"), ((int, type(None)), "an integer or null"), ((int, float), "a number")
 _JSON_TYPES = {"agent_id": _STRING, "arrive": ((int,), "an integer"), "depart": _INDEX, "place_id": _STRING,
                "place_type": _STRING, "lat": _NUMBER, "lon": _NUMBER, "radius_m": _NUMBER,
-               "is_outlier": ((bool,), "true or false"), "outlier_type": _STRING, "deviate_index": _INDEX}
+               "is_outlier": ((bool,), "true or false"), "outlier_type": _STRING, "deviate_index": _INDEX,
+               "score": _NUMBER, "method": _STRING, "params_hash": _STRING}
 
 
 def _check_types(obj: dict) -> None:
@@ -416,7 +417,7 @@ def _one_line_per_agent(record: typing.Callable[[dict], typing.Any]) -> typing.C
 
     def checked(obj: dict):
         out = record(obj)
-        agent_id = str(obj["agent_id"])  # as a score row converts it
+        agent_id = obj["agent_id"]
         if agent_id in seen:
             raise InvalidInputError(f"duplicate agent_id {agent_id!r}")
         seen.add(agent_id)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ConfigError, InvalidInputError, LabelSet, UndefinedMetricError, _dumps, _one_line_per_agent,
-                   params_hash, parse_jsonl, read_jsonl)
+from .core import (ConfigError, InvalidInputError, LabelSet, UndefinedMetricError, _check_types, _dumps,
+                   _one_line_per_agent, params_hash, parse_jsonl, read_jsonl)
 
 __all__ = [
     "ScoreTable",
@@ -52,24 +52,30 @@ class ScoreTable:
     @classmethod
     def from_jsonl(cls, text: str) -> "ScoreTable":
         """The table that :meth:`to_jsonl` wrote as ``text``; a fault or a repeated agent names ``<scores>:line``."""
-        return cls._from_rows(parse_jsonl(text.splitlines(), _one_line_per_agent(_score_row), "<scores>"))
+        return cls._from_rows(lambda record: parse_jsonl(text.splitlines(), record, "<scores>"))
 
     @classmethod
     def read(cls, path: str) -> "ScoreTable":
         """The score file at ``path``; a fault or a repeated agent names ``path:line``."""
-        return cls._from_rows(read_jsonl(path, _one_line_per_agent(_score_row)))
+        return cls._from_rows(lambda record: read_jsonl(path, record))
 
     @classmethod
-    def _from_rows(cls, rows: list[tuple[str, float, dict]]) -> "ScoreTable":
-        names = {k: v for _, _, row_names in rows for k, v in row_names.items()}  # the last line naming each wins
-        return cls(names.get("method", ""), {a: score for a, score, _ in rows}, names.get("params_hash", ""))
+    def _from_rows(cls, parse) -> "ScoreTable":
+        """The table of the rows ``parse(record)`` reads; rows that name a method or params_hash all name the same."""
+        names: dict[str, str] = {}
 
+        def row(obj: dict) -> tuple[str, float]:
+            _check_types(obj)
+            score = float(obj["score"])
+            if not math.isfinite(score):
+                raise ValueError(f"non-finite score {score!r}")
+            for k in ("method", "params_hash"):
+                if k in obj and names.setdefault(k, obj[k]) != obj[k]:
+                    raise InvalidInputError(f"{k} {obj[k]!r} differs from an earlier line's {names[k]!r}")
+            return obj["agent_id"], score
 
-def _score_row(obj: dict) -> tuple[str, float, dict]:
-    score = float(obj["score"])
-    if not math.isfinite(score):
-        raise ValueError(f"non-finite score {score!r}")
-    return str(obj["agent_id"]), score, {k: str(obj[k]) for k in ("method", "params_hash") if k in obj}
+        rows = parse(_one_line_per_agent(row))
+        return cls(names.get("method", ""), dict(rows), names.get("params_hash", ""))
 
 
 def _ranked_agents(scores: dict[str, float]) -> list[str]:

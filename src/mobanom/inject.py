@@ -66,6 +66,12 @@ def _swap_pair(a: Trajectory, b: Trajectory, switch_time: int) -> tuple[Trajecto
     return new_a, new_b, len(a_head), len(b_head)
 
 
+def check_pairs(cfg: InjectConfig, n_agents: int) -> None:
+    """ConfigError unless ``n_agents`` agents make ``cfg.n_outlier_pairs`` disjoint pairs."""
+    if 2 * cfg.n_outlier_pairs > n_agents:
+        raise ConfigError(f"need {2 * cfg.n_outlier_pairs} agents for {cfg.n_outlier_pairs} pairs, have {n_agents}")
+
+
 def inject_imposter(ds: Dataset, cfg: InjectConfig) -> tuple[Dataset, LabelSet]:
     """Swap tails between ``n_outlier_pairs`` disjoint random pairs.
 
@@ -73,9 +79,7 @@ def inject_imposter(ds: Dataset, cfg: InjectConfig) -> tuple[Dataset, LabelSet]:
     :class:`InjectionError` when no compatible partner is found for some agent
     within the attempt budget.
     """
-    n_agents = len(ds.trajectories)
-    if 2 * cfg.n_outlier_pairs > n_agents:
-        raise ConfigError(f"need {2 * cfg.n_outlier_pairs} agents for {cfg.n_outlier_pairs} pairs, have {n_agents}")
+    check_pairs(cfg, len(ds.trajectories))
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 10)))
 
     swapped: dict[str, tuple[Trajectory, int]] = {}

@@ -35,7 +35,7 @@ from ..core import (
 )
 from ..detectors.features import SplitSpec
 from ..evaluation import ScoreTable
-from .prompts import PromptBundle, build_prompt, normalize_mode, parse_combine_scores, parse_separate_score
+from .prompts import DEFAULT_TEMPLATE, PromptBundle, build_prompt, normalize_mode, parse_combine_scores, parse_separate_score
 
 log = logging.getLogger(__name__)
 
@@ -94,15 +94,11 @@ class OracleMockEndpoint(MockEndpoint):
 
     def __init__(self, labels: LabelSet):
         def fn(bundle: PromptBundle) -> str:
-            def answer(agent_id: str) -> str:
-                e = labels.entries.get(agent_id)
-                return ORACLE_OUTLIER_TEXT if (e is not None and e.is_outlier) else ORACLE_NORMAL_TEXT
-
+            answers = [ORACLE_OUTLIER_TEXT if getattr(labels.entries.get(agent_id), "is_outlier", False)
+                       else ORACLE_NORMAL_TEXT for agent_id in bundle.agent_ids]
             if bundle.mode.startswith("separate"):
-                return answer(bundle.agent_ids[0])
-            return "\n".join(
-                f"user {i}: {answer(agent_id)}" for i, agent_id in enumerate(bundle.agent_ids, start=1)
-            )
+                return answers[0]
+            return "\n".join(f"user {i}: {text}" for i, text in enumerate(answers, start=1))
 
         super().__init__(fn, name="mock-oracle")
 
@@ -241,7 +237,7 @@ def build_bundles(
     ds: Dataset,
     labels: LabelSet,
     mode: str,
-    template_version: str = "paper-v1",
+    template_version: str = DEFAULT_TEMPLATE,
     split: SplitSpec | None = None,
 ) -> list[PromptBundle]:
     """Render all prompts for a dataset without touching any endpoint.
@@ -257,25 +253,17 @@ def build_bundles(
             split = SplitSpec.from_labels(ds, labels)
         deviate_indices = {t.agent_id: min(split.train_count(t), max(0, len(t.points) - 1)) for t in ds.trajectories}
 
-    nonempty = [t for t in ds.trajectories if t.points]
-    if mode.startswith("separate"):
-        return [build_prompt(mode, [t], deviate_indices, template_version) for t in nonempty]
-
-    bundles = []
-    batch = []
+    separate = mode.startswith("separate")
+    batches: list[list] = []  # a separate-mode batch holds one trajectory
     batch_chars = 0
-    for t in nonempty:
-        probe = build_prompt("separate", [t], {}, template_version)
-        cost = len(probe.text)
-        if batch and batch_chars + cost > COMBINE_CHAR_BUDGET:
-            bundles.append(build_prompt(mode, batch, deviate_indices, template_version))
-            batch = []
+    for t in (t for t in ds.trajectories if t.points):
+        cost = 0 if separate else len(build_prompt("separate", [t], {}, template_version).text)
+        if separate or not batches or batch_chars + cost > COMBINE_CHAR_BUDGET:
+            batches.append([])
             batch_chars = 0
-        batch.append(t)
+        batches[-1].append(t)
         batch_chars += cost
-    if batch:
-        bundles.append(build_prompt(mode, batch, deviate_indices, template_version))
-    return bundles
+    return [build_prompt(mode, batch, deviate_indices, template_version) for batch in batches]
 
 
 def run_llm_detection(
@@ -283,9 +271,9 @@ def run_llm_detection(
     labels: LabelSet,
     mode: str,
     endpoint,
-    template_version: str = "paper-v1",
+    template_version: str = DEFAULT_TEMPLATE,
     cache_dir: str | None = None,
-    max_concurrent: int = 2,
+    max_concurrent: int = LlmEndpointConfig.max_concurrent_requests,
     split: SplitSpec | None = None,
 ) -> ScoreTable:
     """Prompt, dispatch (with caching), and parse into a ScoreTable, one pool worker per bundle.
@@ -343,7 +331,7 @@ def dump_prompts(
     labels: LabelSet,
     mode: str,
     out_dir: str,
-    template_version: str = "paper-v1",
+    template_version: str = DEFAULT_TEMPLATE,
     split: SplitSpec | None = None,
 ) -> list[str]:
     """Write every PromptBundle and ``prompts_index.jsonl`` without calling any endpoint; return their paths."""

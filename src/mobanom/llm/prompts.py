@@ -4,16 +4,17 @@ Four prompt modes: one trajectory per prompt (``separate``) or many
 (``combine``), each with an optional hint that marks the suspected deviation
 point inside the rendered sequence with ``***<deviate-point>***``.
 
-Two template versions exist.  ``paper-v1`` keeps the original benchmark
-wording byte-for-byte, including its spelling quirks ("trajector",
-"esimated"), because the exact wording is part of the method under test and
-golden files pin it.  ``clean-v1`` is the corrected variant.  Rendering is
-byte-deterministic for a fixed template version.
+Two template versions exist, one ``TEMPLATES`` record each.  ``paper-v1``
+keeps the original benchmark wording byte-for-byte, including its spelling
+quirks ("trajector", "esimated"), because the exact wording is part of the
+method under test and golden files pin it.  ``clean-v1`` is the corrected
+variant.  Rendering is byte-deterministic for a fixed template version.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 
 from ..core import ConfigError, InvalidInputError, ScoreParseError, PartialParseError, Trajectory, haversine_km
@@ -74,94 +75,84 @@ def render_stay_sequence(t: Trajectory, deviate_index: int | None = None) -> str
     return "".join(parts)
 
 
-_TASK_SEPARATE = {
-    "paper-v1": (
-        "Task: You are a human mobility trajectory behavior anomaly detector. "
-        "Given a historical human trajectory information, can you analyse the pattern "
-        "behind the trajectory and give an anomaly score (from 0 to 1, where larger "
-        "value indicates more abnormal) of this user's behavior?"
+# the wording of one template version; task_combine holds "{n}" for the number of users
+Template = namedtuple("Template", "task_separate task_combine hint description sequence_prefix "
+                                  "closing_separate closing_combine")
+
+TEMPLATES = {
+    "paper-v1": Template(
+        task_separate=(
+            "Task: You are a human mobility trajectory behavior anomaly detector. "
+            "Given a historical human trajectory information, can you analyse the pattern "
+            "behind the trajectory and give an anomaly score (from 0 to 1, where larger "
+            "value indicates more abnormal) of this user's behavior?"
+        ),
+        task_combine=(
+            "Task: You are a human mobility trajectory behavior anomaly detector. "
+            "Given a set of {n} users' historical human trajectories information, can you "
+            "analyse the pattern behind each user's trajectory and give an anomaly score "
+            "(from 0 to 1, where larger value indicates more abnormal) of users' behavior?"
+        ),
+        hint=(
+            "Hint: The anomaly users would suddenly change their mobility pattern starting "
+            "from a time point, which means after a certain time, their mobility behavior "
+            "would significantly deviate from their past behaviors. We would use "
+            f'"{DEVIATE_MARKER}" inside each trajectory to denote the time point as hint.'
+        ),
+        description=(
+            "Description of input trajectory data: A temporal sequence of visited place "
+            "points, each place is consisted of the visited timestamp and its type of "
+            "location. Then the traveled distance to next location is given."
+        ),
+        sequence_prefix="Here is the sequence of trajector: ",
+        closing_separate=(
+            "Give your analysis and present your esimated anomaly score (from 0 to 1, "
+            "where larger value indicates more abnormal) inside a pair of square brackets [] :"
+        ),
+        closing_combine=(
+            "Give your analysis and present your esimated anomaly scores about all users "
+            "(from 0 to 1, where larger value indicates more abnormal):"
+        ),
     ),
-    "clean-v1": (
-        "Task: You are a human mobility trajectory behavior anomaly detector. "
-        "Given historical human trajectory information, can you analyse the pattern "
-        "behind the trajectory and give an anomaly score (from 0 to 1, where a larger "
-        "value indicates more abnormal behavior) for this user?"
+    "clean-v1": Template(
+        task_separate=(
+            "Task: You are a human mobility trajectory behavior anomaly detector. "
+            "Given historical human trajectory information, can you analyse the pattern "
+            "behind the trajectory and give an anomaly score (from 0 to 1, where a larger "
+            "value indicates more abnormal behavior) for this user?"
+        ),
+        task_combine=(
+            "Task: You are a human mobility trajectory behavior anomaly detector. "
+            "Given a set of {n} users' historical trajectories, can you analyse the pattern "
+            "behind each user's trajectory and give an anomaly score (from 0 to 1, where a "
+            "larger value indicates more abnormal behavior) for each user?"
+        ),
+        hint=(
+            "Hint: Anomalous users suddenly change their mobility pattern starting from a "
+            "time point: after a certain time, their mobility behavior significantly "
+            f'deviates from their past behavior. We use "{DEVIATE_MARKER}" inside each '
+            "trajectory to denote that time point as a hint."
+        ),
+        description=(
+            "Description of input trajectory data: A temporal sequence of visited place "
+            "points; each place consists of the visited timestamp and its type of "
+            "location. The traveled distance to the next location follows each point."
+        ),
+        sequence_prefix="Here is the trajectory sequence: ",
+        closing_separate=(
+            "Give your analysis and present your estimated anomaly score (from 0 to 1, "
+            "where a larger value indicates more abnormal behavior) inside a pair of "
+            "square brackets [] :"
+        ),
+        closing_combine=(
+            "Give your analysis and present your estimated anomaly scores for all users "
+            "(from 0 to 1, where a larger value indicates more abnormal behavior), one "
+            "per line as 'user <i>: [<score>]':"
+        ),
     ),
 }
-
-_TASK_COMBINE = {
-    "paper-v1": (
-        "Task: You are a human mobility trajectory behavior anomaly detector. "
-        "Given a set of {n} users' historical human trajectories information, can you "
-        "analyse the pattern behind each user's trajectory and give an anomaly score "
-        "(from 0 to 1, where larger value indicates more abnormal) of users' behavior?"
-    ),
-    "clean-v1": (
-        "Task: You are a human mobility trajectory behavior anomaly detector. "
-        "Given a set of {n} users' historical trajectories, can you analyse the pattern "
-        "behind each user's trajectory and give an anomaly score (from 0 to 1, where a "
-        "larger value indicates more abnormal behavior) for each user?"
-    ),
-}
-
-_HINT = {
-    "paper-v1": (
-        "Hint: The anomaly users would suddenly change their mobility pattern starting "
-        "from a time point, which means after a certain time, their mobility behavior "
-        "would significantly deviate from their past behaviors. We would use "
-        f'"{DEVIATE_MARKER}" inside each trajectory to denote the time point as hint.'
-    ),
-    "clean-v1": (
-        "Hint: Anomalous users suddenly change their mobility pattern starting from a "
-        "time point: after a certain time, their mobility behavior significantly "
-        f'deviates from their past behavior. We use "{DEVIATE_MARKER}" inside each '
-        "trajectory to denote that time point as a hint."
-    ),
-}
-
-_DESCRIPTION = {
-    "paper-v1": (
-        "Description of input trajectory data: A temporal sequence of visited place "
-        "points, each place is consisted of the visited timestamp and its type of "
-        "location. Then the traveled distance to next location is given."
-    ),
-    "clean-v1": (
-        "Description of input trajectory data: A temporal sequence of visited place "
-        "points; each place consists of the visited timestamp and its type of "
-        "location. The traveled distance to the next location follows each point."
-    ),
-}
-
-_SEQUENCE_PREFIX = {
-    "paper-v1": "Here is the sequence of trajector: ",
-    "clean-v1": "Here is the trajectory sequence: ",
-}
-
-_CLOSING_SEPARATE = {
-    "paper-v1": (
-        "Give your analysis and present your esimated anomaly score (from 0 to 1, "
-        "where larger value indicates more abnormal) inside a pair of square brackets [] :"
-    ),
-    "clean-v1": (
-        "Give your analysis and present your estimated anomaly score (from 0 to 1, "
-        "where a larger value indicates more abnormal behavior) inside a pair of "
-        "square brackets [] :"
-    ),
-}
-
-_CLOSING_COMBINE = {
-    "paper-v1": (
-        "Give your analysis and present your esimated anomaly scores about all users "
-        "(from 0 to 1, where larger value indicates more abnormal):"
-    ),
-    "clean-v1": (
-        "Give your analysis and present your estimated anomaly scores for all users "
-        "(from 0 to 1, where a larger value indicates more abnormal behavior), one "
-        "per line as 'user <i>: [<score>]':"
-    ),
-}
-
-TEMPLATE_VERSIONS = tuple(sorted(_TASK_SEPARATE))
+TEMPLATE_VERSIONS = tuple(sorted(TEMPLATES))
+DEFAULT_TEMPLATE = "paper-v1"  # the template of a run that sets none
 
 
 def check_template(template_version: str) -> None:
@@ -182,7 +173,7 @@ def build_prompt(
     mode: str,
     trajectories: list[Trajectory],
     deviate_indices: dict[str, int] | None = None,
-    template_version: str = "paper-v1",
+    template_version: str = DEFAULT_TEMPLATE,
 ) -> PromptBundle:
     """Assemble the full prompt for a mode; byte-stable per template version.
 
@@ -200,25 +191,20 @@ def build_prompt(
         if missing:
             raise ConfigError(f"hint mode needs deviate indices for agents: {missing}")
 
+    tpl = TEMPLATES[template_version]
     if mode.startswith("separate"):
         if len(trajectories) != 1:
             raise ConfigError(f"separate modes render one trajectory, got {len(trajectories)}")
         t = trajectories[0]
         seq = render_stay_sequence(t, deviate_indices.get(t.agent_id) if hint else None)
-        lines = [_TASK_SEPARATE[template_version]]
-        if hint:
-            lines.append(_HINT[template_version])
-        lines.append(_DESCRIPTION[template_version])
-        lines.append(f"{_SEQUENCE_PREFIX[template_version]}{seq}.")
-        lines.append(_CLOSING_SEPARATE[template_version])
+        lines = [tpl.task_separate, *([tpl.hint] if hint else []), tpl.description,
+                 f"{tpl.sequence_prefix}{seq}.", tpl.closing_separate]
     else:
-        lines = [_TASK_COMBINE[template_version].format(n=len(trajectories))]
-        if hint:
-            lines.append(_HINT[template_version])
+        lines = [tpl.task_combine.format(n=len(trajectories)), *([tpl.hint] if hint else [])]
         for i, t in enumerate(trajectories, start=1):
             seq = render_stay_sequence(t, deviate_indices.get(t.agent_id) if hint else None)
             lines.append(f"Here is the sequence of user {i}: {seq}")
-        lines.append(_CLOSING_COMBINE[template_version])
+        lines.append(tpl.closing_combine)
 
     return PromptBundle(
         text="\n".join(lines),

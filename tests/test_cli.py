@@ -452,6 +452,18 @@ class TestRunPipeline:
         assert named in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_too_few_simulated_agents_for_the_pairs_writes_nothing(self, tmp_path, capsys):
+        # was: simulate ran and wrote sim/ and a manifest, then inject exited 1
+        cfg = tmp_path / "pairs.ini"
+        write(str(cfg), "[global]\nseed = 1\nstages = simulate, inject, detect\n\n"
+                        "[simulate]\nn_agents = 8\nweeks = 1\nn_hunger = 0\nn_social = 0\nn_work = 0\n\n"
+                        "[detect]\nmethods = ompad\n")
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "--out-dir", str(out), "run"]) == 1
+        err = capsys.readouterr().err
+        assert "need 24 agents for 12 pairs, have 8" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_seed_flag_overrides_file(self, tmp_path):
         cfg = self.build_config(tmp_path)
         hashes = []
@@ -772,13 +784,25 @@ class TestArtifactInputFaults:
             ("scores_ompad.jsonl", '{"agent_id":"x","score":0.5', "invalid JSON"),
             ("scores_ompad.jsonl", "null", "not a JSON object"),
             ("scores_ompad.jsonl", '{"agent_id":"x","method":"ompad"}', "missing key 'score'"),
-            ("scores_ompad.jsonl", '{"agent_id":"x","score":"high"}', "ValueError"),
+            ("scores_ompad.jsonl", '{"agent_id":"x","score":"high"}', "score must be a number, got 'high'"),
             ("scores_ompad.jsonl", '{"agent_id":"x","score":NaN}', "non-finite score"),
+            # were read as 1.0, 0.2, agent "7" and method "3"
+            ("scores_ompad.jsonl", '{"agent_id":"x","score":true}', "score must be a number, got True"),
+            ("scores_ompad.jsonl", '{"agent_id":"x","score":"0.2"}', "score must be a number, got '0.2'"),
+            ("scores_ompad.jsonl", '{"agent_id":7,"score":0.2}', "agent_id must be a string, got 7"),
+            ("scores_ompad.jsonl", '{"agent_id":"x","score":0.2,"method":3}', "method must be a string, got 3"),
+            # were read as one table named after the last line's method, or with its params_hash
+            ("scores_ompad.jsonl", '{"agent_id":"x","score":0.2,"method":"monav_tt"}',
+             "method 'monav_tt' differs from an earlier line's 'ompad'"),
+            ("scores_ompad.jsonl", '{"agent_id":"x","score":0.2,"params_hash":"0"}',
+             "params_hash '0' differs from an earlier line's"),
         ],
         ids=["dataset_truncated", "dataset_not_object", "dataset_missing_key", "dataset_str_lat", "dataset_int_points",
              "dataset_nan_lat", "dataset_lat_out_of_range", "labels_truncated", "labels_not_object",
              "labels_missing_key", "labels_str_index", "labels_str_flag", "labels_negative_index", "scores_truncated",
-             "scores_not_object", "scores_missing_key", "scores_str_score", "scores_nan_score"],
+             "scores_not_object", "scores_missing_key", "scores_str_score", "scores_nan_score", "scores_bool_score",
+             "scores_str_number", "scores_int_agent", "scores_int_method", "scores_other_method",
+             "scores_other_params_hash"],
     )
     def test_bad_line_exits_1(self, sim_dir, scores, tmp_path, capsys, name, line, named):
         path = scores if name.startswith("scores") else sim_dir / name

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -14,11 +15,12 @@ from mobanom.llm import (
     MockEndpoint,
     OracleMockEndpoint,
     PromptCache,
+    build_prompt,
     dump_prompts,
     endpoint_from_config,
     run_llm_detection,
 )
-from mobanom.llm import client
+from mobanom.llm import client, prompts
 from mobanom.llm.client import HttpChatEndpoint, build_bundles
 from mobanom.simulator import SimConfig, simulate
 
@@ -218,6 +220,13 @@ class TestDumpPrompts:
         with open(paths[0]) as fh:
             text = fh.read()
         assert "***<deviate-point>***" in text
+
+
+def test_each_prompt_default_lives_in_one_place():
+    for fn in (build_prompt, build_bundles, run_llm_detection, dump_prompts):
+        assert inspect.signature(fn).parameters["template_version"].default == prompts.DEFAULT_TEMPLATE, fn.__name__
+    concurrency = inspect.signature(run_llm_detection).parameters["max_concurrent"].default
+    assert concurrency == LlmEndpointConfig().max_concurrent_requests
 
 
 class TestHttpEndpoint:
