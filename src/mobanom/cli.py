@@ -300,7 +300,7 @@ class Stage:
     fn: Callable[[object, list, str, list], None]
     reads: Callable[[dict, object], list]  # (settings mapping, built settings) -> the input paths the stage declares
     subdir: str | None  # output directory under `run`'s --out-dir; None: subcommand only
-    chain: Callable[[str, str], dict] | None = None  # (data dir, out dir) -> path settings under `run`
+    chain: Callable[[str], dict] | None = None  # data dir -> path settings under `run`
     data: bool = False  # writes the dataset that later `run` stages read
     sections: tuple[str, ...] = ()  # config sections merged between [global] and the stage's own
 
@@ -314,13 +314,13 @@ STAGES = {
         stage_inject,
         lambda m, s: _with_meta(m["in"]),
         "inject",
-        chain=lambda data, out: {"in": os.path.join(data, "dataset.jsonl")},
+        chain=lambda data: {"in": os.path.join(data, "dataset.jsonl")},
         data=True,
     ),
-    "detect": Stage(_detect_settings, stage_detect, _data_dir_inputs, "scores", chain=lambda data, out: {"in": data},
+    "detect": Stage(_detect_settings, stage_detect, _data_dir_inputs, "scores", chain=lambda data: {"in": data},
                     sections=("llm",)),
     "eval": Stage(_eval_settings, stage_eval, _eval_inputs, "",
-                  chain=lambda data, out: {"labels": os.path.join(data, "labels.jsonl")}),
+                  chain=lambda data: {"labels": os.path.join(data, "labels.jsonl")}),
     "dump-prompts": Stage(_dump_prompts_settings, stage_dump_prompts, _data_dir_inputs, None,
                           sections=("llm", "detect")),
 }
@@ -375,7 +375,7 @@ def run_pipeline(config_path: str, out_dir: str | None, seed: int | None) -> int
                 raise ConfigError(f"{name} needs labels, which ingest does not write: list inject after ingest")
             if name == "eval" and "detect" not in [step[0] for step in plan]:
                 raise ConfigError("eval needs a prior detect stage")
-            m.update(stage.chain(data_dir, out_dir))
+            m.update(stage.chain(data_dir))
         stage_dir, s = os.path.join(out_dir, stage.subdir), stage.settings(m)
         if name == "inject" and isinstance(data_settings, SimConfig):  # after ingest, only the data counts the agents
             check_pairs(s, data_settings.n_agents)

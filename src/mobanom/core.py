@@ -12,7 +12,8 @@ File formats
         {"agent_id": ..., "points": [{"arrive": ..., "depart": ..., "place_id": ...,
                                       "place_type": ..., "lat": ..., "lon": ...}, ...]}
 
-    ``arrive``/``depart`` are integer UTC epoch seconds.  Dataset-level
+    ``arrive``/``depart`` are integer UTC epoch seconds, and each trajectory
+    obeys :func:`validate_trajectory` on write and on read.  Dataset-level
     provenance (``meta``) is stored in a sidecar ``<name>.meta.json`` next to
     the JSONL file so the per-line schema stays pure while round trips stay
     lossless.
@@ -275,26 +276,34 @@ class Violation:
 def validate_trajectory(t: Trajectory) -> list[Violation]:
     """Return every invariant violation in ``t`` (empty list means ok).
 
-    Checked per point: ``depart >= arrive``, strictly increasing arrivals,
-    and no overlap with the previous stay (``arrive >= previous depart``).
+    Checked per point: ``arrive`` and ``depart`` fit in a signed 64-bit
+    integer, ``depart >= arrive``, strictly increasing arrivals, and no
+    overlap with the previous stay (``arrive >= previous depart``).
     Coordinates need no check: a :class:`GeoPoint` is valid once built.
     """
     violations = []
-    prev: StayPoint | None = None
+    prev_arrive = prev_depart = None
     for i, sp in enumerate(t.points):
-        if sp.depart < sp.arrive:
-            violations.append(Violation(i, "negative_stay", f"depart {sp.depart} < arrive {sp.arrive}"))
-        if prev is not None:
-            if sp.arrive <= prev.arrive:
-                violations.append(
-                    Violation(i, "non_monotonic", f"arrive {sp.arrive} <= previous arrive {prev.arrive}")
-                )
-            if sp.arrive < prev.depart:
-                violations.append(
-                    Violation(i, "overlap", f"arrive {sp.arrive} < previous depart {prev.depart}")
-                )
-        prev = sp
+        arrive, depart = sp.arrive, sp.depart
+        if not (-2**63 <= arrive < 2**63 and -2**63 <= depart < 2**63):
+            violations += [Violation(i, "not_int64", f"{name} {value} does not fit in a signed 64-bit integer")
+                           for name, value in (("arrive", arrive), ("depart", depart)) if not -2**63 <= value < 2**63]
+        if depart < arrive:
+            violations.append(Violation(i, "negative_stay", f"depart {depart} < arrive {arrive}"))
+        if i:
+            if arrive <= prev_arrive:
+                violations.append(Violation(i, "non_monotonic", f"arrive {arrive} <= previous arrive {prev_arrive}"))
+            if arrive < prev_depart:
+                violations.append(Violation(i, "overlap", f"arrive {arrive} < previous depart {prev_depart}"))
+        prev_arrive, prev_depart = arrive, depart
     return violations
+
+
+def _check_trajectory(t: Trajectory) -> Trajectory:
+    """``t``, or InvalidInputError naming the stay of the first violation that :func:`validate_trajectory` finds."""
+    for v in validate_trajectory(t)[:1]:
+        raise InvalidInputError(f"stay {v.index} of {t.agent_id!r}: {v.message}")
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +417,7 @@ def _trajectory(obj: dict) -> Trajectory:
         # absent depart means a zero-duration stay
         points.append(StayPoint(arrive, arrive if depart is None else depart, p["place_id"], p["place_type"], location))
     _check_types(obj)
-    return Trajectory(agent_id=obj["agent_id"], points=points)
+    return _check_trajectory(Trajectory(agent_id=obj["agent_id"], points=points))
 
 
 def _one_line_per_agent(record: typing.Callable[[dict], typing.Any]) -> typing.Callable[[dict], typing.Any]:
@@ -432,12 +441,13 @@ def _meta_path(path: str) -> str:
 
 
 def write_dataset(ds: Dataset, path: str) -> None:
-    """Write ``dataset.jsonl`` plus its ``.meta.json`` sidecar."""
+    """Write ``dataset.jsonl`` plus its ``.meta.json`` sidecar; each agent once, each trajectory by the rule."""
     seen = set()
     for t in ds.trajectories:
         if t.agent_id in seen:
             raise InvalidInputError(f"duplicate agent_id {t.agent_id!r}")
         seen.add(t.agent_id)
+        _check_trajectory(t)
     atomic_write(path, (trajectory_to_json(t) + "\n" for t in ds.trajectories))
     atomic_write(_meta_path(path), json.dumps(ds.meta, sort_keys=True, separators=(",", ":")) + "\n")
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..core import Dataset, EARTH_RADIUS_KM, check_settings, haversine_km, params_hash
 from ..evaluation import ScoreTable
-from .features import SplitSpec, WindowedFeatures, bucket_windows, window_seconds_of
+from .features import WINDOW_DAYS, SplitSpec, WindowedFeatures, bucket_windows, window_seconds_of
 
 SIGMA_FLOOR_KM = 1e-6
 
@@ -27,14 +27,7 @@ SIGMA_FLOOR_KM = 1e-6
 def ompad_score(feat: WindowedFeatures) -> ScoreTable:
     """Mean half-L1 distance between test-window histograms and the train profile."""
     scores = {}
-    omitted = dict(feat.ineligible)
-    for agent_id in sorted(set(feat.train) | set(feat.test)):
-        if agent_id not in feat.train:
-            omitted.setdefault(agent_id, "no training windows")
-            continue
-        if agent_id not in feat.test:
-            omitted.setdefault(agent_id, "no test windows")
-            continue
+    for agent_id in feat.eligible_agents():
         # one normalized type histogram per window; the profile is the mean training histogram
         train, test = (side[agent_id].counts / side[agent_id].counts.sum(axis=1, keepdims=True)
                        for side in (feat.train, feat.test))
@@ -43,11 +36,11 @@ def ompad_score(feat: WindowedFeatures) -> ScoreTable:
         detector="ompad",
         scores=scores,
         params_hash=params_hash({"window_seconds": feat.window_seconds, "L": feat.window_len}),
-        omitted=omitted,
+        omitted=feat.omitted(),
     )
 
 
-def monav_tt_score(ds: Dataset, split: SplitSpec, window_days: float = 7.0) -> ScoreTable:
+def monav_tt_score(ds: Dataset, split: SplitSpec, window_days: float = WINDOW_DAYS) -> ScoreTable:
     """Traveled-distance z-scores of test windows against the train windows."""
     window_seconds = window_seconds_of(window_days)
     scores = {}

@@ -25,6 +25,7 @@ import numpy as np
 from ..core import ConfigError, Dataset, InvalidInputError, LabelSet, StayPoint, Trajectory, latlon_to_unit3
 
 UNKNOWN_TYPE = "Unknown"
+WINDOW_DAYS = 7.0  # the one default of ``window_days``, for the windows and for MoNav-TT
 
 
 @dataclass
@@ -155,7 +156,12 @@ class WindowedFeatures:
         return self.window_len * (len(self.vocab) + 3)
 
     def eligible_agents(self) -> list[str]:
+        """The agents with windows on both sides: those that OMPAD, DAE and DSVDD score."""
         return sorted(set(self.train) & set(self.test))
+
+    def omitted(self) -> dict[str, str]:
+        """Each agent left out of :meth:`eligible_agents` with the reason: ``ineligible``, or no test windows."""
+        return {**self.ineligible, **{a: "no test windows" for a in sorted(set(self.train) - set(self.test))}}
 
 
 def _block(windows: list[np.ndarray], points: list[StayPoint], types: np.ndarray, n_types: int, L: int) -> Windows:
@@ -176,7 +182,7 @@ def _block(windows: list[np.ndarray], points: list[StayPoint], types: np.ndarray
 def build_windows(
     ds: Dataset,
     split: SplitSpec,
-    window_days: float = 7.0,
+    window_days: float = WINDOW_DAYS,
     L: int = 64,
 ) -> WindowedFeatures:
     """Bucket, cut, and encode every agent's stay points.

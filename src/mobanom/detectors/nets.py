@@ -218,10 +218,7 @@ def check_scope(scope: str) -> None:
 
 def _one_class_scores(kind: str, feat: WindowedFeatures, hyper: NetHyper, scope: str) -> ScoreTable:
     check_scope(scope)
-    omitted = dict(feat.ineligible)
     agents = feat.eligible_agents()
-    for agent_id in sorted(set(feat.train) - set(feat.test)):
-        omitted.setdefault(agent_id, "no test windows")
     # One model per group of agents: everyone's training windows for the
     # population model, each agent's own for the per-agent models.
     if scope == "population":
@@ -260,7 +257,7 @@ def _one_class_scores(kind: str, feat: WindowedFeatures, hyper: NetHyper, scope:
         scores={a: scores[a] for a in agents},
         params_hash=params_hash({**asdict(hyper), "scope": scope, "L": feat.window_len,
                                  "window_seconds": feat.window_seconds, "dtype": np.dtype(NET_DTYPE).name}),
-        omitted=omitted,
+        omitted=feat.omitted(),
     )
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (ConfigError, InvalidInputError, LabelSet, UndefinedMetricError, _check_types, _dumps,
-                   _one_line_per_agent, params_hash, parse_jsonl, read_jsonl)
+                   _one_line_per_agent, parse_jsonl, read_jsonl)
 
 __all__ = [
     "ScoreTable",
@@ -26,7 +26,6 @@ __all__ = [
     "average_precision",
     "roc_auc",
     "make_report",
-    "params_hash",
 ]
 
 
@@ -160,34 +159,28 @@ class EvalReport:
     rows: list[ReportRow]
     ks: list[int]
 
-    def _cells(self, digits: int) -> list[list[str]]:
-        """Each row's cells, AP and AUC to ``digits`` decimals or ``-`` when undefined."""
-        return [[r.detector, *(str(r.top_k_hits[k]) for k in self.ks),
-                 *("-" if m is None else f"{m:.{digits}f}" for m in (r.ap, r.auc)),
-                 str(r.n_agents), str(r.n_outliers), str(r.omitted_agents)] for r in self.rows]
+    def _table(self, csv: bool) -> list[list[str]]:
+        """The header, then each row's cells; AP and AUC to 6 decimals in CSV and 4 in text, or ``-`` when undefined."""
+        def metric(m: float | None) -> str:
+            return "-" if m is None else f"{m:.{6 if csv else 4}f}"
+
+        columns = [("Detector", "detector", lambda r: r.detector),  # (text header, CSV header, cell) of each column
+                   *((f"Top-{k} Hits", f"top_{k}_hits", lambda r, k=k: str(r.top_k_hits[k])) for k in self.ks),
+                   ("AP score", "ap", lambda r: metric(r.ap)), ("AUC score", "auc", lambda r: metric(r.auc)),
+                   ("Agents", "n_agents", lambda r: str(r.n_agents)),
+                   ("Outliers", "n_outliers", lambda r: str(r.n_outliers)),
+                   ("Omitted", "omitted_agents", lambda r: str(r.omitted_agents))]
+        return [[csv_name if csv else text for text, csv_name, _ in columns],
+                *([cell(r) for _, _, cell in columns] for r in self.rows)]
 
     def to_text(self) -> str:
-        headers = ["Detector"] + [f"Top-{k} Hits" for k in self.ks] + [
-            "AP score",
-            "AUC score",
-            "Agents",
-            "Outliers",
-            "Omitted",
-        ]
-        body = self._cells(4)
+        headers, *body = self._table(csv=False)
         widths = [max(len(cell) for cell in column) for column in zip(headers, *body)]
         rows = [headers, ["-" * w for w in widths], *body]
         return "".join("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n" for row in rows)
 
     def to_csv(self) -> str:
-        headers = ["detector"] + [f"top_{k}_hits" for k in self.ks] + [
-            "ap",
-            "auc",
-            "n_agents",
-            "n_outliers",
-            "omitted_agents",
-        ]
-        return "".join(",".join(row) + "\n" for row in [headers, *self._cells(6)])
+        return "".join(",".join(row) + "\n" for row in self._table(csv=True))
 
 
 DEFAULT_KS = (10, 25, 100)  # the Top-K cut-offs of a report whose run sets no top_k

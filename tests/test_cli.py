@@ -830,6 +830,36 @@ class TestArtifactInputFaults:
         err = capsys.readouterr().err
         assert f"{path}:1: arrive must be an integer, got 1.9" in err and "Traceback" not in err
 
+    @staticmethod
+    def edit_stays(path, edit, lines=None):
+        """Rewrite ``path`` with ``edit(points)`` applied to the stays of each line (of each line number in ``lines``)."""
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for n, record in enumerate(records, 1):
+            if lines is None or n in lines:
+                edit(record["points"])
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+
+    def test_overlapping_stays_exit_1_naming_the_line(self, sim_dir, tmp_path, capsys):
+        # were: inject exited 1 with "no swappable pair found after 100 attempts", naming no file, and detect exited 0
+        path = sim_dir / "dataset.jsonl"
+        self.edit_stays(path, lambda points: points[3].update(arrive=points[2]["depart"] - 600))
+        for argv in (["inject", "--in", str(path), "--pairs", "2"],
+                     ["detect", "--method", "ompad,monav,traod", "--in", str(sim_dir)]):
+            assert main(["--out-dir", str(tmp_path / argv[0]), *argv]) == 1
+            err = capsys.readouterr().err
+            assert f"{path}:1: stay 3 of " in err and "previous" in err and "Traceback" not in err
+            assert not (tmp_path / argv[0]).exists()
+
+    @pytest.mark.parametrize("method", ["ompad", "monav"])
+    def test_arrivals_beyond_64_bits_exit_1_naming_the_line(self, sim_dir, tmp_path, capsys, method):
+        # were: "arrival times must fit in a signed 64-bit integer", naming no file
+        path = sim_dir / "dataset.jsonl"
+        self.edit_stays(path, lambda points: points[-1].update(arrive=2**70, depart=2**70), lines={2})
+        assert main(["--out-dir", str(tmp_path / "scores"), "detect", "--method", method, "--in", str(sim_dir)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:2: stay " in err and "arrive 1180591620717411303424 does not fit in a signed 64-bit" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("name", ["dataset.jsonl", "dataset.meta.json", "labels.jsonl", "scores_ompad.jsonl"])
     def test_non_utf8_file_exits_1(self, sim_dir, scores, tmp_path, capsys, name):
         path = scores if name.startswith("scores") else sim_dir / name

@@ -129,6 +129,12 @@ class TestValidateTrajectory:
         t = Trajectory("a", [sp(100, 50)])
         assert any(v.kind == "negative_stay" for v in validate_trajectory(t))
 
+    def test_times_beyond_int64(self):
+        assert validate_trajectory(Trajectory("a", [sp(-(2**63), 2**63 - 1)])) == []
+        t = Trajectory("a", [sp(-(2**63) - 1, 0), sp(2**63 - 1, 2**63)])
+        assert [(v.index, v.kind) for v in validate_trajectory(t)] == [(0, "not_int64"), (1, "not_int64")]
+        assert "depart 9223372036854775808 does not fit in a signed 64-bit integer" in validate_trajectory(t)[1].message
+
 
 class TestTravelDistance:
     """The hop sum of the MoNav-TT oracle (``features_oracle``), which ``monav_tt_score`` must match."""
@@ -232,18 +238,22 @@ class TestRoundTrip:
 
 FINITE = {"allow_nan": False, "allow_infinity": False}
 json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(**FINITE), st.text())
-stay_points = st.builds(
-    StayPoint,
-    arrive=st.integers(-(2**63), 2**63 - 1),
-    depart=st.integers(-(2**63), 2**63 - 1),
-    place_id=st.text(),
-    place_type=st.text(),
-    location=st.builds(GeoPoint, st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)),
-)
+
+
+@st.composite
+def lawful_points(draw) -> list[StayPoint]:
+    """Stays by the trajectory rule, int64 extremes included: strictly rising arrivals, each depart from its
+    arrive up to the next arrive."""
+    arrive = sorted(draw(st.lists(st.integers(-(2**63), 2**63 - 1), unique=True, max_size=5)))
+    location = st.builds(GeoPoint, st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))
+    return [StayPoint(a, draw(st.integers(a, end)), draw(st.text()), draw(st.text()), draw(location))
+            for a, end in zip(arrive, arrive[1:] + [2**63 - 1])]
+
+
 datasets = st.builds(
     lambda ids, points, meta: Dataset([Trajectory(a, p) for a, p in zip(ids, points)], meta),
     st.lists(st.text(), unique=True, max_size=6),
-    st.lists(st.lists(stay_points, max_size=5), min_size=6, max_size=6),
+    st.lists(lawful_points(), min_size=6, max_size=6),
     st.dictionaries(st.text(), json_scalars, max_size=4),
 )
 label_entries = st.one_of(
@@ -292,6 +302,28 @@ class TestReadFaults:
         point = f'{{"arrive":0,"depart":1,"place_id":"p","place_type":"Pub","lat":{lat},"lon":{lon}}}'
         path.write_text(f'{{"agent_id":"a","points":[]}}\n{{"agent_id":"b","points":[{point}]}}\n')
         with pytest.raises(InvalidInputError, match=f"{path}:2: {named}"):
+            read_dataset(str(path))
+
+    @pytest.mark.parametrize(
+        "points, named",
+        [([(0, 10), (5, 20)], "stay 1 of 'b': arrive 5 < previous depart 10"),
+         ([(0, 10), (0, 10)], "stay 1 of 'b': arrive 0 <= previous arrive 0"),
+         ([(10, 0)], "stay 0 of 'b': depart 0 < arrive 10"),
+         ([(2**70, 2**70)], "stay 0 of 'b': arrive 1180591620717411303424 does not fit in a signed 64-bit integer"),
+         ([(0, -(2**63) - 1)], "stay 0 of 'b': depart -9223372036854775809 does not fit")],
+        ids=["overlap", "non_monotonic", "negative_stay", "arrive_not_int64", "depart_not_int64"],
+    )
+    def test_a_dataset_breaking_the_trajectory_rule_is_refused_on_write_and_read(self, tmp_path, points, named):
+        # were: written and read as they are
+        path = tmp_path / "dataset.jsonl"
+        ds = Dataset([Trajectory("a", [sp(0, 1)]), Trajectory("b", [sp(a, d) for a, d in points])])
+        with pytest.raises(InvalidInputError, match=re.escape(named)):
+            write_dataset(ds, str(path))
+        assert not path.exists()
+        stays = ",".join(f'{{"arrive":{a},"depart":{d},"place_id":"p","place_type":"Pub","lat":0,"lon":0}}'
+                         for a, d in points)
+        path.write_text(f'{{"agent_id":"a","points":[]}}\n{{"agent_id":"b","points":[{stays}]}}\n')
+        with pytest.raises(InvalidInputError, match=re.escape(f"{path}:2: {named}")):
             read_dataset(str(path))
 
     def test_dataset_rejects_a_repeated_agent_id(self, tmp_path):

@@ -1,6 +1,8 @@
 """Window blocks against the object windows of ``features_oracle``: rows, vectors, counts and score tables."""
 
+import inspect
 import math
+from dataclasses import replace
 
 import features_oracle as oracle
 import numpy as np
@@ -9,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobanom.core import ConfigError, Dataset, GeoPoint, InvalidInputError, StayPoint, Trajectory, haversine_km
-from mobanom.detectors import SplitSpec, bucket_windows, build_windows, monav_tt_score, ompad_score
+from mobanom.detectors import (NetHyper, SplitSpec, bucket_windows, build_windows, dae_score, dsvdd_score,
+                               monav_tt_score, ompad_score)
+from mobanom.detectors import features
 from mobanom.detectors.features import UNKNOWN_TYPE
 
 HOUR = 3600
@@ -117,3 +121,29 @@ def test_an_arrival_beyond_64_bits_is_an_input_error():
     points = [StayPoint(a, a, "p", "Pub", GeoPoint(0.0, 0.0)) for a in (0, 2**63)]
     with pytest.raises(InvalidInputError, match="64-bit"):
         build_windows(Dataset(trajectories=[Trajectory("a", points)]), SplitSpec(split_index={"a": 1}), 1.0, 4)
+
+
+def test_the_windowed_detectors_omit_the_agents_the_windows_leave_out():
+    """One agent's split leaves it no test stays and another's no training stays: OMPAD and the nets at both
+    scopes score the rest and omit those two; the population nets still train on the first one's windows."""
+    rng = np.random.default_rng(4)
+    agents = ["a0", "a1", "a2", "no_test", "no_train"]
+    ds = Dataset(trajectories=[
+        Trajectory(a, [StayPoint(k * 6 * HOUR, k * 6 * HOUR + HOUR, f"p{k % 4}", TYPES[int(rng.integers(3))],
+                                 GeoPoint(float(rng.uniform(39, 40)), float(rng.uniform(116, 117)))) for k in range(24)])
+        for a in agents])
+    split = SplitSpec(split_index={"a0": 12, "a1": 16, "a2": 8, "no_test": 24, "no_train": 0})
+    feat = build_windows(ds, split, window_days=1.0, L=4)
+    hyper = NetHyper(epochs=5)
+    tables = [ompad_score(feat)] + [score(feat, hyper, scope) for score in (dae_score, dsvdd_score)
+                                    for scope in ("population", "per_agent")]
+    for table in tables:
+        assert table.omitted == {"no_test": "no test windows", "no_train": "empty training side"}, table.detector
+        assert list(table.scores) == ["a0", "a1", "a2"], table.detector
+    pruned = replace(feat, train={a: block for a, block in feat.train.items() if a != "no_test"})
+    assert dae_score(pruned, hyper).scores != dae_score(feat, hyper).scores
+
+
+def test_the_window_default_lives_in_one_place():
+    for fn in (build_windows, monav_tt_score):
+        assert inspect.signature(fn).parameters["window_days"].default == features.WINDOW_DAYS, fn.__name__
