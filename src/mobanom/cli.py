@@ -84,16 +84,19 @@ def _sha256_path(path: str) -> str:
 
 
 def _read_config(path: str) -> configparser.ConfigParser:
-    """INI sections, or flat ``key = value`` lines (read as the DEFAULT section)."""
+    """INI sections, or flat ``key = value`` lines (the DEFAULT section); a ConfigError names a bad file and line."""
     if not os.path.isfile(path):
         raise ConfigError(f"cannot read config file {path!r}")
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # a '%' is itself, in a flat file as in a section
     try:
-        parser.read_string(text, source=path)
-    except configparser.MissingSectionHeaderError:
-        parser.read_string("[DEFAULT]\n" + text, source=path)
+        with open(path, "r", encoding="utf-8") as fh:  # the lines before the first section header are defaults
+            parser.read_string("[DEFAULT]\n" + fh.read(), source=path)
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
+    except configparser.ParsingError as exc:
+        raise ConfigError(f"{path}:{exc.errors[0][0] - 1}: neither a [section] header nor a key = value line") from None
+    except configparser.Error as exc:  # a repeated option or section: "While reading from 'x.ini' [line  3]: <reason>"
+        raise ConfigError(f"{path}:{exc.lineno - 1}: {str(exc).partition(']: ')[2]}") from None
     return parser
 
 

@@ -398,11 +398,35 @@ _JSON_TYPES = {"agent_id": _STRING, "arrive": ((int,), "an integer"), "depart": 
                "score": _NUMBER, "method": _STRING, "params_hash": _STRING}
 
 
-def _check_types(obj: dict) -> None:
-    """Raise InvalidInputError naming the first value of ``obj`` whose JSON type is wrong."""
+def _check_types(obj: dict, where: str = "") -> None:
+    """Raise InvalidInputError naming the first value of ``obj`` whose JSON type is wrong, after ``where``."""
     for key, value in obj.items():
         if key in _JSON_TYPES and type(value) not in _JSON_TYPES[key][0]:
-            raise InvalidInputError(f"{key} must be {_JSON_TYPES[key][1]}, got {value!r}")
+            raise InvalidInputError(f"{where}{key} must be {_JSON_TYPES[key][1]}, got {value!r}")
+
+
+def _as_written(value):
+    """``value`` as JSON writes it: a subclass of bool, str, int or float (``np.float64``) as its base type."""
+    return next((base(value) for base in (bool, str, int, float) if isinstance(value, base)), value)
+
+
+def _typed_stay(arrive, depart_ok: bool, place_id, place_type, lat, lon) -> bool:
+    """Whether a stay's values have their ``_JSON_TYPES``: the hot path of the read and the write check."""
+    return (type(arrive) is int and depart_ok and type(place_id) is str and type(place_type) is str
+            and type(lat) in _NUMBER[0] and type(lon) in _NUMBER[0])
+
+
+def _check_written_types(t: Trajectory) -> None:
+    """InvalidInputError naming the first value of ``t`` that JSON would write as a type read refuses."""
+    _check_types({"agent_id": _as_written(t.agent_id)})
+    for i, sp in enumerate(t.points):
+        arrive, depart, lat, lon = sp.arrive, sp.depart, sp.location.lat, sp.location.lon
+        if not _typed_stay(arrive, type(depart) is int, sp.place_id, sp.place_type, lat, lon):
+            where = f"stay {i} of {t.agent_id!r}: "
+            values = {"arrive": arrive, "place_id": sp.place_id, "place_type": sp.place_type, "lat": lat, "lon": lon}
+            _check_types({k: _as_written(v) for k, v in values.items()}, where)
+            if type(_as_written(depart)) is not int:  # read takes a null depart as ``arrive``; a StayPoint holds it
+                raise InvalidInputError(f"{where}depart must be an integer, got {depart!r}")
 
 
 def _trajectory(obj: dict) -> Trajectory:
@@ -410,8 +434,7 @@ def _trajectory(obj: dict) -> Trajectory:
     points = []
     for p in obj["points"]:
         arrive, depart, lat, lon = p["arrive"], p.get("depart"), p["lat"], p["lon"]
-        if not (type(arrive) is int and type(depart) in _INDEX[0] and type(p["place_id"]) is str
-                and type(p["place_type"]) is str and type(lat) in _NUMBER[0] and type(lon) in _NUMBER[0]):
+        if not _typed_stay(arrive, type(depart) in _INDEX[0], p["place_id"], p["place_type"], lat, lon):
             _check_types(p)  # the hot path tests each value once; this names the wrong one
         location = GeoPoint(float(lat), float(lon))
         # absent depart means a zero-duration stay
@@ -441,9 +464,10 @@ def _meta_path(path: str) -> str:
 
 
 def write_dataset(ds: Dataset, path: str) -> None:
-    """Write ``dataset.jsonl`` plus its ``.meta.json`` sidecar; each agent once, each trajectory by the rule."""
+    """Write ``dataset.jsonl`` and its ``.meta.json`` sidecar; each agent once, typed and by the rule as read checks."""
     seen = set()
     for t in ds.trajectories:
+        _check_written_types(t)
         if t.agent_id in seen:
             raise InvalidInputError(f"duplicate agent_id {t.agent_id!r}")
         seen.add(t.agent_id)

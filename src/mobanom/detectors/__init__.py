@@ -9,7 +9,7 @@ from .classical import (
     traod_score,
     traod_segment_distance,
 )
-from .nets import NetHyper, TinyNet, TrainResult, dae_score, dsvdd_score, gradient_check, train_network
+from .nets import NetHyper, TinyNet, TrainResult, dae_score, dsvdd_score, train_network
 
 __all__ = [
     "SplitSpec",
@@ -27,7 +27,6 @@ __all__ = [
     "NetHyper",
     "TrainResult",
     "train_network",
-    "gradient_check",
     "dae_score",
     "dsvdd_score",
 ]

@@ -158,39 +158,6 @@ def train_network(net: TinyNet, inputs: np.ndarray, objective: str, hyper: NetHy
     return TrainResult(net=net, center=center, losses=np.array(losses))
 
 
-def gradient_check(net: TinyNet, x: np.ndarray, objective: str, center: np.ndarray | None = None,
-                   eps: float = 1e-5) -> float:
-    """Relative error between analytic and central finite-difference gradients.
-
-    Uses the standard norm ratio ``|ga - gfd| / (|ga| + |gfd|)`` over the full
-    parameter vector; a genuine backprop defect shows up orders of magnitude
-    above the finite-difference noise floor.  The net must be float64: central
-    differences at ``eps = 1e-5`` are noise in float32.
-    """
-    if net.weights[0].dtype != np.float64:
-        raise ConfigError(f"gradient_check needs a float64 net, got {net.weights[0].dtype}")
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if objective == "svdd" and center is None:
-        center = net.forward(x).mean(axis=0)
-    _, grads_w, grads_b = net.loss_and_grads(x, objective, center)
-    analytic = np.concatenate([g.ravel() for g in grads_w + grads_b])
-    numeric = []
-    for param in net.weights + net.biases:
-        for i in np.ndindex(param.shape):
-            saved = param[i]
-            param[i] = saved + eps
-            up, _, _ = net.loss_and_grads(x, objective, center)
-            param[i] = saved - eps
-            down, _, _ = net.loss_and_grads(x, objective, center)
-            param[i] = saved
-            numeric.append((up - down) / (2.0 * eps))
-    numeric = np.array(numeric)
-    # relative for O(1) gradients, absolute below: an identically-zero
-    # gradient (svdd already at its minimum) must not degenerate the ratio
-    denom = max(1.0, float(np.linalg.norm(analytic) + np.linalg.norm(numeric)))
-    return float(np.linalg.norm(analytic - numeric) / denom)
-
-
 # ---------------------------------------------------------------------------
 # One-class scorers over windowed features.
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Chat-completion dispatch with disk caching, retries, and mock endpoints.
 
-Real requests go over HTTPS to an OpenAI- or Anthropic-shaped chat endpoint
-(selected by the ``provider`` tag); the bearer token is read from an
-environment variable, never from files or flags.  Every answer is cached on
-disk keyed by SHA-256 of (model name, template version, prompt text), so
-reruns are free, deterministic, and auditable.  Mock endpoints make the whole
-pipeline runnable offline.
+Real prompts go over HTTP(S) by ``urllib`` to an OpenAI- or Anthropic-shaped
+chat endpoint (one ``HTTP_PROVIDERS`` record each, selected by the ``provider``
+tag); the bearer token is read from an environment variable, never from files
+or flags.  Every answer is cached on disk keyed by SHA-256 of (model name,
+template version, prompt text), so reruns are free, deterministic, and
+auditable.  Mock endpoints make the whole pipeline runnable offline.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import math
 import os
 import threading
 import time
+import urllib.parse
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -39,7 +41,16 @@ from .prompts import DEFAULT_TEMPLATE, PromptBundle, build_prompt, normalize_mod
 
 log = logging.getLogger(__name__)
 
-PROVIDERS = ("openai", "anthropic", "mock-constant", "mock-oracle")
+# The wire facts of each HTTP chat API: the path under ``base_url``, the auth headers built from the token,
+# the keys from the response body down to the answer text, and the usage keys of the prompt and answer tokens.
+WireFormat = namedtuple("WireFormat", "path auth text_keys usage_keys")
+HTTP_PROVIDERS = {
+    "openai": WireFormat("/chat/completions", lambda token: {"Authorization": f"Bearer {token}"},
+                         ("choices", 0, "message", "content"), ("prompt_tokens", "completion_tokens")),
+    "anthropic": WireFormat("/v1/messages", lambda token: {"x-api-key": token, "anthropic-version": "2023-06-01"},
+                            ("content", 0, "text"), ("input_tokens", "output_tokens")),
+}
+PROVIDERS = (*HTTP_PROVIDERS, "mock-constant", "mock-oracle")
 COMBINE_CHAR_BUDGET = 60_000  # the most characters of separate-mode prompt text that one combine prompt holds
 ORACLE_OUTLIER_TEXT, ORACLE_NORMAL_TEXT = "[0.9]", "[0.1]"  # mock-oracle's answer for a labeled outlier, for others
 
@@ -104,50 +115,47 @@ class OracleMockEndpoint(MockEndpoint):
 
 
 class HttpChatEndpoint:
-    """JSON chat-completion over HTTPS with bounded retries."""
+    """JSON chat-completion over HTTP(S) with bounded retries, sent by the standard library's ``urllib``."""
 
     def __init__(self, config: LlmEndpointConfig):
-        if config.provider not in ("openai", "anthropic"):
+        import urllib.request  # here, so that a run with a mock endpoint never loads ssl (about 3 MB)
+
+        if config.provider not in HTTP_PROVIDERS:
             raise ConfigError(f"unknown provider {config.provider!r}")
         self.config = config
         self.name = config.model_name
+        self.wire = HTTP_PROVIDERS[config.provider]
+        refuse = urllib.request.HTTPRedirectHandler()
+        refuse.redirect_request = lambda *args: None  # every 3xx is an HTTPError: no header follows a Location
+        self._open = urllib.request.build_opener(refuse).open  # the proxies of the *_proxy variables, read now
 
-    def _token(self) -> str:
-        token = os.environ.get(self.config.auth_token_env_var, "")
-        if not token:
-            raise AuthError(
-                f"auth token environment variable {self.config.auth_token_env_var!r} is empty"
-            )
-        return token
-
-    def _request(self, prompt: str) -> tuple[dict, dict, str]:
+    def _request(self, prompt: str) -> tuple[str, bytes, dict]:
+        """URL, body and headers of one prompt's POST; AuthError on an empty token, EndpointError on an unusable URL."""
         cfg = self.config
-        if cfg.provider == "openai":
-            path = "/chat/completions"
-            headers = {"Authorization": f"Bearer {self._token()}"}
-        else:
-            path = "/v1/messages"
-            headers = {"x-api-key": self._token(), "anthropic-version": "2023-06-01"}
-        payload = {
-            "model": cfg.model_name,
-            "messages": [{"role": "user", "content": prompt}],
-            "temperature": cfg.temperature,
-            "max_tokens": cfg.max_output_tokens,
-        }
-        return payload, headers, cfg.base_url.rstrip("/") + path
-
-    def _extract(self, resp) -> tuple[str, int | None, int | None]:
-        """Answer text and token counts of a 200 response; EndpointError if the body is malformed."""
+        token = os.environ.get(cfg.auth_token_env_var, "")
+        if not token:
+            raise AuthError(f"auth token environment variable {cfg.auth_token_env_var!r} is empty")
+        payload = {"model": cfg.model_name, "messages": [{"role": "user", "content": prompt}],
+                   "temperature": cfg.temperature, "max_tokens": cfg.max_output_tokens}
+        url = cfg.base_url.rstrip("/") + self.wire.path
         try:
-            body = resp.json()
-            if self.config.provider == "openai":
-                text = body["choices"][0]["message"]["content"]
-                tokens = ("prompt_tokens", "completion_tokens")
-            else:
-                text = body["content"][0]["text"]
-                tokens = ("input_tokens", "output_tokens")
-            usage = body.get("usage") or {}
-            req_tokens, resp_tokens = usage.get(tokens[0]), usage.get(tokens[1])
+            parts = urllib.parse.urlsplit(url)
+            parts.port  # raises ValueError unless the port is empty or a number from 0 to 65535
+        except ValueError as exc:
+            raise EndpointError(f"cannot send a request to {url!r}: {exc}") from None
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise EndpointError(f"cannot send a request to {url!r}: not an http:// or https:// URL with a host")
+        headers = {"Content-Type": "application/json", **self.wire.auth(token)}
+        return url, json.dumps(payload).encode("utf-8"), headers
+
+    def _extract(self, body: bytes) -> tuple[str, int | None, int | None]:
+        """Answer text and token counts of a 200 response body; EndpointError if it is malformed."""
+        try:
+            text = answer = json.loads(body)
+            for key in self.wire.text_keys:
+                text = text[key]
+            usage = answer.get("usage") or {}
+            req_tokens, resp_tokens = (usage.get(key) for key in self.wire.usage_keys)
         except (ValueError, LookupError, TypeError, AttributeError) as exc:
             raise EndpointError(f"malformed response body: {type(exc).__name__}: {exc}") from None
         if not isinstance(text, str):
@@ -155,33 +163,35 @@ class HttpChatEndpoint:
         return text, req_tokens, resp_tokens
 
     def complete(self, bundle: PromptBundle) -> LlmAnswer:
-        import requests
+        import http.client
+        import urllib.request
 
-        payload, headers, url = self._request(bundle.text)
+        request = urllib.request.Request(*self._request(bundle.text), method="POST")
         last_error: Exception | None = None
         for attempt in range(self.config.max_retries + 1):
             if attempt:
                 time.sleep(min(30.0, 0.5 * 2**attempt))
             started = time.monotonic()
             try:
-                resp = requests.post(url, json=payload, headers=headers, timeout=self.config.request_timeout_s)
-            except requests.RequestException as exc:
+                try:
+                    resp = self._open(request, timeout=self.config.request_timeout_s)
+                except urllib.request.HTTPError as exc:
+                    resp = exc  # a status outside 2xx: the error holds the status and body as a response does
+                with resp:
+                    status, body = resp.status, resp.read()
+            except (ValueError, http.client.InvalidURL) as exc:  # the URL or a header; the message may quote the token
+                raise EndpointError(f"cannot send a request to {request.full_url!r}: {type(exc).__name__}") from None
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
-            if resp.status_code in (401, 403):
-                raise AuthError(f"endpoint rejected credentials (HTTP {resp.status_code})")
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last_error = EndpointError(f"transient HTTP {resp.status_code}")
+            if status in (401, 403):
+                raise AuthError(f"endpoint rejected credentials (HTTP {status})")
+            if status == 429 or status >= 500:
+                last_error = EndpointError(f"transient HTTP {status}")
                 continue
-            if resp.status_code != 200:
-                raise EndpointError(f"HTTP {resp.status_code}: {resp.text[:500]}")
-            text, req_tokens, resp_tokens = self._extract(resp)
-            return LlmAnswer(
-                raw_text=text,
-                request_tokens=req_tokens,
-                response_tokens=resp_tokens,
-                latency_s=time.monotonic() - started,
-            )
+            if status != 200:
+                raise EndpointError(f"HTTP {status}: {body.decode('utf-8', 'replace')[:500]}")
+            return LlmAnswer(*self._extract(body), latency_s=time.monotonic() - started)
         raise EndpointError(f"request failed after {self.config.max_retries + 1} attempts: {last_error}")
 
 
@@ -223,7 +233,7 @@ class PromptCache:
 
 def endpoint_from_config(config: LlmEndpointConfig, labels: LabelSet | None = None):
     """Instantiate the endpoint selected by the provider tag."""
-    if config.provider in ("openai", "anthropic"):
+    if config.provider in HTTP_PROVIDERS:
         return HttpChatEndpoint(config)
     if config.provider == "mock-constant":
         return MockEndpoint(lambda bundle: config.mock_text, name=config.model_name)
@@ -316,14 +326,8 @@ def run_llm_detection(
             scores.update(bundle_scores)
             omitted.update(bundle_omitted)
 
-    return ScoreTable(
-        detector=f"llm_{mode}",
-        scores=scores,
-        params_hash=params_hash(
-            {"mode": mode, "template_version": template_version, "model": model_name}
-        ),
-        omitted=omitted,
-    )
+    run_hash = params_hash({"mode": mode, "template_version": template_version, "model": model_name})
+    return ScoreTable(detector=f"llm_{mode}", scores=scores, params_hash=run_hash, omitted=omitted)
 
 
 def dump_prompts(

@@ -6,6 +6,9 @@ per agent, in agent order. It lives on only as the test oracle: the stacked
 trainer must give the same score tables, bit for bit, at both scopes. Each
 function takes the dtype to train and score in: float32, as the scorers do, or
 float64 to measure how far float32 moves the scores.
+
+``gradient_check`` measures the backprop of ``mobanom``'s ``TinyNet`` against
+central finite differences, in float64 only.
 """
 
 from __future__ import annotations
@@ -137,3 +140,35 @@ def assert_like_the_oracle(kind: str, feat, hyper: NetHyper, scope: str) -> None
     assert (new.detector, new.params_hash, new.omitted) == (old.detector, old.params_hash, old.omitted)
     assert list(new.scores.items()) == list(old.scores.items())
     assert new.to_jsonl() == old.to_jsonl()
+
+
+def gradient_check(net, x: np.ndarray, objective: str, center: np.ndarray | None = None, eps: float = 1e-5) -> float:
+    """Relative error between analytic and central finite-difference gradients of a ``mobanom`` ``TinyNet``.
+
+    Uses the standard norm ratio ``|ga - gfd| / (|ga| + |gfd|)`` over the full
+    parameter vector; a genuine backprop defect shows up orders of magnitude
+    above the finite-difference noise floor.  The net must be float64: central
+    differences at ``eps = 1e-5`` are noise in float32.
+    """
+    if net.weights[0].dtype != np.float64:
+        raise ConfigError(f"gradient_check needs a float64 net, got {net.weights[0].dtype}")
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if objective == "svdd" and center is None:
+        center = net.forward(x).mean(axis=0)
+    _, grads_w, grads_b = net.loss_and_grads(x, objective, center)
+    analytic = np.concatenate([g.ravel() for g in grads_w + grads_b])
+    numeric = []
+    for param in net.weights + net.biases:
+        for i in np.ndindex(param.shape):
+            saved = param[i]
+            param[i] = saved + eps
+            up, _, _ = net.loss_and_grads(x, objective, center)
+            param[i] = saved - eps
+            down, _, _ = net.loss_and_grads(x, objective, center)
+            param[i] = saved
+            numeric.append((up - down) / (2.0 * eps))
+    numeric = np.array(numeric)
+    # relative for O(1) gradients, absolute below: an identically-zero
+    # gradient (svdd already at its minimum) must not degenerate the ratio
+    denom = max(1.0, float(np.linalg.norm(analytic) + np.linalg.norm(numeric)))
+    return float(np.linalg.norm(analytic - numeric) / denom)

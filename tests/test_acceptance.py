@@ -22,7 +22,6 @@ from mobanom.detectors import (
     build_windows,
     dae_score,
     dsvdd_score,
-    gradient_check,
     monav_tt_score,
     ompad_score,
 )
@@ -31,6 +30,7 @@ from mobanom.inject import InjectConfig, inject_imposter
 from mobanom.llm import OracleMockEndpoint, build_prompt, parse_separate_score, run_llm_detection
 from mobanom.simulator import SimConfig, simulate
 
+from nets_oracle import gradient_check
 from test_evaluation import brute_force_ap, brute_force_auc, labels_from
 from test_inject import interleaved_dataset, point_multiset
 

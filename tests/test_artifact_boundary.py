@@ -12,12 +12,14 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "mobanom"
 
 # (file, enclosing function, call) of every write, rename and line parse the package may make: the
-# one atomic writer, the rename that marks a failed stage's outputs ``.partial``, and the one reader
+# one atomic writer, the rename that marks a failed stage's outputs ``.partial``, the one reader, and
+# the LLM client's parse of an HTTP answer body, which is no file line
 ALLOWED = [
     ("cli.py", "_run_stage", "os.replace"),
     ("core.py", "atomic_write", "open"),
     ("core.py", "atomic_write", "os.replace"),
     ("core.py", "parse_jsonl", "json.loads"),
+    ("llm/client.py", "_extract", "json.loads"),
 ]
 
 WATCHED = {"os.replace", "os.rename", "os.open", "shutil.move", "shutil.copy", "shutil.copyfile", "json.loads"}

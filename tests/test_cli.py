@@ -967,6 +967,47 @@ class TestSimulateConfigFaults:
         assert not (tmp_path / "sim" / "dataset.jsonl").exists()
 
 
+class TestConfigFileFaults:
+    """A config file that configparser refuses, or that is not UTF-8, exits 1 naming the file, and the line if known."""
+
+    RUN = "[global]\nstages = simulate\n[simulate]\nn_agents = 6\nweeks = 1\n"
+    FLAT = "n_agents = 6\nweeks = 1\n"
+
+    @pytest.mark.parametrize("text, where, reason", [
+        (RUN + "weeks\n", 6, "neither a [section] header nor a key = value line"),
+        (RUN + "n_agents = 7\n", 6, "option 'n_agents' in section 'simulate' already exists"),
+        (RUN.encode() + b"# \xff\n", None, "not UTF-8 text"),
+        (RUN + "[simulate]\nseed = 1\n", 6, "section 'simulate' already exists"),
+    ], ids=["no_equals", "option_twice", "not_utf8", "section_twice"])
+    def test_run_config(self, tmp_path, capsys, text, where, reason):
+        self.assert_refused(tmp_path, capsys, "run", text, where, reason)
+
+    @pytest.mark.parametrize("text, where, reason", [
+        (FLAT + "weeks\n", 3, "neither a [section] header nor a key = value line"),
+        ("weeks\n" + FLAT, 1, "neither a [section] header nor a key = value line"),
+        (FLAT + "n_agents = 7\n", 3, "option 'n_agents' in section 'DEFAULT' already exists"),
+        (b"\xff" + FLAT.encode(), None, "not UTF-8 text"),
+    ], ids=["no_equals", "no_equals_first", "option_twice", "not_utf8"])
+    def test_flat_simulate_config(self, tmp_path, capsys, text, where, reason):
+        self.assert_refused(tmp_path, capsys, "simulate", text, where, reason)
+
+    def test_a_percent_sign_is_read_as_itself(self, tmp_path):
+        cfg = tmp_path / "pct.ini"
+        for text, settings in [(self.FLAT + "note = 5% %(weeks)s\n", lambda parser: parser.defaults()),
+                               (self.RUN + "note = 5% %(weeks)s\n", lambda parser: parser["simulate"])]:
+            cfg.write_text(text)
+            assert settings(cli._read_config(str(cfg)))["note"] == "5% %(weeks)s"
+
+    @staticmethod
+    def assert_refused(tmp_path, capsys, command, text, where, reason):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), command]) == 1
+        err = capsys.readouterr().err
+        assert f"{command}: {cfg}{'' if where is None else f':{where}'}: {reason}\n" in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
 class TestLlmCache:
     def test_truncated_cache_entry_is_a_miss(self, sim_dir, tmp_path, monkeypatch):
         endpoint_cfg = tmp_path / "endpoint.json"

@@ -326,6 +326,37 @@ class TestReadFaults:
         with pytest.raises(InvalidInputError, match=re.escape(f"{path}:2: {named}")):
             read_dataset(str(path))
 
+    @pytest.mark.parametrize("stay, named", [
+        (dict(arrive=1.5, depart=2), "stay 1 of 'b': arrive must be an integer, got 1.5"),
+        (dict(arrive=0, depart=True), "stay 1 of 'b': depart must be an integer, got True"),
+        (dict(arrive=0, depart=None), "stay 1 of 'b': depart must be an integer, got None"),
+        (dict(arrive=0, depart=1, place_id=7), "stay 1 of 'b': place_id must be a string, got 7"),
+        (dict(arrive=0, depart=1, place_type=None), "stay 1 of 'b': place_type must be a string, got None"),
+        (dict(arrive=0, depart=1, lat=False), "stay 1 of 'b': lat must be a number, got False"),
+    ], ids=["float_arrive", "bool_depart", "null_depart", "int_place_id", "null_place_type", "bool_lat"])
+    def test_a_value_read_would_refuse_is_refused_on_write(self, tmp_path, stay, named):
+        # were: written, then refused by every reader (`path:1: arrive must be an integer, got 1.5`)
+        path = tmp_path / "dataset.jsonl"
+        path.write_text("kept\n")
+        stay = {"place_id": "p", "place_type": "Pub", "lat": 0.0, "lon": 0.0, **stay}
+        location = GeoPoint(stay.pop("lat"), stay.pop("lon"))  # GeoPoint takes a bool: False is in range
+        ds = Dataset([Trajectory("b", [sp(0, 0), StayPoint(**stay, location=location)])])
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}$"):
+            write_dataset(ds, str(path))
+        assert path.read_text() == "kept\n" and not os.path.exists(tmp_path / "dataset.meta.json")
+
+    @pytest.mark.parametrize("agent_id", [7, None, ["a"]])
+    def test_an_agent_id_that_is_not_a_string_is_refused_on_write(self, tmp_path, agent_id):
+        with pytest.raises(InvalidInputError, match=re.escape(f"agent_id must be a string, got {agent_id!r}")):
+            write_dataset(Dataset([Trajectory("a", []), Trajectory(agent_id, [])]), str(tmp_path / "dataset.jsonl"))
+
+    def test_a_subclass_is_written_as_its_json_type(self, tmp_path):
+        path = str(tmp_path / "dataset.jsonl")
+        stay = sp(0, 1, np.float64(40.25), np.float64(116.5), np.str_("Pub"), np.str_("p"))
+        ds = Dataset([Trajectory(np.str_("a"), [stay])])
+        write_dataset(ds, path)
+        assert read_dataset(path).trajectories == [Trajectory("a", [sp(0, 1, 40.25, 116.5, "Pub", "p")])]
+
     def test_dataset_rejects_a_repeated_agent_id(self, tmp_path):
         path = tmp_path / "dataset.jsonl"
         line = '{"agent_id":"a","points":[]}\n'

@@ -1,8 +1,12 @@
+import http.server
 import inspect
 import json
 import os
+import re
+import socket
 import subprocess
 import sys
+import threading
 from unittest import mock
 
 import pytest
@@ -229,87 +233,188 @@ def test_each_prompt_default_lives_in_one_place():
     assert concurrency == LlmEndpointConfig().max_concurrent_requests
 
 
+class LoopbackServer(http.server.ThreadingHTTPServer):
+    """A chat endpoint on 127.0.0.1 that records each request and answers from a script.
+
+    The i-th request gets ``replies[i]`` (the last reply repeats): a ``(status,
+    body)`` pair, or ``(status, body, location)`` to send a ``Location`` header;
+    ``HANG``, which answers nothing until the test ends; or ``SHORT``, a 200
+    whose body stops short of its ``Content-Length``.
+    ``server_close`` joins every handler thread.
+    """
+
+    daemon_threads = False
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), LoopbackHandler)
+        self.url = f"http://127.0.0.1:{self.server_address[1]}"
+        self.replies, self.requests = [(200, OPENAI_OK)], []
+        self.lock, self.released = threading.Lock(), threading.Event()
+
+
+class LoopbackHandler(http.server.BaseHTTPRequestHandler):
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        with self.server.lock:
+            self.server.requests.append((self.path, self.headers, body))
+            reply = self.server.replies[min(len(self.server.requests), len(self.server.replies)) - 1]
+        if reply == HANG:
+            self.server.released.wait(2.0)
+            return
+        status, answer, *location = (200, b'{"choices": [') if reply == SHORT else reply
+        self.send_response(status)
+        for url in location:
+            self.send_header("Location", url)
+        self.send_header("Content-Length", str(len(answer) + (100 if reply == SHORT else 0)))
+        self.end_headers()
+        self.wfile.write(answer)
+
+    def log_message(self, *args):
+        pass
+
+
+HANG, SHORT = "hang", "short"
+OPENAI_OK = json.dumps({"choices": [{"message": {"role": "assistant", "content": "[0.6]"}}],
+                        "usage": {"prompt_tokens": 10, "completion_tokens": 5}}).encode()
+ANTHROPIC_OK = json.dumps({"content": [{"type": "text", "text": "[0.6]"}],
+                           "usage": {"input_tokens": 10, "output_tokens": 5}}).encode()
+OK = {"openai": OPENAI_OK, "anthropic": ANTHROPIC_OK}
+PROXY_VARS = [name for var in ("http_proxy", "https_proxy", "all_proxy", "no_proxy") for name in (var, var.upper())]
+
+
+@pytest.fixture
+def start_server(monkeypatch):
+    """Starts a running ``LoopbackServer`` per call, with ``LLM_API_TOKEN`` set and no proxy in between.
+
+    An endpoint reads the proxy variables when it is built, after this clears them.
+    """
+    for name in PROXY_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("LLM_API_TOKEN", "token")
+    threads_before = set(threading.enumerate())
+    started = []
+
+    def start():
+        httpd = LoopbackServer()
+        thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.01})
+        thread.start()
+        started.append((httpd, thread))
+        return httpd
+
+    yield start
+    for httpd, thread in started:
+        httpd.released.set()
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(5.0)
+    assert not any(thread.is_alive() for _, thread in started) and set(threading.enumerate()) <= threads_before
+
+
+@pytest.fixture
+def server(start_server):
+    return start_server()
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The backoff delays ``complete`` asks for, in order; nothing sleeps."""
+    asked = []
+    monkeypatch.setattr("time.sleep", asked.append)
+    return asked
+
+
+def http_endpoint(url, provider="openai", **settings):
+    return HttpChatEndpoint(LlmEndpointConfig(base_url=url, provider=provider, model_name="m", **settings))
+
+
+def backoff(retries):
+    return [min(30.0, 0.5 * 2**attempt) for attempt in range(1, retries + 1)]
+
+
 class TestHttpEndpoint:
     def test_unknown_provider(self):
         # a provider outside PROVIDERS fails in LlmEndpointConfig (tests/test_settings.py)
         with pytest.raises(ConfigError, match="unknown provider 'mock-constant'"):
             HttpChatEndpoint(LlmEndpointConfig(provider="mock-constant"))
 
-    def test_missing_token_raises_auth(self, sim, monkeypatch):
-        monkeypatch.delenv("LLM_API_TOKEN", raising=False)
-        config = LlmEndpointConfig(base_url="https://example.invalid", provider="openai",
-                                   model_name="m", max_retries=0)
-        endpoint = HttpChatEndpoint(config)
-        bundles = build_bundles(sim.dataset, sim.labels, "separate")
-        with pytest.raises(AuthError):
-            endpoint.complete(bundles[0])
+    def test_missing_token_raises_auth(self, sim, server, monkeypatch):
+        monkeypatch.delenv("LLM_API_TOKEN")
+        bundle = build_bundles(sim.dataset, sim.labels, "separate")[0]
+        for provider, url in [("openai", server.url), ("anthropic", server.url), ("openai", "")]:
+            with pytest.raises(AuthError, match="'LLM_API_TOKEN' is empty"):
+                http_endpoint(url, provider).complete(bundle)
+        assert server.requests == []
 
-    def test_retry_then_success(self, sim, monkeypatch):
-        monkeypatch.setenv("LLM_API_TOKEN", "token")
-        config = LlmEndpointConfig(base_url="https://api.test", provider="openai",
-                                   model_name="m", max_retries=2)
-        endpoint = HttpChatEndpoint(config)
-        attempts = {"n": 0}
+    @pytest.mark.parametrize("provider, path, auth", [
+        ("openai", "/api/chat/completions", {"Authorization": "Bearer token"}),
+        ("anthropic", "/api/v1/messages", {"x-api-key": "token", "anthropic-version": "2023-06-01"}),
+    ])
+    def test_the_request_on_the_wire(self, sim, server, provider, path, auth):
+        server.replies = [(200, OK[provider])]
+        bundle = build_bundles(sim.dataset, sim.labels, "separate")[0]
+        answer = http_endpoint(server.url + "/api/", provider, temperature=0.25, max_output_tokens=64).complete(bundle)
+        assert (answer.raw_text, answer.request_tokens, answer.response_tokens) == ("[0.6]", 10, 5)
+        [(sent_path, headers, body)] = server.requests
+        assert sent_path == path
+        assert headers["Content-Type"] == "application/json"
+        assert {name: headers[name] for name in auth} == auth
+        sent = {name.lower() for name in headers}
+        assert sent & {"authorization", "x-api-key", "anthropic-version"} == {name.lower() for name in auth}
+        assert body == json.dumps({"model": "m", "messages": [{"role": "user", "content": bundle.text}],
+                                   "temperature": 0.25, "max_tokens": 64}).encode("utf-8")
 
-        class Resp:
-            def __init__(self, code, body=None):
-                self.status_code = code
-                self.text = "err"
-                self._body = body
+    def test_retry_then_success(self, sim, server, sleeps):
+        server.replies = [(503, b"busy"), (503, b"busy"), (200, OPENAI_OK)]
+        bundle = build_bundles(sim.dataset, sim.labels, "separate")[0]
+        answer = http_endpoint(server.url, max_retries=2).complete(bundle)
+        assert (answer.raw_text, answer.request_tokens) == ("[0.6]", 10)
+        assert len(server.requests) == 3
+        assert sleeps == backoff(2)
 
-            def json(self):
-                return self._body
+    def test_retries_exhausted(self, sim, server, sleeps):
+        bundle = build_bundles(sim.dataset, sim.labels, "separate")[0]
+        for status, retries in [(429, 1), (500, 0), (503, 6), (599, 2)]:
+            server.requests.clear()
+            sleeps.clear()
+            server.replies = [(status, b"oops")]
+            failed = rf"^request failed after {retries + 1} attempts: transient HTTP {status}$"
+            with pytest.raises(EndpointError, match=failed):
+                http_endpoint(server.url, "anthropic", max_retries=retries).complete(bundle)
+            assert len(server.requests) == retries + 1
+            assert sleeps == backoff(retries)
+        assert backoff(6)[-1] == 30.0
 
-        def fake_post(url, json=None, headers=None, timeout=None):
-            attempts["n"] += 1
-            if attempts["n"] < 3:
-                return Resp(503)
-            return Resp(200, {"choices": [{"message": {"content": "[0.6]"}}],
-                              "usage": {"prompt_tokens": 10, "completion_tokens": 5}})
+    def test_auth_http_codes_fatal(self, sim, server, sleeps):
+        bundle = build_bundles(sim.dataset, sim.labels, "separate")[0]
+        for status in (401, 403):
+            server.requests.clear()
+            server.replies = [(status, b"who are you")]
+            with pytest.raises(AuthError, match=rf"endpoint rejected credentials \(HTTP {status}\)"):
+                http_endpoint(server.url, max_retries=3).complete(bundle)
+            assert len(server.requests) == 1
+        assert sleeps == []
 
-        import requests
+    @pytest.mark.parametrize("status", [201, 302, 400, 404])
+    def test_any_other_status_is_refused_after_one_request(self, sim, server, sleeps, status):
+        server.replies = [(status, b"\xe2\x9c\x97" + b"x" * 600)]
+        bundle = build_bundles(sim.dataset, sim.labels, "separate")[0]
+        with pytest.raises(EndpointError) as refused:
+            http_endpoint(server.url, max_retries=3).complete(bundle)
+        assert str(refused.value) == f"HTTP {status}: \u2717{'x' * 499}"
+        assert len(server.requests) == 1 and sleeps == []
 
-        monkeypatch.setattr(requests, "post", fake_post)
-        monkeypatch.setattr("time.sleep", lambda s: None)
-        bundles = build_bundles(sim.dataset, sim.labels, "separate")
-        answer = endpoint.complete(bundles[0])
-        assert answer.raw_text == "[0.6]"
-        assert answer.request_tokens == 10
-        assert attempts["n"] == 3
-
-    def test_retries_exhausted(self, sim, monkeypatch):
-        monkeypatch.setenv("LLM_API_TOKEN", "token")
-        config = LlmEndpointConfig(base_url="https://api.test", provider="anthropic",
-                                   model_name="m", max_retries=1)
-        endpoint = HttpChatEndpoint(config)
-
-        class Resp:
-            status_code = 500
-            text = "oops"
-
-        import requests
-
-        monkeypatch.setattr(requests, "post", lambda *a, **k: Resp())
-        monkeypatch.setattr("time.sleep", lambda s: None)
-        bundles = build_bundles(sim.dataset, sim.labels, "separate")
-        with pytest.raises(EndpointError):
-            endpoint.complete(bundles[0])
-
-    def test_auth_http_codes_fatal(self, sim, monkeypatch):
-        monkeypatch.setenv("LLM_API_TOKEN", "token")
-        config = LlmEndpointConfig(base_url="https://api.test", provider="openai", model_name="m")
-        endpoint = HttpChatEndpoint(config)
-
-        class Resp:
-            status_code = 401
-            text = "who are you"
-
-        import requests
-
-        monkeypatch.setattr(requests, "post", lambda *a, **k: Resp())
-        bundles = build_bundles(sim.dataset, sim.labels, "separate")
-        with pytest.raises(AuthError):
-            endpoint.complete(bundles[0])
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_no_redirect_is_followed(self, sim, start_server, sleeps, status):
+        # so the token never reaches the host a Location names; urlopen would send it there, and re-send a 307 POST
+        server, elsewhere = start_server(), start_server()
+        bundle = build_bundles(sim.dataset, sim.labels, "separate")[0]
+        for provider in ("openai", "anthropic"):
+            server.requests.clear()
+            server.replies = [(status, b"moved", f"{elsewhere.url}/chat/completions"), (200, OK[provider])]
+            with pytest.raises(EndpointError, match=f"^HTTP {status}: moved$"):
+                http_endpoint(server.url, provider, max_retries=3).complete(bundle)
+            assert len(server.requests) == 1
+        assert elsewhere.requests == [] and sleeps == []
 
     @pytest.mark.parametrize("provider", ["openai", "anthropic"])
     @pytest.mark.parametrize(
@@ -317,23 +422,9 @@ class TestHttpEndpoint:
         ["not json", {"id": "x"}, {"choices": [], "content": []}, None],
         ids=["not_json", "no_text_field", "empty_lists", "null"],
     )
-    def test_malformed_200_body_omits_agents(self, sim, monkeypatch, provider, body):
-        monkeypatch.setenv("LLM_API_TOKEN", "token")
-        config = LlmEndpointConfig(base_url="https://api.test", provider=provider, model_name="m")
-        endpoint = HttpChatEndpoint(config)
-
-        class Resp:
-            status_code = 200
-            text = str(body)
-
-            def json(self):
-                if body == "not json":
-                    raise ValueError("Expecting value: line 1 column 1 (char 0)")
-                return body
-
-        import requests
-
-        monkeypatch.setattr(requests, "post", lambda *a, **k: Resp())
+    def test_malformed_200_body_omits_agents(self, sim, server, provider, body):
+        server.replies = [(200, b"not json" if body == "not json" else json.dumps(body).encode())]
+        endpoint = http_endpoint(server.url, provider)
         bundles = build_bundles(sim.dataset, sim.labels, "separate")
         with pytest.raises(EndpointError, match="malformed response body"):
             endpoint.complete(bundles[0])
@@ -341,6 +432,51 @@ class TestHttpEndpoint:
         assert table.scores == {}
         assert set(table.omitted) == set(sim.dataset.agent_ids())
         assert all(r.startswith("endpoint error: malformed response body") for r in table.omitted.values())
+        assert len(server.requests) == 1 + len(bundles)
+
+    @pytest.mark.parametrize("fault, cause", [("timeout", "timed out"), ("closed_port", "Connection refused"),
+                                              ("short_body", r"IncompleteRead\(13 bytes read, 100 more expected\)")],
+                             ids=["timeout", "closed_port", "short_body"])
+    def test_connection_faults_are_retried(self, sim, server, sleeps, fault, cause):
+        url = server.url
+        if fault == "closed_port":
+            with socket.socket() as sock:
+                sock.bind(("127.0.0.1", 0))
+                url = f"http://127.0.0.1:{sock.getsockname()[1]}"
+        server.replies = [HANG if fault == "timeout" else SHORT]
+        bundle = build_bundles(sim.dataset, sim.labels, "separate")[0]
+        with pytest.raises(EndpointError, match=f"^request failed after 2 attempts: .*{cause}"):
+            http_endpoint(url, max_retries=1, request_timeout_s=0.2).complete(bundle)
+        assert len(server.requests) == (0 if fault == "closed_port" else 2)
+        assert sleeps == backoff(1)
+
+    @pytest.mark.parametrize("base_url", ["", "api.test", "ftp://127.0.0.1", "http://", "http://api.test:abc",
+                                          "http://127.0.0.1:99999", "http://[::1", "http://127.0.0.1/a b"])
+    def test_an_unusable_url_is_refused_before_any_request(self, sim, server, sleeps, base_url):
+        endpoint = http_endpoint(base_url)
+        url = re.escape(base_url.rstrip("/") + "/chat/completions")
+        with pytest.raises(EndpointError, match=f"^cannot send a request to '{url}': "):
+            endpoint.complete(build_bundles(sim.dataset, sim.labels, "separate")[0])
+        table = run_llm_detection(sim.dataset, sim.labels, "separate", endpoint)
+        assert table.scores == {} and set(table.omitted) == set(sim.dataset.agent_ids())
+        assert all(r.startswith("endpoint error: cannot send a request") for r in table.omitted.values())
+        assert sleeps == []
+
+    @pytest.mark.parametrize("token", ["tok\nen", "t\u00f6ken\u20ac"], ids=["newline", "not_latin1"])
+    def test_a_token_http_client_cannot_send_fails_without_retrying_or_quoting_it(self, sim, server, sleeps,
+                                                                                   monkeypatch, token):
+        monkeypatch.setenv("LLM_API_TOKEN", token)
+        url = f"{server.url}/chat/completions"
+        with pytest.raises(EndpointError, match=f"^cannot send a request to '{url}': ") as refused:
+            http_endpoint(server.url).complete(build_bundles(sim.dataset, sim.labels, "separate")[0])
+        assert "ken" not in str(refused.value)
+        assert server.requests == [] and sleeps == []
+
+    def test_the_endpoint_needs_no_requests_package(self, sim, server, monkeypatch):
+        monkeypatch.setitem(sys.modules, "requests", None)  # any import of it now fails
+        bundle = build_bundles(sim.dataset, sim.labels, "separate")[0]
+        assert http_endpoint(server.url).complete(bundle).raw_text == "[0.6]"
+        assert len(server.requests) == 1
 
     def test_endpoint_from_config(self, sim):
         assert isinstance(endpoint_from_config(LlmEndpointConfig(provider="openai")), HttpChatEndpoint)

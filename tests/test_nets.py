@@ -11,10 +11,11 @@ from mobanom.detectors import (
     build_windows,
     dae_score,
     dsvdd_score,
-    gradient_check,
     nets,
     train_network,
 )
+
+from nets_oracle import gradient_check
 
 DAY = 86400
 
