@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import glob as globmod
 import hashlib
 import json
@@ -100,6 +101,17 @@ def _read_config(path: str) -> configparser.ConfigParser:
     return parser
 
 
+@contextlib.contextmanager
+def _naming(source: str | None):
+    """A MobanomError raised inside, its message starting with ``source``: the file its values came from, if any."""
+    try:
+        yield
+    except MobanomError as exc:
+        if source is not None:
+            exc.args = (f"{source}: {exc}",)
+        raise
+
+
 def _file_settings(parser: configparser.ConfigParser, name: str, strict: bool) -> dict:
     """Stage ``name``'s settings from a config file: [global] < extra sections < [name].
 
@@ -134,7 +146,8 @@ def read_endpoint_file(path: str) -> LlmEndpointConfig:
     unknown = sorted(set(obj) - {f.name for f in fields(LlmEndpointConfig)})
     if unknown:
         raise ConfigError(f"endpoint file {path!r} has unknown keys: {', '.join(unknown)}")
-    return config_from_mapping(LlmEndpointConfig, obj)
+    with _naming(f"endpoint file {path!r}"):
+        return config_from_mapping(LlmEndpointConfig, obj)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +203,8 @@ def _split_settings(m: dict) -> dict:
 
 def _detect_settings(m: dict) -> dict:
     methods = [x.strip() for x in str(m.get("methods", m.get("method", "ompad"))).split(",") if x.strip()]
+    if not methods:
+        raise ConfigError(f"detect needs at least one method of {', '.join(DETECT_METHODS)}")
     for method in methods:
         if method not in DETECT_METHODS:
             raise ConfigError(f"unknown detect method {method!r}")
@@ -216,9 +231,15 @@ def _detect_settings(m: dict) -> dict:
     return s
 
 
+def _split_of(ds, labels, split: dict, inputs: list[str]) -> SplitSpec:
+    """The split of the dataset and labels at ``inputs``; a fault names the labels and the sidecar it comes from."""
+    with _naming(f"{inputs[1]} with {_meta_path(inputs[0])}"):  # a deviate_index, or the sidecar's fallback
+        return SplitSpec.from_labels(ds, labels, **split)
+
+
 def stage_detect(s: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
     ds, labels = read_dataset(inputs[0]), read_labels(inputs[1])
-    split = SplitSpec.from_labels(ds, labels, **s["split"])
+    split = _split_of(ds, labels, s["split"], inputs)
     feat = build_windows(ds, split, **s["window"]) if "window" in s else None
     endpoint = endpoint_from_config(s["endpoint"], labels=labels) if "endpoint" in s else None
     os.makedirs(out_dir, exist_ok=True)
@@ -267,7 +288,7 @@ def _dump_prompts_settings(m: dict) -> dict:
 
 def stage_dump_prompts(s: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
     ds, labels = read_dataset(inputs[0]), read_labels(inputs[1])
-    split = None if s["split"] is None else SplitSpec.from_labels(ds, labels, **s["split"])
+    split = None if s["split"] is None else _split_of(ds, labels, s["split"], inputs)
     outputs += dump_prompts(ds, labels, s["mode"], out_dir, s["template_version"], split=split)
 
 
@@ -359,40 +380,41 @@ def _run_stage(name: str, m: dict, s, out_dir: str, hash_inputs: bool = False) -
 def run_pipeline(config_path: str, out_dir: str | None, seed: int | None) -> int:
     """Build every listed stage's settings, then chain the stages and write ``manifest.json``, also when one fails."""
     parser = _read_config(config_path)
-    glob_cfg = dict(parser["global"]) if parser.has_section("global") else {}
-    out_dir = out_dir or glob_cfg.get("out_dir", "out")
-    stages = [s.strip() for s in glob_cfg.get("stages", "").split(",") if s.strip()]
-    if not stages:
-        raise ConfigError("config [global] must list stages")
-    flags = {} if seed is None else {"seed": seed}
-    plan, data_dir, labelled, data_settings = [], None, False, None
-    for name in stages:
-        stage = STAGES.get(name)
-        if stage is None or stage.subdir is None:
-            raise ConfigError(f"unknown stage {name!r}")
-        m = {**_file_settings(parser, name, strict=False), **flags}
-        if stage.chain is not None:
-            if data_dir is None:
-                raise ConfigError(f"{name} needs a prior simulate or ingest stage")
-            if not (stage.data or labelled):  # detect and eval read the labels of the last data stage
-                raise ConfigError(f"{name} needs labels, which ingest does not write: list inject after ingest")
-            if name == "eval" and "detect" not in [step[0] for step in plan]:
-                raise ConfigError("eval needs a prior detect stage")
-            m.update(stage.chain(data_dir))
-        stage_dir, s = os.path.join(out_dir, stage.subdir), stage.settings(m)
-        if name == "inject" and isinstance(data_settings, SimConfig):  # after ingest, only the data counts the agents
-            check_pairs(s, data_settings.n_agents)
-        plan.append((name, m, s, stage_dir))
-        if stage.data:
-            data_dir, labelled, data_settings = stage_dir, name != "ingest", s
+    with _naming(config_path):  # every setting and the stage list come from the file
+        glob_cfg = dict(parser["global"]) if parser.has_section("global") else {}
+        out_dir = out_dir or glob_cfg.get("out_dir", "out")
+        stages = [s.strip() for s in glob_cfg.get("stages", "").split(",") if s.strip()]
+        if not stages:
+            raise ConfigError("config [global] must list stages")
+        flags = {} if seed is None else {"seed": seed}
+        plan, data_dir, labelled, data_settings = [], None, False, None
+        for name in stages:
+            stage = STAGES.get(name)
+            if stage is None or stage.subdir is None:
+                raise ConfigError(f"unknown stage {name!r}")
+            m = {**_file_settings(parser, name, strict=False), **flags}
+            if stage.chain is not None:
+                if data_dir is None:
+                    raise ConfigError(f"{name} needs a prior simulate or ingest stage")
+                if not (stage.data or labelled):  # detect and eval read the labels of the last data stage
+                    raise ConfigError(f"{name} needs labels, which ingest does not write: list inject after ingest")
+                if name == "eval" and "detect" not in [step[0] for step in plan]:
+                    raise ConfigError("eval needs a prior detect stage")
+                m.update(stage.chain(data_dir))
+            stage_dir, s = os.path.join(out_dir, stage.subdir), stage.settings(m)
+            if name == "inject" and isinstance(data_settings, SimConfig):  # after ingest, the data counts the agents
+                check_pairs(s, data_settings.n_agents)
+            plan.append((name, m, s, stage_dir))
+            if stage.data:
+                data_dir, labelled, data_settings = stage_dir, name != "ingest", s
 
-    manifest = {
-        "version": __version__,
-        "config_hash": params_hash({s: dict(parser[s]) for s in parser.sections()}),
-        "seed": seed if seed is not None else convert_value(int | None, "seed", glob_cfg.get("seed")),
-        "status": "ok",
-        "stages": [],
-    }
+        manifest = {
+            "version": __version__,
+            "config_hash": params_hash({s: dict(parser[s]) for s in parser.sections()}),
+            "seed": seed if seed is not None else convert_value(int | None, "seed", glob_cfg.get("seed")),
+            "status": "ok",
+            "stages": [],
+        }
     os.makedirs(out_dir, exist_ok=True)
     try:
         for name, m, s, stage_dir in plan:
@@ -480,9 +502,12 @@ def main(argv: list[str] | None = None) -> int:
             if not args.config:
                 raise ConfigError("run needs --config")
             return run_pipeline(args.config, args.out_dir, args.seed)
-        m = _file_settings(_read_config(args.config), args.command, strict=True) if args.config else {}
-        m.update((k, v) for k, v in vars(args).items() if v is not None and k not in _CLI_ONLY_ARGS)
-        _run_stage(args.command, m, STAGES[args.command].settings(m), args.out_dir or "out")
+        parser = _read_config(args.config) if args.config else None
+        with _naming(args.config):
+            m = _file_settings(parser, args.command, strict=True) if parser else {}
+            m.update((k, v) for k, v in vars(args).items() if v is not None and k not in _CLI_ONLY_ARGS)
+            s = STAGES[args.command].settings(m)
+        _run_stage(args.command, m, s, args.out_dir or "out")
     except (MobanomError, OSError) as exc:
         log.error("%s: %s", args.command, exc)
         return 1

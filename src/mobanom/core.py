@@ -25,7 +25,7 @@ File formats
 
 Every file mobanom writes goes through :func:`atomic_write`, and every JSONL
 file it reads through :func:`read_jsonl`, whose errors name ``path:line``.
-Dataset and label values must have their JSON types; only integer coordinates become floats.
+Each record checks its values when it is built; only integer coordinates become floats on read.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import inspect
 import json
 import math
 import os
+import re
 import threading
 import typing
 from dataclasses import dataclass, field
@@ -104,12 +105,14 @@ class AuthError(EndpointError):
 
 @dataclass(frozen=True)
 class GeoPoint:
-    """WGS-ish latitude/longitude pair in decimal degrees, checked once when built: finite and in range."""
+    """WGS-ish latitude/longitude pair in decimal degrees, checked once when built: numbers, finite and in range."""
 
     lat: float
     lon: float
 
     def __post_init__(self) -> None:
+        if not (type(self.lat) is float and type(self.lon) is float):
+            _check_types({"lat": self.lat, "lon": self.lon})
         if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
             raise InvalidInputError(f"non-finite coordinates: ({self.lat}, {self.lon})")
         if not (-90.0 <= self.lat <= 90.0):
@@ -122,14 +125,20 @@ class GeoPoint:
 class StayPoint:
     """A contiguous dwell at one semantic place.
 
-    ``arrive``/``depart`` are UTC epoch seconds with ``depart >= arrive``.
-    """
+    ``arrive``/``depart`` are UTC epoch seconds with ``depart >= arrive``; checked when built: integer times,
+    and ``place_id`` and ``place_type`` UTF-8 strings."""
 
     arrive: int
     depart: int
     place_id: str
     place_type: str
     location: GeoPoint
+
+    def __post_init__(self) -> None:
+        if not (type(self.arrive) is int and type(self.depart) is int and type(self.place_id) is str
+                and type(self.place_type) is str and self.place_id.isascii() and self.place_type.isascii()):
+            _check_types({"arrive": self.arrive, "depart": self.depart, "place_id": self.place_id,
+                          "place_type": self.place_type}, _STAY_TYPES)
 
 
 @dataclass
@@ -157,9 +166,19 @@ class Dataset:
 
 @dataclass(frozen=True)
 class LabelEntry:
+    """One agent's label, checked when built: a bool flag, a type from ``OUTLIER_TYPES``, and a ``deviate_index``
+    (the first deviating stay) that is an integer ``>= 0`` for an outlier and None for everyone else."""
+
     is_outlier: bool
     outlier_type: str = "none"
     deviate_index: int | None = None
+
+    def __post_init__(self) -> None:
+        index = self.deviate_index
+        _check_types({"is_outlier": self.is_outlier, "outlier_type": self.outlier_type, "deviate_index": index})
+        check_settings(self, [("outlier_type", self.outlier_type in OUTLIER_TYPES, f"one of {', '.join(OUTLIER_TYPES)}"),
+                              ("deviate_index", (index is None) is not self.is_outlier, "set for outliers only"),
+                              ("deviate_index", index is None or index >= 0, ">= 0")], InvalidInputError)
 
 
 @dataclass
@@ -181,12 +200,13 @@ def params_hash(params) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
-def check_settings(settings, rules: typing.Iterable[tuple[str, bool, str]]) -> None:
-    """ConfigError ``<field> must be <rule>, got <value>`` for the first ``(field, ok, rule)`` row that fails;
-    the rows are tested as the list is built, so a test that could itself raise must guard itself."""
+def check_settings(settings, rules: typing.Iterable[tuple[str, bool, str]], error: type = ConfigError) -> None:
+    """``error`` ``<field> must be <rule>, got <value>`` for the first ``(field, ok, rule)`` row that fails: a
+    ConfigError for settings, an InvalidInputError for a record.  The rows are tested as the list is built, so a
+    test that could itself raise must guard itself."""
     for name, ok, rule in rules:
         if not ok:
-            raise ConfigError(f"{name} must be {rule}, got {getattr(settings, name)}")
+            raise error(f"{name} must be {rule}, got {getattr(settings, name)}")
 
 
 def convert_value(hint, key: str, value):
@@ -390,54 +410,39 @@ def trajectory_to_json(t: Trajectory) -> str:
     return _dumps({"agent_id": t.agent_id, "points": points})
 
 
-# The JSON type of each dataset, label, POI-map and score value: one ``type()`` test each, so a bool is never a number.
-_STRING, _INDEX, _NUMBER = ((str,), "a string"), ((int, type(None)), "an integer or null"), ((int, float), "a number")
-_JSON_TYPES = {"agent_id": _STRING, "arrive": ((int,), "an integer"), "depart": _INDEX, "place_id": _STRING,
+# The JSON type of each dataset, sidecar, label, POI-map and score value: a subclass passes (``np.float64``,
+# ``np.str_``), but a bool is never a number and ``np.float32`` is not a float.
+_STRING, _INTEGER, _INDEX = ((str,), "a string"), ((int,), "an integer"), ((int, type(None)), "an integer or null")
+_NUMBER = ((int, float), "a number")
+_JSON_TYPES = {"agent_id": _STRING, "arrive": _INTEGER, "depart": _INDEX, "place_id": _STRING,
                "place_type": _STRING, "lat": _NUMBER, "lon": _NUMBER, "radius_m": _NUMBER,
                "is_outlier": ((bool,), "true or false"), "outlier_type": _STRING, "deviate_index": _INDEX,
-               "score": _NUMBER, "method": _STRING, "params_hash": _STRING}
+               "score": _NUMBER, "method": _STRING, "params_hash": _STRING, "onset_time": _INTEGER,
+               "switch_fraction": _NUMBER}
+_STAY_TYPES = {**_JSON_TYPES, "depart": _INTEGER}  # a null depart is read as the arrive; a StayPoint holds that
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def _check_types(obj: dict, where: str = "") -> None:
-    """Raise InvalidInputError naming the first value of ``obj`` whose JSON type is wrong, after ``where``."""
+def _check_types(obj: dict, types: dict = _JSON_TYPES) -> None:
+    """InvalidInputError ``<key> must be <rule>, got <value>`` for the first value of ``obj`` whose type ``types``
+    refuses, or ``<key> must be UTF-8 text`` for a string holding a surrogate, which UTF-8 cannot encode."""
     for key, value in obj.items():
-        if key in _JSON_TYPES and type(value) not in _JSON_TYPES[key][0]:
-            raise InvalidInputError(f"{where}{key} must be {_JSON_TYPES[key][1]}, got {value!r}")
-
-
-def _as_written(value):
-    """``value`` as JSON writes it: a subclass of bool, str, int or float (``np.float64``) as its base type."""
-    return next((base(value) for base in (bool, str, int, float) if isinstance(value, base)), value)
-
-
-def _typed_stay(arrive, depart_ok: bool, place_id, place_type, lat, lon) -> bool:
-    """Whether a stay's values have their ``_JSON_TYPES``: the hot path of the read and the write check."""
-    return (type(arrive) is int and depart_ok and type(place_id) is str and type(place_type) is str
-            and type(lat) in _NUMBER[0] and type(lon) in _NUMBER[0])
-
-
-def _check_written_types(t: Trajectory) -> None:
-    """InvalidInputError naming the first value of ``t`` that JSON would write as a type read refuses."""
-    _check_types({"agent_id": _as_written(t.agent_id)})
-    for i, sp in enumerate(t.points):
-        arrive, depart, lat, lon = sp.arrive, sp.depart, sp.location.lat, sp.location.lon
-        if not _typed_stay(arrive, type(depart) is int, sp.place_id, sp.place_type, lat, lon):
-            where = f"stay {i} of {t.agent_id!r}: "
-            values = {"arrive": arrive, "place_id": sp.place_id, "place_type": sp.place_type, "lat": lat, "lon": lon}
-            _check_types({k: _as_written(v) for k, v in values.items()}, where)
-            if type(_as_written(depart)) is not int:  # read takes a null depart as ``arrive``; a StayPoint holds it
-                raise InvalidInputError(f"{where}depart must be an integer, got {depart!r}")
+        if key in types:
+            kinds, rule = types[key]
+            if not isinstance(value, kinds) or isinstance(value, bool) is not (bool in kinds):
+                raise InvalidInputError(f"{key} must be {rule}, got {value!r}")
+            if isinstance(value, str) and not value.isascii() and _SURROGATE.search(value):
+                raise InvalidInputError(f"{key} must be UTF-8 text, got {value!r}")
 
 
 def _trajectory(obj: dict) -> Trajectory:
-    """The trajectory of one ``dataset.jsonl`` record; building each ``GeoPoint`` checks its coordinates."""
+    """The trajectory of one ``dataset.jsonl`` record; each stay and coordinate checks itself when built."""
     points = []
     for p in obj["points"]:
         arrive, depart, lat, lon = p["arrive"], p.get("depart"), p["lat"], p["lon"]
-        if not _typed_stay(arrive, type(depart) in _INDEX[0], p["place_id"], p["place_type"], lat, lon):
-            _check_types(p)  # the hot path tests each value once; this names the wrong one
+        if not (type(lat) in _NUMBER[0] and type(lon) in _NUMBER[0] and type(depart) in _INDEX[0]):
+            _check_types(p)  # float() would take a bool or a string; a null depart is a zero-length stay
         location = GeoPoint(float(lat), float(lon))
-        # absent depart means a zero-duration stay
         points.append(StayPoint(arrive, arrive if depart is None else depart, p["place_id"], p["place_type"], location))
     _check_types(obj)
     return _check_trajectory(Trajectory(agent_id=obj["agent_id"], points=points))
@@ -464,14 +469,15 @@ def _meta_path(path: str) -> str:
 
 
 def write_dataset(ds: Dataset, path: str) -> None:
-    """Write ``dataset.jsonl`` and its ``.meta.json`` sidecar; each agent once, typed and by the rule as read checks."""
+    """``dataset.jsonl`` and its ``.meta.json`` sidecar; what the lists and the dict can break is checked first."""
     seen = set()
     for t in ds.trajectories:
-        _check_written_types(t)
+        _check_types({"agent_id": t.agent_id})
         if t.agent_id in seen:
             raise InvalidInputError(f"duplicate agent_id {t.agent_id!r}")
         seen.add(t.agent_id)
         _check_trajectory(t)
+    _check_types(ds.meta)
     atomic_write(path, (trajectory_to_json(t) + "\n" for t in ds.trajectories))
     atomic_write(_meta_path(path), json.dumps(ds.meta, sort_keys=True, separators=(",", ":")) + "\n")
 
@@ -479,7 +485,7 @@ def write_dataset(ds: Dataset, path: str) -> None:
 def read_dataset(path: str) -> Dataset:
     """``dataset.jsonl``, one line per agent, and its sidecar (which, when present, holds one JSON object)."""
     mpath = _meta_path(path)
-    meta = read_jsonl(mpath, dict) if os.path.exists(mpath) else [{}]
+    meta = read_jsonl(mpath, lambda obj: _check_types(obj) or obj) if os.path.exists(mpath) else [{}]
     if len(meta) != 1:
         raise CorruptInputError(f"{mpath}: holds {len(meta)} JSON objects, not one")
     return Dataset(trajectories=read_jsonl(path, _one_line_per_agent(_trajectory)), meta=meta[0])
@@ -490,30 +496,23 @@ def label_to_json(agent_id: str, e: LabelEntry) -> str:
     return _dumps({"agent_id": agent_id, **dataclasses.asdict(e)})
 
 
-def _check_label(agent_id: str, e: LabelEntry) -> None:
-    if e.is_outlier and e.deviate_index is None:
-        raise InvalidInputError(f"outlier {agent_id!r} lacks deviate_index")
-    if not e.is_outlier and e.deviate_index is not None:
-        raise InvalidInputError(f"non-outlier {agent_id!r} carries deviate_index")
-    if e.deviate_index is not None and e.deviate_index < 0:
-        raise InvalidInputError(f"deviate_index of {agent_id!r} must be >= 0, got {e.deviate_index}")
-    if e.outlier_type not in OUTLIER_TYPES:
-        raise InvalidInputError(f"unknown outlier_type {e.outlier_type!r}")
-
-
 def _label(obj: dict) -> tuple[str, LabelEntry]:
+    """One ``labels.jsonl`` record: its JSON types, then the entry's rules, whose error is named with the agent here,
+    as the entry does not know it (``deviate_index of 'a' must be >= 0, got -2``)."""
     _check_types(obj)
-    e = LabelEntry(obj["is_outlier"], obj["outlier_type"], obj.get("deviate_index"))
-    _check_label(obj["agent_id"], e)
-    return obj["agent_id"], e
+    try:
+        return obj["agent_id"], LabelEntry(obj["is_outlier"], obj["outlier_type"], obj.get("deviate_index"))
+    except InvalidInputError as exc:
+        key, rule = str(exc).split(" ", 1)
+        raise InvalidInputError(f"{key} of {obj['agent_id']!r} {rule}") from None
 
 
 def write_labels(labels: LabelSet, path: str) -> None:
-    for agent_id, e in labels.entries.items():
-        _check_label(agent_id, e)
+    for agent_id in labels.entries:  # each entry checked itself when built
+        _check_types({"agent_id": agent_id})
     atomic_write(path, (label_to_json(agent_id, e) + "\n" for agent_id, e in labels.entries.items()))
 
 
 def read_labels(path: str) -> LabelSet:
-    """``labels.jsonl``; each entry must satisfy what :func:`write_labels` checks, and name a new agent."""
+    """``labels.jsonl``; each line a valid :class:`LabelEntry` for a new agent."""
     return LabelSet(entries=dict(read_jsonl(path, _one_line_per_agent(_label))))

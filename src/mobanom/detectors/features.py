@@ -51,9 +51,9 @@ class SplitSpec:
         """
         if fallback_fraction is None and fallback_time is None:
             if "onset_time" in ds.meta:
-                fallback_time = int(ds.meta["onset_time"])
+                fallback_time = ds.meta["onset_time"]
             elif "switch_fraction" in ds.meta:
-                fallback_fraction = float(ds.meta["switch_fraction"])
+                fallback_fraction = ds.meta["switch_fraction"]
             else:
                 raise ConfigError(
                     "no split fallback: pass fallback_fraction/fallback_time or use a "
@@ -63,7 +63,7 @@ class SplitSpec:
         split = {}
         for t in ds.trajectories:
             entry = labels.entries.get(t.agent_id)
-            if entry is not None and entry.is_outlier and entry.deviate_index is not None:
+            if entry is not None and entry.is_outlier:
                 if entry.deviate_index >= len(t.points):
                     raise InvalidInputError(f"outlier {t.agent_id!r} deviates at stay {entry.deviate_index}, "
                                             f"but it has {len(t.points)} stays")

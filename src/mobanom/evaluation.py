@@ -31,7 +31,8 @@ __all__ = [
 
 @dataclass
 class ScoreTable:
-    """Per-agent anomaly scores from one detector (higher = more anomalous)."""
+    """Per-agent anomaly scores from one detector (higher = more anomalous), checked when built: string agent ids,
+    finite int or float scores, and a string ``detector`` (written as ``method``) and ``params_hash``."""
 
     detector: str
     scores: dict[str, float] = field(default_factory=dict)
@@ -39,8 +40,10 @@ class ScoreTable:
     omitted: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_types({"method": self.detector, "params_hash": self.params_hash})
         for agent_id, s in self.scores.items():
-            if not np.isfinite(s):
+            _check_types({"agent_id": agent_id, "score": s})
+            if not math.isfinite(s):
                 raise InvalidInputError(f"non-finite score for {agent_id!r}: {s!r}")
 
     def to_jsonl(self) -> str:

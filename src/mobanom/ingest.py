@@ -83,6 +83,7 @@ class PoiEntry:
     place_id: str
 
     def __post_init__(self):
+        _check_types({"radius_m": self.radius_m, "place_type": self.place_type, "place_id": self.place_id})
         if not 0 < self.radius_m < math.inf:
             raise InvalidInputError(f"radius of {self.place_id!r} must be positive and finite")
 

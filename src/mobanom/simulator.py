@@ -191,15 +191,13 @@ def build_map(config: SimConfig, rng: np.random.Generator | None = None) -> Synt
     return SyntheticMap(places=places)
 
 
-def spawn_agents(
-    config: SimConfig, smap: SyntheticMap, rng: np.random.Generator | None = None
-) -> tuple[list[AgentProfile], LabelSet]:
+def spawn_agents(config: SimConfig, smap: SyntheticMap, rng: np.random.Generator | None = None) -> list[AgentProfile]:
     """Draw agent attributes, the friendship graph, and outlier assignments.
 
-    The returned LabelSet is provisional: ``deviate_index`` stays None until
-    :func:`simulate` knows each outlier's stay points.  Attribute draws happen
-    before outlier assignment (and outliers use a separate stream), so turning
-    outliers on or off never changes anyone's home, preferences, or friends.
+    :func:`simulate` labels each agent once it knows the agent's stay points.
+    Attribute draws happen before outlier assignment (and outliers use a
+    separate stream), so turning outliers on or off never changes anyone's
+    home, preferences, or friends.
     """
     rng = rng if rng is not None else _rng(config.seed, 2)
     n = config.n_agents
@@ -240,9 +238,7 @@ def spawn_agents(
     for outlier_type, idx in assignment:
         profiles[idx].outlier_type = outlier_type
         profiles[idx].outlier_onset = onset
-
-    entries = {p.agent_id: LabelEntry(p.outlier_type != "none", p.outlier_type) for p in profiles}
-    return profiles, LabelSet(entries=entries)
+    return profiles
 
 
 def _in_work_hours(t: int) -> bool:
@@ -388,7 +384,7 @@ def _simulate_agent(
 def simulate(config: SimConfig) -> SimResult:
     """Produce a labeled stay-point dataset for the configured population."""
     smap = build_map(config)
-    profiles, labels = spawn_agents(config, smap)
+    profiles = spawn_agents(config, smap)
     onset_time = config.start_time + config.onset_tick * config.tick_seconds
     cal = _Calendar.build(config, smap)
 

@@ -34,11 +34,10 @@ def spawn_agents(
     config: SimConfig,
     smap: SyntheticMap,
     rng: np.random.Generator | None = None,
-) -> tuple[list[AgentProfile], LabelSet]:
+) -> list[AgentProfile]:
     """Draw agent attributes, the friendship graph, and outlier assignments.
 
-    The returned LabelSet is provisional: ``deviate_index`` stays None until
-    :func:`simulate` knows each outlier's stay points.  Attribute draws happen
+    :func:`simulate` labels each agent once it knows the agent's stay points.  Attribute draws happen
     before outlier assignment (and outliers use a separate stream), so turning
     outliers on or off never changes anyone's home, preferences, or friends.
     """
@@ -91,16 +90,7 @@ def spawn_agents(
     for outlier_type, idx in assignment:
         profiles[idx].outlier_type = outlier_type
         profiles[idx].outlier_onset = onset
-
-    entries = {
-        p.agent_id: LabelEntry(
-            is_outlier=p.outlier_type != "none",
-            outlier_type=p.outlier_type,
-            deviate_index=None,
-        )
-        for p in profiles
-    }
-    return profiles, LabelSet(entries=entries)
+    return profiles
 
 
 def _weekday(t: int) -> int:
@@ -196,7 +186,7 @@ def _simulate_agent(
 def simulate(config: SimConfig) -> SimResult:
     """Produce a labeled stay-point dataset for the configured population."""
     smap = build_map(config)
-    profiles, labels = spawn_agents(config, smap)
+    profiles = spawn_agents(config, smap)
     onset_time = config.start_time + config.onset_tick * config.tick_seconds
 
     trajectories = []

@@ -882,6 +882,39 @@ class TestArtifactInputFaults:
         assert f"{path}{named}" in err and "Traceback" not in err
 
 
+class TestSidecarAndTextFaults:
+    """A sidecar value of the wrong JSON type, or a string UTF-8 cannot encode, exits 1 naming ``path:line``."""
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("onset_time", "null", "onset_time must be an integer, got None"),
+        ("onset_time", '"x"', "onset_time must be an integer, got 'x'"),
+        ("onset_time", "true", "onset_time must be an integer, got True"),
+        ("switch_fraction", '"0.5"', "switch_fraction must be a number, got '0.5'"),
+    ])
+    def test_a_sidecar_value_of_the_wrong_type_exits_1(self, sim_dir, tmp_path, capsys, key, value, named):
+        # were: a TypeError or ValueError traceback from int() in the split, and "0.5" read as 0.5
+        path = sim_dir / "dataset.meta.json"
+        meta = {k: v for k, v in json.loads(path.read_text()).items() if k != "onset_time"}
+        path.write_text(json.dumps(meta)[:-1] + f', "{key}": {value}}}\n')
+        assert main(["--out-dir", str(tmp_path / "scores"), "detect", "--method", "ompad", "--in", str(sim_dir)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:1: {named}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("method", ["ompad", "llm"])
+    def test_a_lone_surrogate_in_a_dataset_exits_1_naming_the_line(self, sim_dir, tmp_path, capsys, method):
+        # were: ompad scored it and exited 0; llm ended in a UnicodeEncodeError traceback from PromptCache.key
+        path = sim_dir / "dataset.jsonl"
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace('"place_type":"Apartment"', '"place_type":"\\ud800"', 1)
+        path.write_text("\n".join(lines) + "\n")
+        write(str(tmp_path / "mock.json"), '{"provider": "mock-oracle"}')
+        argv = ["detect", "--method", method, "--in", str(sim_dir), "--endpoint", str(tmp_path / "mock.json"),
+                "--cache-dir", str(tmp_path / "cache")]
+        assert main(["--out-dir", str(tmp_path / "scores"), *argv]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:2: place_type must be UTF-8 text, got '\\ud800'" in err and "Traceback" not in err
+
+
 class TestOsErrors:
     """An OSError from a stage exits 1 with its message and no traceback, as a MobanomError does."""
 

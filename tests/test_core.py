@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -36,7 +37,10 @@ from mobanom.core import (
     write_dataset,
     write_labels,
 )
+from mobanom.core import _JSON_TYPES
 from mobanom.detectors import NetHyper, TraodParams
+from mobanom.evaluation import ScoreTable
+from mobanom.ingest import PoiEntry, PoiMap
 from mobanom.simulator import SimConfig
 
 
@@ -219,16 +223,16 @@ class TestRoundTrip:
         assert read_dataset(str(path)).trajectories[0].points[0].depart == 100
 
     def test_label_invariants_enforced(self, tmp_path):
-        bad = LabelSet(entries={"a": LabelEntry(True, "hunger", None)})
-        with pytest.raises(InvalidInputError):
-            write_labels(bad, str(tmp_path / "bad.jsonl"))
-        bad2 = LabelSet(entries={"a": LabelEntry(False, "none", 3)})
-        with pytest.raises(InvalidInputError):
-            write_labels(bad2, str(tmp_path / "bad2.jsonl"))
+        # were refused by write_labels; the entry now refuses them when built, so no writer sees them
+        with pytest.raises(InvalidInputError, match="deviate_index must be set for outliers only, got None"):
+            write_labels(LabelSet(entries={"a": LabelEntry(True, "hunger", None)}), str(tmp_path / "bad.jsonl"))
+        with pytest.raises(InvalidInputError, match="deviate_index must be set for outliers only, got 3"):
+            write_labels(LabelSet(entries={"a": LabelEntry(False, "none", 3)}), str(tmp_path / "bad2.jsonl"))
+        assert os.listdir(tmp_path) == []
 
     def test_negative_deviate_index_is_rejected_on_write_and_read(self, tmp_path):
         path = tmp_path / "labels.jsonl"
-        with pytest.raises(InvalidInputError, match=re.escape("deviate_index of 'a' must be >= 0, got -2")):
+        with pytest.raises(InvalidInputError, match=re.escape("deviate_index must be >= 0, got -2")):
             write_labels(LabelSet(entries={"a": LabelEntry(True, "imposter", -2)}), str(path))
         assert not path.exists()
         path.write_text('{"agent_id":"a","is_outlier":true,"outlier_type":"imposter","deviate_index":-2}\n')
@@ -254,7 +258,7 @@ datasets = st.builds(
     lambda ids, points, meta: Dataset([Trajectory(a, p) for a, p in zip(ids, points)], meta),
     st.lists(st.text(), unique=True, max_size=6),
     st.lists(lawful_points(), min_size=6, max_size=6),
-    st.dictionaries(st.text(), json_scalars, max_size=4),
+    st.dictionaries(st.text().filter(lambda key: key not in _JSON_TYPES), json_scalars, max_size=4),  # untyped keys
 )
 label_entries = st.one_of(
     st.builds(LabelEntry, st.just(True), st.sampled_from(OUTLIER_TYPES), st.integers(min_value=0)),
@@ -327,22 +331,22 @@ class TestReadFaults:
             read_dataset(str(path))
 
     @pytest.mark.parametrize("stay, named", [
-        (dict(arrive=1.5, depart=2), "stay 1 of 'b': arrive must be an integer, got 1.5"),
-        (dict(arrive=0, depart=True), "stay 1 of 'b': depart must be an integer, got True"),
-        (dict(arrive=0, depart=None), "stay 1 of 'b': depart must be an integer, got None"),
-        (dict(arrive=0, depart=1, place_id=7), "stay 1 of 'b': place_id must be a string, got 7"),
-        (dict(arrive=0, depart=1, place_type=None), "stay 1 of 'b': place_type must be a string, got None"),
-        (dict(arrive=0, depart=1, lat=False), "stay 1 of 'b': lat must be a number, got False"),
+        (dict(arrive=1.5, depart=2), "arrive must be an integer, got 1.5"),
+        (dict(arrive=0, depart=True), "depart must be an integer, got True"),
+        (dict(arrive=0, depart=None), "depart must be an integer, got None"),
+        (dict(arrive=0, depart=1, place_id=7), "place_id must be a string, got 7"),
+        (dict(arrive=0, depart=1, place_type=None), "place_type must be a string, got None"),
+        (dict(arrive=0, depart=1, lat=False), "lat must be a number, got False"),
     ], ids=["float_arrive", "bool_depart", "null_depart", "int_place_id", "null_place_type", "bool_lat"])
     def test_a_value_read_would_refuse_is_refused_on_write(self, tmp_path, stay, named):
-        # were: written, then refused by every reader (`path:1: arrive must be an integer, got 1.5`)
+        # were: written, then refused by every reader (`path:1: arrive must be an integer, got 1.5`); later refused
+        # by write_dataset as `stay 1 of 'b': ...`; now the stay (or its GeoPoint) refuses them when built
         path = tmp_path / "dataset.jsonl"
         path.write_text("kept\n")
         stay = {"place_id": "p", "place_type": "Pub", "lat": 0.0, "lon": 0.0, **stay}
-        location = GeoPoint(stay.pop("lat"), stay.pop("lon"))  # GeoPoint takes a bool: False is in range
-        ds = Dataset([Trajectory("b", [sp(0, 0), StayPoint(**stay, location=location)])])
         with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}$"):
-            write_dataset(ds, str(path))
+            location = GeoPoint(stay.pop("lat"), stay.pop("lon"))
+            write_dataset(Dataset([Trajectory("b", [sp(0, 0), StayPoint(**stay, location=location)])]), str(path))
         assert path.read_text() == "kept\n" and not os.path.exists(tmp_path / "dataset.meta.json")
 
     @pytest.mark.parametrize("agent_id", [7, None, ["a"]])
@@ -425,6 +429,124 @@ class TestReadFaults:
         with pytest.raises(TrainingDivergedError, match=f"{path}:1: training diverged") as info:
             read_jsonl(str(path), record)
         assert (info.value.epoch, info.value.loss) == (3, 9.5)
+
+
+# A valid record of each file kind that holds values of ``core._JSON_TYPES``.
+VALID_RECORDS = {
+    "dataset": {"agent_id": "a", "arrive": 0, "depart": 1, "place_id": "p", "place_type": "Pub", "lat": 40.0,
+                "lon": 116.0},
+    "sidecar": {"onset_time": 0, "switch_fraction": 0.5},
+    "labels": {"agent_id": "a", "is_outlier": True, "outlier_type": "work", "deviate_index": 0},
+    "scores": {"agent_id": "a", "score": 0.5, "method": "ompad", "params_hash": "h"},
+    "poi": {"lat": 40.0, "lon": 116.0, "radius_m": 50.0, "place_type": "Pub", "place_id": "p"},
+}
+STAY_KEYS = ("arrive", "depart", "place_id", "place_type", "lat", "lon")
+
+
+def write_record(kind: str, r: dict, path: str) -> None:
+    """Build the records of ``r`` and write them as ``kind``: the one path a library caller has."""
+    if kind == "dataset":
+        stay = StayPoint(r["arrive"], r["depart"], r["place_id"], r["place_type"], GeoPoint(r["lat"], r["lon"]))
+        write_dataset(Dataset([Trajectory(r["agent_id"], [stay])]), path)
+    elif kind == "sidecar":
+        write_dataset(Dataset([], meta=r), path)
+    elif kind == "labels":
+        write_labels(LabelSet({r["agent_id"]: LabelEntry(r["is_outlier"], r["outlier_type"], r["deviate_index"])}), path)
+    elif kind == "scores":
+        atomic_write(path, ScoreTable(r["method"], {r["agent_id"]: r["score"]}, r["params_hash"]).to_jsonl())
+    else:
+        PoiEntry(GeoPoint(r["lat"], r["lon"]), r["radius_m"], r["place_type"], r["place_id"])  # a POI map has no writer
+        atomic_write(path, json.dumps(r) + "\n")
+
+
+def read_record(kind: str, tmp_path, text: str):
+    """Write ``text`` (one JSON object) as a file of ``kind`` and read it; returns the path that an error names."""
+    path = tmp_path / ("dataset.meta.json" if kind == "sidecar" else f"{kind}.jsonl")
+    if kind == "dataset":
+        r = json.loads(text)
+        stay = {k: r.pop(k) for k in STAY_KEYS}
+        text = json.dumps({**r, "points": [stay]})
+    path.write_text(text + "\n")
+    if kind == "sidecar":
+        (tmp_path / "dataset.jsonl").write_text("")
+    reader = {"dataset": read_dataset, "sidecar": lambda p: read_dataset(p.replace(".meta.json", ".jsonl")),
+              "labels": read_labels, "scores": ScoreTable.read, "poi": PoiMap.from_jsonl}[kind]
+    reader(str(path))
+    return path
+
+
+# One wrong value per key: a bool for a number, a float for an int, an int for a string, or np.float32 (built only,
+# since JSON has none).  The labels and scores rows marked "written" were written by the writers, and every reader
+# then refused the file.
+WRONG_VALUES = [
+    ("dataset", "agent_id", 7), ("dataset", "arrive", 1.5), ("dataset", "depart", 2.5), ("dataset", "place_id", 7),
+    ("dataset", "place_type", 7), ("dataset", "lat", True), ("dataset", "lon", np.float32(116.0)),
+    ("sidecar", "onset_time", 1.5), ("sidecar", "switch_fraction", True),
+    ("labels", "agent_id", 7),  # written
+    ("labels", "is_outlier", 1), ("labels", "is_outlier", "yes"),  # written
+    ("labels", "outlier_type", 7),
+    ("labels", "deviate_index", 1.5), ("labels", "deviate_index", True),  # written
+    ("scores", "agent_id", 7), ("scores", "score", True),  # written
+    ("scores", "score", np.float32(0.5)), ("scores", "method", 7), ("scores", "params_hash", 7),
+    ("poi", "radius_m", True), ("poi", "lat", np.float32(40.0)),
+]
+
+
+class TestRecordsCheckThemselves:
+    """``core._JSON_TYPES`` names each value a reader type-checks; every key has a rule where its record is built."""
+
+    def test_every_key_of_the_table_has_a_case(self):
+        assert {key for _, key, _ in WRONG_VALUES} == set(_JSON_TYPES)
+
+    @pytest.mark.parametrize("kind, key, value", WRONG_VALUES, ids=[f"{k}-{key}-{v!r}" for k, key, v in WRONG_VALUES])
+    def test_a_wrong_type_is_refused_on_read_and_when_built(self, tmp_path, kind, key, value):
+        named = rf"^{key} must be [^,]+, got {re.escape(repr(value))}$"
+        with pytest.raises(InvalidInputError, match=named):
+            write_record(kind, {**VALID_RECORDS[kind], key: value}, str(tmp_path / "written"))
+        assert not os.path.exists(tmp_path / "written")
+        if not isinstance(value, np.float32):
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(str(tmp_path))}/[a-z.]+:1: {named[1:]}"):
+                read_record(kind, tmp_path, json.dumps({**VALID_RECORDS[kind], key: value}))
+
+    @pytest.mark.parametrize("kind", list(VALID_RECORDS))
+    def test_the_valid_records_are_written_and_read(self, tmp_path, kind):
+        write_record(kind, VALID_RECORDS[kind], str(tmp_path / "written"))
+        read_record(kind, tmp_path, json.dumps(VALID_RECORDS[kind]))
+
+    def test_a_score_table_takes_a_subclass_and_an_int(self):
+        assert ScoreTable(np.str_("ompad"), {np.str_("a"): np.float64(0.5), "b": 1}).to_jsonl().count("\n") == 2
+
+    @pytest.mark.parametrize("kind, key", [("dataset", "agent_id"), ("dataset", "place_id"), ("dataset", "place_type"),
+                                           ("labels", "agent_id"), ("scores", "agent_id"), ("scores", "method"),
+                                           ("poi", "place_id")])
+    def test_a_lone_surrogate_is_refused_on_read_and_when_built(self, tmp_path, kind, key):
+        # were: read and written; `detect --method llm` then failed in PromptCache.key with a UnicodeEncodeError
+        named = re.escape(f"{key} must be UTF-8 text, got '\\ud800'")
+        with pytest.raises(InvalidInputError, match=f"^{named}$"):
+            write_record(kind, {**VALID_RECORDS[kind], key: "x\ud800"[1:]}, str(tmp_path / "written"))
+        assert not os.path.exists(tmp_path / "written")
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(str(tmp_path))}/[a-z.]+:1: {named}$"):
+            read_record(kind, tmp_path, json.dumps({**VALID_RECORDS[kind], key: "\ud800"}))
+
+    def test_text_that_utf8_encodes_is_kept(self, tmp_path):
+        record = {**VALID_RECORDS["dataset"], "place_type": "Caf\u00e9", "place_id": "\U0001f37a"}
+        write_record("dataset", record, str(tmp_path / "dataset.jsonl"))
+        (t,) = read_dataset(str(tmp_path / "dataset.jsonl")).trajectories
+        assert (t.points[0].place_type, t.points[0].place_id) == ("Caf\u00e9", "\U0001f37a")
+
+    @pytest.mark.parametrize("entry, named", [
+        ((True, "work", None), "deviate_index must be set for outliers only, got None"),
+        ((False, "none", 0), "deviate_index must be set for outliers only, got 0"),
+        ((True, "work", -1), "deviate_index must be >= 0, got -1"),
+        ((False, "bogus", None), "outlier_type must be one of imposter, hunger, social, work, none, got bogus"),
+    ])
+    def test_a_label_rule_is_refused_when_built_and_named_with_its_agent_on_read(self, tmp_path, entry, named):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}$"):
+            LabelEntry(*entry)
+        key, rule = named.split(" ", 1)
+        with pytest.raises(InvalidInputError, match=re.escape(f"labels.jsonl:1: {key} of 'a' {rule}")):
+            read_record("labels", tmp_path, json.dumps(dict(zip(["agent_id", "is_outlier", "outlier_type",
+                                                                 "deviate_index"], ["a", *entry]))))
 
 
 class TestAtomicWrite:

@@ -41,10 +41,10 @@ class TestBuildMap:
 class TestSpawnAgents:
     def test_outlier_counts_and_disjoint_types(self):
         cfg = dataclasses.replace(SMALL, n_agents=10, n_hunger=1, n_social=1, n_work=1)
-        profiles, labels = spawn_agents(cfg, build_map(cfg))
-        outliers = [a for a, e in labels.entries.items() if e.is_outlier]
+        profiles = spawn_agents(cfg, build_map(cfg))
+        outliers = [p for p in profiles if p.outlier_type != "none"]
         assert len(outliers) == 3
-        types = [labels.entries[a].outlier_type for a in outliers]
+        types = [p.outlier_type for p in outliers]
         assert sorted(types) == ["hunger", "social", "work"]
 
     def test_too_many_outliers(self):
@@ -54,13 +54,13 @@ class TestSpawnAgents:
 
     def test_determinism(self):
         smap = build_map(SMALL)
-        p1, l1 = spawn_agents(SMALL, smap)
-        p2, l2 = spawn_agents(SMALL, smap)
+        p1 = spawn_agents(SMALL, smap)
+        p2 = spawn_agents(SMALL, smap)
         assert p1 == p2
-        assert l1 == l2
+        assert [p.outlier_type for p in p1] == [p.outlier_type for p in p2]
 
     def test_preferences_positive_and_home_differs_from_work(self):
-        profiles, _ = spawn_agents(SMALL, build_map(SMALL))
+        profiles = spawn_agents(SMALL, build_map(SMALL))
         for p in profiles:
             assert all(w > 0 for w in p.site_preferences.values())
             assert p.home != p.workplace  # different type namespaces

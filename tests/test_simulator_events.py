@@ -98,7 +98,7 @@ def test_friendship_rows_draw_like_the_pair_loop(n):
     smap = build_map(config)
     new_rng, old_rng = _rng(n, 2), _rng(n, 2)
     new, old = spawn_agents(config, smap, new_rng), oracle.spawn_agents(config, smap, old_rng)
-    assert [p.friends for p in new[0]] == [p.friends for p in old[0]]
+    assert [p.friends for p in new] == [p.friends for p in old]
     assert new == old
     assert new_rng.random() == old_rng.random()
 
