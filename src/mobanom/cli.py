@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import contextlib
 import glob as globmod
 import hashlib
 import json
@@ -21,11 +20,11 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Callable, Collection
 
 from . import __version__
-from .core import ConfigError, MobanomError, _meta_path, atomic_write, config_from_mapping, convert_value, params_hash
-from .core import read_dataset, read_labels, settings_of, write_dataset, write_labels
+from .core import ConfigError, MobanomError, _meta_path, atomic_write, config_from_mapping, convert_value, naming
+from .core import params_hash, read_dataset, read_labels, settings_of, write_dataset, write_labels
 from .detectors import NetHyper, SplitSpec, TraodParams, build_windows, dae_score, dsvdd_score, monav_tt_score, ompad_score, traod_score
 from .detectors.features import check_split_fallbacks, check_windows, window_seconds_of
 from .detectors.nets import check_scope
@@ -101,15 +100,9 @@ def _read_config(path: str) -> configparser.ConfigParser:
     return parser
 
 
-@contextlib.contextmanager
-def _naming(source: str | None):
-    """A MobanomError raised inside, its message starting with ``source``: the file its values came from, if any."""
-    try:
-        yield
-    except MobanomError as exc:
-        if source is not None:
-            exc.args = (f"{source}: {exc}",)
-        raise
+def _settings_source(config: str | None, flags: Collection[str]) -> str | None:
+    """What a settings error names: the config file, with the command line when it sets stage values (``flags``)."""
+    return f"{config} and the command line" if config and flags else config
 
 
 def _file_settings(parser: configparser.ConfigParser, name: str, strict: bool) -> dict:
@@ -146,7 +139,7 @@ def read_endpoint_file(path: str) -> LlmEndpointConfig:
     unknown = sorted(set(obj) - {f.name for f in fields(LlmEndpointConfig)})
     if unknown:
         raise ConfigError(f"endpoint file {path!r} has unknown keys: {', '.join(unknown)}")
-    with _naming(f"endpoint file {path!r}"):
+    with naming(f"endpoint file {path!r}"):
         return config_from_mapping(LlmEndpointConfig, obj)
 
 
@@ -233,7 +226,7 @@ def _detect_settings(m: dict) -> dict:
 
 def _split_of(ds, labels, split: dict, inputs: list[str]) -> SplitSpec:
     """The split of the dataset and labels at ``inputs``; a fault names the labels and the sidecar it comes from."""
-    with _naming(f"{inputs[1]} with {_meta_path(inputs[0])}"):  # a deviate_index, or the sidecar's fallback
+    with naming(f"{inputs[1]} with {_meta_path(inputs[0])}"):  # a deviate_index, or the sidecar's fallback
         return SplitSpec.from_labels(ds, labels, **split)
 
 
@@ -289,7 +282,7 @@ def _dump_prompts_settings(m: dict) -> dict:
 def stage_dump_prompts(s: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
     ds, labels = read_dataset(inputs[0]), read_labels(inputs[1])
     split = None if s["split"] is None else _split_of(ds, labels, s["split"], inputs)
-    outputs += dump_prompts(ds, labels, s["mode"], out_dir, s["template_version"], split=split)
+    dump_prompts(ds, labels, s["mode"], out_dir, s["template_version"], split=split, outputs=outputs)
 
 
 def _with_meta(dataset_path: str, *others: str) -> list[str]:
@@ -380,7 +373,7 @@ def _run_stage(name: str, m: dict, s, out_dir: str, hash_inputs: bool = False) -
 def run_pipeline(config_path: str, out_dir: str | None, seed: int | None) -> int:
     """Build every listed stage's settings, then chain the stages and write ``manifest.json``, also when one fails."""
     parser = _read_config(config_path)
-    with _naming(config_path):  # every setting and the stage list come from the file
+    with naming(config_path):  # the stage list and every setting but --seed come from the file
         glob_cfg = dict(parser["global"]) if parser.has_section("global") else {}
         out_dir = out_dir or glob_cfg.get("out_dir", "out")
         stages = [s.strip() for s in glob_cfg.get("stages", "").split(",") if s.strip()]
@@ -389,19 +382,23 @@ def run_pipeline(config_path: str, out_dir: str | None, seed: int | None) -> int
         flags = {} if seed is None else {"seed": seed}
         plan, data_dir, labelled, data_settings = [], None, False, None
         for name in stages:
-            stage = STAGES.get(name)
+            stage, planned = STAGES.get(name), [step[0] for step in plan]
             if stage is None or stage.subdir is None:
                 raise ConfigError(f"unknown stage {name!r}")
+            if name in planned:  # a second run of a stage would rewrite its directory under the first one's hashes
+                raise ConfigError(f"stage {name!r} is listed twice")
             m = {**_file_settings(parser, name, strict=False), **flags}
             if stage.chain is not None:
                 if data_dir is None:
                     raise ConfigError(f"{name} needs a prior simulate or ingest stage")
                 if not (stage.data or labelled):  # detect and eval read the labels of the last data stage
                     raise ConfigError(f"{name} needs labels, which ingest does not write: list inject after ingest")
-                if name == "eval" and "detect" not in [step[0] for step in plan]:
+                if name == "eval" and "detect" not in planned:
                     raise ConfigError("eval needs a prior detect stage")
                 m.update(stage.chain(data_dir))
-            stage_dir, s = os.path.join(out_dir, stage.subdir), stage.settings(m)
+            with naming(_settings_source(config_path, flags)):
+                s = stage.settings(m)
+            stage_dir = os.path.join(out_dir, stage.subdir)
             if name == "inject" and isinstance(data_settings, SimConfig):  # after ingest, the data counts the agents
                 check_pairs(s, data_settings.n_agents)
             plan.append((name, m, s, stage_dir))
@@ -503,9 +500,10 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError("run needs --config")
             return run_pipeline(args.config, args.out_dir, args.seed)
         parser = _read_config(args.config) if args.config else None
-        with _naming(args.config):
-            m = _file_settings(parser, args.command, strict=True) if parser else {}
-            m.update((k, v) for k, v in vars(args).items() if v is not None and k not in _CLI_ONLY_ARGS)
+        flags = {k: v for k, v in vars(args).items() if v is not None and k not in _CLI_ONLY_ARGS}
+        with naming(args.config):
+            m = {**(_file_settings(parser, args.command, strict=True) if parser else {}), **flags}
+        with naming(_settings_source(args.config, set(flags) - set(PATH_KEYS))):
             s = STAGES[args.command].settings(m)
         _run_stage(args.command, m, s, args.out_dir or "out")
     except (MobanomError, OSError) as exc:

@@ -260,9 +260,9 @@ def settings_of(fn, mapping: dict, keys: dict[str, str] | None = None) -> dict:
     return settings
 
 
-def config_from_mapping(cls, mapping: dict, keys: dict[str, str] | None = None, **fixed):
-    """Call ``cls`` with its :func:`settings_of` ``mapping``; ``fixed`` arguments pass through unconverted."""
-    return cls(**{**fixed, **settings_of(cls, mapping, keys)})
+def config_from_mapping(cls, mapping: dict, keys: dict[str, str] | None = None):
+    """Call ``cls`` with its :func:`settings_of` ``mapping``."""
+    return cls(**settings_of(cls, mapping, keys))
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
@@ -357,32 +357,41 @@ def atomic_write(path: str, text: str | typing.Iterable[str]) -> None:
         raise
 
 
+@contextlib.contextmanager
+def naming(source: str | None):
+    """A MobanomError raised inside, its message led by ``source`` (if not None) unless an inner ``naming`` named it."""
+    try:
+        yield
+    except MobanomError as exc:
+        if source is not None and not hasattr(exc, "source"):  # each fault names one source, the innermost
+            exc.args, exc.source = (f"{source}: {exc}",), source
+        raise
+
+
 def parse_jsonl(lines: typing.Iterable[str], record: typing.Callable[[dict], typing.Any], source: str) -> list:
     """``record(obj)`` for the JSON object on each non-blank line, in order.
 
     A line that is not JSON or not an object, or whose ``record`` raises
     ``LookupError``, ``TypeError``, ``ValueError`` or ``OverflowError``, is a
     :class:`CorruptInputError`; a :class:`MobanomError` from ``record`` keeps
-    its type.  Either message starts with ``source:line``.
+    its type.  Either is named ``source:line``.
     """
     out = []
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorruptInputError(f"{source}:{lineno}: invalid JSON ({exc})") from None
-        if not isinstance(obj, dict):
-            raise CorruptInputError(f"{source}:{lineno}: not a JSON object")
-        try:
-            out.append(record(obj))
-        except MobanomError as exc:
-            exc.args = (f"{source}:{lineno}: {exc}",)
-            raise exc from None
-        except (LookupError, TypeError, ValueError, OverflowError) as exc:
-            detail = f"missing key {exc}" if isinstance(exc, KeyError) else f"{type(exc).__name__}: {exc}"
-            raise CorruptInputError(f"{source}:{lineno}: {detail}") from None
+        with naming(f"{source}:{lineno}"):
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorruptInputError(f"invalid JSON ({exc})") from None
+            if not isinstance(obj, dict):
+                raise CorruptInputError("not a JSON object")
+            try:
+                out.append(record(obj))
+            except (LookupError, TypeError, ValueError, OverflowError) as exc:
+                raise CorruptInputError(f"missing key {exc}" if isinstance(exc, KeyError)
+                                        else f"{type(exc).__name__}: {exc}") from None
     return out
 
 
@@ -448,16 +457,16 @@ def _trajectory(obj: dict) -> Trajectory:
     return _check_trajectory(Trajectory(agent_id=obj["agent_id"], points=points))
 
 
-def _one_line_per_agent(record: typing.Callable[[dict], typing.Any]) -> typing.Callable[[dict], typing.Any]:
-    """``record`` for the lines of one file, raising InvalidInputError on an agent id an earlier line had."""
+def _one_line_per(key: str, record: typing.Callable[[dict], typing.Any]) -> typing.Callable[[dict], typing.Any]:
+    """``record`` for the lines of one file, raising InvalidInputError on a ``key`` value an earlier line had."""
     seen: set[str] = set()
 
     def checked(obj: dict):
         out = record(obj)
-        agent_id = obj["agent_id"]
-        if agent_id in seen:
-            raise InvalidInputError(f"duplicate agent_id {agent_id!r}")
-        seen.add(agent_id)
+        value = obj[key]
+        if value in seen:
+            raise InvalidInputError(f"duplicate {key} {value!r}")
+        seen.add(value)
         return out
 
     return checked
@@ -470,12 +479,9 @@ def _meta_path(path: str) -> str:
 
 def write_dataset(ds: Dataset, path: str) -> None:
     """``dataset.jsonl`` and its ``.meta.json`` sidecar; what the lists and the dict can break is checked first."""
-    seen = set()
+    checked = _one_line_per("agent_id", _check_types)
     for t in ds.trajectories:
-        _check_types({"agent_id": t.agent_id})
-        if t.agent_id in seen:
-            raise InvalidInputError(f"duplicate agent_id {t.agent_id!r}")
-        seen.add(t.agent_id)
+        checked({"agent_id": t.agent_id})
         _check_trajectory(t)
     _check_types(ds.meta)
     atomic_write(path, (trajectory_to_json(t) + "\n" for t in ds.trajectories))
@@ -488,7 +494,7 @@ def read_dataset(path: str) -> Dataset:
     meta = read_jsonl(mpath, lambda obj: _check_types(obj) or obj) if os.path.exists(mpath) else [{}]
     if len(meta) != 1:
         raise CorruptInputError(f"{mpath}: holds {len(meta)} JSON objects, not one")
-    return Dataset(trajectories=read_jsonl(path, _one_line_per_agent(_trajectory)), meta=meta[0])
+    return Dataset(trajectories=read_jsonl(path, _one_line_per("agent_id", _trajectory)), meta=meta[0])
 
 
 def label_to_json(agent_id: str, e: LabelEntry) -> str:
@@ -515,4 +521,4 @@ def write_labels(labels: LabelSet, path: str) -> None:
 
 def read_labels(path: str) -> LabelSet:
     """``labels.jsonl``; each line a valid :class:`LabelEntry` for a new agent."""
-    return LabelSet(entries=dict(read_jsonl(path, _one_line_per_agent(_label))))
+    return LabelSet(entries=dict(read_jsonl(path, _one_line_per("agent_id", _label))))

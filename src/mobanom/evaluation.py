@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (ConfigError, InvalidInputError, LabelSet, UndefinedMetricError, _check_types, _dumps,
-                   _one_line_per_agent, parse_jsonl, read_jsonl)
+                   _one_line_per, parse_jsonl, read_jsonl)
 
 __all__ = [
     "ScoreTable",
@@ -42,9 +42,7 @@ class ScoreTable:
     def __post_init__(self):
         _check_types({"method": self.detector, "params_hash": self.params_hash})
         for agent_id, s in self.scores.items():
-            _check_types({"agent_id": agent_id, "score": s})
-            if not math.isfinite(s):
-                raise InvalidInputError(f"non-finite score for {agent_id!r}: {s!r}")
+            _check_score(agent_id, s)
 
     def to_jsonl(self) -> str:
         rows = ({"agent_id": a, "score": self.scores[a], "method": self.detector, "params_hash": self.params_hash}
@@ -68,16 +66,21 @@ class ScoreTable:
 
         def row(obj: dict) -> tuple[str, float]:
             _check_types(obj)
-            score = float(obj["score"])
-            if not math.isfinite(score):
-                raise ValueError(f"non-finite score {score!r}")
+            _check_score(obj["agent_id"], obj["score"])
             for k in ("method", "params_hash"):
                 if k in obj and names.setdefault(k, obj[k]) != obj[k]:
                     raise InvalidInputError(f"{k} {obj[k]!r} differs from an earlier line's {names[k]!r}")
-            return obj["agent_id"], score
+            return obj["agent_id"], float(obj["score"])
 
-        rows = parse(_one_line_per_agent(row))
+        rows = parse(_one_line_per("agent_id", row))
         return cls(names.get("method", ""), dict(rows), names.get("params_hash", ""))
+
+
+def _check_score(agent_id: str, score: float) -> None:
+    """InvalidInputError unless ``agent_id`` is a string and ``score`` a finite number."""
+    _check_types({"agent_id": agent_id, "score": score})
+    if not math.isfinite(score):
+        raise InvalidInputError(f"non-finite score for {agent_id!r}: {score!r}")
 
 
 def _ranked_agents(scores: dict[str, float]) -> list[str]:
@@ -111,13 +114,12 @@ def _binary_arrays(scores, labels: LabelSet):
     table = scores.scores if isinstance(scores, ScoreTable) else scores
     agents = [a for a in _ranked_agents(table) if a in labels.entries]
     y = np.array([1 if labels.entries[a].is_outlier else 0 for a in agents], dtype=np.int64)
-    s = np.array([table[a] for a in agents], dtype=np.float64)
-    return agents, y, s
+    return y, np.array([table[a] for a in agents], dtype=np.float64)
 
 
 def average_precision(scores: ScoreTable | dict[str, float], labels: LabelSet) -> float:
     """Mean of precision evaluated at each true outlier's rank."""
-    _, y, _ = _binary_arrays(scores, labels)
+    y, _ = _binary_arrays(scores, labels)
     n_pos = int(y.sum())
     if len(y) == 0 or n_pos == 0:
         raise UndefinedMetricError("average precision needs at least one scored positive")
@@ -132,7 +134,7 @@ def roc_auc(scores: ScoreTable | dict[str, float], labels: LabelSet) -> float:
     Computed from midranks, which makes it exactly invariant under any
     strictly increasing transform of the scores.
     """
-    _, y, s = _binary_arrays(scores, labels)
+    y, s = _binary_arrays(scores, labels)
     n_pos = int(y.sum())
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:

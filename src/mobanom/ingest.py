@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .core import EARTH_RADIUS_KM, CorruptInputError, Dataset, GeoPoint, InvalidInputError, StayPoint, Trajectory
-from .core import _check_types, check_settings, haversine_km, params_hash, read_jsonl
+from .core import _check_types, _one_line_per, check_settings, haversine_km, naming, params_hash, read_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -99,18 +99,14 @@ class PoiMap:
     entries: list[PoiEntry] = field(default_factory=list)
 
     def __post_init__(self):
-        ids = [e.place_id for e in self.entries]
-        if len(ids) != len(set(ids)):
-            raise InvalidInputError("duplicate place_id in PoiMap")
+        checked = _one_line_per("place_id", dict)  # each entry checked itself when built
+        for e in self.entries:
+            checked({"place_id": e.place_id})
 
     @classmethod
     def from_jsonl(cls, path: str) -> "PoiMap":
-        """One POI per line; a fault names the file and, where it has one, the line."""
-        entries = read_jsonl(path, _poi_entry)
-        try:
-            return cls(entries=entries)
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"{path}: {exc}") from None
+        """One POI per line, one line per place_id; a fault names ``path:line``."""
+        return cls(entries=read_jsonl(path, _one_line_per("place_id", _poi_entry)))
 
 
 def _field_seconds(fmt: str, origin: datetime):
@@ -205,12 +201,8 @@ def load_plt_tree(root: str) -> dict[str, Fixes]:
         plt_files = [os.path.join(d, name) for d, _, names in os.walk(agent_dir) for name in names if name.endswith(".plt")]
         parts: list[Fixes] = []
         for path in sorted(plt_files):
-            with open(path, "rb") as fh:
-                data = fh.read()
-            try:
-                parts.extend(_parse_columns(data, "plt", agent).values())
-            except CorruptInputError as exc:
-                raise CorruptInputError(f"{path}: {exc}") from exc
+            with open(path, "rb") as fh, naming(path):
+                parts.extend(_parse_columns(fh.read(), "plt", agent).values())
         if parts:
             out[agent] = _by_time(*parts)
     return out

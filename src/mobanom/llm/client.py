@@ -337,19 +337,20 @@ def dump_prompts(
     out_dir: str,
     template_version: str = DEFAULT_TEMPLATE,
     split: SplitSpec | None = None,
+    outputs: list[str] | None = None,
 ) -> list[str]:
-    """Write every PromptBundle and ``prompts_index.jsonl`` without calling any endpoint; return their paths."""
+    """Write every PromptBundle and ``prompts_index.jsonl`` without calling any endpoint; return ``outputs`` (a new
+    list by default), to which each path is appended before it is written."""
     bundles = build_bundles(ds, labels, mode, template_version, split)
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
+    outputs = [] if outputs is None else outputs
     index = []
     for i, bundle in enumerate(bundles):
         name = f"prompt_{i:04d}.txt"
-        path = os.path.join(out_dir, name)
-        atomic_write(path, bundle.text)
+        outputs.append(os.path.join(out_dir, name))
+        atomic_write(outputs[-1], bundle.text)
         index.append(_dumps({"file": name, "mode": bundle.mode, "template_version": bundle.template_version,
                              "agent_ids": bundle.agent_ids}) + "\n")
-        paths.append(path)
-    index_path = os.path.join(out_dir, "prompts_index.jsonl")
-    atomic_write(index_path, "".join(index))
-    return paths + [index_path]
+    outputs.append(os.path.join(out_dir, "prompts_index.jsonl"))
+    atomic_write(outputs[-1], "".join(index))
+    return outputs

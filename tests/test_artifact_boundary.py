@@ -1,13 +1,17 @@
-"""Every file mobanom writes goes through ``core.atomic_write``, and every JSONL line through ``core.parse_jsonl``.
+"""Every file mobanom writes goes through ``core.atomic_write``, every JSONL line through ``core.parse_jsonl``,
+and every source put in front of a fault through ``core.naming``.
 
 The source is scanned with ``ast``, so a new ``open(path, "w")``, rename or
-``json.loads`` anywhere else in ``src/mobanom`` fails here.
+``json.loads``, or a new rewrite or copy of a ``MobanomError``, anywhere else in
+``src/mobanom`` fails here.
 """
 
 import ast
 import collections
 import pathlib
 import sys
+
+from mobanom.core import MobanomError
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "mobanom"
 
@@ -25,6 +29,15 @@ ALLOWED = [
 WATCHED = {"os.replace", "os.rename", "os.open", "shutil.move", "shutil.copy", "shutil.copyfile", "json.loads"}
 
 
+# (file, enclosing function) of every rewrite of an exception's message: the one naming helper, and the label
+# reader, which names an entry's rule error with its agent
+NAMING_ALLOWED = [("core.py", "naming"), ("core.py", "_label")]
+
+
+def mobanom_errors(cls=MobanomError) -> set[str]:
+    return {cls.__name__}.union(*(mobanom_errors(sub) for sub in cls.__subclasses__()))
+
+
 def opens_for_writing(call: ast.Call) -> bool:
     """Whether an ``open`` call's mode may write (a mode that is not a literal counts as writing)."""
     modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
@@ -34,21 +47,49 @@ def opens_for_writing(call: ast.Call) -> bool:
     return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str) and not set(mode.value) & set("wax+"))
 
 
-def sites():
-    found = []
+def modules():
+    """For each module under SRC: its path relative to SRC, a function giving a node's enclosing function, its nodes."""
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
-        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+
+        def scope_of(node, parents=parents):
+            while node in parents and not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                node = parents[node]
+            return getattr(node, "name", "<module>")
+
+        yield str(path.relative_to(SRC)), scope_of, list(ast.walk(tree))
+
+
+def sites():
+    found = []
+    for rel, scope_of, nodes in modules():
+        for call in (n for n in nodes if isinstance(n, ast.Call)):
             name = ast.unparse(call.func)
             if name in ("open", "io.open", "builtins.open") and opens_for_writing(call):
                 name = "open"
             elif not (name in WATCHED or name.endswith((".write_text", ".write_bytes"))):
                 continue
-            scope = call
-            while scope in parents and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scope = parents[scope]
-            found.append((str(path.relative_to(SRC)), getattr(scope, "name", "<module>"), name))
+            found.append((rel, scope_of(call), name))
+    return found
+
+
+def namings():
+    """Every assignment to an ``.args``, and every handler of a MobanomError (or a subclass) that raises a new
+    exception, as (file, enclosing function)."""
+    errors, found = mobanom_errors(), []
+    for rel, scope_of, nodes in modules():
+        for node in nodes:
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                stores = [t for target in targets for t in ast.walk(target)]
+                if any(isinstance(t, ast.Attribute) and t.attr == "args" for t in stores):
+                    found.append((rel, scope_of(node)))
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = {ast.unparse(t).rpartition(".")[2] for t in ast.walk(node.type)}
+                raises = [n for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Raise) and n.exc]
+                if caught & errors and any(ast.unparse(r.exc) != node.name for r in raises):
+                    found.append((rel, scope_of(node)))
     return found
 
 
@@ -68,3 +109,27 @@ def test_the_scan_sees_a_write_in_place(tmp_path, monkeypatch):
     )
     monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
     assert collections.Counter(sites()) == {("rogue.py", "save", "open"): 2, ("rogue.py", "save", "os.rename"): 1}
+
+
+def test_only_the_naming_helper_puts_a_source_in_front_of_a_fault():
+    assert collections.Counter(namings()) == collections.Counter(NAMING_ALLOWED)
+
+
+def test_the_scan_sees_a_fault_rewritten_or_copied(tmp_path, monkeypatch):
+    (tmp_path / "rogue.py").write_text(
+        "from .core import ConfigError, MobanomError, core\n"
+        "def rename(exc, path):\n"
+        "    exc.args = (f'{path}: {exc}',)\n"
+        "    exc.args, exc.source = (), path\n"
+        "def wrap(path):\n"
+        "    try:\n"
+        "        load(path)\n"
+        "    except (OSError, core.InvalidInputError) as exc:\n"
+        "        raise ConfigError(f'{path}: {exc}') from exc\n"
+        "    except ValueError as exc:\n"
+        "        raise ConfigError(str(exc)) from None\n"
+        "    except MobanomError as exc:\n"
+        "        raise exc\n"
+    )
+    monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
+    assert collections.Counter(namings()) == {("rogue.py", "rename"): 2, ("rogue.py", "wrap"): 1}

@@ -436,7 +436,9 @@ class TestRunPipeline:
         ("simulate, ingest, detect", "detect needs labels, which ingest does not write: list inject after ingest"),
         ("simulate, eval", "eval needs a prior detect stage"),
         ("simulate, inject, eval, detect", "eval needs a prior detect stage"),
-    ], ids=["ingest_detect", "simulate_ingest_detect", "eval_without_detect", "eval_before_detect"])
+        # was: exit 0, the second inject rewrote inject/ under the first one's hashes and mislabelled agents
+        ("simulate, inject, inject, detect, eval", "stage 'inject' is listed twice"),
+    ], ids=["ingest_detect", "simulate_ingest_detect", "eval_without_detect", "eval_before_detect", "inject_twice"])
     def test_a_chain_whose_stage_lacks_its_input_writes_nothing(self, tmp_path, capsys, stages, named):
         # was: the stages before ran and wrote ingest/ or sim/, then the stage failed for want of labels or scores
         rows = [f"u{a},{1_600_000_000 + 60 * k},40.0,116.0" for a in range(3) for k in range(40)]
@@ -637,6 +639,13 @@ class TestIngestInputFaults:
         assert f"{poi}:3:" in err and named in err
         assert "Traceback" not in err
 
+    def test_a_repeated_place_id_names_its_line(self, csv, tmp_path, capsys):
+        # was: `poi.jsonl: duplicate place_id in PoiMap`, naming neither the line nor the id
+        poi = tmp_path / "poi.jsonl"
+        write(str(poi), self.GOOD + "\n" + self.GOOD.replace("40.0", "40.1") + "\n")
+        assert main(["--out-dir", str(tmp_path / "out"), "ingest", str(csv), "--poi-map", str(poi)]) == 1
+        assert capsys.readouterr().err.endswith(f"ingest: {poi}:2: duplicate place_id 'p1'\n")
+
     def test_missing_poi_map_exits_1(self, csv, tmp_path, capsys):
         code = main(["--out-dir", str(tmp_path / "out"), "ingest", str(csv), "--poi-map", str(tmp_path / "nope.jsonl")])
         assert code == 1
@@ -745,6 +754,52 @@ class TestDetectSettingFaults:
 def dataset_line(lat: str) -> str:
     point = f'{{"arrive":0,"depart":60,"place_id":"p","place_type":"Pub","lat":{lat},"lon":116.0}}'
     return f'{{"agent_id":"x","points":[{point}]}}'
+
+
+class TestOneSourcePerFault:
+    """A settings error names the config file alone only when the command line sets no stage value, and a fault
+    that an inner source already named (an endpoint file) keeps that source."""
+
+    def fails_with(self, capsys, argv, line):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.endswith(line + "\n")
+
+    def test_a_bad_flag_value_names_the_command_line_too(self, sim_dir, tmp_path, capsys):
+        # was: `p.ini: L must be >= 1, got 0`, blaming the file for the flag's value
+        params = tmp_path / "p.ini"
+        write(str(params), "[detect]\nwindow_days = 2\n")
+        argv = ["--out-dir", str(tmp_path / "s"), "detect", "--method", "ompad", "--in", str(sim_dir),
+                "--params", str(params), "--window-len", "0"]
+        self.fails_with(capsys, argv, f"detect: {params} and the command line: L must be >= 1, got 0")
+
+    def test_an_endpoint_file_fault_names_that_file_alone(self, sim_dir, tmp_path, capsys):
+        # was: `p.ini: endpoint file 'bad.json': ...`, naming the params file in front of the endpoint file
+        params, bad = tmp_path / "p.ini", tmp_path / "bad.json"
+        write(str(params), "[detect]\nwindow_days = 2\n")
+        write(str(bad), '{"provider": []}')
+        argv = ["--out-dir", str(tmp_path / "s"), "detect", "--method", "llm", "--in", str(sim_dir),
+                "--params", str(params), "--endpoint", str(bad)]
+        self.fails_with(capsys, argv, f"detect: endpoint file {str(bad)!r}: provider = [] is not a valid str")
+
+    def test_a_file_fault_names_the_file_alone(self, sim_dir, tmp_path, capsys):
+        params = tmp_path / "p.ini"
+        write(str(params), "[simulate]\nn_agents = 5\n")
+        argv = ["--out-dir", str(tmp_path / "s"), "detect", "--method", "ompad", "--in", str(sim_dir),
+                "--params", str(params), "--window-len", "4"]
+        self.fails_with(capsys, argv, f"detect: {params}: config file has none of the sections detect reads: "
+                                      "[llm], [detect]")
+
+    @pytest.mark.parametrize("flag, in_file, source", [
+        (["--seed", "-1"], "", "{cfg} and the command line"),
+        ([], "seed = -1\n", "{cfg}"),
+    ], ids=["flag", "file"])
+    def test_run_names_the_command_line_for_a_seed_flag(self, tmp_path, capsys, flag, in_file, source):
+        # was: `run.ini: seed must be >= 0, got -1` for the flag too
+        cfg = tmp_path / "run.ini"
+        write(str(cfg), f"[global]\nstages = simulate\n{in_file}[simulate]\nn_agents = 6\nweeks = 1\n")
+        argv = [*flag, "--config", str(cfg), "--out-dir", str(tmp_path / "run"), "run"]
+        self.fails_with(capsys, argv, f"run: {source.format(cfg=cfg)}: seed must be >= 0, got -1")
+        assert not (tmp_path / "run").exists()
 
 
 class TestArtifactInputFaults:
@@ -933,6 +988,15 @@ class TestOsErrors:
         err = capsys.readouterr().err
         assert "No space left on device" in err and "Traceback" not in err
         assert sorted(os.listdir(out)) == ["scores_ompad.jsonl.partial"]
+
+    def test_disk_full_inside_dump_prompts_keeps_the_partial_rename(self, sim_dir, tmp_path, capsys, interrupt_write):
+        # were: prompt_0000.txt and prompt_0001.txt, left under their own names
+        out = tmp_path / "prompts"
+        interrupt_write("prompt_0002.txt", OSError(28, "No space left on device"))
+        assert main(["--out-dir", str(out), "dump-prompts", "--in", str(sim_dir), "--mode", "separate"]) == 1
+        err = capsys.readouterr().err
+        assert "No space left on device" in err and "Traceback" not in err
+        assert sorted(os.listdir(out)) == ["prompt_0000.txt.partial", "prompt_0001.txt.partial"]
 
 
 class TestInterruptedWrites:

@@ -29,10 +29,12 @@ from mobanom.core import (
     config_from_mapping,
     convert_value,
     latlon_to_unit3,
+    naming,
     params_hash,
     read_dataset,
     read_jsonl,
     read_labels,
+    settings_of,
     validate_trajectory,
     write_dataset,
     write_labels,
@@ -293,6 +295,20 @@ class TestRoundTripProperties:
             with open(first, "rb") as x, open(again, "rb") as y:
                 assert x.read() == y.read()
         assert back == labels
+
+
+class TestNaming:
+    def test_the_innermost_source_names_a_fault(self):
+        with pytest.raises(ConfigError) as info:
+            with naming("outer.ini"), naming(None), naming("inner.json"):
+                raise ConfigError("bad")
+        assert str(info.value) == "inner.json: bad"
+
+    def test_none_names_nothing_and_other_errors_pass(self):
+        with pytest.raises(ConfigError, match="^bad$"), naming(None):
+            raise ConfigError("bad")
+        with pytest.raises(ValueError, match="^bad$"), naming("x.ini"):
+            raise ValueError("bad")
 
 
 class TestReadFaults:
@@ -649,7 +665,7 @@ class TestConfigFromMapping:
         def ranks(name: str, ks: list[int], scale: float = 1.0):
             return name, ks, scale
 
-        assert config_from_mapping(ranks, {"top_k": "3, 5"}, {"top_k": "ks"}, name="x") == ("x", [3, 5], 1.0)
+        assert settings_of(ranks, {"top_k": "3, 5"}, {"top_k": "ks", "scale": "scale"}) == {"ks": [3, 5], "scale": 1.0}
 
     def test_asdict_keeps_params_hash(self):
         # the values the hand-written to_dict methods hashed to

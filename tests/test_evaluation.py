@@ -48,7 +48,7 @@ def brute_force_auc(scores: dict, flags: dict) -> float:
 
 def midrank_loop_auc(scores: dict, labels: LabelSet) -> float:
     """``roc_auc`` as it was written before its midranks came from ``np.unique``: a loop over tie runs."""
-    _, y, s = _binary_arrays(scores, labels)
+    y, s = _binary_arrays(scores, labels)
     n_pos = int(y.sum())
     n_neg = len(y) - n_pos
     order = np.argsort(s, kind="stable")
@@ -301,6 +301,14 @@ class TestReport:
         # was a ValueError, which the CLI does not catch: it ended in a traceback
         with pytest.raises(InvalidInputError, match="non-finite score for 'a'"):
             ScoreTable(detector="x", scores={"a": score})
+
+    def test_a_non_finite_score_read_from_a_file_is_the_same_invalid_input(self, tmp_path):
+        # was: CorruptInputError `scores.jsonl:1: ValueError: non-finite score nan`, a second statement of the rule
+        path = tmp_path / "scores.jsonl"
+        path.write_text('{"agent_id":"a","score":NaN}\n')
+        with pytest.raises(InvalidInputError) as info:
+            ScoreTable.read(str(path))
+        assert str(info.value) == f"{path}:1: non-finite score for 'a': nan"
 
     def test_scores_reject_a_repeated_agent_id(self, tmp_path):
         text = '{"agent_id":"a","score":0.5}\n{"agent_id":"b","score":0.1}\n{"agent_id":"a","score":0.9}\n'

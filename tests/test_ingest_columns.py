@@ -324,10 +324,10 @@ def test_a_corrupt_plt_file_is_named_and_aborts_the_tree(tmp_path):
         ("u3", "d.plt"): good,
     })
     bad = os.path.join(str(tmp_path), "u2", "Trajectory", "c.plt")
-    with pytest.raises(CorruptInputError, match=re.escape(f"{bad}: 2/3 lines malformed")) as info:
+    with pytest.raises(CorruptInputError, match=re.escape(f"{bad}: 2/3 lines malformed")):
         load_plt_tree(str(tmp_path))
-    assert isinstance(info.value.__cause__, CorruptInputError)
-    assert str(info.value.__cause__) == "2/3 lines malformed"  # parse_raw_log's own message
+    with open(bad, "rb") as fh, pytest.raises(CorruptInputError, match="^2/3 lines malformed$"):  # parse_raw_log's own
+        parse_raw_log(fh.read(), "plt")
 
 
 def test_multi_agent_csv_ingests_byte_identical_to_the_oracle(tmp_path):
