@@ -3,9 +3,13 @@
 Stage outputs are plain files in the canonical formats, every ``run`` writes a
 ``manifest.json`` recording input/output hashes and wall-clock per stage, and
 reruns with an identical config (and a warm LLM cache) reproduce artifacts
-byte-for-byte.  Config files are INI-style key-value text with one section per
-stage.  A stage takes each setting from, highest first: its command-line
-flag, its own section, then ``[global]``.
+byte-for-byte at a fixed BLAS thread count: OpenBLAS splits the nets' gradient
+sums by thread, so population DAE and DSVDD scores may move in their last bits
+with the count.  The manifest's ``runtime`` record names the Python, numpy and
+BLAS versions, the CPU count and the thread variables that a run saw.
+Config files are INI-style key-value text with one section per stage.  A
+stage takes each setting from, highest first: its command-line flag, its own
+section, then ``[global]``.
 """
 
 from __future__ import annotations
@@ -17,10 +21,13 @@ import hashlib
 import json
 import logging
 import os
+import platform
 import sys
 import time
 from dataclasses import dataclass, fields
 from typing import Callable, Collection
+
+import numpy as np
 
 from . import __version__
 from .core import ConfigError, MobanomError, _meta_path, atomic_write, config_from_mapping, convert_value, naming
@@ -370,6 +377,15 @@ def _run_stage(name: str, m: dict, s, out_dir: str, hash_inputs: bool = False) -
     return {"name": name, "inputs": recorded, "outputs": outputs, "wall_clock_s": wall_clock_s}
 
 
+def _runtime() -> dict:
+    """The Python, numpy and BLAS that this run uses, the CPU count, and each BLAS thread variable (None if unset)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__, "cpu_count": os.cpu_count(),
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "threads": {var: os.environ.get(var)
+                        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+
+
 def run_pipeline(config_path: str, out_dir: str | None, seed: int | None) -> int:
     """Build every listed stage's settings, then chain the stages and write ``manifest.json``, also when one fails."""
     parser = _read_config(config_path)
@@ -410,6 +426,7 @@ def run_pipeline(config_path: str, out_dir: str | None, seed: int | None) -> int
             "config_hash": params_hash({s: dict(parser[s]) for s in parser.sections()}),
             "seed": seed if seed is not None else convert_value(int | None, "seed", glob_cfg.get("seed")),
             "status": "ok",
+            "runtime": _runtime(),
             "stages": [],
         }
     os.makedirs(out_dir, exist_ok=True)

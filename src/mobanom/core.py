@@ -404,21 +404,6 @@ def read_jsonl(path: str, record: typing.Callable[[dict], typing.Any]) -> list:
         raise CorruptInputError(f"{path}: not UTF-8 text") from None
 
 
-def trajectory_to_json(t: Trajectory) -> str:
-    points = [
-        {
-            "arrive": sp.arrive,
-            "depart": sp.depart,
-            "place_id": sp.place_id,
-            "place_type": sp.place_type,
-            "lat": sp.location.lat,
-            "lon": sp.location.lon,
-        }
-        for sp in t.points
-    ]
-    return _dumps({"agent_id": t.agent_id, "points": points})
-
-
 # The JSON type of each dataset, sidecar, label, POI-map and score value: a subclass passes (``np.float64``,
 # ``np.str_``), but a bool is never a number and ``np.float32`` is not a float.
 _STRING, _INTEGER, _INDEX = ((str,), "a string"), ((int,), "an integer"), ((int, type(None)), "an integer or null")
@@ -444,14 +429,17 @@ def _check_types(obj: dict, types: dict = _JSON_TYPES) -> None:
                 raise InvalidInputError(f"{key} must be UTF-8 text, got {value!r}")
 
 
-def _trajectory(obj: dict) -> Trajectory:
-    """The trajectory of one ``dataset.jsonl`` record; each stay and coordinate checks itself when built."""
+def _trajectory(obj: dict, places: dict) -> Trajectory:
+    """The trajectory of one ``dataset.jsonl`` record; each stay checks itself when built, and so does the
+    :class:`GeoPoint` of each ``(lat, lon)`` pair, built at its first stay in the file and shared through ``places``."""
     points = []
     for p in obj["points"]:
         arrive, depart, lat, lon = p["arrive"], p.get("depart"), p["lat"], p["lon"]
         if not (type(lat) in _NUMBER[0] and type(lon) in _NUMBER[0] and type(depart) in _INDEX[0]):
             _check_types(p)  # float() would take a bool or a string; a null depart is a zero-length stay
-        location = GeoPoint(float(lat), float(lon))
+        location = places.get((lat, lon)) or GeoPoint(float(lat), float(lon))
+        if lat and lon:  # never a zero: 0.0 == -0.0, but the two write different bytes
+            places[lat, lon] = location
         points.append(StayPoint(arrive, arrive if depart is None else depart, p["place_id"], p["place_type"], location))
     _check_types(obj)
     return _check_trajectory(Trajectory(agent_id=obj["agent_id"], points=points))
@@ -478,23 +466,38 @@ def _meta_path(path: str) -> str:
 
 
 def write_dataset(ds: Dataset, path: str) -> None:
-    """``dataset.jsonl`` and its ``.meta.json`` sidecar; what the lists and the dict can break is checked first."""
+    """``dataset.jsonl`` and its ``.meta.json`` sidecar; what the lists and the dict can break is checked first.
+
+    Each place's JSON tail is encoded once, keyed by its location's ``id``: every location lives in ``ds`` for the
+    whole call, so no id is reused.  ``int.__repr__`` is what ``json`` writes for an int or an int subclass."""
     checked = _one_line_per("agent_id", _check_types)
     for t in ds.trajectories:
         checked({"agent_id": t.agent_id})
         _check_trajectory(t)
     _check_types(ds.meta)
-    atomic_write(path, (trajectory_to_json(t) + "\n" for t in ds.trajectories))
+    tails: dict[tuple, str] = {}
+
+    def stay(sp: StayPoint) -> str:
+        key = (id(sp.location), sp.place_id, sp.place_type)
+        tail = tails.get(key) or tails.setdefault(key, _dumps({"place_id": sp.place_id, "place_type": sp.place_type,
+                                                                 "lat": sp.location.lat, "lon": sp.location.lon})[1:])
+        return f'{{"arrive":{int.__repr__(sp.arrive)},"depart":{int.__repr__(sp.depart)},{tail}'
+
+    atomic_write(path, (f'{{"agent_id":{_dumps(t.agent_id)},"points":[{",".join(map(stay, t.points))}]}}\n'
+                        for t in ds.trajectories))
     atomic_write(_meta_path(path), json.dumps(ds.meta, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def read_dataset(path: str) -> Dataset:
-    """``dataset.jsonl``, one line per agent, and its sidecar (which, when present, holds one JSON object)."""
+    """``dataset.jsonl``, one line per agent, and its sidecar (which, when present, holds one JSON object).  The
+    stays at one ``(lat, lon)`` pair of the file share one :class:`GeoPoint` unless the pair holds a zero."""
     mpath = _meta_path(path)
     meta = read_jsonl(mpath, lambda obj: _check_types(obj) or obj) if os.path.exists(mpath) else [{}]
     if len(meta) != 1:
         raise CorruptInputError(f"{mpath}: holds {len(meta)} JSON objects, not one")
-    return Dataset(trajectories=read_jsonl(path, _one_line_per("agent_id", _trajectory)), meta=meta[0])
+    places: dict[tuple, GeoPoint] = {}
+    return Dataset(trajectories=read_jsonl(path, _one_line_per("agent_id", lambda obj: _trajectory(obj, places))),
+                   meta=meta[0])
 
 
 def label_to_json(agent_id: str, e: LabelEntry) -> str:

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import os
+import platform
 import shlex
 import subprocess
 import sys
 import time
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from mobanom import cli
@@ -388,6 +390,25 @@ class TestRunPipeline:
         assert "training diverged at epoch 0" in manifest["error"]["message"]
         (simulate,) = manifest["stages"]  # the stages that finished
         assert simulate["name"] == "simulate" and str(out / "sim" / "dataset.jsonl") in simulate["outputs"]
+
+    @pytest.mark.parametrize("finishes", [True, False], ids=["ok", "failed"])
+    def test_the_manifest_names_the_runtime(self, tmp_path, monkeypatch, finishes):
+        # was: no Python, numpy or BLAS version and no thread count, which the net scores' bytes depend on
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        if finishes:
+            cfg = self.build_config(tmp_path)
+        else:
+            cfg = tmp_path / "broken.ini"
+            write(str(cfg), DIVERGING_CONFIG)
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "--out-dir", str(out), "run"]) == (0 if finishes else 1)
+        runtime = json.loads((out / "manifest.json").read_text())["runtime"]
+        assert runtime["python"] == platform.python_version() and runtime["numpy"] == np.__version__
+        assert runtime["cpu_count"] == os.cpu_count() and isinstance(runtime["blas"]["name"], str)
+        assert isinstance(runtime["blas"]["version"], str)
+        assert runtime["threads"] == {"OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+                                      "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None}
 
     @pytest.mark.parametrize("stages, section, named", [
         ("simulate, inject", "[inject]\npairs = 0\n", "n_outlier_pairs must be >= 1, got 0"),

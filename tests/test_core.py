@@ -10,7 +10,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 from features_oracle import total_travel_distance
-from hypothesis import given, settings
+from core_oracle import dataset_text
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mobanom.core import (
@@ -247,12 +248,15 @@ json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(**FI
 
 
 @st.composite
-def lawful_points(draw) -> list[StayPoint]:
-    """Stays by the trajectory rule, int64 extremes included: strictly rising arrivals, each depart from its
-    arrive up to the next arrive."""
-    arrive = sorted(draw(st.lists(st.integers(-(2**63), 2**63 - 1), unique=True, max_size=5)))
-    location = st.builds(GeoPoint, st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))
-    return [StayPoint(a, draw(st.integers(a, end)), draw(st.text()), draw(st.text()), draw(location))
+def lawful_points(draw, names=st.text(),
+                  locations=st.builds(GeoPoint, st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)),
+                  ints=st.just(int), max_size=5) -> list[StayPoint]:
+    """Stays by the trajectory rule, int64 extremes included: strictly rising arrivals (each of a type ``ints``
+    draws), each depart from its arrive up to the next arrive.  The place strings and the locations come from pools
+    of up to three, so one location object, and one place under two ids, repeat in a trajectory."""
+    arrive = sorted(draw(st.lists(st.integers(-(2**63), 2**63 - 1), unique=True, max_size=max_size)))
+    names, locations = (st.sampled_from(draw(st.lists(pool, min_size=1, max_size=3))) for pool in (names, locations))
+    return [StayPoint(draw(ints)(a), draw(st.integers(a, end)), draw(names), draw(names), draw(locations))
             for a, end in zip(arrive, arrive[1:] + [2**63 - 1])]
 
 
@@ -297,6 +301,71 @@ class TestRoundTripProperties:
         assert back == labels
 
 
+class LoudInt(int):
+    """An int whose ``str`` and ``repr`` are not its digits; ``json`` writes its digits all the same."""
+
+    def __str__(self):
+        return "loud"
+
+    __repr__ = __str__
+
+
+# Pairs that compare equal but write different bytes (0.0 and -0.0), a pair as floats and as np.float64, and
+# floats that need all 17 digits.
+COORDINATES = [(0.0, 5.5), (-0.0, 5.5), (0.0, -0.0), (-0.0, 0.0), (12.25, 5.5), (np.float64(12.25), np.float64(5.5)),
+               (1 / 3, -179.99999999999997), (-90.0, 180.0), (5e-324, 1e-300)]
+PLACE_STRINGS = ['"', "\\", "\x00\x1f\x7f\n", "café", "東京 🚉", 'a"b\\c\td']
+
+
+class TestWriterOracle:
+    """``write_dataset`` writes the bytes of the dict-based encoder in ``core_oracle``."""
+
+    locations = st.sampled_from(COORDINATES).map(lambda pair: GeoPoint(*pair))  # each draw a new object
+    names = st.one_of(st.sampled_from(PLACE_STRINGS), st.text(), st.text().map(np.str_))
+    shared, twin = GeoPoint(12.25, 5.5), GeoPoint(12.25, 5.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(lawful_points(names, locations, st.sampled_from([int, LoudInt]), max_size=12), max_size=4))
+    @example([[StayPoint(LoudInt(0), 1, "p", "Pub", shared), StayPoint(2, 3, "q", "Home", shared),
+               StayPoint(4, 5, "p", "Pub", twin), StayPoint(6, 7, np.str_('a"\\\x01é'), "東京", GeoPoint(0.0, 5.5)),
+               StayPoint(8, 9, "p", "Pub", GeoPoint(-0.0, 5.5)),
+               StayPoint(10, 11, np.str_("p"), "Pub", GeoPoint(np.float64(12.25), np.float64(5.5)))],
+              [StayPoint(0, 0, "q", "Pub", shared)]])
+    def test_the_written_bytes_are_the_oracle_lines(self, points):
+        ds = Dataset([Trajectory(np.str_(f'a"{i}') if i % 2 else f"agent{i}", p) for i, p in enumerate(points)])
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "dataset.jsonl")
+            write_dataset(ds, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == dataset_text(ds).encode("utf-8")
+
+
+class TestReadSharesPlaces:
+    """``read_dataset`` builds one GeoPoint per ``(lat, lon)`` pair of a file; the values read stay as they were."""
+
+    @staticmethod
+    def write(path, *agents):
+        """One canonical line per agent, each stay given as ``(arrive, lat, lon)`` in JSON text."""
+        stay = '{{"arrive":{0},"depart":{0},"place_id":"p","place_type":"Pub","lat":{1},"lon":{2}}}'
+        path.write_text("".join(f'{{"agent_id":"a{i}","points":[{",".join(stay.format(*s) for s in stays)}]}}\n'
+                                for i, stays in enumerate(agents)))
+
+    def test_every_stay_at_one_pair_shares_its_geopoint(self, tmp_path):
+        path = tmp_path / "dataset.jsonl"
+        self.write(path, [(0, "40.5", "116.25"), (1, "41", "116.25")], [(0, "41.0", "116.25"), (1, "40.5", "116.25")])
+        a, b = read_dataset(str(path)).trajectories
+        assert a.points[0].location is b.points[1].location == GeoPoint(40.5, 116.25)
+        assert a.points[1].location is b.points[0].location == GeoPoint(41.0, 116.25)
+        assert type(a.points[1].location.lat) is float
+
+    def test_zero_and_minus_zero_come_back_byte_identical(self, tmp_path):
+        path, again = tmp_path / "dataset.jsonl", tmp_path / "again.jsonl"
+        self.write(path, [(0, "0.0", "5.5"), (1, "-0.0", "5.5"), (2, "0.0", "-0.0"), (3, "-0.0", "0.0")],
+                   [(0, "-0.0", "5.5"), (1, "0.0", "5.5"), (2, "-0.0", "0.0"), (3, "0.0", "-0.0")])
+        write_dataset(read_dataset(str(path)), str(again))
+        assert again.read_bytes() == path.read_bytes()
+
+
 class TestNaming:
     def test_the_innermost_source_names_a_fault(self):
         with pytest.raises(ConfigError) as info:
@@ -314,14 +383,17 @@ class TestNaming:
 class TestReadFaults:
     @pytest.mark.parametrize(
         "lat, lon, named",
-        [("NaN", "116.0", "non-finite"), ("40.0", "Infinity", "non-finite"), ("90.5", "116.0", "latitude out of range"),
-         ("40.0", "-180.5", "longitude out of range")],
+        [("NaN", "116.0", "non-finite coordinates: (nan, 116.0)"),
+         ("40.0", "Infinity", "non-finite coordinates: (40.0, inf)"),
+         ("90.5", "116.0", "latitude out of range: 90.5"), ("40.0", "-180.5", "longitude out of range: -180.5")],
     )
     def test_dataset_coordinates_are_validated(self, tmp_path, lat, lon, named):
+        # the bad pair again on a later line: a coordinate that failed is never shared, so the first line is named
         path = tmp_path / "dataset.jsonl"
         point = f'{{"arrive":0,"depart":1,"place_id":"p","place_type":"Pub","lat":{lat},"lon":{lon}}}'
-        path.write_text(f'{{"agent_id":"a","points":[]}}\n{{"agent_id":"b","points":[{point}]}}\n')
-        with pytest.raises(InvalidInputError, match=f"{path}:2: {named}"):
+        path.write_text('{"agent_id":"a","points":[]}\n'
+                        + "".join(f'{{"agent_id":"{a}","points":[{point}]}}\n' for a in "bc"))
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(f'{path}:2: {named}')}$"):
             read_dataset(str(path))
 
     @pytest.mark.parametrize(
@@ -400,14 +472,19 @@ class TestReadFaults:
          ("place_id", "5", "place_id must be a string, got 5"),
          ("place_type", "null", "place_type must be a string, got None"),
          ("lat", '"40.5"', "lat must be a number, got '40.5'"),
-         ("lon", "true", "lon must be a number, got True")],
+         ("lon", "true", "lon must be a number, got True"),
+         ("place_id", '["x"]', "place_id must be a string, got ['x']"),
+         ("place_type", '{"x":1}', "place_type must be a string, got {'x': 1}")],
     )
     def test_dataset_values_must_have_their_json_type(self, tmp_path, key, value, named):
+        # the bad stay follows a lawful one at the same place, whose GeoPoint it shares: an unhashable place
+        # string is still named by its type, not a CorruptInputError from a cache key
+        lawful = '{"arrive":-2,"depart":-1,"place_id":"p","place_type":"Pub","lat":40,"lon":116.5}'
         record = {"agent_id": '"a"', "arrive": "0", "depart": "1", "place_id": '"p"', "place_type": '"Pub"',
                   "lat": "40", "lon": "116.5", key: value}
         point = ",".join(f'"{k}":{v}' for k, v in record.items() if k != "agent_id")
         path = tmp_path / "dataset.jsonl"
-        path.write_text(f'{{"agent_id":{record["agent_id"]},"points":[{{{point}}}]}}\n')
+        path.write_text(f'{{"agent_id":{record["agent_id"]},"points":[{lawful},{{{point}}}]}}\n')
         with pytest.raises(InvalidInputError, match=re.escape(f"{path}:1: {named}")):
             read_dataset(str(path))
 
