@@ -160,7 +160,7 @@ def read_endpoint_file(path: str) -> LlmEndpointConfig:
 def _write_data(out_dir: str, outputs: list[str], ds, labels=None) -> None:
     os.makedirs(out_dir, exist_ok=True)
     ds_path = os.path.join(out_dir, "dataset.jsonl")
-    outputs += [ds_path, os.path.join(out_dir, "dataset.meta.json")]
+    outputs += [ds_path, _meta_path(ds_path)]
     write_dataset(ds, ds_path)
     if labels is not None:
         lb_path = os.path.join(out_dir, "labels.jsonl")
@@ -205,9 +205,11 @@ def _detect_settings(m: dict) -> dict:
     methods = [x.strip() for x in str(m.get("methods", m.get("method", "ompad"))).split(",") if x.strip()]
     if not methods:
         raise ConfigError(f"detect needs at least one method of {', '.join(DETECT_METHODS)}")
-    for method in methods:
+    for i, method in enumerate(methods):
         if method not in DETECT_METHODS:
             raise ConfigError(f"unknown detect method {method!r}")
+        if method in methods[:i]:  # a second run would score the same agents again and rewrite its score file
+            raise ConfigError(f"method {method!r} is listed twice")
     if m.get("out") and len(methods) != 1:
         raise ConfigError("--out applies to a single method")
     s = {"methods": methods, "out": m.get("out"), "split": _split_settings(m)}

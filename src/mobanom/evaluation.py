@@ -89,12 +89,14 @@ def _ranked_agents(scores: dict[str, float]) -> list[str]:
 
 
 def check_ks(ks: list[int]) -> None:
-    """ConfigError unless ``ks`` names at least one K and every K is >= 1."""
+    """ConfigError unless ``ks`` names at least one K, every K is >= 1 and none is listed twice."""
     if not ks:
         raise ConfigError("make_report needs at least one score table and one K")
-    for k in ks:
+    for i, k in enumerate(ks):
         if k < 1:
             raise ConfigError(f"K must be >= 1, got {k}")
+        if k in ks[:i]:  # a report column per K: two would share one name
+            raise ConfigError(f"K {k} is listed twice")
 
 
 def top_k_hits(scores: ScoreTable | dict[str, float], labels: LabelSet, k: int) -> int:

@@ -37,7 +37,8 @@ from ..core import (
 )
 from ..detectors.features import SplitSpec
 from ..evaluation import ScoreTable
-from .prompts import DEFAULT_TEMPLATE, PromptBundle, build_prompt, normalize_mode, parse_combine_scores, parse_separate_score
+from .prompts import DEFAULT_TEMPLATE, PromptBundle, _assemble, _sequence, _stay_labels, check_template, normalize_mode
+from .prompts import parse_combine_scores, parse_separate_score
 
 log = logging.getLogger(__name__)
 
@@ -257,23 +258,25 @@ def build_bundles(
     are given.
     """
     mode = normalize_mode(mode)
-    deviate_indices: dict[str, int] = {}
-    if mode.endswith("_hint"):
-        if split is None:
-            split = SplitSpec.from_labels(ds, labels)
-        deviate_indices = {t.agent_id: min(split.train_count(t), max(0, len(t.points) - 1)) for t in ds.trajectories}
-
-    separate = mode.startswith("separate")
-    batches: list[list] = []  # a separate-mode batch holds one trajectory
-    batch_chars = 0
+    check_template(template_version)
+    hint, separate = mode.endswith("_hint"), mode.startswith("separate")
+    if hint and split is None:
+        split = SplitSpec.from_labels(ds, labels)
+    overhead = len(_assemble("separate", template_version, [""]))  # a trajectory costs its separate prompt's length
+    batches, batch_chars = [], 0  # each batch a list of (agent id, sequence) pairs; a separate-mode batch holds one
     for t in (t for t in ds.trajectories if t.points):
-        cost = 0 if separate else len(build_prompt("separate", [t], {}, template_version).text)
+        stays = _stay_labels(t)
+        seq = _sequence(stays, min(split.train_count(t), len(stays) - 1) if hint else None)
+        cost = overhead + len(_sequence(stays) if hint else seq)  # the budget counts the unmarked sequence
         if separate or not batches or batch_chars + cost > COMBINE_CHAR_BUDGET:
             batches.append([])
             batch_chars = 0
-        batches[-1].append(t)
+        batches[-1].append((t.agent_id, seq))
         batch_chars += cost
-    return [build_prompt(mode, batch, deviate_indices, template_version) for batch in batches]
+    for i, batch in enumerate(batches):  # in place, so that each batch's sequences go as its prompt is assembled
+        batches[i] = PromptBundle(_assemble(mode, template_version, [seq for _, seq in batch]),
+                                  [agent_id for agent_id, _ in batch], mode, template_version)
+    return batches
 
 
 def run_llm_detection(

@@ -50,6 +50,22 @@ def _clock_label(ts: int) -> str:
     return f"{day} {sod // 3600:02d}:{sod % 3600 // 60:02d}"
 
 
+def _stay_labels(t: Trajectory) -> list[tuple[str, str]]:
+    """Each stay's ``Ddd HH:MM, Type`` head and its ``, <dist> km ->`` tail to the next stay (none after the last)."""
+    pts = t.points
+    tails = [f", {haversine_km(a.location, b.location):.1f} km ->" for a, b in zip(pts, pts[1:])] + [""]
+    return [(f"{_clock_label(sp.arrive)}, {sp.place_type}", tail) for sp, tail in zip(pts, tails)]
+
+
+def _sequence(labels: list[tuple[str, str]], deviate_index: int | None = None) -> str:
+    """The labels joined, with the deviate marker right after the place type of stay ``deviate_index``."""
+    if deviate_index is not None and not (0 <= deviate_index < len(labels)):
+        raise InvalidInputError(f"deviate_index {deviate_index} out of range")
+    # "Pub ***<deviate-point>*** , 1.5 km ->": the marker keeps a space on each side, and ends the last stay's label
+    return "".join(f"{head} {DEVIATE_MARKER} {tail}".rstrip() if i == deviate_index else head + tail
+                   for i, (head, tail) in enumerate(labels))
+
+
 def render_stay_sequence(t: Trajectory, deviate_index: int | None = None) -> str:
     """Render a trajectory as ``Ddd HH:MM, Type, <dist> km ->...`` text.
 
@@ -59,20 +75,7 @@ def render_stay_sequence(t: Trajectory, deviate_index: int | None = None) -> str
     """
     if not t.points:
         raise InvalidInputError("cannot render an empty trajectory")
-    if deviate_index is not None and not (0 <= deviate_index < len(t.points)):
-        raise InvalidInputError(f"deviate_index {deviate_index} out of range")
-    parts = []
-    for i, sp in enumerate(t.points):
-        label = f"{_clock_label(sp.arrive)}, {sp.place_type}"
-        marked = i == deviate_index
-        if marked:
-            label += f" {DEVIATE_MARKER}"
-        if i + 1 < len(t.points):
-            dist = haversine_km(sp.location, t.points[i + 1].location)
-            # the marker keeps a space on both sides: "Pub ***<deviate-point>*** , 1.5 km"
-            label += f" , {dist:.1f} km ->" if marked else f", {dist:.1f} km ->"
-        parts.append(label)
-    return "".join(parts)
+    return _sequence(_stay_labels(t), deviate_index)
 
 
 # the wording of one template version; task_combine holds "{n}" for the number of users
@@ -190,28 +193,22 @@ def build_prompt(
         missing = [t.agent_id for t in trajectories if t.agent_id not in deviate_indices]
         if missing:
             raise ConfigError(f"hint mode needs deviate indices for agents: {missing}")
+    if mode.startswith("separate") and len(trajectories) != 1:
+        raise ConfigError(f"separate modes render one trajectory, got {len(trajectories)}")
+    sequences = [render_stay_sequence(t, deviate_indices.get(t.agent_id) if hint else None) for t in trajectories]
+    return PromptBundle(_assemble(mode, template_version, sequences), [t.agent_id for t in trajectories], mode,
+                        template_version)
 
+
+def _assemble(mode: str, template_version: str, sequences: list[str]) -> str:
+    """The text of a prompt in ``mode`` around the rendered sequences: one for a separate mode, one per user else."""
     tpl = TEMPLATES[template_version]
+    hint = [tpl.hint] if mode.endswith("_hint") else []
     if mode.startswith("separate"):
-        if len(trajectories) != 1:
-            raise ConfigError(f"separate modes render one trajectory, got {len(trajectories)}")
-        t = trajectories[0]
-        seq = render_stay_sequence(t, deviate_indices.get(t.agent_id) if hint else None)
-        lines = [tpl.task_separate, *([tpl.hint] if hint else []), tpl.description,
-                 f"{tpl.sequence_prefix}{seq}.", tpl.closing_separate]
-    else:
-        lines = [tpl.task_combine.format(n=len(trajectories)), *([tpl.hint] if hint else [])]
-        for i, t in enumerate(trajectories, start=1):
-            seq = render_stay_sequence(t, deviate_indices.get(t.agent_id) if hint else None)
-            lines.append(f"Here is the sequence of user {i}: {seq}")
-        lines.append(tpl.closing_combine)
-
-    return PromptBundle(
-        text="\n".join(lines),
-        agent_ids=[t.agent_id for t in trajectories],
-        mode=mode,
-        template_version=template_version,
-    )
+        return "\n".join([tpl.task_separate, *hint, tpl.description, f"{tpl.sequence_prefix}{sequences[0]}.",
+                          tpl.closing_separate])
+    users = (f"Here is the sequence of user {i}: {seq}" for i, seq in enumerate(sequences, start=1))
+    return "\n".join([tpl.task_combine.format(n=len(sequences)), *hint, *users, tpl.closing_combine])
 
 
 _BRACKET_RE = re.compile(r"\[([^\[\]]*)\]")

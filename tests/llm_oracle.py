@@ -1,0 +1,42 @@
+"""Packing by whole prompts: the ``build_bundles`` that ``mobanom.llm.client`` replaced with one rendering per trajectory.
+
+Here every combine-mode trajectory is composed twice: once as a throwaway
+separate prompt, only to measure it against ``COMBINE_CHAR_BUDGET``, and once
+more inside its batch, through the public ``build_prompt``.  It lives on only
+as the test oracle: ``build_bundles`` must give the same bundles, text, agent
+ids, mode and template version included.
+"""
+
+from __future__ import annotations
+
+from mobanom.core import Dataset, LabelSet
+from mobanom.detectors.features import SplitSpec
+from mobanom.llm import client
+from mobanom.llm.prompts import DEFAULT_TEMPLATE, PromptBundle, build_prompt, normalize_mode
+
+
+def build_bundles(
+    ds: Dataset,
+    labels: LabelSet,
+    mode: str,
+    template_version: str = DEFAULT_TEMPLATE,
+    split: SplitSpec | None = None,
+) -> list[PromptBundle]:
+    mode = normalize_mode(mode)
+    deviate_indices: dict[str, int] = {}
+    if mode.endswith("_hint"):
+        if split is None:
+            split = SplitSpec.from_labels(ds, labels)
+        deviate_indices = {t.agent_id: min(split.train_count(t), max(0, len(t.points) - 1)) for t in ds.trajectories}
+
+    separate = mode.startswith("separate")
+    batches: list[list] = []  # a separate-mode batch holds one trajectory
+    batch_chars = 0
+    for t in (t for t in ds.trajectories if t.points):
+        cost = 0 if separate else len(build_prompt("separate", [t], {}, template_version).text)
+        if separate or not batches or batch_chars + cost > client.COMBINE_CHAR_BUDGET:
+            batches.append([])
+            batch_chars = 0
+        batches[-1].append(t)
+        batch_chars += cost
+    return [build_prompt(mode, batch, deviate_indices, template_version) for batch in batches]

@@ -151,6 +151,17 @@ class TestDetectAndEval:
         assert code == 0
         assert report_path.exists()
 
+    def test_a_k_listed_twice_writes_nothing(self, sim_dir, tmp_path, capsys):
+        # was: exit 0, with a report.csv whose header held top_1_hits twice
+        scores = tmp_path / "scores"
+        assert main(["--out-dir", str(scores), "detect", "--method", "ompad", "--in", str(sim_dir)]) == 0
+        out = tmp_path / "report"
+        assert main(["--out-dir", str(out), "eval", "--scores", str(scores / "scores_ompad.jsonl"),
+                     "--labels", str(sim_dir / "labels.jsonl"), "--top-k", "1,1"]) == 1
+        err = capsys.readouterr().err
+        assert "K 1 is listed twice" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_out_with_multiple_methods_rejected(self, sim_dir, tmp_path):
         code = main([
             "--out-dir", str(tmp_path / "m"),
@@ -422,8 +433,11 @@ class TestRunPipeline:
         ("simulate, detect", "[detect]\nmethods = ompad, traod\ntraod_d = -1\n",
          "D must be None or finite and >= 0, got -1.0"),
         ("simulate, detect, eval", "[detect]\nmethods = ompad\n\n[eval]\ntop_k = 0\n", "K must be >= 1, got 0"),
+        # was: exit 0, with OMPAD scored twice, or a report.csv whose header held top_2_hits twice
+        ("simulate, detect", "[detect]\nmethods = ompad, monav, ompad\n", "method 'ompad' is listed twice"),
+        ("simulate, detect, eval", "[detect]\nmethods = ompad\n\n[eval]\ntop_k = 2, 1, 2\n", "K 2 is listed twice"),
     ], ids=["inject_pairs", "dae_epochs", "dae_scope", "window_len", "llm_mode", "llm_template", "traod_d",
-            "eval_top_k"])
+            "eval_top_k", "method_twice", "eval_top_k_twice"])
     def test_a_bad_setting_of_the_last_stage_writes_nothing(self, tmp_path, capsys, stages, section, named):
         # was: the earlier stages ran and wrote sim/ (and more) before the bad setting was found
         endpoint = tmp_path / "endpoint.json"
@@ -746,7 +760,9 @@ class TestDetectSettingFaults:
         ("traod,dae", ["--window-len", "0"], "", "L must be >= 1, got 0"),
         ("traod,monav", ["--window-days", "0"], "", "a window must last at least 1 second"),
         ("monav,llm", ["--mode", "bogus", "--endpoint", "{tmp}/mock.json"], "", "unknown prompt mode 'bogus'"),
-    ], ids=["traod", "llm", "window_len", "window_days", "llm_mode"])
+        # was: exit 0, with OMPAD scored twice and scores_ompad.jsonl written twice
+        ("ompad,ompad,monav", [], "", "method 'ompad' is listed twice"),
+    ], ids=["traod", "llm", "window_len", "window_days", "llm_mode", "method_twice"])
     def test_a_bad_setting_of_a_later_method_writes_nothing(self, sim_dir, tmp_path, capsys, methods, args, params,
                                                             named):
         # was: the first method scored, and its score file was left as scores_<method>.jsonl.partial

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobanom.core import InvalidInputError, LabelEntry, LabelSet, UndefinedMetricError, atomic_write
-from mobanom.evaluation import ScoreTable, _binary_arrays, average_precision, make_report, roc_auc, top_k_hits
+from mobanom.core import ConfigError, InvalidInputError, LabelEntry, LabelSet, UndefinedMetricError, atomic_write
+from mobanom.evaluation import ScoreTable, _binary_arrays, average_precision, check_ks, make_report, roc_auc, top_k_hits
 
 
 def labels_from(flags: dict) -> LabelSet:
@@ -288,6 +288,13 @@ class TestReport:
         assert report.to_text() == expected
         csv = report.to_csv()
         assert csv.splitlines()[0] == "detector,top_1_hits,top_2_hits,ap,auc,n_agents,n_outliers,omitted_agents"
+
+    def test_a_k_listed_twice_is_refused(self):
+        # was: a report whose header held top_1_hits twice
+        table = ScoreTable(detector="ompad", scores={"a": 0.9, "b": 0.2})
+        for check in (lambda: check_ks([2, 1, 2]), lambda: make_report([table], labels_from({"a": 1, "b": 0}), [1, 1])):
+            with pytest.raises(ConfigError, match=r"^K \d is listed twice$"):
+                check()
 
     def test_scores_jsonl_round_trip(self):
         table = ScoreTable(detector="ompad", scores={"a": 0.25, "b": 1.5}, params_hash="abc")

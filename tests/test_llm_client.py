@@ -9,9 +9,14 @@ import sys
 import threading
 from unittest import mock
 
+import llm_oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mobanom.core import AuthError, ConfigError, EndpointError, LabelEntry, LabelSet
+from mobanom.core import (
+    AuthError, ConfigError, Dataset, EndpointError, GeoPoint, LabelEntry, LabelSet, MobanomError, StayPoint, Trajectory,
+)
 from mobanom.detectors import SplitSpec
 from mobanom.evaluation import roc_auc
 from mobanom.llm import (
@@ -212,6 +217,57 @@ class TestBundling:
         every = SplitSpec(split_index={**{t.agent_id: len(t.points) for t in ds.trajectories}, first: 1})
         texts = [b.text for b in build_bundles(ds, labels, mode, split=SplitSpec(split_index={first: 1}))]
         assert texts == [b.text for b in build_bundles(ds, labels, mode, split=every)]
+
+
+@st.composite
+def packing_cases(draw):
+    """A dataset of up to 6 agents with up to 5 stays each (empty and one-stay trajectories included), its labels, a
+    mode, a template, a split and a combine budget.  Agent ids repeat outside the hint modes.  A hint mode's split is
+    None (the labels and the sidecar's fallback) or names some agents, at indices from -1 to past the last stay.  The
+    budget is drawn from the sums of consecutive trajectories' costs, so that a batch lands exactly on it, from one
+    under a trajectory's cost, so that it is over the budget on its own, or from 0 to 2,000."""
+    mode, template_version = draw(st.sampled_from(prompts.MODES)), draw(st.sampled_from(prompts.TEMPLATE_VERSIONS))
+    hint = mode.endswith("_hint")
+    ids = draw(st.lists(st.sampled_from("abcdefgh"), max_size=6, unique=hint))
+    trajectories = []
+    for agent_id in ids:
+        arrive = sorted(draw(st.lists(st.integers(0, 28 * 86400), unique=True, max_size=5)))
+        locations = st.builds(GeoPoint, st.floats(39.0, 41.0), st.floats(116.0, 118.0))
+        trajectories.append(Trajectory(agent_id, [StayPoint(a, a, f"p{i}", draw(st.sampled_from(["Home", "Pub"])),
+                                                            draw(locations)) for i, a in enumerate(arrive)]))
+    ds = Dataset(trajectories, {"switch_fraction": draw(st.floats(0.0, 1.0))})
+    labels = LabelSet({t.agent_id: LabelEntry(True, "imposter", draw(st.integers(0, len(t.points) - 1)))
+                       if t.points and draw(st.booleans()) else LabelEntry(False) for t in trajectories})
+    named = draw(st.lists(st.sampled_from(ids), unique=True)) if ids else []
+    split = SplitSpec({agent_id: draw(st.integers(-1, 6)) for agent_id in named}) if draw(st.booleans()) else None
+    costs = [len(build_prompt("separate", [t], {}, template_version).text) for t in trajectories if t.points]
+    runs = [sum(costs[i:j]) for i in range(len(costs)) for j in range(i + 1, len(costs) + 1)]
+    budget = draw(st.one_of(st.sampled_from(runs + [c - 1 for c in costs] or [0]), st.integers(0, 2000)))
+    return ds, labels, mode, template_version, split if hint else None, budget
+
+
+def bundles_or_fault(build, *args):
+    try:
+        return build(*args)
+    except MobanomError as exc:
+        return type(exc), str(exc)
+
+
+class TestPackingOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(packing_cases())
+    def test_bundles_match_the_oracle(self, case):
+        *args, budget = case
+        with mock.patch.object(client, "COMBINE_CHAR_BUDGET", budget):
+            got, want = (bundles_or_fault(build, *args) for build in (build_bundles, llm_oracle.build_bundles))
+        assert got == want
+
+    @pytest.mark.parametrize("mode", prompts.MODES)
+    def test_each_hop_is_measured_once(self, sim, mode):
+        hops = sum(max(0, len(t.points) - 1) for t in sim.dataset.trajectories)
+        with mock.patch.object(prompts, "haversine_km", side_effect=prompts.haversine_km) as measure:
+            build_bundles(sim.dataset, sim.labels, mode)
+        assert measure.call_count == hops
 
 
 class TestDumpPrompts:

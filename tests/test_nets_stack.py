@@ -16,7 +16,7 @@ from mobanom.core import TrainingDivergedError
 from mobanom.detectors import (
     NetHyper, SplitSpec, TinyNet, Windows, WindowedFeatures, build_windows, dae_score, dsvdd_score, nets, train_network,
 )
-from mobanom.evaluation import average_precision, roc_auc
+from mobanom.evaluation import ScoreTable, average_precision, roc_auc
 from mobanom.inject import InjectConfig, inject_imposter
 from mobanom.simulator import SimConfig, simulate
 
@@ -159,6 +159,37 @@ def test_bit_equality_holds_at_one_and_two_blas_threads(threads):
     assert done.returncode == 0, done.stderr
     shape = json.loads(done.stdout.splitlines()[-1])
     assert shape["rows"] * shape["dim"] * (shape["dim"] // 4) > 2**18
+
+
+# One population DAE on the perfbench ``nets`` shape: 50 agents x 4 weeks, 3 pairs, 1-day windows, L = 16.
+CROSS_THREADS_SCRIPT = """
+import sys
+from mobanom.detectors import NetHyper, SplitSpec, build_windows, dae_score
+from mobanom.inject import InjectConfig, inject_imposter
+from mobanom.simulator import SimConfig, simulate
+ds, labels = inject_imposter(simulate(SimConfig(n_agents=50, weeks=4, n_hunger=0, n_social=0, n_work=0, seed=0)).dataset,
+                             InjectConfig(n_outlier_pairs=3, seed=0))
+feat = build_windows(ds, SplitSpec.from_labels(ds, labels), window_days=1.0, L=16)
+sys.stdout.write(dae_score(feat, NetHyper(), scope="population").to_jsonl())
+"""
+
+
+def test_population_scores_hold_across_blas_thread_counts():
+    """The rule that the README and ``cli.py`` state: a thread count repeats its own bytes, and across 1 and 2
+    threads the scores keep the same agents, the same order by (-score, id), and every score within 1e-5 relative."""
+    runs = []
+    for threads in ("1", "2", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=SRC)
+        done = subprocess.run([sys.executable, "-c", CROSS_THREADS_SCRIPT], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        runs.append(done.stdout)
+    assert runs[1] == runs[2]
+    one, two = (ScoreTable.from_jsonl(text).scores for text in runs[:2])
+    assert sorted(one, key=lambda a: (-one[a], a)) == sorted(two, key=lambda a: (-two[a], a))
+    for agent, score in one.items():
+        assert two[agent] == pytest.approx(score, rel=1e-5, abs=0)
 
 
 def test_float32_scores_keep_the_float64_ranks_auc_and_ap():
