@@ -10,7 +10,7 @@ outliers pick venues at random, work outliers stop showing up at work.
 
 import collections
 
-from mobanom import SimConfig, simulate, validate_trajectory, write_dataset, write_labels
+from mobanom import SimConfig, simulate, write_dataset, write_labels
 
 # A small population keeps this demo instant; defaults are 1000 agents / 4 weeks.
 config = SimConfig(n_agents=50, weeks=2, n_hunger=3, n_social=3, n_work=3, seed=7)
@@ -19,10 +19,6 @@ result = simulate(config)
 print(f"agents:   {len(result.dataset.trajectories)}")
 print(f"outliers: {result.labels.n_outliers()} "
       f"(onset at tick {result.onset_tick} of {config.total_ticks})")
-
-# Every trajectory satisfies the stay-point invariants.
-bad = [t.agent_id for t in result.dataset.trajectories if validate_trajectory(t)]
-print(f"invalid trajectories: {bad or 'none'}")
 
 # What does a day look like?  Count visited place types for one normal agent
 # and one work outlier.

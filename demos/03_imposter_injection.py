@@ -9,7 +9,7 @@ become "imposters" whose later behavior belongs to someone else -- with exact
 ground-truth deviate indices for free.
 """
 
-from mobanom import InjectConfig, SimConfig, inject_imposter, simulate, validate_trajectory
+from mobanom import InjectConfig, SimConfig, inject_imposter, simulate
 
 base = simulate(SimConfig(n_agents=30, weeks=2, n_hunger=0, n_social=0, n_work=0, seed=3))
 print(f"simulated {len(base.dataset.trajectories)} normal agents")
@@ -19,7 +19,8 @@ outliers = labels.outlier_ids()
 print(f"labeled imposters: {len(outliers)} (5 pairs)")
 
 # The swap only changes ownership: together, a pair keeps the same multiset of
-# stay points, and every output trajectory is still monotone in time.
+# stay points, and every output trajectory is still monotone in time (each
+# Trajectory checks that when it is built).
 before = base.dataset.by_agent()
 after = injected.by_agent()
 for agent_id in outliers[:2]:
@@ -29,7 +30,6 @@ for agent_id in outliers[:2]:
     swapped_in = sum(1 for p in t.points if p.place_id not in own)
     print(f"\n{agent_id}: deviate_index={e.deviate_index}, "
           f"{swapped_in}/{len(t.points)} stay points now belong to the partner")
-    assert validate_trajectory(t) == []
     assert all(p.place_id in own for p in t.points[: e.deviate_index])
 
 untouched = [a for a in after if not labels.entries[a].is_outlier]

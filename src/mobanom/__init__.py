@@ -16,7 +16,6 @@ from .core import (
     latlon_to_unit3,
     read_dataset,
     read_labels,
-    validate_trajectory,
     write_dataset,
     write_labels,
 )

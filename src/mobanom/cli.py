@@ -117,13 +117,18 @@ def _file_settings(parser: configparser.ConfigParser, name: str, strict: bool) -
 
     ``strict`` rejects a sectioned file that holds none of the stage's own
     sections (its extra sections and [name]); a flat file applies to any stage.
+    A key of [name] that a stage with declared ``keys`` does not read is refused.
     """
     if not parser.sections():
         settings = dict(parser.defaults())
     else:
-        own = (*STAGES[name].sections, name)
+        own, keys = (*STAGES[name].sections, name), STAGES[name].keys
         if strict and not any(parser.has_section(section) for section in own):
             raise ConfigError(f"config file has none of the sections {name} reads: [{'], ['.join(own)}]")
+        if keys is not None and parser.has_section(name):
+            for key in parser[name]:
+                if key not in keys and key not in parser.defaults():  # the lines before the first header are shared
+                    raise ConfigError(f"unknown key {key!r} in [{name}]")
         settings = {}
         for section in ("global", *own):
             if parser.has_section(section):
@@ -174,11 +179,14 @@ def stage_simulate(config: SimConfig, inputs: list[str], out_dir: str, outputs: 
     log.info("simulated %d agents, %d outliers", config.n_agents, result.labels.n_outliers())
 
 
+_INGEST_KEYS = {"format": "format_tag", "min_records": "min_points"}
+_INJECT_KEYS = {"pairs": "n_outlier_pairs", "switch_fraction": "switch_fraction", "seed": "seed"}
+
+
 def _ingest_settings(m: dict) -> dict:
     if not m.get("input"):
         raise ConfigError("ingest needs an input path")
-    keys = {"format": "format_tag", "min_records": "min_points"}
-    return {"params": config_from_mapping(StayPointParams, m), **settings_of(ingest_dataset, m, keys)}
+    return {"params": config_from_mapping(StayPointParams, m), **settings_of(ingest_dataset, m, _INGEST_KEYS)}
 
 
 def stage_ingest(s: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
@@ -329,24 +337,28 @@ class Stage:
     chain: Callable[[str], dict] | None = None  # data dir -> path settings under `run`
     data: bool = False  # writes the dataset that later `run` stages read
     sections: tuple[str, ...] = ()  # config sections merged between [global] and the stage's own
+    # the keys of its own section that the stage reads, each on every run; None: read per listed method, or shared
+    keys: tuple[str, ...] | None = None
 
 
 STAGES = {
-    "simulate": Stage(lambda m: config_from_mapping(SimConfig, m), stage_simulate, lambda m, s: [], "sim", data=True),
-    "ingest": Stage(_ingest_settings, stage_ingest, _ingest_inputs, "ingest", data=True),
+    "simulate": Stage(lambda m: config_from_mapping(SimConfig, m), stage_simulate, lambda m, s: [], "sim", data=True,
+                      keys=tuple(f.name for f in fields(SimConfig))),
+    "ingest": Stage(_ingest_settings, stage_ingest, _ingest_inputs, "ingest", data=True,
+                    keys=("input", "poi_map", *_INGEST_KEYS, *(f.name for f in fields(StayPointParams)))),
     "inject": Stage(
-        lambda m: config_from_mapping(InjectConfig, m, {"pairs": "n_outlier_pairs",
-                                                        "switch_fraction": "switch_fraction", "seed": "seed"}),
+        lambda m: config_from_mapping(InjectConfig, m, _INJECT_KEYS),
         stage_inject,
         lambda m, s: _with_meta(m["in"]),
         "inject",
         chain=lambda data: {"in": os.path.join(data, "dataset.jsonl")},
         data=True,
+        keys=tuple(_INJECT_KEYS),
     ),
     "detect": Stage(_detect_settings, stage_detect, _data_dir_inputs, "scores", chain=lambda data: {"in": data},
                     sections=("llm",)),
     "eval": Stage(_eval_settings, stage_eval, _eval_inputs, "",
-                  chain=lambda data: {"labels": os.path.join(data, "labels.jsonl")}),
+                  chain=lambda data: {"labels": os.path.join(data, "labels.jsonl")}, keys=("top_k",)),
     "dump-prompts": Stage(_dump_prompts_settings, stage_dump_prompts, _data_dir_inputs, None,
                           sections=("llm", "detect")),
 }

@@ -12,11 +12,11 @@ File formats
         {"agent_id": ..., "points": [{"arrive": ..., "depart": ..., "place_id": ...,
                                       "place_type": ..., "lat": ..., "lon": ...}, ...]}
 
-    ``arrive``/``depart`` are integer UTC epoch seconds, and each trajectory
-    obeys :func:`validate_trajectory` on write and on read.  Dataset-level
-    provenance (``meta``) is stored in a sidecar ``<name>.meta.json`` next to
-    the JSONL file so the per-line schema stays pure while round trips stay
-    lossless.
+    ``arrive``/``depart`` are integer UTC epoch seconds, and each trajectory obeys
+    the trajectory rule (:func:`_stay_fault`), checked wherever a :class:`Trajectory`
+    is built.  Dataset-level provenance (``meta``) is stored in a sidecar
+    ``<name>.meta.json`` next to the JSONL file so the per-line schema stays pure
+    while round trips stay lossless.
 
 ``labels.jsonl``
     One JSON object per line::
@@ -25,7 +25,8 @@ File formats
 
 Every file mobanom writes goes through :func:`atomic_write`, and every JSONL
 file it reads through :func:`read_jsonl`, whose errors name ``path:line``.
-Each record checks its values when it is built; only integer coordinates become floats on read.
+Each record checks its values when built and cannot change after, so the writers only
+encode; only integer coordinates become floats on read.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import re
 import threading
 import typing
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -141,21 +143,42 @@ class StayPoint:
                           "place_type": self.place_type}, _STAY_TYPES)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered stay points of one agent."""
+    """Time-ordered stay points of one agent, checked when built: a string ``agent_id``, then the trajectory rule
+    (:func:`_stay_fault`) at each stay in turn.  ``points`` may be given as any iterable; it is kept as a tuple."""
 
     agent_id: str
-    points: list[StayPoint] = field(default_factory=list)
+    points: tuple[StayPoint, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "points", tuple(self.points))
+        _check_types({"agent_id": self.agent_id})
+        prev = None
+        for i, sp in enumerate(self.points):
+            if fault := _stay_fault(sp, prev):
+                raise InvalidInputError(f"stay {i} of {self.agent_id!r}: {fault}")
+            prev = sp
 
     def __len__(self) -> int:
         return len(self.points)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    trajectories: list[Trajectory] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+    """Trajectories, one per agent id, and the dataset's provenance ``meta``, whose values have their JSON types;
+    checked when built.  The trajectories are kept as a tuple and ``meta`` as a read-only copy."""
+
+    trajectories: tuple[Trajectory, ...] = ()
+    meta: typing.Mapping[str, typing.Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "trajectories", tuple(self.trajectories))
+        object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
+        checked = _one_line_per("agent_id", dict)  # each trajectory checked itself when built
+        for t in self.trajectories:
+            checked({"agent_id": t.agent_id})
+        _check_types(self.meta)
 
     def agent_ids(self) -> list[str]:
         return [t.agent_id for t in self.trajectories]
@@ -181,11 +204,17 @@ class LabelEntry:
                               ("deviate_index", index is None or index >= 0, ">= 0")], InvalidInputError)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabelSet:
-    """Ground-truth outlier flags keyed by agent id."""
+    """Ground-truth outlier flags keyed by agent id, checked when built: string keys (each entry checked itself).
+    ``entries`` is kept as a read-only copy."""
 
-    entries: dict[str, LabelEntry] = field(default_factory=dict)
+    entries: typing.Mapping[str, LabelEntry] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        for agent_id in self.entries:
+            _check_types({"agent_id": agent_id})
 
     def outlier_ids(self) -> list[str]:
         return [a for a, e in self.entries.items() if e.is_outlier]
@@ -286,44 +315,22 @@ def latlon_to_unit3(p: GeoPoint) -> tuple[float, float, float]:
     )
 
 
-@dataclass(frozen=True)
-class Violation:
-    index: int
-    kind: str
-    message: str
-
-
-def validate_trajectory(t: Trajectory) -> list[Violation]:
-    """Return every invariant violation in ``t`` (empty list means ok).
-
-    Checked per point: ``arrive`` and ``depart`` fit in a signed 64-bit
-    integer, ``depart >= arrive``, strictly increasing arrivals, and no
-    overlap with the previous stay (``arrive >= previous depart``).
-    Coordinates need no check: a :class:`GeoPoint` is valid once built.
-    """
-    violations = []
-    prev_arrive = prev_depart = None
-    for i, sp in enumerate(t.points):
-        arrive, depart = sp.arrive, sp.depart
-        if not (-2**63 <= arrive < 2**63 and -2**63 <= depart < 2**63):
-            violations += [Violation(i, "not_int64", f"{name} {value} does not fit in a signed 64-bit integer")
-                           for name, value in (("arrive", arrive), ("depart", depart)) if not -2**63 <= value < 2**63]
-        if depart < arrive:
-            violations.append(Violation(i, "negative_stay", f"depart {depart} < arrive {arrive}"))
-        if i:
-            if arrive <= prev_arrive:
-                violations.append(Violation(i, "non_monotonic", f"arrive {arrive} <= previous arrive {prev_arrive}"))
-            if arrive < prev_depart:
-                violations.append(Violation(i, "overlap", f"arrive {arrive} < previous depart {prev_depart}"))
-        prev_arrive, prev_depart = arrive, depart
-    return violations
-
-
-def _check_trajectory(t: Trajectory) -> Trajectory:
-    """``t``, or InvalidInputError naming the stay of the first violation that :func:`validate_trajectory` finds."""
-    for v in validate_trajectory(t)[:1]:
-        raise InvalidInputError(f"stay {v.index} of {t.agent_id!r}: {v.message}")
-    return t
+def _stay_fault(sp: StayPoint, prev: StayPoint | None) -> str | None:
+    """The first part of the trajectory rule that ``sp``, the stay after ``prev`` (None: the first), breaks, or None:
+    ``arrive`` and ``depart`` fit in a signed 64-bit integer, ``depart >= arrive``, arrivals strictly increase, and no
+    stay overlaps the previous one (``arrive >= previous depart``).  A :class:`GeoPoint` is valid once built."""
+    arrive, depart = sp.arrive, sp.depart
+    if not -2**63 <= arrive < 2**63:
+        return f"arrive {arrive} does not fit in a signed 64-bit integer"
+    if not -2**63 <= depart < 2**63:
+        return f"depart {depart} does not fit in a signed 64-bit integer"
+    if depart < arrive:
+        return f"depart {depart} < arrive {arrive}"
+    if prev is not None and arrive <= prev.arrive:
+        return f"arrive {arrive} <= previous arrive {prev.arrive}"
+    if prev is not None and arrive < prev.depart:
+        return f"arrive {arrive} < previous depart {prev.depart}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +437,8 @@ def _check_types(obj: dict, types: dict = _JSON_TYPES) -> None:
 
 
 def _trajectory(obj: dict, places: dict) -> Trajectory:
-    """The trajectory of one ``dataset.jsonl`` record; each stay checks itself when built, and so does the
-    :class:`GeoPoint` of each ``(lat, lon)`` pair, built at its first stay in the file and shared through ``places``."""
+    """The trajectory of one ``dataset.jsonl`` record; it, each stay and the :class:`GeoPoint` of each ``(lat, lon)``
+    pair check themselves when built, the pair's at its first stay in the file, shared after through ``places``."""
     points = []
     for p in obj["points"]:
         arrive, depart, lat, lon = p["arrive"], p.get("depart"), p["lat"], p["lon"]
@@ -441,8 +448,7 @@ def _trajectory(obj: dict, places: dict) -> Trajectory:
         if lat and lon:  # never a zero: 0.0 == -0.0, but the two write different bytes
             places[lat, lon] = location
         points.append(StayPoint(arrive, arrive if depart is None else depart, p["place_id"], p["place_type"], location))
-    _check_types(obj)
-    return _check_trajectory(Trajectory(agent_id=obj["agent_id"], points=points))
+    return Trajectory(obj["agent_id"], points)
 
 
 def _one_line_per(key: str, record: typing.Callable[[dict], typing.Any]) -> typing.Callable[[dict], typing.Any]:
@@ -466,15 +472,10 @@ def _meta_path(path: str) -> str:
 
 
 def write_dataset(ds: Dataset, path: str) -> None:
-    """``dataset.jsonl`` and its ``.meta.json`` sidecar; what the lists and the dict can break is checked first.
+    """``dataset.jsonl`` and its ``.meta.json`` sidecar; ``ds`` checked itself when built, so this only encodes.
 
     Each place's JSON tail is encoded once, keyed by its location's ``id``: every location lives in ``ds`` for the
     whole call, so no id is reused.  ``int.__repr__`` is what ``json`` writes for an int or an int subclass."""
-    checked = _one_line_per("agent_id", _check_types)
-    for t in ds.trajectories:
-        checked({"agent_id": t.agent_id})
-        _check_trajectory(t)
-    _check_types(ds.meta)
     tails: dict[tuple, str] = {}
 
     def stay(sp: StayPoint) -> str:
@@ -485,7 +486,7 @@ def write_dataset(ds: Dataset, path: str) -> None:
 
     atomic_write(path, (f'{{"agent_id":{_dumps(t.agent_id)},"points":[{",".join(map(stay, t.points))}]}}\n'
                         for t in ds.trajectories))
-    atomic_write(_meta_path(path), json.dumps(ds.meta, sort_keys=True, separators=(",", ":")) + "\n")
+    atomic_write(_meta_path(path), json.dumps(dict(ds.meta), sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def read_dataset(path: str) -> Dataset:
@@ -517,8 +518,6 @@ def _label(obj: dict) -> tuple[str, LabelEntry]:
 
 
 def write_labels(labels: LabelSet, path: str) -> None:
-    for agent_id in labels.entries:  # each entry checked itself when built
-        _check_types({"agent_id": agent_id})
     atomic_write(path, (label_to_json(agent_id, e) + "\n" for agent_id, e in labels.entries.items()))
 
 

@@ -292,7 +292,7 @@ def assign_place_types(points: list[StayPoint], poi: PoiMap) -> list[StayPoint]:
 def filter_min_records(ds: Dataset, min_points: int = 50) -> Dataset:
     """Drop agents with fewer than ``min_points`` stay points (order preserved)."""
     kept = [t for t in ds.trajectories if len(t.points) >= min_points]
-    return Dataset(trajectories=kept, meta=dict(ds.meta))
+    return Dataset(trajectories=kept, meta=ds.meta)
 
 
 def ingest_dataset(

@@ -21,12 +21,12 @@ from .core import (
     ConfigError,
     Dataset,
     InjectionError,
+    InvalidInputError,
     LabelEntry,
     LabelSet,
     Trajectory,
     check_settings,
     params_hash,
-    validate_trajectory,
 )
 
 MAX_PARTNER_ATTEMPTS = 100
@@ -59,11 +59,10 @@ def _swap_pair(a: Trajectory, b: Trajectory, switch_time: int) -> tuple[Trajecto
     b_tail = [p for p in b.points if p.arrive > switch_time]
     if not a_tail or not b_tail:
         return None
-    new_a = Trajectory(agent_id=a.agent_id, points=a_head + b_tail)
-    new_b = Trajectory(agent_id=b.agent_id, points=b_head + a_tail)
-    if validate_trajectory(new_a) or validate_trajectory(new_b):
+    try:  # a swap whose trajectory breaks the trajectory rule is refused when built
+        return Trajectory(a.agent_id, a_head + b_tail), Trajectory(b.agent_id, b_head + a_tail), len(a_head), len(b_head)
+    except InvalidInputError:
         return None
-    return new_a, new_b, len(a_head), len(b_head)
 
 
 def check_pairs(cfg: InjectConfig, n_agents: int) -> None:

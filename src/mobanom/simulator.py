@@ -171,9 +171,9 @@ def _rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, *path)))
 
 
-def build_map(config: SimConfig, rng: np.random.Generator | None = None) -> SyntheticMap:
+def build_map(config: SimConfig) -> SyntheticMap:
     """Sample place locations uniformly inside the bounding box."""
-    rng = rng if rng is not None else _rng(config.seed, 1)
+    rng = _rng(config.seed, 1)
     lat_min, lat_max, lon_min, lon_max = config.bbox
     counts = (
         ("Apartment", "apt", config.n_apartments),
@@ -191,7 +191,7 @@ def build_map(config: SimConfig, rng: np.random.Generator | None = None) -> Synt
     return SyntheticMap(places=places)
 
 
-def spawn_agents(config: SimConfig, smap: SyntheticMap, rng: np.random.Generator | None = None) -> list[AgentProfile]:
+def spawn_agents(config: SimConfig, smap: SyntheticMap) -> list[AgentProfile]:
     """Draw agent attributes, the friendship graph, and outlier assignments.
 
     :func:`simulate` labels each agent once it knows the agent's stay points.
@@ -199,7 +199,7 @@ def spawn_agents(config: SimConfig, smap: SyntheticMap, rng: np.random.Generator
     separate stream), so turning outliers on or off never changes anyone's
     home, preferences, or friends.
     """
-    rng = rng if rng is not None else _rng(config.seed, 2)
+    rng = _rng(config.seed, 2)
     n = config.n_agents
     apartments = smap.by_type("Apartment")
     workplaces = smap.by_type("Workplace")

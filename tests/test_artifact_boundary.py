@@ -1,9 +1,9 @@
 """Every file mobanom writes goes through ``core.atomic_write``, every JSONL line through ``core.parse_jsonl``,
-and every source put in front of a fault through ``core.naming``.
+every source put in front of a fault through ``core.naming``, and every record of ``core`` is frozen.
 
 The source is scanned with ``ast``, so a new ``open(path, "w")``, rename or
 ``json.loads``, or a new rewrite or copy of a ``MobanomError``, anywhere else in
-``src/mobanom`` fails here.
+``src/mobanom`` fails here, and so does a ``core`` dataclass without ``frozen=True``.
 """
 
 import ast
@@ -133,3 +133,36 @@ def test_the_scan_sees_a_fault_rewritten_or_copied(tmp_path, monkeypatch):
     )
     monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
     assert collections.Counter(namings()) == {("rogue.py", "rename"): 2, ("rogue.py", "wrap"): 1}
+
+
+def unfrozen_dataclasses(path) -> list[str]:
+    """The classes in the module at ``path`` decorated with ``dataclass`` but not with ``frozen=True``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for decorator in node.decorator_list if isinstance(node, ast.ClassDef) else ():
+            call = decorator if isinstance(decorator, ast.Call) else None
+            if ast.unparse(call.func if call else decorator).rpartition(".")[2] != "dataclass":
+                continue
+            keywords = {k.arg: ast.unparse(k.value) for k in call.keywords} if call else {}
+            if keywords.get("frozen") != "True":
+                found.append(node.name)
+    return found
+
+
+def test_every_record_of_core_is_frozen():
+    # a record checks itself when it is built, which holds only if it cannot change after
+    assert unfrozen_dataclasses(SRC / "core.py") == []
+
+
+def test_the_scan_sees_a_record_that_is_not_frozen(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass\nclass A:\n    x: int\n"
+        "@dataclass(frozen=False)\nclass B:\n    x: int\n"
+        "@dataclasses.dataclass(eq=False)\nclass C:\n    x: int\n"
+        "@dataclass(frozen=True)\nclass D:\n    x: int\n"
+        "@dataclasses.dataclass(order=True, frozen=True)\nclass E:\n    x: int\n"
+        "class F:\n    x: int\n"
+    )
+    assert unfrozen_dataclasses(tmp_path / "core.py") == ["A", "B", "C"]

@@ -17,6 +17,7 @@ from mobanom.core import ConfigError, InvalidInputError, read_dataset, read_labe
 from mobanom.detectors import SplitSpec, TraodParams, traod_score
 from mobanom.evaluation import ScoreTable
 from mobanom.llm import LlmEndpointConfig, MockEndpoint
+from mobanom.simulator import SimConfig
 
 
 def write(path, text):
@@ -1140,6 +1141,68 @@ class TestConfigFileFaults:
         err = capsys.readouterr().err
         assert f"{command}: {cfg}{'' if where is None else f':{where}'}: {reason}\n" in err
         assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+class TestUnknownSectionKeys:
+    """A key of [simulate], [ingest], [inject] or [eval] that its stage does not read is refused, naming the file,
+    the section and the key; these stages read every key they know on every run."""
+
+    RUN = ("[global]\nseed = 1\nstages = simulate, inject, detect, eval\n\n"
+           "[simulate]\nn_agents = 8\nweeks = 1\nn_hunger = 0\nn_social = 0\nn_work = 0\n\n"
+           "[inject]\npairs = 2\n\n[detect]\nmethods = ompad\n\n[eval]\ntop_k = 2\n")
+
+    @pytest.mark.parametrize("section, key", [("simulate", "hunger_multipler"), ("inject", "pair"),
+                                              ("eval", "topk"), ("eval", "out")])
+    def test_run_refuses_it_before_any_stage_writes(self, tmp_path, capsys, section, key):
+        # was: exit 0, the key ignored (`hunger_multipler = 9` simulated with the default hunger_multiplier, 3.0)
+        cfg = tmp_path / "typo.ini"
+        write(str(cfg), self.RUN.replace(f"[{section}]\n", f"[{section}]\n{key} = 9\n"))
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "--out-dir", str(out), "run"]) == 1
+        err = capsys.readouterr().err
+        assert f"run: {cfg}: unknown key '{key}' in [{section}]\n" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, section", [("simulate", "[simulate]\nn_agents = 4\n"),
+                                                  ("ingest", "[ingest]\nformat = csv\n"),
+                                                  ("inject", "[inject]\npairs = 1\n"),
+                                                  ("eval", "[eval]\ntop_k = 1\n")],
+                             ids=["simulate", "ingest", "inject", "eval"])
+    def test_a_subcommand_refuses_it_before_it_writes(self, sim_dir, tmp_path, capsys, command, section):
+        cfg = tmp_path / "typo.ini"
+        write(str(cfg), section + "seed_ = 3\n")
+        args = {"simulate": [], "ingest": [str(tmp_path / "raw.csv")], "inject": ["--in", str(sim_dir / "dataset.jsonl")],
+                "eval": ["--scores", str(tmp_path / "*.jsonl"), "--labels", str(sim_dir / "labels.jsonl")]}[command]
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out-dir", str(out), command, *args]) == 1
+        err = capsys.readouterr().err
+        assert f"{command}: {cfg}: unknown key 'seed_' in [{command}]\n" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_every_key_a_stage_reads_is_taken(self, tmp_path):
+        small = {"n_agents": 8, "weeks": 1, "n_hunger": 0, "n_social": 0, "n_work": 0}
+        sim = {f.name: small.get(f.name, f.default) for f in fields(SimConfig)}
+        cfg = tmp_path / "all.ini"
+        write(str(cfg), "[global]\nstages = simulate, inject, detect, eval\n\n[simulate]\n"
+                        + "".join(f"{k} = {','.join(map(str, v)) if isinstance(v, tuple) else v}\n" for k, v in sim.items())
+                        + "\n[inject]\npairs = 2\nswitch_fraction = 0.7\nseed = 4\n\n[detect]\nmethods = ompad\n\n"
+                        "[eval]\ntop_k = 2\n")
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "run"), "run"]) == 0
+        raw, poi = tmp_path / "raw.csv", tmp_path / "poi.jsonl"
+        write(str(raw), "\n".join(f"u1,{1_600_000_000 + 60 * i},40.0,116.0" for i in range(40)))
+        write(str(poi), '{"place_id":"home","place_type":"Apartment","lat":40.0,"lon":116.0,"radius_m":50}\n')
+        write(str(cfg), f"[global]\nstages = ingest\n\n[ingest]\ninput = {raw}\npoi_map = {poi}\nformat = csv\n"
+                        "min_records = 1\ndist_threshold_m = 150\ntime_threshold_s = 600\n")
+        out = tmp_path / "ingested"
+        assert main(["--config", str(cfg), "--out-dir", str(out), "run"]) == 0
+        (t,) = read_dataset(str(out / "ingest" / "dataset.jsonl")).trajectories
+        assert t.points[0].place_id == "home"
+
+    def test_the_lines_before_the_first_header_are_shared_not_the_sections_own(self, tmp_path):
+        # configparser shows them in every section; a stage that does not read one is not refused for it
+        cfg = tmp_path / "shared.ini"
+        write(str(cfg), "note = x\n[simulate]\nn_agents = 4\nweeks = 1\nn_hunger = 0\nn_social = 0\nn_work = 0\n")
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "sim"), "simulate"]) == 0
 
 
 class TestLlmCache:

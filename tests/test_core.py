@@ -36,7 +36,6 @@ from mobanom.core import (
     read_jsonl,
     read_labels,
     settings_of,
-    validate_trajectory,
     write_dataset,
     write_labels,
 )
@@ -113,34 +112,89 @@ class TestUnitVector:
             assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
-class TestValidateTrajectory:
+class TestTrajectoryRule:
     def test_ok(self):
         t = Trajectory("a", [sp(0, 10), sp(20, 30), sp(40, 50)])
-        assert validate_trajectory(t) == []
-
-    def test_equal_arrivals(self):
-        t = Trajectory("a", [sp(0, 0), sp(0, 5)])
-        violations = validate_trajectory(t)
-        assert any(v.index == 1 and v.kind == "non_monotonic" for v in violations)
+        assert t.points == (sp(0, 10), sp(20, 30), sp(40, 50))
 
     def test_bad_latitude(self):
         # a bad coordinate cannot reach a trajectory: building its GeoPoint raises
         with pytest.raises(InvalidInputError, match="latitude out of range"):
             Trajectory("a", [sp(0, 10, lat=100.0)])
 
-    def test_overlap(self):
-        t = Trajectory("a", [sp(0, 100), sp(50, 150)])
-        assert any(v.kind == "overlap" for v in validate_trajectory(t))
+    @pytest.mark.parametrize("points, named", [
+        ([sp(0, 0), sp(0, 5)], "stay 1 of 'a': arrive 0 <= previous arrive 0"),
+        ([sp(0, 100), sp(50, 150)], "stay 1 of 'a': arrive 50 < previous depart 100"),
+        ([sp(0, 100), sp(99, 150)], "stay 1 of 'a': arrive 99 < previous depart 100"),
+        ([sp(100, 50)], "stay 0 of 'a': depart 50 < arrive 100"),
+        ([sp(100, 99)], "stay 0 of 'a': depart 99 < arrive 100"),
+        ([sp(-(2**63) - 1, 0)], "stay 0 of 'a': arrive -9223372036854775809 does not fit in a signed 64-bit integer"),
+        ([sp(0, 1), sp(2**63 - 1, 2**63)],
+         "stay 1 of 'a': depart 9223372036854775808 does not fit in a signed 64-bit integer"),
+    ], ids=["non_monotonic", "overlap", "overlap_by_1", "negative_stay", "negative_by_1", "arrive_not_int64",
+            "depart_not_int64"])
+    def test_each_fault_is_refused_when_built(self, points, named):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}$"):
+            Trajectory("a", points)
 
-    def test_negative_stay(self):
-        t = Trajectory("a", [sp(100, 50)])
-        assert any(v.kind == "negative_stay" for v in validate_trajectory(t))
+    def test_the_first_fault_of_the_first_bad_stay_is_named(self):
+        # stay 1 both precedes stay 0 and has depart < arrive; stay 2 overlaps too, but is never reached
+        with pytest.raises(InvalidInputError, match=re.escape("stay 1 of 'a': depart 3 < arrive 5") + "$"):
+            Trajectory("a", [sp(10, 20), sp(5, 3), sp(4, 30)])
+        with pytest.raises(InvalidInputError, match=re.escape("stay 1 of 'a': arrive 10 <= previous arrive 10")):
+            Trajectory("a", [sp(10, 20), sp(10, 30)])  # also an overlap
 
-    def test_times_beyond_int64(self):
-        assert validate_trajectory(Trajectory("a", [sp(-(2**63), 2**63 - 1)])) == []
-        t = Trajectory("a", [sp(-(2**63) - 1, 0), sp(2**63 - 1, 2**63)])
-        assert [(v.index, v.kind) for v in validate_trajectory(t)] == [(0, "not_int64"), (1, "not_int64")]
-        assert "depart 9223372036854775808 does not fit in a signed 64-bit integer" in validate_trajectory(t)[1].message
+    def test_times_at_the_int64_bounds_are_kept(self):
+        assert len(Trajectory("a", [sp(-(2**63), 2**63 - 1)])) == 1
+
+    def test_a_stay_may_begin_when_the_previous_one_ends(self):
+        assert len(Trajectory("a", [sp(0, 10), sp(10, 10), sp(11, 20)])) == 3
+
+
+class TestRecordsAreLawfulOnceBuilt:
+    """A Trajectory, Dataset and LabelSet check themselves when built and cannot change after."""
+
+    def test_a_repeated_agent_id_is_refused_when_built(self):
+        # were: held in memory, and refused by write_dataset
+        with pytest.raises(InvalidInputError, match="^duplicate agent_id 'a'$"):
+            Dataset([Trajectory("a"), Trajectory("b"), Trajectory("a")])
+
+    def test_a_meta_value_of_the_wrong_json_type_is_refused_when_built(self):
+        with pytest.raises(InvalidInputError, match="^onset_time must be an integer, got 1.5$"):
+            Dataset([], meta={"seed": 1, "onset_time": 1.5})
+
+    @pytest.mark.parametrize("agent_id", [7, None, "x\ud800"[1:]], ids=["int", "none", "surrogate"])
+    def test_a_label_key_that_is_not_a_string_is_refused_when_built(self, agent_id):
+        # were: refused by write_labels
+        with pytest.raises(InvalidInputError, match="^agent_id must be (a string|UTF-8 text), got "):
+            LabelSet({"a": LabelEntry(False), agent_id: LabelEntry(False)})
+
+    def test_lists_and_dicts_are_kept_as_read_only_copies(self):
+        points, trajectories, meta, entries = [sp(0, 1)], [Trajectory("a")], {"seed": 1}, {"a": LabelEntry(False)}
+        t, ds, labels = Trajectory("a", points), Dataset(trajectories, meta), LabelSet(entries)
+        points.append(sp(0, 1))
+        trajectories.append(Trajectory("a"))
+        meta["onset_time"] = 1.5
+        entries[7] = LabelEntry(False)
+        assert t.points == (sp(0, 1),) and ds.trajectories == (Trajectory("a"),)
+        assert dict(ds.meta) == {"seed": 1} and dict(labels.entries) == {"a": LabelEntry(False)}
+
+    @pytest.mark.parametrize("mutate", [
+        lambda t, ds, labels: setattr(t, "points", ()),
+        lambda t, ds, labels: t.points.append(sp(0, 1)),
+        lambda t, ds, labels: setattr(ds, "trajectories", ()),
+        lambda t, ds, labels: ds.trajectories.append(Trajectory("a")),
+        lambda t, ds, labels: ds.meta.__setitem__("onset_time", 1.5),
+        lambda t, ds, labels: labels.entries.__setitem__(7, LabelEntry(False)),
+        lambda t, ds, labels: setattr(labels, "entries", {}),
+    ], ids=["points", "points_append", "trajectories", "trajectories_append", "meta_item", "entries_item", "entries"])
+    def test_mutating_a_built_record_raises(self, mutate):
+        t = Trajectory("a", [sp(0, 1)])
+        ds, labels = Dataset([t], {"seed": 1}), LabelSet({"a": LabelEntry(False)})
+        with pytest.raises((AttributeError, TypeError)):  # a FrozenInstanceError is an AttributeError
+            mutate(t, ds, labels)
+        assert (t.points, ds.trajectories, dict(ds.meta), dict(labels.entries)) == (
+            (sp(0, 1),), (t,), {"seed": 1}, {"a": LabelEntry(False)})
 
 
 class TestTravelDistance:
@@ -212,10 +266,9 @@ class TestRoundTrip:
         write_labels(labels2, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_duplicate_agent_rejected(self, tmp_path):
-        ds = Dataset(trajectories=[Trajectory("a", []), Trajectory("a", [])])
-        with pytest.raises(InvalidInputError):
-            write_dataset(ds, str(tmp_path / "x.jsonl"))
+    def test_duplicate_agent_rejected(self):
+        with pytest.raises(InvalidInputError, match="^duplicate agent_id 'a'$"):  # were: by write_dataset
+            Dataset(trajectories=[Trajectory("a", []), Trajectory("a", [])])
 
     def test_missing_depart_defaults_to_arrive(self, tmp_path):
         path = tmp_path / "dataset.jsonl"
@@ -405,13 +458,11 @@ class TestReadFaults:
          ([(0, -(2**63) - 1)], "stay 0 of 'b': depart -9223372036854775809 does not fit")],
         ids=["overlap", "non_monotonic", "negative_stay", "arrive_not_int64", "depart_not_int64"],
     )
-    def test_a_dataset_breaking_the_trajectory_rule_is_refused_on_write_and_read(self, tmp_path, points, named):
-        # were: written and read as they are
+    def test_a_trajectory_breaking_the_rule_is_refused_when_built_and_on_read(self, tmp_path, points, named):
+        # were: written and read as they are; later refused by write_dataset and on read
         path = tmp_path / "dataset.jsonl"
-        ds = Dataset([Trajectory("a", [sp(0, 1)]), Trajectory("b", [sp(a, d) for a, d in points])])
-        with pytest.raises(InvalidInputError, match=re.escape(named)):
-            write_dataset(ds, str(path))
-        assert not path.exists()
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}"):
+            Trajectory("b", [sp(a, d) for a, d in points])
         stays = ",".join(f'{{"arrive":{a},"depart":{d},"place_id":"p","place_type":"Pub","lat":0,"lon":0}}'
                          for a, d in points)
         path.write_text(f'{{"agent_id":"a","points":[]}}\n{{"agent_id":"b","points":[{stays}]}}\n')
@@ -438,16 +489,17 @@ class TestReadFaults:
         assert path.read_text() == "kept\n" and not os.path.exists(tmp_path / "dataset.meta.json")
 
     @pytest.mark.parametrize("agent_id", [7, None, ["a"]])
-    def test_an_agent_id_that_is_not_a_string_is_refused_on_write(self, tmp_path, agent_id):
-        with pytest.raises(InvalidInputError, match=re.escape(f"agent_id must be a string, got {agent_id!r}")):
-            write_dataset(Dataset([Trajectory("a", []), Trajectory(agent_id, [])]), str(tmp_path / "dataset.jsonl"))
+    def test_an_agent_id_that_is_not_a_string_is_refused_when_built(self, agent_id):
+        # were: refused by write_dataset
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(f'agent_id must be a string, got {agent_id!r}')}$"):
+            Trajectory(agent_id, [sp(0, 1)])
 
     def test_a_subclass_is_written_as_its_json_type(self, tmp_path):
         path = str(tmp_path / "dataset.jsonl")
         stay = sp(0, 1, np.float64(40.25), np.float64(116.5), np.str_("Pub"), np.str_("p"))
         ds = Dataset([Trajectory(np.str_("a"), [stay])])
         write_dataset(ds, path)
-        assert read_dataset(path).trajectories == [Trajectory("a", [sp(0, 1, 40.25, 116.5, "Pub", "p")])]
+        assert read_dataset(path).trajectories == (Trajectory("a", [sp(0, 1, 40.25, 116.5, "Pub", "p")]),)
 
     def test_dataset_rejects_a_repeated_agent_id(self, tmp_path):
         path = tmp_path / "dataset.jsonl"
@@ -493,7 +545,7 @@ class TestReadFaults:
         path.write_text('{"agent_id":"a","points":[{"arrive":5,"depart":null,"place_id":"p","place_type":"Pub",'
                         '"lat":40,"lon":-116}]}\n')
         (t,) = read_dataset(str(path)).trajectories
-        assert t.points == [StayPoint(5, 5, "p", "Pub", GeoPoint(40.0, -116.0))]
+        assert t.points == (StayPoint(5, 5, "p", "Pub", GeoPoint(40.0, -116.0)),)
         assert type(t.points[0].location.lat) is float
 
     @pytest.mark.parametrize(

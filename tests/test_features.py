@@ -33,25 +33,25 @@ class TestSplitSpec:
                 SplitSpec.from_labels(ds, labels, fallback_fraction=0.5)
 
     def test_fallback_fraction(self):
-        ds = Dataset(trajectories=[traj("a", [100 * i for i in range(10)])])
+        ds = Dataset(trajectories=[traj("a", [1000 * i for i in range(10)])])
         labels = LabelSet(entries={"a": LabelEntry(False)})
         split = SplitSpec.from_labels(ds, labels, fallback_fraction=0.8)
         assert split.split_index["a"] == 8
 
     def test_fallback_time(self):
-        ds = Dataset(trajectories=[traj("a", [0, 100, 200, 300])])
+        ds = Dataset(trajectories=[traj("a", [0, 1000, 2000, 3000])])
         labels = LabelSet(entries={"a": LabelEntry(False)})
-        split = SplitSpec.from_labels(ds, labels, fallback_time=150)
+        split = SplitSpec.from_labels(ds, labels, fallback_time=1500)
         assert split.split_index["a"] == 2
 
     def test_meta_onset_time_used(self):
-        ds = Dataset(trajectories=[traj("a", [0, 100, 200])], meta={"onset_time": 100})
+        ds = Dataset(trajectories=[traj("a", [0, 1000, 2000])], meta={"onset_time": 1000})
         labels = LabelSet(entries={"a": LabelEntry(False)})
         split = SplitSpec.from_labels(ds, labels)
         assert split.split_index["a"] == 1
 
     def test_meta_switch_fraction_used(self):
-        ds = Dataset(trajectories=[traj("a", [100 * i for i in range(10)])], meta={"switch_fraction": 0.8})
+        ds = Dataset(trajectories=[traj("a", [1000 * i for i in range(10)])], meta={"switch_fraction": 0.8})
         labels = LabelSet(entries={"a": LabelEntry(False)})
         split = SplitSpec.from_labels(ds, labels)
         assert split.split_index["a"] == 8
@@ -63,25 +63,25 @@ class TestSplitSpec:
 
     def test_both_fallbacks_are_rejected(self):
         # was: the time split every agent that is not a labelled outlier, and the fraction was ignored
-        ds = Dataset(trajectories=[traj("a", [100 * i for i in range(10)])])
+        ds = Dataset(trajectories=[traj("a", [1000 * i for i in range(10)])])
         with pytest.raises(ConfigError, match="fallback_fraction and fallback_time are both set: 0.5, 150"):
             SplitSpec.from_labels(ds, LabelSet(entries={"a": LabelEntry(False)}), fallback_fraction=0.5, fallback_time=150)
 
     @pytest.mark.parametrize("fraction", [float("nan"), float("inf"), -0.1, 1.5])
     def test_fallback_fraction_outside_0_1_rejected(self, fraction):
         # were: nan a ValueError, 1.5 a split past the end that left every test side empty
-        ds = Dataset(trajectories=[traj("a", [100 * i for i in range(10)])])
+        ds = Dataset(trajectories=[traj("a", [1000 * i for i in range(10)])])
         with pytest.raises(ConfigError, match="fallback_fraction"):
             SplitSpec.from_labels(ds, LabelSet(entries={"a": LabelEntry(False)}), fallback_fraction=fraction)
 
     @pytest.mark.parametrize("fraction, index", [(0.0, 0), (1.0, 10)])
     def test_fallback_fraction_bounds_accepted(self, fraction, index):
-        ds = Dataset(trajectories=[traj("a", [100 * i for i in range(10)])])
+        ds = Dataset(trajectories=[traj("a", [1000 * i for i in range(10)])])
         split = SplitSpec.from_labels(ds, LabelSet(entries={"a": LabelEntry(False)}), fallback_fraction=fraction)
         assert split.split_index["a"] == index
 
     def test_train_count_is_every_stay_of_an_agent_the_split_does_not_name(self):
-        named, unnamed = traj("a", [0, 100, 200]), traj("b", [0, 100])
+        named, unnamed = traj("a", [0, 1000, 2000]), traj("b", [0, 1000])
         split = SplitSpec(split_index={"a": 1})
         assert (split.train_count(named), split.train_count(unnamed)) == (1, 2)
 

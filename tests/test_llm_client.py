@@ -222,13 +222,13 @@ class TestBundling:
 @st.composite
 def packing_cases(draw):
     """A dataset of up to 6 agents with up to 5 stays each (empty and one-stay trajectories included), its labels, a
-    mode, a template, a split and a combine budget.  Agent ids repeat outside the hint modes.  A hint mode's split is
+    mode, a template, a split and a combine budget.  A hint mode's split is
     None (the labels and the sidecar's fallback) or names some agents, at indices from -1 to past the last stay.  The
     budget is drawn from the sums of consecutive trajectories' costs, so that a batch lands exactly on it, from one
     under a trajectory's cost, so that it is over the budget on its own, or from 0 to 2,000."""
     mode, template_version = draw(st.sampled_from(prompts.MODES)), draw(st.sampled_from(prompts.TEMPLATE_VERSIONS))
     hint = mode.endswith("_hint")
-    ids = draw(st.lists(st.sampled_from("abcdefgh"), max_size=6, unique=hint))
+    ids = draw(st.lists(st.sampled_from("abcdefgh"), max_size=6, unique=True))
     trajectories = []
     for agent_id in ids:
         arrive = sorted(draw(st.lists(st.integers(0, 28 * 86400), unique=True, max_size=5)))

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mobanom.core import ConfigError, validate_trajectory, write_dataset, write_labels
+from mobanom.core import ConfigError, write_dataset, write_labels
 from mobanom.simulator import SimConfig, build_map, simulate, spawn_agents
 
 SMALL = SimConfig(n_agents=20, weeks=1, n_hunger=2, n_social=2, n_work=2, seed=5)
@@ -82,7 +82,8 @@ class TestSimulate:
     def test_all_trajectories_valid(self):
         res = simulate(SMALL)
         for t in res.dataset.trajectories:
-            assert validate_trajectory(t) == []
+            times = [x for sp in t.points for x in (sp.arrive, sp.depart)]
+            assert times == sorted(times) and len({sp.arrive for sp in t.points}) == len(t)
 
     def test_no_overlapping_stays(self):
         res = simulate(SMALL)

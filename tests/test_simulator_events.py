@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobanom.core import ConfigError, write_dataset, write_labels
+from mobanom import simulator
 from mobanom.simulator import DEFAULT_START_TIME, SimConfig, _rng, build_map, simulate, spawn_agents
 
 DIVISORS_OF_60 = [d for d in range(60, 0, -1) if 60 % d == 0]  # coarse first: a failure shrinks to the cheapest
@@ -93,14 +94,16 @@ def test_edge_configs_give_the_tick_loop_bytes(changes, tmp_path):
 
 
 @pytest.mark.parametrize("n", [1, 2, 200, 1000])
-def test_friendship_rows_draw_like_the_pair_loop(n):
+def test_friendship_rows_draw_like_the_pair_loop(n, monkeypatch):
     config = SimConfig(n_agents=n, n_hunger=0, n_social=0, n_work=0, seed=n)
     smap = build_map(config)
-    new_rng, old_rng = _rng(n, 2), _rng(n, 2)
-    new, old = spawn_agents(config, smap, new_rng), oracle.spawn_agents(config, smap, old_rng)
+    streams = {}  # each stream spawn_agents draws from, by its key
+    monkeypatch.setattr(simulator, "_rng", lambda *key: streams.setdefault(key, _rng(*key)))
+    old_rng = _rng(n, 2)
+    new, old = spawn_agents(config, smap), oracle.spawn_agents(config, smap, old_rng)
     assert [p.friends for p in new] == [p.friends for p in old]
     assert new == old
-    assert new_rng.random() == old_rng.random()
+    assert streams[n, 2].random() == old_rng.random()
 
 
 @pytest.mark.parametrize(

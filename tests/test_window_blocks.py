@@ -3,6 +3,7 @@
 import inspect
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import features_oracle as oracle
 import numpy as np
@@ -22,21 +23,36 @@ TYPES = ["Home", "Pub", "Work"]
 
 
 @st.composite
-def trajectories(draw, agent_id: str) -> tuple[Trajectory, int | None]:
-    """(trajectory, split index or None for the default): unsorted and tied arrivals, some before the first."""
+def arrivals(draw) -> list[int]:
+    """Up to 12 arrival times, unsorted or sorted, with ties."""
     n = draw(st.integers(0, 12))
     pool = draw(st.lists(st.integers(-30 * HOUR, 80 * HOUR), min_size=1, max_size=6))
     arrive = draw(st.lists(st.sampled_from(pool) | st.integers(-30 * HOUR, 80 * HOUR), min_size=n, max_size=n))
     if draw(st.booleans()):
         arrive.sort()
-    split = draw(st.one_of(st.none(), st.sampled_from([0, 1, n, n + 3, -1, -n - 2]), st.integers(0, n)))
+    return arrive
+
+
+def splits(n: int):
+    """A split index for ``n`` stays: at either end, past them, negative, or inside."""
+    return st.sampled_from([0, 1, n, n + 3, -1, -n - 2]) | st.integers(0, n)
+
+
+@st.composite
+def trajectories(draw, agent_id: str) -> tuple[Trajectory, int | None]:
+    """(trajectory, split index or None for the default): the distinct drawn arrivals in order, as the trajectory
+    rule asks, each stay departing by the next arrival."""
+    arrive = sorted(set(draw(arrivals())))
+    n = len(arrive)
+    split = draw(st.none() | splits(n))
     cut = n if split is None else split
     points = []
     for i, a in enumerate(arrive):
         kind = draw(st.sampled_from(TYPES + (["Zoo"] if i >= cut else [])))
         lat = draw(st.sampled_from([0.0, 39.9, -12.5]) | st.floats(-90, 90))
         lon = draw(st.sampled_from([0.0, 116.3, 179.99]) | st.floats(-180, 180))
-        points.append(StayPoint(a, a + draw(st.integers(0, 2 * HOUR)), f"p{i % 3}", kind, GeoPoint(lat, lon)))
+        depart = min([a + draw(st.integers(0, 2 * HOUR)), *arrive[i + 1:i + 2]])
+        points.append(StayPoint(a, depart, f"p{i % 3}", kind, GeoPoint(lat, lon)))
     return Trajectory(agent_id, points), split
 
 
@@ -83,13 +99,27 @@ def test_blocks_and_scores_match_the_object_windows(inputs):
     assert_same_table(monav_tt_score(ds, split, window_days), oracle.monav_tt_score(ds, split, window_days))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_buckets_of_unsorted_and_tied_arrivals_match_the_object_windows(data):
+    """``bucket_windows`` takes any arrivals, though a trajectory holds them strictly increasing: unsorted and tied
+    ones are compared here, at the array level, with the oracle run on stand-in stays."""
+    arrive = data.draw(arrivals())
+    split, window_seconds = data.draw(splits(len(arrive))), data.draw(st.sampled_from([1, HOUR, 6 * HOUR, 7 * 86400]))
+    stays = [SimpleNamespace(arrive=a) for a in arrive]
+    rows = bucket_windows(arrive, split, window_seconds)
+    expected = oracle.bucket_windows(SimpleNamespace(points=stays), split, window_seconds)
+    assert [(is_train, [id(stays[r]) for r in r_]) for is_train, r_ in rows] == [
+        (is_train, [id(p) for p in pts]) for _, is_train, pts in expected]
+
+
 def test_hop_sums_are_added_left_to_right():
     """A test window of one long hop then 20 tiny ones, which a compensated sum would add differently."""
     def stay(t, lat, lon):
         return StayPoint(t, t, "p", "Pub", GeoPoint(lat, lon))
 
     train = [stay(d * 86400 + k, 0.0, 0.1 * d * k) for d in range(2) for k in range(2)]
-    test = [stay(2 * 86400, 0.0, 90.0)] + [stay(2 * 86400 + k, 0.0, k * 1e-14) for k in range(21)]
+    test = [stay(2 * 86400, 0.0, 90.0)] + [stay(2 * 86400 + 1 + k, 0.0, k * 1e-14) for k in range(21)]
     hops = [haversine_km(a.location, b.location) for a, b in zip(test, test[1:])]
     running = 0.0
     for h in hops:
@@ -102,7 +132,7 @@ def test_hop_sums_are_added_left_to_right():
 
 @pytest.mark.parametrize("window_days", [1e-6, -1.0])
 def test_a_window_shorter_than_a_second_is_a_config_error(window_days):
-    ds = Dataset(trajectories=[Trajectory("a", [StayPoint(0, 1, "p", "Pub", GeoPoint(0.0, 0.0))] * 3)])
+    ds = Dataset(trajectories=[Trajectory("a", [StayPoint(k, k, "p", "Pub", GeoPoint(0.0, 0.0)) for k in range(3)])])
     with pytest.raises(ConfigError, match="at least 1 second"):
         monav_tt_score(ds, SplitSpec(split_index={"a": 2}), window_days)
 
@@ -110,7 +140,7 @@ def test_a_window_shorter_than_a_second_is_a_config_error(window_days):
 @pytest.mark.parametrize("window_days", [math.nan, math.inf, 1e300])
 def test_a_window_without_a_finite_length_is_a_config_error(window_days):
     # were: nan a ValueError, inf and 1e300 an OverflowError
-    ds = Dataset(trajectories=[Trajectory("a", [StayPoint(0, 1, "p", "Pub", GeoPoint(0.0, 0.0))] * 3)])
+    ds = Dataset(trajectories=[Trajectory("a", [StayPoint(k, k, "p", "Pub", GeoPoint(0.0, 0.0)) for k in range(3)])])
     split = SplitSpec(split_index={"a": 2})
     for detect in (lambda: monav_tt_score(ds, split, window_days), lambda: build_windows(ds, split, window_days, 4)):
         with pytest.raises(ConfigError, match="window_days"):
@@ -118,9 +148,12 @@ def test_a_window_without_a_finite_length_is_a_config_error(window_days):
 
 
 def test_an_arrival_beyond_64_bits_is_an_input_error():
+    # a trajectory refuses it when built, so only an array caller of bucket_windows can pass one
     points = [StayPoint(a, a, "p", "Pub", GeoPoint(0.0, 0.0)) for a in (0, 2**63)]
-    with pytest.raises(InvalidInputError, match="64-bit"):
-        build_windows(Dataset(trajectories=[Trajectory("a", points)]), SplitSpec(split_index={"a": 1}), 1.0, 4)
+    with pytest.raises(InvalidInputError, match="^stay 1 of 'a': arrive 9223372036854775808 does not fit"):
+        Trajectory("a", points)
+    with pytest.raises(InvalidInputError, match="^arrival times must fit in a signed 64-bit integer$"):
+        bucket_windows([0, 2**63], 1, 86400)
 
 
 def test_the_windowed_detectors_omit_the_agents_the_windows_leave_out():
