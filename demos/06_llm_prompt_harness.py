@@ -12,13 +12,13 @@ parsing) is fully testable without network access or API keys.
 import tempfile
 
 from mobanom import SimConfig, make_report, simulate
-from mobanom.llm import MockEndpoint, OracleMockEndpoint, build_prompt, parse_separate_score, run_llm_detection
+from mobanom.llm import MockEndpoint, OracleMockEndpoint, build_bundles, parse_separate_score, run_llm_detection
 
 result = simulate(SimConfig(n_agents=15, weeks=1, n_hunger=2, n_social=0, n_work=1, seed=5))
 
-# 1. What a rendered prompt looks like (hint mode marks the deviation point).
-t = result.dataset.trajectories[0]
-bundle = build_prompt("separate", [t])
+# 1. What a rendered prompt looks like (hint mode marks the deviation point):
+#    separate mode gives one prompt per agent, the first agent's first.
+bundle = build_bundles(result.dataset, result.labels, "separate")[0]
 print("----- prompt head -----")
 print(bundle.text[:400], "...")
 print()

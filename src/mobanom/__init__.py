@@ -37,11 +37,10 @@ from .llm import (
     LlmEndpointConfig,
     MockEndpoint,
     OracleMockEndpoint,
-    build_prompt,
+    build_bundles,
     dump_prompts,
     parse_combine_scores,
     parse_separate_score,
-    render_stay_sequence,
     run_llm_detection,
 )
 

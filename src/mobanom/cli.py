@@ -117,18 +117,20 @@ def _file_settings(parser: configparser.ConfigParser, name: str, strict: bool) -
 
     ``strict`` rejects a sectioned file that holds none of the stage's own
     sections (its extra sections and [name]); a flat file applies to any stage.
-    A key of [name] that a stage with declared ``keys`` does not read is refused.
+    A key of one of those sections is refused when no stage that merges the
+    section reads it.
     """
     if not parser.sections():
         settings = dict(parser.defaults())
     else:
-        own, keys = (*STAGES[name].sections, name), STAGES[name].keys
+        own = (*STAGES[name].sections, name)
         if strict and not any(parser.has_section(section) for section in own):
             raise ConfigError(f"config file has none of the sections {name} reads: [{'], ['.join(own)}]")
-        if keys is not None and parser.has_section(name):
-            for key in parser[name]:
-                if key not in keys and key not in parser.defaults():  # the lines before the first header are shared
-                    raise ConfigError(f"unknown key {key!r} in [{name}]")
+        for section in filter(parser.has_section, own):
+            readers = [stage.keys for n, stage in STAGES.items() if section in (*stage.sections, n)]
+            for key in parser[section]:  # the lines before the first header show in every section, and are shared
+                if key not in parser.defaults() and not any(key in keys for keys in readers):
+                    raise ConfigError(f"unknown key {key!r} in [{section}]")
         settings = {}
         for section in ("global", *own):
             if parser.has_section(section):
@@ -181,6 +183,12 @@ def stage_simulate(config: SimConfig, inputs: list[str], out_dir: str, outputs: 
 
 _INGEST_KEYS = {"format": "format_tag", "min_records": "min_points"}
 _INJECT_KEYS = {"pairs": "n_outlier_pairs", "switch_fraction": "switch_fraction", "seed": "seed"}
+_SPLIT_KEYS = {"fallback_fraction": "fallback_fraction", "fallback_time": "fallback_time"}
+_TRAOD_KEYS = {"traod_d": "D", "p_frac": "p_frac", "seed": "seed"}
+_WINDOW_KEYS = {"window_days": "window_days", "window_len": "L", "l": "L"}
+_DUMP_PROMPTS_KEYS = ("mode", "template", *_SPLIT_KEYS)
+_DETECT_KEYS = ("methods", "method", *_DUMP_PROMPTS_KEYS, *(f.name for f in fields(NetHyper)), "scope", *_TRAOD_KEYS,
+                *_WINDOW_KEYS, "cache_dir", "endpoint")  # every method's, each read only when its method is listed
 
 
 def _ingest_settings(m: dict) -> dict:
@@ -203,8 +211,7 @@ def stage_inject(cfg: InjectConfig, inputs: list[str], out_dir: str, outputs: li
 
 def _split_settings(m: dict) -> dict:
     """The train/test split fallbacks of ``detect`` and of ``dump-prompts``."""
-    keys = {"fallback_fraction": "fallback_fraction", "fallback_time": "fallback_time"}
-    split = settings_of(SplitSpec.from_labels, m, keys)
+    split = settings_of(SplitSpec.from_labels, m, _SPLIT_KEYS)
     check_split_fallbacks(**split)
     return split
 
@@ -226,9 +233,9 @@ def _detect_settings(m: dict) -> dict:
         s["hyper"], s["net"] = config_from_mapping(NetHyper, m), settings_of(dae_score, m, {"scope": "scope"})
         check_scope(**s["net"])
     if "traod" in methods:
-        s["traod"] = config_from_mapping(TraodParams, m, {"traod_d": "D", "p_frac": "p_frac", "seed": "seed"})
+        s["traod"] = config_from_mapping(TraodParams, m, _TRAOD_KEYS)
     if {"ompad", "dae", "dsvdd"} & set(methods):
-        s["window"] = settings_of(build_windows, m, {"window_days": "window_days", "window_len": "L", "l": "L"})
+        s["window"] = settings_of(build_windows, m, _WINDOW_KEYS)
         check_windows(**s["window"])
     if "monav" in methods:
         s["monav"] = settings_of(monav_tt_score, m, {"window_days": "window_days"})
@@ -337,8 +344,7 @@ class Stage:
     chain: Callable[[str], dict] | None = None  # data dir -> path settings under `run`
     data: bool = False  # writes the dataset that later `run` stages read
     sections: tuple[str, ...] = ()  # config sections merged between [global] and the stage's own
-    # the keys of its own section that the stage reads, each on every run; None: read per listed method, or shared
-    keys: tuple[str, ...] | None = None
+    keys: tuple[str, ...] = ()  # every key the stage can read from those sections, on some run
 
 
 STAGES = {
@@ -356,11 +362,11 @@ STAGES = {
         keys=tuple(_INJECT_KEYS),
     ),
     "detect": Stage(_detect_settings, stage_detect, _data_dir_inputs, "scores", chain=lambda data: {"in": data},
-                    sections=("llm",)),
+                    sections=("llm",), keys=_DETECT_KEYS),
     "eval": Stage(_eval_settings, stage_eval, _eval_inputs, "",
                   chain=lambda data: {"labels": os.path.join(data, "labels.jsonl")}, keys=("top_k",)),
     "dump-prompts": Stage(_dump_prompts_settings, stage_dump_prompts, _data_dir_inputs, None,
-                          sections=("llm", "detect")),
+                          sections=("llm", "detect"), keys=_DUMP_PROMPTS_KEYS),
 }
 
 

@@ -3,10 +3,8 @@
 from .prompts import (
     MODES,
     PromptBundle,
-    build_prompt,
     parse_combine_scores,
     parse_separate_score,
-    render_stay_sequence,
 )
 from .client import (
     HttpChatEndpoint,
@@ -15,6 +13,7 @@ from .client import (
     MockEndpoint,
     OracleMockEndpoint,
     PromptCache,
+    build_bundles,
     dump_prompts,
     endpoint_from_config,
     run_llm_detection,
@@ -23,8 +22,7 @@ from .client import (
 __all__ = [
     "MODES",
     "PromptBundle",
-    "render_stay_sequence",
-    "build_prompt",
+    "build_bundles",
     "parse_separate_score",
     "parse_combine_scores",
     "LlmEndpointConfig",

@@ -9,6 +9,8 @@ keeps the original benchmark wording byte-for-byte, including its spelling
 quirks ("trajector", "esimated"), because the exact wording is part of the
 method under test and golden files pin it.  ``clean-v1`` is the corrected
 variant.  Rendering is byte-deterministic for a fixed template version.
+``_stay_labels``, ``_sequence`` and ``_assemble`` are the parts of the one
+public composer, :func:`mobanom.llm.client.build_bundles`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from ..core import ConfigError, InvalidInputError, ScoreParseError, PartialParseError, Trajectory, haversine_km
-from ..core import settings_of
 
 DEVIATE_MARKER = "***<deviate-point>***"
 
@@ -64,18 +65,6 @@ def _sequence(labels: list[tuple[str, str]], deviate_index: int | None = None) -
     # "Pub ***<deviate-point>*** , 1.5 km ->": the marker keeps a space on each side, and ends the last stay's label
     return "".join(f"{head} {DEVIATE_MARKER} {tail}".rstrip() if i == deviate_index else head + tail
                    for i, (head, tail) in enumerate(labels))
-
-
-def render_stay_sequence(t: Trajectory, deviate_index: int | None = None) -> str:
-    """Render a trajectory as ``Ddd HH:MM, Type, <dist> km ->...`` text.
-
-    The distance to the next stay follows each point except the last; the
-    deviate marker, when requested, lands right after the place type of the
-    point where the deviation starts.
-    """
-    if not t.points:
-        raise InvalidInputError("cannot render an empty trajectory")
-    return _sequence(_stay_labels(t), deviate_index)
 
 
 # the wording of one template version; task_combine holds "{n}" for the number of users
@@ -166,38 +155,9 @@ def check_template(template_version: str) -> None:
 
 def prompt_settings(m: dict) -> dict:
     """The normalized ``mode`` and the checked ``template_version`` that the settings mapping ``m`` sets."""
-    s = {"mode": normalize_mode(m.get("mode", DEFAULT_MODE)),
-         **settings_of(build_prompt, m, {"template": "template_version"})}
+    s = {"mode": normalize_mode(m.get("mode", DEFAULT_MODE)), "template_version": m.get("template", DEFAULT_TEMPLATE)}
     check_template(s["template_version"])
     return s
-
-
-def build_prompt(
-    mode: str,
-    trajectories: list[Trajectory],
-    deviate_indices: dict[str, int] | None = None,
-    template_version: str = DEFAULT_TEMPLATE,
-) -> PromptBundle:
-    """Assemble the full prompt for a mode; byte-stable per template version.
-
-    Separate modes take exactly one trajectory.  Hint modes require a deviate
-    index for every rendered agent (non-outliers get their split fallback).
-    """
-    mode = normalize_mode(mode)
-    check_template(template_version)
-    if not trajectories:
-        raise ConfigError("no trajectories to render")
-    hint = mode.endswith("_hint")
-    deviate_indices = deviate_indices or {}
-    if hint:
-        missing = [t.agent_id for t in trajectories if t.agent_id not in deviate_indices]
-        if missing:
-            raise ConfigError(f"hint mode needs deviate indices for agents: {missing}")
-    if mode.startswith("separate") and len(trajectories) != 1:
-        raise ConfigError(f"separate modes render one trajectory, got {len(trajectories)}")
-    sequences = [render_stay_sequence(t, deviate_indices.get(t.agent_id) if hint else None) for t in trajectories]
-    return PromptBundle(_assemble(mode, template_version, sequences), [t.agent_id for t in trajectories], mode,
-                        template_version)
 
 
 def _assemble(mode: str, template_version: str, sequences: list[str]) -> str:

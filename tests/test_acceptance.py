@@ -14,7 +14,7 @@ import pytest
 
 from conftest import read_golden
 from mobanom.cli import main
-from mobanom.core import ScoreParseError
+from mobanom.core import Dataset, LabelSet, ScoreParseError
 from mobanom.detectors import (
     NetHyper,
     SplitSpec,
@@ -27,7 +27,7 @@ from mobanom.detectors import (
 )
 from mobanom.evaluation import ScoreTable, average_precision, make_report, roc_auc, top_k_hits
 from mobanom.inject import InjectConfig, inject_imposter
-from mobanom.llm import OracleMockEndpoint, build_prompt, parse_separate_score, run_llm_detection
+from mobanom.llm import OracleMockEndpoint, build_bundles, parse_separate_score, run_llm_detection
 from mobanom.simulator import SimConfig, simulate
 
 from nets_oracle import gradient_check
@@ -73,8 +73,9 @@ class TestCriterion1MetricOracles:
 
 class TestCriterion2PromptFidelity:
     def test_prompts_byte_identical_to_golden(self, fixture_trajectory):
-        plain = build_prompt("separate", [fixture_trajectory])
-        hinted = build_prompt("separate-hint", [fixture_trajectory], {"fixture01": 16})
+        split = SplitSpec({"fixture01": 16, "fixture02": 3})
+        (plain,), (hinted,) = (build_bundles(Dataset([fixture_trajectory]), LabelSet(), mode, "paper-v1", split)
+                               for mode in ("separate", "separate-hint"))
         golden_plain = read_golden("prompt_separate_paper-v1.txt")
         golden_hint = read_golden("prompt_separate_hint_paper-v1.txt")
         ok = (

@@ -1144,17 +1144,20 @@ class TestConfigFileFaults:
 
 
 class TestUnknownSectionKeys:
-    """A key of [simulate], [ingest], [inject] or [eval] that its stage does not read is refused, naming the file,
-    the section and the key; these stages read every key they know on every run."""
+    """A key of a stage's section that no stage merging that section can read is refused, naming the file, the
+    section and the key: [llm] and [detect] take what `detect` reads for some method, and [dump-prompts] only what
+    `dump-prompts` reads."""
 
     RUN = ("[global]\nseed = 1\nstages = simulate, inject, detect, eval\n\n"
            "[simulate]\nn_agents = 8\nweeks = 1\nn_hunger = 0\nn_social = 0\nn_work = 0\n\n"
-           "[inject]\npairs = 2\n\n[detect]\nmethods = ompad\n\n[eval]\ntop_k = 2\n")
+           "[inject]\npairs = 2\n\n[detect]\nmethods = ompad\n\n[llm]\nmode = separate\n\n[eval]\ntop_k = 2\n")
 
     @pytest.mark.parametrize("section, key", [("simulate", "hunger_multipler"), ("inject", "pair"),
-                                              ("eval", "topk"), ("eval", "out")])
+                                              ("eval", "topk"), ("eval", "out"), ("detect", "epoch"),
+                                              ("llm", "modez")])
     def test_run_refuses_it_before_any_stage_writes(self, tmp_path, capsys, section, key):
-        # was: exit 0, the key ignored (`hunger_multipler = 9` simulated with the default hunger_multiplier, 3.0)
+        # was: exit 0, the key ignored (`hunger_multipler = 9` simulated with the default hunger_multiplier, 3.0;
+        # `epoch = 9` under `methods = dae` trained the default 300 epochs)
         cfg = tmp_path / "typo.ini"
         write(str(cfg), self.RUN.replace(f"[{section}]\n", f"[{section}]\n{key} = 9\n"))
         out = tmp_path / "run"
@@ -1166,13 +1169,16 @@ class TestUnknownSectionKeys:
     @pytest.mark.parametrize("command, section", [("simulate", "[simulate]\nn_agents = 4\n"),
                                                   ("ingest", "[ingest]\nformat = csv\n"),
                                                   ("inject", "[inject]\npairs = 1\n"),
-                                                  ("eval", "[eval]\ntop_k = 1\n")],
-                             ids=["simulate", "ingest", "inject", "eval"])
+                                                  ("eval", "[eval]\ntop_k = 1\n"),
+                                                  ("detect", "[detect]\nwindow_days = 2\n"),
+                                                  ("dump-prompts", "[dump-prompts]\nmode = combine\n")],
+                             ids=["simulate", "ingest", "inject", "eval", "detect", "dump-prompts"])
     def test_a_subcommand_refuses_it_before_it_writes(self, sim_dir, tmp_path, capsys, command, section):
         cfg = tmp_path / "typo.ini"
         write(str(cfg), section + "seed_ = 3\n")
         args = {"simulate": [], "ingest": [str(tmp_path / "raw.csv")], "inject": ["--in", str(sim_dir / "dataset.jsonl")],
-                "eval": ["--scores", str(tmp_path / "*.jsonl"), "--labels", str(sim_dir / "labels.jsonl")]}[command]
+                "eval": ["--scores", str(tmp_path / "*.jsonl"), "--labels", str(sim_dir / "labels.jsonl")],
+                "detect": ["--method", "ompad", "--in", str(sim_dir)], "dump-prompts": ["--in", str(sim_dir)]}[command]
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "--out-dir", str(out), command, *args]) == 1
         err = capsys.readouterr().err
@@ -1197,6 +1203,41 @@ class TestUnknownSectionKeys:
         assert main(["--config", str(cfg), "--out-dir", str(out), "run"]) == 0
         (t,) = read_dataset(str(out / "ingest" / "dataset.jsonl")).trajectories
         assert t.points[0].place_id == "home"
+
+    @pytest.mark.parametrize("section, key", [("dump-prompts", "methods"), ("llm", "modez"), ("detect", "epoch")])
+    def test_dump_prompts_refuses_what_no_stage_merging_the_section_reads(self, sim_dir, tmp_path, capsys, section,
+                                                                          key):
+        # [dump-prompts] is merged by dump-prompts alone, so a detect key there is read by no stage
+        cfg = tmp_path / "typo.ini"
+        write(str(cfg), f"[detect]\nmethods = ompad, llm\n\n[llm]\nmode = combine\n\n[dump-prompts]\n"
+                        .replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n"))
+        out = tmp_path / "prompts"
+        assert main(["--config", str(cfg), "--out-dir", str(out), "dump-prompts", "--in", str(sim_dir)]) == 1
+        err = capsys.readouterr().err
+        assert f"dump-prompts: {cfg}: unknown key '{key}' in [{section}]\n" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_a_key_of_a_method_not_listed_is_taken(self, tmp_path):
+        # a key of [detect] or [llm] is read only when its method is listed, so listing ompad alone leaves it unread
+        cfg = tmp_path / "unlisted.ini"
+        write(str(cfg), self.RUN.replace("[detect]\n", "[detect]\nepochs = 1\ntraod_d = 0.5\nscope = per_agent\n")
+                                .replace("[llm]\n", "[llm]\ntemplate = clean-v1\ncache_dir = cache\n"))
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "run"), "run"]) == 0
+
+    def test_every_key_detect_reads_is_taken(self, tmp_path):
+        endpoint = tmp_path / "endpoint.json"
+        write(str(endpoint), json.dumps({"provider": "mock-oracle"}))
+        detect = (f"methods = {', '.join(cli.DETECT_METHODS)}\nmethod = ompad\nfallback_fraction = 0.5\n"
+                  "learning_rate = 0.01\nepochs = 2\nseed = 1\nembed_dim = 4\nscope = population\ntraod_d = 0.5\n"
+                  f"p_frac = 0.9\nwindow_days = 2\nwindow_len = 8\nl = 8\ncache_dir = {tmp_path / 'cache'}\n"
+                  f"endpoint = {endpoint}\n")
+        cfg = tmp_path / "all.ini"
+        write(str(cfg), self.RUN.replace("[detect]\nmethods = ompad\n", "[detect]\n" + detect)
+                                .replace("[llm]\n", "[llm]\ntemplate = clean-v1\n"))
+        written = {line.split(" = ")[0] for line in detect.splitlines()} | {"mode", "template"}
+        assert set(cli._DETECT_KEYS) - written == {"fallback_time"}  # which cannot be set beside fallback_fraction
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "run"), "run"]) == 0
+        assert len(os.listdir(tmp_path / "run" / "scores")) == len(cli.DETECT_METHODS)
 
     def test_the_lines_before_the_first_header_are_shared_not_the_sections_own(self, tmp_path):
         # configparser shows them in every section; a stage that does not read one is not refused for it
@@ -1311,7 +1352,26 @@ def readme_endpoint_section():
     return readme.split("## LLM endpoints", 1)[1].split("\n## ", 1)[0]
 
 
+README_EXAMPLE_STDOUT = """\
+Detector  Top-10 Hits  Top-25 Hits  AP score  AUC score  Agents  Outliers  Omitted
+--------  -----------  -----------  --------  ---------  ------  --------  -------
+ompad     8            13           0.7812    0.8933     100     15        0
+monav_tt  6            7            0.5212    0.7231     100     15        0
+
+"""
+
+
 class TestReadmeDrift:
+    def test_readme_python_example_prints_its_report(self, tmp_path):
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8").read()
+        (example,) = readme.split("```python\n")[1:]  # the one Python block, as a reader would paste it
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run([sys.executable, "-c", example.split("```", 1)[0]], cwd=tmp_path, env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == README_EXAMPLE_STDOUT
+
     def test_readme_endpoint_example_loads(self, tmp_path):
         section = readme_endpoint_section()
         example = section.split("```json", 1)[1].split("```", 1)[0]

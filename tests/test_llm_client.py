@@ -24,7 +24,6 @@ from mobanom.llm import (
     MockEndpoint,
     OracleMockEndpoint,
     PromptCache,
-    build_prompt,
     dump_prompts,
     endpoint_from_config,
     run_llm_detection,
@@ -240,7 +239,7 @@ def packing_cases(draw):
                        if t.points and draw(st.booleans()) else LabelEntry(False) for t in trajectories})
     named = draw(st.lists(st.sampled_from(ids), unique=True)) if ids else []
     split = SplitSpec({agent_id: draw(st.integers(-1, 6)) for agent_id in named}) if draw(st.booleans()) else None
-    costs = [len(build_prompt("separate", [t], {}, template_version).text) for t in trajectories if t.points]
+    costs = [len(llm_oracle.prompt("separate", [t], {}, template_version).text) for t in trajectories if t.points]
     runs = [sum(costs[i:j]) for i in range(len(costs)) for j in range(i + 1, len(costs) + 1)]
     budget = draw(st.one_of(st.sampled_from(runs + [c - 1 for c in costs] or [0]), st.integers(0, 2000)))
     return ds, labels, mode, template_version, split if hint else None, budget
@@ -261,6 +260,15 @@ class TestPackingOracle:
         with mock.patch.object(client, "COMBINE_CHAR_BUDGET", budget):
             got, want = (bundles_or_fault(build, *args) for build in (build_bundles, llm_oracle.build_bundles))
         assert got == want
+
+    def test_an_empty_trajectory_gets_no_prompt_and_is_omitted(self):
+        # render_stay_sequence refused one; build_bundles skips it, and run_llm_detection names why it has no score
+        ds = Dataset([Trajectory("empty", []), Trajectory("a", [StayPoint(0, 0, "p", "Pub", GeoPoint(40.0, 116.0))])])
+        for mode in prompts.MODES:
+            assert [b.agent_ids for b in build_bundles(ds, LabelSet(), mode, split=SplitSpec({"a": 0}))] == [["a"]]
+            table = run_llm_detection(ds, LabelSet(), mode, MockEndpoint(lambda b: "user 1: [0.5]"),
+                                      split=SplitSpec({"a": 0}))
+            assert (table.scores, table.omitted) == ({"a": 0.5}, {"empty": "empty trajectory"}), mode
 
     @pytest.mark.parametrize("mode", prompts.MODES)
     def test_each_hop_is_measured_once(self, sim, mode):
@@ -283,7 +291,7 @@ class TestDumpPrompts:
 
 
 def test_each_prompt_default_lives_in_one_place():
-    for fn in (build_prompt, build_bundles, run_llm_detection, dump_prompts):
+    for fn in (build_bundles, run_llm_detection, dump_prompts):
         assert inspect.signature(fn).parameters["template_version"].default == prompts.DEFAULT_TEMPLATE, fn.__name__
     concurrency = inspect.signature(run_llm_detection).parameters["max_concurrent"].default
     assert concurrency == LlmEndpointConfig().max_concurrent_requests

@@ -1,11 +1,16 @@
 import dataclasses
+import json
+import os
 
 import pytest
 
 from conftest import read_golden
-from mobanom.core import ConfigError, GeoPoint, InvalidInputError, PartialParseError, ScoreParseError, StayPoint, Trajectory
-from mobanom.llm import build_prompt, parse_combine_scores, parse_separate_score, render_stay_sequence
-from mobanom.llm.prompts import DEVIATE_MARKER, MODES, TEMPLATE_VERSIONS, normalize_mode
+from mobanom.cli import main
+from mobanom.core import ConfigError, Dataset, GeoPoint, InvalidInputError, LabelEntry, LabelSet, PartialParseError
+from mobanom.core import ScoreParseError, StayPoint, Trajectory, write_dataset, write_labels
+from mobanom.detectors import SplitSpec
+from mobanom.llm import build_bundles, parse_combine_scores, parse_separate_score
+from mobanom.llm.prompts import DEVIATE_MARKER, MODES, TEMPLATE_VERSIONS, _sequence, _stay_labels, normalize_mode
 
 
 def mini_traj(agent_id="a1"):
@@ -15,89 +20,110 @@ def mini_traj(agent_id="a1"):
     return Trajectory(agent_id, [p1, p2])
 
 
+def render(t, deviate_index=None):
+    return _sequence(_stay_labels(t), deviate_index)
+
+
+def only_prompt(mode, trajectories, template_version="paper-v1", split=None):
+    """The one prompt that ``build_bundles`` composes for ``trajectories``, unlabeled, split by ``split``."""
+    (bundle,) = build_bundles(Dataset(trajectories), LabelSet(), mode, template_version, split)
+    return bundle
+
+
 class TestRenderSequence:
     def test_two_points(self):
-        assert render_stay_sequence(mini_traj()) == "Sat 10:36, Pub, 0.4 km ->Sat 10:57, Apartment"
+        assert render(mini_traj()) == "Sat 10:36, Pub, 0.4 km ->Sat 10:57, Apartment"
 
     def test_single_point(self):
         t = Trajectory("a", [StayPoint(1705451400, 1705451400, "apt", "Apartment", GeoPoint(0, 0))])
-        assert render_stay_sequence(t) == "Wed 00:30, Apartment"
+        assert render(t) == "Wed 00:30, Apartment"
 
     def test_marker_placement(self):
         t = mini_traj()
-        out = render_stay_sequence(t, deviate_index=0)
+        out = render(t, deviate_index=0)
         assert out == f"Sat 10:36, Pub {DEVIATE_MARKER} , 0.4 km ->Sat 10:57, Apartment"
         assert out.count(DEVIATE_MARKER) == 1
 
     def test_marker_on_final_point(self):
-        out = render_stay_sequence(mini_traj(), deviate_index=1)
+        out = render(mini_traj(), deviate_index=1)
         assert out.endswith(f"Apartment {DEVIATE_MARKER}")
 
     def test_separator_counts(self):
         t = mini_traj()
-        out = render_stay_sequence(t)
+        out = render(t)
         assert out.count(" ->") == len(t.points) - 1
         assert out.count(" km") == len(t.points) - 1
 
-    def test_empty_trajectory(self):
-        with pytest.raises(InvalidInputError):
-            render_stay_sequence(Trajectory("a", []))
-
-    def test_marker_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            render_stay_sequence(mini_traj(), deviate_index=99)
+    @pytest.mark.parametrize("deviate_index", [99, -1])
+    def test_marker_out_of_range(self, deviate_index):
+        with pytest.raises(InvalidInputError, match=f"^deviate_index {deviate_index} out of range$"):
+            render(mini_traj(), deviate_index=deviate_index)
 
 
-class TestBuildPrompt:
+def dumped_prompt(tmp_path, mode, trajectories, template_version, deviate):
+    """The text and agent ids of the one prompt that ``dump-prompts`` writes for ``trajectories``, each an outlier
+    that deviates at its ``deviate`` index."""
+    data, out = tmp_path / "data", tmp_path / "prompts"
+    data.mkdir()
+    # the sidecar's fallback: SplitSpec.from_labels needs one even when every agent is an outlier
+    write_dataset(Dataset(trajectories, {"switch_fraction": 0.5}), str(data / "dataset.jsonl"))
+    write_labels(LabelSet({t.agent_id: LabelEntry(True, "imposter", deviate[t.agent_id]) for t in trajectories}),
+                 str(data / "labels.jsonl"))
+    argv = ["--out-dir", str(out), "dump-prompts", "--in", str(data), "--mode", mode, "--template", template_version]
+    assert main(argv) == 0
+    assert sorted(os.listdir(out)) == ["prompt_0000.txt", "prompts_index.jsonl"]
+    with open(out / "prompt_0000.txt", "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    (line,) = (out / "prompts_index.jsonl").read_text(encoding="utf-8").splitlines()
+    return text, json.loads(line)["agent_ids"]
+
+
+class TestBuildBundles:
+    @pytest.mark.parametrize("path", ["build_bundles", "dump-prompts"])
     @pytest.mark.parametrize("template_version", TEMPLATE_VERSIONS)
     @pytest.mark.parametrize("mode", MODES)
-    def test_golden(self, fixture_trajectory, mode, template_version):
+    def test_golden(self, fixture_trajectory, tmp_path, mode, template_version, path):
         # combine modes render the fixture and a renamed copy, so that a "user 2" line appears
         trajectories = [fixture_trajectory]
         if mode.startswith("combine"):
             trajectories.append(dataclasses.replace(fixture_trajectory, agent_id="fixture02"))
-        bundle = build_prompt(mode, trajectories, {"fixture01": 16, "fixture02": 3}, template_version)
-        assert bundle.text == read_golden(f"prompt_{mode}_{template_version}.txt")
-        assert bundle.agent_ids == [t.agent_id for t in trajectories]
-
-    def test_separate_rejects_two_trajectories(self):
-        with pytest.raises(ConfigError):
-            build_prompt("separate", [mini_traj("a"), mini_traj("b")])
-
-    def test_hint_requires_deviate_indices(self):
-        with pytest.raises(ConfigError):
-            build_prompt("separate-hint", [mini_traj()])
+        deviate = {"fixture01": 16, "fixture02": 3}
+        if path == "build_bundles":
+            bundle = only_prompt(mode, trajectories, template_version, SplitSpec(deviate))
+            text, agent_ids = bundle.text, bundle.agent_ids
+        else:
+            text, agent_ids = dumped_prompt(tmp_path, mode, trajectories, template_version, deviate)
+        assert text == read_golden(f"prompt_{mode}_{template_version}.txt")
+        assert agent_ids == [t.agent_id for t in trajectories]
 
     def test_combine_hint_block_and_marker_counts(self):
         trajectories = [mini_traj(f"a{i}") for i in range(3)]
-        deviates = {f"a{i}": 0 for i in range(3)}
-        bundle = build_prompt("combine-hint", trajectories, deviates)
+        bundle = only_prompt("combine-hint", trajectories, split=SplitSpec({f"a{i}": 0 for i in range(3)}))
         assert bundle.text.count("Here is the sequence of user") == 3
         assert bundle.text.count(DEVIATE_MARKER) == 4  # three markers + one in the hint text
         assert "a set of 3 users'" in bundle.text
 
     def test_combine_numbering(self):
-        trajectories = [mini_traj(f"a{i}") for i in range(2)]
-        bundle = build_prompt("combine", trajectories)
+        bundle = only_prompt("combine", [mini_traj(f"a{i}") for i in range(2)])
         assert "Here is the sequence of user 1: " in bundle.text
         assert "Here is the sequence of user 2: " in bundle.text
         assert bundle.agent_ids == ["a0", "a1"]
 
     def test_byte_determinism(self, fixture_trajectory):
-        a = build_prompt("separate", [fixture_trajectory]).text
-        b = build_prompt("separate", [fixture_trajectory]).text
+        a = only_prompt("separate", [fixture_trajectory]).text
+        b = only_prompt("separate", [fixture_trajectory]).text
         assert a == b
 
     def test_clean_template_differs(self, fixture_trajectory):
-        paper = build_prompt("separate", [fixture_trajectory], template_version="paper-v1")
-        clean = build_prompt("separate", [fixture_trajectory], template_version="clean-v1")
+        paper = only_prompt("separate", [fixture_trajectory], template_version="paper-v1")
+        clean = only_prompt("separate", [fixture_trajectory], template_version="clean-v1")
         assert paper.text != clean.text
         assert "esimated" not in clean.text
         assert "trajector:" not in clean.text
 
     def test_unknown_template(self, fixture_trajectory):
         with pytest.raises(ConfigError):
-            build_prompt("separate", [fixture_trajectory], template_version="v99")
+            only_prompt("separate", [fixture_trajectory], template_version="v99")
 
     def test_mode_aliases(self):
         assert normalize_mode("Separate-With-Hint") == "separate_hint"
