@@ -48,17 +48,14 @@ class SplitSpec:
         InvalidInputError.  The fallbacks must pass :func:`check_split_fallbacks`;
         with none, dataset provenance is consulted: ``meta["onset_time"]``
         (simulator output) or ``meta["switch_fraction"]`` (injector output).
+        With none there either, ConfigError once an agent that is not a
+        labelled outlier needs the fallback.
         """
         if fallback_fraction is None and fallback_time is None:
             if "onset_time" in ds.meta:
                 fallback_time = ds.meta["onset_time"]
             elif "switch_fraction" in ds.meta:
                 fallback_fraction = ds.meta["switch_fraction"]
-            else:
-                raise ConfigError(
-                    "no split fallback: pass fallback_fraction/fallback_time or use a "
-                    "dataset whose meta carries onset_time or switch_fraction"
-                )
         check_split_fallbacks(fallback_fraction, fallback_time)
         split = {}
         for t in ds.trajectories:
@@ -75,8 +72,11 @@ class SplitSpec:
                         idx = k
                         break
                 split[t.agent_id] = idx
-            else:
+            elif fallback_fraction is not None:
                 split[t.agent_id] = int(math.floor(fallback_fraction * len(t.points)))
+            else:
+                raise ConfigError("no split fallback: pass fallback_fraction/fallback_time or use a "
+                                  "dataset whose meta carries onset_time or switch_fraction")
         return cls(split_index=split)
 
     def train_count(self, t: Trajectory) -> int:

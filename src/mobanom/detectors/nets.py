@@ -11,9 +11,10 @@ output, trained by full-batch gradient descent.  Two objectives:
 
 Scoring runs either on one population model trained on everyone's training
 windows (default) or on per-agent models trained on each agent's own history,
-those with equal training-row counts side by side as one stack of nets.
-Inputs are standardized with training-side statistics before training, and
-the scorers train and score in float32 (``NET_DTYPE``).
+those with equal training-row counts side by side as one stack of nets; a
+stack with fewer training rows than inputs trains its first layer in the span
+of its rows (``train_network``).  Inputs are standardized with training-side
+statistics, and the scorers train and score in float32 (``NET_DTYPE``).
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ STD_FLOOR = 1e-6
 Z_CLIP = 3.0
 # Per-agent models with equal training-row counts train as one stack of nets
 # holding at most this many bytes of parameters counted at 8 bytes each,
-# whatever the dtype (8 DAEs at d = 144): wider stacks save little more time
-# and hold more activations at once.
+# whatever the dtype (8 DAEs at d = 144).  Counting instead the bytes that a
+# span-form epoch touches (n*h, n*n, the later layers) allows wider stacks:
+# `nets` run_s fell 4.7%, but peak RSS rose 1.0 MB in every run (4 pairs).
 STACK_PARAM_BYTES = 700 * 1024
 # The scorers train and score in float32: half the GEMM cost of float64, with
 # scores within 1e-5 relative of float64's and the same ranks (README).
@@ -90,17 +92,22 @@ class TinyNet:
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self._forward_full(x)[-1]
 
-    def _forward_full(self, x: np.ndarray) -> list[np.ndarray]:
+    def _forward_full(self, x: np.ndarray, xw: np.ndarray | None = None) -> list[np.ndarray]:
         acts = [np.atleast_2d(np.asarray(x, dtype=self.weights[0].dtype))]
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = acts[-1] @ w + b
+            z = (acts[-1] @ w if k or xw is None else xw) + b
             acts.append(z if k == last else np.tanh(z))
         return acts
 
-    def loss_and_grads(self, x: np.ndarray, objective: str, center: np.ndarray | None = None):
-        """Return (loss, weight grads, bias grads) for one full batch; a stack has one loss per member."""
-        acts = self._forward_full(x)
+    def loss_and_grads(self, x: np.ndarray, objective: str, center: np.ndarray | None = None,
+                       xw: np.ndarray | None = None):
+        """Return (loss, weight grads, bias grads) for one full batch; a stack has one loss per member.
+
+        Given ``xw`` (``x @ weights[0]``, precomputed), the forward pass starts from it, and the first
+        weight grad is the first layer's delta ``(n, fan_out)``, not ``xᵀ @ delta``.
+        """
+        acts = self._forward_full(x, xw)
         y = acts[-1]
         n, _ = acts[0].shape[-2:]
         if objective == "reconstruction":
@@ -118,7 +125,7 @@ class TinyNet:
 
         grads_w, grads_b = [None] * len(self.weights), [None] * len(self.biases)
         for k in range(len(self.weights) - 1, -1, -1):
-            grads_w[k] = np.swapaxes(acts[k], -1, -2) @ delta
+            grads_w[k] = delta if k == 0 and xw is not None else np.swapaxes(acts[k], -1, -2) @ delta
             grads_b[k] = delta.sum(axis=-2, keepdims=True)
             if k > 0:
                 delta = (delta @ np.swapaxes(self.weights[k], -1, -2)) * (1.0 - acts[k] ** 2)
@@ -138,23 +145,36 @@ def train_network(net: TinyNet, inputs: np.ndarray, objective: str, hyper: NetHy
     Raises TrainingDivergedError at the first epoch where any member's loss is
     not finite.  For the svdd objective each member's center is fixed to the
     mean embedding of its inputs at initialization and never updated.
+
+    With fewer rows than inputs (n < d), every first-layer update is ``-lr * xᵀ @ delta``,
+    so that layer trains in the span of the rows, ``W1 = W1(0) - lr * xᵀ @ A`` with ``A``
+    the summed deltas: an epoch needs ``x @ W1 = x @ W1(0) - lr * (x @ xᵀ) @ A``, O(n²h) for
+    O(ndh), and ``W1`` is formed after the last epoch.  Same descent, other rounding (README).
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=net.weights[0].dtype))
     if x.size == 0:
         raise ConfigError("empty training batch")
     center = net.forward(x).mean(axis=-2, keepdims=True) if objective == "svdd" else None
+    if span := x.shape[-2] < x.shape[-1]:
+        xw0, gram = x @ net.weights[0], x @ np.swapaxes(x, -1, -2)
+        summed = np.zeros_like(xw0)
     losses = []
     for epoch in range(hyper.epochs):
+        xw = xw0 - hyper.learning_rate * (gram @ summed) if span else None
         with np.errstate(over="ignore", invalid="ignore"):
-            loss, grads_w, grads_b = net.loss_and_grads(x, objective, center)
+            loss, grads_w, grads_b = net.loss_and_grads(x, objective, center, xw)
         flat = np.ravel(loss)
         if not np.isfinite(flat).all():
             raise TrainingDivergedError(epoch, float(flat[~np.isfinite(flat)][0]))
         losses.append(loss)
-        for w, gw in zip(net.weights, grads_w):
+        if span:
+            summed += grads_w[0]
+        for w, gw in zip(net.weights[span:], grads_w[span:]):
             w -= hyper.learning_rate * gw
         for b, gb in zip(net.biases, grads_b):
             b -= hyper.learning_rate * gb
+    if span:
+        net.weights[0] -= hyper.learning_rate * (np.swapaxes(x, -1, -2) @ summed)
     return TrainResult(net=net, center=center, losses=np.array(losses))
 
 

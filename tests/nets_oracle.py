@@ -1,11 +1,16 @@
 """One net at a time: the trainer and scorer that ``mobanom.detectors.nets`` replaced with stacks of nets.
 
 Each model here is one ``TinyNet`` with 2-D weights and 1-D biases, trained
-by its own Python loop of epochs; the per-agent scope trains one such model
-per agent, in agent order. It lives on only as the test oracle: the stacked
-trainer must give the same score tables, bit for bit, at both scopes. Each
-function takes the dtype to train and score in: float32, as the scorers do, or
-float64 to measure how far float32 moves the scores.
+by its own Python loop of epochs on the full-width first layer; the per-agent
+scope trains one such model per agent, in agent order. It lives on only as the
+test oracle. A model with at least as many training rows as input columns (the
+population model of every workload) must get the same scores from the stacked
+trainer, bit for bit, at both scopes. One with fewer rows trains its first
+layer in span form there, which rounds otherwise: ``assert_like_the_oracle``
+compares such a model bit for bit with itself trained alone by ``mobanom``'s
+``train_network``, and the tests bound its drift from this oracle. Each function takes the dtype
+to train and score in: float32, as the scorers do, or float64 to measure how
+far float32 moves the scores.
 
 ``gradient_check`` measures the backprop of ``mobanom``'s ``TinyNet`` against
 central finite differences, in float64 only.
@@ -18,7 +23,9 @@ from dataclasses import asdict
 import numpy as np
 
 from mobanom.core import ConfigError, TrainingDivergedError, params_hash
+# bound here, so that a test patching ``nets.train_network`` does not see the oracle's calls
 from mobanom.detectors.nets import STD_FLOOR, Z_CLIP, NetHyper, _agent_seed, _one_class_scores
+from mobanom.detectors.nets import TinyNet as StackedNet, train_network as train_stacked
 from mobanom.evaluation import ScoreTable
 
 
@@ -92,18 +99,29 @@ def _standardize(rows: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndar
     return np.clip((rows - mean) / std, -Z_CLIP, Z_CLIP)
 
 
-def score_with_model(kind: str, train_x: np.ndarray, test_x: np.ndarray, hyper: NetHyper, seed: int) -> np.ndarray:
+def score_with_model(kind: str, train_x: np.ndarray, test_x: np.ndarray, hyper: NetHyper, seed: int,
+                     alone: bool = False) -> np.ndarray:
+    """Per-window test scores of one model, trained by the full-width trainer here; with ``alone``, a model
+    with fewer rows than columns trains instead by ``mobanom``'s ``train_network`` on a single net, which
+    takes the span form there."""
     d = train_x.shape[1]
-    hidden = max(1, d // 4)
-    if kind == "dae":
-        net, _ = train_network(TinyNet([d, hidden, d], seed, train_x.dtype), train_x, "reconstruction", hyper)
-        return np.mean((net.forward(test_x) - test_x) ** 2, axis=1)
-    net, center = train_network(TinyNet([d, hidden, hyper.embed_dim], seed, train_x.dtype), train_x, "svdd", hyper)
-    return np.sum((net.forward(test_x) - center) ** 2, axis=1)
+    sizes = [d, max(1, d // 4), d if kind == "dae" else hyper.embed_dim]
+    objective = "reconstruction" if kind == "dae" else "svdd"
+    if alone and len(train_x) < d:
+        trained = train_stacked(StackedNet(sizes, seed, train_x.dtype), train_x, objective, hyper)
+        net, center = trained.net, trained.center
+    else:
+        net, center = train_network(TinyNet(sizes, seed, train_x.dtype), train_x, objective, hyper)
+    out = net.forward(test_x)
+    return np.mean((out - test_x) ** 2, axis=1) if kind == "dae" else np.sum((out - center) ** 2, axis=1)
 
 
-def one_class_scores(kind: str, feat, hyper: NetHyper, scope: str, dtype=np.float32) -> ScoreTable:
-    """The score table of ``dae_score``/``dsvdd_score``, one model trained after another, in ``dtype``."""
+def one_class_scores(kind: str, feat, hyper: NetHyper, scope: str, dtype=np.float32, alone: bool = False) -> ScoreTable:
+    """The score table of ``dae_score``/``dsvdd_score``, one model trained after another, in ``dtype``.
+
+    With ``alone`` each model with fewer rows than columns trains alone by ``mobanom``'s ``train_network``
+    (``score_with_model``).
+    """
     if scope not in ("population", "per_agent"):
         raise ConfigError(f"unknown scope {scope!r}")
     omitted = dict(feat.ineligible)
@@ -120,7 +138,7 @@ def one_class_scores(kind: str, feat, hyper: NetHyper, scope: str, dtype=np.floa
         mean, std = _standardize_stats(raw_train)
         train_x = _standardize(raw_train, mean, std).astype(dtype)
         test_x = _standardize(_stacked([feat.test[a] for a in test_agents]), mean, std).astype(dtype)
-        per_window = score_with_model(kind, train_x, test_x, hyper, seed)
+        per_window = score_with_model(kind, train_x, test_x, hyper, seed, alone)
         ends = np.cumsum([len(feat.test[a]) for a in test_agents])
         for a, own in zip(test_agents, np.split(per_window, ends[:-1])):
             scores[a] = float(np.mean(own))
@@ -134,9 +152,14 @@ def one_class_scores(kind: str, feat, hyper: NetHyper, scope: str, dtype=np.floa
 
 
 def assert_like_the_oracle(kind: str, feat, hyper: NetHyper, scope: str) -> None:
-    """``dae_score``/``dsvdd_score`` give the oracle's score table, bit for bit and in the same order."""
+    """``dae_score``/``dsvdd_score`` give a reference score table, bit for bit and in the same order.
+
+    The reference of each model with at least as many training rows as input columns is this oracle's
+    full-width trainer. A model with fewer rows is compared with itself trained alone by ``mobanom``'s
+    ``train_network``, in span form: stacking changes no bit.
+    """
     new = _one_class_scores(kind, feat, hyper, scope)
-    old = one_class_scores(kind, feat, hyper, scope)
+    old = one_class_scores(kind, feat, hyper, scope, alone=True)
     assert (new.detector, new.params_hash, new.omitted) == (old.detector, old.params_hash, old.omitted)
     assert list(new.scores.items()) == list(old.scores.items())
     assert new.to_jsonl() == old.to_jsonl()

@@ -61,6 +61,20 @@ class TestSplitSpec:
         with pytest.raises(ConfigError):
             SplitSpec.from_labels(ds, LabelSet(entries={"a": LabelEntry(False)}))
 
+    def test_no_fallback_is_needed_when_every_agent_is_a_labelled_outlier(self):
+        # was: ConfigError("no split fallback ...") although no agent would take the fallback
+        ds = Dataset(trajectories=[traj("a", [0, DAY, 2 * DAY])])
+        split = SplitSpec.from_labels(ds, LabelSet(entries={"a": LabelEntry(True, "imposter", 2)}))
+        assert split.split_index == {"a": 2}
+
+    @pytest.mark.parametrize("b_label", [{}, {"b": LabelEntry(False)}])
+    def test_no_fallback_is_refused_once_an_agent_needs_it(self, b_label):
+        ds = Dataset(trajectories=[traj("a", [0, DAY, 2 * DAY]), traj("b", [0, DAY])])
+        labels = LabelSet(entries={"a": LabelEntry(True, "imposter", 2), **b_label})
+        with pytest.raises(ConfigError, match="^no split fallback: pass fallback_fraction/fallback_time or use a "
+                                              "dataset whose meta carries onset_time or switch_fraction$"):
+            SplitSpec.from_labels(ds, labels)
+
     def test_both_fallbacks_are_rejected(self):
         # was: the time split every agent that is not a labelled outlier, and the fraction was ignored
         ds = Dataset(trajectories=[traj("a", [1000 * i for i in range(10)])])

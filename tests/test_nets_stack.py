@@ -1,4 +1,9 @@
-"""Stacks of nets against the one-net-at-a-time oracle in ``nets_oracle``: score tables bit for bit."""
+"""Stacks of nets against one net at a time (``nets_oracle``): score tables bit for bit.
+
+At both scopes, a model with at least as many training rows as input columns is compared with the full-width
+oracle; one with fewer rows trains its first layer in span form, and is compared with itself trained alone by
+``train_network``. The span form itself is held to the full-width oracle by a stated tolerance.
+"""
 
 import json
 import os
@@ -9,7 +14,7 @@ from unittest import mock
 import nets_oracle as oracle
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mobanom.core import TrainingDivergedError
@@ -67,6 +72,8 @@ hypers = st.builds(
 @settings(max_examples=100, deadline=None)
 @given(stacked_features(), hypers, st.sampled_from(["dae", "dsvdd"]))
 def test_score_tables_are_the_oracles_bit_for_bit(feat_cap, hyper, kind):
+    """Each model against the full-width oracle, or, with fewer rows than columns, against itself trained alone
+    by ``train_network``, bit for bit at both scopes."""
     feat, cap = feat_cap
     sizes = [feat.dim, max(1, feat.dim // 4), feat.dim if kind == "dae" else hyper.embed_dim]
     net_bytes = 8 * sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
@@ -81,6 +88,50 @@ def test_score_tables_are_the_oracles_bit_for_bit(feat_cap, hyper, kind):
             oracle.assert_like_the_oracle(kind, feat, hyper, scope)
     assert stack_sizes[0] == 1  # the population model is a stack of one
     assert max(stack_sizes[1:]) == cap and sum(stack_sizes[1:]) == len(feat.eligible_agents())
+
+
+@settings(max_examples=100, deadline=None)
+@given(stacked_features(), hypers, st.sampled_from(["dae", "dsvdd"]), st.sampled_from([np.float64, np.float32]))
+def test_span_form_keeps_to_the_full_width_oracle(feat_cap, hyper, kind, dtype):
+    """Per-agent tables, where some models have fewer training rows than input columns, against the oracle.
+
+    float64: every score within 1e-12 relative. float32: the same order by (-score, id), and every score within
+    1e-5 relative, except DSVDD scores below 0.01, which must lie within 1e-7 (1e-5 of 0.01) instead. A DSVDD
+    score is a squared distance to the center, and float32 resolves an embedding near unit scale to about one
+    ulp, so a score near zero (an embedding next to the center) keeps no 1e-5 of itself: on these random rows
+    the oracle's own float32 scores are up to 1.7e-3 relative from its float64 ones. Over 45,000 such scores the
+    span form's largest difference was 0.52 of this bound. On the workloads' rows the 1e-5 bound holds alone
+    (``test_float32_scores_keep_the_float64_ranks_auc_and_ap``).
+    """
+    feat, _ = feat_cap
+    assume(any(len(w) < feat.dim for w in feat.train.values()))
+    with mock.patch.object(nets, "NET_DTYPE", dtype):
+        got = nets._one_class_scores(kind, feat, hyper, "per_agent").scores
+    want = oracle.one_class_scores(kind, feat, hyper, "per_agent", dtype=dtype).scores
+    assert list(got) == list(want)
+    if dtype == np.float64:
+        for agent, score in want.items():
+            assert got[agent] == pytest.approx(score, rel=1e-12, abs=0)
+    else:
+        for agent, score in want.items():
+            assert abs(got[agent] - score) <= 1e-5 * (max(score, 0.01) if kind == "dsvdd" else score)
+        assert sorted(got, key=lambda a: (-got[a], a)) == sorted(want, key=lambda a: (-want[a], a))
+
+
+@pytest.mark.parametrize("rows, span", [(3, True), (7, True), (8, False), (11, False)])
+def test_the_span_form_runs_exactly_when_rows_are_fewer_than_inputs(rows, span):
+    seen = []
+    loss_and_grads = TinyNet.loss_and_grads
+
+    def spy(net, x, objective, center=None, xw=None):
+        seen.append(xw is not None)
+        return loss_and_grads(net, x, objective, center, xw)
+
+    x = np.random.default_rng(0).normal(size=(2, rows, 8))
+    with mock.patch.object(TinyNet, "loss_and_grads", spy):
+        trained = train_network(TinyNet([8, 2, 8], seed=[0, 1]), x, "reconstruction", NetHyper(epochs=3))
+    assert seen == [span] * 3
+    assert [w.shape for w in trained.net.weights] == [(2, 8, 2), (2, 2, 8)]
 
 
 def test_stack_members_start_as_single_nets():
@@ -127,6 +178,27 @@ def test_divergence_of_the_middle_member_stops_a_float32_stack():
     assert (stacked.value.epoch, stacked.value.loss) == (alone.value.epoch, alone.value.loss)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_divergence_in_span_form_stops_where_the_full_width_oracle_does(dtype):
+    """Fewer rows than inputs, so the span form: each member alone raises at the oracle's epoch and loss,
+    and the stack at its earliest member's."""
+    x = np.random.default_rng(0).normal(size=(3, 4, 8)).astype(dtype)
+    hyper = NetHyper(learning_rate=3.0, epochs=300)
+    seeds = [1, 2, 3]
+    alone = []
+    for g, seed in enumerate(seeds):
+        with pytest.raises(TrainingDivergedError) as new:
+            train_network(TinyNet([8, 2, 4], seed=seed, dtype=dtype), x[g], "svdd", hyper)
+        with pytest.raises(TrainingDivergedError) as old:
+            oracle.train_network(oracle.TinyNet([8, 2, 4], seed, dtype), x[g], "svdd", hyper)
+        assert (new.value.epoch, new.value.loss) == (old.value.epoch, old.value.loss)
+        alone.append((new.value.epoch, new.value.loss))
+    assert len({epoch for epoch, _ in alone}) > 1  # the members stop at different epochs
+    with pytest.raises(TrainingDivergedError) as stacked:
+        train_network(TinyNet([8, 2, 4], seed=seeds, dtype=dtype), x, "svdd", hyper)
+    assert (stacked.value.epoch, stacked.value.loss) == min(alone)
+
+
 def test_losses_have_one_row_per_epoch():
     x = np.random.default_rng(1).normal(size=(3, 5, 4))
     result = train_network(TinyNet([4, 2, 4], seed=[0, 1, 2]), x, "svdd", NetHyper(epochs=7))
@@ -159,6 +231,7 @@ def test_bit_equality_holds_at_one_and_two_blas_threads(threads):
     assert done.returncode == 0, done.stderr
     shape = json.loads(done.stdout.splitlines()[-1])
     assert shape["rows"] * shape["dim"] * (shape["dim"] // 4) > 2**18
+    assert shape["rows"] >= shape["dim"]  # so the population model is compared with the full-width oracle
 
 
 # One population DAE on the perfbench ``nets`` shape: 50 agents x 4 weeks, 3 pairs, 1-day windows, L = 16.

@@ -65,8 +65,8 @@ def dumped_prompt(tmp_path, mode, trajectories, template_version, deviate):
     that deviates at its ``deviate`` index."""
     data, out = tmp_path / "data", tmp_path / "prompts"
     data.mkdir()
-    # the sidecar's fallback: SplitSpec.from_labels needs one even when every agent is an outlier
-    write_dataset(Dataset(trajectories, {"switch_fraction": 0.5}), str(data / "dataset.jsonl"))
+    # no sidecar: every agent is an outlier, so no split fallback is needed
+    write_dataset(Dataset(trajectories), str(data / "dataset.jsonl"))
     write_labels(LabelSet({t.agent_id: LabelEntry(True, "imposter", deviate[t.agent_id]) for t in trajectories}),
                  str(data / "labels.jsonl"))
     argv = ["--out-dir", str(out), "dump-prompts", "--in", str(data), "--mode", mode, "--template", template_version]
