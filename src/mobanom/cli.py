@@ -118,8 +118,13 @@ def _file_settings(parser: configparser.ConfigParser, name: str, strict: bool) -
     ``strict`` rejects a sectioned file that holds none of the stage's own
     sections (its extra sections and [name]); a flat file applies to any stage.
     A key of one of those sections is refused when no stage that merges the
-    section reads it.
+    section reads it, and a key that every stage shares (of a flat file, of the
+    lines before the first header or of [global]) when no stage and not ``run`` reads it.
     """
+    known = {"stages", "out_dir", *(key for stage in STAGES.values() for key in stage.keys)}  # run reads the first two
+    for key in parser["global"] if parser.has_section("global") else parser.defaults():  # defaults show in [global]
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r}{'' if key in parser.defaults() else ' in [global]'}")
     if not parser.sections():
         settings = dict(parser.defaults())
     else:

@@ -31,6 +31,7 @@ encode; only integer coordinates become floats on read.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import dataclasses
 import hashlib
@@ -177,6 +178,10 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    def stays_before(self, time: int) -> int:
+        """How many stays arrive before ``time``: the one time search, which the trajectory rule makes a bisection."""
+        return bisect.bisect_left(self.points, time, key=lambda sp: sp.arrive)
 
 
 @dataclass(frozen=True)

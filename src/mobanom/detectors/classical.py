@@ -53,11 +53,10 @@ def monav_tt_score(ds: Dataset, split: SplitSpec, window_days: float = WINDOW_DA
         train_d = []
         test_d = []
         locations = [sp.location for sp in t.points]
-        for is_train, rows in bucket_windows([sp.arrive for sp in t.points], idx, window_seconds):
-            rows = rows.tolist()
+        for is_train, rows in bucket_windows(t, idx, window_seconds):
             d = 0.0  # hops added left to right: sum() is compensated from Python 3.12 on
-            for a, b in zip(rows, rows[1:]):
-                d += haversine_km(locations[a], locations[b])
+            for k in range(rows[0], rows[-1]):
+                d += haversine_km(locations[k], locations[k + 1])
             (train_d if is_train else test_d).append(d)
         if len(train_d) < 2:
             omitted[t.agent_id] = "needs >= 2 training windows"

@@ -66,12 +66,7 @@ class SplitSpec:
                                             f"but it has {len(t.points)} stays")
                 split[t.agent_id] = entry.deviate_index
             elif fallback_time is not None:
-                idx = len(t.points)
-                for k, sp in enumerate(t.points):
-                    if sp.arrive >= fallback_time:
-                        idx = k
-                        break
-                split[t.agent_id] = idx
+                split[t.agent_id] = t.stays_before(fallback_time)
             elif fallback_fraction is not None:
                 split[t.agent_id] = int(math.floor(fallback_fraction * len(t.points)))
             else:
@@ -107,28 +102,19 @@ def check_windows(window_days: float, L: int) -> int:
     return window_seconds_of(window_days)
 
 
-def bucket_windows(arrive, split_idx: int, window_seconds: int) -> list[tuple[bool, np.ndarray]]:
-    """(is_train, row indices) of each non-empty window of one agent's arrivals (ints), in window order.
+def bucket_windows(t: Trajectory, split_idx: int, window_seconds: int) -> list[tuple[bool, np.ndarray]]:
+    """(is_train, row indices) of each non-empty window of ``t``'s stays, in window order.
 
-    Buckets count from the first row's arrival; the split cuts a straddling bucket in two.  One stable
-    sort orders the buckets ascending, a cut bucket's train part first, and each window's rows in input
-    order, whether or not the arrivals are sorted.
+    Buckets count from the first arrival; the split cuts a straddling bucket in two, its train part first.
+    The trajectory rule orders the arrivals, so each window is a run of consecutive rows.
     """
     if window_seconds < 1:
         raise ConfigError(f"a window must last at least 1 second, got {window_seconds}")
-    try:
-        arrive = np.asarray(arrive, dtype=np.int64)
-    except OverflowError:
-        raise InvalidInputError("arrival times must fit in a signed 64-bit integer") from None
-    if not len(arrive):
-        return []
-    bucket = (arrive - arrive[0]) // window_seconds
-    is_test = np.arange(len(arrive)) >= split_idx
-    order = np.lexsort((is_test, bucket))
-    bucket, is_test = bucket[order], is_test[order]
-    cuts = np.flatnonzero((bucket[1:] != bucket[:-1]) | (is_test[1:] != is_test[:-1])) + 1
-    bounds, train = [0, *cuts.tolist(), len(order)], (~is_test).tolist()
-    return [(train[lo], order[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    arrive = np.fromiter((sp.arrive for sp in t.points), dtype=np.int64, count=len(t.points))
+    split = min(max(split_idx, 0), len(arrive))
+    starts = np.flatnonzero(np.diff((arrive - arrive[:1]) // window_seconds)) + 1  # [:1]: no stays give no windows
+    bounds, rows = sorted({0, split, len(arrive), *starts.tolist()}), np.arange(len(arrive))
+    return [(lo < split, rows[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 @dataclass
@@ -207,7 +193,7 @@ def build_windows(
         if idx <= 0:
             feat.ineligible[t.agent_id] = "empty training side"
             continue
-        windows = bucket_windows([sp.arrive for sp in t.points], idx, window_seconds)
+        windows = bucket_windows(t, idx, window_seconds)
         types = np.array([code.get(sp.place_type, code[UNKNOWN_TYPE]) for sp in t.points], dtype=np.intp)
         for side, is_train in ((feat.train, True), (feat.test, False)):
             rows = [r for train, r in windows if train == is_train]

@@ -227,11 +227,12 @@ def _one_class_scores(kind: str, feat: WindowedFeatures, hyper: NetHyper, scope:
         net = TinyNet(sizes, seed=[seed for _, _, seed in stack], dtype=NET_DTYPE)
         result = train_network(net, inputs, "reconstruction" if kind == "dae" else "svdd", hyper)
         for g, ((_, test_agents, _), test_x) in enumerate(zip(stack, test_xs)):
-            out = result.net[g].forward(test_x)
-            if kind == "dae":
-                per_window = np.mean((out - test_x) ** 2, axis=1)
-            else:
-                per_window = np.sum((out - result.center[g]) ** 2, axis=1)
+            with np.errstate(over="ignore", invalid="ignore"):  # a net that diverged in its last update raises below
+                out = result.net[g].forward(test_x)
+                if kind == "dae":
+                    per_window = np.mean((out - test_x) ** 2, axis=1)
+                else:
+                    per_window = np.sum((out - result.center[g]) ** 2, axis=1)
             # test rows are in agent order, so each agent's windows are one slice
             ends = np.cumsum([len(feat.test[a]) for a in test_agents])
             for a, own in zip(test_agents, np.split(per_window, ends[:-1])):

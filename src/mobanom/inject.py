@@ -53,10 +53,8 @@ def _switch_time(traj: Trajectory, switch_fraction: float) -> int | None:
 
 def _swap_pair(a: Trajectory, b: Trajectory, switch_time: int) -> tuple[Trajectory, Trajectory, int, int] | None:
     """Exchange the post-switch tails; None if the swap is degenerate or invalid."""
-    a_head = [p for p in a.points if p.arrive <= switch_time]
-    a_tail = [p for p in a.points if p.arrive > switch_time]
-    b_head = [p for p in b.points if p.arrive <= switch_time]
-    b_tail = [p for p in b.points if p.arrive > switch_time]
+    a_cut, b_cut = a.stays_before(switch_time + 1), b.stays_before(switch_time + 1)  # the stays arriving by then
+    a_head, a_tail, b_head, b_tail = a.points[:a_cut], a.points[a_cut:], b.points[:b_cut], b.points[b_cut:]
     if not a_tail or not b_tail:
         return None
     try:  # a swap whose trajectory breaks the trajectory rule is refused when built

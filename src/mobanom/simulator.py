@@ -392,9 +392,9 @@ def simulate(config: SimConfig) -> SimResult:
     for i, profile in enumerate(profiles):
         trajectory, events[profile.agent_id] = _simulate_agent(profile, profiles, cal, config, _rng(config.seed, 4, i))
         trajectories.append(trajectory)
-        points, deviate_index = trajectory.points, None
+        deviate_index = None
         if profile.outlier_type != "none":
-            deviate_index = next((k for k, sp in enumerate(points) if sp.arrive >= onset_time), len(points) - 1)
+            deviate_index = min(trajectory.stays_before(onset_time), len(trajectory) - 1)
         entries[profile.agent_id] = LabelEntry(profile.outlier_type != "none", profile.outlier_type, deviate_index)
 
     meta = {"source": "simulator", "seed": config.seed, "config_hash": params_hash(asdict(config)),

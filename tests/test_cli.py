@@ -1242,7 +1242,45 @@ class TestUnknownSectionKeys:
     def test_the_lines_before_the_first_header_are_shared_not_the_sections_own(self, tmp_path):
         # configparser shows them in every section; a stage that does not read one is not refused for it
         cfg = tmp_path / "shared.ini"
-        write(str(cfg), "note = x\n[simulate]\nn_agents = 4\nweeks = 1\nn_hunger = 0\nn_social = 0\nn_work = 0\n")
+        write(str(cfg), "top_k = 3\n[simulate]\nn_agents = 4\nweeks = 1\nn_hunger = 0\nn_social = 0\nn_work = 0\n")
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "sim"), "simulate"]) == 0
+
+
+class TestUnknownSharedKeys:
+    """A key that every stage shares (of a flat file, of the lines before the first header or of [global]) is
+    refused, naming the file, when no stage and not `run` reads it; a key that an unlisted stage reads is taken."""
+
+    SIM = "n_agents = 4\nweeks = 1\nn_hunger = 0\nn_social = 0\nn_work = 0\n"
+
+    def test_a_flat_file_key_no_stage_reads_is_refused(self, tmp_path, capsys):
+        # was: exit 0, simulating the default 1,000 agents
+        cfg = tmp_path / "sim.cfg"
+        write(str(cfg), self.SIM.replace("n_agents", "n_agnets"))
+        out = tmp_path / "sim"
+        assert main(["--config", str(cfg), "--out-dir", str(out), "simulate"]) == 1
+        err = capsys.readouterr().err
+        assert f"simulate: {cfg}: unknown key 'n_agnets'\n" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("head, key, where", [("[global]\nsed = 3\n", "sed", " in [global]"),
+                                                  ("note = x\n[global]\n", "note", "")],
+                             ids=["global", "before_the_first_header"])
+    def test_run_refuses_it_before_any_stage_writes(self, tmp_path, capsys, head, key, where):
+        # was: exit 0, `sed = 3` ignored and the run seeded with the default
+        cfg = tmp_path / "run.ini"
+        write(str(cfg), head + "stages = simulate\n[simulate]\n" + self.SIM)
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "--out-dir", str(out), "run"]) == 1
+        err = capsys.readouterr().err
+        assert f"run: {cfg}: unknown key '{key}'{where}\n" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_a_key_that_run_or_an_unlisted_stage_reads_is_taken(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        write(str(cfg), f"epochs = 2\n[global]\nstages = simulate\nout_dir = {tmp_path / 'unused'}\ntop_k = 3\n"
+                        "[simulate]\n" + self.SIM)
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "run"), "run"]) == 0
+        write(str(cfg), "stages = simulate\nout_dir = x\nmethods = ompad\n" + self.SIM)
         assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "sim"), "simulate"]) == 0
 
 

@@ -325,6 +325,18 @@ label_entries = st.one_of(
 )
 
 
+class TestStaysBefore:
+    @settings(max_examples=300, deadline=None)
+    @given(lawful_points(names=st.just("p"), max_size=8), st.integers(-(2**63), 2**63 - 1))
+    @example([], 0)
+    @example([sp(0, 10), sp(10, 10), sp(20, 30)], 15)  # a stay arriving as the previous one departs
+    def test_it_counts_the_stays_that_arrive_before_a_time(self, points, time):
+        """Against a linear count, at the drawn time and at, just before and just after each arrival."""
+        t, arrive = Trajectory("a", points), [p.arrive for p in points]
+        for time in [time, *(a + d for a in arrive for d in (-1, 0, 1))]:
+            assert t.stays_before(time) == sum(a < time for a in arrive)
+
+
 class TestRoundTripProperties:
     """write -> read -> write gives byte-identical files and equal values."""
 

@@ -44,6 +44,12 @@ class TestSplitSpec:
         split = SplitSpec.from_labels(ds, labels, fallback_time=1500)
         assert split.split_index["a"] == 2
 
+    def test_fallback_time_equal_to_an_arrival_puts_that_stay_on_the_test_side(self):
+        ds = Dataset(trajectories=[traj("a", [0, 1000, 2000, 3000])])
+        labels = LabelSet(entries={"a": LabelEntry(False)})
+        for time, idx in ((-1, 0), (0, 0), (1000, 1), (1001, 2), (3000, 3), (3001, 4)):
+            assert SplitSpec.from_labels(ds, labels, fallback_time=time).split_index["a"] == idx
+
     def test_meta_onset_time_used(self):
         ds = Dataset(trajectories=[traj("a", [0, 1000, 2000])], meta={"onset_time": 1000})
         labels = LabelSet(entries={"a": LabelEntry(False)})
@@ -157,7 +163,7 @@ class TestBuildWindows:
         arrivals = [i * DAY // 2 for i in range(28)]
         ds = Dataset(trajectories=[traj("a", arrivals)])
         split = SplitSpec(split_index={"a": 20})
-        windows = bucket_windows(arrivals, split.split_index["a"], 7 * DAY)
+        windows = bucket_windows(ds.trajectories[0], split.split_index["a"], 7 * DAY)
         points = ds.trajectories[0].points
         spans = sorted((points[rows[0]].arrive, points[rows[-1]].depart) for _, rows in windows)
         for (_, end), (start, _) in zip(spans, spans[1:]):

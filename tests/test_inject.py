@@ -6,10 +6,11 @@ from mobanom.core import (
     Dataset,
     GeoPoint,
     InjectionError,
+    InvalidInputError,
     StayPoint,
     Trajectory,
 )
-from mobanom.inject import InjectConfig, inject_imposter
+from mobanom.inject import InjectConfig, _swap_pair, inject_imposter
 
 
 def make_traj(agent_id, arrivals, place="Apartment", lat=10.0, lon=20.0, dwell=50):
@@ -80,6 +81,47 @@ class TestContract:
             inject_imposter(ds, InjectConfig(n_outlier_pairs=3))
         with pytest.raises(ConfigError):
             inject_imposter(ds, InjectConfig(n_outlier_pairs=1, switch_fraction=1.5))
+
+
+def swap_by_filters(a, b, switch_time):
+    """The swap as four filters over the stays by arrival: the oracle of ``_swap_pair``'s cut."""
+    a_head = [p for p in a.points if p.arrive <= switch_time]
+    a_tail = [p for p in a.points if p.arrive > switch_time]
+    b_head = [p for p in b.points if p.arrive <= switch_time]
+    b_tail = [p for p in b.points if p.arrive > switch_time]
+    if not a_tail or not b_tail:
+        return None
+    try:
+        return Trajectory(a.agent_id, a_head + b_tail), Trajectory(b.agent_id, b_head + a_tail), len(a_head), len(b_head)
+    except InvalidInputError:
+        return None
+
+
+class TestCut:
+    def zero_gap_pair(self):
+        """Either one's switch time is 7050, the depart of A's stay 7 and of B's stay 6; B's stay 7 arrives then."""
+        a = make_traj("A", [1000 * i for i in range(10)])
+        b_stays = [(1000 * i + 500, 1000 * i + 550) for i in range(6)] + [(6500, 7050), (7050, 7060), (8500, 8550)]
+        b = Trajectory("B", [StayPoint(s, e, f"B_{i}", "Pub", GeoPoint(11.0, 20.0)) for i, (s, e) in enumerate(b_stays)])
+        return a, b
+
+    def test_a_stay_arriving_at_the_switch_time_stays_in_the_head(self):
+        a, b = self.zero_gap_pair()
+        new_a, new_b, dev_a, dev_b = _swap_pair(a, b, 7050)
+        assert (dev_a, dev_b) == (8, 8)
+        assert new_a.points == a.points[:8] + b.points[8:]
+        assert new_b.points == b.points[:8] + a.points[8:]
+        out, labels = inject_imposter(Dataset(trajectories=[a, b]), InjectConfig(n_outlier_pairs=1, seed=0))
+        assert out.by_agent() == {"A": new_a, "B": new_b}
+        assert labels.entries["A"].deviate_index == labels.entries["B"].deviate_index == 8
+
+    def test_the_cut_matches_the_four_filters(self):
+        a, b = self.zero_gap_pair()
+        times = {p.arrive + d for t in (a, b) for p in t.points for d in (-1, 0, 1)}
+        times |= {p.depart + d for t in (a, b) for p in t.points for d in (-1, 0, 1)}
+        for x, y in ((a, b), (b, a)):
+            for switch_time in sorted(times):
+                assert _swap_pair(x, y, switch_time) == swap_by_filters(x, y, switch_time), switch_time
 
 
 def point_multiset(traj):

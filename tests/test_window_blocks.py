@@ -3,7 +3,6 @@
 import inspect
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import features_oracle as oracle
 import numpy as np
@@ -24,13 +23,10 @@ TYPES = ["Home", "Pub", "Work"]
 
 @st.composite
 def arrivals(draw) -> list[int]:
-    """Up to 12 arrival times, unsorted or sorted, with ties."""
+    """Up to 12 arrival times in any order, with ties."""
     n = draw(st.integers(0, 12))
     pool = draw(st.lists(st.integers(-30 * HOUR, 80 * HOUR), min_size=1, max_size=6))
-    arrive = draw(st.lists(st.sampled_from(pool) | st.integers(-30 * HOUR, 80 * HOUR), min_size=n, max_size=n))
-    if draw(st.booleans()):
-        arrive.sort()
-    return arrive
+    return draw(st.lists(st.sampled_from(pool) | st.integers(-30 * HOUR, 80 * HOUR), min_size=n, max_size=n))
 
 
 def splits(n: int):
@@ -90,27 +86,13 @@ def test_blocks_and_scores_match_the_object_windows(inputs):
 
     for t in ds.trajectories:
         idx = split.split_index.get(t.agent_id, len(t.points))
-        rows = bucket_windows([p.arrive for p in t.points], idx, new.window_seconds)
+        rows = bucket_windows(t, idx, new.window_seconds)
         expected = oracle.bucket_windows(t, idx, new.window_seconds)
         assert [(is_train, [id(t.points[r]) for r in r_]) for is_train, r_ in rows] == [
             (is_train, [id(p) for p in pts]) for _, is_train, pts in expected]
 
     assert_same_table(ompad_score(new), oracle.ompad_score(old))
     assert_same_table(monav_tt_score(ds, split, window_days), oracle.monav_tt_score(ds, split, window_days))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_buckets_of_unsorted_and_tied_arrivals_match_the_object_windows(data):
-    """``bucket_windows`` takes any arrivals, though a trajectory holds them strictly increasing: unsorted and tied
-    ones are compared here, at the array level, with the oracle run on stand-in stays."""
-    arrive = data.draw(arrivals())
-    split, window_seconds = data.draw(splits(len(arrive))), data.draw(st.sampled_from([1, HOUR, 6 * HOUR, 7 * 86400]))
-    stays = [SimpleNamespace(arrive=a) for a in arrive]
-    rows = bucket_windows(arrive, split, window_seconds)
-    expected = oracle.bucket_windows(SimpleNamespace(points=stays), split, window_seconds)
-    assert [(is_train, [id(stays[r]) for r in r_]) for is_train, r_ in rows] == [
-        (is_train, [id(p) for p in pts]) for _, is_train, pts in expected]
 
 
 def test_hop_sums_are_added_left_to_right():
@@ -148,12 +130,10 @@ def test_a_window_without_a_finite_length_is_a_config_error(window_days):
 
 
 def test_an_arrival_beyond_64_bits_is_an_input_error():
-    # a trajectory refuses it when built, so only an array caller of bucket_windows can pass one
+    # a trajectory refuses it when built, so no detector meets one
     points = [StayPoint(a, a, "p", "Pub", GeoPoint(0.0, 0.0)) for a in (0, 2**63)]
     with pytest.raises(InvalidInputError, match="^stay 1 of 'a': arrive 9223372036854775808 does not fit"):
         Trajectory("a", points)
-    with pytest.raises(InvalidInputError, match="^arrival times must fit in a signed 64-bit integer$"):
-        bucket_windows([0, 2**63], 1, 86400)
 
 
 def test_the_windowed_detectors_omit_the_agents_the_windows_leave_out():
