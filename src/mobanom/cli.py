@@ -7,6 +7,8 @@ byte-for-byte at a fixed BLAS thread count: OpenBLAS splits the nets' gradient
 sums by thread, so population DAE and DSVDD scores may move in their last bits
 with the count.  The manifest's ``runtime`` record names the Python, numpy and
 BLAS versions, the CPU count and the thread variables that a run saw.
+Under ``run``, ``detect`` and ``eval`` take the dataset and labels that ``inject``
+wrote in memory while their files keep the sha256 recorded when written.
 Config files are INI-style key-value text with one section per stage.  A
 stage takes each setting from, highest first: its command-line flag, its own
 section, then ``[global]``.
@@ -25,7 +27,7 @@ import platform
 import sys
 import time
 from dataclasses import dataclass, fields
-from typing import Callable, Collection
+from typing import Callable, Collection, Mapping
 
 import numpy as np
 
@@ -165,23 +167,34 @@ def read_endpoint_file(path: str) -> LlmEndpointConfig:
 # ---------------------------------------------------------------------------
 # Stages.  Each has a settings step, which builds and checks every setting the stage
 # uses and reads no stage input, and a body, which takes (those settings, declared
-# input paths, output directory, a list it appends every output path to before writing it).
+# input paths, output directory, a list it appends every output path to before writing it,
+# the objects that `run` hands over for some input paths, each what a read of its file
+# returns) and returns the objects it wrote that a later stage may take, keyed by path.
 # ---------------------------------------------------------------------------
 
 
-def _write_data(out_dir: str, outputs: list[str], ds, labels=None) -> None:
+def _load(kept: Mapping[str, object], path: str, read: Callable[[str], object]):
+    """The object handed over for ``path``, else ``read(path)``."""
+    return kept[path] if path in kept else read(path)
+
+
+def _write_data(out_dir: str, outputs: list[str], ds, labels=None) -> dict:
+    """Writes ``ds`` (and ``labels``) into ``out_dir`` and returns them, keyed by path."""
     os.makedirs(out_dir, exist_ok=True)
     ds_path = os.path.join(out_dir, "dataset.jsonl")
     outputs += [ds_path, _meta_path(ds_path)]
     write_dataset(ds, ds_path)
+    written = {ds_path: ds}
     if labels is not None:
         lb_path = os.path.join(out_dir, "labels.jsonl")
         outputs.append(lb_path)
         write_labels(labels, lb_path)
+        written[lb_path] = labels
+    return written
 
 
-def stage_simulate(config: SimConfig, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
-    result = simulate(config)
+def stage_simulate(config: SimConfig, inputs: list[str], out_dir: str, outputs: list[str], kept) -> None:
+    result = simulate(config)  # `inject` reads it from the file: perfbench's trace needs read_dataset on city_s
     _write_data(out_dir, outputs, result.dataset, result.labels)
     log.info("simulated %d agents, %d outliers", config.n_agents, result.labels.n_outliers())
 
@@ -202,16 +215,19 @@ def _ingest_settings(m: dict) -> dict:
     return {"params": config_from_mapping(StayPointParams, m), **settings_of(ingest_dataset, m, _INGEST_KEYS)}
 
 
-def stage_ingest(s: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
+def stage_ingest(s: dict, inputs: list[str], out_dir: str, outputs: list[str], kept) -> None:
     ds = ingest_dataset(inputs[0], poi=PoiMap.from_jsonl(inputs[1]) if inputs[1:] else None, **s)
     _write_data(out_dir, outputs, ds)
     log.info("ingested %d agents from %s", len(ds.trajectories), inputs[0])
 
 
-def stage_inject(cfg: InjectConfig, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
+def stage_inject(cfg: InjectConfig, inputs: list[str], out_dir: str, outputs: list[str], kept) -> dict:
+    """Returns the dataset and labels it wrote: a read of them returns equal records, in the same order, whose stays
+    share each place's :class:`GeoPoint` as these do, for the stays are those of the read of ``inputs[0]``."""
     out_ds, labels = inject_imposter(read_dataset(inputs[0]), cfg)
-    _write_data(out_dir, outputs, out_ds, labels)
+    written = _write_data(out_dir, outputs, out_ds, labels)
     log.info("injected %d imposter pairs", cfg.n_outlier_pairs)
+    return written
 
 
 def _split_settings(m: dict) -> dict:
@@ -259,8 +275,8 @@ def _split_of(ds, labels, split: dict, inputs: list[str]) -> SplitSpec:
         return SplitSpec.from_labels(ds, labels, **split)
 
 
-def stage_detect(s: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
-    ds, labels = read_dataset(inputs[0]), read_labels(inputs[1])
+def stage_detect(s: dict, inputs: list[str], out_dir: str, outputs: list[str], kept) -> None:
+    ds, labels = _load(kept, inputs[0], read_dataset), _load(kept, inputs[1], read_labels)
     split = _split_of(ds, labels, s["split"], inputs)
     feat = build_windows(ds, split, **s["window"]) if "window" in s else None
     endpoint = endpoint_from_config(s["endpoint"], labels=labels) if "endpoint" in s else None
@@ -291,8 +307,8 @@ def _eval_settings(m: dict) -> dict:
     return {"ks": ks, "out": m.get("out")}
 
 
-def stage_eval(s: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
-    labels = read_labels(inputs[0])
+def stage_eval(s: dict, inputs: list[str], out_dir: str, outputs: list[str], kept) -> None:
+    labels = _load(kept, inputs[0], read_labels)
     report = make_report([ScoreTable.read(path) for path in inputs[1:]], labels, s["ks"])
     os.makedirs(out_dir, exist_ok=True)
     csv_path = s["out"] or os.path.join(out_dir, "report.csv")
@@ -308,7 +324,7 @@ def _dump_prompts_settings(m: dict) -> dict:
     return {**s, "split": _split_settings(m) if s["mode"].endswith("_hint") else None}
 
 
-def stage_dump_prompts(s: dict, inputs: list[str], out_dir: str, outputs: list[str]) -> None:
+def stage_dump_prompts(s: dict, inputs: list[str], out_dir: str, outputs: list[str], kept) -> None:
     ds, labels = read_dataset(inputs[0]), read_labels(inputs[1])
     split = None if s["split"] is None else _split_of(ds, labels, s["split"], inputs)
     dump_prompts(ds, labels, s["mode"], out_dir, s["template_version"], split=split, outputs=outputs)
@@ -343,13 +359,14 @@ class Stage:
     """One row of the stage table, shared by the stage's subcommand and by ``run``."""
 
     settings: Callable[[dict], object]  # settings mapping -> the built, checked settings; reads no stage input
-    fn: Callable[[object, list, str, list], None]
+    fn: Callable[[object, list, str, list, Mapping], Mapping | None]
     reads: Callable[[dict, object], list]  # (settings mapping, built settings) -> the input paths the stage declares
     subdir: str | None  # output directory under `run`'s --out-dir; None: subcommand only
     chain: Callable[[str], dict] | None = None  # data dir -> path settings under `run`
     data: bool = False  # writes the dataset that later `run` stages read
     sections: tuple[str, ...] = ()  # config sections merged between [global] and the stage's own
     keys: tuple[str, ...] = ()  # every key the stage can read from those sections, on some run
+    takes: tuple[str, ...] = ()  # files of the data dir that, under `run`, it may take from the stage that wrote them
 
 
 STAGES = {
@@ -367,30 +384,37 @@ STAGES = {
         keys=tuple(_INJECT_KEYS),
     ),
     "detect": Stage(_detect_settings, stage_detect, _data_dir_inputs, "scores", chain=lambda data: {"in": data},
-                    sections=("llm",), keys=_DETECT_KEYS),
+                    sections=("llm",), keys=_DETECT_KEYS, takes=("dataset.jsonl", "labels.jsonl")),
     "eval": Stage(_eval_settings, stage_eval, _eval_inputs, "",
-                  chain=lambda data: {"labels": os.path.join(data, "labels.jsonl")}, keys=("top_k",)),
+                  chain=lambda data: {"labels": os.path.join(data, "labels.jsonl")}, keys=("top_k",),
+                  takes=("labels.jsonl",)),
     "dump-prompts": Stage(_dump_prompts_settings, stage_dump_prompts, _data_dir_inputs, None,
                           sections=("llm", "detect"), keys=_DUMP_PROMPTS_KEYS),
 }
 
 
-def _run_stage(name: str, m: dict, s, out_dir: str, hash_inputs: bool = False) -> dict:
+def _run_stage(name: str, m: dict, s, out_dir: str, kept: Mapping[str, tuple] | None = None) -> tuple[dict, Mapping]:
     """Run one stage on the settings ``s`` built from ``m``; on failure rename its outputs to ``<path>.partial``.
 
-    With ``hash_inputs``, the entry maps each input to its sha256, taken before the stage runs.
+    Returns the manifest entry and the objects that the stage wrote, keyed by path.  ``kept`` is None for a
+    subcommand, which hashes nothing and reads every input.  Under ``run`` it maps a path to an object that an
+    earlier stage wrote there and the sha256 of each file it was written to (a dataset's sidecar too); the entry
+    then maps each input to its sha256, taken before the stage runs, and the stage takes each object whose files
+    are inputs with those hashes in place of a read.
     """
     stage = STAGES[name]
     inputs = stage.reads(m, s)
     for path in inputs:
         if not os.path.exists(path):
             raise ConfigError(f"{name} input not found: {path}")
-    recorded = {path: _sha256_path(path) for path in inputs} if hash_inputs else inputs
+    recorded = inputs if kept is None else {path: _sha256_path(path) for path in inputs}
+    taken = {path: obj for path, (obj, files) in (kept or {}).items()
+             if all(recorded.get(f) == sha256 for f, sha256 in files.items())}
     outputs: list[str] = []
     started = time.monotonic()
     log.info("stage %s starting", name)
     try:
-        stage.fn(s, inputs, out_dir, outputs)
+        written = stage.fn(s, inputs, out_dir, outputs, taken) or {}
     except Exception:
         for path in outputs:
             if os.path.exists(path):
@@ -399,7 +423,7 @@ def _run_stage(name: str, m: dict, s, out_dir: str, hash_inputs: bool = False) -
         raise
     wall_clock_s = round(time.monotonic() - started, 3)
     log.info("stage %s done in %.2fs", name, wall_clock_s)
-    return {"name": name, "inputs": recorded, "outputs": outputs, "wall_clock_s": wall_clock_s}
+    return {"name": name, "inputs": recorded, "outputs": outputs, "wall_clock_s": wall_clock_s}, written
 
 
 def _runtime() -> dict:
@@ -442,7 +466,8 @@ def run_pipeline(config_path: str, out_dir: str | None, seed: int | None) -> int
             stage_dir = os.path.join(out_dir, stage.subdir)
             if name == "inject" and isinstance(data_settings, SimConfig):  # after ingest, the data counts the agents
                 check_pairs(s, data_settings.n_agents)
-            plan.append((name, m, s, stage_dir))
+            takes = {os.path.join(data_dir, f) for f in stage.takes}
+            plan.append((name, m, s, stage_dir, takes))
             if stage.data:
                 data_dir, labelled, data_settings = stage_dir, name != "ingest", s
 
@@ -455,13 +480,18 @@ def run_pipeline(config_path: str, out_dir: str | None, seed: int | None) -> int
             "stages": [],
         }
     os.makedirs(out_dir, exist_ok=True)
+    kept: dict[str, tuple] = {}  # path -> (what a stage wrote there, the sha256 of each file it wrote it to)
     try:
-        for name, m, s, stage_dir in plan:
+        for i, (name, m, s, stage_dir, _) in enumerate(plan):
             if name == "eval":  # the score files this run wrote, not what an earlier run left in scores/
                 m["scores"] = [p for e in manifest["stages"] if e["name"] == "detect" for p in e["outputs"]]
-            entry = _run_stage(name, m, s, stage_dir, hash_inputs=True)
-            entry["outputs"] = {p: _sha256_path(p) for p in entry["outputs"]}
+            entry, written = _run_stage(name, m, s, stage_dir, kept)
+            hashes = entry["outputs"] = {p: _sha256_path(p) for p in entry["outputs"]}
             manifest["stages"].append(entry)
+            kept.update((p, (obj, {f: hashes[f] for f in (p, _meta_path(p)) if f in hashes}))
+                        for p, obj in written.items())
+            later = set().union(*(step[4] for step in plan[i + 1:]))
+            kept = {p: held for p, held in kept.items() if p in later}  # dropped once no later stage takes it
     except BaseException as exc:  # re-raised once the manifest names it
         manifest.update(status="failed", error={"stage": name, "type": type(exc).__name__, "message": str(exc)})
         raise
@@ -547,7 +577,7 @@ def main(argv: list[str] | None = None) -> int:
             m = {**(_file_settings(parser, args.command, strict=True) if parser else {}), **flags}
         with naming(_settings_source(args.config, set(flags) - set(PATH_KEYS))):
             s = STAGES[args.command].settings(m)
-        _run_stage(args.command, m, s, args.out_dir or "out")
+        _run_stage(args.command, m, s, args.out_dir or m.get("out_dir", "out"))
     except (MobanomError, OSError) as exc:
         log.error("%s: %s", args.command, exc)
         return 1

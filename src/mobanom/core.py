@@ -187,14 +187,15 @@ class Trajectory:
 @dataclass(frozen=True)
 class Dataset:
     """Trajectories, one per agent id, and the dataset's provenance ``meta``, whose values have their JSON types;
-    checked when built.  The trajectories are kept as a tuple and ``meta`` as a read-only copy."""
+    checked when built.  The trajectories are kept as a tuple and ``meta`` as a read-only copy in key order, the
+    order that its sidecar holds, so a read of a written dataset iterates as the dataset does."""
 
     trajectories: tuple[Trajectory, ...] = ()
     meta: typing.Mapping[str, typing.Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "trajectories", tuple(self.trajectories))
-        object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
+        object.__setattr__(self, "meta", MappingProxyType(dict(sorted(self.meta.items()))))
         checked = _one_line_per("agent_id", dict)  # each trajectory checked itself when built
         for t in self.trajectories:
             checked({"agent_id": t.agent_id})

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -6,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -350,10 +352,10 @@ class TestRunPipeline:
     def test_manifest_records_the_inputs_before_the_stage_ran(self, tmp_path, monkeypatch):
         detect = STAGES["detect"]
 
-        def rewriting_detect(s, inputs, out_dir, outputs):
+        def rewriting_detect(s, inputs, out_dir, outputs, kept):
             with open(inputs[1], "a", encoding="utf-8") as fh:  # the labels; a blank line reads the same
                 fh.write("\n")
-            detect.fn(s, inputs, out_dir, outputs)
+            detect.fn(s, inputs, out_dir, outputs, kept)
 
         monkeypatch.setitem(STAGES, "detect", replace(detect, fn=rewriting_detect))
         out = tmp_path / "run"
@@ -513,6 +515,174 @@ class TestRunPipeline:
             hashes.append(sorted(sim["outputs"].values()))
         assert hashes[0] == hashes[1]  # same explicit seed
         assert hashes[0] != hashes[2]  # flag seed 99 differs from file seed 11
+
+
+HANDOFF_CONFIG = """
+[global]
+seed = 7
+stages = simulate, inject, detect, eval
+
+[simulate]
+n_agents = 12
+weeks = 1
+n_hunger = 1
+n_social = 1
+n_work = 0
+
+[inject]
+pairs = 2
+
+[detect]
+methods = ompad, monav, llm
+window_days = 2
+
+[llm]
+mode = separate
+endpoint = {endpoint}
+cache_dir = {cache}
+
+[eval]
+top_k = 2,5
+"""
+
+
+def tree_bytes(root) -> dict:
+    """Each file under ``root`` but the manifest, by relative path, with its bytes."""
+    return {os.path.relpath(os.path.join(d, n), root): open(os.path.join(d, n), "rb").read()
+            for d, _, names in os.walk(root) for n in names if n != "manifest.json"}
+
+
+class TestInMemoryHandoff:
+    """Under `run`, detect and eval take the dataset and labels that inject wrote in memory when each file (the
+    dataset's sidecar too) hashes as written, and read it otherwise; subcommands always read."""
+
+    def config(self, tmp_path, name="pipeline"):
+        """A config file whose LLM cache is its own: the oracle answers from the labels, which a prompt omits."""
+        endpoint = tmp_path / "endpoint.json"
+        write(str(endpoint), json.dumps({"provider": "mock-oracle", "model_name": "oracle"}))
+        cfg = tmp_path / f"{name}.ini"
+        write(str(cfg), HANDOFF_CONFIG.format(endpoint=endpoint, cache=tmp_path / f"{name}_cache"))
+        return cfg
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """How many times the stages read a dataset and a labels file."""
+        count = {"dataset": 0, "labels": 0}
+
+        def counted(name, read):
+            def reader(path):
+                count[name] += 1
+                return read(path)
+            return reader
+
+        monkeypatch.setattr(cli, "read_dataset", counted("dataset", cli.read_dataset))
+        monkeypatch.setattr(cli, "read_labels", counted("labels", cli.read_labels))
+        return count
+
+    def subcommands(self, cfg, out, cache):
+        """The chain of `run` as four subcommands, into ``out``."""
+        assert main(["--config", str(cfg), "--out-dir", str(out / "sim"), "simulate"]) == 0
+        assert main(["--config", str(cfg), "--out-dir", str(out / "inject"), "inject",
+                     "--in", str(out / "sim" / "dataset.jsonl")]) == 0
+        self.detect_and_eval(cfg, out / "inject", out, cache)
+
+    def detect_and_eval(self, cfg, data, out, cache):
+        """The detect and eval subcommands on the dataset and labels in ``data``, into ``out``."""
+        assert main(["--config", str(cfg), "--out-dir", str(out / "scores"), "detect", "--method", "ompad,monav,llm",
+                     "--in", str(data), "--cache-dir", str(cache)]) == 0
+        assert main(["--config", str(cfg), "--out-dir", str(out), "eval", "--scores", str(out / "scores" / "*.jsonl"),
+                     "--labels", str(data / "labels.jsonl")]) == 0
+
+    def test_run_writes_the_bytes_of_the_subcommands(self, tmp_path, reads):
+        cfg = self.config(tmp_path)
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "run"), "run"]) == 0
+        assert reads == {"dataset": 1, "labels": 0}  # inject reads what simulate wrote; the rest is handed over
+        self.subcommands(cfg, tmp_path / "sub", tmp_path / "sub_cache")
+        assert reads == {"dataset": 3, "labels": 2}  # subcommands always read
+        ran, chained = tree_bytes(tmp_path / "run"), tree_bytes(tmp_path / "sub")
+        assert sorted(ran) == sorted(chained) and {"report.csv", "report.txt", "scores/scores_ompad.jsonl",
+                                                   "scores/scores_monav_tt.jsonl",
+                                                   "scores/scores_llm_separate.jsonl"} <= set(ran)
+        assert all(ran[path] == chained[path] for path in ran), [path for path in ran if ran[path] != chained[path]]
+
+    @staticmethod
+    def drop_the_last_stays_of_normal_agents(inject):
+        outliers = set(read_labels(str(inject / "labels.jsonl")).outlier_ids())
+        lines = []
+        for line in (inject / "dataset.jsonl").read_text().splitlines():
+            obj = json.loads(line)
+            if obj["agent_id"] not in outliers:
+                obj["points"] = obj["points"][:-3]
+            lines.append(json.dumps(obj) + "\n")
+        write(str(inject / "dataset.jsonl"), "".join(lines))
+
+    @staticmethod
+    def move_the_onset_a_day_earlier(inject):  # the split's fallback for the agents that are not outliers
+        meta = json.loads((inject / "dataset.meta.json").read_text())
+        write(str(inject / "dataset.meta.json"), json.dumps({**meta, "onset_time": meta["onset_time"] - 86400}))
+
+    @staticmethod
+    def clear_the_first_outlier(inject):
+        lines = (inject / "labels.jsonl").read_text().splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if json.loads(line)["is_outlier"])
+        agent = json.loads(lines[first])["agent_id"]
+        lines[first] = json.dumps({"agent_id": agent, "is_outlier": False, "outlier_type": "none",
+                                   "deviate_index": None}) + "\n"
+        write(str(inject / "labels.jsonl"), "".join(lines))
+
+    @pytest.mark.parametrize("rewrite, read", [(drop_the_last_stays_of_normal_agents, "dataset"),
+                                               (move_the_onset_a_day_earlier, "dataset"),
+                                               (clear_the_first_outlier, "labels")], ids=["dataset", "sidecar", "labels"])
+    def test_a_file_changed_after_inject_is_read(self, tmp_path, monkeypatch, reads, rewrite, read):
+        cfg = self.config(tmp_path)
+        assert main(["--config", str(self.config(tmp_path, "unchanged")), "--out-dir", str(tmp_path / "unchanged"),
+                     "run"]) == 0
+        detect, out = STAGES["detect"], tmp_path / "run"
+
+        def rewriting_reads(m, s):  # before the stage hashes its inputs
+            rewrite(out / "inject")
+            return detect.reads(m, s)
+
+        monkeypatch.setitem(STAGES, "detect", replace(detect, reads=rewriting_reads))
+        before = dict(reads)
+        assert main(["--config", str(cfg), "--out-dir", str(out), "run"]) == 0
+        # inject reads the simulated dataset; detect reads the changed file's object, and eval reads changed labels
+        assert {k: reads[k] - before[k] for k in reads} == {"dataset": 1 + (read == "dataset"),
+                                                           "labels": 2 * (read == "labels")}
+        # what the detect and eval subcommands, which always read, write from the changed files
+        monkeypatch.setitem(STAGES, "detect", detect)
+        self.detect_and_eval(cfg, out / "inject", tmp_path / "by_hand", tmp_path / "by_hand_cache")
+        ran, by_hand = tree_bytes(out), tree_bytes(tmp_path / "by_hand")
+        results = ["report.csv", "report.txt", *sorted(p for p in by_hand if p.startswith("scores/"))]
+        assert [ran[p] for p in results] == [by_hand[p] for p in results]
+        unchanged = tree_bytes(tmp_path / "unchanged")
+        assert [ran[p] for p in results] != [unchanged[p] for p in results]  # the change shows in the scores
+
+    def test_a_kept_object_is_dropped_once_its_last_reader_has_finished(self, tmp_path, monkeypatch, reads):
+        inject, detect, evaluate = STAGES["inject"], STAGES["detect"], STAGES["eval"]
+        refs = {}
+
+        def keeping_inject(s, inputs, out_dir, outputs, kept):
+            written = inject.fn(s, inputs, out_dir, outputs, kept)
+            refs.update((os.path.basename(path), weakref.ref(obj)) for path, obj in written.items())
+            return written
+
+        def checking_detect(s, inputs, out_dir, outputs, kept):
+            assert [kept.get(path) for path in inputs[:2]] == [refs["dataset.jsonl"](), refs["labels.jsonl"]()]
+            detect.fn(s, inputs, out_dir, outputs, kept)
+
+        def checking_eval(s, inputs, out_dir, outputs, kept):
+            gc.collect()
+            assert refs["dataset.jsonl"]() is None  # detect was its last reader
+            assert kept == {inputs[0]: refs["labels.jsonl"]()}
+            evaluate.fn(s, inputs, out_dir, outputs, kept)
+
+        for name, stage, fn in (("inject", inject, keeping_inject), ("detect", detect, checking_detect),
+                                ("eval", evaluate, checking_eval)):
+            monkeypatch.setitem(STAGES, name, replace(stage, fn=fn))
+        assert main(["--config", str(self.config(tmp_path)), "--out-dir", str(tmp_path / "run"), "run"]) == 0
+        gc.collect()
+        assert refs["labels.jsonl"]() is None and reads == {"dataset": 1, "labels": 0}
 
 
 class TestSettingsPrecedence:
@@ -1282,6 +1452,34 @@ class TestUnknownSharedKeys:
         assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "run"), "run"]) == 0
         write(str(cfg), "stages = simulate\nout_dir = x\nmethods = ompad\n" + self.SIM)
         assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "sim"), "simulate"]) == 0
+
+
+class TestSubcommandOutDir:
+    """A subcommand writes to --out-dir, else to the config file's out_dir, else to out/, as `run` does."""
+
+    SIM = TestUnknownSharedKeys.SIM
+    FILES = {"flat": "out_dir = res\n" + SIM, "global": "[global]\nout_dir = res\n[simulate]\n" + SIM}
+
+    @pytest.mark.parametrize("text", FILES.values(), ids=FILES)
+    def test_the_config_files_out_dir_is_taken(self, tmp_path, monkeypatch, text):
+        # was: written to out/
+        monkeypatch.chdir(tmp_path)
+        write("sim.cfg", text)
+        assert main(["--config", "sim.cfg", "simulate"]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["res", "sim.cfg"] and (tmp_path / "res" / "dataset.jsonl").exists()
+
+    @pytest.mark.parametrize("text", FILES.values(), ids=FILES)
+    def test_the_out_dir_flag_comes_first(self, tmp_path, monkeypatch, text):
+        monkeypatch.chdir(tmp_path)
+        write("sim.cfg", text)
+        assert main(["--config", "sim.cfg", "--out-dir", "flag", "simulate"]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["flag", "sim.cfg"]
+
+    def test_out_comes_last(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write("sim.cfg", self.SIM)
+        assert main(["--config", "sim.cfg", "simulate"]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["out", "sim.cfg"]
 
 
 class TestLlmCache:

@@ -179,6 +179,11 @@ class TestRecordsAreLawfulOnceBuilt:
         assert t.points == (sp(0, 1),) and ds.trajectories == (Trajectory("a"),)
         assert dict(ds.meta) == {"seed": 1} and dict(labels.entries) == {"a": LabelEntry(False)}
 
+    def test_meta_is_kept_in_the_key_order_that_its_sidecar_holds(self, tmp_path):
+        ds = Dataset([], {"seed": 1, "injected": "imposter", "config_hash": "h"})
+        write_dataset(ds, str(tmp_path / "d.jsonl"))
+        assert list(ds.meta) == ["config_hash", "injected", "seed"] == list(read_dataset(str(tmp_path / "d.jsonl")).meta)
+
     @pytest.mark.parametrize("mutate", [
         lambda t, ds, labels: setattr(t, "points", ()),
         lambda t, ds, labels: t.points.append(sp(0, 1)),
@@ -352,6 +357,7 @@ class TestRoundTripProperties:
                 with open(first[:-6] + suffix, "rb") as x, open(again[:-6] + suffix, "rb") as y:
                     assert x.read() == y.read()
         assert back.trajectories == ds.trajectories and back.meta == ds.meta
+        assert list(back.meta.items()) == list(ds.meta.items())  # `==` of two mappings ignores their order
 
     @settings(max_examples=150, deadline=None)
     @given(st.dictionaries(st.text(), label_entries).map(lambda e: LabelSet(entries=e)))
@@ -363,7 +369,7 @@ class TestRoundTripProperties:
             write_labels(back, again)
             with open(first, "rb") as x, open(again, "rb") as y:
                 assert x.read() == y.read()
-        assert back == labels
+        assert back == labels and list(back.entries.items()) == list(labels.entries.items())
 
 
 class LoudInt(int):
