@@ -5,8 +5,9 @@
 The script empties ``DIR``, then, for each workload and seed, runs ``setup`` and ``timed`` of
 ``perfbench/workloads.py`` in ``DIR/<workload>-seed<seed>``, with the ``src/`` of its own checkout on the path and
 BLAS on one thread. It prints one JSON line per artifact: ``workload``, ``seed``, ``path`` (relative to that
-directory) and ``sha256``. Every file that the workload leaves is an artifact, except that a ``manifest.json`` is
-hashed without its stages' ``wall_clock_s`` and an LLM cache entry without its ``timestamp``. Each score table that
+directory) and ``sha256``. Every file that the workload leaves is an artifact, hashed as ``golden_run.canonical``
+gives it, the rule of the tier-1 golden run too: a ``manifest.json`` without its stages' ``wall_clock_s`` and its
+``runtime``, and an LLM cache entry without its ``timestamp``. Each score table that
 ``timed`` returns adds two artifacts, ``<tables>/<detector>.jsonl`` (its ``to_jsonl()``) and
 ``<tables>/<detector>.omitted.json``, and its report rows add ``<report_rows>.json``: the ``nets`` and
 ``traod_town`` workloads write no score files. ``--prompts`` also runs ``dump-prompts`` on each ``city_s`` seed's
@@ -26,6 +27,8 @@ import json
 import os
 import shutil
 import sys
+
+from golden_run import canonical
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -57,17 +60,7 @@ def sha256(data: bytes) -> str:
 def file_digest(path: str, rel: str) -> str:
     """The sha256 of a file, without the fields that change from run to run."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if os.path.basename(rel) == "manifest.json":
-        manifest = json.loads(data)
-        for stage in manifest["stages"]:
-            stage.pop("wall_clock_s", None)
-        data = json.dumps(manifest, sort_keys=True).encode()
-    elif "llm_cache" in rel.split(os.sep):
-        entry = json.loads(data)
-        entry.pop("timestamp", None)
-        data = json.dumps(entry, sort_keys=True).encode()
-    return sha256(data)
+        return sha256(canonical(fh.read(), rel))
 
 
 def dump_all_prompts(work: str) -> None:
