@@ -10,6 +10,7 @@ from .core import (
     GeoPoint,
     LabelEntry,
     LabelSet,
+    Place,
     StayPoint,
     Trajectory,
     haversine_km,

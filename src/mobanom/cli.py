@@ -222,8 +222,7 @@ def stage_ingest(s: dict, inputs: list[str], out_dir: str, outputs: list[str], k
 
 
 def stage_inject(cfg: InjectConfig, inputs: list[str], out_dir: str, outputs: list[str], kept) -> dict:
-    """Returns the dataset and labels it wrote: a read of them returns equal records, in the same order, whose stays
-    share each place's :class:`GeoPoint` as these do, for the stays are those of the read of ``inputs[0]``."""
+    """Returns the dataset and labels it wrote: a read of them returns equal records, in the same order."""
     out_ds, labels = inject_imposter(read_dataset(inputs[0]), cfg)
     written = _write_data(out_dir, outputs, out_ds, labels)
     log.info("injected %d imposter pairs", cfg.n_outlier_pairs)

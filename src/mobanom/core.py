@@ -2,7 +2,9 @@
 
 Everything downstream (ingestion, simulation, injection, detectors, prompting,
 evaluation) consumes the types defined here.  All operations are pure functions
-over immutable values.
+over immutable values.  A :class:`Trajectory` holds its stays as columns: arrival
+and departure arrays and a code per stay into its tuple of places; a
+:class:`StayPoint` is a view of one stay, built on demand.
 
 File formats
 ------------
@@ -44,6 +46,8 @@ import threading
 import typing
 from dataclasses import dataclass, field
 from types import MappingProxyType
+
+import numpy as np
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -125,8 +129,24 @@ class GeoPoint:
 
 
 @dataclass(frozen=True)
+class Place:
+    """Where stays are: an id, a type and a location, checked once when built (UTF-8 strings; a :class:`GeoPoint` is
+    valid once built).  A :class:`Trajectory` holds a tuple of them, and each of its stays the index of one."""
+
+    place_id: str
+    place_type: str
+    location: GeoPoint
+
+    def __post_init__(self) -> None:
+        if not (type(self.place_id) is str and type(self.place_type) is str and self.place_id.isascii()
+                and self.place_type.isascii()):
+            _check_types({"place_id": self.place_id, "place_type": self.place_type})
+
+
+@dataclass(frozen=True)
 class StayPoint:
-    """A contiguous dwell at one semantic place.
+    """A contiguous dwell at one semantic place: a view of one stay of a :class:`Trajectory`, for a caller that wants
+    objects (``Trajectory.points``), and a way to build one from stays.
 
     ``arrive``/``depart`` are UTC epoch seconds with ``depart >= arrive``; checked when built: integer times,
     and ``place_id`` and ``place_type`` UTF-8 strings."""
@@ -144,44 +164,75 @@ class StayPoint:
                           "place_type": self.place_type}, _STAY_TYPES)
 
 
-@dataclass(frozen=True)
+def _stay_fault(arrive, depart, i: int) -> str | None:
+    """The first part of the trajectory rule that stay ``i`` breaks, the stays before it keeping it, or None."""
+    a, d = int(arrive[i]), int(depart[i])
+    prev_a, prev_d = (int(arrive[i - 1]), int(depart[i - 1])) if i else (-2**63 - 1,) * 2  # below every int64
+    rules = [(-2**63 <= a < 2**63, f"arrive {a} does not fit in a signed 64-bit integer"),
+             (-2**63 <= d < 2**63, f"depart {d} does not fit in a signed 64-bit integer"),
+             (d >= a, f"depart {d} < arrive {a}"), (a > prev_a, f"arrive {a} <= previous arrive {prev_a}"),
+             (a >= prev_d, f"arrive {a} < previous depart {prev_d}")]
+    return next((fault for ok, fault in rules if not ok), None)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Trajectory:
-    """Time-ordered stay points of one agent, checked when built: a string ``agent_id``, then the trajectory rule at
-    each stay in turn, naming the first part that the stay breaks: ``arrive`` and ``depart`` fit in a signed 64-bit
-    integer, ``depart >= arrive``, arrivals strictly increase, and no stay overlaps the previous one (``arrive >=
-    previous depart``).  A :class:`GeoPoint` is valid once built.  ``points`` may be given as any iterable; it is kept
-    as a tuple."""
+    """One agent's stays in time order as read-only columns: ``arrive`` and ``depart`` (int64 epoch seconds) and
+    ``place_code``, each stay's index into the tuple ``places``.  Built from the columns, or from stays (``points``,
+    any iterable of :class:`StayPoint`, each then at a place of its own), and checked when built: a string
+    ``agent_id``, one depart and one place code in range per arrive, then the trajectory rule, naming the first stay
+    that breaks it and the first part it breaks (``_stay_fault``).  ``points`` builds :class:`StayPoint` views."""
 
     agent_id: str
-    points: tuple[StayPoint, ...] = ()
+    arrive: np.ndarray
+    depart: np.ndarray
+    place_code: np.ndarray
+    places: tuple[Place, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(self.points))
-        _check_types({"agent_id": self.agent_id})
-        prev_arrive = prev_depart = -2**63 - 1  # below every time that fits, so the first stay has nothing to break
-        for i, sp in enumerate(self.points):  # inline: a function call per stay made this loop 1.4 times as slow
-            arrive, depart = sp.arrive, sp.depart
-            if not -2**63 <= arrive < 2**63:
-                fault = f"arrive {arrive} does not fit in a signed 64-bit integer"
-            elif not -2**63 <= depart < 2**63:
-                fault = f"depart {depart} does not fit in a signed 64-bit integer"
-            elif depart < arrive:
-                fault = f"depart {depart} < arrive {arrive}"
-            elif arrive <= prev_arrive:
-                fault = f"arrive {arrive} <= previous arrive {prev_arrive}"
-            elif arrive < prev_depart:
-                fault = f"arrive {arrive} < previous depart {prev_depart}"
-            else:
-                prev_arrive, prev_depart = arrive, depart
-                continue
-            raise InvalidInputError(f"stay {i} of {self.agent_id!r}: {fault}")
+    def __init__(self, agent_id: str, points: typing.Iterable[StayPoint] = (), *, arrive=(), depart=(),
+                 place_code=(), places: typing.Sequence[Place] = ()) -> None:
+        if points := tuple(points):
+            arrive, depart = [sp.arrive for sp in points], [sp.depart for sp in points]
+            place_code, places = range(len(points)), [Place(sp.place_id, sp.place_type, sp.location) for sp in points]
+        _check_types({"agent_id": agent_id})
+        code = np.array(place_code, dtype=np.intp)
+        if not len(arrive) == len(depart) == len(code) or (len(code) and not 0 <= code.min() <= code.max() < len(places)):
+            raise InvalidInputError(f"{agent_id!r} needs one depart and one place code below {len(places)} per arrive")
+        try:
+            a, d = np.array(arrive, dtype=np.int64), np.array(depart, dtype=np.int64)
+            bad = d < a
+            bad[1:] |= (a[1:] <= a[:-1]) | (a[1:] < d[:-1])
+            first = int(np.argmax(bad)) if bad.any() else None
+        except OverflowError:  # a time beyond int64: the first stay that breaks the rule, one by one
+            first = next(i for i in range(len(arrive)) if _stay_fault(arrive, depart, i))
+        if first is not None:
+            raise InvalidInputError(f"stay {first} of {agent_id!r}: {_stay_fault(arrive, depart, first)}")
+        a.flags.writeable = d.flags.writeable = code.flags.writeable = False
+        self.__dict__.update(agent_id=agent_id, arrive=a, depart=d, place_code=code, places=tuple(places))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.arrive)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Trajectory) and self.agent_id == other.agent_id and self.points == other.points
+
+    @property
+    def points(self) -> tuple[StayPoint, ...]:
+        """The stays as :class:`StayPoint` views, built on each call."""
+        places = self.places
+        return tuple(StayPoint(a, d, places[c].place_id, places[c].place_type, places[c].location)
+                     for a, d, c in zip(self.arrive.tolist(), self.depart.tolist(), self.place_code.tolist()))
 
     def stays_before(self, time: int) -> int:
         """How many stays arrive before ``time``: the one time search, which the trajectory rule makes a bisection."""
-        return bisect.bisect_left(self.points, time, key=lambda sp: sp.arrive)
+        return bisect.bisect_left(self.arrive, time)
+
+    def hop_km(self) -> list[float]:
+        """The :func:`haversine_km` length of each hop from a stay to the next, computed once per pair of places."""
+        places, codes = self.places, self.place_code.tolist()
+        pairs = list(zip(codes, codes[1:]))
+        km = {(a, b): haversine_km(places[a].location, places[b].location) for a, b in set(pairs)}
+        return [km[pair] for pair in pairs]
 
 
 @dataclass(frozen=True)
@@ -439,19 +490,24 @@ def _check_types(obj: dict, types: dict = _JSON_TYPES) -> None:
                 raise InvalidInputError(f"{key} must be UTF-8 text, got {value!r}")
 
 
-def _trajectory(obj: dict, places: dict) -> Trajectory:
-    """The trajectory of one ``dataset.jsonl`` record; it, each stay and the :class:`GeoPoint` of each ``(lat, lon)``
-    pair check themselves when built, the pair's at its first stay in the file, shared after through ``places``."""
-    points = []
+def _trajectory(obj: dict) -> Trajectory:
+    """The trajectory of one ``dataset.jsonl`` record, as columns; it and each :class:`Place` check themselves when
+    built.  The stays at one place (``place_id``, ``place_type``, ``lat`` and ``lon``) share the place built at the
+    first of them, unless a coordinate is a zero: ``0.0 == -0.0``, but the two write different bytes."""
+    stays, places, index = [], [], {}  # (arrive, depart, place code) of each stay; the code of each place
     for p in obj["points"]:
-        arrive, depart, lat, lon = p["arrive"], p.get("depart"), p["lat"], p["lon"]
-        if not (type(lat) in _NUMBER[0] and type(lon) in _NUMBER[0] and type(depart) in _INDEX[0]):
+        a, d, place_id, place_type, lat, lon = (p["arrive"], p.get("depart"), p["place_id"], p["place_type"], p["lat"],
+                                                p["lon"])
+        if not (type(a) is int and type(d) in _INDEX[0] and type(place_id) is str and type(place_type) is str
+                and type(lat) in _NUMBER[0] and type(lon) in _NUMBER[0]):
             _check_types(p)  # float() would take a bool or a string; a null depart is a zero-length stay
-        location = places.get((lat, lon)) or GeoPoint(float(lat), float(lon))
-        if lat and lon:  # never a zero: 0.0 == -0.0, but the two write different bytes
-            places[lat, lon] = location
-        points.append(StayPoint(arrive, arrive if depart is None else depart, p["place_id"], p["place_type"], location))
-    return Trajectory(obj["agent_id"], points)
+        key = (place_id, place_type, lat, lon)
+        if not (lat and lon and key in index):
+            index[key] = len(places)
+            places.append(Place(place_id, place_type, GeoPoint(float(lat), float(lon))))
+        stays.append((a, a if d is None else d, index[key]))
+    arrive, depart, codes = zip(*stays) if stays else ((), (), ())
+    return Trajectory(obj["agent_id"], arrive=arrive, depart=depart, place_code=codes, places=places)
 
 
 def _one_line_per(key: str, record: typing.Callable[[dict], typing.Any]) -> typing.Callable[[dict], typing.Any]:
@@ -474,34 +530,28 @@ def _meta_path(path: str) -> str:
     return base + ".meta.json"
 
 
+def _dataset_line(t: Trajectory) -> str:
+    """The ``dataset.jsonl`` line of ``t``, with the JSON tail of each of its places encoded once."""
+    places, codes = t.places, t.place_code.tolist()
+    tails = {c: _dumps({"place_id": places[c].place_id, "place_type": places[c].place_type,
+                        "lat": places[c].location.lat, "lon": places[c].location.lon})[1:] for c in set(codes)}
+    stays = ",".join(f'{{"arrive":{a},"depart":{d},{tails[c]}' for a, d, c in zip(t.arrive.tolist(), t.depart.tolist(), codes))
+    return f'{{"agent_id":{_dumps(t.agent_id)},"points":[{stays}]}}\n'
+
+
 def write_dataset(ds: Dataset, path: str) -> None:
-    """``dataset.jsonl`` and its ``.meta.json`` sidecar; ``ds`` checked itself when built, so this only encodes.
-
-    Each place's JSON tail is encoded once, keyed by its location's ``id``: every location lives in ``ds`` for the
-    whole call, so no id is reused.  ``int.__repr__`` is what ``json`` writes for an int or an int subclass."""
-    tails: dict[tuple, str] = {}
-
-    def stay(sp: StayPoint) -> str:
-        key = (id(sp.location), sp.place_id, sp.place_type)
-        tail = tails.get(key) or tails.setdefault(key, _dumps({"place_id": sp.place_id, "place_type": sp.place_type,
-                                                                 "lat": sp.location.lat, "lon": sp.location.lon})[1:])
-        return f'{{"arrive":{int.__repr__(sp.arrive)},"depart":{int.__repr__(sp.depart)},{tail}'
-
-    atomic_write(path, (f'{{"agent_id":{_dumps(t.agent_id)},"points":[{",".join(map(stay, t.points))}]}}\n'
-                        for t in ds.trajectories))
+    """``dataset.jsonl`` and its ``.meta.json`` sidecar; ``ds`` checked itself when built, so this only encodes."""
+    atomic_write(path, map(_dataset_line, ds.trajectories))
     atomic_write(_meta_path(path), json.dumps(dict(ds.meta), sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def read_dataset(path: str) -> Dataset:
-    """``dataset.jsonl``, one line per agent, and its sidecar (which, when present, holds one JSON object).  The
-    stays at one ``(lat, lon)`` pair of the file share one :class:`GeoPoint` unless the pair holds a zero."""
+    """``dataset.jsonl``, one line per agent, and its sidecar (which, when present, holds one JSON object)."""
     mpath = _meta_path(path)
     meta = read_jsonl(mpath, lambda obj: _check_types(obj) or obj) if os.path.exists(mpath) else [{}]
     if len(meta) != 1:
         raise CorruptInputError(f"{mpath}: holds {len(meta)} JSON objects, not one")
-    places: dict[tuple, GeoPoint] = {}
-    return Dataset(trajectories=read_jsonl(path, _one_line_per("agent_id", lambda obj: _trajectory(obj, places))),
-                   meta=meta[0])
+    return Dataset(trajectories=read_jsonl(path, _one_line_per("agent_id", _trajectory)), meta=meta[0])
 
 
 def label_to_json(agent_id: str, e: LabelEntry) -> str:

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..core import Dataset, EARTH_RADIUS_KM, check_settings, haversine_km, params_hash
+from ..core import Dataset, EARTH_RADIUS_KM, check_settings, params_hash
 from ..evaluation import ScoreTable
 from .features import WINDOW_DAYS, SplitSpec, WindowedFeatures, bucket_windows, window_seconds_of
 
@@ -50,13 +50,11 @@ def monav_tt_score(ds: Dataset, split: SplitSpec, window_days: float = WINDOW_DA
         if idx <= 0:
             omitted[t.agent_id] = "empty training side"
             continue
-        train_d = []
-        test_d = []
-        locations = [sp.location for sp in t.points]
+        train_d, test_d, hops = [], [], t.hop_km()
         for is_train, rows in bucket_windows(t, idx, window_seconds):
             d = 0.0  # hops added left to right: sum() is compensated from Python 3.12 on
             for k in range(rows[0], rows[-1]):
-                d += haversine_km(locations[k], locations[k + 1])
+                d += hops[k]
             (train_d if is_train else test_d).append(d)
         if len(train_d) < 2:
             omitted[t.agent_id] = "needs >= 2 training windows"
@@ -67,12 +65,8 @@ def monav_tt_score(ds: Dataset, split: SplitSpec, window_days: float = WINDOW_DA
         mu = float(np.mean(train_d))
         sigma = max(float(np.std(train_d, ddof=1)), SIGMA_FLOOR_KM)
         scores[t.agent_id] = float(np.mean([abs(d - mu) / sigma for d in test_d]))
-    return ScoreTable(
-        detector="monav_tt",
-        scores=scores,
-        params_hash=params_hash({"window_days": window_days}),
-        omitted=omitted,
-    )
+    return ScoreTable(detector="monav_tt", scores=scores, params_hash=params_hash({"window_days": window_days}),
+                      omitted=omitted)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +191,8 @@ def _traod_outlying(ds: Dataset, split: SplitSpec, params: TraodParams):
     it has enough near owners to be supported whichever agent asks (Bay &
     Schwabacher, KDD 2003), so its row of near owners may stay incomplete.
     """
-    lat = [np.array([sp.location.lat for sp in t.points], dtype=float) for t in ds.trajectories]
-    lon = [np.array([sp.location.lon for sp in t.points], dtype=float) for t in ds.trajectories]
+    lat, lon = ([np.array([getattr(p.location, c) for p in t.places], dtype=float)[t.place_code] for t in ds.trajectories]
+                for c in ("lat", "lon"))
     lat0, lon0 = float(np.mean(np.concatenate(lat))), float(np.mean(np.concatenate(lon)))
     train, test = {}, {}  # agent -> (n, 2, 2) segments
     for t, y, x in zip(ds.trajectories, lat, lon):
@@ -252,7 +246,7 @@ def traod_score(ds: Dataset, split: SplitSpec, params: TraodParams = TraodParams
     """
     hashed = params_hash({**asdict(params), "weights": TRAOD_WEIGHTS, "auto_d_percentile": AUTO_D_PERCENTILE,
                           "auto_d_samples": AUTO_D_SAMPLES})  # the constants too: the hash names all that shaped the scores
-    if not any(t.points for t in ds.trajectories) or len(ds.trajectories) < 2:
+    if not any(len(t) for t in ds.trajectories) or len(ds.trajectories) < 2:
         return ScoreTable(detector="traod", scores={}, params_hash=hashed,
                           omitted={t.agent_id: "needs >= 2 agents" for t in ds.trajectories})
     _, decisions, omitted = _traod_outlying(ds, split, params)

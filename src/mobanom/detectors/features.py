@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import ConfigError, Dataset, InvalidInputError, LabelSet, StayPoint, Trajectory, latlon_to_unit3
+from ..core import ConfigError, Dataset, InvalidInputError, LabelSet, Trajectory, latlon_to_unit3
 
 UNKNOWN_TYPE = "Unknown"
 WINDOW_DAYS = 7.0  # the one default of ``window_days``, for the windows and for MoNav-TT
@@ -35,13 +35,8 @@ class SplitSpec:
     split_index: dict[str, int]
 
     @classmethod
-    def from_labels(
-        cls,
-        ds: Dataset,
-        labels: LabelSet,
-        fallback_fraction: float | None = None,
-        fallback_time: int | None = None,
-    ) -> "SplitSpec":
+    def from_labels(cls, ds: Dataset, labels: LabelSet, fallback_fraction: float | None = None,
+                    fallback_time: int | None = None) -> "SplitSpec":
         """Split outliers at their deviate index, everyone else at the fallback.
 
         An outlier's deviate index must name one of its stays, else
@@ -61,14 +56,14 @@ class SplitSpec:
         for t in ds.trajectories:
             entry = labels.entries.get(t.agent_id)
             if entry is not None and entry.is_outlier:
-                if entry.deviate_index >= len(t.points):
+                if entry.deviate_index >= len(t):
                     raise InvalidInputError(f"outlier {t.agent_id!r} deviates at stay {entry.deviate_index}, "
-                                            f"but it has {len(t.points)} stays")
+                                            f"but it has {len(t)} stays")
                 split[t.agent_id] = entry.deviate_index
             elif fallback_time is not None:
                 split[t.agent_id] = t.stays_before(fallback_time)
             elif fallback_fraction is not None:
-                split[t.agent_id] = int(math.floor(fallback_fraction * len(t.points)))
+                split[t.agent_id] = int(math.floor(fallback_fraction * len(t)))
             else:
                 raise ConfigError("no split fallback: pass fallback_fraction/fallback_time or use a "
                                   "dataset whose meta carries onset_time or switch_fraction")
@@ -76,7 +71,7 @@ class SplitSpec:
 
     def train_count(self, t: Trajectory) -> int:
         """How many of ``t``'s stays are training history: all of them when the split does not name ``t``."""
-        return self.split_index.get(t.agent_id, len(t.points))
+        return self.split_index.get(t.agent_id, len(t))
 
 
 def check_split_fallbacks(fallback_fraction: float | None, fallback_time: int | None) -> None:
@@ -110,7 +105,7 @@ def bucket_windows(t: Trajectory, split_idx: int, window_seconds: int) -> list[t
     """
     if window_seconds < 1:
         raise ConfigError(f"a window must last at least 1 second, got {window_seconds}")
-    arrive = np.fromiter((sp.arrive for sp in t.points), dtype=np.int64, count=len(t.points))
+    arrive = t.arrive
     split = min(max(split_idx, 0), len(arrive))
     starts = np.flatnonzero(np.diff((arrive - arrive[:1]) // window_seconds)) + 1  # [:1]: no stays give no windows
     bounds, rows = sorted({0, split, len(arrive), *starts.tolist()}), np.arange(len(arrive))
@@ -150,8 +145,9 @@ class WindowedFeatures:
         return {**self.ineligible, **{a: "no test windows" for a in sorted(set(self.train) - set(self.test))}}
 
 
-def _block(windows: list[np.ndarray], points: list[StayPoint], types: np.ndarray, n_types: int, L: int) -> Windows:
-    """One side's block of ``windows``: row indices into ``points``, whose place-type codes are ``types``."""
+def _block(windows: list[np.ndarray], types: np.ndarray, units: np.ndarray, n_types: int, L: int) -> Windows:
+    """One side's block of ``windows``: row indices of stays, whose place-type codes are ``types`` and whose unit
+    vectors are the rows of ``units``."""
     sizes = np.array([len(rows) for rows in windows])
     rows = np.concatenate(windows)
     window = np.repeat(np.arange(len(windows)), sizes)
@@ -161,16 +157,11 @@ def _block(windows: list[np.ndarray], points: list[StayPoint], types: np.ndarray
     window, slot, rows = window[head], slot[head], rows[head]
     vecs = np.zeros((len(windows), L, n_types + 3))
     vecs[window, slot, types[rows]] = 1.0
-    vecs[window, slot, n_types:] = [latlon_to_unit3(points[r].location) for r in rows.tolist()]
+    vecs[window, slot, n_types:] = units[rows]
     return Windows(vecs.reshape(len(windows), -1), counts.reshape(len(windows), n_types))
 
 
-def build_windows(
-    ds: Dataset,
-    split: SplitSpec,
-    window_days: float = WINDOW_DAYS,
-    L: int = 64,
-) -> WindowedFeatures:
+def build_windows(ds: Dataset, split: SplitSpec, window_days: float = WINDOW_DAYS, L: int = 64) -> WindowedFeatures:
     """Bucket, cut, and encode every agent's stay points.
 
     Agents whose training side is empty are marked ineligible (reported, not
@@ -181,9 +172,7 @@ def build_windows(
 
     train_types: set[str] = set()
     for t in ds.trajectories:
-        idx = split.train_count(t)
-        for sp in t.points[:idx]:
-            train_types.add(sp.place_type)
+        train_types.update(t.places[c].place_type for c in set(t.place_code[:split.train_count(t)].tolist()))
     vocab = sorted(train_types | {UNKNOWN_TYPE})
     code = {v: i for i, v in enumerate(vocab)}
 
@@ -194,9 +183,12 @@ def build_windows(
             feat.ineligible[t.agent_id] = "empty training side"
             continue
         windows = bucket_windows(t, idx, window_seconds)
-        types = np.array([code.get(sp.place_type, code[UNKNOWN_TYPE]) for sp in t.points], dtype=np.intp)
+        # each visited place's type code and unit vector, computed once
+        types, units = np.zeros(len(t.places), dtype=np.intp), np.zeros((len(t.places), 3))
+        for c in np.unique(t.place_code).tolist():
+            types[c], units[c] = code.get(t.places[c].place_type, code[UNKNOWN_TYPE]), latlon_to_unit3(t.places[c].location)
         for side, is_train in ((feat.train, True), (feat.test, False)):
             rows = [r for train, r in windows if train == is_train]
             if rows:
-                side[t.agent_id] = _block(rows, t.points, types, len(vocab), L)
+                side[t.agent_id] = _block(rows, types[t.place_code], units[t.place_code], len(vocab), L)
     return feat

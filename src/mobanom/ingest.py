@@ -291,17 +291,12 @@ def assign_place_types(points: list[StayPoint], poi: PoiMap) -> list[StayPoint]:
 
 def filter_min_records(ds: Dataset, min_points: int = 50) -> Dataset:
     """Drop agents with fewer than ``min_points`` stay points (order preserved)."""
-    kept = [t for t in ds.trajectories if len(t.points) >= min_points]
+    kept = [t for t in ds.trajectories if len(t) >= min_points]
     return Dataset(trajectories=kept, meta=ds.meta)
 
 
-def ingest_dataset(
-    input_path: str,
-    format_tag: str = "csv",
-    params: StayPointParams = StayPointParams(),
-    poi: PoiMap | None = None,
-    min_points: int = 50,
-) -> Dataset:
+def ingest_dataset(input_path: str, format_tag: str = "csv", params: StayPointParams = StayPointParams(),
+                   poi: PoiMap | None = None, min_points: int = 50) -> Dataset:
     """Full raw-log -> canonical-dataset pipeline (parse, detect, label, filter)."""
     if format_tag == "plt":
         per_agent = load_plt_tree(input_path)

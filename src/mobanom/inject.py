@@ -45,20 +45,27 @@ class InjectConfig:
 
 
 def _switch_time(traj: Trajectory, switch_fraction: float) -> int | None:
-    idx = int(np.floor(switch_fraction * len(traj.points))) - 1
-    if idx < 0 or idx >= len(traj.points):
+    idx = int(np.floor(switch_fraction * len(traj))) - 1
+    if idx < 0 or idx >= len(traj):
         return None
-    return traj.points[idx].depart
+    return int(traj.depart[idx])
+
+
+def _joined(head: Trajectory, cut: int, tail: Trajectory, tail_cut: int) -> Trajectory:
+    """``head``'s stays before ``cut``, then ``tail``'s from ``tail_cut`` on, as ``head``'s agent."""
+    return Trajectory(head.agent_id, arrive=np.concatenate([head.arrive[:cut], tail.arrive[tail_cut:]]),
+                      depart=np.concatenate([head.depart[:cut], tail.depart[tail_cut:]]),
+                      place_code=np.concatenate([head.place_code[:cut], tail.place_code[tail_cut:] + len(head.places)]),
+                      places=head.places + tail.places)
 
 
 def _swap_pair(a: Trajectory, b: Trajectory, switch_time: int) -> tuple[Trajectory, Trajectory, int, int] | None:
     """Exchange the post-switch tails; None if the swap is degenerate or invalid."""
     a_cut, b_cut = a.stays_before(switch_time + 1), b.stays_before(switch_time + 1)  # the stays arriving by then
-    a_head, a_tail, b_head, b_tail = a.points[:a_cut], a.points[a_cut:], b.points[:b_cut], b.points[b_cut:]
-    if not a_tail or not b_tail:
+    if a_cut == len(a) or b_cut == len(b):
         return None
     try:  # a swap whose trajectory breaks the trajectory rule is refused when built
-        return Trajectory(a.agent_id, a_head + b_tail), Trajectory(b.agent_id, b_head + a_tail), len(a_head), len(b_head)
+        return _joined(a, a_cut, b, b_cut), _joined(b, b_cut, a, a_cut), a_cut, b_cut
     except InvalidInputError:
         return None
 
@@ -79,10 +86,9 @@ def inject_imposter(ds: Dataset, cfg: InjectConfig) -> tuple[Dataset, LabelSet]:
     check_pairs(cfg, len(ds.trajectories))
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 10)))
 
-    swapped: dict[str, tuple[Trajectory, int]] = {}
-    used: set[str] = set()
+    swapped: dict[str, tuple[Trajectory, int]] = {}  # agent -> (its trajectory after the swap, its deviate index)
     for _ in range(cfg.n_outlier_pairs):
-        pool = [t for t in ds.trajectories if t.agent_id not in used]
+        pool = [t for t in ds.trajectories if t.agent_id not in swapped]
         result = None
         for _attempt in range(MAX_PARTNER_ATTEMPTS):
             i, j = rng.choice(len(pool), size=2, replace=False)
@@ -94,36 +100,12 @@ def inject_imposter(ds: Dataset, cfg: InjectConfig) -> tuple[Dataset, LabelSet]:
             if result is not None:
                 break
         if result is None:
-            raise InjectionError(
-                f"no swappable pair found after {MAX_PARTNER_ATTEMPTS} attempts"
-            )
+            raise InjectionError(f"no swappable pair found after {MAX_PARTNER_ATTEMPTS} attempts")
         new_a, new_b, dev_a, dev_b = result
-        swapped[new_a.agent_id] = (new_a, dev_a)
-        swapped[new_b.agent_id] = (new_b, dev_b)
-        used.add(new_a.agent_id)
-        used.add(new_b.agent_id)
+        swapped.update({new_a.agent_id: (new_a, dev_a), new_b.agent_id: (new_b, dev_b)})
 
-    trajectories = []
-    entries = {}
-    for t in ds.trajectories:
-        if t.agent_id in swapped:
-            new_t, deviate_index = swapped[t.agent_id]
-            trajectories.append(new_t)
-            entries[t.agent_id] = LabelEntry(
-                is_outlier=True, outlier_type="imposter", deviate_index=deviate_index
-            )
-        else:
-            trajectories.append(t)
-            entries[t.agent_id] = LabelEntry(is_outlier=False, outlier_type="none")
-
-    meta = dict(ds.meta)
-    meta.update(
-        {
-            "injected": "imposter",
-            "switch_fraction": cfg.switch_fraction,
-            "n_outlier_pairs": cfg.n_outlier_pairs,
-            "inject_seed": cfg.seed,
-            "inject_config_hash": params_hash(asdict(cfg)),
-        }
-    )
-    return Dataset(trajectories=trajectories, meta=meta), LabelSet(entries=entries)
+    out = [swapped.get(t.agent_id, (t, None)) for t in ds.trajectories]
+    entries = {t.agent_id: LabelEntry(index is not None, "none" if index is None else "imposter", index) for t, index in out}
+    meta = {**ds.meta, "injected": "imposter", "switch_fraction": cfg.switch_fraction,
+            "n_outlier_pairs": cfg.n_outlier_pairs, "inject_seed": cfg.seed, "inject_config_hash": params_hash(asdict(cfg))}
+    return Dataset([t for t, _ in out], meta), LabelSet(entries)

@@ -244,13 +244,8 @@ def endpoint_from_config(config: LlmEndpointConfig, labels: LabelSet | None = No
         return OracleMockEndpoint(labels)
 
 
-def build_bundles(
-    ds: Dataset,
-    labels: LabelSet,
-    mode: str,
-    template_version: str = DEFAULT_TEMPLATE,
-    split: SplitSpec | None = None,
-) -> list[PromptBundle]:
+def build_bundles(ds: Dataset, labels: LabelSet, mode: str, template_version: str = DEFAULT_TEMPLATE,
+                  split: SplitSpec | None = None) -> list[PromptBundle]:
     """Render all prompts for a dataset without touching any endpoint.
 
     Hint modes mark labeled outliers at their deviate index and everyone else
@@ -264,7 +259,7 @@ def build_bundles(
         split = SplitSpec.from_labels(ds, labels)
     overhead = len(_assemble("separate", template_version, [""]))  # a trajectory costs its separate prompt's length
     batches, batch_chars = [], 0  # each batch a list of (agent id, sequence) pairs; a separate-mode batch holds one
-    for t in (t for t in ds.trajectories if t.points):
+    for t in (t for t in ds.trajectories if len(t)):
         stays = _stay_labels(t)
         seq = _sequence(stays, min(split.train_count(t), len(stays) - 1) if hint else None)
         cost = overhead + len(_sequence(stays) if hint else seq)  # the budget counts the unmarked sequence
@@ -323,7 +318,7 @@ def run_llm_detection(
             return {}, {bundle.agent_ids[0]: f"parse error: {exc}"}
 
     scores: dict[str, float] = {}
-    omitted = {t.agent_id: "empty trajectory" for t in ds.trajectories if not t.points}
+    omitted = {t.agent_id: "empty trajectory" for t in ds.trajectories if not len(t)}
     with ThreadPoolExecutor(max_workers=max_concurrent) as pool:
         for bundle_scores, bundle_omitted in pool.map(score_bundle, bundles):
             scores.update(bundle_scores)

@@ -19,7 +19,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass
 
-from ..core import ConfigError, InvalidInputError, ScoreParseError, PartialParseError, Trajectory, haversine_km
+from ..core import ConfigError, InvalidInputError, ScoreParseError, PartialParseError, Trajectory
 
 DEVIATE_MARKER = "***<deviate-point>***"
 
@@ -53,9 +53,9 @@ def _clock_label(ts: int) -> str:
 
 def _stay_labels(t: Trajectory) -> list[tuple[str, str]]:
     """Each stay's ``Ddd HH:MM, Type`` head and its ``, <dist> km ->`` tail to the next stay (none after the last)."""
-    pts = t.points
-    tails = [f", {haversine_km(a.location, b.location):.1f} km ->" for a, b in zip(pts, pts[1:])] + [""]
-    return [(f"{_clock_label(sp.arrive)}, {sp.place_type}", tail) for sp, tail in zip(pts, tails)]
+    tails = [f", {km:.1f} km ->" for km in t.hop_km()] + [""]
+    return [(f"{_clock_label(arrive)}, {t.places[c].place_type}", tail)
+            for arrive, c, tail in zip(t.arrive.tolist(), t.place_code.tolist(), tails)]
 
 
 def _sequence(labels: list[tuple[str, str]], deviate_index: int | None = None) -> str:

@@ -42,7 +42,7 @@ from .core import (
     GeoPoint,
     LabelEntry,
     LabelSet,
-    StayPoint,
+    Place,
     Trajectory,
     check_settings,
     params_hash,
@@ -58,22 +58,12 @@ DEFAULT_START_TIME = 1_672_617_600
 REQUIRED_PLACE_TYPES = ("Apartment", "Workplace", "Restaurant", "Pub", "Recreation")
 
 
-@dataclass(frozen=True)
-class Place:
-    place_id: str
-    place_type: str
-    location: GeoPoint
-
-
 @dataclass
 class SyntheticMap:
     places: list[Place]
 
     def by_type(self, place_type: str) -> list[Place]:
         return [p for p in self.places if p.place_type == place_type]
-
-    def by_id(self) -> dict[str, Place]:
-        return {p.place_id: p for p in self.places}
 
 
 @dataclass
@@ -175,13 +165,9 @@ def build_map(config: SimConfig) -> SyntheticMap:
     """Sample place locations uniformly inside the bounding box."""
     rng = _rng(config.seed, 1)
     lat_min, lat_max, lon_min, lon_max = config.bbox
-    counts = (
-        ("Apartment", "apt", config.n_apartments),
-        ("Workplace", "work", config.n_workplaces),
-        ("Restaurant", "rest", config.n_restaurants),
-        ("Pub", "pub", config.n_pubs),
-        ("Recreation", "rec", config.n_recreation),
-    )
+    counts = (("Apartment", "apt", config.n_apartments), ("Workplace", "work", config.n_workplaces),
+              ("Restaurant", "rest", config.n_restaurants), ("Pub", "pub", config.n_pubs),
+              ("Recreation", "rec", config.n_recreation))
     places = []
     for place_type, prefix, count in counts:
         for i in range(count):
@@ -203,14 +189,14 @@ def spawn_agents(config: SimConfig, smap: SyntheticMap) -> list[AgentProfile]:
     n = config.n_agents
     apartments = smap.by_type("Apartment")
     workplaces = smap.by_type("Workplace")
-    social_sites = smap.by_type("Recreation") + smap.by_type("Pub")
+    site_ids = [site.place_id for site in smap.by_type("Recreation") + smap.by_type("Pub")]
     log_lo, log_hi = np.log(config.pref_weight_range[0]), np.log(config.pref_weight_range[1])
 
     profiles = []
     for i in range(n):
         home = apartments[int(rng.integers(len(apartments)))]
         workplace = workplaces[int(rng.integers(len(workplaces)))]
-        prefs = {site.place_id: float(np.exp(rng.uniform(log_lo, log_hi))) for site in social_sites}
+        prefs = dict(zip(site_ids, np.exp(rng.uniform(log_lo, log_hi, size=len(site_ids))).tolist()))  # one draw per site
         hunger_rate = float(rng.uniform(*config.hunger_rate_range))
         profiles.append(AgentProfile(f"agent{i:04d}", home.place_id, workplace.place_id, prefs, (), hunger_rate))
 
@@ -276,10 +262,11 @@ def _ticks_below(need: float, step: float, threshold: float, limit: int) -> tupl
 
 @dataclass(frozen=True)
 class _Calendar:
-    """Shared by every agent of one config: places by id and by type, each tick's work-hours
-    flag and the next tick at which it flips, and the ticks from a social reset until it is due."""
+    """Shared by every agent of one config: the map's places, each one's index by id, the place ids by type, each
+    tick's work-hours flag and the next tick at which it flips, and the ticks from a social reset until it is due."""
 
-    by_id: dict[str, Place]
+    places: tuple[Place, ...]
+    code: dict[str, int]
     restaurants: list[str]
     recreations: list[str]
     social_sites: list[str]
@@ -297,12 +284,13 @@ class _Calendar:
         rec, rest, pubs = ([p.place_id for p in smap.by_type(kind)] for kind in ("Recreation", "Restaurant", "Pub"))
         social_step = config.social_rate_per_hour * (config.tick_minutes / 60.0)
         social_due = _ticks_below(1.0, social_step, config.social_threshold, n)[0]
-        return cls(smap.by_id(), rest, rec, rec + pubs, work, next_flip, social_due)
+        places = tuple(smap.places)
+        return cls(places, {p.place_id: i for i, p in enumerate(places)}, rest, rec, rec + pubs, work, next_flip,
+                   social_due)
 
 
-def _simulate_agent(
-    profile: AgentProfile, all_profiles: list[AgentProfile], cal: _Calendar, config: SimConfig, rng: np.random.Generator
-) -> tuple[Trajectory, list[SimEvent]]:
+def _simulate_agent(profile: AgentProfile, all_profiles: list[AgentProfile], cal: _Calendar, config: SimConfig,
+                    rng: np.random.Generator) -> tuple[Trajectory, list[SimEvent]]:
     """Run one agent from decision tick to decision tick; returns its stay points and events.
 
     A stay closes whenever the place changes.  The final tick of every stay is
@@ -331,7 +319,7 @@ def _simulate_agent(
         need = _ticks_below(1.0, step, threshold, hunger_onset - 1 - reset)[1]
         return hunger_onset - 1 + _ticks_below(need, step_after, threshold, n)[0]
 
-    points: list[StayPoint] = []
+    stays: list[tuple[int, int, int]] = []  # (arrive, depart, place code) of each stay
     events: list[SimEvent] = []
     skip_day_plan: tuple[int, str] | None = None  # (day ordinal, place id)
     stay_place: str | None = None
@@ -339,8 +327,7 @@ def _simulate_agent(
     meal, tick = next_meal(-1), 0
 
     def close_stay(depart: int) -> None:
-        place = cal.by_id[stay_place]
-        points.append(StayPoint(stay_arrive, depart, place.place_id, place.place_type, place.location))
+        stays.append((stay_arrive, depart, cal.code[stay_place]))
 
     while tick < n:
         t = start + tick * tick_s
@@ -378,7 +365,8 @@ def _simulate_agent(
         tick = upcoming
     close_stay(start + (n - 1) * tick_s)
 
-    return Trajectory(agent_id=profile.agent_id, points=points), events
+    arrive, depart, codes = zip(*stays)  # the last stay always closes
+    return Trajectory(profile.agent_id, arrive=arrive, depart=depart, place_code=codes, places=cal.places), events
 
 
 def simulate(config: SimConfig) -> SimResult:

@@ -118,7 +118,7 @@ def _simulate_agent(
     data has such gaps, and downstream tail swapping needs a seam to cut at.
     """
     tick_hours = config.tick_minutes / 60.0
-    by_id = smap.by_id()
+    by_id = {p.place_id: p for p in smap.places}
     restaurants = [p.place_id for p in smap.by_type("Restaurant")]
     recreations = [p.place_id for p in smap.by_type("Recreation")]
     social_sites = recreations + [p.place_id for p in smap.by_type("Pub")]

@@ -15,7 +15,7 @@ import pytest
 
 from mobanom import cli
 from mobanom.cli import STAGES, _build_parser, main, read_endpoint_file
-from mobanom.core import ConfigError, InvalidInputError, read_dataset, read_labels
+from mobanom.core import ConfigError, InvalidInputError, StayPoint, read_dataset, read_labels
 from mobanom.detectors import SplitSpec, TraodParams, traod_score
 from mobanom.evaluation import ScoreTable
 from mobanom.llm import LlmEndpointConfig, MockEndpoint
@@ -1538,6 +1538,23 @@ def sha256_tree(root):
         digest = hashlib.sha256(open(os.path.join(root, rel), "rb").read()).hexdigest()
         h.update(f"{rel}\0{digest}\n".encode("utf-8"))
     return h.hexdigest()
+
+
+def test_a_run_of_every_method_builds_no_stay_point(tmp_path, monkeypatch):
+    """The pipeline reads and writes a trajectory's columns: a StayPoint is only a view, for callers that ask."""
+    built = []
+    check = StayPoint.__post_init__
+    monkeypatch.setattr(StayPoint, "__post_init__", lambda sp: built.append(sp) or check(sp))
+    write(str(tmp_path / "endpoint.json"), json.dumps({"provider": "mock-oracle", "model_name": "oracle"}))
+    cfg = tmp_path / "all.ini"
+    write(str(cfg), "[global]\nseed = 3\nstages = simulate, inject, detect, eval\n\n"
+                    "[simulate]\nn_agents = 12\nweeks = 1\nn_hunger = 1\nn_social = 1\nn_work = 1\n\n"
+                    "[inject]\npairs = 2\n\n[detect]\nmethods = ompad, monav, traod, dae, dsvdd, llm\n"
+                    f"window_days = 1\nepochs = 3\nendpoint = {tmp_path / 'endpoint.json'}\n"
+                    f"cache_dir = {tmp_path / 'cache'}\nmode = separate_hint\n")
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "run"]) == 0
+    assert len((tmp_path / "out" / "report.csv").read_text().splitlines()) == 7  # the header and six methods
+    assert built == []
 
 
 class TestRunStageTable:

@@ -22,6 +22,7 @@ from mobanom.core import (
     InvalidInputError,
     LabelEntry,
     LabelSet,
+    Place,
     StayPoint,
     TrainingDivergedError,
     Trajectory,
@@ -200,6 +201,22 @@ class TestRecordsAreLawfulOnceBuilt:
             mutate(t, ds, labels)
         assert (t.points, ds.trajectories, dict(ds.meta), dict(labels.entries)) == (
             (sp(0, 1),), (t,), {"seed": 1}, {"a": LabelEntry(False)})
+
+
+    @pytest.mark.parametrize("column", ["arrive", "depart", "place_code"])
+    def test_a_trajectory_s_columns_are_read_only(self, column):
+        t = Trajectory("a", [sp(0, 1), sp(2, 3)])
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(t, column)[0] = 1
+        assert t.points == (sp(0, 1), sp(2, 3))
+
+    def test_columns_that_do_not_fit_together_are_refused_when_built(self):
+        place = Place("p", "Pub", GeoPoint(1.0, 2.0))
+        for columns in (dict(arrive=[0, 5], depart=[1], place_code=[0, 0]), dict(arrive=[0], depart=[1], place_code=[1])):
+            with pytest.raises(InvalidInputError, match="^'a' needs one depart and one place code below 1 per arrive$"):
+                Trajectory("a", **columns, places=[place])
+        assert Trajectory("a", arrive=[0, 5], depart=[1, 6], place_code=[0, 0], places=[place]).points == (
+            StayPoint(0, 1, "p", "Pub", place.location), StayPoint(5, 6, "p", "Pub", place.location))
 
 
 class TestTravelDistance:
@@ -412,7 +429,7 @@ class TestWriterOracle:
 
 
 class TestReadSharesPlaces:
-    """``read_dataset`` builds one GeoPoint per ``(lat, lon)`` pair of a file; the values read stay as they were."""
+    """``read_dataset`` builds one Place per place of a trajectory; the values read stay as they were."""
 
     @staticmethod
     def write(path, *agents):
@@ -421,20 +438,23 @@ class TestReadSharesPlaces:
         path.write_text("".join(f'{{"agent_id":"a{i}","points":[{",".join(stay.format(*s) for s in stays)}]}}\n'
                                 for i, stays in enumerate(agents)))
 
-    def test_every_stay_at_one_pair_shares_its_geopoint(self, tmp_path):
+    def test_the_stays_of_a_trajectory_at_one_place_share_its_code(self, tmp_path):
         path = tmp_path / "dataset.jsonl"
-        self.write(path, [(0, "40.5", "116.25"), (1, "41", "116.25")], [(0, "41.0", "116.25"), (1, "40.5", "116.25")])
+        self.write(path, [(0, "40.5", "116.25"), (1, "41", "116.25"), (2, "41.0", "116.25"), (3, "40.5", "116.25")],
+                   [(0, "41.0", "116.25")])
         a, b = read_dataset(str(path)).trajectories
-        assert a.points[0].location is b.points[1].location == GeoPoint(40.5, 116.25)
-        assert a.points[1].location is b.points[0].location == GeoPoint(41.0, 116.25)
-        assert type(a.points[1].location.lat) is float
+        assert a.place_code.tolist() == [0, 1, 1, 0] and b.place_code.tolist() == [0]
+        assert a.places == (Place("p", "Pub", GeoPoint(40.5, 116.25)), Place("p", "Pub", GeoPoint(41.0, 116.25)))
+        assert type(a.places[1].location.lat) is float
 
     def test_zero_and_minus_zero_come_back_byte_identical(self, tmp_path):
         path, again = tmp_path / "dataset.jsonl", tmp_path / "again.jsonl"
         self.write(path, [(0, "0.0", "5.5"), (1, "-0.0", "5.5"), (2, "0.0", "-0.0"), (3, "-0.0", "0.0")],
                    [(0, "-0.0", "5.5"), (1, "0.0", "5.5"), (2, "-0.0", "0.0"), (3, "0.0", "-0.0")])
-        write_dataset(read_dataset(str(path)), str(again))
+        ds = read_dataset(str(path))
+        write_dataset(ds, str(again))
         assert again.read_bytes() == path.read_bytes()
+        assert [len(t.places) for t in ds.trajectories] == [4, 4]  # a place holding a zero is never shared
 
 
 class TestNaming:

@@ -28,6 +28,7 @@ from mobanom.llm import (
     endpoint_from_config,
     run_llm_detection,
 )
+from mobanom import core
 from mobanom.llm import client, prompts
 from mobanom.llm.client import HttpChatEndpoint, build_bundles
 from mobanom.simulator import SimConfig, simulate
@@ -271,11 +272,12 @@ class TestPackingOracle:
             assert (table.scores, table.omitted) == ({"a": 0.5}, {"empty": "empty trajectory"}), mode
 
     @pytest.mark.parametrize("mode", prompts.MODES)
-    def test_each_hop_is_measured_once(self, sim, mode):
-        hops = sum(max(0, len(t.points) - 1) for t in sim.dataset.trajectories)
-        with mock.patch.object(prompts, "haversine_km", side_effect=prompts.haversine_km) as measure:
+    def test_each_pair_of_places_is_measured_once(self, sim, mode):
+        pairs = sum(len(set(zip(t.place_code.tolist(), t.place_code[1:].tolist()))) for t in sim.dataset.trajectories)
+        assert pairs < sum(len(t) - 1 for t in sim.dataset.trajectories)  # agents repeat their hops
+        with mock.patch.object(core, "haversine_km", side_effect=core.haversine_km) as measure:
             build_bundles(sim.dataset, sim.labels, mode)
-        assert measure.call_count == hops
+        assert measure.call_count == pairs
 
 
 class TestDumpPrompts:

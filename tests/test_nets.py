@@ -104,6 +104,29 @@ class TestTraining:
         assert exc_info.value.epoch >= 0
 
 
+class TestGuards:
+    """The public net API refuses what it cannot train, each with a ConfigError."""
+
+    def test_a_net_needs_an_input_and_an_output_size(self):
+        with pytest.raises(ConfigError, match="^need at least input and output layer sizes$"):
+            TinyNet([4])
+
+    def test_svdd_needs_a_center(self):
+        with pytest.raises(ConfigError, match="^svdd objective needs a center$"):
+            TinyNet([3, 2, 2]).loss_and_grads(np.ones((4, 3)), "svdd")
+
+    def test_an_unknown_objective_is_refused(self):
+        net = TinyNet([3, 2, 3])
+        with pytest.raises(ConfigError, match="^unknown objective 'bogus'$"):
+            net.loss_and_grads(np.ones((4, 3)), "bogus")
+        with pytest.raises(ConfigError, match="^unknown objective 'bogus'$"):
+            train_network(net, np.ones((4, 3)), "bogus", NetHyper(epochs=1))
+
+    def test_an_empty_batch_is_refused(self):
+        with pytest.raises(ConfigError, match="^empty training batch$"):
+            train_network(TinyNet([3, 2, 3]), np.empty((0, 3)), "reconstruction", NetHyper())
+
+
 @pytest.mark.parametrize(
     "bad, named",
     [({"epochs": 0}, "epochs"), ({"epochs": -3}, "epochs"), ({"embed_dim": 0}, "embed_dim"),

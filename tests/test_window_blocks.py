@@ -88,8 +88,9 @@ def test_blocks_and_scores_match_the_object_windows(inputs):
         idx = split.split_index.get(t.agent_id, len(t.points))
         rows = bucket_windows(t, idx, new.window_seconds)
         expected = oracle.bucket_windows(t, idx, new.window_seconds)
-        assert [(is_train, [id(t.points[r]) for r in r_]) for is_train, r_ in rows] == [
-            (is_train, [id(p) for p in pts]) for _, is_train, pts in expected]
+        # arrivals strictly increase, so they name the stays
+        assert [(is_train, t.arrive[r_].tolist()) for is_train, r_ in rows] == [
+            (is_train, [p.arrive for p in pts]) for _, is_train, pts in expected]
 
     assert_same_table(ompad_score(new), oracle.ompad_score(old))
     assert_same_table(monav_tt_score(ds, split, window_days), oracle.monav_tt_score(ds, split, window_days))
