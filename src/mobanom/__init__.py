@@ -10,7 +10,6 @@ from .core import (
     GeoPoint,
     LabelEntry,
     LabelSet,
-    Place,
     StayPoint,
     Trajectory,
     haversine_km,

@@ -185,7 +185,7 @@ def build_windows(ds: Dataset, split: SplitSpec, window_days: float = WINDOW_DAY
         windows = bucket_windows(t, idx, window_seconds)
         # each visited place's type code and unit vector, computed once
         types, units = np.zeros(len(t.places), dtype=np.intp), np.zeros((len(t.places), 3))
-        for c in np.unique(t.place_code).tolist():
+        for c in set(t.place_code.tolist()):
             types[c], units[c] = code.get(t.places[c].place_type, code[UNKNOWN_TYPE]), latlon_to_unit3(t.places[c].location)
         for side, is_train in ((feat.train, True), (feat.test, False)):
             rows = [r for train, r in windows if train == is_train]

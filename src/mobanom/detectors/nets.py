@@ -189,14 +189,14 @@ def _agent_seed(base_seed: int, agent_id: str) -> int:
 
 
 def _standardized(feat: WindowedFeatures, train_agents: list[str], test_agents: list[str]) -> list[np.ndarray]:
-    """The training and the test rows of one model, standardized with training-side statistics."""
+    """The training and the test rows of one model, standardized with training-side statistics in place on their own
+    concatenations: the operations of ``(rows - mean) / std`` and its clip, without a temporary of every row."""
     raw_train = np.concatenate([feat.train[a].vecs for a in train_agents])
     mean = raw_train.mean(axis=0)
     std = np.maximum(raw_train.std(axis=0), STD_FLOOR)
     raw_test = np.concatenate([feat.test[a].vecs for a in test_agents])
-    for rows in (raw_train, raw_test):  # in place on these concatenations: the same operations, no temporaries
-        np.clip(np.divide(np.subtract(rows, mean, out=rows), std, out=rows), -Z_CLIP, Z_CLIP, out=rows)
-    return [rows.astype(NET_DTYPE) for rows in (raw_train, raw_test)]
+    return [np.clip(np.divide(np.subtract(rows, mean, out=rows), std, out=rows), -Z_CLIP, Z_CLIP, out=rows).astype(NET_DTYPE)
+            for rows in (raw_train, raw_test)]
 
 
 def check_scope(scope: str) -> None:

@@ -295,8 +295,13 @@ def filter_min_records(ds: Dataset, min_points: int = 50) -> Dataset:
     return Dataset(trajectories=kept, meta=ds.meta)
 
 
-def ingest_dataset(input_path: str, format_tag: str = "csv", params: StayPointParams = StayPointParams(),
-                   poi: PoiMap | None = None, min_points: int = 50) -> Dataset:
+def ingest_dataset(
+    input_path: str,
+    format_tag: str = "csv",
+    params: StayPointParams = StayPointParams(),
+    poi: PoiMap | None = None,
+    min_points: int = 50,
+) -> Dataset:
     """Full raw-log -> canonical-dataset pipeline (parse, detect, label, filter)."""
     if format_tag == "plt":
         per_agent = load_plt_tree(input_path)

@@ -165,9 +165,13 @@ def build_map(config: SimConfig) -> SyntheticMap:
     """Sample place locations uniformly inside the bounding box."""
     rng = _rng(config.seed, 1)
     lat_min, lat_max, lon_min, lon_max = config.bbox
-    counts = (("Apartment", "apt", config.n_apartments), ("Workplace", "work", config.n_workplaces),
-              ("Restaurant", "rest", config.n_restaurants), ("Pub", "pub", config.n_pubs),
-              ("Recreation", "rec", config.n_recreation))
+    counts = (
+        ("Apartment", "apt", config.n_apartments),
+        ("Workplace", "work", config.n_workplaces),
+        ("Restaurant", "rest", config.n_restaurants),
+        ("Pub", "pub", config.n_pubs),
+        ("Recreation", "rec", config.n_recreation),
+    )
     places = []
     for place_type, prefix, count in counts:
         for i in range(count):
