@@ -10,7 +10,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 from features_oracle import total_travel_distance
-from core_oracle import dataset_text
+from core_oracle import dataset_text, trajectory_fault
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -144,6 +144,25 @@ class TestTrajectoryRule:
             Trajectory("a", [sp(10, 20), sp(5, 3), sp(4, 30)])
         with pytest.raises(InvalidInputError, match=re.escape("stay 1 of 'a': arrive 10 <= previous arrive 10")):
             Trajectory("a", [sp(10, 20), sp(10, 30)])  # also an overlap
+
+    # small times that break each part of the rule, and the times at and just beyond the int64 bounds
+    rule_times = st.one_of(st.integers(-3, 12), st.sampled_from([-(2**63) - 1, -(2**63), 2**63 - 1, 2**63]))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(rule_times, rule_times), max_size=6))
+    def test_the_columns_name_the_fault_of_the_scalar_rule(self, times):
+        """Built from stays and from columns, against the loop over stays in ``core_oracle``."""
+        place = Place("p", "Pub", GeoPoint(0.0, 0.0))
+        expected = trajectory_fault("a", times)
+        for build in (lambda: Trajectory("a", [sp(a, d) for a, d in times]),
+                      lambda: Trajectory("a", arrive=[a for a, _ in times], depart=[d for _, d in times],
+                                         place_code=[0] * len(times), places=[place])):
+            if expected is None:
+                assert [(p.arrive, p.depart) for p in build().points] == times
+            else:
+                with pytest.raises(InvalidInputError) as info:
+                    build()
+                assert str(info.value) == expected
 
     def test_times_at_the_int64_bounds_are_kept(self):
         assert len(Trajectory("a", [sp(-(2**63), 2**63 - 1)])) == 1
