@@ -11,11 +11,12 @@ and it runs the checkout's own, untouched ``perfbench/run.py`` and ``src/``:
   that perfbench writes, the file keeps the machine, the end-to-end medians
   with their quartiles and n, the per-layer metrics, whether every run was
   correct, and the sha256 of every score table per input seed.
-* Three one-shot runs of ``mobanom run``, ONE_SHOT_REPS times each, at seed
+* Four one-shot runs of ``mobanom run``, ONE_SHOT_REPS times each, at seed
   ONE_SHOT_SEED with one BLAS thread: ``city_m`` (perfbench's ``city_s``
   config at 1000 agents x 4 weeks), ``city_all_s`` (the ``city_s`` config
-  with every method, the nets at population scope) and
-  ``city_all_s_per_agent`` (the same with the nets per agent). They lie
+  with every method, the nets at population scope),
+  ``city_all_s_per_agent`` (the same with the nets per agent) and
+  ``city_all_m`` (``city_all_s`` at 1000 agents). They lie
   outside perfbench's bounds and fingerprint, and no gate reads them. The
   file keeps each run's wall clock, peak RSS, the manifest's per-stage
   ``wall_clock_s`` and the sha256 of each score table, and the manifest's
@@ -47,6 +48,7 @@ ONE_SHOTS = {
     "city_m": (1000, "ompad, monav, llm", "population"),
     "city_all_s": (200, EVERY_METHOD, "population"),
     "city_all_s_per_agent": (200, EVERY_METHOD, "per_agent"),
+    "city_all_m": (1000, EVERY_METHOD, "population"),
 }
 
 

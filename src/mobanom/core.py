@@ -530,18 +530,26 @@ def _meta_path(path: str) -> str:
     return base + ".meta.json"
 
 
-def _dataset_line(t: Trajectory) -> str:
-    """The ``dataset.jsonl`` line of ``t``, with the JSON tail of each of its places encoded once."""
-    places, codes = t.places, t.place_code.tolist()
-    tails = {c: _dumps({"place_id": places[c].place_id, "place_type": places[c].place_type,
-                        "lat": places[c].location.lat, "lon": places[c].location.lon})[1:] for c in set(codes)}
+def _dataset_line(t: Trajectory, encoded: dict) -> str:
+    """The ``dataset.jsonl`` line of ``t``.  ``encoded`` holds the JSON tail of each place that the file has met, keyed
+    by its id, type and the ``repr`` of each coordinate, which keeps ``0.0``/``-0.0`` and ``40``/``40.0`` apart."""
+    tails, codes = {}, t.place_code.tolist()
+    for c in set(codes):
+        p = t.places[c]
+        key = (p.place_id, p.place_type, repr(p.location.lat), repr(p.location.lon))
+        if key not in encoded:
+            encoded[key] = _dumps({"place_id": p.place_id, "place_type": p.place_type, "lat": p.location.lat,
+                                   "lon": p.location.lon})[1:]
+        tails[c] = encoded[key]
     stays = ",".join(f'{{"arrive":{a},"depart":{d},{tails[c]}' for a, d, c in zip(t.arrive.tolist(), t.depart.tolist(), codes))
     return f'{{"agent_id":{_dumps(t.agent_id)},"points":[{stays}]}}\n'
 
 
 def write_dataset(ds: Dataset, path: str) -> None:
-    """``dataset.jsonl`` and its ``.meta.json`` sidecar; ``ds`` checked itself when built, so this only encodes."""
-    atomic_write(path, map(_dataset_line, ds.trajectories))
+    """``dataset.jsonl`` and its ``.meta.json`` sidecar; ``ds`` checked itself when built, so this only encodes.
+    Each place's JSON tail is encoded once per file."""
+    encoded: dict = {}
+    atomic_write(path, (_dataset_line(t, encoded) for t in ds.trajectories))
     atomic_write(_meta_path(path), json.dumps(dict(ds.meta), sort_keys=True, separators=(",", ":")) + "\n")
 
 

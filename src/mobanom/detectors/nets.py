@@ -11,9 +11,9 @@ output, trained by full-batch gradient descent.  Two objectives:
 
 Scoring runs either on one population model trained on everyone's training
 windows (default) or on per-agent models trained on each agent's own history,
-those with equal training-row counts side by side as one stack of nets; a
-stack with fewer training rows than inputs trains its first layer in the span
-of its rows (``train_network``).  Inputs are standardized with training-side
+those with equal training-row counts side by side as one stack of nets.  Each
+net trains reduced to the subspace that its updates reach and scores at full
+width (``train_network``).  Inputs are standardized with training-side
 statistics, and the scorers train and score in float32 (``NET_DTYPE``).
 """
 
@@ -36,9 +36,9 @@ STD_FLOOR = 1e-6
 Z_CLIP = 3.0
 # Per-agent models with equal training-row counts train as one stack of nets
 # holding at most this many bytes of parameters counted at 8 bytes each,
-# whatever the dtype (8 DAEs at d = 144).  Counting instead the bytes that a
-# span-form epoch touches (n*h, n*n, the later layers) allows wider stacks:
-# `nets` run_s fell 4.7%, but peak RSS rose 1.0 MB in every run (4 pairs).
+# whatever the dtype (8 DAEs at d = 144).  A cap on the bytes that a reduced
+# epoch touches (n*h, n*n, h*k) is unmeasured; on the span form before them it
+# gave `nets` run_s -4.7% but peak RSS +1.0 MB in every run (4 pairs).
 STACK_PARAM_BYTES = 700 * 1024
 # The scorers train and score in float32: half the GEMM cost of float64, with
 # scores within 1e-5 relative of float64's and the same ranks (README).
@@ -92,32 +92,33 @@ class TinyNet:
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self._forward_full(x)[-1]
 
-    def _forward_full(self, x: np.ndarray, xw: np.ndarray | None = None) -> list[np.ndarray]:
+    def _forward_full(self, x: np.ndarray) -> list[np.ndarray]:
         acts = [np.atleast_2d(np.asarray(x, dtype=self.weights[0].dtype))]
-        last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = (acts[-1] @ w if k or xw is None else xw) + b
-            acts.append(z if k == last else np.tanh(z))
+            z = acts[-1] @ w
+            z += b
+            acts.append(np.tanh(z, out=z) if k < len(self.weights) - 1 else z)
         return acts
 
     def loss_and_grads(self, x: np.ndarray, objective: str, center: np.ndarray | None = None,
-                       xw: np.ndarray | None = None):
+                       width: int | None = None):
         """Return (loss, weight grads, bias grads) for one full batch; a stack has one loss per member.
 
-        Given ``xw`` (``x @ weights[0]``, precomputed), the forward pass starts from it, and the first
-        weight grad is the first layer's delta ``(n, fan_out)``, not ``xᵀ @ delta``.
+        Reconstruction fits the input in the first output columns and zero in any others, and averages over
+        ``width`` columns (default: the output's), as ``train_network``'s reduced net needs.
         """
-        acts = self._forward_full(x, xw)
-        y = acts[-1]
-        n, _ = acts[0].shape[-2:]
+        acts = self._forward_full(x)
+        n, r = acts[0].shape[-2:]
         if objective == "reconstruction":
-            diff = y - acts[0]
-            loss = np.mean(diff**2, axis=(-2, -1))
-            delta = 2.0 * diff / (n * diff.shape[-1])
+            diff = acts[-1]  # the output is used no further
+            diff[..., :r] -= acts[0]
+            count = n * (width or diff.shape[-1])
+            loss = np.sum(diff**2, axis=(-2, -1)) / count
+            delta = np.multiply(diff, 2.0 / count, out=diff)
         elif objective == "svdd":
             if center is None:
                 raise ConfigError("svdd objective needs a center")
-            diff = y - center
+            diff = acts[-1] - center
             loss = np.mean(np.sum(diff**2, axis=-1), axis=-1)
             delta = 2.0 * diff / n
         else:
@@ -125,10 +126,10 @@ class TinyNet:
 
         grads_w, grads_b = [None] * len(self.weights), [None] * len(self.biases)
         for k in range(len(self.weights) - 1, -1, -1):
-            grads_w[k] = delta if k == 0 and xw is not None else np.swapaxes(acts[k], -1, -2) @ delta
+            grads_w[k] = np.swapaxes(acts[k], -1, -2) @ delta
             grads_b[k] = delta.sum(axis=-2, keepdims=True)
-            if k > 0:
-                delta = (delta @ np.swapaxes(self.weights[k], -1, -2)) * (1.0 - acts[k] ** 2)
+            if k > 0:  # acts[k] is used no further
+                delta = np.multiply(delta @ np.swapaxes(self.weights[k], -1, -2), 1.0 - acts[k] ** 2, out=acts[k])
         return loss, grads_w, grads_b
 
 
@@ -146,35 +147,44 @@ def train_network(net: TinyNet, inputs: np.ndarray, objective: str, hyper: NetHy
     not finite.  For the svdd objective each member's center is fixed to the
     mean embedding of its inputs at initialization and never updated.
 
-    With fewer rows than inputs (n < d), every first-layer update is ``-lr * xᵀ @ delta``,
-    so that layer trains in the span of the rows, ``W1 = W1(0) - lr * xᵀ @ A`` with ``A``
-    the summed deltas: an epoch needs ``x @ W1 = x @ W1(0) - lr * (x @ xᵀ) @ A``, O(n²h) for
-    O(ndh), and ``W1`` is formed after the last epoch.  Same descent, other rounding (README).
+    Updates move the first layer only within the row space of the inputs ``x`` (``-lr * xᵀ @ delta``), and
+    the last layer of a reconstruction only within that space and its initial rows.  So the epochs train a net
+    reduced to orthonormal bases of both (on the input side the live columns, or with fewer rows than columns
+    the rows, ``xᵀ = B R``), and lift it back to full width at the end.  Same descent, other rounding (README).
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=net.weights[0].dtype))
     if x.size == 0:
         raise ConfigError("empty training batch")
     center = net.forward(x).mean(axis=-2, keepdims=True) if objective == "svdd" else None
-    if span := x.shape[-2] < x.shape[-1]:
-        xw0, gram = x @ net.weights[0], x @ np.swapaxes(x, -1, -2)
-        summed = np.zeros_like(xw0)
+    n, d = x.shape[-2:]
+
+    def orthonormal(a):  # columns spanning those of each matrix of a stack, by QR one at a time (QR works in float64)
+        return np.stack([np.linalg.qr(m)[0] for m in a.reshape(-1, *a.shape[-2:])]).reshape(*a.shape[:-1], -1)
+    if n < d:  # the rows
+        reduced_x = x @ (basis := orthonormal(np.swapaxes(x, -1, -2)))
+    else:  # the live columns
+        live = np.any(x != 0, axis=tuple(range(x.ndim - 1)))
+        basis, reduced_x = np.broadcast_to(np.eye(d, dtype=x.dtype)[:, live], (*x.shape[:-2], d, live.sum())), x[..., live]
+    r, start = reduced_x.shape[-1], np.swapaxes(basis, -1, -2) @ net.weights[0]
+    reduced = copy.copy(net)
+    reduced.weights, reduced.biases = [start.copy(), *net.weights[1:]], list(net.biases)
+    if output_side := objective == "reconstruction":
+        last = np.swapaxes(np.concatenate([net.weights[-1], net.biases[-1]], axis=-2), -1, -2)
+        q = np.concatenate([basis, orthonormal(last - basis @ (np.swapaxes(basis, -1, -2) @ last))[..., : d - r]], axis=-1)
+        reduced.weights[-1], reduced.biases[-1] = reduced.weights[-1] @ q, net.biases[-1] @ q
     losses = []
     for epoch in range(hyper.epochs):
-        xw = xw0 - hyper.learning_rate * (gram @ summed) if span else None
         with np.errstate(over="ignore", invalid="ignore"):
-            loss, grads_w, grads_b = net.loss_and_grads(x, objective, center, xw)
+            loss, grads_w, grads_b = reduced.loss_and_grads(reduced_x, objective, center, d)
         flat = np.ravel(loss)
         if not np.isfinite(flat).all():
             raise TrainingDivergedError(epoch, float(flat[~np.isfinite(flat)][0]))
         losses.append(loss)
-        if span:
-            summed += grads_w[0]
-        for w, gw in zip(net.weights[span:], grads_w[span:]):
-            w -= hyper.learning_rate * gw
-        for b, gb in zip(net.biases, grads_b):
-            b -= hyper.learning_rate * gb
-    if span:
-        net.weights[0] -= hyper.learning_rate * (np.swapaxes(x, -1, -2) @ summed)
+        for param, grad in zip(reduced.weights + reduced.biases, grads_w + grads_b):
+            param -= hyper.learning_rate * grad
+    if output_side:
+        reduced.weights[-1], net.biases[-1] = (p @ np.swapaxes(q, -1, -2) for p in (reduced.weights[-1], reduced.biases[-1]))
+    net.weights[:] = [net.weights[0] + basis @ (reduced.weights[0] - start), *reduced.weights[1:]]
     return TrainResult(net=net, center=center, losses=np.array(losses))
 
 

@@ -1,16 +1,14 @@
-"""One net at a time: the trainer and scorer that ``mobanom.detectors.nets`` replaced with stacks of nets.
+"""One net at a time: the trainer and scorer that ``mobanom.detectors.nets`` replaced with stacks of reduced nets.
 
 Each model here is one ``TinyNet`` with 2-D weights and 1-D biases, trained
-by its own Python loop of epochs on the full-width first layer; the per-agent
-scope trains one such model per agent, in agent order. It lives on only as the
-test oracle. A model with at least as many training rows as input columns (the
-population model of every workload) must get the same scores from the stacked
-trainer, bit for bit, at both scopes. One with fewer rows trains its first
-layer in span form there, which rounds otherwise: ``assert_like_the_oracle``
-compares such a model bit for bit with itself trained alone by ``mobanom``'s
-``train_network``, and the tests bound its drift from this oracle. Each function takes the dtype
-to train and score in: float32, as the scorers do, or float64 to measure how
-far float32 moves the scores.
+by its own Python loop of epochs at full width; the per-agent scope trains one
+such model per agent, in agent order. It lives on only as the test oracle.
+``mobanom``'s ``train_network`` trains each net reduced to the subspace that its
+updates reach, which is the same descent with other rounding: the tests bound
+its drift from this oracle, and ``assert_stacked_as_alone`` compares each stack
+bit for bit with its members trained alone by ``train_network``. Each function
+takes the dtype to train and score in: float32, as the scorers do, or float64 to
+measure how far float32 moves the scores.
 
 ``gradient_check`` measures the backprop of ``mobanom``'s ``TinyNet`` against
 central finite differences, in float64 only.
@@ -101,13 +99,12 @@ def _standardize(rows: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndar
 
 def score_with_model(kind: str, train_x: np.ndarray, test_x: np.ndarray, hyper: NetHyper, seed: int,
                      alone: bool = False) -> np.ndarray:
-    """Per-window test scores of one model, trained by the full-width trainer here; with ``alone``, a model
-    with fewer rows than columns trains instead by ``mobanom``'s ``train_network`` on a single net, which
-    takes the span form there."""
+    """Per-window test scores of one model, trained by the full-width trainer here; with ``alone``, trained
+    instead by ``mobanom``'s ``train_network`` on a single net."""
     d = train_x.shape[1]
     sizes = [d, max(1, d // 4), d if kind == "dae" else hyper.embed_dim]
     objective = "reconstruction" if kind == "dae" else "svdd"
-    if alone and len(train_x) < d:
+    if alone:
         trained = train_stacked(StackedNet(sizes, seed, train_x.dtype), train_x, objective, hyper)
         net, center = trained.net, trained.center
     else:
@@ -119,8 +116,7 @@ def score_with_model(kind: str, train_x: np.ndarray, test_x: np.ndarray, hyper: 
 def one_class_scores(kind: str, feat, hyper: NetHyper, scope: str, dtype=np.float32, alone: bool = False) -> ScoreTable:
     """The score table of ``dae_score``/``dsvdd_score``, one model trained after another, in ``dtype``.
 
-    With ``alone`` each model with fewer rows than columns trains alone by ``mobanom``'s ``train_network``
-    (``score_with_model``).
+    With ``alone`` each model trains alone by ``mobanom``'s ``train_network`` (``score_with_model``).
     """
     if scope not in ("population", "per_agent"):
         raise ConfigError(f"unknown scope {scope!r}")
@@ -151,18 +147,27 @@ def one_class_scores(kind: str, feat, hyper: NetHyper, scope: str, dtype=np.floa
     )
 
 
-def assert_like_the_oracle(kind: str, feat, hyper: NetHyper, scope: str) -> None:
-    """``dae_score``/``dsvdd_score`` give a reference score table, bit for bit and in the same order.
-
-    The reference of each model with at least as many training rows as input columns is this oracle's
-    full-width trainer. A model with fewer rows is compared with itself trained alone by ``mobanom``'s
-    ``train_network``, in span form: stacking changes no bit.
-    """
+def assert_stacked_as_alone(kind: str, feat, hyper: NetHyper, scope: str) -> None:
+    """``dae_score``/``dsvdd_score`` give the score table of each model trained alone by ``mobanom``'s
+    ``train_network``, bit for bit and in the same order: stacking changes no bit."""
     new = _one_class_scores(kind, feat, hyper, scope)
     old = one_class_scores(kind, feat, hyper, scope, alone=True)
     assert (new.detector, new.params_hash, new.omitted) == (old.detector, old.params_hash, old.omitted)
     assert list(new.scores.items()) == list(old.scores.items())
     assert new.to_jsonl() == old.to_jsonl()
+
+
+def assert_within_the_tolerance(kind: str, got: dict, want: dict, dtype) -> None:
+    """Scores ``got`` against the oracle's ``want`` for the same agents: within 1e-12 relative in float64; in
+    float32 within 1e-5 relative, DSVDD scores below 0.01 within 1e-7 instead, and in the same order by
+    (-score, id). ``tests/test_nets_stack.py`` gives the reasons for the bounds."""
+    assert list(got) == list(want)
+    if dtype == np.float64:
+        assert all(abs(got[a] - score) <= 1e-12 * score for a, score in want.items())
+    else:
+        assert all(abs(got[a] - score) <= 1e-5 * (max(score, 0.01) if kind == "dsvdd" else score)
+                   for a, score in want.items())
+        assert sorted(got, key=lambda a: (-got[a], a)) == sorted(want, key=lambda a: (-want[a], a))
 
 
 def gradient_check(net, x: np.ndarray, objective: str, center: np.ndarray | None = None, eps: float = 1e-5) -> float:

@@ -447,6 +447,19 @@ class TestWriterOracle:
                 assert fh.read() == dataset_text(ds).encode("utf-8")
 
 
+def test_places_that_compare_equal_keep_their_own_bytes_across_trajectories(tmp_path):
+    """``write_dataset`` encodes each place once per file. The four coordinates here compare equal in pairs (``0.0``
+    and ``-0.0``, ``40`` and ``40.0``) but are spelled apart, each in trajectories of its own, in both orders."""
+    spellings = [(0.0, "0.0"), (-0.0, "-0.0"), (40, "40"), (40.0, "40.0")]
+    agents = spellings + spellings[::-1]
+    ds = Dataset([Trajectory(f"a{i}", [StayPoint(0, 1, "p", "Pub", GeoPoint(lat, lat))])
+                  for i, (lat, _) in enumerate(agents)])
+    write_dataset(ds, str(tmp_path / "dataset.jsonl"))
+    stay = '{{"arrive":0,"depart":1,"place_id":"p","place_type":"Pub","lat":{0},"lon":{0}}}'
+    assert (tmp_path / "dataset.jsonl").read_text() == "".join(
+        f'{{"agent_id":"a{i}","points":[{stay.format(text)}]}}\n' for i, (_, text) in enumerate(agents))
+
+
 class TestReadSharesPlaces:
     """``read_dataset`` builds one Place per place of a trajectory; the values read stay as they were."""
 

@@ -1,8 +1,7 @@
-"""Stacks of nets against one net at a time (``nets_oracle``): score tables bit for bit.
+"""Stacks of reduced nets against one net at a time (``nets_oracle``).
 
-At both scopes, a model with at least as many training rows as input columns is compared with the full-width
-oracle; one with fewer rows trains its first layer in span form, and is compared with itself trained alone by
-``train_network``. The span form itself is held to the full-width oracle by a stated tolerance.
+At both scopes, each stack gives the score table of its members trained alone by ``train_network``, bit for bit.
+The reduced nets themselves are held to the full-width oracle by a stated tolerance.
 """
 
 import json
@@ -71,9 +70,8 @@ hypers = st.builds(
 
 @settings(max_examples=100, deadline=None)
 @given(stacked_features(), hypers, st.sampled_from(["dae", "dsvdd"]))
-def test_score_tables_are_the_oracles_bit_for_bit(feat_cap, hyper, kind):
-    """Each model against the full-width oracle, or, with fewer rows than columns, against itself trained alone
-    by ``train_network``, bit for bit at both scopes."""
+def test_stacks_score_as_their_members_trained_alone(feat_cap, hyper, kind):
+    """Each stack against its members trained alone by ``train_network``, bit for bit at both scopes."""
     feat, cap = feat_cap
     sizes = [feat.dim, max(1, feat.dim // 4), feat.dim if kind == "dae" else hyper.embed_dim]
     net_bytes = 8 * sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
@@ -85,53 +83,77 @@ def test_score_tables_are_the_oracles_bit_for_bit(feat_cap, hyper, kind):
 
     with mock.patch.object(nets, "STACK_PARAM_BYTES", cap * net_bytes), mock.patch.object(nets, "train_network", counting):
         for scope in ("population", "per_agent"):
-            oracle.assert_like_the_oracle(kind, feat, hyper, scope)
+            oracle.assert_stacked_as_alone(kind, feat, hyper, scope)
     assert stack_sizes[0] == 1  # the population model is a stack of one
     assert max(stack_sizes[1:]) == cap and sum(stack_sizes[1:]) == len(feat.eligible_agents())
 
 
 @settings(max_examples=100, deadline=None)
 @given(stacked_features(), hypers, st.sampled_from(["dae", "dsvdd"]), st.sampled_from([np.float64, np.float32]))
-def test_span_form_keeps_to_the_full_width_oracle(feat_cap, hyper, kind, dtype):
-    """Per-agent tables, where some models have fewer training rows than input columns, against the oracle.
+def test_reduced_nets_keep_to_the_full_width_oracle(feat_cap, hyper, kind, dtype):
+    """Score tables at both scopes against the oracle. Stacks and single nets, and models with fewer training rows
+    than input columns (the rows' basis) and with as many or more (the live columns), all occur.
 
     float64: every score within 1e-12 relative. float32: the same order by (-score, id), and every score within
     1e-5 relative, except DSVDD scores below 0.01, which must lie within 1e-7 (1e-5 of 0.01) instead. A DSVDD
     score is a squared distance to the center, and float32 resolves an embedding near unit scale to about one
     ulp, so a score near zero (an embedding next to the center) keeps no 1e-5 of itself: on these random rows
-    the oracle's own float32 scores are up to 1.7e-3 relative from its float64 ones. Over 45,000 such scores the
-    span form's largest difference was 0.52 of this bound. On the workloads' rows the 1e-5 bound holds alone
-    (``test_float32_scores_keep_the_float64_ranks_auc_and_ap``).
+    the oracle's own float32 scores are up to 1.7e-3 relative from its float64 ones. On the workloads' rows the
+    1e-5 bound holds alone (``test_float32_scores_keep_the_float64_ranks_auc_and_ap``).
     """
     feat, _ = feat_cap
-    assume(any(len(w) < feat.dim for w in feat.train.values()))
-    with mock.patch.object(nets, "NET_DTYPE", dtype):
-        got = nets._one_class_scores(kind, feat, hyper, "per_agent").scores
-    want = oracle.one_class_scores(kind, feat, hyper, "per_agent", dtype=dtype).scores
-    assert list(got) == list(want)
-    if dtype == np.float64:
-        for agent, score in want.items():
-            assert got[agent] == pytest.approx(score, rel=1e-12, abs=0)
-    else:
-        for agent, score in want.items():
-            assert abs(got[agent] - score) <= 1e-5 * (max(score, 0.01) if kind == "dsvdd" else score)
-        assert sorted(got, key=lambda a: (-got[a], a)) == sorted(want, key=lambda a: (-want[a], a))
+    for scope in ("population", "per_agent"):
+        with mock.patch.object(nets, "NET_DTYPE", dtype):
+            got = nets._one_class_scores(kind, feat, hyper, scope).scores
+        oracle.assert_within_the_tolerance(kind, got, oracle.one_class_scores(kind, feat, hyper, scope, dtype=dtype).scores,
+                                           dtype)
 
 
-@pytest.mark.parametrize("rows, span", [(3, True), (7, True), (8, False), (11, False)])
-def test_the_span_form_runs_exactly_when_rows_are_fewer_than_inputs(rows, span):
+@pytest.mark.parametrize("rows, width", [(3, 3), (7, 7), (8, 4), (11, 4)])
+def test_the_reduced_net_sees_the_rows_or_the_live_columns(rows, width):
+    """Fewer rows than the 8 inputs: the net sees the rows' coordinates (rows x rows). Otherwise it sees the 4
+    columns live in some member. The DAE's output side adds the initial last layer's 2 + 1 vectors, up to 8."""
     seen = []
     loss_and_grads = TinyNet.loss_and_grads
 
-    def spy(net, x, objective, center=None, xw=None):
-        seen.append(xw is not None)
-        return loss_and_grads(net, x, objective, center, xw)
+    def spy(net, x, objective, center=None, width=None):
+        seen.append((x.shape, net.weights[-1].shape, width))
+        return loss_and_grads(net, x, objective, center, width)
 
     x = np.random.default_rng(0).normal(size=(2, rows, 8))
+    x[0, :, 1] = x[:, :, 3:7] = 0  # column 1 is live in member 1 alone; columns 3 to 6 are dead
     with mock.patch.object(TinyNet, "loss_and_grads", spy):
         trained = train_network(TinyNet([8, 2, 8], seed=[0, 1]), x, "reconstruction", NetHyper(epochs=3))
-    assert seen == [span] * 3
+    assert seen == [((2, rows, width), (2, 2, min(8, width + 3)), 8)] * 3
     assert [w.shape for w in trained.net.weights] == [(2, 8, 2), (2, 2, 8)]
+
+
+def test_a_dead_input_column_keeps_its_first_layer_row():
+    """A column that is zero in every training row gets no first-layer update: its row keeps its initial bits."""
+    x = np.random.default_rng(2).normal(size=(40, 6))
+    x[:, 2] = 0
+    for objective, sizes in (("reconstruction", [6, 3, 6]), ("svdd", [6, 3, 2])):
+        initial = TinyNet(sizes, seed=4).weights[0].copy()
+        trained = train_network(TinyNet(sizes, seed=4), x, objective, NetHyper(epochs=50, learning_rate=0.1)).net
+        assert np.array_equal(trained.weights[0][2], initial[2])
+        assert not np.array_equal(np.delete(trained.weights[0], 2, axis=0), np.delete(initial, 2, axis=0))
+
+
+@pytest.mark.parametrize("rows", [4, 40])
+@pytest.mark.parametrize("kind", ["dae", "dsvdd"])
+def test_a_column_live_only_in_the_test_rows_still_moves_the_score(rows, kind):
+    """Training rows with a dead column (and, with 4 rows, fewer rows than columns): the trained net is lifted to
+    full width, so a test row's value in that column still reaches the score, as at the full-width oracle."""
+    rng = np.random.default_rng(3)
+    train_x = rng.normal(size=(rows, 8))
+    train_x[:, 5] = 0
+    test_x = np.zeros((2, 8))
+    test_x[1, 5] = 2.0
+    hyper = NetHyper(epochs=40, learning_rate=0.05)
+    got = oracle.score_with_model(kind, train_x, test_x, hyper, seed=7, alone=True)
+    want = oracle.score_with_model(kind, train_x, test_x, hyper, seed=7)
+    assert got[0] != got[1]
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_stack_members_start_as_single_nets():
@@ -179,23 +201,25 @@ def test_divergence_of_the_middle_member_stops_a_float32_stack():
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_divergence_in_span_form_stops_where_the_full_width_oracle_does(dtype):
-    """Fewer rows than inputs, so the span form: each member alone raises at the oracle's epoch and loss,
-    and the stack at its earliest member's."""
-    x = np.random.default_rng(0).normal(size=(3, 4, 8)).astype(dtype)
-    hyper = NetHyper(learning_rate=3.0, epochs=300)
+@pytest.mark.parametrize("rows, objective, out, lr", [(4, "svdd", 4, 3.0), (12, "svdd", 4, 3.0),
+                                                      (4, "reconstruction", 8, 30.0), (12, "reconstruction", 8, 30.0)])
+def test_divergence_of_a_reduced_net_stops_where_the_full_width_oracle_does(dtype, rows, objective, out, lr):
+    """Fewer rows than inputs (the rows' basis) or more (the live columns): each member alone raises at the
+    oracle's epoch and loss, and the stack at its earliest member's."""
+    x = np.random.default_rng(0).normal(size=(3, rows, 8)).astype(dtype)
+    x[:, :, 3] = 0
+    hyper = NetHyper(learning_rate=lr, epochs=300)
     seeds = [1, 2, 3]
     alone = []
     for g, seed in enumerate(seeds):
         with pytest.raises(TrainingDivergedError) as new:
-            train_network(TinyNet([8, 2, 4], seed=seed, dtype=dtype), x[g], "svdd", hyper)
+            train_network(TinyNet([8, 2, out], seed=seed, dtype=dtype), x[g], objective, hyper)
         with pytest.raises(TrainingDivergedError) as old:
-            oracle.train_network(oracle.TinyNet([8, 2, 4], seed, dtype), x[g], "svdd", hyper)
+            oracle.train_network(oracle.TinyNet([8, 2, out], seed, dtype), x[g], objective, hyper)
         assert (new.value.epoch, new.value.loss) == (old.value.epoch, old.value.loss)
         alone.append((new.value.epoch, new.value.loss))
-    assert len({epoch for epoch, _ in alone}) > 1  # the members stop at different epochs
     with pytest.raises(TrainingDivergedError) as stacked:
-        train_network(TinyNet([8, 2, 4], seed=seeds, dtype=dtype), x, "svdd", hyper)
+        train_network(TinyNet([8, 2, out], seed=seeds, dtype=dtype), x, objective, hyper)
     assert (stacked.value.epoch, stacked.value.loss) == min(alone)
 
 
@@ -206,20 +230,26 @@ def test_losses_have_one_row_per_epoch():
     assert result.center.shape == (3, 1, 4)
 
 
-# Population GEMMs here are above OpenBLAS's single-thread threshold (m*n*k = 2^18), so 2 threads split them.
+# Population GEMMs here (rows x live columns x hidden) are above OpenBLAS's single-thread threshold (m*n*k = 2^18),
+# so 2 threads split them.
 THREADS_SCRIPT = """
 import json
+import numpy as np
 import nets_oracle as oracle
-from mobanom.detectors import NetHyper, SplitSpec, build_windows
+from mobanom.detectors import NetHyper, SplitSpec, build_windows, nets
 from mobanom.inject import InjectConfig, inject_imposter
 from mobanom.simulator import SimConfig, simulate
 ds, labels = inject_imposter(simulate(SimConfig(n_agents=48, weeks=2, n_hunger=0, n_social=0, n_work=0, seed=5)).dataset,
                              InjectConfig(n_outlier_pairs=3, switch_fraction=0.8, seed=5))
 feat = build_windows(ds, SplitSpec.from_labels(ds, labels), window_days=1.0, L=8)
+hyper = NetHyper(epochs=30, seed=5)
 for kind in ("dae", "dsvdd"):
     for scope in ("population", "per_agent"):
-        oracle.assert_like_the_oracle(kind, feat, NetHyper(epochs=30, seed=5), scope)
-print(json.dumps({"rows": sum(len(w) for w in feat.train.values()), "dim": feat.dim}))
+        oracle.assert_stacked_as_alone(kind, feat, hyper, scope)
+        oracle.assert_within_the_tolerance(kind, nets._one_class_scores(kind, feat, hyper, scope).scores,
+                                           oracle.one_class_scores(kind, feat, hyper, scope).scores, np.float32)
+train = np.concatenate([w.vecs for w in feat.train.values()])
+print(json.dumps({"rows": len(train), "dim": feat.dim, "live": int(np.any(train != 0, axis=0).sum())}))
 """
 
 
@@ -230,8 +260,8 @@ def test_bit_equality_holds_at_one_and_two_blas_threads(threads):
     done = subprocess.run([sys.executable, "-c", THREADS_SCRIPT], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     shape = json.loads(done.stdout.splitlines()[-1])
-    assert shape["rows"] * shape["dim"] * (shape["dim"] // 4) > 2**18
-    assert shape["rows"] >= shape["dim"]  # so the population model is compared with the full-width oracle
+    assert shape["rows"] * shape["live"] * (shape["dim"] // 4) > 2**18
+    assert shape["rows"] >= shape["dim"]  # so the population model trains on the live columns
 
 
 # One population DAE on the perfbench ``nets`` shape: 50 agents x 4 weeks, 3 pairs, 1-day windows, L = 16.
