@@ -225,7 +225,7 @@ def _one_class_scores(kind: str, feat: WindowedFeatures, hyper: NetHyper, scope:
     else:
         groups = [([a], [a], _agent_seed(hyper.seed, a)) for a in agents]
     # Models with equal training-row counts train as one stack of at most `cap`
-    # nets, so each member's GEMMs have the shapes they have alone: same bits.
+    # nets, each with the bits it gets alone (shared live columns add only zeros).
     sizes = [feat.dim, max(1, feat.dim // 4), feat.dim if kind == "dae" else hyper.embed_dim]
     cap = max(1, STACK_PARAM_BYTES // (8 * sum((i + 1) * o for i, o in zip(sizes, sizes[1:]))))
     by_rows: dict[int, list] = {}
