@@ -34,11 +34,10 @@ STD_FLOOR = 1e-6
 # (padding slots, fixed one-hots) otherwise explode under the std floor and
 # drown the informative dimensions.
 Z_CLIP = 3.0
-# Per-agent models with equal training-row counts train as one stack of nets
-# holding at most this many bytes of parameters counted at 8 bytes each,
-# whatever the dtype (8 DAEs at d = 144).  A cap on the bytes that a reduced
-# epoch touches (n*h, n*n, h*k) is unmeasured; on the span form before them it
-# gave `nets` run_s -4.7% but peak RSS +1.0 MB in every run (4 pairs).
+# Per-agent models with equal training-row counts, fewer than the columns, train as one stack of nets holding at
+# most this many bytes of parameters counted at 8 bytes each, whatever the dtype (8 DAEs at d = 144).  A cap on the
+# bytes that a reduced epoch touches (n*h, n*n, h*k) is unmeasured; on the span form before them it gave `nets`
+# run_s -4.7% but peak RSS +1.0 MB in every run (4 pairs).
 STACK_PARAM_BYTES = 700 * 1024
 # The scorers train and score in float32: half the GEMM cost of float64, with
 # scores within 1e-5 relative of float64's and the same ranks (README).
@@ -110,9 +109,8 @@ class TinyNet:
         acts = self._forward_full(x)
         n, r = acts[0].shape[-2:]
         if objective == "reconstruction":
-            diff = acts[-1]  # the output is used no further
+            diff, count = acts[-1], n * (width or acts[-1].shape[-1])  # the output is used no further
             diff[..., :r] -= acts[0]
-            count = n * (width or diff.shape[-1])
             loss = np.sum(diff**2, axis=(-2, -1)) / count
             delta = np.multiply(diff, 2.0 / count, out=diff)
         elif objective == "svdd":
@@ -147,31 +145,33 @@ def train_network(net: TinyNet, inputs: np.ndarray, objective: str, hyper: NetHy
     not finite.  For the svdd objective each member's center is fixed to the
     mean embedding of its inputs at initialization and never updated.
 
-    Updates move the first layer only within the row space of the inputs ``x`` (``-lr * xᵀ @ delta``), and
-    the last layer of a reconstruction only within that space and its initial rows.  So the epochs train a net
-    reduced to orthonormal bases of both (on the input side the live columns, or with fewer rows than columns
-    the rows, ``xᵀ = B R``), and lift it back to full width at the end.  Same descent, other rounding (README).
+    Updates move the first layer only within the row space of the inputs (``-lr * xᵀ @ delta``), and the last
+    layer of a reconstruction only within that space and its initial rows.  So the epochs train a net reduced to
+    orthonormal bases of both (the live columns, or the rows if fewer), then lift it: same descent, other rounding.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=net.weights[0].dtype))
     if x.size == 0:
         raise ConfigError("empty training batch")
     center = net.forward(x).mean(axis=-2, keepdims=True) if objective == "svdd" else None
     n, d = x.shape[-2:]
-
-    def orthonormal(a):  # columns spanning those of each matrix of a stack, by QR one at a time (QR works in float64)
-        return np.stack([np.linalg.qr(m)[0] for m in a.reshape(-1, *a.shape[-2:])]).reshape(*a.shape[:-1], -1)
+    def orthonormal(rows, done):  # `done`'s orthonormal rows, then `rows` by Gram-Schmidt run twice, without LAPACK;
+        out = np.concatenate([done, rows], axis=-2)  # a row whose norm the second run more than halves lies in the
+        for j in range(done.shape[-2], out.shape[-2]):  # span of the rows before it and becomes zero
+            row, before = out[..., j : j + 1, :], out[..., :j, :]
+            norms = [np.linalg.norm(np.subtract(row, row @ np.swapaxes(before, -1, -2) @ before, out=row), axis=-1,
+                                    keepdims=True) for _ in range(2)]
+            row *= np.where(norms[1] > norms[0] / 2, 1 / np.maximum(norms[1], np.finfo(x.dtype).tiny), 0)
+        return out
     if n < d:  # the rows
-        reduced_x = x @ (basis := orthonormal(np.swapaxes(x, -1, -2)))
+        reduced_x = x @ np.swapaxes(basis := orthonormal(x, x[..., :0, :]), -1, -2)
     else:  # the live columns
-        live = np.any(x != 0, axis=tuple(range(x.ndim - 1)))
-        basis, reduced_x = np.broadcast_to(np.eye(d, dtype=x.dtype)[:, live], (*x.shape[:-2], d, live.sum())), x[..., live]
-    r, start = reduced_x.shape[-1], np.swapaxes(basis, -1, -2) @ net.weights[0]
-    reduced = copy.copy(net)
+        live = np.any(x, axis=tuple(range(x.ndim - 1)))
+        basis, reduced_x = np.broadcast_to(np.eye(d, dtype=x.dtype)[live], (*x.shape[:-2], live.sum(), d)), x[..., live]
+    reduced, start = copy.copy(net), basis @ net.weights[0]
     reduced.weights, reduced.biases = [start.copy(), *net.weights[1:]], list(net.biases)
     if output_side := objective == "reconstruction":
-        last = np.swapaxes(np.concatenate([net.weights[-1], net.biases[-1]], axis=-2), -1, -2)
-        q = np.concatenate([basis, orthonormal(last - basis @ (np.swapaxes(basis, -1, -2) @ last))[..., : d - r]], axis=-1)
-        reduced.weights[-1], reduced.biases[-1] = reduced.weights[-1] @ q, net.biases[-1] @ q
+        q = orthonormal(np.concatenate([net.weights[-1], net.biases[-1]], axis=-2), basis)
+        reduced.weights[-1], reduced.biases[-1] = (p @ np.swapaxes(q, -1, -2) for p in (reduced.weights[-1], net.biases[-1]))
     losses = []
     for epoch in range(hyper.epochs):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -182,9 +182,10 @@ def train_network(net: TinyNet, inputs: np.ndarray, objective: str, hyper: NetHy
         losses.append(loss)
         for param, grad in zip(reduced.weights + reduced.biases, grads_w + grads_b):
             param -= hyper.learning_rate * grad
-    if output_side:
-        reduced.weights[-1], net.biases[-1] = (p @ np.swapaxes(q, -1, -2) for p in (reduced.weights[-1], reduced.biases[-1]))
-    net.weights[:] = [net.weights[0] + basis @ (reduced.weights[0] - start), *reduced.weights[1:]]
+    if output_side:  # lifted into the net's own arrays, where the other layers trained already
+        np.matmul(reduced.biases[-1], q, out=net.biases[-1])
+        reduced.weights[-1] = np.matmul(reduced.weights[-1], q, out=net.weights[-1] if len(net.weights) > 1 else None)
+    net.weights[0] += np.swapaxes(basis, -1, -2) @ (reduced.weights[0] - start)
     return TrainResult(net=net, center=center, losses=np.array(losses))
 
 
@@ -201,12 +202,12 @@ def _agent_seed(base_seed: int, agent_id: str) -> int:
 def _standardized(feat: WindowedFeatures, train_agents: list[str], test_agents: list[str]) -> list[np.ndarray]:
     """The training and the test rows of one model, standardized with training-side statistics in place on their own
     concatenations: the operations of ``(rows - mean) / std`` and its clip, without a temporary of every row."""
-    raw_train = np.concatenate([feat.train[a].vecs for a in train_agents])
-    mean = raw_train.mean(axis=0)
-    std = np.maximum(raw_train.std(axis=0), STD_FLOOR)
-    raw_test = np.concatenate([feat.test[a].vecs for a in test_agents])
-    return [np.clip(np.divide(np.subtract(rows, mean, out=rows), std, out=rows), -Z_CLIP, Z_CLIP, out=rows).astype(NET_DTYPE)
-            for rows in (raw_train, raw_test)]
+    sides = [np.concatenate([feat.train[a].vecs for a in train_agents]), test_agents]
+    mean, std = sides[0].mean(axis=0), np.maximum(sides[0].std(axis=0), STD_FLOOR)
+    for k, rows in enumerate(sides):  # one side at a time: the raw training rows are freed before the test rows join
+        rows = np.concatenate([feat.test[a].vecs for a in rows]) if k else rows
+        sides[k] = np.clip(np.divide(np.subtract(rows, mean, out=rows), std, out=rows), -Z_CLIP, Z_CLIP, out=rows).astype(NET_DTYPE)
+    return sides
 
 
 def check_scope(scope: str) -> None:
@@ -224,13 +225,14 @@ def _one_class_scores(kind: str, feat: WindowedFeatures, hyper: NetHyper, scope:
         groups = [(sorted(feat.train), agents, hyper.seed)] if agents else []
     else:
         groups = [([a], [a], _agent_seed(hyper.seed, a)) for a in agents]
-    # Models with equal training-row counts train as one stack of at most `cap`
-    # nets, each with the bits it gets alone (shared live columns add only zeros).
+    # Models with equal training-row counts, fewer than the columns, train as one stack of at most `cap` nets, each on
+    # its rows' basis with the bits it gets alone. One with more rows trains alone: a stack would share live columns.
     sizes = [feat.dim, max(1, feat.dim // 4), feat.dim if kind == "dae" else hyper.embed_dim]
     cap = max(1, STACK_PARAM_BYTES // (8 * sum((i + 1) * o for i, o in zip(sizes, sizes[1:]))))
-    by_rows: dict[int, list] = {}
+    by_rows: dict[object, list] = {}
     for group in groups:
-        by_rows.setdefault(sum(len(feat.train[a]) for a in group[0]), []).append(group)
+        rows = sum(len(feat.train[a]) for a in group[0])
+        by_rows.setdefault(rows if rows < feat.dim else (rows, *group[0]), []).append(group)
     scores: dict[str, float] = {}
     for stack in (same[i : i + cap] for same in by_rows.values() for i in range(0, len(same), cap)):
         train_xs, test_xs = zip(*(_standardized(feat, train, test) for train, test, _ in stack))
@@ -241,10 +243,8 @@ def _one_class_scores(kind: str, feat: WindowedFeatures, hyper: NetHyper, scope:
         for g, ((_, test_agents, _), test_x) in enumerate(zip(stack, test_xs)):
             with np.errstate(over="ignore", invalid="ignore"):  # a net that diverged in its last update raises below
                 out = result.net[g].forward(test_x)
-                if kind == "dae":
-                    per_window = np.mean((out - test_x) ** 2, axis=1)
-                else:
-                    per_window = np.sum((out - result.center[g]) ** 2, axis=1)
+                per_window = (np.mean((out - test_x) ** 2, axis=1) if kind == "dae"
+                              else np.sum((out - result.center[g]) ** 2, axis=1))
             # test rows are in agent order, so each agent's windows are one slice
             ends = np.cumsum([len(feat.test[a]) for a in test_agents])
             for a, own in zip(test_agents, np.split(per_window, ends[:-1])):

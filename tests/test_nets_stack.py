@@ -34,7 +34,8 @@ def windows(vecs: np.ndarray, n_types: int) -> Windows:
 
 @st.composite
 def stacked_features(draw):
-    """(features, cap): agents whose training-row counts form several groups, one of them larger than ``cap``.
+    """(features, cap): agents whose training-row counts form several groups, one of them larger than ``cap`` and
+    with fewer rows than columns, so that it stacks.
 
     Some agents have a single training window (so a zero std, floored and clipped),
     some have no test windows, and agent ids do not follow the groups.
@@ -44,7 +45,7 @@ def stacked_features(draw):
     d = L * (len(vocab) + 3)
     cap = draw(st.integers(1, 3))
     big = draw(st.integers(cap + 1, cap + 3))
-    train_rows = [draw(st.integers(1, 4))] * big + draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
+    train_rows = [draw(st.integers(1, min(4, d - 1)))] * big + draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
     test_rows = [draw(st.integers(1, 3)) for _ in range(big)] + [draw(st.integers(0, 3)) for _ in train_rows[big:-1]] + [0]
     ids = draw(st.permutations(range(len(train_rows))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -71,21 +72,24 @@ hypers = st.builds(
 @settings(max_examples=100, deadline=None)
 @given(stacked_features(), hypers, st.sampled_from(["dae", "dsvdd"]))
 def test_stacks_score_as_their_members_trained_alone(feat_cap, hyper, kind):
-    """Each stack against its members trained alone by ``train_network``, bit for bit at both scopes."""
+    """Each stack against its members trained alone by ``train_network``, bit for bit at both scopes. Models with
+    fewer training rows than columns stack up to ``cap``; a model with as many or more trains alone."""
     feat, cap = feat_cap
     sizes = [feat.dim, max(1, feat.dim // 4), feat.dim if kind == "dae" else hyper.embed_dim]
     net_bytes = 8 * sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
     stack_sizes = []
 
     def counting(net, inputs, objective, hyper):
-        stack_sizes.append(len(inputs))
+        stack_sizes.append(inputs.shape[:2])
         return train_network(net, inputs, objective, hyper)
 
     with mock.patch.object(nets, "STACK_PARAM_BYTES", cap * net_bytes), mock.patch.object(nets, "train_network", counting):
         for scope in ("population", "per_agent"):
             oracle.assert_stacked_as_alone(kind, feat, hyper, scope)
-    assert stack_sizes[0] == 1  # the population model is a stack of one
-    assert max(stack_sizes[1:]) == cap and sum(stack_sizes[1:]) == len(feat.eligible_agents())
+    assert stack_sizes[0][0] == 1  # the population model is a stack of one
+    members = [g for g, _ in stack_sizes[1:]]
+    assert max(members) == cap and sum(members) == len(feat.eligible_agents())
+    assert all(g == 1 for g, rows in stack_sizes[1:] if rows >= feat.dim)
 
 
 @settings(max_examples=100, deadline=None)
@@ -112,7 +116,8 @@ def test_reduced_nets_keep_to_the_full_width_oracle(feat_cap, hyper, kind, dtype
 @pytest.mark.parametrize("rows, width", [(3, 3), (7, 7), (8, 4), (11, 4)])
 def test_the_reduced_net_sees_the_rows_or_the_live_columns(rows, width):
     """Fewer rows than the 8 inputs: the net sees the rows' coordinates (rows x rows). Otherwise it sees the 4
-    columns live in some member. The DAE's output side adds the initial last layer's 2 + 1 vectors, up to 8."""
+    columns live in some member. The DAE's output side adds the initial last layer's 2 + 1 vectors (zero where the
+    8 inputs are spanned already)."""
     seen = []
     loss_and_grads = TinyNet.loss_and_grads
 
@@ -124,7 +129,7 @@ def test_the_reduced_net_sees_the_rows_or_the_live_columns(rows, width):
     x[0, :, 1] = x[:, :, 3:7] = 0  # column 1 is live in member 1 alone; columns 3 to 6 are dead
     with mock.patch.object(TinyNet, "loss_and_grads", spy):
         trained = train_network(TinyNet([8, 2, 8], seed=[0, 1]), x, "reconstruction", NetHyper(epochs=3))
-    assert seen == [((2, rows, width), (2, 2, min(8, width + 3)), 8)] * 3
+    assert seen == [((2, rows, width), (2, 2, width + 3), 8)] * 3
     assert [w.shape for w in trained.net.weights] == [(2, 8, 2), (2, 2, 8)]
 
 
@@ -154,6 +159,22 @@ def test_a_column_live_only_in_the_test_rows_still_moves_the_score(rows, kind):
     want = oracle.score_with_model(kind, train_x, test_x, hyper, seed=7)
     assert got[0] != got[1]
     assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("rows", [3, 7])
+def test_rows_that_are_zero_or_repeat_keep_to_the_full_width_oracle(rows):
+    """Fewer rows than the 8 inputs, one of them zero and one a repeat, so the rows span fewer directions than there
+    are rows. The zero row gets no direction, the repeat none or one of rounding size, and the DAE's output side still
+    spans every direction that the descent reaches: with 7 rows it would hold 7 + 3 + 1 > 8 rows, and the ones past 8
+    directions are zero."""
+    x = np.random.default_rng(5).normal(size=(rows, 8))
+    x[0], x[1] = 0, x[2]
+    test_x = np.random.default_rng(6).normal(size=(4, 8))
+    hyper = NetHyper(epochs=30, learning_rate=0.1)
+    for objective, sizes in (("reconstruction", [8, 3, 8]), ("svdd", [8, 3, 2])):
+        got = train_network(TinyNet(sizes, seed=2), x, objective, hyper).net.forward(test_x)
+        want = oracle.train_network(oracle.TinyNet(sizes, 2, np.float64), x, objective, hyper)[0].forward(test_x)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_stack_members_start_as_single_nets():
@@ -207,7 +228,7 @@ def test_divergence_of_a_reduced_net_stops_where_the_full_width_oracle_does(dtyp
     """Fewer rows than inputs (the rows' basis) or more (the live columns): each member alone raises at the
     oracle's epoch and loss, and the stack at its earliest member's."""
     x = np.random.default_rng(0).normal(size=(3, rows, 8)).astype(dtype)
-    x[:, :, 3] = 0
+    x[:, :, 2] = 0
     hyper = NetHyper(learning_rate=lr, epochs=300)
     seeds = [1, 2, 3]
     alone = []
@@ -218,6 +239,7 @@ def test_divergence_of_a_reduced_net_stops_where_the_full_width_oracle_does(dtyp
             oracle.train_network(oracle.TinyNet([8, 2, out], seed, dtype), x[g], objective, hyper)
         assert (new.value.epoch, new.value.loss) == (old.value.epoch, old.value.loss)
         alone.append((new.value.epoch, new.value.loss))
+    assert len({epoch for epoch, _ in alone}) > 1  # the members stop at different epochs
     with pytest.raises(TrainingDivergedError) as stacked:
         train_network(TinyNet([8, 2, out], seed=seeds, dtype=dtype), x, objective, hyper)
     assert (stacked.value.epoch, stacked.value.loss) == min(alone)
