@@ -11,13 +11,15 @@ Under ``run``, ``detect`` and ``eval`` take the dataset and labels that ``inject
 wrote in memory while their files keep the sha256 recorded when written.
 Config files are INI-style key-value text with one section per stage.  A
 stage takes each setting from, highest first: its command-line flag, its own
-section, then ``[global]``.
+section (and the sections it also reads), then ``[global]``, then the lines
+before the first header (all of a flat file).  No section inherits another's
+keys, and ``_read_config`` checks the whole file once: a section or key that no
+stage reads exits 1 before any stage runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import glob as globmod
 import hashlib
 import json
@@ -51,6 +53,8 @@ DETECT_METHODS = ("ompad", "monav", "traod", "dae", "dsvdd", "llm")
 #: Keys naming a stage's input and output paths.  They come from flags or,
 #: under ``run``, from the stage before; a config file cannot set them.
 PATH_KEYS = ("in", "out", "scores", "labels")
+
+_SHARED = ("DEFAULT", "global")  #: the config sections that every stage merges, lowest first
 
 #: Parsed arguments that are not stage settings.
 _CLI_ONLY_ARGS = ("command", "config", "out_dir", "log_json", "verbose")
@@ -92,13 +96,19 @@ def _sha256_path(path: str) -> str:
     return h.hexdigest()
 
 
-def _read_config(path: str) -> configparser.ConfigParser:
-    """INI sections, or flat ``key = value`` lines (the DEFAULT section); a ConfigError names a bad file and line."""
+def _read_config(path: str) -> dict[str, dict[str, str]]:
+    """Each section's own keys, the lines before the first header (all of a flat file) as the section DEFAULT.
+
+    The whole file is checked once; a ConfigError names it, and the line when known, for text that is not UTF-8 or
+    not INI, a repeated section (``[DEFAULT]`` too) or key, a section that no stage reads, a key that no stage
+    merging its section reads, and a shared key (of DEFAULT or [global]) that no stage and not ``run`` reads."""
+    import configparser  # the one reader of INI text: a tier-1 scan keeps configparser out of every other function
     if not os.path.isfile(path):
         raise ConfigError(f"cannot read config file {path!r}")
-    parser = configparser.ConfigParser(interpolation=None)  # a '%' is itself, in a flat file as in a section
+    # a '%' is itself; no header can name the section "\n", so no section inherits another's keys
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
-        with open(path, "r", encoding="utf-8") as fh:  # the lines before the first section header are defaults
+        with open(path, "r", encoding="utf-8") as fh:
             parser.read_string("[DEFAULT]\n" + fh.read(), source=path)
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: not UTF-8 text") from None
@@ -106,7 +116,17 @@ def _read_config(path: str) -> configparser.ConfigParser:
         raise ConfigError(f"{path}:{exc.errors[0][0] - 1}: neither a [section] header nor a key = value line") from None
     except configparser.Error as exc:  # a repeated option or section: "While reading from 'x.ini' [line  3]: <reason>"
         raise ConfigError(f"{path}:{exc.lineno - 1}: {str(exc).partition(']: ')[2]}") from None
-    return parser
+    config = {section: dict(parser[section]) for section in parser.sections()}
+    shared = {"stages", "out_dir", *(key for stage in STAGES.values() for key in stage.keys)}  # run reads the first two
+    for section, keys in config.items():
+        readers = [stage.keys for name, stage in STAGES.items() if section in (*stage.sections, name)]
+        if not (readers or section in _SHARED):
+            raise ConfigError(f"{path}: unknown section [{section}]")
+        known = shared if section in _SHARED else set().union(*readers)
+        for key in keys:
+            if key not in known:
+                raise ConfigError(f"{path}: unknown key {key!r}{'' if section == 'DEFAULT' else f' in [{section}]'}")
+    return config
 
 
 def _settings_source(config: str | None, flags: Collection[str]) -> str | None:
@@ -114,35 +134,13 @@ def _settings_source(config: str | None, flags: Collection[str]) -> str | None:
     return f"{config} and the command line" if config and flags else config
 
 
-def _file_settings(parser: configparser.ConfigParser, name: str, strict: bool) -> dict:
-    """Stage ``name``'s settings from a config file: [global] < extra sections < [name].
-
-    ``strict`` rejects a sectioned file that holds none of the stage's own
-    sections (its extra sections and [name]); a flat file applies to any stage.
-    A key of one of those sections is refused when no stage that merges the
-    section reads it, and a key that every stage shares (of a flat file, of the
-    lines before the first header or of [global]) when no stage and not ``run`` reads it.
-    """
-    known = {"stages", "out_dir", *(key for stage in STAGES.values() for key in stage.keys)}  # run reads the first two
-    for key in parser["global"] if parser.has_section("global") else parser.defaults():  # defaults show in [global]
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r}{'' if key in parser.defaults() else ' in [global]'}")
-    if not parser.sections():
-        settings = dict(parser.defaults())
-    else:
-        own = (*STAGES[name].sections, name)
-        if strict and not any(parser.has_section(section) for section in own):
-            raise ConfigError(f"config file has none of the sections {name} reads: [{'], ['.join(own)}]")
-        for section in filter(parser.has_section, own):
-            readers = [stage.keys for n, stage in STAGES.items() if section in (*stage.sections, n)]
-            for key in parser[section]:  # the lines before the first header show in every section, and are shared
-                if key not in parser.defaults() and not any(key in keys for keys in readers):
-                    raise ConfigError(f"unknown key {key!r} in [{section}]")
-        settings = {}
-        for section in ("global", *own):
-            if parser.has_section(section):
-                settings.update(parser[section])
-    return {k: v for k, v in settings.items() if k not in PATH_KEYS}
+def _file_settings(config: dict[str, dict[str, str]], name: str, strict: bool) -> dict:
+    """Stage ``name``'s settings from a config file: DEFAULT < [global] < extra sections < [name]; ``strict``
+    rejects a sectioned file that holds none of the stage's own sections (its extra sections and [name])."""
+    own = (*STAGES[name].sections, name)
+    if strict and len(config) > 1 and not any(section in config for section in own):  # DEFAULT is always read
+        raise ConfigError(f"config file has none of the sections {name} reads: [{'], ['.join(own)}]")
+    return {key: value for section in (*_SHARED, *own) for key, value in config.get(section, {}).items()}
 
 
 def read_endpoint_file(path: str) -> LlmEndpointConfig:
@@ -436,11 +434,11 @@ def _runtime() -> dict:
 
 def run_pipeline(config_path: str, out_dir: str | None, seed: int | None) -> int:
     """Build every listed stage's settings, then chain the stages and write ``manifest.json``, also when one fails."""
-    parser = _read_config(config_path)
+    config = _read_config(config_path)
     with naming(config_path):  # the stage list and every setting but --seed come from the file
-        glob_cfg = dict(parser["global"]) if parser.has_section("global") else {}
-        out_dir = out_dir or glob_cfg.get("out_dir", "out")
-        stages = [s.strip() for s in glob_cfg.get("stages", "").split(",") if s.strip()]
+        shared = {**config["DEFAULT"], **config.get("global", {})}
+        out_dir = out_dir or shared.get("out_dir", "out")
+        stages = [s.strip() for s in shared.get("stages", "").split(",") if s.strip()]
         if not stages:
             raise ConfigError("config [global] must list stages")
         flags = {} if seed is None else {"seed": seed}
@@ -451,7 +449,7 @@ def run_pipeline(config_path: str, out_dir: str | None, seed: int | None) -> int
                 raise ConfigError(f"unknown stage {name!r}")
             if name in planned:  # a second run of a stage would rewrite its directory under the first one's hashes
                 raise ConfigError(f"stage {name!r} is listed twice")
-            m = {**_file_settings(parser, name, strict=False), **flags}
+            m = {**_file_settings(config, name, strict=False), **flags}
             if stage.chain is not None:
                 if data_dir is None:
                     raise ConfigError(f"{name} needs a prior simulate or ingest stage")
@@ -472,8 +470,8 @@ def run_pipeline(config_path: str, out_dir: str | None, seed: int | None) -> int
 
         manifest = {
             "version": __version__,
-            "config_hash": params_hash({s: dict(parser[s]) for s in parser.sections()}),
-            "seed": seed if seed is not None else convert_value(int | None, "seed", glob_cfg.get("seed")),
+            "config_hash": params_hash({s: keys for s, keys in config.items() if keys or s != "DEFAULT"}),
+            "seed": seed if seed is not None else convert_value(int | None, "seed", shared.get("seed")),
             "status": "ok",
             "runtime": _runtime(),
             "stages": [],
@@ -570,10 +568,10 @@ def main(argv: list[str] | None = None) -> int:
             if not args.config:
                 raise ConfigError("run needs --config")
             return run_pipeline(args.config, args.out_dir, args.seed)
-        parser = _read_config(args.config) if args.config else None
+        config = _read_config(args.config) if args.config else None
         flags = {k: v for k, v in vars(args).items() if v is not None and k not in _CLI_ONLY_ARGS}
         with naming(args.config):
-            m = {**(_file_settings(parser, args.command, strict=True) if parser else {}), **flags}
+            m = {**(_file_settings(config, args.command, strict=True) if config else {}), **flags}
         with naming(_settings_source(args.config, set(flags) - set(PATH_KEYS))):
             s = STAGES[args.command].settings(m)
         _run_stage(args.command, m, s, args.out_dir or m.get("out_dir", "out"))

@@ -213,8 +213,10 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.arrive)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Trajectory) and self.agent_id == other.agent_id and self.points == other.points
+    def __eq__(self, other) -> bool:  # the columns and each stay's Place: no StayPoint is built
+        return (isinstance(other, Trajectory) and self.agent_id == other.agent_id
+                and np.array_equal(self.arrive, other.arrive) and np.array_equal(self.depart, other.depart)
+                and [self.places[c] for c in self.place_code.tolist()] == [other.places[c] for c in other.place_code.tolist()])
 
     @property
     def points(self) -> tuple[StayPoint, ...]:

@@ -1,9 +1,11 @@
 """Every file mobanom writes goes through ``core.atomic_write``, every JSONL line through ``core.parse_jsonl``,
-every source put in front of a fault through ``core.naming``, and every record of ``core`` is frozen.
+every source put in front of a fault through ``core.naming``, every config file through ``cli._read_config``, and
+every record of ``core`` is frozen.
 
 The source is scanned with ``ast``, so a new ``open(path, "w")``, rename or
-``json.loads``, or a new rewrite or copy of a ``MobanomError``, anywhere else in
-``src/mobanom`` fails here, and so does a ``core`` dataclass without ``frozen=True``.
+``json.loads``, a new rewrite or copy of a ``MobanomError``, or a new use of
+``configparser``, anywhere else in ``src/mobanom`` fails here, and so does a
+``core`` dataclass without ``frozen=True``.
 """
 
 import ast
@@ -133,6 +135,47 @@ def test_the_scan_sees_a_fault_rewritten_or_copied(tmp_path, monkeypatch):
     )
     monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
     assert collections.Counter(namings()) == {("rogue.py", "rename"): 2, ("rogue.py", "wrap"): 1}
+
+
+def configparser_uses():
+    """Every import, name or string of ``configparser`` (a string as ``__import__`` takes it), as (file, enclosing
+    function)."""
+    found = []
+    for rel, scope_of, nodes in modules():
+        for node in nodes:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(alias.name for alias in node.names)]
+            elif isinstance(node, (ast.Name, ast.Constant)):
+                names = [node.id if isinstance(node, ast.Name) else node.value]
+            else:
+                continue
+            if any(str(name).partition(".")[0] == "configparser" for name in names):
+                found.append((rel, scope_of(node)))
+    return found
+
+
+def test_only_the_config_reader_uses_configparser():
+    # so a config file has one reader, one set of sections and one check of the whole file
+    assert set(configparser_uses()) == {("cli.py", "_read_config")}
+
+
+def test_the_scan_sees_configparser_used_elsewhere(tmp_path, monkeypatch):
+    (tmp_path / "rogue.py").write_text(
+        "import configparser\n"
+        "from configparser import ConfigParser\n"
+        "import configparser as cp, os\n"
+        "def read(path):\n"
+        "    return configparser.ConfigParser().read(path)\n"
+        "def load(name='configparser'):\n"
+        "    return __import__(name)\n"
+        "def keep(text):\n"
+        "    return 'configparser-free ' + text\n"
+    )
+    monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
+    assert collections.Counter(configparser_uses()) == {("rogue.py", "<module>"): 3, ("rogue.py", "read"): 1,
+                                                        ("rogue.py", "load"): 1}
 
 
 def unfrozen_dataclasses(path) -> list[str]:

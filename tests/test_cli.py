@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import pathlib
 import platform
 import shlex
 import subprocess
@@ -15,12 +16,14 @@ import pytest
 
 from mobanom import cli
 from mobanom.cli import STAGES, _build_parser, main, read_endpoint_file
-from mobanom.core import ConfigError, InvalidInputError, StayPoint, read_dataset, read_labels
+from mobanom.core import ConfigError, InvalidInputError, StayPoint, params_hash, read_dataset, read_labels
 from mobanom.detectors import SplitSpec, TraodParams, traod_score
 from mobanom.evaluation import ScoreTable
 from mobanom.llm import LlmEndpointConfig, MockEndpoint
 from mobanom.simulator import SimConfig
 
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 def write(path, text):
     with open(path, "w", encoding="utf-8") as fh:
@@ -363,7 +366,7 @@ class TestRunPipeline:
         simulate, detected = json.loads((out / "manifest.json").read_text())["stages"][:2]
         labels = str(out / "sim" / "labels.jsonl")
         assert detected["inputs"][labels] == simulate["outputs"][labels]
-        assert detected["inputs"][labels] != hashlib.sha256(open(labels, "rb").read()).hexdigest()
+        assert detected["inputs"][labels] != hashlib.sha256(pathlib.Path(labels).read_bytes()).hexdigest()
 
     def test_manifest_hashes_the_dataset_meta_sidecar(self, tmp_path):
         cfg = tmp_path / "inject.ini"
@@ -548,7 +551,7 @@ top_k = 2,5
 
 def tree_bytes(root) -> dict:
     """Each file under ``root`` but the manifest, by relative path, with its bytes."""
-    return {os.path.relpath(os.path.join(d, n), root): open(os.path.join(d, n), "rb").read()
+    return {os.path.relpath(os.path.join(d, n), root): pathlib.Path(d, n).read_bytes()
             for d, _, names in os.walk(root) for n in names if n != "manifest.json"}
 
 
@@ -1283,7 +1286,8 @@ class TestConfigFileFaults:
         (RUN + "n_agents = 7\n", 6, "option 'n_agents' in section 'simulate' already exists"),
         (RUN.encode() + b"# \xff\n", None, "not UTF-8 text"),
         (RUN + "[simulate]\nseed = 1\n", 6, "section 'simulate' already exists"),
-    ], ids=["no_equals", "option_twice", "not_utf8", "section_twice"])
+        (RUN + "[DEFAULT]\nseed = 1\n", 6, "section 'DEFAULT' already exists"),  # was: seed shared by every stage
+    ], ids=["no_equals", "option_twice", "not_utf8", "section_twice", "default_header"])
     def test_run_config(self, tmp_path, capsys, text, where, reason):
         self.assert_refused(tmp_path, capsys, "run", text, where, reason)
 
@@ -1292,16 +1296,17 @@ class TestConfigFileFaults:
         ("weeks\n" + FLAT, 1, "neither a [section] header nor a key = value line"),
         (FLAT + "n_agents = 7\n", 3, "option 'n_agents' in section 'DEFAULT' already exists"),
         (b"\xff" + FLAT.encode(), None, "not UTF-8 text"),
-    ], ids=["no_equals", "no_equals_first", "option_twice", "not_utf8"])
+        (FLAT + "[DEFAULT]\nseed = 1\n", 3, "section 'DEFAULT' already exists"),
+    ], ids=["no_equals", "no_equals_first", "option_twice", "not_utf8", "default_header"])
     def test_flat_simulate_config(self, tmp_path, capsys, text, where, reason):
         self.assert_refused(tmp_path, capsys, "simulate", text, where, reason)
 
     def test_a_percent_sign_is_read_as_itself(self, tmp_path):
         cfg = tmp_path / "pct.ini"
-        for text, settings in [(self.FLAT + "note = 5% %(weeks)s\n", lambda parser: parser.defaults()),
-                               (self.RUN + "note = 5% %(weeks)s\n", lambda parser: parser["simulate"])]:
+        for text, section in [(self.FLAT + "template = 5% %(weeks)s\n", "DEFAULT"),
+                              (self.RUN + "[llm]\ntemplate = 5% %(weeks)s\n", "llm")]:
             cfg.write_text(text)
-            assert settings(cli._read_config(str(cfg)))["note"] == "5% %(weeks)s"
+            assert cli._read_config(str(cfg))[section]["template"] == "5% %(weeks)s"
 
     @staticmethod
     def assert_refused(tmp_path, capsys, command, text, where, reason):
@@ -1410,7 +1415,7 @@ class TestUnknownSectionKeys:
         assert len(os.listdir(tmp_path / "run" / "scores")) == len(cli.DETECT_METHODS)
 
     def test_the_lines_before_the_first_header_are_shared_not_the_sections_own(self, tmp_path):
-        # configparser shows them in every section; a stage that does not read one is not refused for it
+        # a section of their own, which every stage shares: a stage that does not read one is not refused for it
         cfg = tmp_path / "shared.ini"
         write(str(cfg), "top_k = 3\n[simulate]\nn_agents = 4\nweeks = 1\nn_hunger = 0\nn_social = 0\nn_work = 0\n")
         assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "sim"), "simulate"]) == 0
@@ -1452,6 +1457,124 @@ class TestUnknownSharedKeys:
         assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "run"), "run"]) == 0
         write(str(cfg), "stages = simulate\nout_dir = x\nmethods = ompad\n" + self.SIM)
         assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "sim"), "simulate"]) == 0
+
+
+def stage_settings(monkeypatch, argv) -> dict:
+    """The settings that each stage builds under ``main(argv)``, keyed by stage; no stage runs."""
+    built = {}
+
+    def record(name, m, s, out_dir, kept=None):
+        built[name] = s
+        return {"name": name, "outputs": []}, {}
+
+    monkeypatch.setattr(cli, "_run_stage", record)
+    assert main(argv) == 0
+    return built
+
+
+class TestSharedSections:
+    """The lines before the first header (all of a flat file) are a section of their own, DEFAULT, that every stage
+    merges below [global]; no section inherits another's keys, and a section that no stage reads is refused."""
+
+    SIM = TestUnknownSharedKeys.SIM
+
+    @pytest.mark.parametrize("command, text, mode", [
+        ("detect", "mode = combine\n[llm]\nmode = separate\n[detect]\nendpoint = {endpoint}\n",
+         lambda s: s["llm"]["mode"]),
+        ("dump-prompts", "mode = combine\n[detect]\nmode = separate\n[dump-prompts]\n", lambda s: s["mode"]),
+    ], ids=["detect", "dump-prompts"])
+    def test_the_leading_lines_rank_below_every_section_a_stage_reads(self, tmp_path, monkeypatch, command, text,
+                                                                      mode):
+        # was: combine, the leading lines shown in [detect] and [dump-prompts] as their own keys
+        endpoint = tmp_path / "endpoint.json"
+        write(str(endpoint), json.dumps({"provider": "mock-oracle"}))
+        cfg = tmp_path / "p.ini"
+        write(str(cfg), text.format(endpoint=endpoint))
+        args = ["--method", "llm"] if command == "detect" else []
+        built = stage_settings(monkeypatch, ["--config", str(cfg), command, "--in", str(tmp_path), *args])
+        assert mode(built[command]) == "separate"
+
+    def test_run_takes_the_stages_before_the_first_header(self, tmp_path):
+        # was: exit 1, "config [global] must list stages"
+        cfg = tmp_path / "run.ini"
+        write(str(cfg), "stages = simulate\n[simulate]\n" + self.SIM)
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "--out-dir", str(out), "run"]) == 0
+        assert len(read_dataset(str(out / "sim" / "dataset.jsonl")).trajectories) == 4
+
+    @pytest.mark.parametrize("command", ["run", "simulate"])
+    def test_an_unknown_section_is_refused_before_any_stage_writes(self, tmp_path, capsys, command):
+        # was, under run: exit 0, [simluate] ignored and the default 1,000 agents simulated
+        cfg = tmp_path / "typo.ini"
+        write(str(cfg), "[global]\nstages = simulate\n[simluate]\n" + self.SIM)
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "--out-dir", str(out), command]) == 1
+        err = capsys.readouterr().err
+        assert f"{command}: {cfg}: unknown section [simluate]\n" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, args", [("run", []), ("simulate", []),
+                                               ("detect", ["--method", "ompad", "--in", "."])])
+    def test_a_key_of_a_stage_not_run_is_checked_too(self, tmp_path, capsys, command, args):
+        # was: exit 0, a section of a stage that was not listed, or not the subcommand's, never checked
+        cfg = tmp_path / "typo.ini"
+        write(str(cfg), "[global]\nstages = simulate\n[simulate]\n" + self.SIM + "[detect]\n[inject]\npair = 2\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out-dir", str(out), command, *args]) == 1
+        err = capsys.readouterr().err
+        assert f"{command}: {cfg}: unknown key 'pair' in [inject]\n" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_the_config_hash_hashes_each_section_as_read(self, tmp_path):
+        # was: the leading lines hashed as keys of every section; an empty DEFAULT is left out (the golden run's hash)
+        cfg = tmp_path / "run.ini"
+        write(str(cfg), "seed = 3\n[global]\nstages = simulate\n[simulate]\n" + self.SIM)
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "--out-dir", str(out), "run"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        sim = dict(line.split(" = ") for line in self.SIM.splitlines())
+        sections = {"DEFAULT": {"seed": "3"}, "global": {"stages": "simulate"}, "simulate": sim}
+        assert manifest["config_hash"] == params_hash(sections) and manifest["seed"] == 3
+
+
+class TestOneSharedKey:
+    """One key that stages share sets the same settings of every stage wherever the file gives it: in a flat file,
+    before the first header or in [global], under a stage's subcommand and under `run`."""
+
+    BODY = "stages = simulate, inject, detect, eval\npairs = 2\nmethods = traod, dae\n" + TestUnknownSharedKeys.SIM
+    PLACES = {"flat": "seed = 5\n" + BODY, "before_the_first_header": "seed = 5\n[global]\n" + BODY,
+              "global": "[global]\nseed = 5\n" + BODY}
+    ARGS = {"simulate": [], "ingest": ["raw.csv"], "inject": ["--in", "dataset.jsonl"],
+            "detect": ["--method", "traod, dae", "--in", "data"], "eval": ["--scores", "*.jsonl", "--labels", "l.jsonl"],
+            "dump-prompts": ["--in", "data"]}
+
+    @staticmethod
+    def seeds(built: dict) -> set:
+        """The seeds of the built settings: simulate's, inject's, and detect's for the nets and for TRAOD."""
+        detect = built.get("detect", {})
+        seeded = (built.get("simulate"), built.get("inject"), detect.get("hyper"), detect.get("traod"))
+        return {s.seed for s in seeded if s is not None}
+
+    @pytest.mark.parametrize("place", PLACES)
+    @pytest.mark.parametrize("command", ARGS)
+    def test_under_a_subcommand(self, tmp_path, monkeypatch, command, place):
+        built = {}
+        for where in (place, "global"):  # a sectioned file holds a section of the stage
+            cfg = tmp_path / f"{where}.ini"
+            write(str(cfg), self.PLACES[where] + ("" if where == "flat" else f"[{command}]\n"))
+            built[where] = stage_settings(monkeypatch, ["--config", str(cfg), command, *self.ARGS[command]])
+        assert built[place] == built["global"] and self.seeds(built[place]) <= {5}
+
+    @pytest.mark.parametrize("place", PLACES)
+    def test_under_run(self, tmp_path, monkeypatch, place):
+        # was, for a flat file: exit 1, "config [global] must list stages"
+        built = {}
+        for where in (place, "global"):
+            cfg = tmp_path / f"{where}.ini"
+            write(str(cfg), self.PLACES[where])
+            built[where] = stage_settings(monkeypatch, ["--config", str(cfg), "--out-dir", str(tmp_path / where), "run"])
+        assert list(built[place]) == ["simulate", "inject", "detect", "eval"]
+        assert built[place] == built["global"] and self.seeds(built[place]) == {5}
 
 
 class TestSubcommandOutDir:
@@ -1535,7 +1658,7 @@ def sha256_tree(root):
     h = hashlib.sha256()
     rel_paths = sorted(os.path.relpath(os.path.join(d, n), root) for d, _, names in os.walk(root) for n in names)
     for rel in rel_paths:
-        digest = hashlib.sha256(open(os.path.join(root, rel), "rb").read()).hexdigest()
+        digest = hashlib.sha256(pathlib.Path(root, rel).read_bytes()).hexdigest()
         h.update(f"{rel}\0{digest}\n".encode("utf-8"))
     return h.hexdigest()
 
@@ -1595,13 +1718,13 @@ class TestRunStageTable:
 
 
 def readme_cli_lines():
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8").read()
+    readme = README.read_text(encoding="utf-8")
     block = readme.split("## Quick start (CLI)", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
     return [ln for ln in block.splitlines() if ln.startswith("mobanom ")]
 
 
 def readme_endpoint_section():
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8").read()
+    readme = README.read_text(encoding="utf-8")
     return readme.split("## LLM endpoints", 1)[1].split("\n## ", 1)[0]
 
 
@@ -1616,7 +1739,7 @@ monav_tt  6            7            0.5212    0.7231     100     15        0
 
 class TestReadmeDrift:
     def test_readme_python_example_prints_its_report(self, tmp_path):
-        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8").read()
+        readme = README.read_text(encoding="utf-8")
         (example,) = readme.split("```python\n")[1:]  # the one Python block, as a reader would paste it
         src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

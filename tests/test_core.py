@@ -447,6 +447,33 @@ class TestWriterOracle:
                 assert fh.read() == dataset_text(ds).encode("utf-8")
 
 
+def test_trajectories_compare_times_and_places_without_building_a_stay_point(monkeypatch):
+    """``==`` compares the columns and each stay's Place, however the places are coded: ``0.0`` and ``-0.0``, ``40``
+    and ``40.0`` compare equal, as the stays' values do, and another place type or agent id does not."""
+    def places(lat, home="Home"):
+        return [Place("p", "Pub", GeoPoint(lat, lat)), Place("h", home, GeoPoint(1.0, 2.0))]
+
+    def shared(lat, home="Home", agent="a"):  # one place for the first and the last stay
+        return Trajectory(agent, arrive=[0, 2, 4], depart=[1, 3, 5], place_code=[0, 1, 0], places=places(lat, home))
+
+    def apart(lat):  # a place per stay, in another order
+        pub, home = places(lat)
+        return Trajectory("a", arrive=[0, 2, 4], depart=[1, 3, 5], place_code=[1, 0, 2], places=[home, pub, pub])
+
+    trajectories = [shared(0.0), shared(-0.0), apart(0.0), shared(40), shared(40.0), apart(40),
+                    shared(0.0, home="Office"), shared(0.0, agent="b"), shared(40, agent="b")]
+    built = []
+    check = StayPoint.__post_init__
+    monkeypatch.setattr(StayPoint, "__post_init__", lambda sp: built.append(sp) or check(sp))
+    equal = {(i, j) for i, a in enumerate(trajectories) for j, b in enumerate(trajectories) if a == b}
+    assert built == []
+    classes = [{0, 1, 2}, {3, 4, 5}, {6}, {7}, {8}]
+    assert equal == {(i, j) for cls in classes for i in cls for j in cls}
+    monkeypatch.undo()
+    assert equal == {(i, j) for i, a in enumerate(trajectories) for j, b in enumerate(trajectories)
+                     if a.agent_id == b.agent_id and a.points == b.points}  # as the StayPoint views compare
+
+
 def test_places_that_compare_equal_keep_their_own_bytes_across_trajectories(tmp_path):
     """``write_dataset`` encodes each place once per file. The four coordinates here compare equal in pairs (``0.0``
     and ``-0.0``, ``40`` and ``40.0``) but are spelled apart, each in trajectories of its own, in both orders."""
