@@ -55,12 +55,12 @@ print(f"parsed {len(fixes['u1'])} fixes for agent u1")
 
 stay_points = detect_stay_points(fixes["u1"], StayPointParams(dist_threshold_m=200, time_threshold_s=1200))
 print(f"detected {len(stay_points)} stay points:")
-for sp in stay_points:
+for sp in stay_points.points:
     print(f"  {sp.arrive} .. {sp.depart}  ({(sp.depart - sp.arrive) / 60:.0f} min) "
           f"at ({sp.location.lat:.4f}, {sp.location.lon:.4f})")
 
 # Label them: one POI covers the home location; the cafe falls back to a grid cell.
 poi = PoiMap(entries=[PoiEntry(GeoPoint(*home), radius_m=150.0, place_type="Apartment", place_id="home1")])
 labeled = assign_place_types(stay_points, poi)
-for sp in labeled:
+for sp in labeled.points:
     print(f"  -> {sp.place_type:10s} place_id={sp.place_id}")

@@ -2,9 +2,9 @@
 
 Everything downstream (ingestion, simulation, injection, detectors, prompting,
 evaluation) consumes the types defined here.  All operations are pure functions
-over immutable values.  A :class:`Trajectory` holds its stays as columns: arrival
-and departure arrays and a code per stay into its tuple of places; a
-:class:`StayPoint` is a view of one stay, built on demand.
+over immutable values.  A :class:`Trajectory` holds its stays as columns, and is
+built only from them: arrival and departure arrays and a code per stay into its
+tuple of places; a :class:`StayPoint` is a view of one stay, built on demand.
 
 File formats
 ------------
@@ -146,22 +146,13 @@ class Place:
 @dataclass(frozen=True)
 class StayPoint:
     """A contiguous dwell at one semantic place: a view of one stay of a :class:`Trajectory`, for a caller that wants
-    objects (``Trajectory.points``), and a way to build one from stays.
-
-    ``arrive``/``depart`` are UTC epoch seconds with ``depart >= arrive``; checked when built: integer times,
-    and ``place_id`` and ``place_type`` UTF-8 strings."""
+    objects, built only by ``Trajectory.points`` from the checked columns (``depart >= arrive``, UTC epoch seconds)."""
 
     arrive: int
     depart: int
     place_id: str
     place_type: str
     location: GeoPoint
-
-    def __post_init__(self) -> None:
-        if not (type(self.arrive) is int and type(self.depart) is int and type(self.place_id) is str
-                and type(self.place_type) is str and self.place_id.isascii() and self.place_type.isascii()):
-            _check_types({"arrive": self.arrive, "depart": self.depart, "place_id": self.place_id,
-                          "place_type": self.place_type}, _STAY_TYPES)
 
 
 def _stay_fault(arrive, depart, i: int) -> str | None:
@@ -175,13 +166,25 @@ def _stay_fault(arrive, depart, i: int) -> str | None:
     return next((fault for ok, fault in rules if not ok), None)
 
 
+def _integers(agent_id: str, name: str, values) -> np.ndarray:
+    """``values`` as an array of integers, refusing the first that is not one (a float, a bool, a string) with an
+    InvalidInputError naming its stay.  An integer array but uint64 comes back as it is, other ints as Python ints."""
+    column = np.asarray(values)  # a bool among ints comes as an int, and ints beyond every integer dtype as floats
+    if column.dtype.kind in "iu" and column.dtype != np.uint64 and (
+            column is values or {bool, np.bool_}.isdisjoint(map(type, values))):
+        return column
+    for i, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise InvalidInputError(f"stay {i} of {agent_id!r}: {name} must be an integer, got {v!r}")
+    return np.array([int(v) for v in values], dtype=object)
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class Trajectory:
     """One agent's stays in time order as read-only columns: ``arrive`` and ``depart`` (int64 epoch seconds) and
-    ``place_code``, each stay's index into the tuple ``places``.  Built from the columns, or from stays (``points``,
-    any iterable of :class:`StayPoint`, each then at a place of its own), and checked when built: a string
-    ``agent_id``, one depart and one place code in range per arrive, then the trajectory rule, naming the first stay
-    that breaks it and the first part it breaks (``_stay_fault``).  ``points`` builds :class:`StayPoint` views."""
+    ``place_code``, each stay's index into ``places``.  Checked when built: a string ``agent_id``, integer columns
+    (:func:`_integers`; an int64 array is kept and made read-only, not copied), one depart and one place code in range
+    per arrive, then the trajectory rule, naming the first stay that breaks it.  ``points`` builds the stays' views."""
 
     agent_id: str
     arrive: np.ndarray
@@ -189,17 +192,13 @@ class Trajectory:
     place_code: np.ndarray
     places: tuple[Place, ...]
 
-    def __init__(self, agent_id: str, points: typing.Iterable[StayPoint] = (), *, arrive=(), depart=(),
-                 place_code=(), places: typing.Sequence[Place] = ()) -> None:
-        if points := tuple(points):
-            arrive, depart = [sp.arrive for sp in points], [sp.depart for sp in points]
-            place_code, places = range(len(points)), [Place(sp.place_id, sp.place_type, sp.location) for sp in points]
+    def __init__(self, agent_id: str, *, arrive=(), depart=(), place_code=(), places: typing.Sequence[Place] = ()) -> None:
         _check_types({"agent_id": agent_id})
-        code = np.array(place_code, dtype=np.intp)
-        if not len(arrive) == len(depart) == len(code) or (len(code) and not 0 <= code.min() <= code.max() < len(places)):
+        a, d, code = (_integers(agent_id, *c) for c in (("arrive", arrive), ("depart", depart), ("place_code", place_code)))
+        if not len(a) == len(d) == len(code) or (len(code) and not 0 <= code.min() <= code.max() < len(places)):
             raise InvalidInputError(f"{agent_id!r} needs one depart and one place code below {len(places)} per arrive")
         try:
-            a, d = np.array(arrive, dtype=np.int64), np.array(depart, dtype=np.int64)
+            a, d = a.astype(np.int64, copy=False), d.astype(np.int64, copy=False)
             bad = d < a
             bad[1:] |= (a[1:] <= a[:-1]) | (a[1:] < d[:-1])
             first = int(np.argmax(bad)) if bad.any() else None
@@ -207,6 +206,7 @@ class Trajectory:
             first = next(i for i in range(len(arrive)) if _stay_fault(arrive, depart, i))
         if first is not None:
             raise InvalidInputError(f"stay {first} of {agent_id!r}: {_stay_fault(arrive, depart, first)}")
+        code = code.astype(np.intp, copy=False)
         a.flags.writeable = d.flags.writeable = code.flags.writeable = False
         self.__dict__.update(agent_id=agent_id, arrive=a, depart=d, place_code=code, places=tuple(places))
 
@@ -476,16 +476,15 @@ _JSON_TYPES = {"agent_id": _STRING, "arrive": _INTEGER, "depart": _INDEX, "place
                "is_outlier": ((bool,), "true or false"), "outlier_type": _STRING, "deviate_index": _INDEX,
                "score": _NUMBER, "method": _STRING, "params_hash": _STRING, "onset_time": _INTEGER,
                "switch_fraction": _NUMBER}
-_STAY_TYPES = {**_JSON_TYPES, "depart": _INTEGER}  # a null depart is read as the arrive; a StayPoint holds that
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def _check_types(obj: dict, types: dict = _JSON_TYPES) -> None:
-    """InvalidInputError ``<key> must be <rule>, got <value>`` for the first value of ``obj`` whose type ``types``
+def _check_types(obj: dict) -> None:
+    """InvalidInputError ``<key> must be <rule>, got <value>`` for the first value of ``obj`` whose type ``_JSON_TYPES``
     refuses, or ``<key> must be UTF-8 text`` for a string holding a surrogate, which UTF-8 cannot encode."""
     for key, value in obj.items():
-        if key in types:
-            kinds, rule = types[key]
+        if key in _JSON_TYPES:
+            kinds, rule = _JSON_TYPES[key]
             if not isinstance(value, kinds) or isinstance(value, bool) is not (bool in kinds):
                 raise InvalidInputError(f"{key} must be {rule}, got {value!r}")
             if isinstance(value, str) and not value.isascii() and _SURROGATE.search(value):

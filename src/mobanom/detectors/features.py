@@ -107,7 +107,8 @@ def bucket_windows(t: Trajectory, split_idx: int, window_seconds: int) -> list[t
         raise ConfigError(f"a window must last at least 1 second, got {window_seconds}")
     arrive = t.arrive
     split = min(max(split_idx, 0), len(arrive))
-    starts = np.flatnonzero(np.diff((arrive - arrive[:1]) // window_seconds)) + 1  # [:1]: no stays give no windows
+    offsets = arrive.view(np.uint64) - arrive[:1].view(np.uint64)  # the arrivals rise, so each offset fits in uint64
+    starts = np.flatnonzero(np.diff(offsets // window_seconds)) + 1  # [:1]: no stays give no windows
     bounds, rows = sorted({0, split, len(arrive), *starts.tolist()}), np.arange(len(arrive))
     return [(lo < split, rows[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 

@@ -12,7 +12,7 @@ Both parse into :class:`Fixes` (numpy columns, coordinates validated once).
 The stay-point detector is the classic two-threshold scan: a maximal run of
 fixes that all stay within ``dist_threshold_m`` of the run's first fix and
 that spans at least ``time_threshold_s`` collapses into a single stay point at
-the run's mean coordinates.
+the run's mean coordinates.  The detector and the labeller return trajectories.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ import functools
 import logging
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .core import EARTH_RADIUS_KM, CorruptInputError, Dataset, GeoPoint, InvalidInputError, StayPoint, Trajectory
+from .core import EARTH_RADIUS_KM, CorruptInputError, Dataset, GeoPoint, InvalidInputError, Place, Trajectory
 from .core import _check_types, _one_line_per, check_settings, haversine_km, naming, params_hash, read_jsonl
 
 log = logging.getLogger(__name__)
@@ -228,8 +228,8 @@ def _distance_within(lat1, lon1, lat2, lon2, limit) -> tuple[np.ndarray, np.ndar
     return d, inside
 
 
-def detect_stay_points(fixes: Fixes, params: StayPointParams = StayPointParams()) -> list[StayPoint]:
-    """Compress time-sorted fixes into stay points (place_type "Unknown").
+def detect_stay_points(fixes: Fixes, params: StayPointParams = StayPointParams(), agent_id: str = "") -> Trajectory:
+    """Compress time-sorted fixes into ``agent_id``'s stay points, each at a place of its own (place_type "Unknown").
 
     Runs never overlap and output is time-ordered; every stay point spans at
     least ``time_threshold_s``.  Only a fix whose next step stays within
@@ -238,7 +238,7 @@ def detect_stay_points(fixes: Fixes, params: StayPointParams = StayPointParams()
     """
     n, limit, ts, lat, lon = len(fixes), params.dist_threshold_m, fixes.ts.tolist(), fixes.lat, fixes.lon
     anchors = np.flatnonzero(_distance_within(lat[:-1], lon[:-1], lat[1:], lon[1:], limit)[1])
-    out: list[StayPoint] = []
+    stays = []  # (arrive, depart, place) of each run
     a = 0
     while a < len(anchors):
         i = j = int(anchors[a])
@@ -253,40 +253,42 @@ def detect_stay_points(fixes: Fixes, params: StayPointParams = StayPointParams()
         if ts[j] - ts[i] >= params.time_threshold_s:
             # the run's running total from 0.0, bit for bit: cumsum adds left to right, and 0.0 + -0.0 is +0.0
             mean = [(0.0 + float(np.cumsum(c[i : j + 1])[-1])) / (j - i + 1) for c in (lat, lon)]
-            out.append(StayPoint(arrive=ts[i], depart=ts[j], place_id="", place_type="Unknown", location=GeoPoint(*mean)))
+            stays.append((ts[i], ts[j], Place("", "Unknown", GeoPoint(*mean))))
             a = int(np.searchsorted(anchors, j + 1))
         else:
             a += 1
-    return out
+    arrive, depart, places = zip(*stays) if stays else ((), (), ())
+    return Trajectory(agent_id, arrive=arrive, depart=depart, place_code=range(len(places)), places=places)
 
 
 def fallback_cell_id(p: GeoPoint) -> str:
     return f"cell:{math.floor(p.lat / FALLBACK_CELL_DEG)}:{math.floor(p.lon / FALLBACK_CELL_DEG)}"
 
 
-def assign_place_types(points: list[StayPoint], poi: PoiMap) -> list[StayPoint]:
-    """Label each stay point with the nearest containing POI, or a grid cell.
+def assign_place_types(t: Trajectory, poi: PoiMap) -> Trajectory:
+    """``t``'s columns, each of its places labelled with the nearest containing POI, or a grid cell.
 
     Containment means center distance <= radius; ties break on smaller center
     distance, then lexicographic place_id.  Deterministic for fixed inputs.
-    One stay-point x POI distance matrix decides; the POIs within a hair of a
-    point's nearest containing one are compared by ``haversine_km`` itself.
+    One place x POI distance matrix decides; the POIs within a hair of a
+    place's nearest containing one are compared by ``haversine_km`` itself.
     """
-    lat, lon = (np.array([getattr(sp.location, c) for sp in points], dtype=np.float64)[:, None] for c in ("lat", "lon"))
+    locations = [p.location for p in t.places]
+    lat, lon = (np.array([getattr(p, c) for p in locations], dtype=np.float64)[:, None] for c in ("lat", "lon"))
     entries = poi.entries
     centers = np.array([(e.center.lat, e.center.lon) for e in entries], dtype=np.float64).reshape(-1, 2)
     radius = np.array([e.radius_m for e in entries], dtype=np.float64)
     d, inside = _distance_within(lat, lon, centers[:, 0], centers[:, 1], radius)
-    out = []
-    for r, sp in enumerate(points):
+    places = []
+    for r, location in enumerate(locations):
         hits = np.flatnonzero(inside[r])
         if len(hits):
             ties = hits[d[r, hits] <= d[r, hits].min() * (1.0 + _NEAR_REL)]
-            best = entries[min(ties, key=lambda c: (haversine_km(sp.location, entries[c].center) * 1000.0, entries[c].place_id))]
-            out.append(replace(sp, place_id=best.place_id, place_type=best.place_type))
+            best = entries[min(ties, key=lambda c: (haversine_km(location, entries[c].center) * 1000.0, entries[c].place_id))]
+            places.append(Place(best.place_id, best.place_type, location))
         else:
-            out.append(replace(sp, place_id=fallback_cell_id(sp.location), place_type="Unknown"))
-    return out
+            places.append(Place(fallback_cell_id(location), "Unknown", location))
+    return Trajectory(t.agent_id, arrive=t.arrive, depart=t.depart, place_code=t.place_code, places=places)
 
 
 def filter_min_records(ds: Dataset, min_points: int = 50) -> Dataset:
@@ -309,11 +311,7 @@ def ingest_dataset(
         with open(input_path, "rb") as fh:
             per_agent = parse_raw_log(fh.read(), format_tag)
     poi = poi or PoiMap()
-    trajectories = []
-    for agent_id in sorted(per_agent):
-        points = detect_stay_points(per_agent[agent_id], params)
-        points = assign_place_types(points, poi)
-        trajectories.append(Trajectory(agent_id=agent_id, points=points))
+    trajectories = [assign_place_types(detect_stay_points(per_agent[a], params, a), poi) for a in sorted(per_agent)]
     meta = {
         "source": os.path.basename(input_path),
         "format": format_tag,

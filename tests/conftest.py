@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from mobanom.core import GeoPoint, StayPoint, Trajectory
+from mobanom.core import GeoPoint, Place, StayPoint, Trajectory
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -18,6 +18,13 @@ def read_golden(*parts: str) -> str:
         return fh.read()
 
 
+def from_stays(agent_id, stays=()) -> Trajectory:
+    """The trajectory of ``stays`` (:class:`StayPoint` values), built from its columns, each stay at a place of its own."""
+    stays = list(stays)
+    return Trajectory(agent_id, arrive=[s.arrive for s in stays], depart=[s.depart for s in stays],
+                      place_code=range(len(stays)), places=[Place(s.place_id, s.place_type, s.location) for s in stays])
+
+
 @pytest.fixture
 def fixture_trajectory() -> Trajectory:
     with open(golden_path("fixture_trajectory.json"), "r", encoding="utf-8") as fh:
@@ -26,7 +33,7 @@ def fixture_trajectory() -> Trajectory:
         StayPoint(p["arrive"], p["depart"], p["place_id"], p["place_type"], GeoPoint(p["lat"], p["lon"]))
         for p in obj["points"]
     ]
-    return Trajectory(obj["agent_id"], points)
+    return from_stays(obj["agent_id"], points)
 
 
 @pytest.fixture

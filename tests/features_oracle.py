@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from conftest import from_stays
 from mobanom.core import ConfigError, Dataset, StayPoint, Trajectory, haversine_km, latlon_to_unit3, params_hash
 from mobanom.detectors.classical import SIGMA_FLOOR_KM
 from mobanom.detectors.features import UNKNOWN_TYPE, SplitSpec
@@ -175,7 +176,7 @@ def monav_tt_score(ds: Dataset, split: SplitSpec, window_days: float = 7.0) -> S
         train_d = []
         test_d = []
         for _, is_train, pts in bucket_windows(t, idx, window_seconds):
-            d = total_travel_distance(Trajectory(agent_id=t.agent_id, points=pts))
+            d = total_travel_distance(from_stays(t.agent_id, pts))
             (train_d if is_train else test_d).append(d)
         if len(train_d) < 2:
             omitted[t.agent_id] = "needs >= 2 training windows"

@@ -14,6 +14,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from conftest import from_stays
 from mobanom.core import Dataset, LabelEntry, LabelSet, StayPoint, Trajectory, params_hash
 from mobanom.simulator import (
     SECONDS_PER_DAY,
@@ -180,7 +181,7 @@ def _simulate_agent(
             stay_place, stay_arrive = place, t
     close_stay(config.start_time + (config.total_ticks - 1) * config.tick_seconds)
 
-    return Trajectory(agent_id=profile.agent_id, points=points), events
+    return from_stays(profile.agent_id, points), events
 
 
 def simulate(config: SimConfig) -> SimResult:

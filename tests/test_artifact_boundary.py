@@ -1,11 +1,11 @@
 """Every file mobanom writes goes through ``core.atomic_write``, every JSONL line through ``core.parse_jsonl``,
-every source put in front of a fault through ``core.naming``, every config file through ``cli._read_config``, and
-every record of ``core`` is frozen.
+every source put in front of a fault through ``core.naming``, every config file through ``cli._read_config``, every
+``StayPoint`` through ``Trajectory.points``, and every record of ``core`` is frozen.
 
 The source is scanned with ``ast``, so a new ``open(path, "w")``, rename or
-``json.loads``, a new rewrite or copy of a ``MobanomError``, or a new use of
-``configparser``, anywhere else in ``src/mobanom`` fails here, and so does a
-``core`` dataclass without ``frozen=True``.
+``json.loads``, a new rewrite or copy of a ``MobanomError``, a new use of
+``configparser``, or a new ``StayPoint(...)``, anywhere else in ``src/mobanom``
+fails here, and so does a ``core`` dataclass without ``frozen=True``.
 """
 
 import ast
@@ -176,6 +176,39 @@ def test_the_scan_sees_configparser_used_elsewhere(tmp_path, monkeypatch):
     monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
     assert collections.Counter(configparser_uses()) == {("rogue.py", "<module>"): 3, ("rogue.py", "read"): 1,
                                                         ("rogue.py", "load"): 1}
+
+
+def stay_point_builds():
+    """Every call of ``StayPoint``, by its name or as an attribute, and every import of it under another name, as
+    (file, enclosing function)."""
+    found = []
+    for rel, scope_of, nodes in modules():
+        for node in nodes:
+            if (isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] == "StayPoint"
+                    or isinstance(node, ast.ImportFrom) and any(a.name == "StayPoint" and a.asname for a in node.names)):
+                found.append((rel, scope_of(node)))
+    return found
+
+
+def test_only_the_points_view_builds_a_stay_point():
+    # a StayPoint checks nothing, so it comes only from the columns of a trajectory, which checked them when built
+    assert collections.Counter(stay_point_builds()) == {("core.py", "points"): 1}
+
+
+def test_the_scan_sees_a_stay_point_built_elsewhere(tmp_path, monkeypatch):
+    (tmp_path / "rogue.py").write_text(
+        "from . import core\n"
+        "from .core import StayPoint, StayPoint as Stay\n"
+        "def detect(ts, location):\n"
+        "    return [StayPoint(t, t, '', 'Unknown', location) for t in ts]\n"
+        "def label(sp):\n"
+        "    return core.StayPoint(sp.arrive, sp.depart, 'p', 'Pub', sp.location)\n"
+        "def keep(points):\n"
+        "    return [sp.StayPointView() for sp in points if isinstance(sp, StayPoint)]\n"
+    )
+    monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
+    assert collections.Counter(stay_point_builds()) == {("rogue.py", "<module>"): 1, ("rogue.py", "detect"): 1,
+                                                        ("rogue.py", "label"): 1}
 
 
 def unfrozen_dataclasses(path) -> list[str]:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mobanom.core import Dataset, GeoPoint, StayPoint, Trajectory
+from conftest import from_stays
+from mobanom.core import Dataset, GeoPoint, StayPoint
 from mobanom.detectors import (
     SplitSpec,
     TraodParams,
@@ -29,7 +30,7 @@ class TestOmpad:
         arrivals_test = [7 * DAY + i * 3600 for i in range(len(test_types))]
         points = [sp(a, t) for a, t in zip(arrivals_train, train_types)]
         points += [sp(a, t) for a, t in zip(arrivals_test, test_types)]
-        ds = Dataset(trajectories=[Trajectory("a", points)])
+        ds = Dataset(trajectories=[from_stays("a", points)])
         split = SplitSpec(split_index={"a": len(train_types)})
         return build_windows(ds, split, window_days=7.0, L=16)
 
@@ -61,7 +62,7 @@ class TestOmpad:
         def build_at(lon):
             points = [sp(i * 3600, "Pub", lon=lon) for i in range(3)]
             points += [sp(7 * DAY + i * 3600, "Apartment", lon=lon) for i in range(3)]
-            ds = Dataset(trajectories=[Trajectory("a", points)])
+            ds = Dataset(trajectories=[from_stays("a", points)])
             return build_windows(ds, SplitSpec(split_index={"a": 3}), window_days=7.0, L=8)
 
         assert ompad_score(build_at(20.0)).scores == ompad_score(build_at(25.0)).scores
@@ -83,7 +84,7 @@ def distance_traj(agent_id, week_kms, start=0):
         lon1 = math.degrees(km / 6371.0)
         points.append(StayPoint(t0, t0 + 600, "x", "Pub", GeoPoint(0.0, lon0)))
         points.append(StayPoint(t0 + 3600, t0 + 4200, "y", "Pub", GeoPoint(0.0, lon1)))
-    return Trajectory(agent_id, points)
+    return from_stays(agent_id, points)
 
 
 class TestMonav:
@@ -118,7 +119,7 @@ class TestMonav:
             StayPoint(p.arrive, p.depart, p.place_id, "Recreation", p.location) for p in t1.points
         ]
         ds1 = Dataset(trajectories=[t1])
-        ds2 = Dataset(trajectories=[Trajectory("a", points2)])
+        ds2 = Dataset(trajectories=[from_stays("a", points2)])
         split = SplitSpec(split_index={"a": 6})
         assert monav_tt_score(ds1, split).scores == monav_tt_score(ds2, split).scores
 
@@ -186,7 +187,7 @@ def route_traj(agent_id, lat_offset, n_weeks=2, switch_to=None):
             points.append(
                 StayPoint(t0, t0 + 600, f"w{week}p{i}", "Pub", GeoPoint(lat, 20.0 + i * 0.01))
             )
-    return Trajectory(agent_id, points)
+    return from_stays(agent_id, points)
 
 
 class TestTraodScore:
@@ -255,7 +256,7 @@ class TestPlantedRanking:
                 for k, place_type in enumerate(mix):
                     t0 = week * 7 * DAY + k * 7200 + int(rng.integers(0, 600))
                     points.append(sp(t0, place_type))
-            trajectories.append(Trajectory(agent_id, points))
+            trajectories.append(from_stays(agent_id, points))
         ds = Dataset(trajectories=trajectories)
         split = SplitSpec(split_index={t.agent_id: 12 for t in ds.trajectories})
         feat = build_windows(ds, split, window_days=7.0, L=8)

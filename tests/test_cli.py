@@ -1666,8 +1666,8 @@ def sha256_tree(root):
 def test_a_run_of_every_method_builds_no_stay_point(tmp_path, monkeypatch):
     """The pipeline reads and writes a trajectory's columns: a StayPoint is only a view, for callers that ask."""
     built = []
-    check = StayPoint.__post_init__
-    monkeypatch.setattr(StayPoint, "__post_init__", lambda sp: built.append(sp) or check(sp))
+    init = StayPoint.__init__
+    monkeypatch.setattr(StayPoint, "__init__", lambda sp, *args: built.append(args) or init(sp, *args))
     write(str(tmp_path / "endpoint.json"), json.dumps({"provider": "mock-oracle", "model_name": "oracle"}))
     cfg = tmp_path / "all.ini"
     write(str(cfg), "[global]\nseed = 3\nstages = simulate, inject, detect, eval\n\n"

@@ -14,6 +14,7 @@ from core_oracle import dataset_text, trajectory_fault
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import from_stays
 from mobanom.core import (
     OUTLIER_TYPES,
     ConfigError,
@@ -115,13 +116,13 @@ class TestUnitVector:
 
 class TestTrajectoryRule:
     def test_ok(self):
-        t = Trajectory("a", [sp(0, 10), sp(20, 30), sp(40, 50)])
+        t = from_stays("a", [sp(0, 10), sp(20, 30), sp(40, 50)])
         assert t.points == (sp(0, 10), sp(20, 30), sp(40, 50))
 
     def test_bad_latitude(self):
         # a bad coordinate cannot reach a trajectory: building its GeoPoint raises
         with pytest.raises(InvalidInputError, match="latitude out of range"):
-            Trajectory("a", [sp(0, 10, lat=100.0)])
+            from_stays("a", [sp(0, 10, lat=100.0)])
 
     @pytest.mark.parametrize("points, named", [
         ([sp(0, 0), sp(0, 5)], "stay 1 of 'a': arrive 0 <= previous arrive 0"),
@@ -136,14 +137,14 @@ class TestTrajectoryRule:
             "depart_not_int64"])
     def test_each_fault_is_refused_when_built(self, points, named):
         with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}$"):
-            Trajectory("a", points)
+            from_stays("a", points)
 
     def test_the_first_fault_of_the_first_bad_stay_is_named(self):
         # stay 1 both precedes stay 0 and has depart < arrive; stay 2 overlaps too, but is never reached
         with pytest.raises(InvalidInputError, match=re.escape("stay 1 of 'a': depart 3 < arrive 5") + "$"):
-            Trajectory("a", [sp(10, 20), sp(5, 3), sp(4, 30)])
+            from_stays("a", [sp(10, 20), sp(5, 3), sp(4, 30)])
         with pytest.raises(InvalidInputError, match=re.escape("stay 1 of 'a': arrive 10 <= previous arrive 10")):
-            Trajectory("a", [sp(10, 20), sp(10, 30)])  # also an overlap
+            from_stays("a", [sp(10, 20), sp(10, 30)])  # also an overlap
 
     # small times that break each part of the rule, and the times at and just beyond the int64 bounds
     rule_times = st.one_of(st.integers(-3, 12), st.sampled_from([-(2**63) - 1, -(2**63), 2**63 - 1, 2**63]))
@@ -151,10 +152,10 @@ class TestTrajectoryRule:
     @settings(max_examples=500, deadline=None)
     @given(st.lists(st.tuples(rule_times, rule_times), max_size=6))
     def test_the_columns_name_the_fault_of_the_scalar_rule(self, times):
-        """Built from stays and from columns, against the loop over stays in ``core_oracle``."""
+        """Built with a place per stay and with one shared place, against the loop over stays in ``core_oracle``."""
         place = Place("p", "Pub", GeoPoint(0.0, 0.0))
         expected = trajectory_fault("a", times)
-        for build in (lambda: Trajectory("a", [sp(a, d) for a, d in times]),
+        for build in (lambda: from_stays("a", [sp(a, d) for a, d in times]),
                       lambda: Trajectory("a", arrive=[a for a, _ in times], depart=[d for _, d in times],
                                          place_code=[0] * len(times), places=[place])):
             if expected is None:
@@ -164,11 +165,43 @@ class TestTrajectoryRule:
                     build()
                 assert str(info.value) == expected
 
+    @pytest.mark.parametrize("column, values, named", [
+        ("arrive", [0, 5.5], "stay 1 of 'a': arrive must be an integer, got 5.5"),
+        ("arrive", ["0", "5"], "stay 0 of 'a': arrive must be an integer, got '0'"),
+        ("depart", [1, True], "stay 1 of 'a': depart must be an integer, got True"),
+        ("depart", np.array([1.0, 6.0]), "stay 0 of 'a': depart must be an integer, got np.float64(1.0)"),
+        ("place_code", [0, 0.9], "stay 1 of 'a': place_code must be an integer, got 0.9"),
+        ("place_code", [0, np.False_], "stay 1 of 'a': place_code must be an integer, got np.False_"),
+    ], ids=["float", "numeric_string", "bool", "float64_array", "float_place_code", "numpy_bool_place_code"])
+    def test_a_column_value_that_is_not_an_integer_is_refused_when_built(self, column, values, named):
+        # were: 5.5 read as 5, "0" as 0, True as 1 and 0.9 as 0
+        columns = dict(arrive=[0, 5], depart=[1, 6], place_code=[0, 0], places=[Place("p", "Pub", GeoPoint(0.0, 0.0))])
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}$"):
+            Trajectory("a", **{**columns, column: values})
+
+    @pytest.mark.parametrize("integers", [lambda c: np.array(c, dtype=np.int32), lambda c: np.array(c, dtype=np.uint8),
+                                          lambda c: [np.int64(v) for v in c]], ids=["int32", "uint8", "numpy_int64"])
+    def test_integers_of_any_width_are_taken(self, integers):
+        place = Place("p", "Pub", GeoPoint(0.0, 0.0))
+        columns = dict(arrive=[0, 5], depart=[1, 6], place_code=[0, 0])
+        t = Trajectory("a", **{name: integers(c) for name, c in columns.items()}, places=[place])
+        assert t == Trajectory("a", **columns, places=[place]) and t.place_code.tolist() == [0, 0]
+        assert (t.arrive.dtype, t.depart.dtype) == (np.int64, np.int64)
+
+    def test_an_int64_column_is_kept_and_a_time_beyond_int64_is_named(self):
+        place = Place("p", "Pub", GeoPoint(0.0, 0.0))
+        arrive = np.array([0, 5])
+        assert Trajectory("a", arrive=arrive, depart=[1, 6], place_code=[0, 0], places=[place]).arrive is arrive
+        for beyond in ([0, 2**63], np.array([0, 2**63], dtype=np.uint64)):  # were: the uint64 array wrapped
+            with pytest.raises(InvalidInputError, match=re.escape(
+                    "stay 1 of 'a': arrive 9223372036854775808 does not fit in a signed 64-bit integer") + "$"):
+                Trajectory("a", arrive=beyond, depart=[1, 2**63], place_code=[0, 0], places=[place])
+
     def test_times_at_the_int64_bounds_are_kept(self):
-        assert len(Trajectory("a", [sp(-(2**63), 2**63 - 1)])) == 1
+        assert len(from_stays("a", [sp(-(2**63), 2**63 - 1)])) == 1
 
     def test_a_stay_may_begin_when_the_previous_one_ends(self):
-        assert len(Trajectory("a", [sp(0, 10), sp(10, 10), sp(11, 20)])) == 3
+        assert len(from_stays("a", [sp(0, 10), sp(10, 10), sp(11, 20)])) == 3
 
 
 class TestRecordsAreLawfulOnceBuilt:
@@ -191,7 +224,7 @@ class TestRecordsAreLawfulOnceBuilt:
 
     def test_lists_and_dicts_are_kept_as_read_only_copies(self):
         points, trajectories, meta, entries = [sp(0, 1)], [Trajectory("a")], {"seed": 1}, {"a": LabelEntry(False)}
-        t, ds, labels = Trajectory("a", points), Dataset(trajectories, meta), LabelSet(entries)
+        t, ds, labels = from_stays("a", points), Dataset(trajectories, meta), LabelSet(entries)
         points.append(sp(0, 1))
         trajectories.append(Trajectory("a"))
         meta["onset_time"] = 1.5
@@ -214,7 +247,7 @@ class TestRecordsAreLawfulOnceBuilt:
         lambda t, ds, labels: setattr(labels, "entries", {}),
     ], ids=["points", "points_append", "trajectories", "trajectories_append", "meta_item", "entries_item", "entries"])
     def test_mutating_a_built_record_raises(self, mutate):
-        t = Trajectory("a", [sp(0, 1)])
+        t = from_stays("a", [sp(0, 1)])
         ds, labels = Dataset([t], {"seed": 1}), LabelSet({"a": LabelEntry(False)})
         with pytest.raises((AttributeError, TypeError)):  # a FrozenInstanceError is an AttributeError
             mutate(t, ds, labels)
@@ -224,7 +257,7 @@ class TestRecordsAreLawfulOnceBuilt:
 
     @pytest.mark.parametrize("column", ["arrive", "depart", "place_code"])
     def test_a_trajectory_s_columns_are_read_only(self, column):
-        t = Trajectory("a", [sp(0, 1), sp(2, 3)])
+        t = from_stays("a", [sp(0, 1), sp(2, 3)])
         with pytest.raises(ValueError, match="read-only"):
             getattr(t, column)[0] = 1
         assert t.points == (sp(0, 1), sp(2, 3))
@@ -242,20 +275,20 @@ class TestTravelDistance:
     """The hop sum of the MoNav-TT oracle (``features_oracle``), which ``monav_tt_score`` must match."""
 
     def test_single_point(self):
-        assert total_travel_distance(Trajectory("a", [sp(0, 1)])) == 0.0
+        assert total_travel_distance(from_stays("a", [sp(0, 1)])) == 0.0
 
     def test_zero_distance(self):
-        t = Trajectory("a", [sp(0, 1, lat=5, lon=5), sp(2, 3, lat=5, lon=5)])
+        t = from_stays("a", [sp(0, 1, lat=5, lon=5), sp(2, 3, lat=5, lon=5)])
         assert total_travel_distance(t) == 0.0
 
     def test_collinear_equator(self):
-        t = Trajectory("a", [sp(0, 1, 0, 0.0), sp(2, 3, 0, 0.5), sp(4, 5, 0, 1.0)])
+        t = from_stays("a", [sp(0, 1, 0, 0.0), sp(2, 3, 0, 0.5), sp(4, 5, 0, 1.0)])
         # oracle: pairwise sum of the two equal hops
         hop = haversine_km(GeoPoint(0, 0.0), GeoPoint(0, 0.5))
         assert total_travel_distance(t) == pytest.approx(2 * hop, abs=1e-9)
 
     def test_interval(self):
-        t = Trajectory("a", [sp(0, 1, 0, 0.0), sp(2, 3, 0, 0.5), sp(4, 5, 0, 1.0)])
+        t = from_stays("a", [sp(0, 1, 0, 0.0), sp(2, 3, 0, 0.5), sp(4, 5, 0, 1.0)])
         assert total_travel_distance(t, (0, 1)) == 0.0
         assert total_travel_distance(t, (1, 1)) == 0.0
         hop = haversine_km(GeoPoint(0, 0.5), GeoPoint(0, 1.0))
@@ -277,7 +310,7 @@ class TestRoundTrip:
                        place_type=rng.choice(["Pub", "Apartment", "Workplace"]), place_id=f"pl{j}")
                 )
                 t = depart + int(rng.integers(1, 3600))
-            trajectories.append(Trajectory(f"agent{i}", points))
+            trajectories.append(from_stays(f"agent{i}", points))
         return Dataset(trajectories=trajectories, meta={"source": "test", "seed": 3})
 
     def test_dataset_round_trip_bytes(self, tmp_path):
@@ -309,7 +342,7 @@ class TestRoundTrip:
 
     def test_duplicate_agent_rejected(self):
         with pytest.raises(InvalidInputError, match="^duplicate agent_id 'a'$"):  # were: by write_dataset
-            Dataset(trajectories=[Trajectory("a", []), Trajectory("a", [])])
+            Dataset(trajectories=[from_stays("a", []), from_stays("a", [])])
 
     def test_missing_depart_defaults_to_arrive(self, tmp_path):
         path = tmp_path / "dataset.jsonl"
@@ -355,7 +388,7 @@ def lawful_points(draw, names=st.text(),
 
 
 datasets = st.builds(
-    lambda ids, points, meta: Dataset([Trajectory(a, p) for a, p in zip(ids, points)], meta),
+    lambda ids, points, meta: Dataset([from_stays(a, p) for a, p in zip(ids, points)], meta),
     st.lists(st.text(), unique=True, max_size=6),
     st.lists(lawful_points(), min_size=6, max_size=6),
     st.dictionaries(st.text().filter(lambda key: key not in _JSON_TYPES), json_scalars, max_size=4),  # untyped keys
@@ -373,7 +406,7 @@ class TestStaysBefore:
     @example([sp(0, 10), sp(10, 10), sp(20, 30)], 15)  # a stay arriving as the previous one departs
     def test_it_counts_the_stays_that_arrive_before_a_time(self, points, time):
         """Against a linear count, at the drawn time and at, just before and just after each arrival."""
-        t, arrive = Trajectory("a", points), [p.arrive for p in points]
+        t, arrive = from_stays("a", points), [p.arrive for p in points]
         for time in [time, *(a + d for a in arrive for d in (-1, 0, 1))]:
             assert t.stays_before(time) == sum(a < time for a in arrive)
 
@@ -439,7 +472,7 @@ class TestWriterOracle:
                StayPoint(10, 11, np.str_("p"), "Pub", GeoPoint(np.float64(12.25), np.float64(5.5)))],
               [StayPoint(0, 0, "q", "Pub", shared)]])
     def test_the_written_bytes_are_the_oracle_lines(self, points):
-        ds = Dataset([Trajectory(np.str_(f'a"{i}') if i % 2 else f"agent{i}", p) for i, p in enumerate(points)])
+        ds = Dataset([from_stays(np.str_(f'a"{i}') if i % 2 else f"agent{i}", p) for i, p in enumerate(points)])
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "dataset.jsonl")
             write_dataset(ds, path)
@@ -463,8 +496,8 @@ def test_trajectories_compare_times_and_places_without_building_a_stay_point(mon
     trajectories = [shared(0.0), shared(-0.0), apart(0.0), shared(40), shared(40.0), apart(40),
                     shared(0.0, home="Office"), shared(0.0, agent="b"), shared(40, agent="b")]
     built = []
-    check = StayPoint.__post_init__
-    monkeypatch.setattr(StayPoint, "__post_init__", lambda sp: built.append(sp) or check(sp))
+    init = StayPoint.__init__
+    monkeypatch.setattr(StayPoint, "__init__", lambda sp, *args: built.append(args) or init(sp, *args))
     equal = {(i, j) for i, a in enumerate(trajectories) for j, b in enumerate(trajectories) if a == b}
     assert built == []
     classes = [{0, 1, 2}, {3, 4, 5}, {6}, {7}, {8}]
@@ -479,7 +512,7 @@ def test_places_that_compare_equal_keep_their_own_bytes_across_trajectories(tmp_
     and ``-0.0``, ``40`` and ``40.0``) but are spelled apart, each in trajectories of its own, in both orders."""
     spellings = [(0.0, "0.0"), (-0.0, "-0.0"), (40, "40"), (40.0, "40.0")]
     agents = spellings + spellings[::-1]
-    ds = Dataset([Trajectory(f"a{i}", [StayPoint(0, 1, "p", "Pub", GeoPoint(lat, lat))])
+    ds = Dataset([from_stays(f"a{i}", [StayPoint(0, 1, "p", "Pub", GeoPoint(lat, lat))])
                   for i, (lat, _) in enumerate(agents)])
     write_dataset(ds, str(tmp_path / "dataset.jsonl"))
     stay = '{{"arrive":0,"depart":1,"place_id":"p","place_type":"Pub","lat":{0},"lon":{0}}}'
@@ -559,7 +592,7 @@ class TestReadFaults:
         # were: written and read as they are; later refused by write_dataset and on read
         path = tmp_path / "dataset.jsonl"
         with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}"):
-            Trajectory("b", [sp(a, d) for a, d in points])
+            from_stays("b", [sp(a, d) for a, d in points])
         stays = ",".join(f'{{"arrive":{a},"depart":{d},"place_id":"p","place_type":"Pub","lat":0,"lon":0}}'
                          for a, d in points)
         path.write_text(f'{{"agent_id":"a","points":[]}}\n{{"agent_id":"b","points":[{stays}]}}\n')
@@ -567,36 +600,37 @@ class TestReadFaults:
             read_dataset(str(path))
 
     @pytest.mark.parametrize("stay, named", [
-        (dict(arrive=1.5, depart=2), "arrive must be an integer, got 1.5"),
-        (dict(arrive=0, depart=True), "depart must be an integer, got True"),
-        (dict(arrive=0, depart=None), "depart must be an integer, got None"),
+        (dict(arrive=1.5, depart=2), "stay 1 of 'b': arrive must be an integer, got 1.5"),
+        (dict(arrive=0, depart=True), "stay 1 of 'b': depart must be an integer, got True"),
+        (dict(arrive=0, depart=None), "stay 1 of 'b': depart must be an integer, got None"),
         (dict(arrive=0, depart=1, place_id=7), "place_id must be a string, got 7"),
         (dict(arrive=0, depart=1, place_type=None), "place_type must be a string, got None"),
         (dict(arrive=0, depart=1, lat=False), "lat must be a number, got False"),
     ], ids=["float_arrive", "bool_depart", "null_depart", "int_place_id", "null_place_type", "bool_lat"])
     def test_a_value_read_would_refuse_is_refused_on_write(self, tmp_path, stay, named):
         # were: written, then refused by every reader (`path:1: arrive must be an integer, got 1.5`); later refused
-        # by write_dataset as `stay 1 of 'b': ...`; now the stay (or its GeoPoint) refuses them when built
+        # by write_dataset as `stay 1 of 'b': ...`; then by the StayPoint; now the trajectory's columns (or the Place,
+        # or its GeoPoint) refuse them when built
         path = tmp_path / "dataset.jsonl"
         path.write_text("kept\n")
         stay = {"place_id": "p", "place_type": "Pub", "lat": 0.0, "lon": 0.0, **stay}
         with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}$"):
             location = GeoPoint(stay.pop("lat"), stay.pop("lon"))
-            write_dataset(Dataset([Trajectory("b", [sp(0, 0), StayPoint(**stay, location=location)])]), str(path))
+            write_dataset(Dataset([from_stays("b", [sp(0, 0), StayPoint(**stay, location=location)])]), str(path))
         assert path.read_text() == "kept\n" and not os.path.exists(tmp_path / "dataset.meta.json")
 
     @pytest.mark.parametrize("agent_id", [7, None, ["a"]])
     def test_an_agent_id_that_is_not_a_string_is_refused_when_built(self, agent_id):
         # were: refused by write_dataset
         with pytest.raises(InvalidInputError, match=f"^{re.escape(f'agent_id must be a string, got {agent_id!r}')}$"):
-            Trajectory(agent_id, [sp(0, 1)])
+            from_stays(agent_id, [sp(0, 1)])
 
     def test_a_subclass_is_written_as_its_json_type(self, tmp_path):
         path = str(tmp_path / "dataset.jsonl")
         stay = sp(0, 1, np.float64(40.25), np.float64(116.5), np.str_("Pub"), np.str_("p"))
-        ds = Dataset([Trajectory(np.str_("a"), [stay])])
+        ds = Dataset([from_stays(np.str_("a"), [stay])])
         write_dataset(ds, path)
-        assert read_dataset(path).trajectories == (Trajectory("a", [sp(0, 1, 40.25, 116.5, "Pub", "p")]),)
+        assert read_dataset(path).trajectories == (from_stays("a", [sp(0, 1, 40.25, 116.5, "Pub", "p")]),)
 
     def test_dataset_rejects_a_repeated_agent_id(self, tmp_path):
         path = tmp_path / "dataset.jsonl"
@@ -689,7 +723,7 @@ def write_record(kind: str, r: dict, path: str) -> None:
     """Build the records of ``r`` and write them as ``kind``: the one path a library caller has."""
     if kind == "dataset":
         stay = StayPoint(r["arrive"], r["depart"], r["place_id"], r["place_type"], GeoPoint(r["lat"], r["lon"]))
-        write_dataset(Dataset([Trajectory(r["agent_id"], [stay])]), path)
+        write_dataset(Dataset([from_stays(r["agent_id"], [stay])]), path)
     elif kind == "sidecar":
         write_dataset(Dataset([], meta=r), path)
     elif kind == "labels":
@@ -743,7 +777,8 @@ class TestRecordsCheckThemselves:
     @pytest.mark.parametrize("kind, key, value", WRONG_VALUES, ids=[f"{k}-{key}-{v!r}" for k, key, v in WRONG_VALUES])
     def test_a_wrong_type_is_refused_on_read_and_when_built(self, tmp_path, kind, key, value):
         named = rf"^{key} must be [^,]+, got {re.escape(repr(value))}$"
-        with pytest.raises(InvalidInputError, match=named):
+        stay = "stay 0 of 'a': " if kind == "dataset" and key in ("arrive", "depart") else ""  # a column names its stay
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(stay)}{named[1:]}"):
             write_record(kind, {**VALID_RECORDS[kind], key: value}, str(tmp_path / "written"))
         assert not os.path.exists(tmp_path / "written")
         if not isinstance(value, np.float32):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mobanom.core import ConfigError, Dataset, GeoPoint, InvalidInputError, LabelEntry, LabelSet, StayPoint, Trajectory
+from conftest import from_stays
+from mobanom.core import ConfigError, Dataset, GeoPoint, InvalidInputError, LabelEntry, LabelSet, StayPoint
 from mobanom.detectors import SplitSpec, build_windows, bucket_windows
 
 DAY = 86400
@@ -14,7 +15,7 @@ def sp(arrive, place_type="Pub", lat=10.0, lon=20.0, dwell=600):
 
 def traj(agent_id, arrivals, types=None):
     types = types or ["Pub"] * len(arrivals)
-    return Trajectory(agent_id, [sp(a, t) for a, t in zip(arrivals, types)])
+    return from_stays(agent_id, [sp(a, t) for a, t in zip(arrivals, types)])
 
 
 class TestSplitSpec:

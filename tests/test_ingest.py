@@ -3,6 +3,7 @@ import calendar
 import pytest
 from ingest_oracle import Fix, to_fixes, to_records
 
+from conftest import from_stays
 from mobanom.core import CorruptInputError, Dataset, GeoPoint, InvalidInputError, Trajectory
 from mobanom.ingest import (
     Fixes,
@@ -69,7 +70,7 @@ class TestParseRawLog:
 class TestDetectStayPoints:
     def test_single_cluster(self):
         fixes = [fix(1000 + 60 * i, 10.0, 20.0) for i in range(61)]  # one hour at one spot
-        out = detect_stay_points(to_fixes(fixes), StayPointParams())
+        out = detect_stay_points(to_fixes(fixes), StayPointParams()).points
         assert len(out) == 1
         assert out[0].arrive == 1000
         assert out[0].depart == 1000 + 60 * 60
@@ -80,7 +81,7 @@ class TestDetectStayPoints:
         for i in range(40):
             lat = 10.0 if i % 2 == 0 else 10.09  # ~10 km apart
             fixes.append(fix(1000 + 60 * i, lat, 20.0))
-        assert detect_stay_points(to_fixes(fixes), StayPointParams()) == []
+        assert detect_stay_points(to_fixes(fixes), StayPointParams()).points == ()
 
     def test_two_planted_clusters(self):
         params = StayPointParams(dist_threshold_m=200, time_threshold_s=1200)
@@ -95,7 +96,7 @@ class TestDetectStayPoints:
         for _ in range(31):  # 30 minutes at second center
             fixes.append(fix(t, 40.5, 116.5))
             t += 60
-        out = detect_stay_points(to_fixes(fixes), params)
+        out = detect_stay_points(to_fixes(fixes), params).points
         assert len(out) == 2
         assert out[0].location.lat == pytest.approx(40.0, abs=1e-6)
         assert out[0].location.lon == pytest.approx(116.0, abs=1e-6)
@@ -105,7 +106,7 @@ class TestDetectStayPoints:
     def test_duration_at_least_threshold(self):
         params = StayPointParams(dist_threshold_m=200, time_threshold_s=1200)
         fixes = [fix(60 * i, 40.0 + (i % 3) * 1e-5, 116.0) for i in range(200)]
-        for sp in detect_stay_points(to_fixes(fixes), params):
+        for sp in detect_stay_points(to_fixes(fixes), params).points:
             assert sp.depart - sp.arrive >= 1200
 
     def test_output_leq_input(self):
@@ -120,15 +121,20 @@ def sp_at(lat, lon, arrive=0, depart=0):
                      location=GeoPoint(lat, lon))
 
 
+def labelled(points, poi):
+    """The stay points of ``assign_place_types`` over the trajectory of ``points``."""
+    return assign_place_types(from_stays("", points), poi).points
+
+
 class TestAssignPlaceTypes:
     def test_inside_one_circle(self):
         poi = PoiMap(entries=[PoiEntry(GeoPoint(10.0, 20.0), 500.0, "Pub", "pub1")])
-        out = assign_place_types([sp_at(10.0001, 20.0001)], poi)
+        out = labelled([sp_at(10.0001, 20.0001)], poi)
         assert out[0].place_type == "Pub"
         assert out[0].place_id == "pub1"
 
     def test_grid_cell_fallback(self):
-        out = assign_place_types([sp_at(10.0001, 20.0001)], PoiMap())
+        out = labelled([sp_at(10.0001, 20.0001)], PoiMap())
         assert out[0].place_type == "Unknown"
         assert out[0].place_id == "cell:2000:4000"
 
@@ -142,7 +148,7 @@ class TestAssignPlaceTypes:
                 PoiEntry(GeoPoint(9.999, 20.0), 500.0, "Restaurant", "a_rest"),
             ]
         )
-        out = assign_place_types([sp_at(10.0, 20.0)], poi)  # equidistant
+        out = labelled([sp_at(10.0, 20.0)], poi)  # equidistant
         assert out[0].place_id == "a_rest"
 
     def test_nearest_containing_wins(self):
@@ -152,14 +158,14 @@ class TestAssignPlaceTypes:
                 PoiEntry(GeoPoint(10.0005, 20.0), 500.0, "Pub", "near"),
             ]
         )
-        out = assign_place_types([sp_at(10.0006, 20.0)], poi)
+        out = labelled([sp_at(10.0006, 20.0)], poi)
         assert out[0].place_id == "near"
 
     def test_deterministic(self):
         poi = PoiMap(entries=[PoiEntry(GeoPoint(10.0, 20.0), 400.0, "Pub", "p")])
-        pts = [sp_at(10.0 + i * 1e-4, 20.0) for i in range(10)]
-        out1 = assign_place_types(pts, poi)
-        out2 = assign_place_types(pts, poi)
+        pts = [sp_at(10.0 + i * 1e-4, 20.0, arrive=i, depart=i) for i in range(10)]
+        out1 = labelled(pts, poi)
+        out2 = labelled(pts, poi)
         assert out1 == out2
 
 
@@ -188,7 +194,7 @@ class TestFilterMinRecords:
         trajectories = []
         for i, n in enumerate(counts):
             pts = [sp_at(10.0, 20.0, arrive=100 * j, depart=100 * j + 50) for j in range(n)]
-            trajectories.append(Trajectory(f"a{i}", pts))
+            trajectories.append(from_stays(f"a{i}", pts))
         return Dataset(trajectories=trajectories)
 
     def test_boundaries(self):
@@ -220,7 +226,6 @@ class TestPipeline:
             lines.append(f"a1,{t},40.5,116.5")
             t += 60
         fixes = parse_raw_log("\n".join(lines).encode(), "csv")
-        points = detect_stay_points(fixes["a1"], StayPointParams())
-        points = assign_place_types(points, PoiMap())
-        Trajectory("a1", points)  # the trajectory rule holds: building it raises otherwise
-        assert len(points) == 2
+        t = assign_place_types(detect_stay_points(fixes["a1"], StayPointParams(), "a1"), PoiMap())
+        assert isinstance(t, Trajectory) and t.agent_id == "a1"  # the trajectory rule holds: building it raises otherwise
+        assert len(t) == 2

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import from_stays
 from mobanom.core import (
     ConfigError,
     CorruptInputError,
@@ -20,7 +21,6 @@ from mobanom.core import (
     GeoPoint,
     InvalidInputError,
     StayPoint,
-    Trajectory,
     haversine_km,
     write_dataset,
 )
@@ -52,8 +52,8 @@ def fixes_m(a: oracle.Fix, b: oracle.Fix) -> float:
 
 
 def stay_points(fixes: list[oracle.Fix], *params) -> list[StayPoint]:
-    """``detect_stay_points`` of the oracle's records, as columns."""
-    return detect_stay_points(oracle.to_fixes(fixes), *params)
+    """The stay points of ``detect_stay_points`` over the oracle's records, as columns."""
+    return list(detect_stay_points(oracle.to_fixes(fixes), *params).points)
 
 
 def parsed_records(*args) -> dict[str, list[oracle.Fix]]:
@@ -182,7 +182,7 @@ def test_stay_point_params_reject_non_finite_and_non_positive(field, value):
 
 
 def test_out_of_range_fixes_are_rejected():
-    # the parsers drop such fixes; columns built by hand fail when their stay point is built
+    # the parsers drop such fixes; columns built by hand fail when the GeoPoint of their stay is built
     fixes = Fixes(np.array([0, 1200]), np.array([91.0, 91.0]), np.array([0.0, 0.0]))
     with pytest.raises(InvalidInputError):
         detect_stay_points(fixes)
@@ -195,11 +195,12 @@ def test_out_of_range_fixes_are_rejected():
 
 @st.composite
 def labelling_cases(draw):
-    """Stay points and POIs in a ~1 km box; some POIs share a center, some radii end exactly on a point."""
+    """Stay points (two minutes apart) and POIs in a ~1 km box; some POIs share a center, some radii end exactly on
+    a point."""
     def near():
         return GeoPoint(39.9 + draw(st.floats(-0.005, 0.005)), 116.4 + draw(st.floats(-0.005, 0.005)))
 
-    points = [StayPoint(0, 60, "", "Unknown", near()) for _ in range(draw(st.integers(0, 8)))]
+    points = [StayPoint(120 * k, 120 * k + 60, "", "Unknown", near()) for k in range(draw(st.integers(0, 8)))]
     entries = []
     for k in range(draw(st.integers(0, 8))):
         center = entries[-1].center if entries and draw(st.booleans()) else near()
@@ -214,7 +215,7 @@ def labelling_cases(draw):
 @given(labelling_cases())
 def test_place_labels_equal_the_oracle(case):
     points, poi = case
-    assert exact(assign_place_types(points, poi)) == exact(oracle.assign_place_types(points, poi))
+    assert exact(assign_place_types(from_stays("", points), poi).points) == exact(oracle.assign_place_types(points, poi))
 
 
 def test_poi_centres_are_validated_at_load():
@@ -346,7 +347,7 @@ def test_multi_agent_csv_ingests_byte_identical_to_the_oracle(tmp_path):
     ds = ingest_dataset(str(csv), "csv", poi=poi, min_points=1)
     with open(csv, "rb") as fh:
         parsed = oracle.parse_raw_log(fh.read(), "csv")
-    expected = [Trajectory(a, oracle.assign_place_types(oracle.detect_stay_points(parsed[a]), poi)) for a in sorted(parsed)]
+    expected = [from_stays(a, oracle.assign_place_types(oracle.detect_stay_points(parsed[a]), poi)) for a in sorted(parsed)]
     write_dataset(ds, str(tmp_path / "new.jsonl"))
     write_dataset(filter_min_records(Dataset(trajectories=expected, meta=ds.meta), 1), str(tmp_path / "old.jsonl"))
     assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import from_stays
 from mobanom.core import (
     ConfigError,
     Dataset,
@@ -8,7 +9,6 @@ from mobanom.core import (
     InjectionError,
     InvalidInputError,
     StayPoint,
-    Trajectory,
 )
 from mobanom.inject import InjectConfig, _swap_pair, inject_imposter
 
@@ -19,7 +19,7 @@ def make_traj(agent_id, arrivals, place="Apartment", lat=10.0, lon=20.0, dwell=5
                   location=GeoPoint(lat, lon + 0.001 * i))
         for i, a in enumerate(arrivals)
     ]
-    return Trajectory(agent_id, points)
+    return from_stays(agent_id, points)
 
 
 def interleaved_dataset(n_agents=6, n_points=10, spacing=1000, seed=0):
@@ -92,7 +92,7 @@ def swap_by_filters(a, b, switch_time):
     if not a_tail or not b_tail:
         return None
     try:
-        return Trajectory(a.agent_id, a_head + b_tail), Trajectory(b.agent_id, b_head + a_tail), len(a_head), len(b_head)
+        return from_stays(a.agent_id, a_head + b_tail), from_stays(b.agent_id, b_head + a_tail), len(a_head), len(b_head)
     except InvalidInputError:
         return None
 
@@ -102,7 +102,7 @@ class TestCut:
         """Either one's switch time is 7050, the depart of A's stay 7 and of B's stay 6; B's stay 7 arrives then."""
         a = make_traj("A", [1000 * i for i in range(10)])
         b_stays = [(1000 * i + 500, 1000 * i + 550) for i in range(6)] + [(6500, 7050), (7050, 7060), (8500, 8550)]
-        b = Trajectory("B", [StayPoint(s, e, f"B_{i}", "Pub", GeoPoint(11.0, 20.0)) for i, (s, e) in enumerate(b_stays)])
+        b = from_stays("B", [StayPoint(s, e, f"B_{i}", "Pub", GeoPoint(11.0, 20.0)) for i, (s, e) in enumerate(b_stays)])
         return a, b
 
     def test_a_stay_arriving_at_the_switch_time_stays_in_the_head(self):

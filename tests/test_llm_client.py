@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import from_stays
 from mobanom.core import (
-    AuthError, ConfigError, Dataset, EndpointError, GeoPoint, LabelEntry, LabelSet, MobanomError, StayPoint, Trajectory,
+    AuthError, ConfigError, Dataset, EndpointError, GeoPoint, LabelEntry, LabelSet, MobanomError, StayPoint,
 )
 from mobanom.detectors import SplitSpec
 from mobanom.evaluation import roc_auc
@@ -233,7 +234,7 @@ def packing_cases(draw):
     for agent_id in ids:
         arrive = sorted(draw(st.lists(st.integers(0, 28 * 86400), unique=True, max_size=5)))
         locations = st.builds(GeoPoint, st.floats(39.0, 41.0), st.floats(116.0, 118.0))
-        trajectories.append(Trajectory(agent_id, [StayPoint(a, a, f"p{i}", draw(st.sampled_from(["Home", "Pub"])),
+        trajectories.append(from_stays(agent_id, [StayPoint(a, a, f"p{i}", draw(st.sampled_from(["Home", "Pub"])),
                                                             draw(locations)) for i, a in enumerate(arrive)]))
     ds = Dataset(trajectories, {"switch_fraction": draw(st.floats(0.0, 1.0))})
     labels = LabelSet({t.agent_id: LabelEntry(True, "imposter", draw(st.integers(0, len(t.points) - 1)))
@@ -264,7 +265,7 @@ class TestPackingOracle:
 
     def test_an_empty_trajectory_gets_no_prompt_and_is_omitted(self):
         # render_stay_sequence refused one; build_bundles skips it, and run_llm_detection names why it has no score
-        ds = Dataset([Trajectory("empty", []), Trajectory("a", [StayPoint(0, 0, "p", "Pub", GeoPoint(40.0, 116.0))])])
+        ds = Dataset([from_stays("empty", []), from_stays("a", [StayPoint(0, 0, "p", "Pub", GeoPoint(40.0, 116.0))])])
         for mode in prompts.MODES:
             assert [b.agent_ids for b in build_bundles(ds, LabelSet(), mode, split=SplitSpec({"a": 0}))] == [["a"]]
             table = run_llm_detection(ds, LabelSet(), mode, MockEndpoint(lambda b: "user 1: [0.5]"),

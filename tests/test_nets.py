@@ -3,7 +3,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from mobanom.core import ConfigError, Dataset, GeoPoint, StayPoint, Trajectory, TrainingDivergedError
+from conftest import from_stays
+from mobanom.core import ConfigError, Dataset, GeoPoint, StayPoint, TrainingDivergedError
 from mobanom.detectors import (
     NetHyper,
     SplitSpec,
@@ -161,7 +162,7 @@ def pattern_dataset(n_agents=20, planted="a00"):
                     StayPoint(t0, t0 + 3600, f"{place_type.lower()}{k}", place_type,
                               GeoPoint(10.0 + (i % 3) * 0.05, 20.0 + k * 0.01))
                 )
-        trajectories.append(Trajectory(agent_id, points))
+        trajectories.append(from_stays(agent_id, points))
     return Dataset(trajectories=trajectories)
 
 
@@ -175,7 +176,7 @@ class TestOneClassScores:
         ds = pattern_dataset(planted="nobody")
         # make all agents share one pattern so everything is symmetric
         base = ds.trajectories[0]
-        clones = [Trajectory(f"c{i}", list(base.points)) for i in range(6)]
+        clones = [from_stays(f"c{i}", list(base.points)) for i in range(6)]
         feat = features(Dataset(trajectories=clones))
         for scorer in (dae_score, dsvdd_score):
             table = scorer(feat, NetHyper(epochs=100))

@@ -4,10 +4,10 @@ import os
 
 import pytest
 
-from conftest import read_golden
+from conftest import from_stays, read_golden
 from mobanom.cli import main
 from mobanom.core import ConfigError, Dataset, GeoPoint, InvalidInputError, LabelEntry, LabelSet, PartialParseError
-from mobanom.core import ScoreParseError, StayPoint, Trajectory, write_dataset, write_labels
+from mobanom.core import ScoreParseError, StayPoint, write_dataset, write_labels
 from mobanom.detectors import SplitSpec
 from mobanom.llm import build_bundles, parse_combine_scores, parse_separate_score
 from mobanom.llm.prompts import DEVIATE_MARKER, MODES, TEMPLATE_VERSIONS, _sequence, _stay_labels, normalize_mode
@@ -17,7 +17,7 @@ def mini_traj(agent_id="a1"):
     # Sat 10:36 Pub -> Sat 10:57 Apartment, 0.4 km apart along the equator
     p1 = StayPoint(1704537360, 1704537360, "pub", "Pub", GeoPoint(0.0, 0.0))
     p2 = StayPoint(1704538620, 1704538620, "apt", "Apartment", GeoPoint(0.0, 0.0035967))
-    return Trajectory(agent_id, [p1, p2])
+    return from_stays(agent_id, [p1, p2])
 
 
 def render(t, deviate_index=None):
@@ -35,7 +35,7 @@ class TestRenderSequence:
         assert render(mini_traj()) == "Sat 10:36, Pub, 0.4 km ->Sat 10:57, Apartment"
 
     def test_single_point(self):
-        t = Trajectory("a", [StayPoint(1705451400, 1705451400, "apt", "Apartment", GeoPoint(0, 0))])
+        t = from_stays("a", [StayPoint(1705451400, 1705451400, "apt", "Apartment", GeoPoint(0, 0))])
         assert render(t) == "Wed 00:30, Apartment"
 
     def test_marker_placement(self):

@@ -12,7 +12,8 @@ import traod_oracle as oracle
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mobanom.core import ConfigError, Dataset, GeoPoint, StayPoint, Trajectory
+from conftest import from_stays
+from mobanom.core import ConfigError, Dataset, GeoPoint, StayPoint
 from mobanom.detectors import SplitSpec, TraodParams, classical, segment_distance_components, traod_score
 from mobanom.detectors import traod_segment_distance
 from mobanom.detectors.classical import _trajectory_segments, _traod_outlying
@@ -142,8 +143,8 @@ class TestAgainstScalarSupport:
 
     def test_a_pool_segment_at_exactly_d_supports(self):
         # x's test hop and y's training hop are D apart; with p_frac = 0.5 one supporter is enough
-        x = Trajectory("x", [sp(0, 10.0, 20.0), sp(1, 10.0, 20.01), sp(2, 10.0, 20.02), sp(3, 10.003, 20.03)])
-        y = Trajectory("y", [sp(0, 10.001, 20.0), sp(1, 10.0015, 20.012), sp(2, 11.0, 20.0), sp(3, 11.0, 20.01)])
+        x = from_stays("x", [sp(0, 10.0, 20.0), sp(1, 10.0, 20.01), sp(2, 10.0, 20.02), sp(3, 10.003, 20.03)])
+        y = from_stays("y", [sp(0, 10.001, 20.0), sp(1, 10.0015, 20.012), sp(2, 11.0, 20.0), sp(3, 11.0, 20.01)])
         ds = Dataset(trajectories=[x, y])
         split = SplitSpec(split_index={"x": 2, "y": 2})
         lat0 = float(np.mean([p.location.lat for t in (x, y) for p in t.points]))
@@ -168,7 +169,7 @@ def route(agent_id, n_weeks=2):
             t0 = week * 7 * DAY + i * 3600
             location = GeoPoint(40.0 + 0.013 * i, 116.3 + 0.021 * i * i)
             points.append(StayPoint(t0, t0 + 600, f"p{i}", "Pub", location))
-    return Trajectory(agent_id, points)
+    return from_stays(agent_id, points)
 
 
 class TestZeroRadius:
@@ -244,7 +245,7 @@ def small_towns(draw):
         route = draw(st.lists(st.sampled_from(GRID), min_size=1, max_size=4))
         offset = draw(st.sampled_from([0.0, 1e-4, 2e-4]))
         stops = (route * 3)[:draw(st.integers(1, 8))]
-        trajectories.append(Trajectory(f"a{k}", [sp(h, lat + offset, lon) for h, (lat, lon) in enumerate(stops)]))
+        trajectories.append(from_stays(f"a{k}", [sp(h, lat + offset, lon) for h, (lat, lon) in enumerate(stops)]))
         split[f"a{k}"] = draw(st.integers(0, len(stops)))
     return Dataset(trajectories=trajectories), SplitSpec(split_index=split)
 
@@ -276,9 +277,9 @@ class TestEarlyExit:
         # b's, and leave a with 0 supporters whenever a's hop comes first in the visiting order.
         p, q, far = (40.0, 116.3), (40.01, 116.32), (40.2, 116.6)
         p2, q2 = (p[0] + shift[0], p[1] + shift[1]), (q[0] + shift[0], q[1] + shift[1])
-        a = Trajectory("a", [sp(0, *p), sp(1, *q), sp(2, *p), sp(3, *q)])
-        b = Trajectory("b", [sp(0, *p2), sp(1, *q2)])
-        c = Trajectory("c", [sp(0, *far), sp(1, far[0], far[1] + 0.01), sp(2, *p), sp(3, *q)])
+        a = from_stays("a", [sp(0, *p), sp(1, *q), sp(2, *p), sp(3, *q)])
+        b = from_stays("b", [sp(0, *p2), sp(1, *q2)])
+        c = from_stays("c", [sp(0, *far), sp(1, far[0], far[1] + 0.01), sp(2, *p), sp(3, *q)])
         ds, split = Dataset(trajectories=[a, b, c]), SplitSpec(split_index={"a": 2, "b": 2, "c": 2})
         params = TraodParams(D=0.05, p_frac=0.7)
         with mock.patch.object(classical, "POOL_BLOCK", pool_block):

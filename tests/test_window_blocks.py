@@ -7,10 +7,11 @@ from dataclasses import replace
 import features_oracle as oracle
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mobanom.core import ConfigError, Dataset, GeoPoint, InvalidInputError, StayPoint, Trajectory, haversine_km
+from conftest import from_stays
+from mobanom.core import ConfigError, Dataset, GeoPoint, InvalidInputError, Place, StayPoint, Trajectory, haversine_km
 from mobanom.detectors import (NetHyper, SplitSpec, bucket_windows, build_windows, dae_score, dsvdd_score,
                                monav_tt_score, ompad_score)
 from mobanom.detectors import features
@@ -49,7 +50,7 @@ def trajectories(draw, agent_id: str) -> tuple[Trajectory, int | None]:
         lon = draw(st.sampled_from([0.0, 116.3, 179.99]) | st.floats(-180, 180))
         depart = min([a + draw(st.integers(0, 2 * HOUR)), *arrive[i + 1:i + 2]])
         points.append(StayPoint(a, depart, f"p{i % 3}", kind, GeoPoint(lat, lon)))
-    return Trajectory(agent_id, points), split
+    return from_stays(agent_id, points), split
 
 
 @st.composite
@@ -108,14 +109,27 @@ def test_hop_sums_are_added_left_to_right():
     for h in hops:
         running += h
     assert running != math.fsum(hops)  # else the data could not tell the two sums apart
-    ds = Dataset(trajectories=[Trajectory("a", train + test)])
+    ds = Dataset(trajectories=[from_stays("a", train + test)])
     split = SplitSpec(split_index={"a": len(train)})
     assert_same_table(monav_tt_score(ds, split, 1.0), oracle.monav_tt_score(ds, split, 1.0))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8, unique=True),
+       st.sampled_from([1, 3600, 86400, 2**62]) | st.integers(1, 2**63 - 1), st.integers(0, 8))
+@example([-(2**62), 2**62 + 185000, 2**62 + 228200], 86400, 0)  # were: windows [0], [1, 2]
+def test_windows_count_from_the_first_arrival_across_the_whole_int64_range(arrive, window_seconds, split):
+    """Against the oracle's Python-int bucketing, with arrivals that may span more than 2**63 seconds."""
+    arrive = sorted(arrive)
+    t = Trajectory("a", arrive=arrive, depart=arrive, place_code=[0] * len(arrive),
+                   places=[Place("p", "Pub", GeoPoint(0.0, 0.0))])
+    assert [(is_train, t.arrive[rows].tolist()) for is_train, rows in bucket_windows(t, split, window_seconds)] == [
+        (is_train, [p.arrive for p in pts]) for _, is_train, pts in oracle.bucket_windows(t, split, window_seconds)]
+
+
 @pytest.mark.parametrize("window_days", [1e-6, -1.0])
 def test_a_window_shorter_than_a_second_is_a_config_error(window_days):
-    ds = Dataset(trajectories=[Trajectory("a", [StayPoint(k, k, "p", "Pub", GeoPoint(0.0, 0.0)) for k in range(3)])])
+    ds = Dataset(trajectories=[from_stays("a", [StayPoint(k, k, "p", "Pub", GeoPoint(0.0, 0.0)) for k in range(3)])])
     with pytest.raises(ConfigError, match="at least 1 second"):
         monav_tt_score(ds, SplitSpec(split_index={"a": 2}), window_days)
 
@@ -123,7 +137,7 @@ def test_a_window_shorter_than_a_second_is_a_config_error(window_days):
 @pytest.mark.parametrize("window_days", [math.nan, math.inf, 1e300])
 def test_a_window_without_a_finite_length_is_a_config_error(window_days):
     # were: nan a ValueError, inf and 1e300 an OverflowError
-    ds = Dataset(trajectories=[Trajectory("a", [StayPoint(k, k, "p", "Pub", GeoPoint(0.0, 0.0)) for k in range(3)])])
+    ds = Dataset(trajectories=[from_stays("a", [StayPoint(k, k, "p", "Pub", GeoPoint(0.0, 0.0)) for k in range(3)])])
     split = SplitSpec(split_index={"a": 2})
     for detect in (lambda: monav_tt_score(ds, split, window_days), lambda: build_windows(ds, split, window_days, 4)):
         with pytest.raises(ConfigError, match="window_days"):
@@ -134,7 +148,7 @@ def test_an_arrival_beyond_64_bits_is_an_input_error():
     # a trajectory refuses it when built, so no detector meets one
     points = [StayPoint(a, a, "p", "Pub", GeoPoint(0.0, 0.0)) for a in (0, 2**63)]
     with pytest.raises(InvalidInputError, match="^stay 1 of 'a': arrive 9223372036854775808 does not fit"):
-        Trajectory("a", points)
+        from_stays("a", points)
 
 
 def test_the_windowed_detectors_omit_the_agents_the_windows_leave_out():
@@ -143,7 +157,7 @@ def test_the_windowed_detectors_omit_the_agents_the_windows_leave_out():
     rng = np.random.default_rng(4)
     agents = ["a0", "a1", "a2", "no_test", "no_train"]
     ds = Dataset(trajectories=[
-        Trajectory(a, [StayPoint(k * 6 * HOUR, k * 6 * HOUR + HOUR, f"p{k % 4}", TYPES[int(rng.integers(3))],
+        from_stays(a, [StayPoint(k * 6 * HOUR, k * 6 * HOUR + HOUR, f"p{k % 4}", TYPES[int(rng.integers(3))],
                                  GeoPoint(float(rng.uniform(39, 40)), float(rng.uniform(116, 117)))) for k in range(24)])
         for a in agents])
     split = SplitSpec(split_index={"a0": 12, "a1": 16, "a2": 8, "no_test": 24, "no_train": 0})
